@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -50,10 +51,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log per-operation client-side timings to stderr")
 	trace := flag.Bool("trace", false, "trace the command end to end and print the merged client+server span tree to stderr")
 	flag.Parse()
-	logger := obs.Nop()
-	if *verbose {
-		logger = obs.NewLogger(os.Stderr, obs.LevelDebug)
-	}
 	start := time.Now()
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -66,8 +63,8 @@ func main() {
 	if flag.NArg() > 0 {
 		cmd = flag.Arg(0)
 	}
-	logger.Info("command finished", "cmd", cmd, "elapsed", time.Since(start), "ok", err == nil)
 	if *verbose {
+		slog.New(slog.NewTextHandler(os.Stderr, nil)).Info("command finished", "cmd", cmd, "elapsed", time.Since(start), "ok", err == nil)
 		// The client-side half of the paper's latency split: prepare/encode
 		// phase spans plus per-kind network round-trip histograms.
 		fmt.Fprintln(os.Stderr, "--- client metrics ---")

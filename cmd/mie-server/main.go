@@ -57,6 +57,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -115,11 +116,10 @@ func main() {
 
 // runRouter serves the routing tier until interrupted.
 func runRouter(addr, spec, logLevel string) error {
-	level, err := obs.ParseLevel(logLevel)
+	logger, err := newLogger(logLevel)
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(os.Stderr, level)
 	cfg := router.Config{Addr: addr, Logger: logger}
 	for _, part := range strings.Split(spec, ",") {
 		name, nodeAddr, ok := strings.Cut(strings.TrimSpace(part), "=")
@@ -138,6 +138,16 @@ func runRouter(addr, spec, logLevel string) error {
 	<-stop
 	logger.Info("shutting down")
 	return rt.Close()
+}
+
+// newLogger returns the process logger: key=value text lines on stderr at or
+// above the -log-level value (debug, info, warn or error, any case).
+func newLogger(logLevel string) (*slog.Logger, error) {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(logLevel)); err != nil {
+		return nil, fmt.Errorf("-log-level: %w", err)
+	}
+	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})), nil
 }
 
 // parseBytes parses a human byte size: a plain integer, or one with a
@@ -173,11 +183,10 @@ func parseBytes(s string) (int64, error) {
 }
 
 func run(addr, dataDir string, snapEvery time.Duration, walSync, debugAddr, logLevel string, traceSample float64, slowMS int, role, peers string, ten tenancyFlags) error {
-	level, err := obs.ParseLevel(logLevel)
+	logger, err := newLogger(logLevel)
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(os.Stderr, level)
 
 	tracer := obs.DefaultTracer()
 	tracer.SetSampleRate(traceSample)

@@ -87,8 +87,11 @@ func WithObservability(reg *obs.Registry) Option {
 }
 
 // WithLockstep forces protocol v1: no hello exchange, ID-less envelopes and
-// one request in flight at a time. Used to benchmark the mux against the
-// lockstep baseline and to emulate v1 peers.
+// one request in flight at a time. Tests use it to emulate v1 peers.
+//
+// Deprecated: nothing outside tests forces v1 any more. Use the default v2
+// multiplexed framing negotiated by hello; the lockstep path is removed with
+// wire v1 (DESIGN.md §13 deprecation ledger).
 func WithLockstep() Option {
 	return func(c *Conn) { c.lockstep = true }
 }

@@ -698,7 +698,7 @@ func TestRepositoryWithChampionSpill(t *testing.T) {
 	}
 	// Remove a spilled doc and merge: no stale postings resurface.
 	r.Remove("hot-00")
-	if err := r.MergeIndexes(); err != nil {
+	if err := r.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
 	q2, err := c.PrepareQuery(&Object{ID: "q2", Text: "hotword"}, 20)

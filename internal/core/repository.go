@@ -1566,11 +1566,6 @@ func (r *Repository) searchModality(st *repoState, i int, eng ModalityEngine, q 
 	return eng.LinearSearch(q, r.objects, depth)
 }
 
-// MergeIndexes merges the per-modality indexes' sealed segments (and their
-// disk-spilled champion lists) into one — the background merge of §VI, run
-// synchronously on demand.
-func (r *Repository) MergeIndexes() error { return r.CompactNow() }
-
 // Close releases index resources (spill logs) and the write-ahead log. Any
 // in-flight background compaction is waited out first, so no merge races the
 // teardown.

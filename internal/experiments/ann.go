@@ -361,8 +361,7 @@ func annFusedComparison(cfg Config, report *ANNReport) error {
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// WriteANNReport renders the report for stdout. The "ann: best ..." summary
-// line is parsed by the check.sh ANN smoke; keep its shape stable.
+// WriteANNReport renders the report for stdout.
 func WriteANNReport(w io.Writer, r *ANNReport) {
 	fmt.Fprintf(w, "Approximate dense search: multi-probe LSH vs exact popcount scan (%d codes x %d bits, %d queries)\n",
 		r.Corpus, r.CodeBits, r.Queries)

@@ -87,7 +87,7 @@ func StartCluster(baseDir string, n int, sync wal.SyncPolicy) (*Cluster, error) 
 		_ = svc.Close()
 		return fail(err)
 	}
-	relay0, err := newChaosRelay(srv.Addr(), 0)
+	relay0, err := newChaosRelay(srv.Addr())
 	if err != nil {
 		_ = srv.Close()
 		_ = svc.Close()
@@ -124,7 +124,7 @@ func (c *Cluster) startFollower(i int) (*clusterNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	link, err := newChaosRelay(c.nodes[0].relay.Addr(), 0)
+	link, err := newChaosRelay(c.nodes[0].relay.Addr())
 	if err != nil {
 		_ = svc.Close()
 		return nil, err
@@ -149,7 +149,7 @@ func (c *Cluster) startFollower(i int) (*clusterNode, error) {
 		_ = svc.Close()
 		return nil, err
 	}
-	relay, err := newChaosRelay(srv.Addr(), 0)
+	relay, err := newChaosRelay(srv.Addr())
 	if err != nil {
 		_ = srv.Close()
 		fol.Close()
@@ -647,11 +647,10 @@ func clusterFailoverPhase(cfg Config, dir string, report *ClusterReport) (err er
 	return nil
 }
 
-// WriteClusterReport renders the human-readable report plus the
-// machine-parsable summary line scripts/check.sh greps.
+// WriteClusterReport renders the report for stdout.
 func WriteClusterReport(w io.Writer, r *ClusterReport) {
-	fmt.Fprintf(w, "Cluster: %d repositories x %d objects, WAL-shipping replication behind a consistent-hash router\n",
-		r.Repos, r.ObjectsPerRepo)
+	fmt.Fprintf(w, "Cluster: %d repositories x %d objects, WAL-shipping replication behind a consistent-hash router (seed %d)\n",
+		r.Repos, r.ObjectsPerRepo, r.Seed)
 	for _, pt := range r.Scale {
 		fmt.Fprintf(w, "  read scale @%d node(s): %d searches by %d workers -> %.0f qps (%.2fx vs 1 node)\n",
 			pt.Nodes, pt.Searches, pt.Workers, pt.ThroughputQPS, pt.ScaleVsOne)
@@ -665,20 +664,4 @@ func WriteClusterReport(w io.Writer, r *ClusterReport) {
 		parity = "MISMATCH"
 	}
 	fmt.Fprintf(w, "  leader/follower search parity: %s\n", parity)
-	// Machine-parsable summary for scripts/check.sh's cluster smoke gate.
-	fmt.Fprintf(w,
-		"cluster: seed=%d nodes=%d scale2=%.2f scale4=%.2f lag_p50_ms=%.3f lag_p99_ms=%.3f acked=%d lost_acks=%d leader_kills=%d parity=%s\n",
-		r.Seed, maxClusterNodes(r), r.ScaleAt2, r.ScaleAt4,
-		r.LagP50Ms, r.LagP99Ms, r.AckedWrites, r.LostAcks,
-		r.LeaderKills, parity)
-}
-
-func maxClusterNodes(report *ClusterReport) int {
-	n := 0
-	for _, pt := range report.Scale {
-		if pt.Nodes > n {
-			n = pt.Nodes
-		}
-	}
-	return n
 }

@@ -475,7 +475,7 @@ func TestClusterRouterFailoverToFollower(t *testing.T) {
 }
 
 // TestClusterScaleSmoke: the scale-point harness end to end at minimal size
-// — the cheap guard that keeps mie-bench -cluster runnable.
+// — the cheap guard that keeps mie-bench -experiment cluster runnable.
 func TestClusterScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke boots two clusters")
@@ -490,5 +490,30 @@ func TestClusterScaleSmoke(t *testing.T) {
 		if pt.Searches == 0 || pt.ThroughputQPS <= 0 {
 			t.Fatalf("scale@%d measured nothing: %+v", n, pt)
 		}
+	}
+}
+
+// The cluster gates, at quick scale: a 2-node WAL-shipping cluster behind
+// the consistent-hash router, with a leader kill and restart in the middle
+// of an acknowledged-write ledger. Zero acknowledged writes may be lost,
+// leader and follower must answer searches identically after catch-up, and
+// the failover phase must actually have killed the leader.
+func TestClusterExperimentGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick-scale cluster experiment")
+	}
+	leakcheck.Check(t)
+	report, err := ClusterExperiment(Quick(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.LostAcks != 0 {
+		t.Errorf("lost %d of %d acknowledged writes across a leader kill", report.LostAcks, report.AckedWrites)
+	}
+	if !report.SearchParity {
+		t.Error("leader/follower search parity broken after catch-up")
+	}
+	if report.LeaderKills == 0 {
+		t.Error("the failover phase never killed the leader")
 	}
 }

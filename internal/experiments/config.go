@@ -49,15 +49,16 @@ type Config struct {
 	// K is the top-k of search experiments (paper: 20).
 	K int
 	// ANNCorpus and ANNQueries size the approximate-dense-search sweep
-	// (mie-bench -ann): how many synthetic codes the candidate index holds
-	// and how many queries score each (tables, bits, probes) point.
+	// (mie-bench -experiment ann): how many synthetic codes the candidate
+	// index holds and how many queries score each (tables, bits, probes)
+	// point.
 	ANNCorpus  int
 	ANNQueries int
 	// TenancyRepos is how many repositories the multi-tenancy benchmark
-	// (mie-bench -tenancy) hosts on one lazily-activating service.
+	// (mie-bench -experiment tenancy) hosts on one lazily-activating service.
 	TenancyRepos int
 	// ClusterNodes is the cluster-size sweep of the read-scaling phase of
-	// the replication benchmark (mie-bench -cluster).
+	// the replication benchmark (mie-bench -experiment cluster).
 	ClusterNodes []int
 	// ClusterRepos and ClusterObjects shape the replicated corpus: how
 	// many repositories spread across the ring and how many text objects

@@ -14,10 +14,6 @@ import (
 // userspace stand-in for `tc netem` plus a saturable NIC that the cluster
 // harness uses to make distributed failure modes deterministic:
 //
-//   - SetDelay adds a fixed one-way latency to every delivery (both
-//     directions), while deep burst queues keep reads from stalling behind
-//     delivery so pipelined traffic overlaps round trips like on a real
-//     long-haul link.
 //   - Partition drops every live connection and refuses new ones until
 //     healed — a clean network partition at a frame boundary.
 //   - SetTarget repoints the relay at a new backend address (clients keep
@@ -28,16 +24,13 @@ import (
 //     connections — modelling a node's finite request capacity so read
 //     scale-out is measurable in-process.
 //
-// The zero-delay, never-partitioned relay is byte-transparent; the
-// wire-concurrency experiment's latency relay is this type with only
-// SetDelay in play.
+// The unpaced, never-partitioned relay is byte-transparent.
 type chaosRelay struct {
 	ln net.Listener
 	wg sync.WaitGroup
 
 	mu          sync.Mutex
 	target      string
-	delay       time.Duration
 	frameEvery  time.Duration
 	partitioned bool
 	conns       map[net.Conn]struct{}
@@ -46,21 +39,15 @@ type chaosRelay struct {
 	nextSlot time.Time
 }
 
-func newChaosRelay(target string, delay time.Duration) (*chaosRelay, error) {
+func newChaosRelay(target string) (*chaosRelay, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	r := &chaosRelay{ln: ln, target: target, delay: delay, conns: make(map[net.Conn]struct{})}
+	r := &chaosRelay{ln: ln, target: target, conns: make(map[net.Conn]struct{})}
 	r.wg.Add(1)
 	go r.acceptLoop()
 	return r, nil
-}
-
-// newLatencyRelay is the wire-concurrency experiment's view of the relay: a
-// fixed one-way delay and nothing else.
-func newLatencyRelay(target string, delay time.Duration) (*chaosRelay, error) {
-	return newChaosRelay(target, delay)
 }
 
 func (r *chaosRelay) Addr() string { return r.ln.Addr().String() }
@@ -91,25 +78,12 @@ func (r *chaosRelay) Partition(on bool) {
 	}
 }
 
-// SetDelay changes the one-way delivery delay for subsequent bursts.
-func (r *chaosRelay) SetDelay(d time.Duration) {
-	r.mu.Lock()
-	r.delay = d
-	r.mu.Unlock()
-}
-
 // SetFrameInterval paces client→server frames to at most one per d across
 // all connections (0 disables pacing).
 func (r *chaosRelay) SetFrameInterval(d time.Duration) {
 	r.mu.Lock()
 	r.frameEvery = d
 	r.mu.Unlock()
-}
-
-func (r *chaosRelay) getDelay() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.delay
 }
 
 func (r *chaosRelay) getFrameEvery() time.Duration {
@@ -170,25 +144,21 @@ func (r *chaosRelay) acceptLoop() {
 	}
 }
 
-type relayBurst struct {
-	due  time.Time
-	data []byte
-}
-
-// pipe copies src to dst, delivering each burst its one-way delay after it
-// was read. A reader goroutine timestamps bursts into a deep queue so
-// reading never stalls behind delivery. On the client→server direction the
-// reader parses whole wire frames so pacing and partitions land exactly on
-// frame boundaries.
+// pipe copies src to dst. A reader goroutine feeds bursts into a deep queue
+// so reading never stalls behind paced delivery. On the client→server
+// direction the reader parses whole wire frames so pacing and partitions
+// land exactly on frame boundaries.
 func (r *chaosRelay) pipe(dst, src net.Conn, frames bool) {
 	defer r.wg.Done()
-	ch := make(chan relayBurst, 4096)
+	// Deep enough that a paced relay never back-pressures its reader in any
+	// cluster test or experiment (their in-flight frames number in the tens).
+	ch := make(chan []byte, 4096)
 	if frames {
 		go r.readFrames(src, ch)
 	} else {
 		go r.readBursts(src, ch)
 	}
-	for b := range ch {
+	for data := range ch {
 		if frames {
 			if every := r.getFrameEvery(); every > 0 {
 				r.paceMu.Lock()
@@ -198,15 +168,10 @@ func (r *chaosRelay) pipe(dst, src net.Conn, frames bool) {
 				}
 				r.nextSlot = slot.Add(every)
 				r.paceMu.Unlock()
-				if slot.After(b.due) {
-					b.due = slot
-				}
+				time.Sleep(time.Until(slot))
 			}
 		}
-		if d := time.Until(b.due); d > 0 {
-			time.Sleep(d)
-		}
-		if _, err := dst.Write(b.data); err != nil {
+		if _, err := dst.Write(data); err != nil {
 			break
 		}
 	}
@@ -221,7 +186,7 @@ func (r *chaosRelay) pipe(dst, src net.Conn, frames bool) {
 	}
 }
 
-func (r *chaosRelay) readBursts(src net.Conn, ch chan<- relayBurst) {
+func (r *chaosRelay) readBursts(src net.Conn, ch chan<- []byte) {
 	defer close(ch)
 	buf := make([]byte, 64<<10)
 	for {
@@ -229,7 +194,7 @@ func (r *chaosRelay) readBursts(src net.Conn, ch chan<- relayBurst) {
 		if n > 0 {
 			data := make([]byte, n)
 			copy(data, buf[:n])
-			ch <- relayBurst{due: time.Now().Add(r.getDelay()), data: data}
+			ch <- data
 		}
 		if err != nil {
 			return
@@ -240,7 +205,7 @@ func (r *chaosRelay) readBursts(src net.Conn, ch chan<- relayBurst) {
 // readFrames reads whole length-prefixed wire frames, one burst per frame.
 // A stream that stops looking like wire frames ends the pipe (the relay
 // only ever carries wire traffic).
-func (r *chaosRelay) readFrames(src net.Conn, ch chan<- relayBurst) {
+func (r *chaosRelay) readFrames(src net.Conn, ch chan<- []byte) {
 	defer close(ch)
 	for {
 		var hdr [4]byte
@@ -256,6 +221,6 @@ func (r *chaosRelay) readFrames(src net.Conn, ch chan<- relayBurst) {
 		if _, err := io.ReadFull(src, data[4:]); err != nil {
 			return
 		}
-		ch <- relayBurst{due: time.Now().Add(r.getDelay()), data: data}
+		ch <- data
 	}
 }

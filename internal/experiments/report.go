@@ -11,6 +11,10 @@ func seconds(d time.Duration) string {
 	return fmt.Sprintf("%.3f", d.Seconds())
 }
 
+// ms is a duration in (fractional) milliseconds, the unit of the system
+// experiments' JSON reports.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
 // WriteUpdateReport prints Figure 2/3 rows as a table.
 func WriteUpdateReport(w io.Writer, title string, rows []UpdateRow) {
 	fmt.Fprintf(w, "== %s ==\n", title)

@@ -1,14 +1,10 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestTenancySeedThreaded: the tenancy report must pin the dataset seed it
-// was generated from — both in the JSON document and in the summary line
-// scripts/check.sh parses — so a published BENCH_tenancy.json names its
-// exact workload.
+// was generated from, so a published BENCH_tenancy.json names its exact
+// workload.
 func TestTenancySeedThreaded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a (small) tenancy experiment")
@@ -24,9 +20,25 @@ func TestTenancySeedThreaded(t *testing.T) {
 	if report.Seed != cfg.Seed {
 		t.Fatalf("report seed %d, want the configured %d", report.Seed, cfg.Seed)
 	}
-	var sb strings.Builder
-	WriteTenancyReport(&sb, report)
-	if !strings.Contains(sb.String(), "tenancy: seed=42 ") {
-		t.Fatalf("summary line does not carry the seed:\n%s", sb.String())
+}
+
+// The tenancy gates, at quick scale: 500 repositories churned through lazy
+// activation and LRU eviction under a 16 MiB budget. Every acknowledged
+// write must survive the churn, and the resident accounting must never
+// overshoot the budget by more than 10% (transiently, while the eviction
+// pass catches up).
+func TestTenancyExperimentGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick-scale tenancy experiment")
+	}
+	report, err := TenancyExperiment(Quick(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.LostAcks != 0 {
+		t.Errorf("lost %d of %d acknowledged writes across eviction churn", report.LostAcks, report.AckedWrites)
+	}
+	if report.MaxOverBudgetFraction > 0.10 {
+		t.Errorf("resident accounting overshot the memory budget by %.1f%% (> 10%%)", 100*report.MaxOverBudgetFraction)
 	}
 }

@@ -41,7 +41,7 @@ type TraceLevel struct {
 	TracesKept int64 `json:"traces_kept"`
 }
 
-// TraceOverheadReport is the trace_overhead section of BENCH_obs.json.
+// TraceOverheadReport is what mie-bench -experiment trace-overhead prints.
 type TraceOverheadReport struct {
 	Clients   int          `json:"clients"`
 	PerClient int          `json:"searches_per_client"`

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -15,7 +18,7 @@ import (
 // (mie-server's -debug-addr flag). It exposes:
 //
 //	/metrics       Prometheus text exposition of the bound registry
-//	/metrics.json  the same snapshot as JSON (mie-bench's BENCH_obs.json shape)
+//	/metrics.json  the same snapshot as JSON (a Snapshot)
 //	/debug/traces  completed request traces (JSON list; ?trace=<id> for one,
 //	               &format=tree for an indented tree) when a tracer is bound
 //	/debug/vars    expvar (Go runtime memstats plus published vars)
@@ -58,12 +61,27 @@ func WithHandler(pattern string, h http.Handler) DebugOption {
 
 var expvarOnce sync.Once
 
+// discard drops every record before formatting it: its minimum level is
+// above any level a caller can log at. (slog.DiscardHandler needs Go 1.24;
+// go.mod says 1.22.)
+var discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+
+// OrDiscard returns lg, or for a nil lg a logger that discards everything —
+// what "nil logger" means to every constructor in this module that takes one.
+func OrDiscard(lg *slog.Logger) *slog.Logger {
+	if lg == nil {
+		return discard
+	}
+	return lg
+}
+
 // ServeDebug starts a debug server on addr (use ":0" for an ephemeral port).
 // The registry snapshot is also published as the expvar "mie" on first call.
-func ServeDebug(addr string, reg *Registry, logger *Logger, opts ...DebugOption) (*DebugServer, error) {
+func ServeDebug(addr string, reg *Registry, logger *slog.Logger, opts ...DebugOption) (*DebugServer, error) {
 	if reg == nil {
 		reg = Default()
 	}
+	logger = OrDiscard(logger)
 	var cfg debugConfig
 	for _, opt := range opts {
 		opt(&cfg)

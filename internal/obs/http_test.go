@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -30,7 +32,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	reg.Counter(L("server_requests_total", "kind", "search")).Add(2)
 	reg.Histogram("request_seconds").Observe(0.003)
 
-	d, err := ServeDebug("127.0.0.1:0", reg, Nop())
+	d, err := ServeDebug("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,5 +72,19 @@ func TestDebugServerEndpoints(t *testing.T) {
 
 	if !strings.Contains(getBody(t, base+"/healthz"), "ok") {
 		t.Error("/healthz not ok")
+	}
+}
+
+// A nil logger means "discard" to every constructor that takes one: OrDiscard
+// maps it to a logger disabled at every level, and passes a real one through.
+func TestNilAndNopLogger(t *testing.T) {
+	nop := OrDiscard(nil)
+	nop.Error("discarded")
+	if nop.Enabled(context.Background(), slog.LevelError) {
+		t.Error("OrDiscard(nil) should be disabled at every level")
+	}
+	lg := slog.New(slog.NewTextHandler(io.Discard, nil))
+	if OrDiscard(lg) != lg {
+		t.Error("OrDiscard must return a non-nil logger unchanged")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // boundary, so hot-path metric updates never pay for quoting.
 //
 // The legacy exposition (WriteMetrics, unquoted labels and quantile lines)
-// remains for mie-bench's human-oriented dumps; scrapers get this one.
+// remains for mie-client -v's human-oriented dump; scrapers get this one.
 
 // promSeries is one parsed metric identity: base name plus ordered labels.
 type promSeries struct {

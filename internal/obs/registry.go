@@ -2,8 +2,8 @@
 // concurrent metrics registry (counters, gauges, fixed-bucket latency
 // histograms), lightweight phase spans for attributing wall time the way the
 // paper's Tables 2-3 and Figures 5-8 do (client encode vs. cloud
-// train/index/search), a leveled key=value logger, and an opt-in HTTP debug
-// server exposing /metrics, /debug/vars and net/http/pprof.
+// train/index/search), and an opt-in HTTP debug server exposing /metrics,
+// /debug/vars and net/http/pprof. Logging is log/slog, passed in by callers.
 //
 // The package is stdlib-only by design: the reproduction must run in
 // hermetic environments, and the exposition format is a plain-text subset of
@@ -256,7 +256,7 @@ type BucketCount struct {
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry, shaped for
-// JSON serialization (mie-bench's BENCH_obs.json).
+// JSON serialization (/metrics.json, expvar "mie").
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`

@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"log/slog"
 	"math"
 	mrand "math/rand/v2"
 	"sort"
@@ -266,7 +267,7 @@ func (at *ActiveTrace) Finish() *Trace {
 type Tracer struct {
 	reg  *Registry
 	ring *traceRing
-	log  atomic.Pointer[Logger]
+	log  atomic.Pointer[slog.Logger]
 	// rate is the head-sampling probability (float64 bits).
 	rate atomic.Uint64
 	// slowNanos > 0 enables tail capture of slow requests.
@@ -328,14 +329,9 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNanos.Store(int64(d))
 func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNanos.Load()) }
 
 // SetLogger routes the slow-request log line (nil disables it).
-func (t *Tracer) SetLogger(l *Logger) { t.log.Store(l) }
+func (t *Tracer) SetLogger(l *slog.Logger) { t.log.Store(l) }
 
-func (t *Tracer) logger() *Logger {
-	if l := t.log.Load(); l != nil {
-		return l
-	}
-	return Nop()
-}
+func (t *Tracer) logger() *slog.Logger { return OrDiscard(t.log.Load()) }
 
 // headSample rolls the head-sampling dice.
 func (t *Tracer) headSample() bool {

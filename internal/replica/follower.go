@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sort"
 	"sync"
@@ -46,7 +47,7 @@ type Follower struct {
 	svc  *core.Service
 	addr string
 	reg  *obs.Registry
-	log  *obs.Logger
+	log  *slog.Logger
 
 	mu      sync.Mutex
 	cursors map[string]Cursor // last applied cursor per stream ("" = catalog)
@@ -74,7 +75,7 @@ type Follower struct {
 // state from local disk while it re-syncs. Cursors live in memory only —
 // within one process they resume streams record-by-record across
 // reconnects; a restarted process re-syncs through a snapshot transfer.
-func StartFollower(svc *core.Service, addr string, reg *obs.Registry, log *obs.Logger) (*Follower, error) {
+func StartFollower(svc *core.Service, addr string, reg *obs.Registry, log *slog.Logger) (*Follower, error) {
 	if !svc.Durable() {
 		return nil, errors.New("replica: follower requires a durable service")
 	}

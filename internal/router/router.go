@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,7 @@ type Config struct {
 	// Registry receives router metrics (default obs.Default()).
 	Registry *obs.Registry
 	// Logger, when set, receives routing warnings.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // backend is the router's view of one node: a pooled connection plus the

@@ -117,3 +117,36 @@ func TestAdmissionKeysOnTokenPrincipal(t *testing.T) {
 		t.Errorf("anonymous rejected by alice's quota: %v", err)
 	}
 }
+
+// A sequential caller must never be rejected by its own finished request:
+// the in-flight slot is released when engine work ends, before the reply is
+// written, so the next request on the same connection — sent the moment the
+// response is read — always finds the slot free.
+func TestAdmissionSequentialCallerNeverSelfRejected(t *testing.T) {
+	leakcheck.Check(t)
+	svc, _, err := core.OpenService(core.ServiceOptions{Quotas: core.Quotas{MaxInflight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New("127.0.0.1:0", svc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn := dial(t, srv, nil)
+	if err := conn.CreateRepository(testCtx, "seq", smallOpts()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		// Alternate an ack-carrying kind with a kind that has its own reply
+		// frame; both miss in the engine, which is not what is under test.
+		if i%2 == 0 {
+			err = conn.Remove(testCtx, "seq", "absent")
+		} else {
+			_, _, err = conn.Get(testCtx, "seq", "absent")
+		}
+		if errors.Is(err, core.ErrOverQuota) {
+			t.Fatalf("back-to-back request %d rejected by the caller's own previous request: %v", i, err)
+		}
+	}
+}

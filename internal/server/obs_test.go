@@ -219,7 +219,7 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	fl := &flakyListener{fails: 3, conns: make(chan net.Conn, 1), closed: make(chan struct{})}
 	s := &Server{
 		svc:    memSvc(t),
-		logger: obs.Nop(),
+		logger: obs.OrDiscard(nil),
 		reg:    reg,
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
@@ -269,7 +269,7 @@ func TestMetricsEndpointReflectsSearchRoundTrip(t *testing.T) {
 	// engine record into the process-wide default registry, which is what
 	// mie-server's -debug-addr endpoint exposes.
 	srv := startServer(t)
-	dbg, err := obs.ServeDebug("127.0.0.1:0", obs.Default(), obs.Nop())
+	dbg, err := obs.ServeDebug("127.0.0.1:0", obs.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -91,7 +92,7 @@ type serverMetrics struct {
 type Server struct {
 	svc       *core.Service
 	listener  net.Listener
-	logger    *obs.Logger
+	logger    *slog.Logger
 	authorize Authorizer
 	reg       *obs.Registry
 	tracer    *obs.Tracer
@@ -113,16 +114,13 @@ type Server struct {
 
 // New starts a server listening on addr (e.g. "127.0.0.1:0"). A nil logger
 // discards logs.
-func New(addr string, svc *core.Service, logger *obs.Logger, opts ...Option) (*Server, error) {
+func New(addr string, svc *core.Service, logger *slog.Logger, opts ...Option) (*Server, error) {
 	if svc == nil {
 		return nil, errors.New("server: nil service")
 	}
-	if logger == nil {
-		logger = obs.Nop()
-	}
 	s := &Server{
 		svc:    svc,
-		logger: logger,
+		logger: obs.OrDiscard(logger),
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}
@@ -405,7 +403,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// v2 multiplexed framing: each request runs on its own goroutine;
 			// the write lock inside connState serializes response frames.
 			cs.handlers.Add(1)
-			go func(env *wire.Envelope, lg *obs.Logger) {
+			go func(env *wire.Envelope, lg *slog.Logger) {
 				defer cs.handlers.Done()
 				if err := s.handle(cs, lg, env); err != nil {
 					lg.Info("reply failed", "id", env.ID, "err", err)
@@ -423,7 +421,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // When the envelope carries trace context (or this side's sampler fires),
 // the request's spans are collected into one trace finished — and possibly
 // kept — when the reply is written.
-func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error {
+func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) error {
 	kind := env.Kind
 	s.reg.Counter(obs.L("server_requests_total", "kind", kind)).Inc()
 	s.met.inflight.Add(1)
@@ -456,7 +454,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 	defer func() {
 		s.reg.Histogram(obs.L("server_request_seconds", "kind", kind)).Observe(sp.End().Seconds())
 	}()
-	if lg.Enabled(obs.LevelDebug) {
+	if lg.Enabled(ctx, slog.LevelDebug) {
 		lg.Debug("request", "id", env.ID, "kind", kind)
 	}
 
@@ -477,9 +475,17 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 	// tenant saturating the server cannot starve the others. The rejection
 	// is a normal typed response (ErrCodeOverQuota + retry-after), not a
 	// dropped connection — the client backs off and retries.
+	//
+	// The slot covers engine work only: every case below calls release()
+	// before it writes its reply, because a sequential caller sends its next
+	// request the moment it reads the response, and a slot still held across
+	// the write would reject that caller on its own finished request. The
+	// deferred call covers panics and is a no-op otherwise (release is
+	// idempotent).
+	release := func() {}
 	if gov := s.svc.Tenants(); gov != nil && repoScoped(kind) {
-		release, aerr := gov.Admit(principal(env.Auth))
-		if aerr != nil {
+		var aerr error
+		if release, aerr = gov.Admit(principal(env.Auth)); aerr != nil {
 			return s.writeKindError(sp, kind, cs, env.ID, aerr)
 		}
 		defer release()
@@ -500,6 +506,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 				_, err = s.svc.CreateRepository(req.RepoID, req.Opts.ToCore())
 			})
 		}
+		release()
 		return s.writeAck(sp, kind, cs, env.ID, err)
 
 	case wire.KindTrain:
@@ -523,6 +530,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
+		release()
 		return s.writeAck(sp, kind, cs, env.ID, err)
 
 	case wire.KindTrainStart:
@@ -542,6 +550,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 				}
 			})
 		}
+		release()
 		return s.writeTrainJobResp(sp, kind, cs, env.ID, st, err)
 
 	case wire.KindTrainStatus, wire.KindTrainWait:
@@ -571,6 +580,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
+		release()
 		return s.writeTrainJobResp(sp, kind, cs, env.ID, st, err)
 
 	case wire.KindUpdate:
@@ -592,6 +602,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
+		release()
 		return s.writeAck(sp, kind, cs, env.ID, err)
 
 	case wire.KindRemove:
@@ -613,6 +624,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
+		release()
 		return s.writeAck(sp, kind, cs, env.ID, err)
 
 	case wire.KindSearch:
@@ -643,6 +655,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 				hits, err = nil, ctx.Err()
 			}
 		}
+		release()
 		return s.writeSearchResp(sp, kind, cs, env.ID, hits, err)
 
 	case wire.KindGet:
@@ -666,6 +679,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
+		release()
 		return s.writeGetResp(sp, kind, cs, env.ID, ct, owner, err)
 
 	case wire.KindTraceGet:

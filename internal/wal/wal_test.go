@@ -404,27 +404,36 @@ func TestParseSyncPolicy(t *testing.T) {
 }
 
 func TestObserverCounts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "obs.wal")
-	var o countingObserver
-	l, _, err := Open(path, Options{Sync: SyncAlways, Observer: &o}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for _, r := range testRecords(4) {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if o.appends != 4 {
-		t.Errorf("appends = %d, want 4", o.appends)
-	}
-	// Header init + one fsync per append under SyncAlways.
-	if o.syncs != 5 {
-		t.Errorf("syncs = %d, want 5", o.syncs)
-	}
-	if o.bytes <= 0 {
-		t.Errorf("bytes = %d", o.bytes)
+	for _, tc := range []struct {
+		sync      SyncPolicy
+		wantSyncs int
+	}{
+		{SyncAlways, 5}, // header init + one fsync per append
+		{SyncNever, 1},  // header init only: appends never fsync
+	} {
+		t.Run(tc.sync.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "obs.wal")
+			var o countingObserver
+			l, _, err := Open(path, Options{Sync: tc.sync, Observer: &o}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for _, r := range testRecords(4) {
+				if err := l.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if o.appends != 4 {
+				t.Errorf("appends = %d, want 4", o.appends)
+			}
+			if o.syncs != tc.wantSyncs {
+				t.Errorf("syncs = %d, want %d", o.syncs, tc.wantSyncs)
+			}
+			if o.bytes <= 0 {
+				t.Errorf("bytes = %d", o.bytes)
+			}
+		})
 	}
 }
 
