@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -284,6 +285,73 @@ func TestRepositoryTrainedSearch(t *testing.T) {
 	}
 	if sameClass < 3 {
 		t.Errorf("only %d/%d trained-search hits from the query's class: %+v", sameClass, len(hits), hits)
+	}
+}
+
+// One node asked the same multimodal query again and again returns the same
+// bits. Per-document scores are float sums over the query's terms, and the
+// fixture makes the order of that sum decide a ranking: the "up" and "down"
+// documents hold the same three equally rare words with frequencies 1,2,3 and
+// 3,2,1, so their text scores are equal on paper and differ in the last bit
+// depending on which word is added first (20 text documents, 12 holding each
+// word: (i+2i)+3i != (3i+2i)+i for i = ln(20/12)). Walking the query's terms in
+// map order reshuffled those ranks from one call to the next.
+func TestRepeatedSearchIsBitIdentical(t *testing.T) {
+	c := testClient(t)
+	r, err := NewRepository("repeat", smallRepoOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	add := func(id, words string, class, n int) {
+		t.Helper()
+		up, err := c.PrepareUpdate(&Object{ID: id, Owner: "user1", Text: words, Image: classImage(class, int64(n))}, testDataKey(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Update(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		add(fmt.Sprintf("up-%d", i), "alpha beta beta gamma gamma gamma", 0, i)
+		add(fmt.Sprintf("down-%d", i), "alpha alpha alpha beta beta gamma", 1, i)
+	}
+	for i := 0; i < 8; i++ {
+		add(fmt.Sprintf("filler-%d", i), "mountain snow hiking trail", 2, i)
+	}
+	if err := r.Train(); err != nil {
+		t.Fatal(err)
+	}
+	// The last pair arrives after training, so the memtable is scored too.
+	add("up-5", "alpha beta beta gamma gamma gamma", 0, 5)
+	add("down-5", "alpha alpha alpha beta beta gamma", 1, 5)
+
+	q, err := c.PrepareQuery(&Object{Text: "alpha beta gamma", Image: classImage(0, 77)}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 10 {
+		t.Fatalf("%d hits, want 10", len(first))
+	}
+	for run := 1; run < 200; run++ {
+		hits, err := r.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) != len(first) {
+			t.Fatalf("run %d: %d hits, first run had %d", run, len(hits), len(first))
+		}
+		for i := range hits {
+			if hits[i].ObjectID != first[i].ObjectID || math.Float64bits(hits[i].Score) != math.Float64bits(first[i].Score) {
+				t.Fatalf("run %d, rank %d: (%s, %x), first run had (%s, %x)", run, i,
+					hits[i].ObjectID, math.Float64bits(hits[i].Score), first[i].ObjectID, math.Float64bits(first[i].Score))
+			}
+		}
 	}
 }
 

@@ -16,6 +16,13 @@ func TestLeakageSummaryCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = r.Close() })
+	// The counters live in the process-wide registry and outlive the
+	// repository, so under -count=N they are compared against their start.
+	reg := obs.Default()
+	repeats := reg.Counter(obs.L("repo_leak_search_repeats_total", "repo", "leakrepo"))
+	mass := reg.Counter(obs.L("repo_leak_update_token_mass_total", "repo", "leakrepo"))
+	reveals := reg.Counter(obs.L("repo_leak_access_reveals_total", "repo", "leakrepo"))
+	repeats0, mass0, reveals0 := repeats.Value(), mass.Value(), reveals.Value()
 
 	add := func(id, text string) {
 		t.Helper()
@@ -79,17 +86,16 @@ func TestLeakageSummaryCounts(t *testing.T) {
 	}
 
 	// The same quantities must be visible as metrics for /metrics scrapes.
-	reg := obs.Default()
-	if got := reg.Counter(obs.L("repo_leak_search_repeats_total", "repo", "leakrepo")).Value(); got != 1 {
+	if got := repeats.Value() - repeats0; got != 1 {
 		t.Errorf("repo_leak_search_repeats_total = %d, want 1", got)
 	}
-	if got := reg.Counter(obs.L("repo_leak_update_token_mass_total", "repo", "leakrepo")).Value(); got != 5 {
+	if got := mass.Value() - mass0; got != 5 {
 		t.Errorf("repo_leak_update_token_mass_total = %d, want 5", got)
 	}
 	if got := reg.Gauge(obs.L("repo_leak_distinct_search_tokens", "repo", "leakrepo")).Value(); got != 2 {
 		t.Errorf("repo_leak_distinct_search_tokens = %d, want 2", got)
 	}
-	if got := reg.Counter(obs.L("repo_leak_access_reveals_total", "repo", "leakrepo")).Value(); got != int64(wantReveals) {
+	if got := reveals.Value() - reveals0; got != int64(wantReveals) {
 		t.Errorf("repo_leak_access_reveals_total = %d, want %d", got, wantReveals)
 	}
 

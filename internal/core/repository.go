@@ -1470,7 +1470,8 @@ func (r *Repository) SearchContext(ctx context.Context, q *Query) ([]SearchHit, 
 // fusion ablation.
 //
 // The per-modality lookups fan out in parallel goroutines and join before
-// fusion, so the search phase costs max(modality lookups), not their sum;
+// fusion, so the search phase costs max(modality lookups), not their sum (a
+// query carrying a single modality runs its lookup inline);
 // the whole path is lock-free against the repository (epoch load + store
 // shard reads only) and therefore never blocks on a concurrent Train.
 func (r *Repository) SearchWithFusion(q *Query, method fusion.Method) ([]SearchHit, error) {
@@ -1493,28 +1494,32 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 	if depth <= 0 {
 		depth = 10 * q.K
 	}
-	lists := make([][]index.Result, len(st.engines))
-	active := make([]bool, len(st.engines))
-	var wg sync.WaitGroup
+	var active []int // engines the query carries a modality for
 	for i, eng := range st.engines {
-		if !eng.InQuery(q) {
-			continue
+		if eng.InQuery(q) {
+			active = append(active, i)
 		}
-		active[i] = true
-		wg.Add(1)
-		go func(i int, eng ModalityEngine) {
-			defer wg.Done()
-			csp := sp.Child(string(eng.Modality()) + "_lookup")
-			defer csp.End()
-			lists[i] = r.searchModality(st, i, eng, q, depth)
-		}(i, eng)
 	}
-	wg.Wait()
-	joined := make([][]index.Result, 0, len(lists))
-	for i, l := range lists {
-		if active[i] {
-			joined = append(joined, l)
+	joined := make([][]index.Result, len(active))
+	lookup := func(j int) {
+		i := active[j]
+		eng := st.engines[i]
+		csp := sp.Child(string(eng.Modality()) + "_lookup")
+		defer csp.End()
+		joined[j] = r.searchModality(st, i, eng, q, depth)
+	}
+	if len(active) == 1 {
+		lookup(0) // nothing to overlap with: skip the goroutine and the join
+	} else {
+		var wg sync.WaitGroup
+		for j := range active {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				lookup(j)
+			}(j)
 		}
+		wg.Wait()
 	}
 	fsp := sp.Child("fusion")
 	fused := fusion.Fuse(method, joined, q.K)

@@ -33,36 +33,35 @@ func Fuse(method Method, lists [][]index.Result, k int) []index.Result {
 	if k <= 0 {
 		return nil
 	}
-	sums := make(map[index.DocID]float64)
-	hits := make(map[index.DocID]int)
+	n := 0
+	for _, list := range lists {
+		n += len(list)
+	}
+	type tally struct {
+		sum  float64
+		hits int
+	}
+	tallies := make(map[index.DocID]tally, n)
 	for _, list := range lists {
 		for i, r := range list {
 			rank := float64(i + 1)
-			var c float64
+			t := tallies[r.Doc]
 			switch method {
 			case RRF:
-				c = 1 / (60 + rank)
+				t.sum += 1 / (60 + rank)
 			default: // ISR and LogISR share the inverse-square kernel
-				c = 1 / (rank * rank)
+				t.sum += 1 / (rank * rank)
 			}
-			sums[r.Doc] += c
-			hits[r.Doc]++
+			t.hits++
+			tallies[r.Doc] = t
 		}
 	}
-	fused := make(map[index.DocID]float64, len(sums))
-	for doc, s := range sums {
+	top := index.NewTopKHeap(k)
+	for doc, t := range tallies {
 		if method == LogISR {
-			s *= math.Log(1 + float64(hits[doc]))
+			t.sum *= math.Log(1 + float64(t.hits))
 		}
-		fused[doc] = s
+		top.Offer(index.Result{Doc: doc, Score: t.sum})
 	}
-	out := make([]index.Result, 0, len(fused))
-	for doc, s := range fused {
-		out = append(out, index.Result{Doc: doc, Score: s})
-	}
-	index.SortResults(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return top.Results()
 }

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -120,5 +121,73 @@ func TestFuseBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// fuseReference is the straightforward formulation Fuse must keep matching
+// bit for bit: per-document sum and hit count, score every document, sort the
+// whole union, cut at k.
+func fuseReference(method Method, lists [][]index.Result, k int) []index.Result {
+	sums := map[index.DocID]float64{}
+	hits := map[index.DocID]int{}
+	for _, l := range lists {
+		for i, r := range l {
+			rank := float64(i + 1)
+			if method == RRF {
+				sums[r.Doc] += 1 / (60 + rank)
+			} else {
+				sums[r.Doc] += 1 / (rank * rank)
+			}
+			hits[r.Doc]++
+		}
+	}
+	out := []index.Result{}
+	for doc, s := range sums {
+		if method == LogISR {
+			s *= math.Log(1 + float64(hits[doc]))
+		}
+		out = append(out, index.Result{Doc: doc, Score: s})
+	}
+	index.SortResults(out)
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+func TestFuseMatchesReference(t *testing.T) {
+	long := make([]index.DocID, 40)
+	for i := range long {
+		long[i] = index.DocID(fmt.Sprintf("d%02d", (i*7)%40))
+	}
+	cases := []struct {
+		name  string
+		lists [][]index.Result
+		k     int
+	}{
+		{"no lists", nil, 5},
+		{"only empty lists", [][]index.Result{nil, {}}, 5},
+		{"one empty list among two", [][]index.Result{list("a", "b"), nil}, 5},
+		{"ties broken by DocID", [][]index.Result{list("x", "y"), list("y", "x")}, 2},
+		{"all tied, cut mid-tie", [][]index.Result{list("c"), list("a"), list("b"), list("d")}, 2},
+		{"k larger than the union", [][]index.Result{list("a", "b", "c"), list("c", "d")}, 50},
+		{"k = 1", [][]index.Result{list("a", "b", "c"), list("b", "a")}, 1},
+		{"duplicate doc inside one list", [][]index.Result{list("a", "b", "a"), list("b")}, 3},
+		{"three modalities, deep lists", [][]index.Result{list(long...), list(long[10:]...), list(long[25:]...)}, 10},
+	}
+	for _, method := range []Method{LogISR, ISR, RRF} {
+		for _, tc := range cases {
+			got := Fuse(method, tc.lists, tc.k)
+			want := fuseReference(method, tc.lists, tc.k)
+			if len(got) != len(want) {
+				t.Errorf("method %d, %s: %d results, want %d\ngot  %v\nwant %v", method, tc.name, len(got), len(want), got, want)
+				continue
+			}
+			for i := range got {
+				if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Errorf("method %d, %s: pos %d = %v, want %v", method, tc.name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -9,12 +9,12 @@
 package index
 
 import (
-	"container/heap"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -286,11 +286,12 @@ func (ix *Inverted) Search(query map[Term]uint64, k int) []Result {
 		avgLen = float64(ix.totalLen) / float64(ix.docCount)
 	}
 	scores := make(map[DocID]float64)
-	for term, qf := range query {
+	for _, term := range sortedTerms(query) {
 		pl := ix.postings[term]
 		if len(pl) == 0 && ix.spilled[term] == 0 {
 			continue
 		}
+		qf := float64(query[term])
 		df := ix.docFreqLocked(term)
 		for doc, tf := range pl {
 			var w float64
@@ -299,7 +300,7 @@ func (ix *Inverted) Search(query map[Term]uint64, k int) []Result {
 			} else {
 				w = text.TFIDF(tf, ix.docCount, df)
 			}
-			scores[doc] += float64(qf) * w
+			scores[doc] += qf * w
 		}
 	}
 	return TopK(scores, k)
@@ -346,34 +347,106 @@ func (ix *Inverted) Merge() error {
 	return nil
 }
 
-// TopK selects the k highest-scoring documents from a score map using a
-// bounded min-heap (O(n log k), no full materialize-and-sort), breaking score
-// ties by DocID for determinism. Non-positive scores are dropped. Exported so
-// every ranked-scan path — index lookups, the engines' linear fallbacks, the
-// ANN re-rank — truncates through the same selection with the same tie-break.
+// sortedTerms returns the query's terms in ascending order. Every ranked scan
+// walks them in this order, so a document's score is one float sum with one
+// order of additions: the same query always returns the same bits.
+func sortedTerms(query map[Term]uint64) []Term {
+	terms := make([]Term, 0, len(query))
+	for term := range query {
+		terms = append(terms, term)
+	}
+	slices.Sort(terms)
+	return terms
+}
+
+// TopK selects the k highest-scoring documents from a score map, breaking
+// score ties by DocID for determinism. Non-positive scores are dropped.
+// Exported so every ranked-scan path — index lookups, the engines' linear
+// fallbacks, the ANN re-rank — truncates through the same selection with the
+// same tie-break.
 func TopK(scores map[DocID]float64, k int) []Result {
-	h := &resultHeap{}
-	heap.Init(h)
+	top := NewTopKHeap(k)
 	for doc, s := range scores {
-		if s <= 0 {
-			continue
-		}
-		r := Result{Doc: doc, Score: s}
-		if h.Len() < k {
-			heap.Push(h, r)
-		} else if less((*h)[0], r) {
-			(*h)[0] = r
-			heap.Fix(h, 0)
+		if s > 0 && top.admits(s) {
+			top.Offer(Result{Doc: doc, Score: s})
 		}
 	}
-	out := make([]Result, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		r, ok := heap.Pop(h).(Result)
-		if !ok {
-			break // unreachable: heap only holds Results
+	return top.Results()
+}
+
+// TopKHeap keeps the k best results offered to it in a bounded min-heap
+// (O(n log k), no full materialize-and-sort). The order is total — score, then
+// DocID — so the outcome does not depend on the order of the offers.
+type TopKHeap struct {
+	k int
+	h []Result // min-heap under less: h[0] is the weakest kept result
+}
+
+// NewTopKHeap returns a selector for the k best results (none when k <= 0).
+func NewTopKHeap(k int) *TopKHeap {
+	return &TopKHeap{k: k}
+}
+
+// admits reports whether a result with this score could enter the heap. It is
+// the cheap pre-check that lets a scan skip a candidate without touching its
+// DocID: false means Offer would certainly drop it.
+func (t *TopKHeap) admits(score float64) bool {
+	return len(t.h) < t.k || (len(t.h) > 0 && score >= t.h[0].Score)
+}
+
+// Offer considers one result.
+func (t *TopKHeap) Offer(r Result) {
+	if len(t.h) < t.k {
+		t.h = append(t.h, r)
+		for i := len(t.h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !less(t.h[i], t.h[parent]) {
+				break
+			}
+			t.h[i], t.h[parent] = t.h[parent], t.h[i]
+			i = parent
 		}
-		out[i] = r
+		return
 	}
+	if len(t.h) == 0 || !less(t.h[0], r) {
+		return
+	}
+	t.h[0] = r
+	t.siftDown(len(t.h))
+}
+
+// siftDown restores the heap property of h[:n] after h[0] changed.
+func (t *TopKHeap) siftDown(n int) {
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			return
+		}
+		if r := child + 1; r < n && less(t.h[r], t.h[child]) {
+			child = r
+		}
+		if !less(t.h[child], t.h[i]) {
+			return
+		}
+		t.h[i], t.h[child] = t.h[child], t.h[i]
+		i = child
+	}
+}
+
+// Results returns the kept results best first (the order of SortResults) and
+// empties the heap. The slice is the caller's.
+func (t *TopKHeap) Results() []Result {
+	// Heapsort in place: moving the weakest to the end, n times, leaves the
+	// slice descending.
+	for n := len(t.h) - 1; n > 0; n-- {
+		t.h[0], t.h[n] = t.h[n], t.h[0]
+		t.siftDown(n)
+	}
+	out := t.h
+	if out == nil {
+		out = []Result{}
+	}
+	t.h = nil
 	return out
 }
 
@@ -384,20 +457,6 @@ func less(a, b Result) bool {
 		return a.Score < b.Score
 	}
 	return a.Doc > b.Doc
-}
-
-type resultHeap []Result
-
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return less(h[i], h[j]) }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // SortResults orders results descending by score (ties by DocID ascending),

@@ -397,6 +397,72 @@ func TestFollowerReplicatesEndToEnd(t *testing.T) {
 	}
 }
 
+// A leader and its caught-up follower rank identically, call after call. The
+// fixture is the one of core's TestRepeatedSearchIsBitIdentical: "up" and
+// "down" documents whose scores are equal on paper and differ in the last bit
+// with the order the query's terms are summed in, so any dependence on map
+// iteration order shows up as two nodes (or two calls) disagreeing.
+func TestFollowerRanksLikeLeader(t *testing.T) {
+	leakcheck.Check(t)
+	svc, hub, srv := startLeader(t, t.TempDir())
+	defer func() { _ = svc.Close() }()
+	defer func() { _ = srv.Close() }()
+	c := testClient(t)
+	lr, err := svc.CreateRepository("ranked", core.RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustUpdate(t, c, lr, fmt.Sprintf("up-%d", i), "alpha beta beta gamma gamma gamma")
+		mustUpdate(t, c, lr, fmt.Sprintf("down-%d", i), "alpha alpha alpha beta beta gamma")
+	}
+	for i := 0; i < 8; i++ {
+		mustUpdate(t, c, lr, fmt.Sprintf("filler-%d", i), "mountain snow hiking trail")
+	}
+	if err := lr.Train(); err != nil {
+		t.Fatal(err)
+	}
+	mustUpdate(t, c, lr, "up-5", "alpha beta beta gamma gamma gamma")
+	mustUpdate(t, c, lr, "down-5", "alpha alpha alpha beta beta gamma")
+
+	folSvc := openSvc(t, t.TempDir())
+	defer func() { _ = folSvc.Close() }()
+	fol, err := StartFollower(folSvc, srv.Addr(), obs.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	waitFollowerCaughtUp(t, fol, hub, []string{"ranked"})
+	fr, err := folSvc.Repository("ranked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fr.IsTrained() {
+		t.Fatal("follower did not install the leader's epoch")
+	}
+	want := searchIDs(t, c, lr, "alpha beta gamma")
+	if len(want) != 10 {
+		t.Fatalf("%d hits, want 10", len(want))
+	}
+	for run := 0; run < 50; run++ {
+		if got := searchIDs(t, c, lr, "alpha beta gamma"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: leader disagrees with itself:\n%v\n%v", run, ranked(got), ranked(want))
+		}
+		if got := searchIDs(t, c, fr, "alpha beta gamma"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: follower disagrees with leader:\n%v\n%v", run, ranked(got), ranked(want))
+		}
+	}
+}
+
+// ranked renders a hit list without its ciphertexts.
+func ranked(hits []core.SearchHit) []string {
+	out := make([]string, len(hits))
+	for i, h := range hits {
+		out[i] = fmt.Sprintf("%s:%v", h.ObjectID, h.Score)
+	}
+	return out
+}
+
 // idleFollower builds a Follower without its session loop, for driving the
 // apply path by hand.
 func idleFollower(svc *core.Service) *Follower {

@@ -41,22 +41,30 @@ go test -race -shuffle=on -cover ./...
 # Connection-lifecycle packages again, repeated: admission slots, mux
 # teardown, follower resume and router failover are where an ordering bug
 # shows up one run in fifty, and one pass of the full suite would miss it.
-go test -race -count=5 ./internal/server ./internal/client ./internal/replica ./internal/router
+# internal/index rides along: its searches read sealed segments' live bits
+# and the memtable under nothing but the facade lock, against concurrent
+# Add/Remove/Seal/Compact.
+go test -race -count=5 ./internal/server ./internal/client ./internal/replica ./internal/router ./internal/index
 
 # The experiment printer still builds and runs (its gates are go tests in
 # internal/experiments, run above).
 go run ./cmd/mie-bench -scale quick -experiment table2
+# The index microbenchmark still runs, at one core and two. No parsing, no
+# threshold: speed gates live in bench/.
+go test -run '^$' -bench SegmentedLookup -benchtime 100x -cpu 1,2 ./internal/index
 
 # Fuzz smoke over the decoders that face untrusted or crash-damaged input:
 # wire frames arriving off the network and WAL bytes read back after a
-# crash must fail cleanly, never panic. FUZZTIME=0 skips (corpus-only
-# replay already ran as part of go test above).
+# crash must fail cleanly, never panic — and over the segmented index, whose
+# fuzzer writes operation traces checked against a naive reference.
+# FUZZTIME=0 skips (corpus-only replay already ran as part of go test above).
 FUZZTIME="${FUZZTIME:-30s}"
 if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz=FuzzReadFrame -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzEnvelopeDecode -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzReplRecordDecode -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" ./internal/wal
+    go test -run='^$' -fuzz=FuzzSegmentedOps -fuzztime="$FUZZTIME" ./internal/index
 fi
 
 echo "check.sh: all gates passed"
