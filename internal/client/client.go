@@ -3,16 +3,15 @@
 // each exchange to a device.Meter so the figures' Network sub-operation can
 // be attributed per call.
 //
-// A Conn negotiates protocol v2 at dial time and then multiplexes: one
+// A Conn runs the hello handshake at dial time and then multiplexes: one
 // writer goroutine serializes outgoing frames, one reader goroutine demuxes
 // responses by request ID, and any number of callers share the single TCP
 // connection with their requests in flight concurrently — sixteen pipelined
 // searches cost one connection, not sixteen. Deadlines on the caller's
 // context ride along on the wire, and canceling a context mid-call emits a
-// best-effort Cancel frame so the server can abandon the work. Against a v1
-// server (which answers the hello with an "unknown kind" error) the Conn
-// falls back to lockstep framing: one request in flight at a time, exactly
-// the v1 contract.
+// best-effort Cancel frame so the server can abandon the work. A server
+// that cannot speak wire.ProtocolVersion fails the dial with an error
+// matching wire.ErrUnsupportedVersion.
 //
 // Transport failures poison the connection — a frame boundary lost to a
 // half-written request or half-read response makes every subsequent byte
@@ -41,8 +40,7 @@ import (
 // outcome is deterministic) — in contrast to transport errors, which are.
 type RemoteError struct {
 	Msg string
-	// Code is the wire.ErrCode* classification (ErrCodeUnspecified on
-	// frames from servers predating typed errors).
+	// Code is the wire.ErrCode* classification.
 	Code int
 	// RetryAfter, when positive, is the server's hint for when a rejected
 	// request (today: an over-quota one) may be retried.
@@ -86,16 +84,6 @@ func WithObservability(reg *obs.Registry) Option {
 	return func(c *Conn) { c.reg = reg }
 }
 
-// WithLockstep forces protocol v1: no hello exchange, ID-less envelopes and
-// one request in flight at a time. Tests use it to emulate v1 peers.
-//
-// Deprecated: nothing outside tests forces v1 any more. Use the default v2
-// multiplexed framing negotiated by hello; the lockstep path is removed with
-// wire v1 (DESIGN.md §13 deprecation ledger).
-func WithLockstep() Option {
-	return func(c *Conn) { c.lockstep = true }
-}
-
 // WithMaxRetries bounds transparent redial attempts for idempotent calls on
 // transport errors; 0 disables reconnection entirely.
 func WithMaxRetries(n int) Option {
@@ -117,12 +105,11 @@ func WithTracer(t *obs.Tracer) Option {
 // time is client_request_seconds, the cloud's share of it is the matching
 // server_request_seconds, and the difference is the network.
 type Conn struct {
-	addr     string
-	meter    *device.Meter
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	lockstep bool
-	retries  int
+	addr    string
+	meter   *device.Meter
+	reg     *obs.Registry
+	tracer  *obs.Tracer
+	retries int
 
 	mu     sync.Mutex
 	token  string
@@ -131,8 +118,8 @@ type Conn struct {
 	dialed bool // a transport has connected at least once
 }
 
-// Dial connects to an MIE server and negotiates the protocol version.
-// meter may be nil.
+// Dial connects to an MIE server and runs the hello handshake. meter may be
+// nil.
 func Dial(addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
 	c := &Conn{addr: addr, meter: meter, retries: defaultMaxRetries}
 	for _, opt := range opts {
@@ -175,18 +162,6 @@ func (c *Conn) SetToken(token string) {
 	c.token = token
 }
 
-// Protocol reports the negotiated protocol version of the live transport
-// (wire.ProtocolV2 on a multiplexed connection, wire.ProtocolV1 in lockstep
-// fallback or when forced by WithLockstep).
-func (c *Conn) Protocol() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tr != nil && c.tr.v2 {
-		return wire.ProtocolV2
-	}
-	return wire.ProtocolV1
-}
-
 func (c *Conn) tokenSnapshot() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -225,14 +200,17 @@ func (c *Conn) transportLocked() (*transport, error) {
 	return t, nil
 }
 
-// connect dials and runs version negotiation: a hello answered by HelloResp
-// selects the multiplexed protocol; any other answer (a v1 server says
-// "unknown kind") selects lockstep. Handshake traffic is connection setup,
-// not an operation, so it is not metered.
+// connect dials, runs the handshake and starts the mux goroutines.
+// Handshake traffic is connection setup, not an operation, so it is not
+// metered.
 func (c *Conn) connect() (*transport, error) {
 	tcp, err := net.Dial("tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
+	}
+	if _, err := Handshake(tcp); err != nil {
+		_ = tcp.Close()
+		return nil, err
 	}
 	t := &transport{
 		tcp:    tcp,
@@ -241,28 +219,49 @@ func (c *Conn) connect() (*transport, error) {
 		writeq: make(chan outFrame, writeQueueDepth),
 		done:   make(chan struct{}),
 	}
-	if !c.lockstep {
-		if _, err := wire.WriteFrame(tcp, wire.KindHello, wire.Hello{MaxVersion: wire.ProtocolV2}); err != nil {
-			_ = tcp.Close()
-			return nil, fmt.Errorf("client: hello: %w", err)
-		}
-		env, _, err := wire.ReadFrame(tcp)
-		if err != nil {
-			_ = tcp.Close()
-			return nil, fmt.Errorf("client: hello response: %w", err)
-		}
-		if env.Kind == wire.KindHelloResp {
-			var hr wire.HelloResp
-			if err := env.Decode(&hr); err == nil && hr.Version >= wire.ProtocolV2 {
-				t.v2 = true
-			}
-		}
-	}
-	if t.v2 {
-		go t.writeLoop()
-		go t.readLoop()
-	}
+	go t.writeLoop()
+	go t.readLoop()
 	return t, nil
+}
+
+// Handshake runs the hello exchange on a freshly connected socket and
+// returns the peer's HelloResp. A peer that refuses the version, or selects
+// another one, yields an error matching wire.ErrUnsupportedVersion.
+func Handshake(conn net.Conn) (wire.HelloResp, error) {
+	var hr wire.HelloResp
+	hello, err := wire.NewEnvelope(wire.KindHello, "", 0, 0, wire.Hello{MaxVersion: wire.ProtocolVersion})
+	if err == nil {
+		_, err = wire.WriteEnvelope(conn, hello)
+	}
+	if err != nil {
+		return hr, fmt.Errorf("client: hello: %w", err)
+	}
+	env, _, err := wire.ReadFrame(conn)
+	if err != nil {
+		return hr, fmt.Errorf("client: hello response: %w", err)
+	}
+	switch env.Kind {
+	case wire.KindHelloResp:
+		if err := env.Decode(&hr); err != nil {
+			return hr, fmt.Errorf("client: hello response: %w", err)
+		}
+		if hr.Version != wire.ProtocolVersion {
+			return hr, fmt.Errorf("client: %w: peer selected %d, need %d", wire.ErrUnsupportedVersion, hr.Version, wire.ProtocolVersion)
+		}
+		return hr, nil
+	case wire.KindError:
+		return hr, fmt.Errorf("client: hello refused: %w", errorFrame(env))
+	}
+	return hr, fmt.Errorf("client: peer answered hello with %s", env.Kind)
+}
+
+// errorFrame turns a KindError envelope into the RemoteError it carries.
+func errorFrame(env *wire.Envelope) *RemoteError {
+	var ack wire.Ack
+	if err := env.Decode(&ack); err == nil && ack.Err != "" {
+		return remoteError(ack.Err, ack.Code, ack.RetryAfterNanos)
+	}
+	return &RemoteError{Msg: "server rejected request"}
 }
 
 // demuxed is one response frame routed to its caller.
@@ -287,11 +286,8 @@ type outFrame struct {
 type transport struct {
 	tcp    net.Conn
 	reg    *obs.Registry
-	v2     bool
 	writeq chan outFrame
 	done   chan struct{}
-
-	lsMu sync.Mutex // lockstep mode: serializes whole round trips
 
 	mu     sync.Mutex
 	nextID uint64
@@ -415,7 +411,7 @@ func (t *transport) readLoop() {
 	}
 }
 
-// muxCall runs one request/response exchange on a multiplexed transport.
+// muxCall runs one request/response exchange on the transport.
 func (c *Conn) muxCall(ctx context.Context, t *transport, kind string, req interface{}) (*wire.Envelope, int, int, error) {
 	var timeout time.Duration
 	if dl, ok := ctx.Deadline(); ok {
@@ -432,8 +428,8 @@ func (c *Conn) muxCall(ctx context.Context, t *transport, kind string, req inter
 	return c.muxExchange(ctx, t, env)
 }
 
-// muxExchange sends one pre-built envelope on a multiplexed transport and
-// awaits the response echoing its ID. The envelope's ID is (re)stamped with
+// muxExchange sends one pre-built envelope on the transport and awaits the
+// response echoing its ID. The envelope's ID is (re)stamped with
 // a fresh request ID for this transport.
 func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope) (*wire.Envelope, int, int, error) {
 	ch := make(chan demuxed, 1)
@@ -456,7 +452,14 @@ func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope
 		}
 		up = wr.n
 	case <-t.done:
-		return nil, 0, 0, t.failure()
+		// A peer that answers and hangs up can poison the transport before
+		// this goroutine has picked up its own write result.
+		select {
+		case wr := <-res:
+			up = wr.n
+		default:
+		}
+		return t.settle(ch, up)
 	}
 	select {
 	case d, ok := <-ch:
@@ -468,65 +471,21 @@ func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope
 		t.abandon(id)
 		return nil, up, 0, ctx.Err()
 	case <-t.done:
-		// Teardown may race a response already delivered to ch.
-		select {
-		case d, ok := <-ch:
-			if ok {
-				return d.env, up, d.n, nil
-			}
-		default:
+		return t.settle(ch, up)
+	}
+}
+
+// settle ends an exchange on a poisoned transport: teardown may race a
+// response already delivered to ch, and that response still counts.
+func (t *transport) settle(ch chan demuxed, up int) (*wire.Envelope, int, int, error) {
+	select {
+	case d, ok := <-ch:
+		if ok {
+			return d.env, up, d.n, nil
 		}
-		return nil, up, 0, t.failure()
+	default:
 	}
-}
-
-// lockstepCall runs one request/response exchange in v1 framing: the whole
-// round trip holds the transport, exactly one request in flight. A context
-// deadline is enforced via socket deadlines; any failure mid-exchange
-// poisons the transport, because a partially written request or partially
-// read response leaves the stream position undefined.
-func (c *Conn) lockstepCall(ctx context.Context, t *transport, kind string, req interface{}) (*wire.Envelope, int, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	var timeout time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		timeout = time.Until(dl)
-	}
-	env, err := wire.NewEnvelope(kind, c.tokenSnapshot(), 0, timeout, req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	stampTrace(ctx, env)
-	return c.lockstepExchange(ctx, t, env)
-}
-
-// lockstepExchange runs one pre-built envelope through v1 framing: the whole
-// round trip holds the transport. The envelope's ID is forced to zero (the
-// v1 marker).
-func (c *Conn) lockstepExchange(ctx context.Context, t *transport, env *wire.Envelope) (*wire.Envelope, int, int, error) {
-	env.ID = 0
-	t.lsMu.Lock()
-	defer t.lsMu.Unlock()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = t.tcp.SetDeadline(dl)
-		defer func() { _ = t.tcp.SetDeadline(time.Time{}) }()
-	}
-	up, err := wire.WriteEnvelope(t.tcp, env)
-	t.reg.Counter("client_tx_bytes_total").Add(int64(up))
-	if err != nil {
-		err = fmt.Errorf("client: write %s: %w", env.Kind, err)
-		t.fail(err)
-		return nil, 0, 0, err
-	}
-	renv, down, err := wire.ReadFrame(t.tcp)
-	if err != nil {
-		err = fmt.Errorf("client: %s response: %w", env.Kind, err)
-		t.fail(err)
-		return nil, up, 0, err
-	}
-	t.reg.Counter("client_rx_bytes_total").Add(int64(down))
-	return renv, up, down, nil
+	return nil, up, 0, t.failure()
 }
 
 // transient reports whether err is a transport-level failure worth a
@@ -542,7 +501,7 @@ func transient(err error) bool {
 		return false
 	case errors.Is(err, ErrClosed):
 		return false
-	case wire.IsMalformed(err):
+	case wire.IsMalformed(err), errors.Is(err, wire.ErrUnsupportedVersion):
 		return false
 	}
 	return true
@@ -581,22 +540,14 @@ func (c *Conn) roundTrip(ctx context.Context, cat device.Category, kind string, 
 		var t *transport
 		t, err = c.transport()
 		if err == nil {
-			if t.v2 {
-				env, up, down, err = c.muxCall(ctx, t, kind, req)
-			} else {
-				env, up, down, err = c.lockstepCall(ctx, t, kind, req)
-			}
+			env, up, down, err = c.muxCall(ctx, t, kind, req)
 		}
 		if err == nil {
 			if c.meter != nil {
 				c.meter.AddTransfer(cat, int64(up), int64(down))
 			}
 			if env.Kind == wire.KindError {
-				var ack wire.Ack
-				if derr := env.Decode(&ack); derr == nil && ack.Err != "" {
-					return remoteError(ack.Err, ack.Code, ack.RetryAfterNanos)
-				}
-				return &RemoteError{Msg: "server rejected request"}
+				return errorFrame(env)
 			}
 			return env.Decode(resp)
 		}

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -27,31 +28,66 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-// fakeServer accepts connections and answers every request — including the
-// hello, which makes clients fall back to lockstep — with the given
-// envelope kind/payload.
+// answerHello serves the handshake half of a fake server: it reads the
+// hello and answers it the way a real node does.
+func answerHello(conn net.Conn) bool {
+	env, _, err := wire.ReadFrame(conn)
+	if err != nil || env.Kind != wire.KindHello {
+		return false
+	}
+	reply, _ := wire.AnswerHello(env, wire.HelloResp{})
+	_, err = wire.WriteEnvelope(conn, reply)
+	return err == nil
+}
+
+// reply answers one request with the given kind and payload, echoing its id.
+func reply(conn net.Conn, req *wire.Envelope, kind string, payload interface{}) error {
+	env, err := wire.NewEnvelope(kind, "", req.ID, 0, payload)
+	if err == nil {
+		_, err = wire.WriteEnvelope(conn, env)
+	}
+	return err
+}
+
+// echoServe answers every request on conn with the given kind and payload
+// until the peer hangs up.
+func echoServe(conn net.Conn, kind string, payload interface{}) {
+	for {
+		req, _, err := wire.ReadFrame(conn)
+		if err != nil || reply(conn, req, kind, payload) != nil {
+			return
+		}
+	}
+}
+
+// fakeServer accepts connections, completes the handshake and answers
+// every request with the given envelope kind/payload.
 func fakeServer(t *testing.T, kind string, payload interface{}) string {
+	t.Helper()
+	return fakeConnServer(t, func(_ int32, conn net.Conn) { echoServe(conn, kind, payload) })
+}
+
+// fakeConnServer accepts connections, completes the handshake on each and
+// hands it to serve along with its 1-based accept order.
+func fakeConnServer(t *testing.T, serve func(n int32, conn net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ln.Close() })
+	var accepts int32
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			n := atomic.AddInt32(&accepts, 1)
 			go func() {
 				defer conn.Close()
-				for {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					if _, err := wire.WriteFrame(conn, kind, payload); err != nil {
-						return
-					}
+				if answerHello(conn) {
+					serve(n, conn)
 				}
 			}()
 		}
@@ -59,31 +95,14 @@ func fakeServer(t *testing.T, kind string, payload interface{}) string {
 	return ln.Addr().String()
 }
 
-// fakeMuxServer accepts one connection, answers the hello with protocol v2,
-// and hands the connection to serve.
+// fakeMuxServer serves exactly one connection.
 func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+	return fakeConnServer(t, func(n int32, conn net.Conn) {
+		if n == 1 {
+			serve(conn)
 		}
-		defer conn.Close()
-		env, _, err := wire.ReadFrame(conn)
-		if err != nil || env.Kind != wire.KindHello {
-			return
-		}
-		if _, err := wire.WriteFrame(conn, wire.KindHelloResp, wire.HelloResp{Version: wire.ProtocolV2}); err != nil {
-			return
-		}
-		serve(conn)
-	}()
-	return ln.Addr().String()
+	})
 }
 
 func TestServerErrorKindSurfaced(t *testing.T) {
@@ -93,10 +112,6 @@ func TestServerErrorKindSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// The hello was answered with an error kind: lockstep fallback.
-	if got := c.Protocol(); got != wire.ProtocolV1 {
-		t.Errorf("negotiated protocol = %d, want v1 fallback", got)
-	}
 	err = c.Train(bg, "r")
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("err = %v, want server error text", err)
@@ -145,18 +160,10 @@ func TestGetRespError(t *testing.T) {
 
 func TestConnClosedMidRequest(t *testing.T) {
 	leakcheck.Check(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		_ = conn.Close() // hang up without answering
-	}()
-	c, err := Dial(ln.Addr().String(), device.NewMeter(device.Desktop), WithLockstep())
+	addr := fakeConnServer(t, func(_ int32, conn net.Conn) {
+		_, _, _ = wire.ReadFrame(conn) // take the request, hang up without answering
+	})
+	c, err := Dial(addr, device.NewMeter(device.Desktop))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,30 +171,65 @@ func TestConnClosedMidRequest(t *testing.T) {
 	if err := c.Train(bg, "r"); err == nil {
 		t.Error("expected error after server hangup")
 	}
-	_ = ln.Close()
+}
+
+// TestDialRefusedByVersion: a peer that cannot speak this protocol fails the
+// dial with a typed error — whether it says so (an error frame carrying
+// ErrCodeUnsupportedVersion), selects another version, or just hangs up the
+// way a pre-v3 server does on bytes it cannot parse. It never hangs.
+func TestDialRefusedByVersion(t *testing.T) {
+	serveRaw := func(answer func(conn net.Conn, hello *wire.Envelope)) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ln.Close() })
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				if hello, _, err := wire.ReadFrame(conn); err == nil {
+					answer(conn, hello)
+				}
+				_ = conn.Close()
+			}
+		}()
+		return ln.Addr().String()
+	}
+	refuses := serveRaw(func(conn net.Conn, hello *wire.Envelope) {
+		_ = reply(conn, hello, wire.KindError, wire.Ack{Err: "too new for me", Code: wire.ErrCodeUnsupportedVersion})
+	})
+	selectsOther := serveRaw(func(conn net.Conn, hello *wire.Envelope) {
+		_ = reply(conn, hello, wire.KindHelloResp, wire.HelloResp{Version: wire.ProtocolVersion + 1})
+	})
+	hangsUp := serveRaw(func(net.Conn, *wire.Envelope) {})
+	for name, addr := range map[string]string{"refuses": refuses, "selects another version": selectsOther} {
+		if _, err := Dial(addr, nil); !errors.Is(err, wire.ErrUnsupportedVersion) {
+			t.Errorf("%s: dial err = %v, want ErrUnsupportedVersion", name, err)
+		}
+		if _, err := Hello(addr, time.Second); !errors.Is(err, wire.ErrUnsupportedVersion) {
+			t.Errorf("%s: probe err = %v, want ErrUnsupportedVersion", name, err)
+		}
+	}
+	if _, err := Dial(hangsUp, nil); err == nil {
+		t.Error("dial succeeded against a peer that hung up on the hello")
+	}
 }
 
 func TestSetTokenIsAttached(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
 	gotAuth := make(chan string, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
+	addr := fakeMuxServer(t, func(conn net.Conn) {
 		env, _, err := wire.ReadFrame(conn)
 		if err != nil {
 			return
 		}
 		gotAuth <- env.Auth
-		_, _ = wire.WriteFrame(conn, wire.KindAck, wire.Ack{})
-	}()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep())
+		_ = reply(conn, env, wire.KindAck, wire.Ack{})
+		_, _, _ = wire.ReadFrame(conn) // hold the connection until the client hangs up
+	})
+	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +280,6 @@ func TestMuxInterleavedResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Protocol(); got != wire.ProtocolV2 {
-		t.Fatalf("negotiated protocol = %d, want v2", got)
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
@@ -319,57 +358,34 @@ func TestCancelEmitsCancelFrame(t *testing.T) {
 }
 
 func TestPoisonedConnNotReused(t *testing.T) {
-	// Regression: a response abandoned mid-frame leaves the TCP stream at an
+	// Regression: a response cut off mid-frame leaves the TCP stream at an
 	// undefined position. The connection must be poisoned and replaced — not
 	// reused, where the next call would misread leftover bytes as its reply.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
 	var accepts int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			n := atomic.AddInt32(&accepts, 1)
-			go func(conn net.Conn, n int32) {
-				defer conn.Close()
-				if n == 1 {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					// Header promises 50 bytes; send 5 and stall: the reply is
-					// stuck mid-frame on a connection that stays open.
-					_, _ = conn.Write([]byte{0, 0, 0, 50, 1, 2, 3, 4, 5})
-					<-release
-					return
-				}
-				for {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					if _, err := wire.WriteFrame(conn, wire.KindAck, wire.Ack{}); err != nil {
-						return
-					}
-				}
-			}(conn, n)
+	addr := fakeConnServer(t, func(n int32, conn net.Conn) {
+		atomic.StoreInt32(&accepts, n)
+		if n > 1 {
+			echoServe(conn, wire.KindAck, wire.Ack{})
+			return
 		}
-	}()
+		req, _, err := wire.ReadFrame(conn)
+		if err != nil {
+			return
+		}
+		// Send all but the last bytes of the reply, then hang up.
+		var frame bytes.Buffer
+		ack, _ := wire.NewEnvelope(wire.KindAck, "", req.ID, 0, wire.Ack{Err: "never fully sent"})
+		_, _ = wire.WriteEnvelope(&frame, ack)
+		_, _ = conn.Write(frame.Bytes()[:frame.Len()-5])
+	})
 	reg := obs.NewRegistry()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep(), WithObservability(reg))
+	c, err := Dial(addr, nil, WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx, cancel := context.WithTimeout(bg, 300*time.Millisecond)
-	defer cancel()
-	if err := c.Train(ctx, "r"); err == nil {
-		t.Fatal("train on the stalled connection should have failed")
+	if err := c.Train(bg, "r"); err == nil {
+		t.Fatal("train on the cut connection should have failed")
 	}
 	// The next call must run on a fresh connection and succeed.
 	if err := c.Train(bg, "r"); err != nil {
@@ -384,40 +400,18 @@ func TestPoisonedConnNotReused(t *testing.T) {
 }
 
 func TestIdempotentCallReconnects(t *testing.T) {
-	// A server that drops the first connection: Search (idempotent) retries
-	// on a fresh one and succeeds without the caller noticing.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	var accepts int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if atomic.AddInt32(&accepts, 1) == 1 {
-				_ = conn.Close()
-				continue
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					if _, err := wire.WriteFrame(conn, wire.KindSearchResp,
-						wire.SearchResp{Hits: []core.SearchHit{{ObjectID: "x"}}}); err != nil {
-						return
-					}
-				}
-			}(conn)
+	// A server that drops the first connection on its first request: Search
+	// (idempotent) retries on a fresh one and succeeds without the caller
+	// noticing.
+	addr := fakeConnServer(t, func(n int32, conn net.Conn) {
+		if n == 1 {
+			_, _, _ = wire.ReadFrame(conn)
+			return
 		}
-	}()
+		echoServe(conn, wire.KindSearchResp, wire.SearchResp{Hits: []core.SearchHit{{ObjectID: "x"}}})
+	})
 	reg := obs.NewRegistry()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep(), WithObservability(reg))
+	c, err := Dial(addr, nil, WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,24 +431,13 @@ func TestIdempotentCallReconnects(t *testing.T) {
 func TestMutationNotRetried(t *testing.T) {
 	// Update is not idempotent: a transport error surfaces to the caller
 	// instead of being silently re-sent.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
 	var accepts int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			atomic.AddInt32(&accepts, 1)
-			_ = conn.Close()
-		}
-	}()
+	addr := fakeConnServer(t, func(n int32, conn net.Conn) {
+		atomic.StoreInt32(&accepts, n)
+		_, _, _ = wire.ReadFrame(conn) // take the update, hang up
+	})
 	reg := obs.NewRegistry()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep(), WithObservability(reg))
+	c, err := Dial(addr, nil, WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,11 @@ import (
 
 // Forward relays a pre-encoded request envelope through this connection and
 // returns the raw response envelope — the primitive the router tier and
-// follower→leader request forwarding are built on. The envelope's Kind,
-// Auth, Data and trace context pass through verbatim (so the origin
-// client's bearer token and trace survive the extra hop); the multiplexing
-// ID and the relative deadline are re-stamped for this hop. The response
+// follower→leader request forwarding are built on. The envelope is copied
+// by value and only its per-hop fields are re-stamped — the multiplexing ID
+// and the relative deadline — so the kind, the origin client's bearer
+// token, the trace context, the body bytes and any header field added
+// later survive the hop untouched; the body is never decoded. The response
 // envelope is returned as-is, including KindError frames — the caller
 // relays it to its own peer rather than interpreting it.
 //
@@ -33,14 +34,8 @@ func (c *Conn) Forward(ctx context.Context, env *wire.Envelope, idempotent bool)
 	}()
 	backoff := reconnectBackoffMin
 	for attempt := 0; ; attempt++ {
-		out := &wire.Envelope{
-			Kind:         env.Kind,
-			Auth:         env.Auth,
-			TraceID:      env.TraceID,
-			SpanID:       env.SpanID,
-			TraceSampled: env.TraceSampled,
-			Data:         env.Data,
-		}
+		out := *env
+		out.TimeoutNanos = 0
 		if dl, ok := ctx.Deadline(); ok {
 			timeout := time.Until(dl)
 			if timeout <= 0 {
@@ -51,11 +46,7 @@ func (c *Conn) Forward(ctx context.Context, env *wire.Envelope, idempotent bool)
 		var t *transport
 		t, err = c.transport()
 		if err == nil {
-			if t.v2 {
-				resp, _, _, err = c.muxExchange(ctx, t, out)
-			} else {
-				resp, _, _, err = c.lockstepExchange(ctx, t, out)
-			}
+			resp, _, _, err = c.muxExchange(ctx, t, &out)
 		}
 		if err == nil {
 			return resp, nil
@@ -74,30 +65,16 @@ func (c *Conn) Forward(ctx context.Context, env *wire.Envelope, idempotent bool)
 	}
 }
 
-// Hello probes addr with a bare version handshake on a one-shot connection
-// and returns the peer's HelloResp — the router's health check, carrying
-// the node's replication role and caught-up state. The probe uses its own
+// Hello probes addr with a bare handshake on a one-shot connection and
+// returns the peer's HelloResp — the router's health check, carrying the
+// node's replication role and caught-up state. The probe uses its own
 // short-lived connection so it can never poison pooled request traffic.
 func Hello(addr string, timeout time.Duration) (wire.HelloResp, error) {
-	var hr wire.HelloResp
 	tcp, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return hr, fmt.Errorf("client: hello dial %s: %w", addr, err)
+		return wire.HelloResp{}, fmt.Errorf("client: hello dial %s: %w", addr, err)
 	}
 	defer func() { _ = tcp.Close() }()
 	_ = tcp.SetDeadline(time.Now().Add(timeout))
-	if _, err := wire.WriteFrame(tcp, wire.KindHello, wire.Hello{MaxVersion: wire.ProtocolV2}); err != nil {
-		return hr, fmt.Errorf("client: hello %s: %w", addr, err)
-	}
-	env, _, err := wire.ReadFrame(tcp)
-	if err != nil {
-		return hr, fmt.Errorf("client: hello response from %s: %w", addr, err)
-	}
-	if env.Kind != wire.KindHelloResp {
-		return hr, fmt.Errorf("client: %s answered hello with %s", addr, env.Kind)
-	}
-	if err := env.Decode(&hr); err != nil {
-		return hr, err
-	}
-	return hr, nil
+	return Handshake(tcp)
 }

@@ -78,7 +78,7 @@ func TestANNExhaustiveParity(t *testing.T) {
 }
 
 // TestANNMaintenanceFollowsMutations: updates, replacements and removes keep
-// the candidate index in lockstep with the store, so ANN-routed searches
+// the candidate index in step with the store, so ANN-routed searches
 // never surface a removed object and always see a replaced one.
 func TestANNMaintenanceFollowsMutations(t *testing.T) {
 	c := testClient(t)

@@ -144,3 +144,37 @@ func TestIndexAndClusterDoNotImportCore(t *testing.T) {
 		}
 	}
 }
+
+// TestTransportDoesNotImportGob keeps reflection-driven encoding off the
+// network path: every frame and body is written by the hand-rolled binary
+// codec (internal/wire, internal/bin), so the packages a request passes
+// through must not import encoding/gob. internal/replica is deliberately
+// absent: it still gob-encodes the cold catalog event that rides inside a
+// replication record.
+func TestTransportDoesNotImportGob(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, pkg := range []string{"wire", "bin", "client", "server", "router"} {
+		dir := filepath.Join("..", pkg)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("read %s: %v", dir, err)
+		}
+		for _, entry := range entries {
+			name := entry.Name()
+			if entry.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			path := filepath.Join(dir, name)
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Errorf("parse %s: %v", path, err)
+				continue
+			}
+			for _, imp := range f.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == "encoding/gob" {
+					t.Errorf("%s imports encoding/gob: the wire path encodes with internal/wire's binary codec only", path)
+				}
+			}
+		}
+	}
+}

@@ -43,7 +43,7 @@ func (q Quotas) zero() bool { return q == Quotas{} }
 // slot frees as soon as any of the tenant's admitted requests completes.
 const inflightRetryAfter = 50 * time.Millisecond
 
-// QuotaError is the typed rejection carried to the client (wire v2 encodes
+// QuotaError is the typed rejection carried to the client (the wire encodes
 // its code and retry-after hint). It wraps ErrOverQuota.
 type QuotaError struct {
 	// Tenant is the principal that exceeded its quota.

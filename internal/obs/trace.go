@@ -396,9 +396,9 @@ func (t *Tracer) ForceTrace(ctx context.Context) (context.Context, *ActiveTrace)
 }
 
 // Join continues a trace arriving over the wire: the peer's TraceID and
-// parent span id (both 0 for an untraced or v1 request) and its sampling
+// parent span id (both 0 for an untraced request) and its sampling
 // decision. An untraced request still rolls this side's head sampler, so a
-// server traces its share of v1 traffic too.
+// server traces its share of untraced traffic too.
 func (t *Tracer) Join(ctx context.Context, traceID, parentSpan uint64, sampled bool) (context.Context, *ActiveTrace) {
 	return t.begin(ctx, traceID, parentSpan, sampled)
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mie/internal/client"
 	"mie/internal/core"
 	"mie/internal/obs"
 	"mie/internal/wire"
@@ -194,16 +195,8 @@ func (f *Follower) session() (progressed bool, err error) {
 	}()
 
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := wire.WriteFrame(conn, wire.KindHello, wire.Hello{MaxVersion: wire.ProtocolV2}); err != nil {
-		return false, fmt.Errorf("hello: %w", err)
-	}
-	env, _, err := wire.ReadFrame(conn)
-	if err != nil {
-		return false, fmt.Errorf("hello response: %w", err)
-	}
-	var hr wire.HelloResp
-	if env.Kind != wire.KindHelloResp || env.Decode(&hr) != nil || hr.Version < wire.ProtocolV2 {
-		return false, fmt.Errorf("leader %s does not speak protocol v2", f.addr)
+	if _, err := client.Handshake(conn); err != nil {
+		return false, fmt.Errorf("leader %s: %w", f.addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
 
@@ -420,6 +413,7 @@ func (s *session) applyCatalog(rec *wire.ReplRecord) error {
 		if err != nil && !errors.Is(err, core.ErrRepoExists) {
 			return fmt.Errorf("create %q: %w", ev.RepoID, err)
 		}
+		s.f.trackStream(ev.RepoID)
 		return s.subscribe(ev.RepoID)
 	case wire.ReplDrop:
 		s.unsubscribeLocal(ev.RepoID)
@@ -435,6 +429,18 @@ func (s *session) applyCatalog(rec *wire.ReplRecord) error {
 func (f *Follower) setCursor(repoID string, c Cursor) {
 	f.mu.Lock()
 	f.cursors[repoID] = c
+	f.mu.Unlock()
+}
+
+// trackStream gives a newly announced stream a zero cursor, so a session
+// torn after the catalog event but before the stream's first record still
+// resubscribes it on reconnect (the catalog cursor has moved past the event
+// by then and the leader will not announce it again).
+func (f *Follower) trackStream(repoID string) {
+	f.mu.Lock()
+	if _, known := f.cursors[repoID]; !known {
+		f.cursors[repoID] = Cursor{}
+	}
 	f.mu.Unlock()
 }
 

@@ -1,7 +1,7 @@
 // Package replica implements WAL-shipping replication for MIE services: a
 // leader's Hub taps the service's durable mutation stream (core's
 // ReplicationTap) and streams acknowledged records to follower nodes over
-// wire v2; a Follower applies them idempotently into its own durable
+// the wire protocol; a Follower applies them idempotently into its own durable
 // service and serves reads, forwarding mutations back to the leader.
 //
 // # Streams and cursors

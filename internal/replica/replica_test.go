@@ -656,7 +656,9 @@ func (p *cutProxy) Close() {
 // TestFollowerTornMidRecordResume: the session is torn mid-frame at several
 // byte offsets; the follower must reconnect, resume from its cursor, and end
 // byte-identical to the leader — the torn partial frame never corrupts
-// anything.
+// anything. The offsets straddle the handshake, the catalog batch and the
+// repository's snapshot record; a cut between the last two once left the
+// repository announced but never resubscribed.
 func TestFollowerTornMidRecordResume(t *testing.T) {
 	leakcheck.Check(t)
 	svc, hub, srv := startLeader(t, t.TempDir())
@@ -671,7 +673,7 @@ func TestFollowerTornMidRecordResume(t *testing.T) {
 		mustUpdate(t, c, repo, fmt.Sprintf("o%d", i), fmt.Sprintf("torn resume doc %d", i))
 	}
 
-	for _, limit := range []int64{40, 150, 600} {
+	for _, limit := range []int64{40, 150, 300, 600, 2000} {
 		t.Run(fmt.Sprintf("cut@%d", limit), func(t *testing.T) {
 			proxy := newCutProxy(t, srv.Addr(), limit)
 			defer proxy.Close()

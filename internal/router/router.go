@@ -69,8 +69,10 @@ func (b *backend) eligible() bool {
 
 // Router accepts wire connections and relays each request to the right
 // node: mutations and training to the leader, reads to the repository's
-// ring-preferred node with failover along the ring. It speaks protocol v2
-// to its backends and both v1 (lockstep) and v2 (multiplexed) to clients.
+// ring-preferred node with failover along the ring. It is a pure frame
+// proxy: it routes on the envelope header and the repository id that opens
+// every repository-scoped body (wire.Envelope.RepoID) and passes body bytes
+// through in both directions without decoding or re-encoding them.
 type Router struct {
 	cfg      Config
 	ring     *Ring
@@ -271,18 +273,12 @@ func (cs *connState) writeError(id uint64, msg string) error {
 }
 
 func (cs *connState) track(id uint64, cancel context.CancelFunc) {
-	if id == 0 {
-		return
-	}
 	cs.mu.Lock()
 	cs.inflight[id] = cancel
 	cs.mu.Unlock()
 }
 
 func (cs *connState) untrack(id uint64) {
-	if id == 0 {
-		return
-	}
 	cs.mu.Lock()
 	delete(cs.inflight, id)
 	cs.mu.Unlock()
@@ -320,8 +316,8 @@ func (r *Router) serveConn(conn net.Conn) {
 		}
 		switch env.Kind {
 		case wire.KindHello:
-			hello, err := wire.NewEnvelope(wire.KindHelloResp, "", env.ID, 0, wire.HelloResp{Version: wire.ProtocolV2, Role: "router", CaughtUp: true})
-			if err != nil || cs.write(hello) != nil {
+			reply, _ := wire.AnswerHello(env, wire.HelloResp{Role: "router", CaughtUp: true})
+			if cs.write(reply) != nil {
 				return
 			}
 		case wire.KindCancel:
@@ -334,16 +330,11 @@ func (r *Router) serveConn(conn net.Conn) {
 		case wire.KindReplSubscribe:
 			_ = cs.writeError(env.ID, "router: replication streams must connect to a node directly")
 		default:
-			if env.ID == 0 {
-				// v1 lockstep: answer before reading the next request.
-				r.relay(cs, env)
-				continue
-			}
 			relays.Add(1)
-			go func(env *wire.Envelope) {
+			go func() {
 				defer relays.Done()
 				r.relay(cs, env)
-			}(env)
+			}()
 		}
 	}
 }
@@ -362,14 +353,14 @@ func mutates(kind string) bool {
 }
 
 // readTargets returns the candidate backends for a read, in preference
-// order: the repository's ring walk when a repo id is present, otherwise
-// just the leader.
+// order: the repository's ring walk when the request names one (peeked from
+// the head of the body), otherwise just the leader.
 func (r *Router) readTargets(env *wire.Envelope) []*backend {
-	var p struct{ RepoID string }
-	if err := env.Decode(&p); err != nil || p.RepoID == "" {
+	repoID := env.RepoID()
+	if repoID == "" {
 		return []*backend{r.leader}
 	}
-	prefer := r.ring.Prefer(p.RepoID)
+	prefer := r.ring.Prefer(repoID)
 	out := make([]*backend, 0, len(prefer))
 	for _, name := range prefer {
 		out = append(out, r.backends[name])
@@ -421,8 +412,9 @@ func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope,
 		}
 		resp, err := r.forward(ctx, b, env, idempotent)
 		if err == nil {
-			resp.ID = env.ID
-			if werr := cs.write(resp); werr != nil && r.cfg.Logger != nil {
+			out := *resp
+			out.ID = env.ID
+			if werr := cs.write(&out); werr != nil && r.cfg.Logger != nil {
 				r.cfg.Logger.Warn("router: response relay failed", "err", werr.Error())
 			}
 			return

@@ -65,7 +65,7 @@ func TestRouterRoutesAndFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hr.Role != "router" || hr.Version != wire.ProtocolV2 {
+	if hr.Role != "router" || hr.Version != wire.ProtocolVersion {
 		t.Fatalf("handshake %+v, want router speaking v2", hr)
 	}
 

@@ -1,16 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,140 +15,7 @@ import (
 	"mie/internal/wire"
 )
 
-// ---------------------------------------------------------------------------
-// Cross-version: a protocol-v1 client against the v2 server.
-//
-// v1Conn vendors the pre-v2 client verbatim in miniature: an ID-less
-// three-field envelope, hand-rolled length-prefixed framing, no hello, one
-// lockstep request at a time. It must keep working against today's server
-// without any compatibility shims in the production code.
-// ---------------------------------------------------------------------------
-
-// v1Envelope is the wire envelope exactly as protocol v1 defined it.
-type v1Envelope struct {
-	Kind string
-	Auth string
-	Data []byte
-}
-
-type v1Conn struct {
-	mu  sync.Mutex
-	tcp net.Conn
-}
-
-func dialV1(t *testing.T, addr string) *v1Conn {
-	t.Helper()
-	tcp, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = tcp.Close() })
-	return &v1Conn{tcp: tcp}
-}
-
-func (c *v1Conn) roundTrip(kind string, req, resp interface{}) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		return err
-	}
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(v1Envelope{Kind: kind, Data: body.Bytes()}); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(frame.Len()))
-	if _, err := c.tcp.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.tcp.Write(frame.Bytes()); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(c.tcp, hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(c.tcp, buf); err != nil {
-		return err
-	}
-	var env v1Envelope
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&env); err != nil {
-		return err
-	}
-	if env.Kind == wire.KindError {
-		return errors.New("v1: server error response")
-	}
-	return gob.NewDecoder(bytes.NewReader(env.Data)).Decode(resp)
-}
-
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	srv := startServer(t)
-	cc := newCoreClient(t, nil)
-	v1 := dialV1(t, srv.Addr())
-
-	var ack wire.Ack
-	if err := v1.roundTrip(wire.KindCreateRepo, wire.CreateRepoReq{RepoID: "legacy", Opts: smallOpts()}, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "" {
-		t.Fatalf("create: %s", ack.Err)
-	}
-	for cls := 0; cls < 2; cls++ {
-		for i := 0; i < 3; i++ {
-			obj := &core.Object{
-				ID:    fmt.Sprintf("v1-c%d-%d", cls, i),
-				Owner: "alice",
-				Text:  []string{"beach sand ocean", "mountain snow peaks"}[cls],
-				Image: classImage(cls, int64(i)),
-			}
-			up, err := cc.PrepareUpdate(obj, dataKey())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ack = wire.Ack{}
-			if err := v1.roundTrip(wire.KindUpdate, wire.UpdateReq{RepoID: "legacy", Update: *up}, &ack); err != nil {
-				t.Fatal(err)
-			}
-			if ack.Err != "" {
-				t.Fatalf("update: %s", ack.Err)
-			}
-		}
-	}
-	// v1 Train is synchronous: the ack arrives only once training completed.
-	ack = wire.Ack{}
-	if err := v1.roundTrip(wire.KindTrain, wire.TrainReq{RepoID: "legacy"}, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "" {
-		t.Fatalf("train: %s", ack.Err)
-	}
-	q, err := cc.PrepareQuery(&core.Object{ID: "q", Text: "mountain peaks", Image: classImage(1, 99)}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr wire.SearchResp
-	if err := v1.roundTrip(wire.KindSearch, wire.SearchReq{RepoID: "legacy", Query: *q}, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Err != "" {
-		t.Fatalf("search: %s", sr.Err)
-	}
-	if len(sr.Hits) == 0 {
-		t.Fatal("v1 search found nothing")
-	}
-	var gr wire.GetResp
-	if err := v1.roundTrip(wire.KindGet, wire.GetReq{RepoID: "legacy", ObjectID: sr.Hits[0].ObjectID}, &gr); err != nil {
-		t.Fatal(err)
-	}
-	if gr.Err != "" || gr.Owner != "alice" {
-		t.Fatalf("get: err=%q owner=%q", gr.Err, gr.Owner)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// v2 behavior over the real server.
-// ---------------------------------------------------------------------------
+// Multiplexing, deadlines, cancellation and negotiation over the real server.
 
 // seedRepo creates a repository with a handful of trained-searchable objects.
 func seedRepo(t *testing.T, conn *client.Conn, cc *core.Client, repoID string) {
@@ -376,22 +238,49 @@ func TestCancelMidSearchObservedByServer(t *testing.T) {
 	}
 }
 
+// TestHelloNegotiatesV2 keeps its historical name; what it pins today is the
+// protocol-3 handshake: the server selects wire.ProtocolVersion, and a peer
+// that cannot speak it gets a typed, counted refusal on a connection that
+// stays open — never silence.
 func TestHelloNegotiatesV2(t *testing.T) {
-	srv := startServer(t)
-	conn := dial(t, srv, nil)
-	if got := conn.Protocol(); got != wire.ProtocolV2 {
-		t.Errorf("negotiated protocol = %d, want v2", got)
-	}
-	// Forced lockstep still works against the v2 server.
-	ls, err := client.Dial(srv.Addr(), nil, client.WithLockstep())
+	reg := obs.NewRegistry()
+	srv, err := New("127.0.0.1:0", memSvc(t), nil, WithObservability(reg),
+		WithNodeStatus(func() NodeStatus { return NodeStatus{Role: "leader", CaughtUp: true} }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = ls.Close() })
-	if got := ls.Protocol(); got != wire.ProtocolV1 {
-		t.Errorf("lockstep protocol = %d, want v1", got)
-	}
-	if err := ls.CreateRepository(testCtx, "ls", smallOpts()); err != nil {
+	t.Cleanup(func() { _ = srv.Close() })
+	hr, err := client.Hello(srv.Addr(), 5*time.Second)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if hr != (wire.HelloResp{Version: wire.ProtocolVersion, Role: "leader", CaughtUp: true}) {
+		t.Errorf("hello response = %+v", hr)
+	}
+
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	sendFrame(t, raw, wire.KindHello, 7, wire.Hello{MaxVersion: wire.ProtocolVersion - 1})
+	env, _, err := wire.ReadFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack wire.Ack
+	if err := env.Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if env.Kind != wire.KindError || env.ID != 7 || ack.Code != wire.ErrCodeUnsupportedVersion {
+		t.Errorf("old peer got %s id %d %+v, want an unsupported-version error echoing id 7", env.Kind, env.ID, ack)
+	}
+	if got := reg.Counter(obs.L("server_request_errors_total", "kind", wire.KindHello)).Value(); got != 1 {
+		t.Errorf("refused hellos counted = %d, want 1", got)
+	}
+	// The same connection can still negotiate properly.
+	sendFrame(t, raw, wire.KindHello, 8, wire.Hello{MaxVersion: wire.ProtocolVersion + 4})
+	if env, _, err = wire.ReadFrame(raw); err != nil || env.Kind != wire.KindHelloResp {
+		t.Errorf("newer peer: env=%v err=%v, want a hello response", env, err)
 	}
 }

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,31 +101,28 @@ func TestUnknownKindErrorResponseBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := wire.WriteFrame(raw, "bogus-kind", wire.Ack{}); err != nil {
-		t.Fatal(err)
-	}
+	// A kind the protocol defines but a server does not serve as a request.
+	sendFrame(t, raw, wire.KindAck, 1, wire.Ack{})
 	env, _, err := wire.ReadFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Kind != wire.KindError {
-		t.Fatalf("kind = %s, want %s", env.Kind, wire.KindError)
+	if env.Kind != wire.KindError || env.ID != 1 {
+		t.Fatalf("kind = %s id %d, want %s echoing id 1", env.Kind, env.ID, wire.KindError)
 	}
 	var ack wire.Ack
 	if err := env.Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ack.Err, "unknown kind: bogus-kind") {
+	if !strings.Contains(ack.Err, "unknown kind: ack") {
 		t.Errorf("error body = %q", ack.Err)
 	}
-	if got := reg.Counter(obs.L("server_request_errors_total", "kind", "bogus-kind")).Value(); got != 1 {
+	if got := reg.Counter(obs.L("server_request_errors_total", "kind", wire.KindAck)).Value(); got != 1 {
 		t.Errorf("unknown-kind error counter = %d, want 1", got)
 	}
 	// The connection stays usable after an unknown kind (one error response,
 	// no abort).
-	if _, err := wire.WriteFrame(raw, wire.KindTrain, wire.TrainReq{RepoID: "missing"}); err != nil {
-		t.Fatal(err)
-	}
+	sendFrame(t, raw, wire.KindTrain, 2, wire.TrainReq{RepoID: "missing"})
 	if env, _, err = wire.ReadFrame(raw); err != nil || env.Kind != wire.KindAck {
 		t.Errorf("follow-up request after unknown kind: env=%v err=%v", env, err)
 	}
@@ -136,31 +136,49 @@ func TestMalformedFramesCountedDistinctly(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 
-	// Garbage bytes behind a valid length prefix: gob decode fails.
+	// expectDrop sends bytes on a fresh connection and waits for the server
+	// to hang up on them.
+	expectDrop := func(what string, data []byte) {
+		t.Helper()
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if _, err := raw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: the server did not drop the connection (%v)", what, err)
+		}
+	}
+	// claiming is a well-formed frame whose length field claims size bytes.
+	claiming := func(kind string, payload interface{}, size uint32) []byte {
+		var frame bytes.Buffer
+		sendFrame(t, &frame, kind, 1, payload)
+		binary.BigEndian.PutUint32(frame.Bytes(), size)
+		return frame.Bytes()
+	}
+
+	// Bytes that are no frame at all: a previous protocol's peer, or noise.
+	expectDrop("garbage", []byte{0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef})
+	// A length beyond what any kind may claim.
+	expectDrop("oversized frame", claiming(wire.KindUpdate, wire.UpdateReq{}, wire.MaxFrameSize+1)[:6])
+	// A length beyond what this kind may claim, refused from its first
+	// 16 bytes without allocating for it.
+	expectDrop("200 MiB cancel", claiming(wire.KindCancel, wire.CancelReq{ID: 1}, 200<<20)[:16])
+
+	// An update may be that large; one that sends 1 KiB and hangs up is a
+	// transport failure, not a malformed frame.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	if _, err := raw.Write([]byte{0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef}); err != nil {
+	if _, err := raw.Write(append(claiming(wire.KindUpdate, wire.UpdateReq{}, 200<<20), make([]byte, 1024)...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Read(make([]byte, 1)); err == nil {
-		t.Error("expected connection close after garbage frame")
-	}
-
-	// Oversized length prefix is also malformed, not a read error.
-	raw2, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw2.Close()
-	if _, err := raw2.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw2.Read(make([]byte, 1)); err == nil {
-		t.Error("expected connection close after oversized frame")
-	}
+	_ = raw.Close()
 
 	// A clean disconnect must not move either abort counter.
 	raw3, err := net.Dial("tcp", srv.Addr())
@@ -170,14 +188,14 @@ func TestMalformedFramesCountedDistinctly(t *testing.T) {
 	_ = raw3.Close()
 
 	deadline := time.Now().Add(2 * time.Second)
-	for reg.Counter("server_malformed_frames_total").Value() < 2 && time.Now().Before(deadline) {
+	for (reg.Counter("server_malformed_frames_total").Value() < 3 || reg.Counter("server_read_errors_total").Value() < 1) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := reg.Counter("server_malformed_frames_total").Value(); got != 2 {
-		t.Errorf("malformed frames = %d, want 2", got)
+	if got := reg.Counter("server_malformed_frames_total").Value(); got != 3 {
+		t.Errorf("malformed frames = %d, want 3", got)
 	}
-	if got := reg.Counter("server_read_errors_total").Value(); got != 0 {
-		t.Errorf("read errors = %d, want 0 (malformed and EOF are not read errors)", got)
+	if got := reg.Counter("server_read_errors_total").Value(); got != 1 {
+		t.Errorf("read errors = %d, want 1 (the cut update; malformed and EOF are not read errors)", got)
 	}
 }
 
@@ -235,7 +253,11 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	fl.conns <- srvEnd
 	done := make(chan error, 1)
 	go func() {
-		if _, err := wire.WriteFrame(cliEnd, wire.KindTrain, wire.TrainReq{RepoID: "missing"}); err != nil {
+		req, err := wire.NewEnvelope(wire.KindTrain, "", 1, 0, wire.TrainReq{RepoID: "missing"})
+		if err == nil {
+			_, err = wire.WriteEnvelope(cliEnd, req)
+		}
+		if err != nil {
 			done <- err
 			return
 		}

@@ -104,9 +104,6 @@ func (s *Server) handleReplSubscribe(ctx context.Context, cs *connState, env *wi
 	if err == nil && s.repl == nil {
 		err = errors.New("server: replication not enabled on this node")
 	}
-	if err == nil && env.ID == 0 {
-		err = errors.New("server: repl-subscribe requires protocol v2")
-	}
 	if err == nil {
 		err = s.repl.Subscribe(ctx, req, func(batch *wire.ReplRecords) error {
 			n, werr := cs.write(env.ID, wire.KindReplRecords, batch)
@@ -128,10 +125,10 @@ func (s *Server) handleReplSubscribe(ctx context.Context, cs *connState, env *wi
 	return werr
 }
 
-// helloResp builds the handshake response, including this node's
-// replication status when configured.
+// helloResp builds this node's half of the handshake response: its
+// replication status, when configured (wire.AnswerHello adds the version).
 func (s *Server) helloResp() wire.HelloResp {
-	hr := wire.HelloResp{Version: wire.ProtocolV2}
+	var hr wire.HelloResp
 	if s.nodeStatus != nil {
 		st := s.nodeStatus()
 		hr.Role = st.Role

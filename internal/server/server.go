@@ -1,18 +1,15 @@
 // Package server exposes the MIE cloud component (core.Service) over TCP
 // using the wire protocol: the "MIE Server Component (as a Service)" box of
-// Figure 1. Each accepted connection is served by its own goroutine, and —
-// protocol v2 — each request on a connection is dispatched on its own
-// goroutine with a context.Context derived from the request's wire deadline,
-// so 16 pipelined searches from one phone proceed concurrently and a Cancel
-// frame can abandon any of them mid-flight. Requests framed by a v1 peer
-// (Envelope.ID zero) are served inline in lockstep, preserving the old
-// one-request-per-connection semantics without negotiation.
+// Figure 1. Each accepted connection is served by its own goroutine, and
+// each request on a connection is dispatched on its own goroutine with a
+// context.Context derived from the request's wire deadline, so 16 pipelined
+// searches from one phone proceed concurrently and a Cancel frame can
+// abandon any of them mid-flight.
 //
 // Training is asynchronous: TrainStart launches a server-side job backed by
 // core's job table and returns immediately; TrainStatus/TrainWait poll or
-// await it. The v1 blocking Train kind is implemented on top of the same
-// jobs, so a v1 client still observes its old semantics while the engine
-// never ties a training run's lifetime to a socket.
+// await it. The blocking Train kind is implemented on top of the same jobs,
+// so the engine never ties a training run's lifetime to a socket.
 //
 // The server is fully instrumented: per-kind request/error counters,
 // in-flight gauges (total and per kind), wire-level byte counters, per-kind
@@ -59,7 +56,7 @@ func WithObservability(reg *obs.Registry) Option {
 }
 
 // WithTracer installs the distributed tracer requests join (propagated
-// TraceID/SpanID from v2 envelopes) and completed traces land in. Defaults
+// TraceID/SpanID from request envelopes) and completed traces land in. Defaults
 // to obs.DefaultTracer().
 func WithTracer(t *obs.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
@@ -259,8 +256,9 @@ func (cs *connState) write(id uint64, kind string, payload interface{}) (int, er
 }
 
 // writeEnv relays a response envelope produced elsewhere (the leader, via a
-// Forwarder) under the connection's write lock, re-stamped with the origin
-// request's id. The hop-internal Auth never leaks back to the client.
+// Forwarder; the hello answer) under the connection's write lock: copied by
+// value, re-stamped with the origin request's id, its body bytes untouched.
+// The hop-internal Auth never leaks back to the client.
 func (cs *connState) writeEnv(id uint64, env *wire.Envelope) (int, error) {
 	out := *env
 	out.ID = id
@@ -272,9 +270,6 @@ func (cs *connState) writeEnv(id uint64, env *wire.Envelope) (int, error) {
 
 // register installs a cancel function for an in-flight request id.
 func (cs *connState) register(id uint64, cancel context.CancelFunc) {
-	if id == 0 {
-		return // v1 requests cannot be addressed by Cancel frames
-	}
 	cs.mu.Lock()
 	cs.inflight[id] = cancel
 	cs.mu.Unlock()
@@ -282,9 +277,6 @@ func (cs *connState) register(id uint64, cancel context.CancelFunc) {
 
 // unregister removes an in-flight entry.
 func (cs *connState) unregister(id uint64) {
-	if id == 0 {
-		return
-	}
 	cs.mu.Lock()
 	delete(cs.inflight, id)
 	cs.mu.Unlock()
@@ -313,13 +305,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	cs.ctx, cs.cancel = context.WithCancel(context.Background())
 	// Connection-scoped logger: every line of this connection carries the
-	// remote address and negotiated protocol version, so malformed-frame and
-	// cancel events are attributable to a peer. The version starts at 1 and
-	// is re-derived when the peer reveals itself as v2 (Hello frame or a
-	// multiplexed request id); only this read loop mutates clog, and handler
-	// goroutines capture it by value at spawn time.
-	proto := wire.ProtocolV1
-	clog := s.logger.With("remote", cs.remote, "proto", proto)
+	// remote address, so malformed-frame and cancel events are attributable
+	// to a peer.
+	clog := s.logger.With("remote", cs.remote)
 	clog.Debug("connection accepted")
 	defer func() {
 		// Unblock handlers first (TrainWait etc.), then wait for them so no
@@ -353,22 +341,20 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.met.rxBytes.Add(int64(n))
-		if proto == wire.ProtocolV1 && (env.Kind == wire.KindHello || env.ID != 0) {
-			proto = wire.ProtocolV2
-			clog = s.logger.With("remote", cs.remote, "proto", proto)
-		}
-		switch {
-		case env.Kind == wire.KindHello:
-			// Version negotiation: always answer v2 (a v1 server would have
-			// answered KindError, which is the client's fallback signal).
+		switch env.Kind {
+		case wire.KindHello:
+			// Version negotiation: a peer that cannot speak this protocol
+			// gets a typed refusal, counted like any failed request.
 			s.reg.Counter(obs.L("server_requests_total", "kind", env.Kind)).Inc()
-			wn, werr := cs.write(env.ID, wire.KindHelloResp, s.helloResp())
+			reply, refused := wire.AnswerHello(env, s.helloResp())
+			s.countOpError(env.Kind, refused)
+			wn, werr := cs.writeEnv(env.ID, reply)
 			s.met.txBytes.Add(int64(wn))
 			if werr != nil {
 				clog.Info("hello reply failed", "err", werr)
 				return
 			}
-		case env.Kind == wire.KindReplAck:
+		case wire.KindReplAck:
 			// Fire-and-forget like Cancel: feed the leader's cursor
 			// accounting, send nothing.
 			var ack wire.ReplAck
@@ -379,7 +365,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.repl != nil {
 				s.repl.Ack(ack)
 			}
-		case env.Kind == wire.KindCancel:
+		case wire.KindCancel:
 			// Fire-and-forget: cancel the in-flight request, send nothing.
 			s.met.cancelFrames.Inc()
 			var req wire.CancelReq
@@ -391,24 +377,16 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.met.cancelHits.Inc()
 				clog.Debug("request canceled", "id", req.ID)
 			}
-		case env.ID == 0:
-			// v1 lockstep framing: handle inline so the response is written
-			// before the next request is read, exactly as protocol v1
-			// promises its peers.
-			if err := s.handle(cs, clog, env); err != nil {
-				clog.Info("reply failed", "err", err)
-				return
-			}
 		default:
-			// v2 multiplexed framing: each request runs on its own goroutine;
-			// the write lock inside connState serializes response frames.
+			// Each request runs on its own goroutine; the write lock inside
+			// connState serializes response frames.
 			cs.handlers.Add(1)
-			go func(env *wire.Envelope, lg *slog.Logger) {
+			go func() {
 				defer cs.handlers.Done()
-				if err := s.handle(cs, lg, env); err != nil {
-					lg.Info("reply failed", "id", env.ID, "err", err)
+				if err := s.handle(cs, clog, env); err != nil {
+					clog.Info("reply failed", "id", env.ID, "err", err)
 				}
-			}(env, clog)
+			}()
 		}
 	}
 }
@@ -510,7 +488,7 @@ func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) erro
 		return s.writeAck(sp, kind, cs, env.ID, err)
 
 	case wire.KindTrain:
-		// v1 blocking semantics on top of the async job table: start (or
+		// Blocking semantics on top of the async job table: start (or
 		// join) a job, then wait for it under the request context.
 		var req wire.TrainReq
 		err := s.decode(sp, env, &req)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -94,6 +95,18 @@ func dial(t *testing.T, srv *Server, meter *device.Meter) *client.Conn {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	return conn
+}
+
+// sendFrame writes one frame of the given kind and request id.
+func sendFrame(t testing.TB, w io.Writer, kind string, id uint64, payload interface{}) {
+	t.Helper()
+	env, err := wire.NewEnvelope(kind, "", id, 0, payload)
+	if err == nil {
+		_, err = wire.WriteEnvelope(w, env)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func smallOpts() wire.RepoOptions {
@@ -298,7 +311,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	}
 	defer raw.Close()
 	// Oversized length prefix: server must drop the connection, not crash.
-	if _, err := raw.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+	if _, err := raw.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xB3, 3}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 16)
@@ -319,9 +332,8 @@ func TestUnknownKindGetsErrorResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := wire.WriteFrame(raw, "bogus-kind", wire.Ack{}); err != nil {
-		t.Fatal(err)
-	}
+	// A response kind sent as a request: defined, but not served.
+	sendFrame(t, raw, wire.KindSearchResp, 1, wire.SearchResp{})
 	env, _, err := wire.ReadFrame(raw)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"mie/internal/bin"
 )
 
 // ErrDimensionMismatch is returned when two vectors of different lengths are
@@ -250,6 +252,63 @@ func (b *BitVec) GobDecode(data []byte) error {
 	}
 	*b = decoded
 	return nil
+}
+
+// AppendBitVecs appends the binary form of a list of bit vectors: the count,
+// every vector's bit length, then every vector's packed words (eight
+// big-endian bytes each). The lengths come first so a reader can size one
+// words arena for the whole list before touching the words.
+func AppendBitVecs(b []byte, vs []BitVec) []byte {
+	b = bin.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = bin.AppendUvarint(b, uint64(v.n))
+	}
+	for _, v := range vs {
+		for _, w := range v.words {
+			b = bin.AppendU64(b, w)
+		}
+	}
+	return b
+}
+
+// ConsumeBitVecs reverses AppendBitVecs. The vectors share one freshly
+// allocated words arena (two allocations per list, not one per vector) and
+// never alias the cursor's input, so they may outlive it. An empty list
+// decodes as nil. Set bits beyond a vector's length are rejected: they
+// would break the BitVec invariant and give one vector two encodings.
+func ConsumeBitVecs(c *bin.Cursor) []BitVec {
+	n := c.Count(1)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]BitVec, n)
+	total := 0
+	for i := range vs {
+		bits := c.Uvarint()
+		if bits > 8*uint64(c.Remaining()) {
+			c.Fail("bit vector of %d bits in %d bytes", bits, c.Remaining())
+			return nil
+		}
+		vs[i].n = int(bits)
+		total += (vs[i].n + 63) / 64
+	}
+	raw := c.Take(8 * total)
+	if c.Err() != nil {
+		return nil
+	}
+	arena := make([]uint64, total)
+	for i := range arena {
+		arena[i] = binary.BigEndian.Uint64(raw[8*i:])
+	}
+	for i := range vs {
+		k := (vs[i].n + 63) / 64
+		vs[i].words, arena = arena[:k:k], arena[k:]
+		if r := vs[i].n % 64; r != 0 && vs[i].words[k-1]>>uint(r) != 0 {
+			c.Fail("bit vector %d has bits set beyond its %d-bit length", i, vs[i].n)
+			return nil
+		}
+	}
+	return vs
 }
 
 // Hamming returns the number of differing bits between a and b.

@@ -27,6 +27,7 @@ func TestErrCodeClassification(t *testing.T) {
 		{auth.ErrExpired, ErrCodeUnauthorized, 0},
 		{core.ErrUnknownObject, ErrCodeUnknownObject, 0},
 		{core.ErrUnknownJob, ErrCodeUnknownJob, 0},
+		{fmt.Errorf("hello: %w", ErrUnsupportedVersion), ErrCodeUnsupportedVersion, 0},
 	}
 	for _, c := range cases {
 		code, retry := ErrCode(c.err)
@@ -45,6 +46,7 @@ func TestSentinelRoundTrip(t *testing.T) {
 		core.ErrOverQuota,
 		core.ErrUnknownObject,
 		core.ErrUnknownJob,
+		ErrUnsupportedVersion,
 	} {
 		code, _ := ErrCode(err)
 		if s := Sentinel(code); !errors.Is(err, s) {
@@ -56,38 +58,5 @@ func TestSentinelRoundTrip(t *testing.T) {
 	}
 	if Sentinel(999) != nil {
 		t.Error("Sentinel of unknown code should be nil")
-	}
-}
-
-// TestAckCodeGobTolerance proves the v1 interop story: a response encoded by
-// a peer that predates error codes (no Code/RetryAfterNanos fields) decodes
-// into the current Ack with the zero code, and vice versa a coded Ack
-// decodes into a legacy struct without error.
-func TestAckCodeGobTolerance(t *testing.T) {
-	type legacyAck struct {
-		Err string
-	}
-	env, err := NewEnvelope(KindAck, "", 1, 0, legacyAck{Err: "boom"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack Ack
-	if err := env.Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "boom" || ack.Code != ErrCodeUnspecified || ack.RetryAfterNanos != 0 {
-		t.Errorf("legacy frame decoded to %+v, want Err=boom with zero code", ack)
-	}
-
-	env2, err := NewEnvelope(KindAck, "", 2, 0, Ack{Err: "quota", Code: ErrCodeOverQuota, RetryAfterNanos: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old legacyAck
-	if err := env2.Decode(&old); err != nil {
-		t.Fatalf("coded frame does not decode into legacy struct: %v", err)
-	}
-	if old.Err != "quota" {
-		t.Errorf("legacy decode of coded frame = %+v", old)
 	}
 }

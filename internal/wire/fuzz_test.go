@@ -2,9 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -25,29 +29,28 @@ func FuzzReadFrame(f *testing.F) {
 	// few interesting corruptions (see also testdata/fuzz/FuzzReadFrame).
 	seed := func(kind string, payload interface{}) {
 		var buf bytes.Buffer
-		if _, err := WriteFrame(&buf, kind, payload); err != nil {
-			f.Fatal(err)
-		}
+		writeFrame(f, &buf, kind, payload)
 		f.Add(buf.Bytes())
 	}
 	seed(KindSearch, SearchReq{RepoID: "r", Query: core.Query{K: 10}})
 	seed(KindAck, Ack{Err: "boom"})
 	seed(KindGetResp, GetResp{Ciphertext: []byte{1, 2, 3}, Owner: "me"})
 	seed(KindCancel, CancelReq{ID: 99})
-	seed(KindHello, Hello{MaxVersion: ProtocolV2})
+	seed(KindHello, Hello{MaxVersion: ProtocolVersion})
 	seed(KindTrainWait, TrainJobReq{RepoID: "r", JobID: 7})
-	var v2 bytes.Buffer
+	var full bytes.Buffer
 	env, err := NewEnvelope(KindSearch, "token", 123, 5*time.Second, SearchReq{RepoID: "x"})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := WriteEnvelope(&v2, env); err != nil {
+	env.TraceID, env.SpanID, env.TraceSampled = 1, 2, true
+	if _, err := WriteEnvelope(&full, env); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
+	f.Add(full.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 8, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameMagic, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -66,26 +69,29 @@ func FuzzReadFrame(f *testing.F) {
 			default:
 				// Generic read error: only truncation can cause it on an
 				// in-memory reader.
-				if r.Len() == 0 && len(data) >= 4 {
-					// ReadFull hit the end mid-body: expected.
-					break
+				if r.Len() != 0 || len(data) < prefixLen {
+					t.Errorf("read error %v with %d of %d bytes unread", err, r.Len(), len(data))
 				}
 			}
 			return
 		}
-		if n < 4 || n > len(data) {
-			t.Errorf("reported size %d outside [4, %d]", n, len(data))
+		if n < headerLen || n > len(data) {
+			t.Errorf("reported size %d outside [%d, %d]", n, headerLen, len(data))
 		}
-		// A successfully decoded envelope must survive re-encoding, and its
-		// payload decode must not panic regardless of content.
+		// A successfully decoded envelope must re-encode to the bytes it was
+		// read from, and its payload decode must not panic regardless of
+		// content.
 		var buf bytes.Buffer
 		if _, werr := WriteEnvelope(&buf, env); werr != nil {
 			t.Errorf("re-encode of decoded envelope failed: %v", werr)
+		} else if !bytes.Equal(buf.Bytes(), data[:n]) {
+			t.Errorf("re-encoded frame differs from the one read\n got %x\nwant %x", buf.Bytes(), data[:n])
 		}
 		var ack Ack
 		_ = env.Decode(&ack)
 		var sr SearchReq
 		_ = env.Decode(&sr)
+		_ = env.RepoID()
 	})
 }
 
@@ -99,21 +105,9 @@ func FuzzReadFrame(f *testing.F) {
 //
 //	go test -run='^$' -fuzz=FuzzReplRecordDecode -fuzztime=30s ./internal/wire
 func FuzzReplRecordDecode(f *testing.F) {
-	seed := func(batch ReplRecords) {
-		env, err := NewEnvelope(KindReplRecords, "", 7, 0, batch)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(env.Data)
+	for _, batch := range replSeedBatches() {
+		f.Add(encodeBody(f, KindReplRecords, batch))
 	}
-	seed(ReplRecords{RepoID: "r", Records: []ReplRecord{
-		NewReplRecord(1, 1, ReplMutation, 42, []byte("wal record bytes")),
-		NewReplRecord(1, 2, ReplSnapshot, 43, []byte("snapshot image")),
-	}})
-	corrupt := NewReplRecord(9, 3, ReplCreate, 0, []byte("catalog event"))
-	corrupt.CRC ^= 0xffffffff
-	seed(ReplRecords{RepoID: "", Records: []ReplRecord{corrupt}})
-	seed(ReplRecords{Err: "repository gone", Code: ErrCodeRepoNotFound, RepoID: "x"})
 	f.Add([]byte{})
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 
@@ -121,7 +115,13 @@ func FuzzReplRecordDecode(f *testing.F) {
 		env := &Envelope{Kind: KindReplRecords, Data: data}
 		var batch ReplRecords
 		if err := env.Decode(&batch); err != nil {
-			return // malformed gob: rejected before any record is seen
+			if !errors.Is(err, ErrMalformed) {
+				t.Errorf("decode error does not wrap ErrMalformed: %v", err)
+			}
+			return // rejected before any record is seen
+		}
+		if again := encodeBody(t, KindReplRecords, batch); !bytes.Equal(again, data) {
+			t.Errorf("a batch that decodes must have exactly one encoding\n got %x\nwant %x", again, data)
 		}
 		for i := range batch.Records {
 			rec := &batch.Records[i]
@@ -142,24 +142,71 @@ func FuzzReplRecordDecode(f *testing.F) {
 	})
 }
 
+// replSeedBatches are the replication batches both the in-code seeds and the
+// checked-in corpus files are made from: a valid two-record batch, one whose
+// record fails its CRC, and a terminal error.
+func replSeedBatches() []ReplRecords {
+	corrupt := NewReplRecord(9, 3, ReplCreate, 0, []byte("catalog event"))
+	corrupt.CRC ^= 0xffffffff
+	return []ReplRecords{
+		{RepoID: "r", Records: []ReplRecord{
+			NewReplRecord(1, 1, ReplMutation, 42, []byte("wal record bytes")),
+			NewReplRecord(1, 2, ReplSnapshot, 43, []byte("snapshot image")),
+		}},
+		{RepoID: "", Records: []ReplRecord{corrupt}},
+		{Err: "repository gone", Code: ErrCodeRepoNotFound, RepoID: "x"},
+	}
+}
+
 // FuzzEnvelopeDecode targets the second decode stage: a valid envelope
-// whose Data bytes are attacker-controlled.
+// whose Data bytes are attacker-controlled, decoded as every payload type.
 func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add("search", []byte{})
 	f.Add("ack", []byte{0xde, 0xad})
-	var body bytes.Buffer
-	if _, err := WriteFrame(&body, KindSearch, SearchReq{RepoID: "q"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(KindSearch, body.Bytes())
+	f.Add(KindSearch, encodeBody(f, KindSearch, SearchReq{RepoID: "q"}))
 
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		env := &Envelope{Kind: kind, Data: data}
-		var ack Ack
-		_ = env.Decode(&ack)
-		var sr SearchReq
-		_ = env.Decode(&sr)
-		var tj TrainJobResp
-		_ = env.Decode(&tj)
+		for _, pc := range payloads {
+			v := pc.zero()
+			if err := env.Decode(v); err != nil {
+				if !errors.Is(err, ErrMalformed) {
+					t.Errorf("%s: decode error does not wrap ErrMalformed: %v", pc.name, err)
+				}
+				continue
+			}
+			if _, err := NewEnvelope(pc.kinds[0], "", 1, 0, v); err != nil {
+				t.Errorf("%s: decoded value does not re-encode: %v", pc.name, err)
+			}
+		}
+		_ = env.RepoID()
 	})
+}
+
+// writeFuzzCorpus regenerates the checked-in corpus files that are derived
+// from the frame layout (TestGoldenFrames -update calls it), so they keep
+// exercising the cases their names promise after a layout change.
+func writeFuzzCorpus(t *testing.T) {
+	var ack bytes.Buffer
+	writeFrame(t, &ack, KindAck, Ack{Err: "boom"})
+	oversize := binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)
+	oversize = append(oversize, frameMagic, kindCodes[KindUpdate])
+	batches := replSeedBatches()
+	valid := encodeBody(t, KindReplRecords, batches[0])
+	files := map[string][]byte{
+		"FuzzReadFrame/truncated-body":         ack.Bytes()[:ack.Len()-2],
+		"FuzzReadFrame/oversize-header":        oversize,
+		"FuzzReadFrame/garbage-body":           append(ack.Bytes()[:headerLen:headerLen], 0xde, 0xad, 0xbe),
+		"FuzzReplRecordDecode/valid-batch":     valid,
+		"FuzzReplRecordDecode/truncated-batch": valid[:len(valid)/2],
+		"FuzzReplRecordDecode/crc-mismatch":    encodeBody(t, KindReplRecords, batches[1]),
+		"FuzzReplRecordDecode/garbage-gob":     {0xde, 0xad, 0xbe, 0xef, 0, 1, 2},
+		"FuzzReplRecordDecode/empty":           {},
+	}
+	for name, data := range files {
+		path := filepath.Join("testdata", "fuzz", filepath.FromSlash(name))
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

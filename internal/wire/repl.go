@@ -6,8 +6,7 @@ import (
 	"hash/crc32"
 )
 
-// Replication kinds (v2-only: repl-subscribe requires a nonzero envelope ID
-// because records stream back as many frames echoing it).
+// Replication kinds.
 const (
 	// KindReplSubscribe opens a replication stream for one repository (or
 	// the catalog stream when RepoID is empty). The server answers with a

@@ -1,63 +1,111 @@
-// Package wire is the framing layer of the MIE network protocol: length-
-// prefixed frames carrying gob-encoded envelopes. All client-server traffic
-// of Figure 1 flows through it (in deployment, inside a TLS tunnel;
-// transport security is orthogonal to the scheme and stdlib crypto/tls
-// wraps net.Conn directly).
+// Package wire is the MIE network protocol: one length-prefixed binary
+// frame format for every request, response and replication message. All
+// client-server traffic of Figure 1 flows through it (in deployment, inside
+// a TLS tunnel; transport security is orthogonal to the scheme and stdlib
+// crypto/tls wraps net.Conn directly).
 //
-// # Protocol versions
+// # Frame
 //
-// Version 1 is lockstep: one request per connection at a time, the response
-// written before the next request is read, with Envelope.ID zero. Version 2
-// multiplexes: every request carries a nonzero ID, responses echo the ID of
-// the request they answer, and may arrive in any order; requests may carry a
-// deadline (a relative time budget, immune to clock skew) and may be
-// abandoned early with a Cancel frame naming the in-flight ID.
+// A frame is a 45-byte fixed header, the bearer token, and a per-kind body
+// (see codec.go; DESIGN.md §8 has the byte tables):
 //
-// The two versions share one frame and envelope format. Gob tolerates both
-// unknown and missing struct fields, so a v1 peer decodes v2 envelopes
-// (ignoring ID and TimeoutNanos) and a v2 peer decodes v1 envelopes (seeing
-// ID zero, which *is* the v1 marker). A v2 client announces itself with a
-// Hello frame; a v2 server answers HelloResp, while a v1 server answers
-// KindError ("unknown kind"), telling the client to fall back to lockstep.
-// A v1 client never sends Hello and never sets IDs, so a v2 server serves
-// it in lockstep without any negotiation.
+//	off len field
+//	  0   4 length   bytes that follow this field, big-endian
+//	  4   1 magic    0xB3 — protocol 3; anything else is ErrMalformed
+//	  5   1 kind     kind code
+//	  6   1 flags    bit 0: trace sampled; other bits must be zero
+//	  7   2 authlen  length of the bearer token
+//	  9   4 sum      CRC-32C of the kind byte followed by the body
+//	 13   8 id       request id; a response echoes its request's
+//	 21   8 timeout  remaining time budget in ns (relative, so peers need
+//	                 not share a clock); 0 = none
+//	 29   8 trace id
+//	 37   8 span id
+//	 45   n auth, then the body
+//
+// Requests are multiplexed: each carries a nonzero id, responses echo it
+// and may arrive in any order, and a Cancel frame abandons an in-flight id.
+// The checksum covers what travels end to end — the kind and the body, whose
+// first field is the repository id on every repository-scoped request — and
+// leaves out what each hop re-stamps (id, timeout, auth), so a relay
+// forwards a frame it read without hashing it again.
+//
+// # Negotiation
+//
+// A connection opens with Hello{MaxVersion}; the server answers HelloResp
+// carrying ProtocolVersion, or — when the peer cannot speak it — an error
+// frame with ErrCodeUnsupportedVersion (AnswerHello). A peer that predates
+// this format sends bytes without the magic and is dropped as malformed.
+//
+// # Ownership
+//
+// ReadFrame allocates one buffer per frame; it belongs to the Envelope
+// returned and is never pooled or reused. Values decoded from an envelope
+// may be sub-slices of that buffer — a SearchResp's or GetResp's ciphertexts,
+// a ReplRecord's payload — because their receiver consumes and drops them.
+// What the engine stores is always copied out at exact size (an UpdateReq's
+// ciphertext and codes, and every string), so nothing that outlives a
+// request pins its frame. On the write side frames are assembled in pooled
+// buffers; one that grew past pooledBufCap is dropped instead of returned,
+// so a snapshot-sized frame never stays resident in the pool.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"sync"
 	"time"
 
 	"mie/internal/auth"
+	"mie/internal/bin"
 	"mie/internal/core"
 )
 
-// Protocol versions negotiated by Hello/HelloResp.
-const (
-	// ProtocolV1 is the lockstep protocol: ID-less envelopes, one request
-	// in flight per connection.
-	ProtocolV1 = 1
-	// ProtocolV2 is the multiplexed protocol: per-request IDs, deadlines,
-	// cancellation and asynchronous training jobs.
-	ProtocolV2 = 2
-)
+// ProtocolVersion is the one protocol version this package speaks.
+const ProtocolVersion = 3
 
 // MaxFrameSize bounds a single frame; oversized frames indicate a corrupt
 // or malicious peer and abort the connection rather than exhausting memory.
+// Only the kinds that carry objects or snapshots may reach it — see the
+// per-kind caps in the kinds table.
 const MaxFrameSize = 256 << 20
+
+// Frame geometry and the per-kind size classes.
+const (
+	frameMagic  = 0xB3
+	headerLen   = 45 // fixed header, including the 4-byte length
+	prefixLen   = 6  // length + magic + kind: enough to refuse a frame
+	flagSampled = 1
+
+	// smallFrame caps kinds that carry identifiers and status only.
+	smallFrame = 64 << 10
+	// queryFrame caps a search request (a few dozen codes and tokens) and a
+	// trace response.
+	queryFrame = 4 << 20
+
+	// pooledBufCap is the largest write buffer kept in the pool.
+	pooledBufCap = 64 << 10
+	// bodyChunk is the first allocation for a large incoming body; the
+	// buffer then doubles as bytes actually arrive, so a peer cannot make
+	// the reader allocate a frame it never sends.
+	bodyChunk = 1 << 20
+)
 
 // Frame-level errors.
 var (
-	// ErrFrameTooLarge is returned for frames exceeding MaxFrameSize.
+	// ErrFrameTooLarge is returned for frames exceeding their kind's cap.
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
-	// ErrMalformed is wrapped around envelope decode failures: bytes arrived
-	// but are not a valid frame. Distinguishes a corrupt or hostile peer from
-	// a clean disconnect (io.EOF) or a transport failure.
+	// ErrMalformed is wrapped around every decode failure: bytes arrived
+	// but are not a valid frame or body. Distinguishes a corrupt or hostile
+	// peer from a clean disconnect (io.EOF) or a transport failure.
 	ErrMalformed = errors.New("wire: malformed frame")
+	// ErrUnsupportedVersion reports a peer that cannot speak
+	// ProtocolVersion (wire code ErrCodeUnsupportedVersion).
+	ErrUnsupportedVersion = errors.New("wire: unsupported protocol version")
 )
 
 // IsMalformed reports whether err indicates a peer speaking the protocol
@@ -80,10 +128,8 @@ const (
 	KindGetResp    = "get-resp"
 	KindError      = "error"
 
-	// v2 kinds.
-
-	// KindHello opens version negotiation; a v2 server answers
-	// KindHelloResp, a v1 server answers KindError.
+	// KindHello opens version negotiation; the server answers
+	// KindHelloResp, or KindError when it cannot speak the peer's version.
 	KindHello     = "hello"
 	KindHelloResp = "hello-resp"
 	// KindCancel abandons an in-flight request by ID. It is fire-and-forget:
@@ -105,13 +151,13 @@ const (
 )
 
 // Envelope is one protocol message: a kind tag, an optional bearer
-// authorization token (see internal/auth), v2 multiplexing metadata and the
-// gob encoding of the kind's payload struct.
+// authorization token (see internal/auth), multiplexing and tracing
+// metadata, and the binary encoding of the kind's payload struct.
 type Envelope struct {
 	Kind string
 	Auth string
-	// ID correlates a response with its request on a multiplexed (v2)
-	// connection. Zero means v1 lockstep framing.
+	// ID correlates a response with its request on the multiplexed
+	// connection. Fire-and-forget frames (Cancel, ReplAck) leave it zero.
 	ID uint64
 	// TimeoutNanos is the remaining time budget of the request at send time
 	// (relative, so peers need not share a clock); 0 means no deadline.
@@ -121,12 +167,19 @@ type Envelope struct {
 	// the trace this request belongs to and the client span the server-side
 	// spans should parent under. Zero means untraced. TraceSampled carries
 	// the client's head-sampling decision so both sides keep the same
-	// traces. Gob tolerates missing fields, so v1 peers (which never set
-	// these) interoperate unchanged.
+	// traces.
 	TraceID      uint64
 	SpanID       uint64
 	TraceSampled bool
-	Data         []byte
+	// Data is the encoded body. On an envelope from ReadFrame it is a
+	// sub-slice of the frame's buffer, which the envelope owns.
+	Data []byte
+
+	// sum is the body checksum as ReadFrame verified it (zero: not known),
+	// which lets a relay write the envelope out again without re-hashing.
+	// Whoever changes Kind or Data of an envelope it read must build a new
+	// Envelope instead.
+	sum uint32
 }
 
 // Timeout returns the request's remaining time budget, if any.
@@ -139,7 +192,7 @@ func (e *Envelope) Timeout() (time.Duration, bool) {
 
 // Request payloads.
 type (
-	// Hello announces a v2-capable client.
+	// Hello opens a connection.
 	Hello struct {
 		// MaxVersion is the highest protocol version the client speaks.
 		MaxVersion int
@@ -164,7 +217,7 @@ type (
 		FusionCandidates  int
 	}
 	// TrainReq triggers server-side training: synchronously for KindTrain
-	// (v1) and asynchronously for KindTrainStart (v2).
+	// and asynchronously for KindTrainStart.
 	TrainReq struct {
 		RepoID string
 	}
@@ -200,12 +253,10 @@ type (
 )
 
 // Error codes carried by response frames alongside the human-readable Err
-// string, so clients match on a stable code instead of message text. Gob
-// tolerates missing fields, so a v1 (or older) peer that never sets a code
-// yields ErrCodeUnspecified and everything still interoperates.
+// string, so clients match on a stable code instead of message text.
 const (
 	// ErrCodeUnspecified is the zero value: an error with no machine-
-	// readable classification (or a frame from a peer predating codes).
+	// readable classification.
 	ErrCodeUnspecified = 0
 	// ErrCodeExists: the repository already exists (core.ErrRepoExists).
 	ErrCodeExists = 1
@@ -220,6 +271,9 @@ const (
 	ErrCodeUnknownObject = 5
 	// ErrCodeUnknownJob: unknown training job (core.ErrUnknownJob).
 	ErrCodeUnknownJob = 6
+	// ErrCodeUnsupportedVersion: the hello named a protocol version this
+	// node cannot speak (ErrUnsupportedVersion).
+	ErrCodeUnsupportedVersion = 7
 )
 
 // ErrCode classifies an engine/auth error into its wire code and, for quota
@@ -247,6 +301,8 @@ func ErrCode(err error) (code int, retryAfter time.Duration) {
 		return ErrCodeUnknownObject, 0
 	case errors.Is(err, core.ErrUnknownJob):
 		return ErrCodeUnknownJob, 0
+	case errors.Is(err, ErrUnsupportedVersion):
+		return ErrCodeUnsupportedVersion, 0
 	}
 	return ErrCodeUnspecified, 0
 }
@@ -266,6 +322,8 @@ func Sentinel(code int) error {
 		return core.ErrUnknownObject
 	case ErrCodeUnknownJob:
 		return core.ErrUnknownJob
+	case ErrCodeUnsupportedVersion:
+		return ErrUnsupportedVersion
 	}
 	return nil
 }
@@ -376,90 +434,271 @@ func FromCore(opts core.RepositoryOptions) RepoOptions {
 	}
 }
 
-// NewEnvelope gob-encodes payload into an envelope carrying the given v2
-// metadata. A zero id and timeout produce a v1-compatible envelope.
-func NewEnvelope(kind, authToken string, id uint64, timeout time.Duration, payload interface{}) (*Envelope, error) {
-	var body bytes.Buffer
-	if payload != nil {
-		if err := gob.NewEncoder(&body).Encode(payload); err != nil {
-			return nil, fmt.Errorf("wire: encode %s payload: %w", kind, err)
-		}
-	}
-	return &Envelope{
-		Kind:         kind,
-		Auth:         authToken,
-		ID:           id,
-		TimeoutNanos: int64(timeout),
-		Data:         body.Bytes(),
-	}, nil
+// kindInfo is one row of the kind table.
+type kindInfo struct {
+	name string
+	// maxFrame caps the frame's length field for this kind; ReadFrame
+	// checks it before allocating anything, WriteEnvelope before sending.
+	maxFrame uint32
+	// repoFirst marks a request whose body starts with its repository id.
+	repoFirst bool
 }
 
-// WriteEnvelope writes env as one length-prefixed frame and returns the
+// kinds maps a kind's wire code (the index) to its name and limits. Codes
+// are part of the protocol: append, never renumber.
+var kinds = [...]kindInfo{
+	1:  {KindCreateRepo, smallFrame, true},
+	2:  {KindTrain, smallFrame, true},
+	3:  {KindUpdate, MaxFrameSize, true},
+	4:  {KindRemove, smallFrame, true},
+	5:  {KindSearch, queryFrame, true},
+	6:  {KindGet, smallFrame, true},
+	7:  {KindAck, smallFrame, false},
+	8:  {KindSearchResp, MaxFrameSize, false},
+	9:  {KindGetResp, MaxFrameSize, false},
+	10: {KindError, smallFrame, false},
+	11: {KindHello, smallFrame, false},
+	12: {KindHelloResp, smallFrame, false},
+	13: {KindCancel, smallFrame, false},
+	14: {KindTrainStart, smallFrame, true},
+	15: {KindTrainStatus, smallFrame, true},
+	16: {KindTrainWait, smallFrame, true},
+	17: {KindTrainJobResp, smallFrame, false},
+	18: {KindTraceGet, smallFrame, false},
+	19: {KindTraceResp, queryFrame, false},
+	20: {KindReplSubscribe, smallFrame, true},
+	21: {KindReplRecords, MaxFrameSize, false},
+	22: {KindReplAck, smallFrame, true},
+}
+
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	// kindCodes inverts kinds; kindSums holds each kind byte's CRC so a
+	// frame's sum is one Update over the body.
+	kindCodes = make(map[string]byte, len(kinds))
+	kindSums  [len(kinds)]uint32
+)
+
+func init() {
+	for code := 1; code < len(kinds); code++ {
+		kindCodes[kinds[code].name] = byte(code)
+		kindSums[code] = crc32.Update(0, castagnoli, []byte{byte(code)})
+	}
+}
+
+// writeBufs recycles frame-assembly buffers (see the package doc's
+// ownership rule for the cap).
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBuf(bp *[]byte, b []byte) {
+	if cap(b) <= pooledBufCap {
+		*bp = b[:0]
+		writeBufs.Put(bp)
+	}
+}
+
+// NewEnvelope encodes payload into an envelope carrying the given request
+// id and time budget. payload may be a value or a pointer; a type without a
+// binary form (codec.go) is an error.
+func NewEnvelope(kind, authToken string, id uint64, timeout time.Duration, payload interface{}) (*Envelope, error) {
+	env := &Envelope{Kind: kind, Auth: authToken, ID: id, TimeoutNanos: int64(timeout)}
+	if payload == nil {
+		return env, nil
+	}
+	enc, ok := payload.(bodyEncoder)
+	if !ok {
+		return nil, fmt.Errorf("wire: encode %s payload: %T has no binary form", kind, payload)
+	}
+	bp := writeBufs.Get().(*[]byte)
+	body := enc.appendBody((*bp)[:0])
+	env.Data = append(make([]byte, 0, len(body)), body...)
+	putBuf(bp, body)
+	return env, nil
+}
+
+// WriteEnvelope writes env as one frame with a single Write and returns the
 // number of bytes written so callers can account transfer costs.
 func WriteEnvelope(w io.Writer, env *Envelope) (int, error) {
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(*env); err != nil {
-		return 0, fmt.Errorf("wire: encode %s envelope: %w", env.Kind, err)
+	code, ok := kindCodes[env.Kind]
+	if !ok {
+		return 0, fmt.Errorf("wire: write frame: unknown kind %q", env.Kind)
 	}
-	if frame.Len() > MaxFrameSize {
-		return 0, ErrFrameTooLarge
+	if len(env.Auth) > math.MaxUint16 {
+		return 0, fmt.Errorf("wire: write %s frame: %d-byte auth token", env.Kind, len(env.Auth))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(frame.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wire: write %s header: %w", env.Kind, err)
+	total := headerLen + len(env.Auth) + len(env.Data)
+	if total-4 > int(kinds[code].maxFrame) {
+		return 0, fmt.Errorf("%w: %s frame of %d bytes", ErrFrameTooLarge, env.Kind, total)
 	}
-	n, err := w.Write(frame.Bytes())
+	sum := env.sum
+	if sum == 0 {
+		sum = crc32.Update(kindSums[code], castagnoli, env.Data)
+	}
+	var flags byte
+	if env.TraceSampled {
+		flags |= flagSampled
+	}
+	bp := writeBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	if cap(b) < total {
+		b = make([]byte, 0, total)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(total-4))
+	b = append(b, frameMagic, code, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(env.Auth)))
+	b = binary.BigEndian.AppendUint32(b, sum)
+	b = binary.BigEndian.AppendUint64(b, env.ID)
+	b = binary.BigEndian.AppendUint64(b, uint64(env.TimeoutNanos))
+	b = binary.BigEndian.AppendUint64(b, env.TraceID)
+	b = binary.BigEndian.AppendUint64(b, env.SpanID)
+	b = append(b, env.Auth...)
+	b = append(b, env.Data...)
+	n, err := w.Write(b)
+	putBuf(bp, b)
 	if err != nil {
-		return 0, fmt.Errorf("wire: write %s frame: %w", env.Kind, err)
+		return n, fmt.Errorf("wire: write %s frame: %w", env.Kind, err)
 	}
-	return 4 + n, nil
-}
-
-// WriteFrame gob-encodes payload into a v1 (ID-less) envelope of the given
-// kind and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, kind string, payload interface{}) (int, error) {
-	return WriteFrameAuth(w, kind, "", payload)
-}
-
-// WriteFrameAuth is WriteFrame with a bearer authorization token attached.
-func WriteFrameAuth(w io.Writer, kind, authToken string, payload interface{}) (int, error) {
-	env, err := NewEnvelope(kind, authToken, 0, 0, payload)
-	if err != nil {
-		return 0, err
-	}
-	return WriteEnvelope(w, env)
+	return n, nil
 }
 
 // ReadFrame reads one envelope. It returns the envelope, its size on the
-// wire, and any error (io.EOF on clean shutdown).
+// wire, and any error (io.EOF on clean shutdown). The frame's size is
+// checked against its kind's cap as soon as the first prefixLen bytes are
+// in, before anything is allocated for it.
 func ReadFrame(r io.Reader) (*Envelope, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [headerLen]byte
+	n, err := io.ReadAtLeast(r, hdr[:], prefixLen)
+	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, 0, io.EOF
 		}
 		return nil, 0, fmt.Errorf("wire: read header: %w", err)
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > MaxFrameSize {
+	length, code := binary.BigEndian.Uint32(hdr[:4]), hdr[5]
+	switch {
+	case length > MaxFrameSize:
 		return nil, 0, ErrFrameTooLarge
+	case hdr[4] != frameMagic:
+		return nil, 0, fmt.Errorf("%w: magic byte %#x is not protocol %d", ErrMalformed, hdr[4], ProtocolVersion)
+	case code == 0 || int(code) >= len(kinds):
+		return nil, 0, fmt.Errorf("%w: unknown kind code %d", ErrMalformed, code)
+	case length > kinds[code].maxFrame:
+		return nil, 0, fmt.Errorf("%w: %s frame claims %d bytes", ErrFrameTooLarge, kinds[code].name, length)
+	case length < headerLen-4:
+		return nil, 0, fmt.Errorf("%w: %d-byte frame is shorter than its header", ErrMalformed, length)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if n < headerLen {
+		if _, err := io.ReadFull(r, hdr[n:]); err != nil {
+			return nil, 0, fmt.Errorf("wire: read header: %w", midFrame(err))
+		}
+	}
+	authLen := int(binary.BigEndian.Uint16(hdr[7:9]))
+	rest := int(length) - (headerLen - 4)
+	switch {
+	case hdr[6]&^flagSampled != 0:
+		return nil, 0, fmt.Errorf("%w: unknown flag bits %#x", ErrMalformed, hdr[6])
+	case authLen > rest:
+		return nil, 0, fmt.Errorf("%w: %d-byte auth in a %d-byte frame", ErrMalformed, authLen, length)
+	}
+	buf, err := readBody(r, rest)
+	if err != nil {
 		return nil, 0, fmt.Errorf("wire: read frame body: %w", err)
 	}
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&env); err != nil {
-		return nil, 0, fmt.Errorf("%w: decode envelope: %v", ErrMalformed, err)
+	env := &Envelope{
+		Kind:         kinds[code].name,
+		Auth:         string(buf[:authLen]),
+		ID:           binary.BigEndian.Uint64(hdr[13:21]),
+		TimeoutNanos: int64(binary.BigEndian.Uint64(hdr[21:29])),
+		TraceID:      binary.BigEndian.Uint64(hdr[29:37]),
+		SpanID:       binary.BigEndian.Uint64(hdr[37:45]),
+		TraceSampled: hdr[6]&flagSampled != 0,
+		sum:          binary.BigEndian.Uint32(hdr[9:13]),
 	}
-	return &env, 4 + int(size), nil
+	if rest > authLen {
+		env.Data = buf[authLen:]
+	}
+	if got := crc32.Update(kindSums[code], castagnoli, env.Data); got != env.sum {
+		return nil, 0, fmt.Errorf("%w: %s frame checksum %08x, header says %08x", ErrMalformed, env.Kind, got, env.sum)
+	}
+	return env, 4 + int(length), nil
 }
 
-// Decode unpacks the envelope payload into v.
+// readBody reads exactly size bytes into a buffer of exactly that size. A
+// body larger than bodyChunk is read into a buffer that starts there and
+// doubles as the bytes arrive.
+func readBody(r io.Reader, size int) ([]byte, error) {
+	buf := make([]byte, min(size, bodyChunk))
+	for n := 0; ; {
+		m, err := io.ReadFull(r, buf[n:])
+		if n += m; err != nil {
+			return nil, midFrame(err)
+		}
+		if n == size {
+			return buf, nil
+		}
+		grown := make([]byte, min(size, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// midFrame turns the io.EOF of a read that started inside a frame into
+// io.ErrUnexpectedEOF: only an EOF between frames is a clean shutdown.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Decode unpacks the envelope payload into v, a pointer to the kind's
+// payload struct. Every failure wraps ErrMalformed.
 func (e *Envelope) Decode(v interface{}) error {
-	if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode %s payload: %w", e.Kind, err)
+	dec, ok := v.(bodyDecoder)
+	if !ok {
+		return fmt.Errorf("%w: decode %s payload: %T has no binary form", ErrMalformed, e.Kind, v)
+	}
+	c := bin.NewCursor(e.Data)
+	dec.decodeBody(c)
+	if err := c.Done(); err != nil {
+		return fmt.Errorf("%w: decode %s payload into %T: %v", ErrMalformed, e.Kind, v, err)
 	}
 	return nil
+}
+
+// RepoID returns the repository a request addresses — the first field of
+// every repository-scoped request body — without decoding the rest, which
+// is how the router picks a backend. It is empty for kinds that address no
+// repository and for bodies too damaged to tell.
+func (e *Envelope) RepoID() string {
+	if !kinds[kindCodes[e.Kind]].repoFirst {
+		return ""
+	}
+	c := bin.NewCursor(e.Data)
+	id := c.String()
+	if c.Err() != nil {
+		return ""
+	}
+	return id
+}
+
+// AnswerHello builds a node's reply to a hello frame: status as a HelloResp
+// stamped with ProtocolVersion, or — when the peer's hello is unreadable or
+// names a lower version — an error frame coded ErrCodeUnsupportedVersion,
+// in which case refused says why.
+func AnswerHello(hello *Envelope, status HelloResp) (reply *Envelope, refused error) {
+	var h Hello
+	refused = hello.Decode(&h)
+	if refused == nil && h.MaxVersion < ProtocolVersion {
+		refused = fmt.Errorf("%w: peer speaks up to %d, this node speaks %d", ErrUnsupportedVersion, h.MaxVersion, ProtocolVersion)
+	}
+	reply = &Envelope{Kind: KindHelloResp, ID: hello.ID}
+	status.Version = ProtocolVersion
+	var body bodyEncoder = status
+	if refused != nil {
+		reply.Kind = KindError
+		body = Ack{Err: refused.Error(), Code: ErrCodeUnsupportedVersion}
+	}
+	reply.Data = body.appendBody(nil)
+	return reply, refused
 }

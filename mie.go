@@ -22,7 +22,7 @@
 //
 // The same Repository interface works against a remote server started with
 // cmd/mie-server by setting Options.Addr; the connection then speaks the
-// multiplexed wire protocol v2, so concurrent calls share one TCP
+// multiplexed wire protocol, so concurrent calls share one TCP
 // connection, context deadlines ride to the server, and canceling a context
 // aborts the in-flight request on both ends. Training can also run as an
 // asynchronous server-side job via TrainAsync — the mobile client may

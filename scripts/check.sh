@@ -41,10 +41,11 @@ go test -race -shuffle=on -cover ./...
 # Connection-lifecycle packages again, repeated: admission slots, mux
 # teardown, follower resume and router failover are where an ordering bug
 # shows up one run in fifty, and one pass of the full suite would miss it.
-# internal/index rides along: its searches read sealed segments' live bits
-# and the memtable under nothing but the facade lock, against concurrent
+# internal/wire rides along for its pooled write buffers, internal/index
+# because its searches read sealed segments' live bits and the memtable
+# under nothing but the facade lock, against concurrent
 # Add/Remove/Seal/Compact.
-go test -race -count=5 ./internal/server ./internal/client ./internal/replica ./internal/router ./internal/index
+go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./internal/replica ./internal/router ./internal/index
 
 # The experiment printer still builds and runs (its gates are go tests in
 # internal/experiments, run above).
@@ -52,9 +53,12 @@ go run ./cmd/mie-bench -scale quick -experiment table2
 # The index microbenchmark still runs, at one core and two. No parsing, no
 # threshold: speed gates live in bench/.
 go test -run '^$' -bench SegmentedLookup -benchtime 100x -cpu 1,2 ./internal/index
+# Likewise the frame codec's round trip over the spine's three frame shapes.
+go test -run '^$' -bench FrameRoundTrip -benchtime 100x ./internal/wire
 
 # Fuzz smoke over the decoders that face untrusted or crash-damaged input:
-# wire frames arriving off the network and WAL bytes read back after a
+# wire frames arriving off the network (the binary frame header, every
+# payload body, replication batches) and WAL bytes read back after a
 # crash must fail cleanly, never panic — and over the segmented index, whose
 # fuzzer writes operation traces checked against a naive reference.
 # FUZZTIME=0 skips (corpus-only replay already ran as part of go test above).
