@@ -181,24 +181,6 @@ func benchKey() crypto.Key {
 	return k
 }
 
-func BenchmarkDenseDPEEncode(b *testing.B) {
-	d, err := dpe.NewDense(benchKey(), dpe.DenseParams{InDim: 64, OutDim: 512, Threshold: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	p := make([]float64, 64)
-	for i := range p {
-		p[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Encode(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSparseDPEEncode(b *testing.B) {
 	s := dpe.NewSparse(benchKey())
 	b.ResetTimer()

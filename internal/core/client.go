@@ -256,16 +256,9 @@ func (c *Client) encodeText(hist text.Histogram) map[dpe.Token]uint64 {
 }
 
 func (c *Client) encodeDense(enc *dpe.Dense, descs [][]float64) ([]vec.BitVec, error) {
-	if len(descs) == 0 {
-		return nil, nil
-	}
-	out := make([]vec.BitVec, len(descs))
-	for i, d := range descs {
-		e, err := enc.Encode(d)
-		if err != nil {
-			return nil, fmt.Errorf("core: encode descriptor %d: %w", i, err)
-		}
-		out[i] = e
+	out, err := enc.EncodeAll(descs)
+	if err != nil {
+		return nil, fmt.Errorf("core: encode: %w", err)
 	}
 	return out, nil
 }

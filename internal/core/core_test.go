@@ -106,6 +106,46 @@ func TestPrepareQueryValidation(t *testing.T) {
 	}
 }
 
+// TestPrepareSurfacesEncodeErrors: a descriptor the Dense-DPE kernel refuses
+// fails the whole prepare with the dpe sentinel still matchable through the
+// core wrap — a non-finite pixel must not turn into codes that depend on the
+// CPU doing the float-to-integer conversion.
+func TestPrepareSurfacesEncodeErrors(t *testing.T) {
+	withPixel := func(v float64) *Object {
+		obj := testObject(0, 1)
+		obj.Image.Pix[5*32+7] = v
+		return obj
+	}
+	wrongDim, err := NewClient(ClientConfig{
+		Key:     testRepoKey(1),
+		Dense:   dpe.DenseParams{InDim: imaging.DescriptorDim / 2, OutDim: 256, Threshold: 0.5},
+		Pyramid: imaging.PyramidParams{Scales: []int{16}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name   string
+		client *Client
+		obj    *Object
+		want   error
+	}{
+		{"NaN pixel", testClient(t), withPixel(math.NaN()), dpe.ErrNonFinite},
+		{"+Inf pixel", testClient(t), withPixel(math.Inf(1)), dpe.ErrNonFinite},
+		{"descriptor dimension", wrongDim, testObject(0, 1), dpe.ErrBadDimension},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if up, err := tt.client.PrepareUpdate(tt.obj, testDataKey(1)); !errors.Is(err, tt.want) || up != nil {
+				t.Errorf("PrepareUpdate = %v, %v; want nil, %v", up, err, tt.want)
+			}
+			if q, err := tt.client.PrepareQuery(tt.obj, 3); !errors.Is(err, tt.want) || q != nil {
+				t.Errorf("PrepareQuery = %v, %v; want nil, %v", q, err, tt.want)
+			}
+		})
+	}
+}
+
 func TestPrepareUpdateShape(t *testing.T) {
 	c := testClient(t)
 	obj := testObject(0, 1)

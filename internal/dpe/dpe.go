@@ -40,6 +40,13 @@ var (
 	// ErrBadEncoding is returned when encodings of incompatible sizes are
 	// compared.
 	ErrBadEncoding = errors.New("dpe: encoding size mismatch")
+	// ErrNonFinite is returned when a plaintext vector has a component that
+	// is NaN, infinite, or finite but so large that Δ⁻¹(A·x + w) could leave
+	// the int64 range. Quantizing such a value goes through a
+	// float-to-integer conversion whose result Go leaves to the CPU, so two
+	// devices sharing a repository key could encode the same object
+	// differently.
+	ErrNonFinite = errors.New("dpe: plaintext component is not finite or out of range")
 )
 
 // slopeConst is sqrt(2/pi): for Gaussian projections the expected bit-flip
@@ -53,12 +60,18 @@ var slopeConst = math.Sqrt(2 / math.Pi)
 // Dense is the DPE implementation for dense media feature vectors.
 // It is safe for concurrent use after construction.
 type Dense struct {
-	inDim  int
-	outDim int
-	t      float64
-	delta  float64
-	a      []float64 // outDim x inDim row-major projection matrix
-	w      []float64 // outDim dither values in [0, delta)
+	inDim    int
+	outDim   int
+	t        float64
+	invDelta float64 // 1/Δ
+	// maxAbs bounds a plaintext component's magnitude so that every
+	// |Δ⁻¹(a·x + w)| stays below 2^62, inside what int64 holds.
+	maxAbs float64
+	// a is the outDim x inDim row-major projection matrix and w the outDim
+	// dither values in [0, Δ), both padded with zero rows up to a multiple
+	// of four so the kernel can always take four rows.
+	a []float64
+	w []float64
 }
 
 // DenseParams configures Dense-DPE key generation.
@@ -94,21 +107,33 @@ func NewDense(key crypto.Key, params DenseParams) (*Dense, error) {
 	if params.Threshold <= 0 || params.Threshold > 1 {
 		return nil, fmt.Errorf("dpe: Threshold must be in (0,1], got %v", params.Threshold)
 	}
+	delta := slopeConst * (params.Threshold / 0.5)
+	rows := (params.OutDim + 3) &^ 3
 	d := &Dense{
-		inDim:  params.InDim,
-		outDim: params.OutDim,
-		t:      params.Threshold,
-		delta:  slopeConst * (params.Threshold / 0.5),
-		a:      make([]float64, params.OutDim*params.InDim),
-		w:      make([]float64, params.OutDim),
+		inDim:    params.InDim,
+		outDim:   params.OutDim,
+		t:        params.Threshold,
+		invDelta: 1 / delta,
+		a:        make([]float64, rows*params.InDim),
+		w:        make([]float64, rows),
 	}
 	g := crypto.NewPRG(key, fmt.Sprintf("dense-dpe:%d:%d", params.InDim, params.OutDim))
-	for i := range d.a {
+	for i := range d.a[:params.OutDim*params.InDim] {
 		d.a[i] = g.NormFloat64()
 	}
-	for i := range d.w {
-		d.w[i] = g.Float64() * d.delta
+	for i := range d.w[:params.OutDim] {
+		d.w[i] = g.Float64() * delta
 	}
+	// |a·x| <= (Σ_j |a_j|)·max|x_j|, so the widest row fixes the bound.
+	var widest float64
+	for i := 0; i < params.OutDim; i++ {
+		var l1 float64
+		for _, a := range d.a[i*params.InDim:][:params.InDim] {
+			l1 += math.Abs(a)
+		}
+		widest = math.Max(widest, l1)
+	}
+	d.maxAbs = math.Min(math.Ldexp(1, 62)/(widest*d.invDelta), math.MaxFloat64)
 	return d, nil
 }
 
@@ -126,24 +151,87 @@ func (d *Dense) Threshold() float64 { return d.t }
 // under the same key, which is what leaks (only) the patterns specified by
 // the ideal functionality F_DPE.
 func (d *Dense) Encode(p []float64) (vec.BitVec, error) {
-	if len(p) != d.inDim {
-		return vec.BitVec{}, fmt.Errorf("%w: got %d, want %d", ErrBadDimension, len(p), d.inDim)
+	if err := d.check(p); err != nil {
+		return vec.BitVec{}, err
 	}
 	e := vec.NewBitVec(d.outDim)
-	invDelta := 1 / d.delta
-	for i := 0; i < d.outDim; i++ {
-		row := d.a[i*d.inDim : (i+1)*d.inDim]
-		var dot float64
-		for j, x := range p {
-			dot += row[j] * x
-		}
-		q := int64(math.Floor((dot + d.w[i]) * invDelta))
-		// Q(.) quantizes [2v, 2v+1) -> 1 and [2v+1, 2v+2) -> 0: even floor -> 1.
-		if q&1 == 0 {
-			e.Set(i, true)
+	d.encode(e, p)
+	return e, nil
+}
+
+// EncodeAll runs ENCODE on every vector of descs and returns the encodings
+// in the same order, each bit for bit what Encode returns for that vector.
+// All of them are checked before any is encoded, so a bad vector costs no
+// arithmetic or allocation. An empty descs yields nil.
+func (d *Dense) EncodeAll(descs [][]float64) ([]vec.BitVec, error) {
+	for i, p := range descs {
+		if err := d.check(p); err != nil {
+			return nil, fmt.Errorf("descriptor %d: %w", i, err)
 		}
 	}
-	return e, nil
+	if len(descs) == 0 {
+		return nil, nil
+	}
+	out := make([]vec.BitVec, len(descs))
+	for i, p := range descs {
+		out[i] = vec.NewBitVec(d.outDim)
+		d.encode(out[i], p)
+	}
+	return out, nil
+}
+
+// check admits p to the kernel: the right dimension, and components that are
+// finite and small enough to quantize.
+func (d *Dense) check(p []float64) error {
+	if len(p) != d.inDim {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadDimension, len(p), d.inDim)
+	}
+	for j, x := range p {
+		if !(math.Abs(x) <= d.maxAbs) { // NaN compares false
+			return fmt.Errorf("%w: component %d is %v", ErrNonFinite, j, x)
+		}
+	}
+	return nil
+}
+
+// qbit is the quantizer Q(.) of Algorithm 2 applied to v = Δ⁻¹(a·x + w):
+// [2k, 2k+1) -> 1 and [2k+1, 2k+2) -> 0, i.e. an even floor gives 1.
+func qbit(v float64) uint64 { return uint64(int64(math.Floor(v)))&1 ^ 1 }
+
+// encode is the kernel: one vector against four rows of A at a time. A dot
+// product summed into one variable is a chain of dependent additions, and
+// the time it takes is the adder's latency times InDim; four sums that do
+// not depend on each other keep the adder busy. Each sum still runs over
+// j = 0..InDim-1 in order, and the float64 conversions keep the compiler
+// from fusing a product into the addition (arm64, ppc64le, s390x and riscv64
+// would otherwise round once where amd64 rounds twice), so every output bit
+// sees exactly the value a plain loop gives it, on every architecture
+// (DESIGN.md §5 item 9). Each 64 output bits are assembled in a register and
+// stored as one word. Rows past OutDim in the last group are the zero
+// padding NewDense left; SetWord drops their bits.
+func (d *Dense) encode(out vec.BitVec, p []float64) {
+	n := d.inDim
+	p = p[:n]
+	for base := 0; base < d.outDim; base += 64 {
+		var w uint64
+		for b := 0; b < 64 && base+b < d.outDim; b += 4 {
+			i := base + b
+			r0, r1, r2, r3 := d.a[i*n:][:n], d.a[(i+1)*n:][:n], d.a[(i+2)*n:][:n], d.a[(i+3)*n:][:n]
+			var d0, d1, d2, d3 float64
+			for j, x := range p {
+				d0 += float64(r0[j] * x)
+				d1 += float64(r1[j] * x)
+				d2 += float64(r2[j] * x)
+				d3 += float64(r3[j] * x)
+			}
+			wi := d.w[i : i+4]
+			w |= (qbit((d0+wi[0])*d.invDelta) |
+				qbit((d1+wi[1])*d.invDelta)<<1 |
+				qbit((d2+wi[2])*d.invDelta)<<2 |
+				qbit((d3+wi[3])*d.invDelta)<<3) << uint(b)
+		}
+		out.SetWord(base/64, w)
+	}
 }
 
 // Distance runs Dense-DPE DISTANCE on two encodings. It returns a value that

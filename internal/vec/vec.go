@@ -181,6 +181,16 @@ func (b BitVec) Set(i int, v bool) {
 	}
 }
 
+// SetWord overwrites bits 64i … 64i+63 with w, bit 64i being w's lowest. Bits
+// of w at or beyond Len are dropped, so the trailing bits stay zero. It
+// panics if word i is out of range.
+func (b BitVec) SetWord(i int, w uint64) {
+	if r := b.n - 64*i; r >= 0 && r < 64 {
+		w &= uint64(1)<<uint(r) - 1
+	}
+	b.words[i] = w
+}
+
 // Get reports bit i.
 func (b BitVec) Get(i int) bool {
 	if i < 0 || i >= b.n {

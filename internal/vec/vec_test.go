@@ -143,6 +143,39 @@ func TestBitVecOutOfRange(t *testing.T) {
 	}
 }
 
+func TestBitVecSetWord(t *testing.T) {
+	b := NewBitVec(70)
+	b.SetWord(0, 1<<63|1)
+	b.SetWord(1, ^uint64(0)) // only bits 64..69 exist
+	for i := 0; i < 70; i++ {
+		if want := i == 0 || i >= 63; b.Get(i) != want {
+			t.Errorf("bit %d = %v, want %v", i, b.Get(i), want)
+		}
+	}
+	if b.words[1] != 0x3f {
+		t.Errorf("last word = %#x, want 0x3f: bits past Len must stay zero", b.words[1])
+	}
+	b.SetWord(1, 0)
+	if b.OnesCount() != 2 {
+		t.Errorf("OnesCount after clearing word 1 = %d, want 2", b.OnesCount())
+	}
+	full := NewBitVec(128)
+	full.SetWord(1, ^uint64(0))
+	if full.OnesCount() != 64 {
+		t.Errorf("a full last word lost bits: OnesCount = %d", full.OnesCount())
+	}
+	for _, i := range []int{-1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for word %d", i)
+				}
+			}()
+			b.SetWord(i, 1)
+		}()
+	}
+}
+
 func TestHamming(t *testing.T) {
 	a := NewBitVec(100)
 	b := NewBitVec(100)

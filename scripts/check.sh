@@ -55,12 +55,17 @@ go run ./cmd/mie-bench -scale quick -experiment table2
 go test -run '^$' -bench SegmentedLookup -benchtime 100x -cpu 1,2 ./internal/index
 # Likewise the frame codec's round trip over the spine's three frame shapes.
 go test -run '^$' -bench FrameRoundTrip -benchtime 100x ./internal/wire
+# And the client's Dense-DPE encode at the shapes that run (one descriptor,
+# one image's 29, at 2048 and 512 bits).
+go test -run '^$' -bench DenseDPEEncode -benchtime 100x -cpu 1,2 ./internal/dpe
 
 # Fuzz smoke over the decoders that face untrusted or crash-damaged input:
 # wire frames arriving off the network (the binary frame header, every
 # payload body, replication batches) and WAL bytes read back after a
-# crash must fail cleanly, never panic — and over the segmented index, whose
-# fuzzer writes operation traces checked against a naive reference.
+# crash must fail cleanly, never panic — and over the two kernels that are
+# checked against a naive reference: the segmented index (operation traces)
+# and the Dense-DPE encode (dimensions, batch sizes and components,
+# non-finite ones included).
 # FUZZTIME=0 skips (corpus-only replay already ran as part of go test above).
 FUZZTIME="${FUZZTIME:-30s}"
 if [ "$FUZZTIME" != "0" ]; then
@@ -69,6 +74,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz=FuzzReplRecordDecode -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" ./internal/wal
     go test -run='^$' -fuzz=FuzzSegmentedOps -fuzztime="$FUZZTIME" ./internal/index
+    go test -run='^$' -fuzz=FuzzDenseEncodeAll -fuzztime="$FUZZTIME" ./internal/dpe
 fi
 
 echo "check.sh: all gates passed"
