@@ -10,8 +10,9 @@ import (
 )
 
 // Binary forms of the values that cross the network: Update, Query and
-// SearchHit. They live here, below the transport, so the wire protocol and
-// (later) the write-ahead log can carry the same bytes. Every value has
+// SearchHit. They live here, below the transport, so the wire protocol, the
+// write-ahead log and the replication stream carry the same bytes: a WAL
+// record is a kind byte plus Update.AppendTo (durable.go). Every value has
 // exactly one encoding — map entries are emitted in ascending token order
 // and decoding rejects any other order — so frames can be compared,
 // checksummed and pinned by golden files.

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"mie/internal/bin"
 	"mie/internal/obs"
 	"mie/internal/wal"
 )
@@ -87,42 +86,78 @@ func newDurability(o DurableOptions) *durability {
 	return &durability{dir: o.Dir, opts: wo}
 }
 
-// walRecord is the payload of one WAL record: exactly one acknowledged
-// mutation, gob-encoded standalone so any record decodes without the ones
-// before it.
-type walRecord struct {
-	// Remove marks a removal of ObjectID; otherwise Update is set.
-	Remove   bool
-	ObjectID string
-	Update   *Update
+// A WAL record is one acknowledged mutation: a kind byte, then the body the
+// wire protocol already defines for that mutation — Update.AppendTo for an
+// update, the length-prefixed object id for a removal. A record is therefore
+// byte-for-byte an UpdateReq / RemoveReq frame body after its RepoID field,
+// and the same bytes are the replication payload (DESIGN.md §9). Every
+// record decodes on its own.
+//
+// The kind bytes come from 0x80–0xF7, the one range a gob stream cannot
+// start with: gob opens every message with its length as a gob uint, which
+// is either the value itself (0x00–0x7F) or a negated byte count
+// (0xF8–0xFF). The first byte therefore tells a record apart from the gob
+// records earlier commits wrote (wal_legacy.go).
+const (
+	walUpdate byte = 0xA1
+	walRemove byte = 0xA2
+)
+
+// ErrBadWALRecord reports a record that passed the log's checksum (or the
+// replication stream's) but is not a well-formed mutation: unknown kind,
+// truncated or trailing bytes, empty object id. It is never a torn tail;
+// recovery stops and the repository stays down.
+var ErrBadWALRecord = errors.New("core: bad WAL record")
+
+// encodeWALRecord encodes the update up, or the removal of id when up is
+// nil.
+func encodeWALRecord(up *Update, id string) []byte {
+	if up == nil {
+		return bin.AppendString([]byte{walRemove}, id)
+	}
+	return up.AppendTo(append(make([]byte, 0, 64+len(up.Ciphertext)), walUpdate))
 }
 
-func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("core: encode wal record: %w", err)
+// decodeWALRecord reverses encodeWALRecord; id is always the object the
+// record is about. Nothing is allocated beyond a small multiple of len(b),
+// and only the canonical encoding is accepted, so re-encoding the result
+// reproduces b.
+func decodeWALRecord(b []byte) (up *Update, id string, err error) {
+	if len(b) == 0 {
+		return nil, "", fmt.Errorf("%w: empty", ErrBadWALRecord)
 	}
-	return buf.Bytes(), nil
+	c := bin.NewCursor(b[1:])
+	switch b[0] {
+	case walUpdate:
+		up = new(Update)
+		up.ConsumeFrom(c)
+		id = up.ObjectID
+	case walRemove:
+		id = c.String()
+	default: // a gob record of the old format lands here too: only recovery reads those
+		return nil, "", fmt.Errorf("%w: unknown kind %#x", ErrBadWALRecord, b[0])
+	}
+	if err := c.Done(); err != nil {
+		return nil, "", fmt.Errorf("%w: %v", ErrBadWALRecord, err)
+	}
+	if id == "" {
+		return nil, "", fmt.Errorf("%w: empty object id", ErrBadWALRecord)
+	}
+	return up, id, nil
 }
 
-func decodeWALRecord(b []byte) (*walRecord, error) {
-	var rec walRecord
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("core: decode wal record: %w", err)
+// apply decodes one record and applies it through the public mutation path:
+// the one function behind recovery replay (the log is attached only
+// afterwards, so replay does not re-append what it reads) and follower apply.
+func (r *Repository) apply(payload []byte) error {
+	up, id, err := decodeWALRecord(payload)
+	if err != nil {
+		return err
 	}
-	if !rec.Remove && rec.Update == nil {
-		return nil, errors.New("core: wal record carries neither update nor remove")
+	if up != nil {
+		return r.Update(up)
 	}
-	return &rec, nil
-}
-
-// applyWALRecord replays one recovered mutation. Called before the log is
-// attached, so the replay does not re-append what it reads.
-func (r *Repository) applyWALRecord(m *walRecord) error {
-	if m.Remove {
-		return r.Remove(m.ObjectID)
-	}
-	return r.Update(m.Update)
+	return r.Remove(id)
 }
 
 // initRepo makes a freshly created repository durable from birth: it opens
@@ -188,12 +223,12 @@ func (d *durability) loadRepo(sp *obs.Span, id string, indexOpts *RepositoryOpti
 	}
 	wsp := sp.Child("wal_replay")
 	l, rec, err := wal.Open(filepath.Join(d.dir, walFileName(id)), d.opts, func(b []byte) error {
-		m, derr := decodeWALRecord(b)
-		if derr != nil {
-			return derr
-		}
+		st.Records++
 		st.Bytes += int64(len(b))
-		return repo.applyWALRecord(m)
+		if err := repo.replay(b); err != nil {
+			return fmt.Errorf("record %d: %w", st.Records, err)
+		}
+		return nil
 	})
 	wsp.End()
 	if err != nil {
@@ -204,7 +239,6 @@ func (d *durability) loadRepo(sp *obs.Span, id string, indexOpts *RepositoryOpti
 	}
 	repo.attachWAL(l)
 	walReplayedC.Add(int64(rec.Records))
-	st.Records = rec.Records
 	st.Torn = rec.DroppedBytes
 	return repo, st, nil
 }
@@ -227,7 +261,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 	}
 	_, sp := obs.StartSpan(context.Background(), obs.Default(), "service/recovery")
 	defer sp.End()
-	var loadErrs []string
+	var loadErrs []error
 	snapStems := make(map[string]bool)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") {
@@ -237,7 +271,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 		snapStems[stem] = true
 		id, err := repoIDFromStem(stem)
 		if err != nil {
-			loadErrs = append(loadErrs, fmt.Sprintf("%s: %v", e.Name(), err))
+			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", e.Name(), err))
 			continue
 		}
 		if s.lazy {
@@ -252,7 +286,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 		}
 		repo, rec, err := d.loadRepo(sp, id, s.repoOpts)
 		if err != nil {
-			loadErrs = append(loadErrs, fmt.Sprintf("%s: %v", e.Name(), err))
+			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", e.Name(), err))
 			continue
 		}
 		repo.setGovernor(s.gov)
@@ -283,7 +317,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 		}
 	}
 	if len(loadErrs) > 0 {
-		return report, fmt.Errorf("core: %d snapshot(s) failed to load: %s", len(loadErrs), strings.Join(loadErrs, "; "))
+		return report, fmt.Errorf("core: %d snapshot(s) failed to load: %w", len(loadErrs), errors.Join(loadErrs...))
 	}
 	return report, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,10 +16,11 @@ import (
 // call back into the repository.
 //
 // MutationLogged delivers the exact payload that was appended to the
-// write-ahead log, after the append succeeded: the stream of MutationLogged
-// calls for one repository is byte-identical to its durable log, in order,
-// so a follower that applies them through the recovery path converges on
-// the leader's state.
+// write-ahead log, after the append succeeded — a kind byte plus the wire's
+// update or remove body (durable.go), nothing replication-specific: the
+// stream of MutationLogged calls for one repository is byte-identical to
+// its durable log, in order, so a follower that applies them through the
+// recovery function converges on the leader's state and on the same log.
 type ReplicationTap interface {
 	// RepoCreated fires when a repository enters the catalog (creation, or
 	// existing repositories at SetReplicationTap time).
@@ -88,25 +88,15 @@ func (r *Repository) SnapshotBytes(cut func()) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ApplyReplicated applies one replicated WAL record through the same public
-// mutation path recovery replay uses. It is idempotent under duplicate
-// delivery: re-applying an update overwrites the object with identical
-// state, and removing an already-removed object is absorbed rather than
-// erred — exactly the at-least-once semantics a resumed replication stream
-// needs. On a durable follower the record is re-appended to the local WAL
-// by the mutation itself, so applied records survive follower restarts.
+// ApplyReplicated applies one replicated WAL record through the function
+// recovery replay uses. Duplicate delivery is harmless — an update overwrites
+// with identical state, removing a removed object is a no-op — which is the
+// at-least-once semantics a resumed stream needs. A durable follower's
+// mutation re-appends the record to its own WAL byte for byte. Anything but
+// a current-format record, the gob records of an un-upgraded leader
+// included, is ErrBadWALRecord.
 func (r *Repository) ApplyReplicated(payload []byte) error {
-	m, err := decodeWALRecord(payload)
-	if err != nil {
-		return err
-	}
-	if err := r.applyWALRecord(m); err != nil {
-		if m.Remove && errors.Is(err, ErrUnknownObject) {
-			return nil
-		}
-		return err
-	}
-	return nil
+	return r.apply(payload)
 }
 
 // InstallSnapshot replaces the repository id with the given snapshot image —

@@ -655,7 +655,7 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 	}
 	// Write-ahead: the mutation reaches the log before it touches memory,
 	// so success is only ever reported for a replayable write.
-	if err := r.walAppend(sp, &walRecord{ObjectID: up.ObjectID, Update: up}); err != nil {
+	if err := r.walAppend(sp, up, up.ObjectID); err != nil {
 		r.gov.undoUpdate(up.Owner, newBytes, prevOwner, prevBytes, hadPrev)
 		return err
 	}
@@ -757,7 +757,7 @@ func (r *Repository) RemoveContext(ctx context.Context, objectID string) error {
 	defer r.writeMu.Unlock()
 	st := r.state.Load()
 	if _, exists := r.objects.Get(objectID); exists {
-		if err := r.walAppend(sp, &walRecord{Remove: true, ObjectID: objectID}); err != nil {
+		if err := r.walAppend(sp, nil, objectID); err != nil {
 			return err
 		}
 	}
@@ -782,16 +782,14 @@ func (r *Repository) RemoveContext(ctx context.Context, objectID string) error {
 	return nil
 }
 
-// walAppend logs one mutation if the repository is durable. Callers hold
-// writeMu. sp (optional) receives a wal_append child span.
-func (r *Repository) walAppend(sp *obs.Span, rec *walRecord) error {
+// walAppend logs one mutation — the update up, or the removal of id when up
+// is nil — if the repository is durable. Callers hold writeMu. sp (optional)
+// receives a wal_append child span.
+func (r *Repository) walAppend(sp *obs.Span, up *Update, id string) error {
 	if r.wal == nil {
 		return nil
 	}
-	payload, err := encodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
+	payload := encodeWALRecord(up, id)
 	if sp != nil {
 		wsp := sp.Child("wal_append")
 		defer wsp.End()
@@ -812,20 +810,13 @@ func (r *Repository) walAppend(sp *obs.Span, rec *walRecord) error {
 // the log is by then poisoned or the disk gone, so a louder failure is
 // already on its way.
 func (r *Repository) walCompensate(id string, prev *storedObject, replaced bool) {
-	if r.wal == nil {
-		return
-	}
-	rec := &walRecord{Remove: true, ObjectID: id}
+	var up *Update
 	if replaced {
-		rec = &walRecord{ObjectID: id, Update: updateFromStored(id, prev)}
+		up = updateFromStored(id, prev)
 	}
-	if payload, err := encodeWALRecord(rec); err == nil {
-		if err := r.wal.Append(payload); err == nil && r.tap != nil {
-			// Followers replay the compensation too, converging on the same
-			// rolled-back state the leader settled on.
-			r.tap.MutationLogged(r.id, payload)
-		}
-	}
+	// Followers replay the compensation too (walAppend taps it), converging
+	// on the same rolled-back state the leader settled on.
+	_ = r.walAppend(nil, up, id)
 }
 
 // updateFromStored reconstructs the Update that produced a stored object,

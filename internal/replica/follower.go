@@ -64,6 +64,7 @@ type Follower struct {
 	duplicatesC *obs.Counter
 	snapshotsC  *obs.Counter
 	reconnectsC *obs.Counter
+	applyErrsC  *obs.Counter // mutation records the engine refused (core.ErrBadWALRecord and the like)
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -93,6 +94,7 @@ func StartFollower(svc *core.Service, addr string, reg *obs.Registry, log *slog.
 		duplicatesC: reg.Counter("repl_follower_duplicates_total"),
 		snapshotsC:  reg.Counter("repl_follower_snapshots_total"),
 		reconnectsC: reg.Counter("repl_follower_reconnects_total"),
+		applyErrsC:  reg.Counter("repl_follower_apply_errors_total"),
 		done:        make(chan struct{}),
 	}
 	f.wg.Add(1)
@@ -373,6 +375,7 @@ func (s *session) apply(repoID string, rec *wire.ReplRecord) error {
 		err = repo.ApplyReplicated(rec.Payload)
 		release()
 		if err != nil {
+			s.f.applyErrsC.Inc()
 			return fmt.Errorf("apply %q seq %d: %w", repoID, rec.Seq, err)
 		}
 		s.f.appliedC.Inc()
@@ -403,9 +406,9 @@ func (s *session) apply(repoID string, rec *wire.ReplRecord) error {
 // tolerate an existing repository and drops a missing one: catalog listings
 // are replayed on every re-sync, so both directions must be idempotent.
 func (s *session) applyCatalog(rec *wire.ReplRecord) error {
-	ev, err := decodeCatalogEvent(rec.Payload)
-	if err != nil {
-		return err
+	var ev wire.CreateRepoReq // what the hub's catalogPayload wrote
+	if err := (&wire.Envelope{Kind: wire.KindCreateRepo, Data: rec.Payload}).Decode(&ev); err != nil {
+		return fmt.Errorf("catalog seq %d: %w", rec.Seq, err)
 	}
 	switch rec.Kind {
 	case wire.ReplCreate:

@@ -26,11 +26,9 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -185,13 +183,9 @@ func (h *Hub) stream(id string) *stream {
 // stream and materializes its record stream.
 func (h *Hub) RepoCreated(id string, opts core.RepositoryOptions) {
 	h.stream(id) // materialize
-	payload, err := encodeCatalogEvent(wire.ReplCatalogEvent{RepoID: id, Opts: wire.FromCore(opts)})
-	if err != nil {
-		return
-	}
 	cat := h.stream(CatalogStream)
 	cat.mu.Lock()
-	cat.appendLocked(wire.ReplCreate, payload)
+	cat.appendLocked(wire.ReplCreate, catalogPayload(id, opts))
 	cat.mu.Unlock()
 	h.recordsC.Inc()
 }
@@ -209,13 +203,9 @@ func (h *Hub) RepoDropped(id string) {
 		st.wakeLocked()
 		st.mu.Unlock()
 	}
-	payload, err := encodeCatalogEvent(wire.ReplCatalogEvent{RepoID: id})
-	if err != nil {
-		return
-	}
 	cat := h.stream(CatalogStream)
 	cat.mu.Lock()
-	cat.appendLocked(wire.ReplDrop, payload)
+	cat.appendLocked(wire.ReplDrop, catalogPayload(id, core.RepositoryOptions{}))
 	cat.mu.Unlock()
 	h.recordsC.Inc()
 }
@@ -359,11 +349,7 @@ func (h *Hub) subscribeCatalog(ctx context.Context, req wire.ReplSubscribeReq, s
 			}
 			opts := repo.Options()
 			release()
-			payload, err := encodeCatalogEvent(wire.ReplCatalogEvent{RepoID: id, Opts: wire.FromCore(opts)})
-			if err != nil {
-				return err
-			}
-			batch.Records = append(batch.Records, wire.NewReplRecord(cut.Gen, cut.Seq, wire.ReplCreate, now, payload))
+			batch.Records = append(batch.Records, wire.NewReplRecord(cut.Gen, cut.Seq, wire.ReplCreate, now, catalogPayload(id, opts)))
 		}
 		if err := send(&batch); err != nil {
 			return err
@@ -447,18 +433,14 @@ func (h *Hub) snapshotRecord(repoID string, st *stream) (*wire.ReplRecord, error
 	return &rec, nil
 }
 
-func encodeCatalogEvent(ev wire.ReplCatalogEvent) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ev); err != nil {
-		return nil, fmt.Errorf("replica: encode catalog event: %w", err)
+// catalogPayload is the payload of a catalog-stream record: the body of a
+// CreateRepoReq frame naming the repository — with its engine options on a
+// create so the follower can mirror it, zero options on a drop. The
+// follower's applyCatalog decodes it.
+func catalogPayload(id string, opts core.RepositoryOptions) []byte {
+	env, err := wire.NewEnvelope(wire.KindCreateRepo, "", 0, 0, wire.CreateRepoReq{RepoID: id, Opts: wire.FromCore(opts)})
+	if err != nil {
+		panic("replica: CreateRepoReq has no binary form: " + err.Error()) // a bug in wire's codec table, not an input
 	}
-	return buf.Bytes(), nil
-}
-
-func decodeCatalogEvent(b []byte) (wire.ReplCatalogEvent, error) {
-	var ev wire.ReplCatalogEvent
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ev); err != nil {
-		return ev, fmt.Errorf("replica: decode catalog event: %w", err)
-	}
-	return ev, nil
+	return env.Data
 }

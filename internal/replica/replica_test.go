@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"mie/internal/leakcheck"
 	"mie/internal/obs"
 	"mie/internal/server"
+	"mie/internal/wal"
 	"mie/internal/wire"
 )
 
@@ -475,6 +478,7 @@ func idleFollower(svc *core.Service) *Follower {
 		duplicatesC: reg.Counter("repl_follower_duplicates_total"),
 		snapshotsC:  reg.Counter("repl_follower_snapshots_total"),
 		reconnectsC: reg.Counter("repl_follower_reconnects_total"),
+		applyErrsC:  reg.Counter("repl_follower_apply_errors_total"),
 		done:        make(chan struct{}),
 	}
 }
@@ -585,6 +589,51 @@ func TestApplyRejectsCorruptRecord(t *testing.T) {
 	}
 }
 
+// TestApplyRejectsOldFormatRecord: a leader that still writes the gob
+// records of the previous format (an upgrade that skipped the "together")
+// gets a typed, counted refusal — the record passes its CRC but never
+// reaches the engine or the follower's log, and the cursor stays put.
+func TestApplyRejectsOldFormatRecord(t *testing.T) {
+	leakcheck.Check(t)
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "gob-wal-datadir", "legacy.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	var gobRecord []byte
+	if _, err := wal.ReadLog(f, func(b []byte) error {
+		if gobRecord == nil {
+			gobRecord = append([]byte(nil), b...)
+		}
+		return nil
+	}); err != nil || gobRecord == nil {
+		t.Fatalf("no record in the parent-commit log (err %v)", err)
+	}
+
+	folSvc := openSvc(t, t.TempDir())
+	defer func() { _ = folSvc.Close() }()
+	repo, err := folSvc.CreateRepository("r", core.RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fol := idleFollower(folSvc)
+	fol.setCursor("r", Cursor{Gen: 7})
+	s := &session{f: fol, subs: map[uint64]string{}, byRepo: map[string]uint64{}}
+	rec := wire.NewReplRecord(7, 1, wire.ReplMutation, 0, gobRecord)
+	if err := s.apply("r", &rec); !errors.Is(err, core.ErrBadWALRecord) {
+		t.Fatalf("gob record applied with err=%v, want ErrBadWALRecord", err)
+	}
+	if got := fol.applyErrsC.Value(); got != 1 {
+		t.Errorf("repl_follower_apply_errors_total = %d, want 1", got)
+	}
+	if got := fol.Cursor("r"); got != (Cursor{Gen: 7}) {
+		t.Errorf("cursor advanced to %+v on a refused record", got)
+	}
+	if repo.Size() != 0 {
+		t.Errorf("refused record left %d objects behind", repo.Size())
+	}
+}
+
 // cutProxy forwards one leader connection but tears it down after limit
 // server->client bytes — mid-frame, mid-record. Later connections pass
 // through untouched.
@@ -656,9 +705,11 @@ func (p *cutProxy) Close() {
 // TestFollowerTornMidRecordResume: the session is torn mid-frame at several
 // byte offsets; the follower must reconnect, resume from its cursor, and end
 // byte-identical to the leader — the torn partial frame never corrupts
-// anything. The offsets straddle the handshake, the catalog batch and the
-// repository's snapshot record; a cut between the last two once left the
-// repository announced but never resubscribed.
+// anything. The offsets straddle the three frames the leader sends: the
+// handshake ends at byte 49, the catalog batch at 136 (it was 342 while the
+// catalog payload was a gob struct, which is why 100 joined the list) and
+// the repository's snapshot record at 3483. A cut just past the catalog
+// batch (150) once left the repository announced but never resubscribed.
 func TestFollowerTornMidRecordResume(t *testing.T) {
 	leakcheck.Check(t)
 	svc, hub, srv := startLeader(t, t.TempDir())
@@ -673,7 +724,7 @@ func TestFollowerTornMidRecordResume(t *testing.T) {
 		mustUpdate(t, c, repo, fmt.Sprintf("o%d", i), fmt.Sprintf("torn resume doc %d", i))
 	}
 
-	for _, limit := range []int64{40, 150, 300, 600, 2000} {
+	for _, limit := range []int64{40, 100, 150, 300, 600, 2000} {
 		t.Run(fmt.Sprintf("cut@%d", limit), func(t *testing.T) {
 			proxy := newCutProxy(t, srv.Addr(), limit)
 			defer proxy.Close()

@@ -96,13 +96,10 @@ var payloads = []payloadCase{
 }
 
 // notPayloads are the structs of this package that never travel as a frame
-// body on their own: the frame itself, parts nested in a payload, and the
-// catalog event, which rides inside a ReplRecord's payload in the
-// replication tier's own encoding.
+// body on their own: the frame itself and parts nested in a payload.
 var notPayloads = map[string]bool{
 	"Envelope": true, "kindInfo": true,
 	"RepoOptions": true, "TrainJobStatus": true, "TraceSpan": true, "ReplRecord": true,
-	"ReplCatalogEvent": true,
 }
 
 // searchRespCase compares scores by bit pattern: NaN must survive, and

@@ -24,8 +24,9 @@ const (
 
 // Replication record kinds: what a ReplRecord payload contains.
 const (
-	// ReplMutation: one acknowledged WAL record (the engine's own encoding;
-	// followers apply it through the same path crash recovery uses).
+	// ReplMutation: one acknowledged WAL record, byte for byte — a kind byte
+	// and the UpdateReq / RemoveReq body after its RepoID (core/durable.go);
+	// followers apply it through the same function crash recovery uses.
 	ReplMutation = 1
 	// ReplSnapshot: a full repository snapshot image. Sent when the
 	// follower's cursor cannot be served from the in-memory stream buffer
@@ -34,9 +35,10 @@ const (
 	// image contains every mutation below it and none at or above it.
 	ReplSnapshot = 2
 	// ReplCreate: a catalog-stream record announcing a repository; Payload
-	// is a gob ReplCatalogEvent.
+	// is a CreateRepoReq body (the repository and its engine options).
 	ReplCreate = 3
-	// ReplDrop: a catalog-stream record announcing a repository drop.
+	// ReplDrop: a catalog-stream record announcing a repository drop; Payload
+	// is a CreateRepoReq body with zero options.
 	ReplDrop = 4
 )
 
@@ -108,12 +110,4 @@ type ReplAck struct {
 	RepoID string
 	Gen    uint64
 	Seq    uint64
-}
-
-// ReplCatalogEvent is the payload of catalog-stream records: which
-// repository appeared (ReplCreate, with its engine options so the follower
-// can mirror it) or disappeared (ReplDrop).
-type ReplCatalogEvent struct {
-	RepoID string
-	Opts   RepoOptions
 }

@@ -332,9 +332,7 @@ func Sentinel(code int) error {
 type (
 	// HelloResp answers a Hello with the version the server selected.
 	// The remaining fields describe the node's replication role — the
-	// router's health probe reads them to prefer caught-up replicas. Gob
-	// tolerates missing fields, so peers predating replication see a
-	// zero Role and everything interoperates.
+	// router's health probe reads them to prefer caught-up replicas.
 	HelloResp struct {
 		Version int
 		// Role is "leader", "follower" or empty (replication not enabled).

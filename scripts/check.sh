@@ -46,6 +46,10 @@ go test -race -shuffle=on -cover ./...
 # under nothing but the facade lock, against concurrent
 # Add/Remove/Seal/Compact.
 go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./internal/replica ./internal/router ./internal/index
+# The write path's one encoding, repeated too: WAL record codec, recovery
+# (crash matrix, legacy-format replay) and the leader-log = follower-log
+# identity test, which runs a two-node cluster under a partition.
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat' ./internal/core
 
 # The experiment printer still builds and runs (its gates are go tests in
 # internal/experiments, run above).
@@ -62,7 +66,9 @@ go test -run '^$' -bench DenseDPEEncode -benchtime 100x -cpu 1,2 ./internal/dpe
 # Fuzz smoke over the decoders that face untrusted or crash-damaged input:
 # wire frames arriving off the network (the binary frame header, every
 # payload body, replication batches) and WAL bytes read back after a
-# crash must fail cleanly, never panic — and over the two kernels that are
+# crash (the log's framing, then each record's mutation body, which is also
+# what a follower is handed) must fail cleanly, never panic — and over the
+# two kernels that are
 # checked against a naive reference: the segmented index (operation traces)
 # and the Dense-DPE encode (dimensions, batch sizes and components,
 # non-finite ones included).
@@ -73,6 +79,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz=FuzzEnvelopeDecode -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzReplRecordDecode -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" ./internal/wal
+    go test -run='^$' -fuzz=FuzzWALRecordDecode -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz=FuzzSegmentedOps -fuzztime="$FUZZTIME" ./internal/index
     go test -run='^$' -fuzz=FuzzDenseEncodeAll -fuzztime="$FUZZTIME" ./internal/dpe
 fi
