@@ -28,13 +28,12 @@
 //	cluster         read scale-out across cluster sizes behind the
 //	                consistent-hash router, replication lag, and the
 //	                zero-loss leader-kill ledger
-//	trace-overhead  the same TCP search workload untraced and head-sampled
-//	                at 0%, 1% and 100% (target: <5% p95 overhead at 1%)
 //
 // incremental, ann, tenancy and cluster also write their report as
 // BENCH_<name>.json in the working directory. Speed numbers — throughput,
 // latency percentiles, WAL and fsync cost, per-layer time — come from
-// `go run ./bench`, not from here.
+// `go run ./bench`, not from here; what request tracing costs is its
+// trace.overhead_share on every workload.
 package main
 
 import (
@@ -173,14 +172,6 @@ var table = []struct {
 			experiments.WriteClusterReport(os.Stdout, report)
 			return save("cluster", report)
 		})
-	}},
-	{"trace-overhead", false, func(e *env) error {
-		report, err := experiments.TraceOverheadExperiment(e.cfg, 4, 150)
-		if err != nil {
-			return err
-		}
-		experiments.WriteTraceReport(os.Stdout, report)
-		return nil
 	}},
 }
 

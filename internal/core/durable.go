@@ -225,7 +225,7 @@ func (d *durability) loadRepo(sp *obs.Span, id string, indexOpts *RepositoryOpti
 	l, rec, err := wal.Open(filepath.Join(d.dir, walFileName(id)), d.opts, func(b []byte) error {
 		st.Records++
 		st.Bytes += int64(len(b))
-		if err := repo.replay(b); err != nil {
+		if err := repo.apply(b); err != nil {
 			return fmt.Errorf("record %d: %w", st.Records, err)
 		}
 		return nil

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -48,8 +46,8 @@ func TestWALRecordGolden(t *testing.T) {
 		if !bytes.Equal(enc, want) {
 			t.Errorf("%s: today's encoding differs from the golden bytes\n got %x\nwant %x", name, enc, want)
 		}
-		if isLegacyWALRecord(want) {
-			t.Errorf("%s: kind byte %#x is one a gob stream can start with", name, want[0])
+		if k := want[0]; k < 0x80 || k >= 0xF8 {
+			t.Errorf("%s: kind byte %#x is one a gob stream can start with", name, k)
 		}
 		up, id, err := decodeWALRecord(want)
 		if err != nil {
@@ -149,7 +147,19 @@ func TestBadWALRecordKeepsRepositoryDown(t *testing.T) {
 	c := testClient(t)
 	muts := crashMutations(t, c)
 	valid := encodeWALRecord(muts[0].up, "")
+	// What builds before ISSUE 18 logged: one standalone gob stream per
+	// record. Recovery read these for one cycle; now its first byte (a gob
+	// message length, below 0x80) is just not a kind.
+	var gobRecord bytes.Buffer
+	if err := gob.NewEncoder(&gobRecord).Encode(struct {
+		Remove   bool
+		ObjectID string
+		Update   *Update
+	}{Update: muts[0].up}); err != nil {
+		t.Fatal(err)
+	}
 	for name, bad := range map[string][]byte{
+		"gob record":      gobRecord.Bytes(),
 		"unknown kind":    {0x90, 1, 'x'},
 		"trailing bytes":  append(append([]byte(nil), valid...), 0),
 		"empty object id": encodeWALRecord(&Update{Owner: "u"}, ""),
@@ -216,195 +226,5 @@ func TestBadWALRecordKeepsRepositoryDown(t *testing.T) {
 				t.Errorf("failed recovery rewrote the log: %d bytes became %d", len(before), len(after))
 			}
 		})
-	}
-}
-
-// gobDataDir is a data directory written by the commit before ISSUE 18 — a
-// trained snapshot plus a log of six gob records (three inserts, an
-// overwrite and a remove of snapshotted objects, a remove of a logged
-// insert) — with expect.json recording what that commit served from it. It
-// sits outside internal/ and is bytes only: nothing can regenerate it.
-var gobDataDir = filepath.Join("..", "..", "testdata", "gob-wal-datadir")
-
-type gobDirExpect struct {
-	Objects        []string `json:"objects"`
-	WALRecords     int      `json:"wal_records"`
-	RankedIDs      []string `json:"ranked_ids"`
-	OverwrittenSHA string   `json:"overwritten_sha"` // sha256 of obj-c1-0's ciphertext after its logged overwrite
-}
-
-// copyGobDataDir copies the fixture into a scratch directory (recovery
-// truncates and appends to the log it opens) and returns it with the
-// recorded expectations.
-func copyGobDataDir(t *testing.T) (string, gobDirExpect) {
-	t.Helper()
-	dir := t.TempDir()
-	for _, name := range []string{"legacy.snap", "legacy.wal"} {
-		blob, err := os.ReadFile(filepath.Join(gobDataDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, err := os.ReadFile(filepath.Join(gobDataDir, "expect.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want gobDirExpect
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-	return dir, want
-}
-
-// logPayloads reads every record payload of a repository's log.
-func logPayloads(t *testing.T, dir, id string) [][]byte {
-	t.Helper()
-	f, err := os.Open(filepath.Join(dir, walFileName(id)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = f.Close() }()
-	var out [][]byte
-	if _, err := wal.ReadLog(f, func(b []byte) error {
-		out = append(out, append([]byte(nil), b...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestWALOfParentCommitReopens is the upgrade path: a directory written
-// with gob records reopens to the object set and the ranking the writing
-// commit recorded.
-func TestWALOfParentCommitReopens(t *testing.T) {
-	dir, want := copyGobDataDir(t)
-	for _, p := range logPayloads(t, dir, "legacy") {
-		if !isLegacyWALRecord(p) {
-			t.Fatalf("fixture record starts with %#x: not a gob record", p[0])
-		}
-	}
-	svc, report, err := OpenService(ServiceOptions{Dir: dir})
-	if err != nil {
-		t.Fatalf("a data directory of the parent commit no longer opens: %v", err)
-	}
-	defer func() { _ = svc.Close() }()
-	if report.ReplayedRecords != want.WALRecords || report.TornBytes != 0 {
-		t.Errorf("replayed %d records with %d torn bytes, want %d and 0", report.ReplayedRecords, report.TornBytes, want.WALRecords)
-	}
-	repo, err := svc.Repository("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sortedKeys(repo.objects.Items()); !reflect.DeepEqual(got, want.Objects) {
-		t.Errorf("objects %v, want %v", got, want.Objects)
-	}
-	ct, _, err := repo.Get("obj-c1-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := sha256.Sum256(ct); hex.EncodeToString(sum[:]) != want.OverwrittenSHA {
-		t.Error("obj-c1-0 does not hold the ciphertext its logged overwrite carried")
-	}
-	if got := searchIDs(t, testClient(t), repo, testObject(1, 77), 6); !reflect.DeepEqual(got, want.RankedIDs) {
-		t.Errorf("ranking %v, want %v", got, want.RankedIDs)
-	}
-}
-
-// TestWALMixedFormatsReplayInOrder: after an upgrade the log holds gob records
-// followed by current ones. They replay as one sequence — the new records
-// below undo or redo what the old ones did, so any reordering shows — and
-// the first snapshot rotation leaves no gob byte on disk.
-func TestWALMixedFormatsReplayInOrder(t *testing.T) {
-	dir, want := copyGobDataDir(t)
-	c := testClient(t)
-	svc, _, err := OpenService(ServiceOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := svc.Repository("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reinsert, err := c.PrepareUpdate(testObject(2, 101), testDataKey(9)) // a gob record removed it
-	if err != nil {
-		t.Fatal(err)
-	}
-	overwrite, err := c.PrepareUpdate(testObject(1, 100), testDataKey(9)) // a gob record inserted it
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Update(reinsert); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Update(overwrite); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Remove("obj-c0-102"); err != nil { // a gob record inserted it
-		t.Fatal(err)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	payloads := logPayloads(t, dir, "legacy")
-	if len(payloads) != want.WALRecords+3 {
-		t.Fatalf("log holds %d records, want %d", len(payloads), want.WALRecords+3)
-	}
-	for i, p := range payloads {
-		if isLegacyWALRecord(p) != (i < want.WALRecords) {
-			t.Fatalf("record %d starts with %#x: want %d gob records, then current ones", i+1, p[0], want.WALRecords)
-		}
-	}
-
-	svc2, report, err := OpenService(ServiceOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = svc2.Close() }()
-	if report.ReplayedRecords != len(payloads) {
-		t.Errorf("replayed %d records, want %d", report.ReplayedRecords, len(payloads))
-	}
-	repo2, err := svc2.Repository("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIDs := []string{"obj-c2-101"}
-	for _, id := range want.Objects {
-		if id != "obj-c0-102" {
-			wantIDs = append(wantIDs, id)
-		}
-	}
-	if got := repo2.objects.Items(); len(got) != len(wantIDs) {
-		t.Fatalf("objects %v, want %v", sortedKeys(got), wantIDs)
-	}
-	for _, id := range wantIDs {
-		if _, _, err := repo2.Get(id); err != nil {
-			t.Errorf("%s: %v", id, err)
-		}
-	}
-	if ct, _, _ := repo2.Get("obj-c1-100"); !bytes.Equal(ct, overwrite.Ciphertext) {
-		t.Error("obj-c1-100 holds the gob record's ciphertext, not the later overwrite's")
-	}
-
-	// Snapshot rotation empties the log; what is appended from here on is
-	// current-format only.
-	if err := SaveService(svc2, dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := logPayloads(t, dir, "legacy"); len(got) != 0 {
-		t.Fatalf("log holds %d records after a snapshot rotation", len(got))
-	}
-	if err := repo2.Update(reinsert); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, walFileName("legacy")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append([]byte("MIEWAL1\n"), wal.EncodeRecord(encodeWALRecord(reinsert, ""))...); !bytes.Equal(blob, want) {
-		t.Error("the rotated log is not exactly its header plus one current-format record")
 	}
 }

@@ -49,100 +49,30 @@ func PrecisionExperiment(cfg Config) ([]PrecisionRow, error) {
 	}
 	rows = append(rows, PrecisionRow{System: SchemePlain, MAP: m})
 
-	// MSSE.
-	msseStack, err := newMSSE(cfg, nil, "prec-msse")
-	if err != nil {
-		return nil, err
-	}
-	for _, obj := range set.Objects {
-		if err := msseStack.client.Update(msseStack.server, msseStack.repoID, toMSSEDoc(obj), dataKey()); err != nil {
-			return nil, err
-		}
-	}
-	if err := msseStack.client.Train(msseStack.server, msseStack.repoID); err != nil {
-		return nil, err
-	}
-	msseRanks := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		hits, err := msseStack.client.Search(msseStack.server, msseStack.repoID, toMSSEDoc(q.Query), k)
+	for _, name := range Schemes() {
+		stack, err := newScheme(name, cfg, nil, "prec-"+name)
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]string, len(hits))
-		for j, h := range hits {
-			ids[j] = h.Doc
+		for _, obj := range set.Objects {
+			if err := stack.add(obj); err != nil {
+				return nil, err
+			}
 		}
-		msseRanks[i] = ids
-	}
-	if m, err = eval.MeanAveragePrecision(msseRanks, truths); err != nil {
-		return nil, err
-	}
-	rows = append(rows, PrecisionRow{System: SchemeMSSE, MAP: m})
-
-	// Hom-MSSE.
-	homStack, err := newHomMSSE(cfg, nil, "prec-hom")
-	if err != nil {
-		return nil, err
-	}
-	for _, obj := range set.Objects {
-		if err := homStack.client.Update(homStack.server, homStack.repoID, toHomDoc(obj), dataKey()); err != nil {
+		if err := stack.train(); err != nil {
 			return nil, err
 		}
-	}
-	if err := homStack.client.Train(homStack.server, homStack.repoID); err != nil {
-		return nil, err
-	}
-	homRanks := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		hits, err := homStack.client.Search(homStack.server, homStack.repoID, toHomDoc(q.Query), k)
-		if err != nil {
+		ranks := make([][]string, len(set.Queries))
+		for i, q := range set.Queries {
+			if ranks[i], err = stack.search(q.Query, k); err != nil {
+				return nil, err
+			}
+		}
+		if m, err = eval.MeanAveragePrecision(ranks, truths); err != nil {
 			return nil, err
 		}
-		ids := make([]string, len(hits))
-		for j, h := range hits {
-			ids[j] = h.Doc
-		}
-		homRanks[i] = ids
+		rows = append(rows, PrecisionRow{System: name, MAP: m})
 	}
-	if m, err = eval.MeanAveragePrecision(homRanks, truths); err != nil {
-		return nil, err
-	}
-	rows = append(rows, PrecisionRow{System: SchemeHomMSSE, MAP: m})
-
-	// MIE.
-	mieStack, err := newMIE(cfg, nil, "prec-mie")
-	if err != nil {
-		return nil, err
-	}
-	for _, obj := range set.Objects {
-		if err := mieStack.add(obj); err != nil {
-			return nil, err
-		}
-	}
-	if err := mieStack.repo.Train(); err != nil {
-		return nil, err
-	}
-	mieRanks := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		query, err := mieStack.client.PrepareQuery(q.Query, k)
-		if err != nil {
-			return nil, err
-		}
-		hits, err := mieStack.repo.Search(query)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]string, len(hits))
-		for j, h := range hits {
-			ids[j] = h.ObjectID
-		}
-		mieRanks[i] = ids
-	}
-	if m, err = eval.MeanAveragePrecision(mieRanks, truths); err != nil {
-		return nil, err
-	}
-	rows = append(rows, PrecisionRow{System: SchemeMIE, MAP: m})
-
 	return rows, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"time"
 
 	"mie/internal/core"
@@ -40,101 +41,37 @@ func SearchExperiment(cfg Config) ([]SearchRow, error) {
 	var rows []SearchRow
 	profiles := []device.Profile{device.Desktop, device.Mobile}
 
-	// MIE ----------------------------------------------------------------
-	mieBuild, err := newMIE(cfg, nil, "srch-mie")
-	if err != nil {
-		return nil, err
-	}
-	for _, obj := range corpus {
-		if err := mieBuild.add(obj); err != nil {
-			return nil, err
-		}
-	}
-	if err := mieBuild.repo.Train(); err != nil {
-		return nil, err
-	}
-	for _, p := range profiles {
-		meter := device.NewMeter(p)
-		// A meter-bound client shares the repository key, so it produces
-		// identical trapdoors; only cost attribution differs.
-		stack, err := newMIE(cfg, meter, "srch-mie-client")
+	for _, name := range Schemes() {
+		build, err := newScheme(name, cfg, nil, "srch-"+name)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < queries; i++ {
-			q, err := stack.client.PrepareQuery(queryObj, cfg.K)
+		for _, obj := range corpus {
+			if err := build.add(obj); err != nil {
+				return nil, err
+			}
+		}
+		if err := build.train(); err != nil {
+			return nil, err
+		}
+		for _, p := range profiles {
+			meter := device.NewMeter(p)
+			user, err := build.queryClient(meter)
 			if err != nil {
 				return nil, err
 			}
-			meter.AddTransfer(device.Network, estimateQueryBytes(q), 0)
-			start := time.Now()
-			hits, err := mieBuild.repo.Search(q)
-			if err != nil {
-				return nil, err
+			for i := 0; i < queries; i++ {
+				if _, err := user.search(queryObj, cfg.K); err != nil {
+					return nil, err
+				}
 			}
-			meter.AddServerTime(device.Network, time.Since(start))
-			var down int64
-			for _, h := range hits {
-				down += int64(len(h.Ciphertext))
-			}
-			meter.AddTransfer(device.Network, 0, down)
-		}
-		rows = append(rows, searchRow(SchemeMIE, p, meter, queries))
-	}
-
-	// MSSE ----------------------------------------------------------------
-	msseBuild, err := newMSSE(cfg, nil, "srch-msse")
-	if err != nil {
-		return nil, err
-	}
-	for _, obj := range corpus {
-		if err := msseBuild.client.Update(msseBuild.server, msseBuild.repoID, toMSSEDoc(obj), dataKey()); err != nil {
-			return nil, err
+			rows = append(rows, searchRow(name, p, meter, queries))
 		}
 	}
-	if err := msseBuild.client.Train(msseBuild.server, msseBuild.repoID); err != nil {
-		return nil, err
-	}
-	for _, p := range profiles {
-		meter := device.NewMeter(p)
-		qc, err := newMSSE(cfg, meter, "srch-msse-q-"+p.Name)
-		if err != nil {
-			return nil, err
-		}
-		qc.client.SetCodebook(msseBuild.client.Codebook())
-		for i := 0; i < queries; i++ {
-			if _, err := qc.client.Search(msseBuild.server, msseBuild.repoID, toMSSEDoc(queryObj), cfg.K); err != nil {
-				return nil, err
-			}
-		}
-		rows = append(rows, searchRow(SchemeMSSE, p, meter, queries))
-	}
-
-	// Hom-MSSE --------------------------------------------------------------
-	homBuild, err := newHomMSSE(cfg, nil, "srch-hom")
-	if err != nil {
-		return nil, err
-	}
-	for _, obj := range corpus {
-		if err := homBuild.client.Update(homBuild.server, homBuild.repoID, toHomDoc(obj), dataKey()); err != nil {
-			return nil, err
-		}
-	}
-	if err := homBuild.client.Train(homBuild.server, homBuild.repoID); err != nil {
-		return nil, err
-	}
-	for _, p := range profiles {
-		meter := device.NewMeter(p)
-		// Reuse the builder's keys (a fresh stack would have a new Paillier
-		// pair and could not read the repository).
-		qc := homQueryClient(cfg, meter, homBuild)
-		for i := 0; i < queries; i++ {
-			if _, err := qc.Search(homBuild.server, homBuild.repoID, toHomDoc(queryObj), cfg.K); err != nil {
-				return nil, err
-			}
-		}
-		rows = append(rows, searchRow(SchemeHomMSSE, p, meter, queries))
-	}
+	// Figure 5 leads with the proposal.
+	sort.SliceStable(rows, func(i, j int) bool {
+		return rows[i].Scheme == SchemeMIE && rows[j].Scheme != SchemeMIE
+	})
 	return rows, nil
 }
 

@@ -56,53 +56,17 @@ func runUpdate(scheme string, profile device.Profile, cfg Config, n int) (Update
 	meter := device.NewMeter(profile)
 	repoID := fmt.Sprintf("upd-%s-%d", scheme, n)
 
-	switch scheme {
-	case SchemeMIE:
-		stack, err := newMIE(cfg, meter, repoID)
-		if err != nil {
+	stack, err := newScheme(scheme, cfg, meter, repoID)
+	if err != nil {
+		return UpdateRow{}, err
+	}
+	for _, obj := range corpus {
+		if err := stack.add(obj); err != nil {
 			return UpdateRow{}, err
 		}
-		for _, obj := range corpus {
-			if err := stack.add(obj); err != nil {
-				return UpdateRow{}, err
-			}
-		}
-		// Training runs in the cloud: zero client cost, the whole point of
-		// the MIE design (the missing Train bar in Figures 2/3).
-		if err := stack.repo.Train(); err != nil {
-			return UpdateRow{}, err
-		}
-
-	case SchemeMSSE:
-		stack, err := newMSSE(cfg, meter, repoID)
-		if err != nil {
-			return UpdateRow{}, err
-		}
-		for _, obj := range corpus {
-			if err := stack.client.Update(stack.server, stack.repoID, toMSSEDoc(obj), dataKey()); err != nil {
-				return UpdateRow{}, err
-			}
-		}
-		if err := stack.client.Train(stack.server, stack.repoID); err != nil {
-			return UpdateRow{}, err
-		}
-
-	case SchemeHomMSSE:
-		stack, err := newHomMSSE(cfg, meter, repoID)
-		if err != nil {
-			return UpdateRow{}, err
-		}
-		for _, obj := range corpus {
-			if err := stack.client.Update(stack.server, stack.repoID, toHomDoc(obj), dataKey()); err != nil {
-				return UpdateRow{}, err
-			}
-		}
-		if err := stack.client.Train(stack.server, stack.repoID); err != nil {
-			return UpdateRow{}, err
-		}
-
-	default:
-		return UpdateRow{}, fmt.Errorf("unknown scheme %q", scheme)
+	}
+	if err := stack.train(); err != nil {
+		return UpdateRow{}, err
 	}
 
 	row := UpdateRow{

@@ -1,38 +1,42 @@
-// Package msse implements MSSE, the first baseline of the paper's
-// evaluation (Appendix A): a multimodal, ranked extension of the dynamic SSE
-// scheme of Cash et al. (NDSS'14), without Random Oracles.
+// Package msse implements the two baselines of the paper's evaluation
+// (Appendix A): MSSE, a multimodal, ranked extension of the dynamic SSE
+// scheme of Cash et al. (NDSS'14) without Random Oracles, and Hom-MSSE, the
+// same scheme with its counters and frequencies under Paillier.
 //
 // Contrast with MIE: here the *client* performs training (Euclidean k-means
 // over plaintext descriptors) and indexing. Index positions are PRF values
 // l = PRF(k1, ctr) of per-keyword counters; index values are the plaintext
-// document id concatenated with an IND-CPA encryption of the keyword
-// frequency. The per-keyword counters are themselves stored encrypted at the
-// server and must be fetched, incremented and re-uploaded around every
-// update under a server-side write lock — the multi-user coordination cost
-// Figure 4 calls out. At search time the client hands the server the
-// positions plus k2, so the server learns frequency patterns then (Table I:
-// MSSE search leakage = ID(w), ID(d), freq(w)).
+// document id concatenated with the sealed keyword frequency.
+//
+// One Server and one Client run both schemes. The steps where they differ
+// sit behind the variant interface below and nowhere else:
+//
+//   - MSSE (plain.go): the per-keyword counters are an AES-sealed dictionary
+//     stored at the server, fetched, incremented and re-uploaded around every
+//     update under a server-side write lock — the multi-user coordination
+//     cost Figure 4 calls out. At search time the client hands the server
+//     the positions plus k2, so the server learns frequency patterns then
+//     (Table I: MSSE search leakage = ID(w), ID(d), freq(w)).
+//   - Hom-MSSE (hom.go, Figure 8): counters are Paillier ciphertexts the
+//     *server* increments homomorphically, so writers need no lock, and
+//     frequencies are Paillier ciphertexts the server scores without ever
+//     opening them (search leakage shrinks to ID(w), ID(d)). The price is
+//     heavy client cryptography (the tallest bars of Figures 2/3/6) and
+//     client-side decrypt, sort and rank fusion of every candidate.
+//
+// Which scheme runs is decided by the keys the caller constructs (NewKeys or
+// NewHomKeys): the client is configured with them, the repository is created
+// with their public half.
 package msse
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 	"sync"
-	"time"
 
-	"mie/internal/cluster"
 	"mie/internal/crypto"
-	"mie/internal/device"
-	"mie/internal/dpe"
-	"mie/internal/fusion"
-	"mie/internal/imaging"
-	"mie/internal/index"
-	"mie/internal/text"
+	"mie/internal/paillier"
 )
 
 // Modality labels for the two indexed media types.
@@ -41,53 +45,177 @@ const (
 	ModImage = "image"
 )
 
-// Keys is the MSSE client key material: rk1 encrypts feature vectors and
-// counter dictionaries (IND-CPA), rk2 derives the per-keyword PRF keys.
-type Keys struct {
-	RK1 crypto.Key
-	RK2 crypto.Key
+// hists is an object's term frequencies, modality -> term -> freq; counters
+// has the same shape and holds the counter value of each term.
+type (
+	hists    = map[string]map[string]uint64
+	counters = map[string]map[string]uint64
+)
+
+// variant is everything MSSE and Hom-MSSE do differently. The methods
+// marked (server) run at the server, under the repository mutex unless
+// noted, and see only what the server is given; the others run at the
+// client, which holds the secrets, and reach the server through the link
+// they are handed.
+type variant interface {
+	// Counters: how a term's counter is read and advanced.
+
+	// advance reads the counter of every term in hs and leaves it one
+	// higher. It returns the values read and one update per modality of hs
+	// carrying whatever of the variant's own must ride on the object's
+	// upload (padding, resealed counters).
+	advance(c *Client, l link, docID string, hs hists) (counters, []ModalityUpdate, error)
+	// current reads the counters of hs's terms for a search.
+	current(c *Client, l link, hs hists) (counters, error)
+	// reindex indexes every stored object after training and returns the
+	// index to store, both modalities.
+	reindex(c *Client, l link, docs map[string]featureBlob) ([]ModalityUpdate, error)
+	// serveCounters answers advance and current (server; takes r.mu itself,
+	// because it may have to wait for another writer first).
+	serveCounters(r *repo, req CounterReq) (CounterResp, error)
+	// release ends the hold an advancing CounterReq gave its caller; an
+	// update does it on arrival, a client that cannot build its update asks
+	// for it (server).
+	release(r *repo) error
+	// storeCounters keeps what ups carry for the counters (server).
+	storeCounters(r *repo, ups []ModalityUpdate)
+
+	// Frequencies: how one is sealed, and who may open it.
+
+	// posting returns the key that places term in the index and freq
+	// sealed for the value stored there.
+	posting(term string, freq uint64) (pos crypto.Key, sealed []byte, err error)
+	// trapdoor returns term's position key and the key the server is handed
+	// to open its frequencies, nil when it never may.
+	trapdoor(term string) (pos crypto.Key, freqKey []byte)
+
+	// Scoring: who ranks a query.
+
+	// score looks the trapdoors up and returns what the server can make of
+	// them (server).
+	score(r *repo, qs []ModalityQuery, k int) (SearchResp, error)
+	// rank turns the server's answer into the top k hits.
+	rank(c *Client, resp SearchResp, k int) ([]Hit, error)
 }
 
-// NewKeys derives the MSSE keys from one master repository key.
+// Keys is a client's key material: rk1 seals feature vectors (IND-CPA), the
+// rest belongs to the scheme the keys were made for.
+type Keys struct {
+	rk1 crypto.Key
+	v   variant // holds the secrets
+	pub variant // what the server may know
+}
+
+// NewKeys derives MSSE keys from one master repository key.
 func NewKeys(master crypto.Key) Keys {
 	return Keys{
-		RK1: crypto.DeriveKey(master, "msse-rk1"),
-		RK2: crypto.DeriveKey(master, "msse-rk2"),
+		rk1: crypto.DeriveKey(master, "msse-rk1"),
+		v:   plain{rk2: crypto.DeriveKey(master, "msse-rk2")},
+		pub: plain{},
 	}
 }
 
-// featureBlob is the plaintext content of an encrypted feature-vector
-// upload: everything the client needs later to train and (re)index.
-type featureBlob struct {
-	Terms []text.Term
-	Descs [][]float64
+// NewHomKeys derives Hom-MSSE's symmetric keys from the master key and
+// generates a fresh Paillier pair of the given modulus size (rk2R =
+// {HomPub, HomPriv} in Figure 8).
+func NewHomKeys(master crypto.Key, paillierBits int) (Keys, error) {
+	priv, err := paillier.GenerateKey(nil, paillierBits)
+	if err != nil {
+		return Keys{}, err
+	}
+	return Keys{
+		rk1: crypto.DeriveKey(master, "hommsse-rk1"),
+		v:   hom{rkid: crypto.DeriveKey(master, "hommsse-rkid"), pub: &priv.PublicKey, priv: priv},
+		pub: hom{pub: &priv.PublicKey},
+	}, nil
 }
 
-// entry is one index value: the plaintext doc id plus the encrypted
-// frequency (d = IDp || ENC(k2, freq)).
-type entry struct {
-	Doc     string
-	EncFreq []byte
+// PublicKeys is what a repository's server is told at creation: nothing for
+// MSSE, the Paillier public key for Hom-MSSE.
+type PublicKeys struct{ v variant }
+
+// Public returns the half of k the server may hold.
+func (k Keys) Public() PublicKeys { return PublicKeys{v: k.pub} }
+
+// Object is one stored object: the ciphertext and the sealed feature
+// vectors the client needs back to train and (re)index.
+type Object struct {
+	ID         string
+	Owner      string
+	Ciphertext []byte
+	EncFvs     []byte
 }
 
-// Posting is one (position, value) pair uploaded by a client.
+func (o Object) size() int64 { return int64(len(o.Ciphertext) + len(o.EncFvs)) }
+
+// Posting is one (position, value) pair uploaded by a client: l = PRF(k1,
+// ctr) in hex, and d = IDp || sealed freq.
 type Posting struct {
-	L       string // PRF(k1, ctr), hex
+	L       string
 	Doc     string
 	EncFreq []byte
 }
 
-// ModalityUpdate carries one modality's postings and the re-encrypted
-// counter dictionary.
+// ModalityUpdate carries one modality's postings and, from a client that
+// keeps the counters itself, the resealed counter dictionary.
 type ModalityUpdate struct {
 	Modality string
 	Postings []Posting
 	ECtrs    []byte
 }
 
+func updatesSize(ups []ModalityUpdate) int64 {
+	var n int64
+	for _, mu := range ups {
+		n += int64(len(mu.ECtrs))
+		for _, p := range mu.Postings {
+			n += int64(len(p.L) + len(p.Doc) + len(p.EncFreq))
+		}
+	}
+	return n
+}
+
+// CounterRef names one counter and, in an advancing request to a server
+// that advances counters itself, the sealed amount to add to it.
+type CounterRef struct {
+	ID     string
+	EncInc []byte
+}
+
+// CounterReq asks for counters, per modality. Advance says the caller will
+// index with what it gets, so no other writer may be handed the same values.
+type CounterReq struct {
+	Advance bool
+	Refs    map[string][]CounterRef
+}
+
+func (q CounterReq) size() int64 {
+	var n int64
+	for m, refs := range q.Refs {
+		n += int64(len(m))
+		for _, ref := range refs {
+			n += int64(len(ref.ID) + len(ref.EncInc))
+		}
+	}
+	return n
+}
+
+// CounterResp is the sealed counters asked for, modality -> id -> value.
+type CounterResp map[string]map[string][]byte
+
+func (p CounterResp) size() int64 {
+	var n int64
+	for _, byID := range p {
+		for _, ct := range byID {
+			n += int64(len(ct))
+		}
+	}
+	return n
+}
+
 // SearchTerm is the client-side trapdoor for one query term: all candidate
-// index positions, the frequency-decryption key k2, and the query-side
-// frequency.
+// index positions, the query-side frequency, and k2 where the server is to
+// open the stored frequencies.
 type SearchTerm struct {
 	Positions []string
 	K2        []byte
@@ -100,12 +228,54 @@ type ModalityQuery struct {
 	Terms    []SearchTerm
 }
 
+func queriesSize(qs []ModalityQuery) int64 {
+	var n int64
+	for _, mq := range qs {
+		for _, st := range mq.Terms {
+			n += int64(len(st.K2) + 8)
+			for _, p := range st.Positions {
+				n += int64(len(p))
+			}
+		}
+	}
+	return n
+}
+
 // Hit is a ranked search result.
 type Hit struct {
 	Doc        string
 	Owner      string
 	Score      float64
 	Ciphertext []byte
+}
+
+// DocScore is one candidate with its score still sealed.
+type DocScore struct {
+	Doc      string
+	Owner    string
+	EncScore []byte
+	Cipher   []byte
+}
+
+// SearchResp is the server's answer to a query: the ranked top k where it
+// could open the frequencies, otherwise every candidate per modality with
+// its sealed score, for the client to open, sort and fuse.
+type SearchResp struct {
+	Hits   []Hit
+	Scored map[string][]DocScore
+}
+
+func (p SearchResp) size() int64 {
+	var n int64
+	for _, h := range p.Hits {
+		n += int64(len(h.Ciphertext))
+	}
+	for _, list := range p.Scored {
+		for _, ds := range list {
+			n += int64(len(ds.EncScore) + len(ds.Cipher))
+		}
+	}
+	return n
 }
 
 // Server errors.
@@ -115,45 +285,54 @@ var (
 	ErrNotLocked    = errors.New("msse: counters not locked by caller")
 )
 
-// repo is the server-side state of one MSSE repository.
+// entry is one index value: the plaintext doc id plus the sealed frequency.
+type entry struct {
+	doc     string
+	encFreq []byte
+}
+
+// repo is the server-side state of one repository.
 type repo struct {
 	mu      sync.Mutex
-	objects map[string]objRecord
-	fvs     map[string][]byte           // encrypted feature blobs
-	ctrs    map[string][]byte           // modality -> encrypted counter dict
+	v       variant
+	objects map[string]Object
 	idx     map[string]map[string]entry // modality -> position -> value
-	lock    chan struct{}               // counter write lock (cap 1)
-	locked  bool
+	// ctrs holds the sealed counters, modality -> id -> value; what an id
+	// names and what seals the value are the variant's.
+	ctrs map[string]map[string][]byte
+	// lock (cap 1) is held by the one writer that was handed counters to
+	// rewrite, from its fetch until its update; locked mirrors it under mu.
+	lock   chan struct{}
+	locked bool
 }
 
-type objRecord struct {
-	owner      string
-	ciphertext []byte
-}
-
-// Server is the untrusted MSSE cloud component.
+// Server is the untrusted cloud component.
 type Server struct {
 	mu    sync.RWMutex
 	repos map[string]*repo
 }
 
-// NewServer creates an empty MSSE server.
+// NewServer creates an empty server.
 func NewServer() *Server {
 	return &Server{repos: make(map[string]*repo)}
 }
 
-// CreateRepository initializes server-side state.
-func (s *Server) CreateRepository(id string) error {
+// CreateRepository initializes server-side state for the scheme pk belongs
+// to.
+func (s *Server) CreateRepository(id string, pk PublicKeys) error {
+	if pk.v == nil {
+		return errors.New("msse: repository needs its scheme's public keys (Keys.Public)")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.repos[id]; ok {
 		return fmt.Errorf("%w: %s", ErrRepoExists, id)
 	}
 	s.repos[id] = &repo{
-		objects: make(map[string]objRecord),
-		fvs:     make(map[string][]byte),
-		ctrs:    make(map[string][]byte),
+		v:       pk.v,
+		objects: make(map[string]Object),
 		idx:     make(map[string]map[string]entry),
+		ctrs:    make(map[string]map[string][]byte),
 		lock:    make(chan struct{}, 1),
 	}
 	return nil
@@ -169,104 +348,88 @@ func (s *Server) repo(id string) (*repo, error) {
 	return r, nil
 }
 
-// GetCtrs returns the encrypted counter dictionaries and acquires the
-// repository's counter write lock (CLOUD.GetCtrs): concurrent writers block
-// here, the serialization point that MIE avoids.
-func (s *Server) GetCtrs(repoID string, modalities []string) (map[string][]byte, error) {
+// Counters returns the sealed counters req names (CLOUD.GetCtrs /
+// CLOUD.GetAndIncCtrs). What an advancing request costs other writers is
+// where the schemes part: MSSE makes them wait for the caller's update,
+// Hom-MSSE has already moved the counters on when this returns.
+func (s *Server) Counters(repoID string, req CounterReq) (CounterResp, error) {
 	r, err := s.repo(repoID)
 	if err != nil {
 		return nil, err
 	}
-	r.lock <- struct{}{} // acquire
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.locked = true
-	out := make(map[string][]byte, len(modalities))
-	for _, m := range modalities {
-		out[m] = r.ctrs[m]
-	}
-	return out, nil
+	return r.v.serveCounters(r, req)
 }
 
-// UnlockCtrs releases the counter lock without an update (error paths).
-func (s *Server) UnlockCtrs(repoID string) error {
+// Release gives up the counters an advancing request was handed, without an
+// update (error paths).
+func (s *Server) Release(repoID string) error {
 	r, err := s.repo(repoID)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.locked {
-		return ErrNotLocked
-	}
-	r.locked = false
-	<-r.lock
-	return nil
+	return r.v.release(r)
 }
 
 // UntrainedUpdate stores an object before training: just the ciphertext and
-// the encrypted feature vectors (CLOUD.UntrainedUpdate).
-func (s *Server) UntrainedUpdate(repoID, docID, owner string, ciphertext, encFvs []byte) error {
+// the sealed feature vectors (CLOUD.UntrainedUpdate).
+func (s *Server) UntrainedUpdate(repoID string, obj Object) error {
 	r, err := s.repo(repoID)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.objects[docID] = objRecord{owner: owner, ciphertext: ciphertext}
-	r.fvs[docID] = encFvs
+	r.put(obj)
 	return nil
 }
 
-// TrainedUpdate stores an object after training: ciphertext, encrypted
-// features, new index postings and the re-encrypted counters; it releases
-// the counter lock taken by GetCtrs (CLOUD.TrainedUpdate).
-func (s *Server) TrainedUpdate(repoID, docID, owner string, ciphertext, encFvs []byte, updates []ModalityUpdate) error {
+// TrainedUpdate stores an object after training — ciphertext, sealed
+// features, new index postings, the variant's counters — and ends the hold
+// on the counters its caller's fetch took (CLOUD.TrainedUpdate).
+func (s *Server) TrainedUpdate(repoID string, obj Object, ups []ModalityUpdate) error {
 	r, err := s.repo(repoID)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.locked {
-		return ErrNotLocked
+	if err := r.v.release(r); err != nil {
+		return err
 	}
-	r.removeLocked(docID)
-	r.objects[docID] = objRecord{owner: owner, ciphertext: ciphertext}
-	r.fvs[docID] = encFvs
-	for _, mu := range updates {
-		r.ctrs[mu.Modality] = mu.ECtrs
+	r.put(obj)
+	for _, mu := range ups {
 		im := r.idx[mu.Modality]
 		if im == nil {
-			im = make(map[string]entry)
+			im = make(map[string]entry, len(mu.Postings))
 			r.idx[mu.Modality] = im
 		}
 		for _, p := range mu.Postings {
-			im[p.L] = entry{Doc: p.Doc, EncFreq: p.EncFreq}
+			im[p.L] = entry{doc: p.Doc, encFreq: p.EncFreq}
 		}
 	}
-	r.locked = false
-	<-r.lock
+	r.v.storeCounters(r, ups)
 	return nil
 }
 
-// StoreIndex replaces a modality's entire index and counters — the upload
-// at the end of USER.Train, which indexes all pre-training objects.
-func (s *Server) StoreIndex(repoID string, updates []ModalityUpdate) error {
+// StoreIndex replaces the entire index of every modality in ups — the
+// upload at the end of USER.Train, which indexes all pre-training objects.
+func (s *Server) StoreIndex(repoID string, ups []ModalityUpdate) error {
 	r, err := s.repo(repoID)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, mu := range updates {
+	for _, mu := range ups {
 		im := make(map[string]entry, len(mu.Postings))
 		for _, p := range mu.Postings {
-			im[p.L] = entry{Doc: p.Doc, EncFreq: p.EncFreq}
+			im[p.L] = entry{doc: p.Doc, encFreq: p.EncFreq}
 		}
 		r.idx[mu.Modality] = im
-		r.ctrs[mu.Modality] = mu.ECtrs
 	}
+	r.v.storeCounters(r, ups)
 	return nil
 }
 
@@ -280,23 +443,28 @@ func (s *Server) Remove(repoID, docID string) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.removeLocked(docID)
+	r.remove(docID)
 	return nil
 }
 
-func (r *repo) removeLocked(docID string) {
+func (r *repo) remove(docID string) {
 	delete(r.objects, docID)
-	delete(r.fvs, docID)
 	for _, im := range r.idx {
 		for l, e := range im {
-			if e.Doc == docID {
+			if e.doc == docID {
 				delete(im, l)
 			}
 		}
 	}
 }
 
-// GetFeatures returns every encrypted feature blob (USER.Train's download).
+// put stores obj in place of any earlier version and its postings.
+func (r *repo) put(obj Object) {
+	r.remove(obj.ID)
+	r.objects[obj.ID] = obj
+}
+
+// GetFeatures returns every sealed feature blob (USER.Train's download).
 func (s *Server) GetFeatures(repoID string) (map[string][]byte, error) {
 	r, err := s.repo(repoID)
 	if err != nil {
@@ -304,9 +472,9 @@ func (s *Server) GetFeatures(repoID string) (map[string][]byte, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string][]byte, len(r.fvs))
-	for id, b := range r.fvs {
-		out[id] = b
+	out := make(map[string][]byte, len(r.objects))
+	for id, o := range r.objects {
+		out[id] = o.EncFvs
 	}
 	return out, nil
 }
@@ -321,10 +489,15 @@ func (s *Server) GetObjects(repoID string) (map[string]Hit, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]Hit, len(r.objects))
-	for id, o := range r.objects {
-		out[id] = Hit{Doc: id, Owner: o.owner, Ciphertext: o.ciphertext}
+	for id := range r.objects {
+		out[id] = r.hit(id, 0)
 	}
 	return out, nil
+}
+
+func (r *repo) hit(id string, score float64) Hit {
+	o := r.objects[id]
+	return Hit{Doc: id, Owner: o.Owner, Score: score, Ciphertext: o.Ciphertext}
 }
 
 // ObjectCount reports |Rep|, needed for idf.
@@ -338,662 +511,29 @@ func (s *Server) ObjectCount(repoID string) (int, error) {
 	return len(r.objects), nil
 }
 
-// Search executes CLOUD.Search: look up every candidate position, decrypt
-// frequencies with the provided k2 (the frequency-pattern leak), score with
-// TF-IDF, sort per modality, rank-fuse and return the top k with
-// ciphertexts.
-func (s *Server) Search(repoID string, queries []ModalityQuery, k int) ([]Hit, error) {
+// Search executes CLOUD.Search: the scheme's scoring of the trapdoors.
+func (s *Server) Search(repoID string, qs []ModalityQuery, k int) (SearchResp, error) {
 	r, err := s.repo(repoID)
 	if err != nil {
-		return nil, err
+		return SearchResp{}, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := len(r.objects)
-	var lists [][]index.Result
-	for _, mq := range queries {
-		im := r.idx[mq.Modality]
-		scores := make(map[index.DocID]float64)
-		for _, st := range mq.Terms {
-			k2, err := crypto.KeyFromBytes(st.K2)
-			if err != nil {
-				return nil, fmt.Errorf("msse: bad k2: %w", err)
-			}
-			ciph := crypto.NewCipher(k2)
-			type tfHit struct {
-				doc  string
-				freq uint64
-			}
-			var tfs []tfHit
-			for _, l := range st.Positions {
-				e, ok := im[l]
-				if !ok {
-					continue
-				}
-				freq, err := ciph.DecryptUint64(e.EncFreq)
-				if err != nil {
-					return nil, fmt.Errorf("msse: decrypt freq at %s: %w", l, err)
-				}
-				tfs = append(tfs, tfHit{doc: e.Doc, freq: freq})
-			}
-			if len(tfs) == 0 || n == 0 {
-				continue
-			}
-			idf := math.Log(float64(n) / float64(len(tfs)))
-			if idf < 0 {
-				idf = 0
-			}
-			for _, tf := range tfs {
-				scores[index.DocID(tf.doc)] += float64(st.QueryFreq) * float64(tf.freq) * idf
-			}
-		}
-		list := make([]index.Result, 0, len(scores))
-		for d, sc := range scores {
-			if sc > 0 {
-				list = append(list, index.Result{Doc: d, Score: sc})
-			}
-		}
-		index.SortResults(list)
-		lists = append(lists, list)
-	}
-	fused := fusion.Fuse(fusion.LogISR, lists, k)
-	hits := make([]Hit, 0, len(fused))
-	for _, res := range fused {
-		o, ok := r.objects[string(res.Doc)]
-		if !ok {
-			continue
-		}
-		hits = append(hits, Hit{Doc: string(res.Doc), Owner: o.owner, Score: res.Score, Ciphertext: o.ciphertext})
-	}
-	return hits, nil
+	return r.v.score(r, qs, k)
 }
 
-// Client is the trusted MSSE client. Unlike MIE's stateless client it holds
-// the trained codebook (shared between users out of band) and must fetch
-// counter state from the server around every trained update — the O(n)
-// client storage row of Table I.
-type Client struct {
-	keys    Keys
-	pyr     imaging.PyramidParams
-	vocab   cluster.VocabParams
-	padding float64
-	meter   *device.Meter
-
-	mu       sync.Mutex
-	codebook *cluster.Vocabulary[[]float64]
-}
-
-// ClientConfig configures an MSSE client.
-type ClientConfig struct {
-	Keys    Keys
-	Pyramid imaging.PyramidParams
-	// Vocab shapes visual-word training: flat k-means to Vocab.Words words
-	// (paper: 1000) plus a lookup tree over the words.
-	Vocab cluster.VocabParams
-	// Padding, when positive, adds ceil(Padding · |terms|) dummy postings
-	// per update — the appendix's index-padding mitigation (after Cash et
-	// al.) for the document-length leak of keeping plaintext doc ids in
-	// index values. Dummy postings live at positions derived from a
-	// reserved term space, so no real query ever touches them; they only
-	// inflate (and thereby blur) per-document posting counts.
-	Padding float64
-	Meter   *device.Meter
-}
-
-// NewClient builds an MSSE client component.
-func NewClient(cfg ClientConfig) *Client {
-	if cfg.Vocab.Words == 0 {
-		cfg.Vocab.Words = 1000
-	}
-	if cfg.Vocab.Tree.Branch == 0 {
-		cfg.Vocab.Tree.Branch = 10
-	}
-	if cfg.Vocab.Tree.Height == 0 {
-		cfg.Vocab.Tree.Height = 3
-	}
-	return &Client{keys: cfg.Keys, pyr: cfg.Pyramid, vocab: cfg.Vocab, padding: cfg.Padding, meter: cfg.Meter}
-}
-
-// SetCodebook installs a codebook trained by another user (the
-// ShareCodebook step of USER.Train).
-func (c *Client) SetCodebook(cb *cluster.Vocabulary[[]float64]) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.codebook = cb
-}
-
-// Codebook returns the trained codebook (nil before training).
-func (c *Client) Codebook() *cluster.Vocabulary[[]float64] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.codebook
-}
-
-// IsTrained reports whether the client holds a codebook.
-func (c *Client) IsTrained() bool { return c.Codebook() != nil }
-
-func (c *Client) timeCPU(cat device.Category, fn func()) {
-	if c.meter == nil {
-		fn()
-		return
-	}
-	c.meter.TimeCPU(cat, fn)
-}
-
-func (c *Client) addTransfer(cat device.Category, up, down int64) {
-	if c.meter == nil {
-		return
-	}
-	c.meter.AddTransfer(cat, up, down)
-}
-
-// extract runs plaintext feature extraction (same pipeline as MIE).
-func (c *Client) extract(obj *Doc) ([]text.Term, [][]float64) {
-	var terms []text.Term
-	var descs [][]float64
-	c.timeCPU(device.Index, func() {
-		if obj.Text != "" {
-			terms = text.Extract(obj.Text)
-		}
-		if obj.Image != nil {
-			descs = imaging.Extract(obj.Image, c.pyr)
-		}
-	})
-	return terms, descs
-}
-
-// Doc is the client-side plaintext object (mirror of core.Object, kept
-// separate so the baselines do not depend on the MIE package).
-type Doc struct {
-	ID    string
-	Owner string
-	Text  string
-	Image *imaging.Image
-}
-
-func (d *Doc) marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		return nil, fmt.Errorf("msse: marshal doc: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// encryptBlob gob-encodes and IND-CPA encrypts v under rk1.
-func (c *Client) encryptBlob(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("msse: encode blob: %w", err)
-	}
-	return crypto.NewCipher(c.keys.RK1).Encrypt(buf.Bytes())
-}
-
-func (c *Client) decryptBlob(ct []byte, v interface{}) error {
-	if len(ct) == 0 {
-		return nil // absent dictionary decodes to the zero value
-	}
-	pt, err := crypto.NewCipher(c.keys.RK1).Decrypt(ct)
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(pt)).Decode(v)
-}
-
-// termKeys derives (k1, k2) for a term.
-func (c *Client) termKeys(term string) (crypto.Key, crypto.Key) {
-	k1 := crypto.DeriveKey(c.keys.RK2, term+"|1")
-	k2 := crypto.DeriveKey(c.keys.RK2, term+"|2")
-	return k1, k2
-}
-
-// position computes l = PRF(k1, ctr) in hex.
-func position(k1 crypto.Key, ctr uint64) string {
-	tok := crypto.PRFUint64(k1, ctr)
-	var t dpe.Token
-	copy(t[:], tok)
-	return t.String()
-}
-
-// histograms computes the per-modality term->freq maps of an object; the
-// image modality requires the codebook.
-func (c *Client) histograms(terms []text.Term, descs [][]float64) map[string]map[string]uint64 {
-	out := make(map[string]map[string]uint64, 2)
-	if len(terms) > 0 {
-		h := make(map[string]uint64, len(terms))
-		for _, t := range terms {
-			h[t.Word] = t.Freq
-		}
-		out[ModText] = h
-	}
-	cb := c.Codebook()
-	if len(descs) > 0 && cb != nil {
-		h := make(map[string]uint64)
-		for _, d := range descs {
-			h["vw:"+strconv.Itoa(cb.Quantize(d))]++
-		}
-		out[ModImage] = h
-	}
-	return out
-}
-
-// Update adds or replaces an object. Before training this only ships the
-// encrypted object and features; after training the client does the full
-// counter fetch -> clusterize -> index-position dance of Figure 7.
-func (c *Client) Update(s *Server, repoID string, doc *Doc, dataKey crypto.Key) error {
-	terms, descs := c.extract(doc)
-	var ciphertext, encFvs []byte
-	var encErr error
-	c.timeCPU(device.Encrypt, func() {
-		plain, err := doc.marshal()
-		if err != nil {
-			encErr = err
-			return
-		}
-		if ciphertext, encErr = crypto.NewCipher(dataKey).Encrypt(plain); encErr != nil {
-			return
-		}
-		encFvs, encErr = c.encryptBlob(featureBlob{Terms: terms, Descs: descs})
-	})
-	if encErr != nil {
-		return encErr
-	}
-
-	if !c.IsTrained() {
-		c.addTransfer(device.Network, int64(len(ciphertext)+len(encFvs)), 0)
-		return s.UntrainedUpdate(repoID, doc.ID, doc.Owner, ciphertext, encFvs)
-	}
-
-	// Trained path: fetch + lock counters.
-	modalities := modalityList(terms, descs)
-	ectrs, err := s.GetCtrs(repoID, modalities)
-	if err != nil {
-		return err
-	}
-	var down int64
-	for _, b := range ectrs {
-		down += int64(len(b))
-	}
-	c.addTransfer(device.Network, 0, down)
-
-	var hists map[string]map[string]uint64
-	c.timeCPU(device.Index, func() {
-		hists = c.histograms(terms, descs)
-	})
-
-	var updates []ModalityUpdate
-	var buildErr error
-	c.timeCPU(device.Encrypt, func() {
-		for _, m := range modalities {
-			ctrs := make(map[string]uint64)
-			if err := c.decryptBlob(ectrs[m], &ctrs); err != nil {
-				buildErr = fmt.Errorf("msse: decrypt ctrs: %w", err)
-				return
-			}
-			var postings []Posting
-			for term, freq := range hists[m] {
-				k1, k2 := c.termKeys(term)
-				l := position(k1, ctrs[term])
-				ctrs[term]++
-				encFreq, err := crypto.NewCipher(k2).EncryptUint64(freq)
-				if err != nil {
-					buildErr = err
-					return
-				}
-				postings = append(postings, Posting{L: l, Doc: doc.ID, EncFreq: encFreq})
-			}
-			pad, err := c.dummyPostings(doc.ID, m, len(hists[m]), ctrs)
-			if err != nil {
-				buildErr = err
-				return
-			}
-			postings = append(postings, pad...)
-			blob, err := c.encryptBlob(ctrs)
-			if err != nil {
-				buildErr = err
-				return
-			}
-			updates = append(updates, ModalityUpdate{Modality: m, Postings: postings, ECtrs: blob})
-		}
-	})
-	if buildErr != nil {
-		if uerr := s.UnlockCtrs(repoID); uerr != nil {
-			return fmt.Errorf("msse: %v (unlock failed: %w)", buildErr, uerr)
-		}
-		return buildErr
-	}
-	var up int64 = int64(len(ciphertext) + len(encFvs))
-	for _, mu := range updates {
-		up += int64(len(mu.ECtrs))
-		for _, p := range mu.Postings {
-			up += int64(len(p.L) + len(p.Doc) + len(p.EncFreq))
+// matches returns the postings st's positions name in modality m, and the
+// idf that many matches imply; nothing when there are none.
+func (r *repo) matches(m string, st SearchTerm) ([]entry, float64) {
+	var found []entry
+	im := r.idx[m]
+	for _, l := range st.Positions {
+		if e, ok := im[l]; ok {
+			found = append(found, e)
 		}
 	}
-	c.addTransfer(device.Network, up, 0)
-	return s.TrainedUpdate(repoID, doc.ID, doc.Owner, ciphertext, encFvs, updates)
-}
-
-func modalityList(terms []text.Term, descs [][]float64) []string {
-	var ms []string
-	if len(terms) > 0 {
-		ms = append(ms, ModText)
+	if len(found) == 0 {
+		return nil, 0
 	}
-	if len(descs) > 0 {
-		ms = append(ms, ModImage)
-	}
-	return ms
-}
-
-// dummyPostings mints the index-padding entries: positions in a reserved
-// per-document dummy term space (counted through the same encrypted counter
-// dictionary so padded updates stay consistent), dummy doc ids, encrypted
-// zero frequencies. Queries never derive these positions, so padding is
-// retrieval-invisible.
-func (c *Client) dummyPostings(docID, modality string, realTerms int, ctrs map[string]uint64) ([]Posting, error) {
-	if c.padding <= 0 || realTerms == 0 {
-		return nil, nil
-	}
-	n := int(math.Ceil(c.padding * float64(realTerms)))
-	out := make([]Posting, 0, n)
-	for i := 0; i < n; i++ {
-		term := fmt.Sprintf("\x00pad|%s|%d", modality, i)
-		k1, k2 := c.termKeys(term)
-		l := position(k1, ctrs[term])
-		ctrs[term]++
-		encFreq, err := crypto.NewCipher(k2).EncryptUint64(0)
-		if err != nil {
-			return nil, err
-		}
-		// The dummy doc id is deterministic per (doc, slot) but never
-		// collides with real ids (NUL prefix).
-		out = append(out, Posting{L: l, Doc: "\x00dummy|" + docID, EncFreq: encFreq})
-	}
-	return out, nil
-}
-
-// Train downloads every encrypted feature blob, decrypts, runs Euclidean
-// hierarchical k-means *on the client* (the Train cost bar of Figures 2/3),
-// indexes every stored object and uploads the index and counters.
-func (c *Client) Train(s *Server, repoID string) error {
-	encFvs, err := s.GetFeatures(repoID)
-	if err != nil {
-		return err
-	}
-	var down int64
-	for _, b := range encFvs {
-		down += int64(len(b))
-	}
-	c.addTransfer(device.Network, 0, down)
-
-	blobs := make(map[string]featureBlob, len(encFvs))
-	var decErr error
-	c.timeCPU(device.Encrypt, func() {
-		for id, ct := range encFvs {
-			var fb featureBlob
-			if err := c.decryptBlob(ct, &fb); err != nil {
-				decErr = fmt.Errorf("msse: decrypt features of %s: %w", id, err)
-				return
-			}
-			blobs[id] = fb
-		}
-	})
-	if decErr != nil {
-		return decErr
-	}
-
-	var trainErr error
-	c.timeCPU(device.Train, func() {
-		// Sorted ids keep the k-means sample order — and thus the trained
-		// codebook — deterministic across runs.
-		ids := make([]string, 0, len(blobs))
-		for id := range blobs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		var sample [][]float64
-		for _, id := range ids {
-			sample = append(sample, blobs[id].Descs...)
-		}
-		if len(sample) == 0 {
-			return // text-only repository: no codebook needed
-		}
-		euclid := func(ps [][]float64, k int, seed int64) ([][]float64, []int, error) {
-			res, err := cluster.KMeans(ps, k, cluster.Options{Seed: seed, MaxIter: c.vocab.MaxIter})
-			if err != nil {
-				return nil, nil, err
-			}
-			return res.Centroids, res.Assignments, nil
-		}
-		vocab, err := cluster.TrainVocabulary(sample, c.vocab, euclid, func(a, b []float64) float64 {
-			return vecEuclid(a, b)
-		})
-		if err != nil {
-			trainErr = fmt.Errorf("msse: train codebook: %w", err)
-			return
-		}
-		c.SetCodebook(vocab)
-	})
-	if trainErr != nil {
-		return trainErr
-	}
-
-	// Index all existing objects client-side (IndexData of Figure 7).
-	ctrs := map[string]map[string]uint64{
-		ModText:  make(map[string]uint64),
-		ModImage: make(map[string]uint64),
-	}
-	postings := map[string][]Posting{}
-	var buildErr error
-	c.timeCPU(device.Index, func() {
-		for id, fb := range blobs {
-			for m, hist := range c.histograms(fb.Terms, fb.Descs) {
-				for term, freq := range hist {
-					k1, k2 := c.termKeys(term)
-					l := position(k1, ctrs[m][term])
-					ctrs[m][term]++
-					encFreq, err := crypto.NewCipher(k2).EncryptUint64(freq)
-					if err != nil {
-						buildErr = err
-						return
-					}
-					postings[m] = append(postings[m], Posting{L: l, Doc: id, EncFreq: encFreq})
-				}
-			}
-		}
-	})
-	if buildErr != nil {
-		return buildErr
-	}
-
-	var updates []ModalityUpdate
-	var encErr error
-	c.timeCPU(device.Encrypt, func() {
-		for _, m := range []string{ModText, ModImage} {
-			blob, err := c.encryptBlob(ctrs[m])
-			if err != nil {
-				encErr = err
-				return
-			}
-			updates = append(updates, ModalityUpdate{Modality: m, Postings: postings[m], ECtrs: blob})
-		}
-	})
-	if encErr != nil {
-		return encErr
-	}
-	var up int64
-	for _, mu := range updates {
-		up += int64(len(mu.ECtrs))
-		for _, p := range mu.Postings {
-			up += int64(len(p.L) + len(p.Doc) + len(p.EncFreq))
-		}
-	}
-	c.addTransfer(device.Network, up, 0)
-	return s.StoreIndex(repoID, updates)
-}
-
-// Search runs the query flow: trained repositories use the PRF trapdoors
-// and server-side scoring; untrained ones fall back to downloading
-// everything and scanning locally (USER.Search's untrained branch).
-func (c *Client) Search(s *Server, repoID string, query *Doc, k int) ([]Hit, error) {
-	if k <= 0 {
-		return nil, errors.New("msse: k must be positive")
-	}
-	terms, descs := c.extract(query)
-	if !c.IsTrained() {
-		return c.linearSearch(s, repoID, terms, descs, k)
-	}
-
-	ectrs, err := s.GetCtrs(repoID, modalityList(terms, descs))
-	if err != nil {
-		return nil, err
-	}
-	// Search only reads counters; release the write lock immediately (the
-	// paper: searches proceed on a snapshot).
-	if err := s.UnlockCtrs(repoID); err != nil {
-		return nil, err
-	}
-	var down int64
-	for _, b := range ectrs {
-		down += int64(len(b))
-	}
-	c.addTransfer(device.Network, 0, down)
-
-	var hists map[string]map[string]uint64
-	c.timeCPU(device.Index, func() {
-		hists = c.histograms(terms, descs)
-	})
-	var queries []ModalityQuery
-	var buildErr error
-	c.timeCPU(device.Encrypt, func() {
-		for m, hist := range hists {
-			ctrs := make(map[string]uint64)
-			if err := c.decryptBlob(ectrs[m], &ctrs); err != nil {
-				buildErr = err
-				return
-			}
-			mq := ModalityQuery{Modality: m}
-			for term, qf := range hist {
-				cnt := ctrs[term]
-				if cnt == 0 {
-					continue // never indexed
-				}
-				k1, k2 := c.termKeys(term)
-				st := SearchTerm{K2: k2[:], QueryFreq: qf}
-				for ctr := uint64(0); ctr < cnt; ctr++ {
-					st.Positions = append(st.Positions, position(k1, ctr))
-				}
-				mq.Terms = append(mq.Terms, st)
-			}
-			queries = append(queries, mq)
-		}
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	var upBytes int64
-	for _, mq := range queries {
-		for _, st := range mq.Terms {
-			upBytes += int64(len(st.K2) + 8)
-			for _, p := range st.Positions {
-				upBytes += int64(len(p))
-			}
-		}
-	}
-	start := time.Now()
-	hits, err := s.Search(repoID, queries, k)
-	if err != nil {
-		return nil, err
-	}
-	if c.meter != nil {
-		// Figure 5's Network bar includes the server's processing time.
-		c.meter.AddServerTime(device.Network, time.Since(start))
-	}
-	var dn int64
-	for _, h := range hits {
-		dn += int64(len(h.Ciphertext))
-	}
-	c.addTransfer(device.Network, upBytes, dn)
-	return hits, nil
-}
-
-// linearSearch downloads features and objects and ranks locally.
-func (c *Client) linearSearch(s *Server, repoID string, qTerms []text.Term, qDescs [][]float64, k int) ([]Hit, error) {
-	encFvs, err := s.GetFeatures(repoID)
-	if err != nil {
-		return nil, err
-	}
-	objs, err := s.GetObjects(repoID)
-	if err != nil {
-		return nil, err
-	}
-	var down int64
-	for _, b := range encFvs {
-		down += int64(len(b))
-	}
-	for _, o := range objs {
-		down += int64(len(o.Ciphertext))
-	}
-	c.addTransfer(device.Network, 0, down)
-
-	qtf := make(map[string]uint64, len(qTerms))
-	for _, t := range qTerms {
-		qtf[t.Word] = t.Freq
-	}
-	var scored []index.Result
-	var scanErr error
-	c.timeCPU(device.Index, func() {
-		scores := make(map[index.DocID]float64)
-		for id, ct := range encFvs {
-			var fb featureBlob
-			if err := c.decryptBlob(ct, &fb); err != nil {
-				scanErr = err
-				return
-			}
-			var s float64
-			for _, t := range fb.Terms {
-				if qf, ok := qtf[t.Word]; ok {
-					s += float64(qf) * float64(t.Freq)
-				}
-			}
-			if len(qDescs) > 0 && len(fb.Descs) > 0 {
-				for _, qd := range qDescs {
-					best := 1.0
-					for _, od := range fb.Descs {
-						if d := vecEuclid(qd, od); d < best {
-							best = d
-						}
-					}
-					s += 1 - best
-				}
-			}
-			if s > 0 {
-				scores[index.DocID(id)] = s
-			}
-		}
-		for d, sc := range scores {
-			scored = append(scored, index.Result{Doc: d, Score: sc})
-		}
-		index.SortResults(scored)
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	if len(scored) > k {
-		scored = scored[:k]
-	}
-	hits := make([]Hit, 0, len(scored))
-	for _, r := range scored {
-		o := objs[string(r.Doc)]
-		hits = append(hits, Hit{Doc: string(r.Doc), Owner: o.Owner, Score: r.Score, Ciphertext: o.Ciphertext})
-	}
-	return hits, nil
-}
-
-// vecEuclid avoids importing vec just for one helper in hot paths.
-func vecEuclid(a, b []float64) float64 {
-	var sum float64
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
+	return found, math.Max(0, math.Log(float64(len(r.objects))/float64(len(found))))
 }

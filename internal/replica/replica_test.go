@@ -1,13 +1,13 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -18,7 +18,6 @@ import (
 	"mie/internal/leakcheck"
 	"mie/internal/obs"
 	"mie/internal/server"
-	"mie/internal/wal"
 	"mie/internal/wire"
 )
 
@@ -595,19 +594,12 @@ func TestApplyRejectsCorruptRecord(t *testing.T) {
 // reaches the engine or the follower's log, and the cursor stays put.
 func TestApplyRejectsOldFormatRecord(t *testing.T) {
 	leakcheck.Check(t)
-	f, err := os.Open(filepath.Join("..", "..", "testdata", "gob-wal-datadir", "legacy.wal"))
-	if err != nil {
+	var gobRecord bytes.Buffer
+	if err := gob.NewEncoder(&gobRecord).Encode(struct {
+		Remove   bool
+		ObjectID string
+	}{Remove: true, ObjectID: "obj-1"}); err != nil {
 		t.Fatal(err)
-	}
-	defer func() { _ = f.Close() }()
-	var gobRecord []byte
-	if _, err := wal.ReadLog(f, func(b []byte) error {
-		if gobRecord == nil {
-			gobRecord = append([]byte(nil), b...)
-		}
-		return nil
-	}); err != nil || gobRecord == nil {
-		t.Fatalf("no record in the parent-commit log (err %v)", err)
 	}
 
 	folSvc := openSvc(t, t.TempDir())
@@ -619,7 +611,7 @@ func TestApplyRejectsOldFormatRecord(t *testing.T) {
 	fol := idleFollower(folSvc)
 	fol.setCursor("r", Cursor{Gen: 7})
 	s := &session{f: fol, subs: map[uint64]string{}, byRepo: map[string]uint64{}}
-	rec := wire.NewReplRecord(7, 1, wire.ReplMutation, 0, gobRecord)
+	rec := wire.NewReplRecord(7, 1, wire.ReplMutation, 0, gobRecord.Bytes())
 	if err := s.apply("r", &rec); !errors.Is(err, core.ErrBadWALRecord) {
 		t.Fatalf("gob record applied with err=%v, want ErrBadWALRecord", err)
 	}

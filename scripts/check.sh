@@ -29,9 +29,10 @@ done
 # Layering gate first and by name: the segmented-index refactor depends on
 # core/index/cluster staying free of transport imports (and index/cluster
 # free of upward imports), and the scale-out tier on replica/router never
-# reaching into the server. The full suite runs these too, but a fast,
-# explicit failure here names the broken boundary instead of burying it.
-go test -run 'TestEngineLayersDoNotImportTransport|TestIndexAndClusterDoNotImportCore|TestReplicationTierImportBoundaries' ./internal/core
+# reaching into the server, and the MSSE baselines importing nothing of MIE
+# but its primitives (an allow-list). The full suite runs these too, but a
+# fast, explicit failure here names the broken boundary instead of burying it.
+go test -run 'TestEngineLayersDoNotImportTransport|TestIndexAndClusterDoNotImportCore|TestReplicationTierImportBoundaries|TestBaselinesImportOnlyPrimitives' ./internal/core
 
 # -shuffle surfaces inter-test ordering dependencies; -cover prints a
 # per-package coverage summary so coverage regressions are visible in CI
@@ -47,13 +48,14 @@ go test -race -shuffle=on -cover ./...
 # Add/Remove/Seal/Compact.
 go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./internal/replica ./internal/router ./internal/index
 # The write path's one encoding, repeated too: WAL record codec, recovery
-# (crash matrix, legacy-format replay) and the leader-log = follower-log
+# (crash matrix, refusal of anything that is not a record) and the leader-log = follower-log
 # identity test, which runs a two-node cluster under a partition.
 go test -race -count=5 -run 'WAL|Durable|Crash|Replicat' ./internal/core
 
-# The experiment printer still builds and runs (its gates are go tests in
-# internal/experiments, run above).
-go run ./cmd/mie-bench -scale quick -experiment table2
+# The experiment printer still builds and runs all three schemes end to end
+# — build, train, query, rank — through the binary (about two seconds; its
+# gates are go tests in internal/experiments, run above).
+go run ./cmd/mie-bench -scale quick -experiment table2,fig5,table3
 # The index microbenchmark still runs, at one core and two. No parsing, no
 # threshold: speed gates live in bench/.
 go test -run '^$' -bench SegmentedLookup -benchtime 100x -cpu 1,2 ./internal/index
