@@ -16,9 +16,9 @@
 // Transport failures poison the connection — a frame boundary lost to a
 // half-written request or half-read response makes every subsequent byte
 // stream position undefined, so the TCP connection is discarded rather than
-// reused. Idempotent operations (Search, Get, TrainStatus, TrainWait)
-// transparently redial with capped exponential backoff; mutations surface
-// the error to the caller, who alone knows whether re-sending is safe.
+// reused. Idempotent operations (wire's kind table says which) transparently
+// redial with capped exponential backoff; mutations surface the error to the
+// caller, who alone knows whether re-sending is safe.
 package client
 
 import (
@@ -54,9 +54,13 @@ func (e *RemoteError) Error() string { return e.Msg }
 // exactly as they do embedded. Unclassified errors unwrap to nothing.
 func (e *RemoteError) Unwrap() error { return wire.Sentinel(e.Code) }
 
-// remoteError builds a RemoteError from a response's error fields.
-func remoteError(msg string, code int, retryAfterNanos int64) *RemoteError {
-	return &RemoteError{Msg: msg, Code: code, RetryAfter: time.Duration(retryAfterNanos)}
+// remoteError turns the failure a response's status reports (nil: none)
+// into the RemoteError it encodes.
+func remoteError(st *wire.Status) error {
+	if st == nil {
+		return nil
+	}
+	return &RemoteError{Msg: st.Err, Code: st.Code, RetryAfter: time.Duration(st.RetryAfterNanos)}
 }
 
 // ErrClosed is returned for calls on a Conn after Close.
@@ -131,9 +135,7 @@ func Dial(addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
 	if c.tracer == nil {
 		c.tracer = obs.DefaultTracer()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.transportLocked(); err != nil {
+	if _, err := c.transport(); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -173,10 +175,6 @@ func (c *Conn) tokenSnapshot() string {
 func (c *Conn) transport() (*transport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.transportLocked()
-}
-
-func (c *Conn) transportLocked() (*transport, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
@@ -256,10 +254,10 @@ func Handshake(conn net.Conn) (wire.HelloResp, error) {
 }
 
 // errorFrame turns a KindError envelope into the RemoteError it carries.
-func errorFrame(env *wire.Envelope) *RemoteError {
+func errorFrame(env *wire.Envelope) error {
 	var ack wire.Ack
 	if err := env.Decode(&ack); err == nil && ack.Err != "" {
-		return remoteError(ack.Err, ack.Code, ack.RetryAfterNanos)
+		return remoteError(&ack.Status)
 	}
 	return &RemoteError{Msg: "server rejected request"}
 }
@@ -411,23 +409,6 @@ func (t *transport) readLoop() {
 	}
 }
 
-// muxCall runs one request/response exchange on the transport.
-func (c *Conn) muxCall(ctx context.Context, t *transport, kind string, req interface{}) (*wire.Envelope, int, int, error) {
-	var timeout time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		timeout = time.Until(dl)
-		if timeout <= 0 {
-			return nil, 0, 0, context.DeadlineExceeded
-		}
-	}
-	env, err := wire.NewEnvelope(kind, c.tokenSnapshot(), 0, timeout, req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	stampTrace(ctx, env)
-	return c.muxExchange(ctx, t, env)
-}
-
 // muxExchange sends one pre-built envelope on the transport and awaits the
 // response echoing its ID. The envelope's ID is (re)stamped with
 // a fresh request ID for this transport.
@@ -507,10 +488,49 @@ func transient(err error) bool {
 	return true
 }
 
-// roundTrip sends one request and awaits its response, accounting bytes to
-// the given cost category. Idempotent calls that hit a transport error are
-// retried on a fresh connection with capped exponential backoff.
-func (c *Conn) roundTrip(ctx context.Context, cat device.Category, kind string, idempotent bool, req, resp interface{}) (err error) {
+// exchange sends a request envelope and returns the response frame echoing
+// it, with the bytes that moved each way. The envelope is copied by value and
+// only its per-hop fields are re-stamped — the multiplexing ID and the
+// relative deadline — so everything else survives the hop untouched. A
+// transport error on a kind wire's table marks idempotent is retried on a
+// fresh connection with capped exponential backoff; any other kind surfaces
+// the error to the caller, who alone knows whether re-sending is safe.
+func (c *Conn) exchange(ctx context.Context, env *wire.Envelope) (resp *wire.Envelope, up, down int, err error) {
+	backoff := reconnectBackoffMin
+	for attempt := 0; ; attempt++ {
+		out := *env
+		out.TimeoutNanos = 0
+		if dl, ok := ctx.Deadline(); ok {
+			timeout := time.Until(dl)
+			if timeout <= 0 {
+				return nil, 0, 0, context.DeadlineExceeded
+			}
+			out.TimeoutNanos = int64(timeout)
+		}
+		var t *transport
+		if t, err = c.transport(); err == nil {
+			resp, up, down, err = c.muxExchange(ctx, t, &out)
+		}
+		if err == nil {
+			return resp, up, down, nil
+		}
+		if !wire.Idempotent(env.Kind) || attempt >= c.retries || !transient(err) || ctx.Err() != nil {
+			return nil, 0, 0, err
+		}
+		select {
+		case <-time.After(backoff):
+		case <-ctx.Done():
+			return nil, 0, 0, ctx.Err()
+		}
+		if backoff *= 2; backoff > reconnectBackoffMax {
+			backoff = reconnectBackoffMax
+		}
+	}
+}
+
+// roundTrip sends one request and decodes its response into resp,
+// accounting the bytes to the meter's Network category.
+func (c *Conn) roundTrip(ctx context.Context, kind string, req, resp interface{}) (err error) {
 	// Join the caller's trace, or — when none — let the head sampler decide
 	// whether this operation starts a client-originated one. A trace started
 	// here is also finished here (the operation is its root); a caller-owned
@@ -533,45 +553,37 @@ func (c *Conn) roundTrip(ctx context.Context, cat device.Category, kind string, 
 			c.reg.Counter(obs.L("client_request_errors_total", "kind", kind)).Inc()
 		}
 	}()
-	backoff := reconnectBackoffMin
-	for attempt := 0; ; attempt++ {
-		var env *wire.Envelope
-		var up, down int
-		var t *transport
-		t, err = c.transport()
-		if err == nil {
-			env, up, down, err = c.muxCall(ctx, t, kind, req)
-		}
-		if err == nil {
-			if c.meter != nil {
-				c.meter.AddTransfer(cat, int64(up), int64(down))
-			}
-			if env.Kind == wire.KindError {
-				return errorFrame(env)
-			}
-			return env.Decode(resp)
-		}
-		if !idempotent || attempt >= c.retries || !transient(err) || ctx.Err() != nil {
-			return err
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if backoff *= 2; backoff > reconnectBackoffMax {
-			backoff = reconnectBackoffMax
-		}
+	env, err := wire.NewEnvelope(kind, c.tokenSnapshot(), 0, 0, req)
+	if err != nil {
+		return err
 	}
+	stampTrace(ctx, env)
+	out, up, down, err := c.exchange(ctx, env)
+	if err != nil {
+		return err
+	}
+	if c.meter != nil {
+		c.meter.AddTransfer(device.Network, int64(up), int64(down))
+	}
+	if out.Kind == wire.KindError {
+		return errorFrame(out)
+	}
+	return out.Decode(resp)
+}
+
+// call is roundTrip for the kinds whose response opens with a wire.Status:
+// a failure the server reports there comes back as a RemoteError. (It is
+// not a failed round trip, and the request metrics do not count it as one.)
+func (c *Conn) call(ctx context.Context, kind string, req interface{}, resp interface{ Failure() *wire.Status }) error {
+	if err := c.roundTrip(ctx, kind, req, resp); err != nil {
+		return err
+	}
+	return remoteError(resp.Failure())
 }
 
 // CreateRepository asks the server to initialize a repository.
 func (c *Conn) CreateRepository(ctx context.Context, repoID string, opts wire.RepoOptions) error {
-	var ack wire.Ack
-	if err := c.roundTrip(ctx, device.Network, wire.KindCreateRepo, false, wire.CreateRepoReq{RepoID: repoID, Opts: opts}, &ack); err != nil {
-		return err
-	}
-	return ackErr(ack)
+	return c.call(ctx, wire.KindCreateRepo, wire.CreateRepoReq{RepoID: repoID, Opts: opts}, new(wire.Ack))
 }
 
 // Train triggers cloud-side training and blocks until it completes (free for
@@ -579,70 +591,52 @@ func (c *Conn) CreateRepository(ctx context.Context, repoID string, opts wire.Re
 // MIE). On a multiplexed connection other requests proceed meanwhile; use
 // TrainStart for a non-blocking handle.
 func (c *Conn) Train(ctx context.Context, repoID string) error {
-	var ack wire.Ack
-	if err := c.roundTrip(ctx, device.Network, wire.KindTrain, false, wire.TrainReq{RepoID: repoID}, &ack); err != nil {
-		return err
+	return c.call(ctx, wire.KindTrain, wire.TrainReq{RepoID: repoID}, new(wire.Ack))
+}
+
+// trainJob runs one of the three train-job kinds.
+func (c *Conn) trainJob(ctx context.Context, kind string, req interface{}) (core.TrainJobStatus, error) {
+	var resp wire.TrainJobResp
+	if err := c.call(ctx, kind, req, &resp); err != nil {
+		return core.TrainJobStatus{}, err
 	}
-	return ackErr(ack)
+	return resp.Job, nil
 }
 
 // TrainStart launches an asynchronous server-side training job and returns
 // its status handle immediately. If a job is already running its handle is
 // returned instead of starting another.
-func (c *Conn) TrainStart(ctx context.Context, repoID string) (wire.TrainJobStatus, error) {
-	var resp wire.TrainJobResp
-	if err := c.roundTrip(ctx, device.Network, wire.KindTrainStart, false, wire.TrainReq{RepoID: repoID}, &resp); err != nil {
-		return wire.TrainJobStatus{}, err
-	}
-	return trainJobResult(resp)
+func (c *Conn) TrainStart(ctx context.Context, repoID string) (core.TrainJobStatus, error) {
+	return c.trainJob(ctx, wire.KindTrainStart, wire.TrainReq{RepoID: repoID})
 }
 
 // TrainStatus polls a training job.
-func (c *Conn) TrainStatus(ctx context.Context, repoID string, jobID uint64) (wire.TrainJobStatus, error) {
-	var resp wire.TrainJobResp
-	if err := c.roundTrip(ctx, device.Network, wire.KindTrainStatus, true, wire.TrainJobReq{RepoID: repoID, JobID: jobID}, &resp); err != nil {
-		return wire.TrainJobStatus{}, err
-	}
-	return trainJobResult(resp)
+func (c *Conn) TrainStatus(ctx context.Context, repoID string, jobID uint64) (core.TrainJobStatus, error) {
+	return c.trainJob(ctx, wire.KindTrainStatus, wire.TrainJobReq{RepoID: repoID, JobID: jobID})
 }
 
 // TrainWait blocks until a training job finishes or ctx expires. If the
 // request deadline lapses server-side first, the job's still-running status
 // is returned without error; callers poll again or extend the deadline.
-func (c *Conn) TrainWait(ctx context.Context, repoID string, jobID uint64) (wire.TrainJobStatus, error) {
-	var resp wire.TrainJobResp
-	if err := c.roundTrip(ctx, device.Network, wire.KindTrainWait, true, wire.TrainJobReq{RepoID: repoID, JobID: jobID}, &resp); err != nil {
-		return wire.TrainJobStatus{}, err
-	}
-	return trainJobResult(resp)
+func (c *Conn) TrainWait(ctx context.Context, repoID string, jobID uint64) (core.TrainJobStatus, error) {
+	return c.trainJob(ctx, wire.KindTrainWait, wire.TrainJobReq{RepoID: repoID, JobID: jobID})
 }
 
 // Update uploads a prepared encrypted update.
 func (c *Conn) Update(ctx context.Context, repoID string, up *core.Update) error {
-	var ack wire.Ack
-	if err := c.roundTrip(ctx, device.Network, wire.KindUpdate, false, wire.UpdateReq{RepoID: repoID, Update: *up}, &ack); err != nil {
-		return err
-	}
-	return ackErr(ack)
+	return c.call(ctx, wire.KindUpdate, wire.UpdateReq{RepoID: repoID, Update: *up}, new(wire.Ack))
 }
 
 // Remove deletes an object from the repository.
 func (c *Conn) Remove(ctx context.Context, repoID, objectID string) error {
-	var ack wire.Ack
-	if err := c.roundTrip(ctx, device.Network, wire.KindRemove, false, wire.RemoveReq{RepoID: repoID, ObjectID: objectID}, &ack); err != nil {
-		return err
-	}
-	return ackErr(ack)
+	return c.call(ctx, wire.KindRemove, wire.RemoveReq{RepoID: repoID, ObjectID: objectID}, new(wire.Ack))
 }
 
 // Search runs a prepared multimodal query and returns ranked hits.
 func (c *Conn) Search(ctx context.Context, repoID string, q *core.Query) ([]core.SearchHit, error) {
 	var resp wire.SearchResp
-	if err := c.roundTrip(ctx, device.Network, wire.KindSearch, true, wire.SearchReq{RepoID: repoID, Query: *q}, &resp); err != nil {
+	if err := c.call(ctx, wire.KindSearch, wire.SearchReq{RepoID: repoID, Query: *q}, &resp); err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, remoteError(resp.Err, resp.Code, resp.RetryAfterNanos)
 	}
 	return resp.Hits, nil
 }
@@ -650,27 +644,10 @@ func (c *Conn) Search(ctx context.Context, repoID string, q *core.Query) ([]core
 // Get fetches one stored ciphertext and its owner.
 func (c *Conn) Get(ctx context.Context, repoID, objectID string) (ciphertext []byte, owner string, err error) {
 	var resp wire.GetResp
-	if err := c.roundTrip(ctx, device.Network, wire.KindGet, true, wire.GetReq{RepoID: repoID, ObjectID: objectID}, &resp); err != nil {
+	if err := c.call(ctx, wire.KindGet, wire.GetReq{RepoID: repoID, ObjectID: objectID}, &resp); err != nil {
 		return nil, "", err
 	}
-	if resp.Err != "" {
-		return nil, "", remoteError(resp.Err, resp.Code, resp.RetryAfterNanos)
-	}
 	return resp.Ciphertext, resp.Owner, nil
-}
-
-func ackErr(ack wire.Ack) error {
-	if ack.Err != "" {
-		return remoteError(ack.Err, ack.Code, ack.RetryAfterNanos)
-	}
-	return nil
-}
-
-func trainJobResult(resp wire.TrainJobResp) (wire.TrainJobStatus, error) {
-	if resp.Err != "" {
-		return wire.TrainJobStatus{}, remoteError(resp.Err, resp.Code, resp.RetryAfterNanos)
-	}
-	return resp.Job, nil
 }
 
 // stampTrace copies the caller's span context, if any, onto an outgoing
@@ -689,28 +666,11 @@ func stampTrace(ctx context.Context, env *wire.Envelope) {
 // produce another trace under the same id.
 func (c *Conn) FetchTrace(ctx context.Context, traceID uint64) (*obs.Trace, error) {
 	var resp wire.TraceResp
-	if err := c.roundTrip(ctx, device.Network, wire.KindTraceGet, true, wire.TraceGetReq{TraceID: traceID}, &resp); err != nil {
+	if err := c.roundTrip(ctx, wire.KindTraceGet, wire.TraceGetReq{TraceID: traceID}, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Err != "" {
 		return nil, &RemoteError{Msg: resp.Err}
 	}
-	tr := &obs.Trace{
-		TraceID:       resp.TraceID,
-		Root:          resp.Root,
-		StartUnixNano: resp.StartUnixNano,
-		DurationNanos: resp.DurationNanos,
-		Reason:        resp.Reason,
-	}
-	for _, s := range resp.Spans {
-		tr.Spans = append(tr.Spans, obs.SpanRecord{
-			SpanID:        s.SpanID,
-			ParentID:      s.ParentID,
-			Name:          s.Name,
-			StartUnixNano: s.StartUnixNano,
-			DurationNanos: s.DurationNanos,
-			Err:           s.Err,
-		})
-	}
-	return tr, nil
+	return &resp.Trace, nil
 }

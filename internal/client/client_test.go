@@ -106,7 +106,7 @@ func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
 }
 
 func TestServerErrorKindSurfaced(t *testing.T) {
-	addr := fakeServer(t, wire.KindError, wire.Ack{Err: "nope"})
+	addr := fakeServer(t, wire.KindError, wire.Ack{Status: wire.Status{Err: "nope"}})
 	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestServerErrorKindSurfaced(t *testing.T) {
 }
 
 func TestAckErrorSurfaced(t *testing.T) {
-	addr := fakeServer(t, wire.KindAck, wire.Ack{Err: "repository not found: x"})
+	addr := fakeServer(t, wire.KindAck, wire.Ack{Status: wire.Status{Err: "repository not found: x"}})
 	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestAckErrorSurfaced(t *testing.T) {
 }
 
 func TestSearchRespError(t *testing.T) {
-	addr := fakeServer(t, wire.KindSearchResp, wire.SearchResp{Err: "boom"})
+	addr := fakeServer(t, wire.KindSearchResp, wire.SearchResp{Status: wire.Status{Err: "boom"}})
 	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestSearchRespError(t *testing.T) {
 }
 
 func TestGetRespError(t *testing.T) {
-	addr := fakeServer(t, wire.KindGetResp, wire.GetResp{Err: "missing"})
+	addr := fakeServer(t, wire.KindGetResp, wire.GetResp{Status: wire.Status{Err: "missing"}})
 	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestDialRefusedByVersion(t *testing.T) {
 		return ln.Addr().String()
 	}
 	refuses := serveRaw(func(conn net.Conn, hello *wire.Envelope) {
-		_ = reply(conn, hello, wire.KindError, wire.Ack{Err: "too new for me", Code: wire.ErrCodeUnsupportedVersion})
+		_ = reply(conn, hello, wire.KindError, wire.Ack{Status: wire.Status{Err: "too new for me", Code: wire.ErrCodeUnsupportedVersion}})
 	})
 	selectsOther := serveRaw(func(conn net.Conn, hello *wire.Envelope) {
 		_ = reply(conn, hello, wire.KindHelloResp, wire.HelloResp{Version: wire.ProtocolVersion + 1})
@@ -374,7 +374,7 @@ func TestPoisonedConnNotReused(t *testing.T) {
 		}
 		// Send all but the last bytes of the reply, then hang up.
 		var frame bytes.Buffer
-		ack, _ := wire.NewEnvelope(wire.KindAck, "", req.ID, 0, wire.Ack{Err: "never fully sent"})
+		ack, _ := wire.NewEnvelope(wire.KindAck, "", req.ID, 0, wire.Ack{Status: wire.Status{Err: "never fully sent"}})
 		_, _ = wire.WriteEnvelope(&frame, ack)
 		_, _ = conn.Write(frame.Bytes()[:frame.Len()-5])
 	})

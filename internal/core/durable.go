@@ -245,10 +245,11 @@ func (d *durability) loadRepo(sp *obs.Span, id string, indexOpts *RepositoryOpti
 
 // openDir populates a durable service from its data directory: every
 // snapshot is restored — or, under LazyActivation, registered cold — and
-// orphaned logs are pruned. Files that fail to load are reported together;
-// valid repositories still come up (partial availability beats none after a
-// crash). A fresh or missing directory yields an empty — but durable —
-// service.
+// orphaned logs are pruned. Files that fail to load are reported together
+// and their stems remembered (Service.unloaded), so no later sweep or create
+// touches them; valid repositories still come up (partial availability beats
+// none after a crash). A fresh or missing directory yields an empty — but
+// durable — service.
 func (s *Service) openDir() (*RecoveryReport, error) {
 	d := s.durable
 	report := &RecoveryReport{}
@@ -262,6 +263,13 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 	_, sp := obs.StartSpan(context.Background(), obs.Default(), "service/recovery")
 	defer sp.End()
 	var loadErrs []error
+	failed := func(stem string, err error) {
+		loadErrs = append(loadErrs, fmt.Errorf("%s.snap: %w", stem, err))
+		if s.unloaded == nil {
+			s.unloaded = make(map[string]bool)
+		}
+		s.unloaded[stem] = true
+	}
 	snapStems := make(map[string]bool)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") {
@@ -271,7 +279,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 		snapStems[stem] = true
 		id, err := repoIDFromStem(stem)
 		if err != nil {
-			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", e.Name(), err))
+			failed(stem, err)
 			continue
 		}
 		if s.lazy {
@@ -286,7 +294,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 		}
 		repo, rec, err := d.loadRepo(sp, id, s.repoOpts)
 		if err != nil {
-			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", e.Name(), err))
+			failed(stem, err)
 			continue
 		}
 		repo.setGovernor(s.gov)
@@ -365,16 +373,21 @@ func SaveService(s *Service, dir string) error {
 	return pruneOrphanFiles(s, dir)
 }
 
-// pruneOrphanFiles removes .snap and .wal files with no hosted repository.
-// It holds the service lock so the scan is atomic against a concurrent
-// durable CreateRepository writing its initial snapshot.
+// pruneOrphanFiles removes .snap and .wal files with no hosted repository —
+// except those of a repository that failed to load, which is not hosted but
+// is no orphan either. It holds the service lock so the scan is atomic
+// against a concurrent durable CreateRepository writing its initial snapshot.
 func pruneOrphanFiles(s *Service, dir string) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keep := make(map[string]bool, 2*len(s.entries))
+	keep := make(map[string]bool, 2*(len(s.entries)+len(s.unloaded)))
 	for id := range s.entries {
 		keep[snapshotFileName(id)] = true
 		keep[walFileName(id)] = true
+	}
+	for stem := range s.unloaded {
+		keep[stem+".snap"] = true
+		keep[stem+".wal"] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -35,6 +35,12 @@ type Service struct {
 	// durable (nil for in-memory services) is the snapshot+WAL persistence
 	// configuration.
 	durable *durability
+	// unloaded holds the file stems of the repositories openDir found but
+	// could not load (written before the service is handed out, read-only
+	// after). Their files are somebody's data: nothing the service does
+	// later — the orphan sweep, a create under the same id — may delete or
+	// overwrite them.
+	unloaded map[string]bool
 	// lazy defers loading discovered repositories until first touch.
 	lazy bool
 	// budget is the resident-bytes cap (0 = unlimited).
@@ -92,6 +98,9 @@ func (s *Service) CreateRepository(id string, opts RepositoryOptions) (*Reposito
 	// Reserve the id first (with the creation latch held), then build the
 	// repository off the catalog lock: a concurrent Acquire of the same id
 	// waits on the latch instead of finding half a repository.
+	if s.unloaded[repoFileStem(id)] {
+		return nil, fmt.Errorf("%w: %s failed to load at start-up and its files are kept", ErrRepoExists, id)
+	}
 	e := &repoEntry{id: id, loading: make(chan struct{})}
 	s.mu.Lock()
 	if _, ok := s.entries[id]; ok {

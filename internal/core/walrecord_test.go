@@ -228,3 +228,85 @@ func TestBadWALRecordKeepsRepositoryDown(t *testing.T) {
 		})
 	}
 }
+
+// TestUnloadedRepositoryFilesSurviveRestarts: a repository that failed to
+// load is not an orphan. Two restarts over a directory holding one healthy
+// repository and one whose log carries a CRC-valid record that is not a
+// mutation, each ending in the SaveService a graceful shutdown runs, leave
+// the broken repository's snapshot and log byte for byte as found — so
+// whoever repairs the record still has something to repair — refuse to
+// create over them, and keep serving the healthy repository.
+func TestUnloadedRepositoryFilesSurviveRestarts(t *testing.T) {
+	c := testClient(t)
+	muts := crashMutations(t, c)
+	dir := t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"healthy", "broken"} {
+		repo, err := svc.CreateRepository(id, RepositoryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range muts[:2] {
+			if err := repo.Update(m.up); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(filepath.Join(dir, walFileName("broken")), wal.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte{0x90, 1, 'x'}); err != nil { // no such record kind
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string][]byte{}
+	for _, name := range []string{snapshotFileName("broken"), walFileName("broken")} {
+		if kept[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for restart := 1; restart <= 2; restart++ {
+		svc, _, err := OpenService(ServiceOptions{Dir: dir})
+		if !errors.Is(err, ErrBadWALRecord) || svc == nil {
+			t.Fatalf("restart %d: open = %v, %v; want a service and ErrBadWALRecord", restart, svc, err)
+		}
+		if _, err := svc.CreateRepository("broken", RepositoryOptions{}); !errors.Is(err, ErrRepoExists) {
+			t.Errorf("restart %d: create over the unloaded repository: err = %v, want ErrRepoExists", restart, err)
+		}
+		repo, err := svc.Repository("healthy")
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		if _, _, err := repo.Get(muts[0].id); err != nil {
+			t.Errorf("restart %d: healthy repository lost %s: %v", restart, muts[0].id, err)
+		}
+		if err := repo.Update(muts[2+restart].up); err != nil {
+			t.Errorf("restart %d: healthy repository refuses writes: %v", restart, err)
+		}
+		if err := SaveService(svc, dir); err != nil {
+			t.Fatalf("restart %d: save: %v", restart, err)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range kept {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatalf("restart %d: %v", restart, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("restart %d: %s changed (%d bytes became %d)", restart, name, len(want), len(got))
+			}
+		}
+	}
+}

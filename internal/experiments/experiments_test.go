@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mie/internal/dataset"
 	"mie/internal/device"
 )
 
@@ -103,6 +104,45 @@ func TestSearchExperimentShape(t *testing.T) {
 	WriteSearchReport(&buf, rows)
 	if !strings.Contains(buf.String(), "Hom-MSSE") {
 		t.Error("report missing Hom-MSSE")
+	}
+}
+
+// The figures' Network bar is bytes plus one RTT per charged round trip, so
+// every scheme adapter must charge a search the trips its protocol makes:
+// MIE sends the query and gets the hits back in one, the MSSE baselines
+// fetch counters first and search second (msse.TestMeterChargesEveryRoundTrip
+// holds their links to the bytes).
+func TestSearchChargesTheRoundTripsItMakes(t *testing.T) {
+	cfg := Quick()
+	corpus := dataset.Flickr(dataset.FlickrParams{N: 12, ImageSize: cfg.ImageSize, Seed: cfg.Seed})
+	for name, want := range map[string]int{SchemeMIE: 1, SchemeMSSE: 2, SchemeHomMSSE: 2} {
+		build, err := newScheme(name, cfg, nil, "trips-"+name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range corpus {
+			if err := build.add(obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := build.train(); err != nil {
+			t.Fatal(err)
+		}
+		meter := device.NewMeter(device.Desktop)
+		user, err := build.queryClient(meter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := user.search(corpus[0], cfg.K)
+		if err != nil || len(ids) == 0 {
+			t.Fatalf("%s: search = %v, %v", name, ids, err)
+		}
+		if got := meter.RoundTrips(device.Network); got != want {
+			t.Errorf("%s: one search charged %d round trips, want %d", name, got, want)
+		}
+		if up, down := meter.Bytes(device.Network); up <= 0 || down <= 0 {
+			t.Errorf("%s: one search moved %d bytes up, %d down", name, up, down)
+		}
 	}
 }
 

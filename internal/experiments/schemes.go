@@ -136,9 +136,9 @@ func (m *mieStack) search(query *core.Object, k int) ([]string, error) {
 		down += int64(len(h.Ciphertext))
 	}
 	if m.meter != nil {
-		m.meter.AddTransfer(device.Network, int64(len(q.AppendTo(nil))), 0)
+		// One round trip, as the protocol makes: the query up, the hits down.
+		m.meter.AddTransfer(device.Network, int64(len(q.AppendTo(nil))), down)
 		m.meter.AddServerTime(device.Network, time.Since(start))
-		m.meter.AddTransfer(device.Network, 0, down)
 	}
 	return ids, nil
 }

@@ -26,15 +26,15 @@ func NewForwarder(addr string) *Forwarder {
 }
 
 // Forward relays env to the leader and returns the leader's raw response
-// envelope. Only training status/wait polls are retried on transport
-// errors; mutations surface the error so the origin client decides.
+// envelope. Of what a follower forwards, only the training status/wait
+// polls are idempotent and so retried on transport errors (client.Forward);
+// mutations surface the error so the origin client decides.
 func (f *Forwarder) Forward(ctx context.Context, env *wire.Envelope) (*wire.Envelope, error) {
 	c, err := f.get()
 	if err != nil {
 		return nil, err
 	}
-	idempotent := env.Kind == wire.KindTrainStatus || env.Kind == wire.KindTrainWait
-	return c.Forward(ctx, env, idempotent)
+	return c.Forward(ctx, env)
 }
 
 func (f *Forwarder) get() (*client.Conn, error) {

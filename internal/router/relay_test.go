@@ -272,7 +272,7 @@ func TestForwardLosesNoHeaderField(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := conn.Forward(ctx, sent, false); err != nil {
+	if _, err := conn.Forward(ctx, sent); err != nil {
 		t.Fatal(err)
 	}
 	got := reflect.ValueOf(backend.last(t)).Elem()

@@ -265,7 +265,7 @@ func (cs *connState) write(env *wire.Envelope) error {
 }
 
 func (cs *connState) writeError(id uint64, msg string) error {
-	env, err := wire.NewEnvelope(wire.KindError, "", id, 0, wire.Ack{Err: msg})
+	env, err := wire.NewEnvelope(wire.KindError, "", id, 0, wire.Ack{Status: wire.Status{Err: msg}})
 	if err != nil {
 		return err
 	}
@@ -339,19 +339,6 @@ func (r *Router) serveConn(conn net.Conn) {
 	}
 }
 
-// mutates reports whether a request kind must be answered by the leader:
-// everything that writes state or touches the leader-resident training job
-// table. Mirrors the follower-side forwarding set.
-func mutates(kind string) bool {
-	switch kind {
-	case wire.KindCreateRepo, wire.KindTrain, wire.KindTrainStart,
-		wire.KindTrainStatus, wire.KindTrainWait, wire.KindUpdate,
-		wire.KindRemove:
-		return true
-	}
-	return false
-}
-
 // readTargets returns the candidate backends for a read, in preference
 // order: the repository's ring walk when the request names one (peeked from
 // the head of the body), otherwise just the leader.
@@ -369,8 +356,10 @@ func (r *Router) readTargets(env *wire.Envelope) []*backend {
 }
 
 // relay routes one request to its node and writes the node's response back
-// under the origin ID. Reads fail over along the ring: a transport error
-// marks the backend unhealthy and the next eligible candidate is tried.
+// under the origin ID: the leader for the kinds wire's table marks
+// leader-only, the ring for the rest. Reads fail over along the ring: a
+// transport error marks the backend unhealthy and the next eligible
+// candidate is tried.
 func (r *Router) relay(cs *connState, env *wire.Envelope) {
 	r.routedC.Inc()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -382,18 +371,17 @@ func (r *Router) relay(cs *connState, env *wire.Envelope) {
 	cs.track(env.ID, cancel)
 	defer cs.untrack(env.ID)
 
-	if mutates(env.Kind) {
-		idempotent := env.Kind == wire.KindTrainStatus || env.Kind == wire.KindTrainWait
-		r.relayTo(ctx, cs, env, []*backend{r.leader}, idempotent)
-		return
+	candidates := []*backend{r.leader}
+	if !wire.LeaderOnly(env.Kind) {
+		candidates = r.readTargets(env)
 	}
-	r.relayTo(ctx, cs, env, r.readTargets(env), true)
+	r.relayTo(ctx, cs, env, candidates)
 }
 
 // relayTo tries candidates in order, preferring eligible ones, and relays
 // the first response. Ineligible backends are still tried as a last resort:
 // a stale health bit must not turn a servable request into an error.
-func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope, candidates []*backend, idempotent bool) {
+func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope, candidates []*backend) {
 	ordered := make([]*backend, 0, len(candidates))
 	for _, b := range candidates {
 		if b.eligible() {
@@ -410,7 +398,7 @@ func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope,
 		if i > 0 {
 			r.failoverC.Inc()
 		}
-		resp, err := r.forward(ctx, b, env, idempotent)
+		resp, err := r.forward(ctx, b, env)
 		if err == nil {
 			out := *resp
 			out.ID = env.ID
@@ -421,7 +409,7 @@ func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope,
 		}
 		lastErr = err
 		b.healthy.Store(false)
-		if !idempotent {
+		if !wire.Idempotent(env.Kind) {
 			break // a mutation may have executed; never blind-retry
 		}
 	}
@@ -438,12 +426,12 @@ func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope,
 // forward sends env to one backend over its pooled connection, dialing it
 // lazily on first use. The caller's ctx carries both the request deadline
 // and Cancel-frame cancellation.
-func (r *Router) forward(ctx context.Context, b *backend, env *wire.Envelope, idempotent bool) (*wire.Envelope, error) {
+func (r *Router) forward(ctx context.Context, b *backend, env *wire.Envelope) (*wire.Envelope, error) {
 	conn, err := r.backendConn(b)
 	if err != nil {
 		return nil, err
 	}
-	return conn.Forward(ctx, env, idempotent)
+	return conn.Forward(ctx, env)
 }
 
 func (r *Router) backendConn(b *backend) (*client.Conn, error) {

@@ -14,6 +14,7 @@ import (
 	"mie/internal/core"
 	"mie/internal/crypto"
 	"mie/internal/leakcheck"
+	"mie/internal/wire"
 )
 
 func TestAdmissionRejectsOverInflightQuota(t *testing.T) {
@@ -40,17 +41,11 @@ func TestAdmissionRejectsOverInflightQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ack-carrying kind.
+	// Whatever its reply frame, every kind bounces, typed.
+	failEveryKind(t, srv, func(string) string { return "adm" }, wire.ErrCodeOverQuota)
 	err = conn.Remove(testCtx, "adm", "whatever")
 	if !errors.Is(err, core.ErrOverQuota) {
 		t.Fatalf("remove while saturated: err = %v, want ErrOverQuota", err)
-	}
-	// Search and Get responses carry the code through their own frames.
-	if _, _, err := conn.Get(testCtx, "adm", "x"); !errors.Is(err, core.ErrOverQuota) {
-		t.Errorf("get while saturated: err = %v, want ErrOverQuota", err)
-	}
-	if _, err := conn.TrainStart(testCtx, "adm"); !errors.Is(err, core.ErrOverQuota) {
-		t.Errorf("train-start while saturated: err = %v, want ErrOverQuota", err)
 	}
 
 	// The rejection carries the in-flight retry hint over the wire.

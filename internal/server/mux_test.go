@@ -64,7 +64,7 @@ func TestAsyncTrainJobOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != string(core.TrainDone) || final.Epoch != 1 {
+	if final.State != core.TrainDone || final.Epoch != 1 {
 		t.Fatalf("final status = %+v", final)
 	}
 	// The trained index serves queries.
@@ -112,7 +112,7 @@ func TestTrainWaitDeadlineReportsRunning(t *testing.T) {
 	defer cancel()
 	st, err := conn.TrainWait(ctx, "waitdl", job.JobID)
 	if err == nil {
-		if st.State != string(core.TrainRunning) {
+		if st.State != core.TrainRunning {
 			t.Errorf("state = %q, want running", st.State)
 		}
 	} else if !errors.Is(err, context.DeadlineExceeded) {
@@ -170,7 +170,7 @@ func TestExpiredSearchReturnsPromptlyDuringTrain(t *testing.T) {
 		t.Fatal("search during train job found nothing")
 	}
 	close(release)
-	if st, err := conn.TrainWait(testCtx, "busy", job.JobID); err != nil || st.State != string(core.TrainDone) {
+	if st, err := conn.TrainWait(testCtx, "busy", job.JobID); err != nil || st.State != core.TrainDone {
 		t.Fatalf("train job completion: %+v, %v", st, err)
 	}
 }

@@ -49,43 +49,16 @@ func TestAuthorizerDeniesEveryKind(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	})
-	conn := dial(t, srv, nil)
-	cc := newCoreClient(t, nil)
-
-	if err := conn.CreateRepository(testCtx, "locked", smallOpts()); err == nil || !strings.Contains(err.Error(), "denied") {
-		t.Errorf("create-repo deny: err = %v", err)
-	}
-	if err := conn.Train(testCtx, "locked"); err == nil || !strings.Contains(err.Error(), "denied") {
-		t.Errorf("train deny: err = %v", err)
-	}
-	up, err := cc.PrepareUpdate(&core.Object{ID: "o", Owner: "eve", Text: "secret"}, dataKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Update(testCtx, "locked", up); err == nil || !strings.Contains(err.Error(), "denied") {
-		t.Errorf("update deny: err = %v", err)
-	}
-	if err := conn.Remove(testCtx, "locked", "o"); err == nil || !strings.Contains(err.Error(), "denied") {
-		t.Errorf("remove deny: err = %v", err)
-	}
-	q, err := cc.PrepareQuery(&core.Object{ID: "q", Text: "secret"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Search(testCtx, "locked", q); err == nil || !strings.Contains(err.Error(), "denied") {
-		t.Errorf("search deny: err = %v", err)
-	}
-	if _, _, err := conn.Get(testCtx, "locked", "o"); err == nil || !strings.Contains(err.Error(), "denied") {
-		t.Errorf("get deny: err = %v", err)
-	}
-
-	if got := reg.Counter("server_authz_denials_total").Value(); got != 6 {
-		t.Errorf("authz denials = %d, want 6", got)
-	}
-	for _, kind := range []string{wire.KindCreateRepo, wire.KindTrain, wire.KindUpdate, wire.KindRemove, wire.KindSearch, wire.KindGet} {
+	for kind, st := range failEveryKind(t, srv, func(string) string { return "locked" }, wire.ErrCodeUnspecified) {
+		if !strings.Contains(st.Err, "denied") {
+			t.Errorf("%s deny: err = %q", kind, st.Err)
+		}
 		if got := reg.Counter(obs.L("server_request_errors_total", "kind", kind)).Value(); got != 1 {
 			t.Errorf("error counter for %s = %d, want 1", kind, got)
 		}
+	}
+	if got := reg.Counter("server_authz_denials_total").Value(); got != int64(len(handlers)) {
+		t.Errorf("authz denials = %d, want %d", got, len(handlers))
 	}
 }
 

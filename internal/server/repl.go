@@ -32,16 +32,10 @@ type Forwarder interface {
 }
 
 // NodeStatus is what a node reports about its replication role in the
-// HelloResp handshake; the router's health probe keys failover on it.
-type NodeStatus struct {
-	// Role is "leader", "follower" or empty (replication not enabled).
-	Role string
-	// CaughtUp reports a follower connected to its leader with nothing
-	// received but unapplied.
-	CaughtUp bool
-	// Lag is the follower's last observed replication lag in nanoseconds.
-	LagNanos int64
-}
+// handshake — wire.HelloResp itself, whose Version wire.AnswerHello stamps
+// whatever the callback left there; the router's health probe keys failover
+// on Role, CaughtUp and LagNanos.
+type NodeStatus = wire.HelloResp
 
 // WithReplication makes the server a replication leader: repl-subscribe
 // requests stream records from src and repl-ack frames feed its cursor
@@ -50,9 +44,9 @@ func WithReplication(src ReplicationSource) Option {
 	return func(s *Server) { s.repl = src }
 }
 
-// WithForwarder makes the server a follower for mutations: every mutating
-// or training request is relayed through f to the leader and the leader's
-// response relayed back; reads keep being served locally.
+// WithForwarder makes the server a follower for mutations: every request
+// wire's kind table marks leader-only is relayed through f to the leader and
+// the leader's response relayed back; reads keep being served locally.
 func WithForwarder(f Forwarder) Option {
 	return func(s *Server) { s.forward = f }
 }
@@ -63,20 +57,6 @@ func WithNodeStatus(fn func() NodeStatus) Option {
 	return func(s *Server) { s.nodeStatus = fn }
 }
 
-// forwarded reports whether a request kind must be answered by the leader:
-// everything that mutates state or touches the leader-resident training job
-// table. Reads (Search/Get/TraceGet) stay local — serving them from
-// follower replicas is the point of read scale-out.
-func forwarded(kind string) bool {
-	switch kind {
-	case wire.KindCreateRepo, wire.KindTrain, wire.KindTrainStart,
-		wire.KindTrainStatus, wire.KindTrainWait, wire.KindUpdate,
-		wire.KindRemove:
-		return true
-	}
-	return false
-}
-
 // forwardRequest relays one request envelope to the leader and the leader's
 // response back to the origin client, preserving the request's Auth (the
 // leader authorizes the origin caller, not this node).
@@ -84,13 +64,9 @@ func (s *Server) forwardRequest(ctx context.Context, cs *connState, env *wire.En
 	resp, err := s.forward.Forward(ctx, env)
 	if err != nil {
 		s.countOpError(env.Kind, err)
-		n, werr := cs.write(env.ID, wire.KindError, wire.Ack{Err: "forward to leader: " + err.Error()})
-		s.met.txBytes.Add(int64(n))
-		return werr
+		return s.send(nil, cs, env.ID, wire.KindError, wire.Ack{Status: wire.Status{Err: "forward to leader: " + err.Error()}})
 	}
-	n, werr := cs.writeEnv(env.ID, resp)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	return s.sendEnv(cs, env.ID, resp)
 }
 
 // handleReplSubscribe runs one replication stream on its handler goroutine:
@@ -106,9 +82,7 @@ func (s *Server) handleReplSubscribe(ctx context.Context, cs *connState, env *wi
 	}
 	if err == nil {
 		err = s.repl.Subscribe(ctx, req, func(batch *wire.ReplRecords) error {
-			n, werr := cs.write(env.ID, wire.KindReplRecords, batch)
-			s.met.txBytes.Add(int64(n))
-			return werr
+			return s.send(nil, cs, env.ID, wire.KindReplRecords, batch)
 		})
 	}
 	if err == nil || ctx.Err() != nil || s.isClosed() {
@@ -116,24 +90,9 @@ func (s *Server) handleReplSubscribe(ctx context.Context, cs *connState, env *wi
 	}
 	s.countOpError(env.Kind, err)
 	code, _ := wire.ErrCode(err)
-	n, werr := cs.write(env.ID, wire.KindReplRecords, &wire.ReplRecords{
+	return s.send(nil, cs, env.ID, wire.KindReplRecords, &wire.ReplRecords{
 		Err:    err.Error(),
 		Code:   code,
 		RepoID: req.RepoID,
 	})
-	s.met.txBytes.Add(int64(n))
-	return werr
-}
-
-// helloResp builds this node's half of the handshake response: its
-// replication status, when configured (wire.AnswerHello adds the version).
-func (s *Server) helloResp() wire.HelloResp {
-	var hr wire.HelloResp
-	if s.nodeStatus != nil {
-		st := s.nodeStatus()
-		hr.Role = st.Role
-		hr.CaughtUp = st.CaughtUp
-		hr.LagNanos = st.LagNanos
-	}
-	return hr
 }

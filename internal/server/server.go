@@ -83,6 +83,38 @@ type serverMetrics struct {
 	readErrors   *obs.Counter
 	cancelFrames *obs.Counter
 	cancelHits   *obs.Counter
+	authzDenials *obs.Counter
+	// kinds holds the per-kind handles of every kind in handlers and of
+	// trace-get, resolved once; see kindMetrics for the rest.
+	kinds map[string]*kindMetrics
+}
+
+// kindMetrics is one request kind's share of the instruments: what handle
+// touches on every request of that kind, and the name of its root span.
+type kindMetrics struct {
+	requests *obs.Counter
+	inflight *obs.Gauge
+	seconds  *obs.Histogram
+	span     string
+}
+
+func (s *Server) newKindMetrics(kind string) *kindMetrics {
+	return &kindMetrics{
+		requests: s.reg.Counter(obs.L("server_requests_total", "kind", kind)),
+		inflight: s.reg.Gauge(obs.L("server_inflight_requests", "kind", kind)),
+		seconds:  s.reg.Histogram(obs.L("server_request_seconds", "kind", kind)),
+		span:     "rpc/" + kind,
+	}
+}
+
+// kindMetrics returns a kind's handles. The kinds a server runs were
+// resolved at start-up; anything else (a replication stream, a kind this
+// server does not serve) is rare enough to look up as it comes.
+func (s *Server) kindMetrics(kind string) *kindMetrics {
+	if km := s.met.kinds[kind]; km != nil {
+		return km
+	}
+	return s.newKindMetrics(kind)
 }
 
 // Server hosts a core.Service on a TCP listener.
@@ -153,6 +185,11 @@ func (s *Server) initMetrics() {
 		readErrors:   s.reg.Counter("server_read_errors_total"),
 		cancelFrames: s.reg.Counter("server_cancel_frames_total"),
 		cancelHits:   s.reg.Counter("server_cancel_hits_total"),
+		authzDenials: s.reg.Counter("server_authz_denials_total"),
+		kinds:        map[string]*kindMetrics{wire.KindTraceGet: s.newKindMetrics(wire.KindTraceGet)},
+	}
+	for kind := range handlers {
+		s.met.kinds[kind] = s.newKindMetrics(kind)
 	}
 }
 
@@ -243,31 +280,6 @@ type connState struct {
 	handlers sync.WaitGroup
 }
 
-// write sends one response frame, echoing the request id, under the
-// connection's write lock. Returns bytes written.
-func (cs *connState) write(id uint64, kind string, payload interface{}) (int, error) {
-	env, err := wire.NewEnvelope(kind, "", id, 0, payload)
-	if err != nil {
-		return 0, err
-	}
-	cs.wmu.Lock()
-	defer cs.wmu.Unlock()
-	return wire.WriteEnvelope(cs.conn, env)
-}
-
-// writeEnv relays a response envelope produced elsewhere (the leader, via a
-// Forwarder; the hello answer) under the connection's write lock: copied by
-// value, re-stamped with the origin request's id, its body bytes untouched.
-// The hop-internal Auth never leaks back to the client.
-func (cs *connState) writeEnv(id uint64, env *wire.Envelope) (int, error) {
-	out := *env
-	out.ID = id
-	out.Auth = ""
-	cs.wmu.Lock()
-	defer cs.wmu.Unlock()
-	return wire.WriteEnvelope(cs.conn, &out)
-}
-
 // register installs a cancel function for an in-flight request id.
 func (cs *connState) register(id uint64, cancel context.CancelFunc) {
 	cs.mu.Lock()
@@ -346,11 +358,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Version negotiation: a peer that cannot speak this protocol
 			// gets a typed refusal, counted like any failed request.
 			s.reg.Counter(obs.L("server_requests_total", "kind", env.Kind)).Inc()
-			reply, refused := wire.AnswerHello(env, s.helloResp())
+			var status NodeStatus
+			if s.nodeStatus != nil {
+				status = s.nodeStatus()
+			}
+			reply, refused := wire.AnswerHello(env, status)
 			s.countOpError(env.Kind, refused)
-			wn, werr := cs.writeEnv(env.ID, reply)
-			s.met.txBytes.Add(int64(wn))
-			if werr != nil {
+			if werr := s.sendEnv(cs, env.ID, reply); werr != nil {
 				clog.Info("hello reply failed", "err", werr)
 				return
 			}
@@ -401,19 +415,19 @@ func (s *Server) serveConn(conn net.Conn) {
 // kept — when the reply is written.
 func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) error {
 	kind := env.Kind
-	s.reg.Counter(obs.L("server_requests_total", "kind", kind)).Inc()
+	km := s.kindMetrics(kind)
+	km.requests.Inc()
 	s.met.inflight.Add(1)
-	kindInflight := s.reg.Gauge(obs.L("server_inflight_requests", "kind", kind))
-	kindInflight.Add(1)
+	km.inflight.Add(1)
 	defer func() {
 		s.met.inflight.Add(-1)
-		kindInflight.Add(-1)
+		km.inflight.Add(-1)
 	}()
 
 	ctx := cs.ctx
 	var cancel context.CancelFunc
-	if d, ok := env.Timeout(); ok {
-		ctx, cancel = context.WithTimeout(ctx, d)
+	if env.TimeoutNanos > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(env.TimeoutNanos))
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
@@ -428,10 +442,8 @@ func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) erro
 	ctx, at := s.tracer.Join(ctx, env.TraceID, env.SpanID, env.TraceSampled)
 	defer at.Finish()
 
-	ctx, sp := obs.StartSpan(ctx, s.reg, "rpc/"+kind)
-	defer func() {
-		s.reg.Histogram(obs.L("server_request_seconds", "kind", kind)).Observe(sp.End().Seconds())
-	}()
+	ctx, sp := obs.StartSpan(ctx, s.reg, km.span)
+	defer func() { km.seconds.Observe(sp.End().Seconds()) }()
 	if lg.Enabled(ctx, slog.LevelDebug) {
 		lg.Debug("request", "id", env.ID, "kind", kind)
 	}
@@ -444,8 +456,16 @@ func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) erro
 	// A follower answers mutations and training by relaying them to the
 	// leader — before local admission, which the leader applies itself
 	// against the forwarded bearer token.
-	if s.forward != nil && forwarded(kind) {
+	if s.forward != nil && wire.LeaderOnly(kind) {
 		return s.forwardRequest(ctx, cs, env)
+	}
+	h, served := handlers[kind]
+	switch {
+	case kind == wire.KindTraceGet:
+		return s.handleTraceGet(sp, cs, env)
+	case !served:
+		s.countOpError(kind, errors.New("unknown kind"))
+		return s.send(sp, cs, env.ID, wire.KindError, wire.Ack{Status: wire.Status{Err: "unknown kind: " + kind}})
 	}
 
 	// Per-tenant admission: repository-scoped requests count against the
@@ -454,257 +474,161 @@ func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) erro
 	// is a normal typed response (ErrCodeOverQuota + retry-after), not a
 	// dropped connection — the client backs off and retries.
 	//
-	// The slot covers engine work only: every case below calls release()
-	// before it writes its reply, because a sequential caller sends its next
-	// request the moment it reads the response, and a slot still held across
-	// the write would reject that caller on its own finished request. The
-	// deferred call covers panics and is a no-op otherwise (release is
-	// idempotent).
+	// The slot covers engine work only: release() runs before the reply is
+	// written, because a sequential caller sends its next request the moment
+	// it reads the response, and a slot still held across the write would
+	// reject that caller on its own finished request. The deferred call
+	// covers panics and is a no-op otherwise (release is idempotent).
+	resp := h.newResp()
 	release := func() {}
-	if gov := s.svc.Tenants(); gov != nil && repoScoped(kind) {
+	if gov := s.svc.Tenants(); gov != nil {
 		var aerr error
 		if release, aerr = gov.Admit(principal(env.Auth)); aerr != nil {
-			return s.writeKindError(sp, kind, cs, env.ID, aerr)
+			return s.reply(sp, cs, env, resp, aerr)
 		}
 		defer release()
 	}
 
-	switch kind {
-	case wire.KindCreateRepo:
-		var req wire.CreateRepoReq
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err == nil {
-			sp.Time("engine", func() {
-				_, err = s.svc.CreateRepository(req.RepoID, req.Opts.ToCore())
-			})
-		}
-		release()
-		return s.writeAck(sp, kind, cs, env.ID, err)
-
-	case wire.KindTrain:
-		// Blocking semantics on top of the async job table: start (or
-		// join) a job, then wait for it under the request context.
-		var req wire.TrainReq
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		if err == nil {
-			ectx, esp := sp.ChildContext(ctx, "engine")
-			var repo *core.Repository
-			var done func()
-			if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-				var st core.TrainJobStatus
-				if st, err = repo.TrainWait(ectx, repo.TrainStart()); err == nil && st.State == core.TrainFailed {
-					err = errors.New(st.Err)
-				}
-				done()
-			}
-			esp.End()
-		}
-		release()
-		return s.writeAck(sp, kind, cs, env.ID, err)
-
-	case wire.KindTrainStart:
-		var req wire.TrainReq
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		var st core.TrainJobStatus
-		if err == nil {
-			sp.Time("engine", func() {
-				var repo *core.Repository
-				var done func()
-				if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-					st, err = repo.TrainJob(repo.TrainStart())
-					done()
-				}
-			})
-		}
-		release()
-		return s.writeTrainJobResp(sp, kind, cs, env.ID, st, err)
-
-	case wire.KindTrainStatus, wire.KindTrainWait:
-		var req wire.TrainJobReq
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		var st core.TrainJobStatus
-		if err == nil {
-			ectx, esp := sp.ChildContext(ctx, "engine")
-			var repo *core.Repository
-			var done func()
-			if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-				if kind == wire.KindTrainStatus {
-					st, err = repo.TrainJob(req.JobID)
-				} else {
-					st, err = repo.TrainWait(ectx, req.JobID)
-					if err != nil && !errors.Is(err, core.ErrUnknownJob) && st.JobID != 0 {
-						// Deadline expired while the job still runs: not a
-						// request failure — report the running status and
-						// let the client decide whether to keep waiting.
-						err = nil
-					}
-				}
-				done()
-			}
-			esp.End()
-		}
-		release()
-		return s.writeTrainJobResp(sp, kind, cs, env.ID, st, err)
-
-	case wire.KindUpdate:
-		var req wire.UpdateReq
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err == nil {
-			ectx, esp := sp.ChildContext(ctx, "engine")
-			var repo *core.Repository
-			var done func()
-			if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-				err = repo.UpdateContext(ectx, &req.Update)
-				done()
-			}
-			esp.End()
-		}
-		release()
-		return s.writeAck(sp, kind, cs, env.ID, err)
-
-	case wire.KindRemove:
-		var req wire.RemoveReq
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err == nil {
-			ectx, esp := sp.ChildContext(ctx, "engine")
-			var repo *core.Repository
-			var done func()
-			if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-				err = repo.RemoveContext(ectx, req.ObjectID)
-				done()
-			}
-			esp.End()
-		}
-		release()
-		return s.writeAck(sp, kind, cs, env.ID, err)
-
-	case wire.KindSearch:
-		var req wire.SearchReq
-		var hits []core.SearchHit
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		if err == nil {
-			// An already-expired deadline (or a Cancel frame that won the
-			// race) returns promptly without touching the engine — the
-			// "no RPC blocked behind training" guarantee.
-			err = ctx.Err()
-		}
-		if err == nil {
-			ectx, esp := sp.ChildContext(ctx, "engine")
-			var repo *core.Repository
-			var done func()
-			if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-				hits, err = repo.SearchContext(ectx, &req.Query)
-				done()
-			}
-			esp.End()
-			if err == nil && ctx.Err() != nil {
-				// Canceled while the engine ran: the caller is gone; suppress
-				// the result so the (dropped) reply carries no hits.
-				hits, err = nil, ctx.Err()
-			}
-		}
-		release()
-		return s.writeSearchResp(sp, kind, cs, env.ID, hits, err)
-
-	case wire.KindGet:
-		var req wire.GetReq
-		var ct []byte
-		var owner string
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err == nil {
-			ectx, esp := sp.ChildContext(ctx, "engine")
-			var repo *core.Repository
-			var done func()
-			if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-				ct, owner, err = repo.GetContext(ectx, req.ObjectID)
-				done()
-			}
-			esp.End()
-		}
-		release()
-		return s.writeGetResp(sp, kind, cs, env.ID, ct, owner, err)
-
-	case wire.KindTraceGet:
-		// Hand the client the server-side half of its own trace. Trace ids
-		// are 64-bit capabilities drawn from crypto-seeded randomness; the
-		// ring only holds kept traces, so this reveals nothing a client
-		// could not already observe about its own requests.
-		var req wire.TraceGetReq
-		err := s.decode(sp, env, &req)
-		resp := wire.TraceResp{}
-		if err == nil {
-			if tr, ok := s.tracer.Get(req.TraceID); ok {
-				resp.TraceID = tr.TraceID
-				resp.Root = tr.Root
-				resp.StartUnixNano = tr.StartUnixNano
-				resp.DurationNanos = tr.DurationNanos
-				resp.Reason = tr.Reason
-				for _, rec := range tr.Spans {
-					resp.Spans = append(resp.Spans, wire.TraceSpan{
-						SpanID:        rec.SpanID,
-						ParentID:      rec.ParentID,
-						Name:          rec.Name,
-						StartUnixNano: rec.StartUnixNano,
-						DurationNanos: rec.DurationNanos,
-						Err:           rec.Err,
-					})
-				}
-			} else {
-				resp.Err = "trace not found (not kept or evicted)"
-			}
-		} else {
-			resp.Err = err.Error()
-		}
-		rsp := sp.Child("reply")
-		n, werr := cs.write(env.ID, wire.KindTraceResp, resp)
-		s.met.txBytes.Add(int64(n))
-		rsp.End()
-		return werr
-
-	default:
-		s.countOpError(kind, errors.New("unknown kind"))
-		rsp := sp.Child("reply")
-		n, err := cs.write(env.ID, wire.KindError, wire.Ack{Err: "unknown kind: " + kind})
-		s.met.txBytes.Add(int64(n))
-		rsp.End()
-		return err
+	req := h.newReq()
+	repoID := env.RepoID()
+	err := s.decode(sp, env, req)
+	if err == nil {
+		err = s.authorized(sp, repoID, env.Auth)
 	}
+	if err == nil {
+		// An already-expired deadline (or a Cancel frame that won the race)
+		// returns promptly without touching the engine — the "no RPC blocked
+		// behind training" guarantee, and no training job started for a
+		// caller that has already given up.
+		err = ctx.Err()
+	}
+	if err == nil {
+		ectx, esp := sp.ChildContext(ctx, "engine")
+		err = h.run(ectx, s.svc, repoID, req, resp)
+		esp.End()
+	}
+	release()
+	return s.reply(sp, cs, env, resp, err)
+}
+
+// response is a reply payload that opens with a wire.Status.
+type response interface{ FromError(error) }
+
+// handler is the server's row for one repository-scoped request kind, beside
+// wire's: how to make the payloads and what the engine does with them.
+// Everything else about serving the kind — admission, the phase spans, the
+// expired-on-arrival check, the reply frame — is handle's one pipeline.
+type handler struct {
+	newReq  func() any
+	newResp func() response
+	// run does the engine work of a decoded, authorized request, leaving
+	// its result in resp; the error it returns is stamped on resp for it.
+	run func(ctx context.Context, svc *core.Service, repoID string, req any, resp response) error
+}
+
+// responsePtr constrains PR to the pointer to a response type R, so a
+// handler can make fresh Rs.
+type responsePtr[R any] interface {
+	*R
+	response
+}
+
+// on builds a handler from its typed run function.
+func on[Q, R any, PR responsePtr[R]](run func(ctx context.Context, svc *core.Service, repoID string, req *Q, resp PR) error) handler {
+	return handler{
+		newReq:  func() any { return new(Q) },
+		newResp: func() response { return PR(new(R)) },
+		run: func(ctx context.Context, svc *core.Service, repoID string, req any, resp response) error {
+			return run(ctx, svc, repoID, req.(*Q), resp.(PR))
+		},
+	}
+}
+
+// onRepo builds the handler of a kind that acts on an existing repository,
+// pinned (and activated, if cold) for the span of the run.
+func onRepo[Q, R any, PR responsePtr[R]](run func(ctx context.Context, repo *core.Repository, req *Q, resp PR) error) handler {
+	return on(func(ctx context.Context, svc *core.Service, repoID string, req *Q, resp PR) error {
+		repo, done, err := svc.Acquire(repoID)
+		if err != nil {
+			return err
+		}
+		defer done()
+		return run(ctx, repo, req, resp)
+	})
+}
+
+// handlers holds the nine repository-scoped kinds — the paper's five
+// operations, the read, and the training-job handles. Hello, Cancel and the
+// replication kinds never reach it; TraceGet is a diagnostics read outside
+// any repository and outside tenant quotas.
+var handlers = map[string]handler{
+	wire.KindCreateRepo: on(func(_ context.Context, svc *core.Service, _ string, req *wire.CreateRepoReq, _ *wire.Ack) error {
+		_, err := svc.CreateRepository(req.RepoID, req.Opts.ToCore())
+		return err
+	}),
+	// Blocking semantics on top of the async job table: start (or join) a
+	// job, then wait for it under the request context.
+	wire.KindTrain: onRepo(func(ctx context.Context, repo *core.Repository, _ *wire.TrainReq, _ *wire.Ack) error {
+		st, err := repo.TrainWait(ctx, repo.TrainStart())
+		if err == nil && st.State == core.TrainFailed {
+			err = errors.New(st.Err)
+		}
+		return err
+	}),
+	wire.KindTrainStart: onRepo(func(_ context.Context, repo *core.Repository, _ *wire.TrainReq, resp *wire.TrainJobResp) (err error) {
+		resp.Job, err = repo.TrainJob(repo.TrainStart())
+		return err
+	}),
+	wire.KindTrainStatus: onRepo(func(_ context.Context, repo *core.Repository, req *wire.TrainJobReq, resp *wire.TrainJobResp) (err error) {
+		resp.Job, err = repo.TrainJob(req.JobID)
+		return err
+	}),
+	wire.KindTrainWait: onRepo(func(ctx context.Context, repo *core.Repository, req *wire.TrainJobReq, resp *wire.TrainJobResp) (err error) {
+		resp.Job, err = repo.TrainWait(ctx, req.JobID)
+		if err != nil && !errors.Is(err, core.ErrUnknownJob) && resp.Job.JobID != 0 {
+			// Deadline expired while the job still runs: not a request
+			// failure — report the running status and let the client decide
+			// whether to keep waiting.
+			err = nil
+		}
+		return err
+	}),
+	wire.KindUpdate: onRepo(func(ctx context.Context, repo *core.Repository, req *wire.UpdateReq, _ *wire.Ack) error {
+		return repo.UpdateContext(ctx, &req.Update)
+	}),
+	wire.KindRemove: onRepo(func(ctx context.Context, repo *core.Repository, req *wire.RemoveReq, _ *wire.Ack) error {
+		return repo.RemoveContext(ctx, req.ObjectID)
+	}),
+	wire.KindSearch: onRepo(func(ctx context.Context, repo *core.Repository, req *wire.SearchReq, resp *wire.SearchResp) (err error) {
+		resp.Hits, err = repo.SearchContext(ctx, &req.Query)
+		if err == nil && ctx.Err() != nil {
+			// Canceled while the engine ran: the caller is gone; suppress the
+			// result so the (dropped) reply carries no hits.
+			resp.Hits, err = nil, ctx.Err()
+		}
+		return err
+	}),
+	wire.KindGet: onRepo(func(ctx context.Context, repo *core.Repository, req *wire.GetReq, resp *wire.GetResp) (err error) {
+		resp.Ciphertext, resp.Owner, err = repo.GetContext(ctx, req.ObjectID)
+		return err
+	}),
+}
+
+// handleTraceGet hands the client the server-side half of its own trace.
+// Trace ids are 64-bit capabilities drawn from crypto-seeded randomness; the
+// ring only holds kept traces, so this reveals nothing a client could not
+// already observe about its own requests.
+func (s *Server) handleTraceGet(sp *obs.Span, cs *connState, env *wire.Envelope) error {
+	var req wire.TraceGetReq
+	var resp wire.TraceResp
+	if err := s.decode(sp, env, &req); err != nil {
+		resp.Err = err.Error()
+	} else if tr, ok := s.tracer.Get(req.TraceID); ok {
+		resp.Trace = *tr
+	} else {
+		resp.Err = "trace not found (not kept or evicted)"
+	}
+	return s.send(sp, cs, env.ID, wire.KindTraceResp, resp)
 }
 
 // decode unpacks the request payload under a decode phase span.
@@ -724,23 +648,10 @@ func (s *Server) authorized(sp *obs.Span, repoID, token string) error {
 	err := s.authorize(repoID, token)
 	asp.End()
 	if err != nil {
-		s.reg.Counter("server_authz_denials_total").Inc()
+		s.met.authzDenials.Inc()
 		s.logger.Debug("authorization denied", "repo", repoID, "err", err)
 	}
 	return err
-}
-
-// repoScoped reports whether a request kind acts on a repository and thus
-// counts against the caller's tenant quotas. Hello/Cancel never reach
-// handle; TraceGet is a diagnostics read outside any repository.
-func repoScoped(kind string) bool {
-	switch kind {
-	case wire.KindCreateRepo, wire.KindTrain, wire.KindTrainStart,
-		wire.KindTrainStatus, wire.KindTrainWait, wire.KindUpdate,
-		wire.KindRemove, wire.KindSearch, wire.KindGet:
-		return true
-	}
-	return false
 }
 
 // principal extracts the tenant identity from a bearer token for quota
@@ -759,22 +670,6 @@ func principal(token string) string {
 	return t.User
 }
 
-// writeKindError writes the kind-appropriate error response (admission
-// rejections happen before the request switch, so the reply type must be
-// chosen from the kind alone).
-func (s *Server) writeKindError(sp *obs.Span, kind string, cs *connState, id uint64, err error) error {
-	switch kind {
-	case wire.KindSearch:
-		return s.writeSearchResp(sp, kind, cs, id, nil, err)
-	case wire.KindGet:
-		return s.writeGetResp(sp, kind, cs, id, nil, "", err)
-	case wire.KindTrainStart, wire.KindTrainStatus, wire.KindTrainWait:
-		return s.writeTrainJobResp(sp, kind, cs, id, core.TrainJobStatus{}, err)
-	default:
-		return s.writeAck(sp, kind, cs, id, err)
-	}
-}
-
 // countOpError accounts a failed request (the response still carries the
 // error to the client; this is the server-side tally).
 func (s *Server) countOpError(kind string, err error) {
@@ -785,71 +680,40 @@ func (s *Server) countOpError(kind string, err error) {
 	s.logger.Debug("request failed", "kind", kind, "err", err)
 }
 
-func (s *Server) writeAck(sp *obs.Span, kind string, cs *connState, id uint64, err error) error {
-	s.countOpError(kind, err)
+// reply answers a request with the response kind of its wire row: resp,
+// stamped with the request's outcome.
+func (s *Server) reply(sp *obs.Span, cs *connState, env *wire.Envelope, resp response, err error) error {
+	s.countOpError(env.Kind, err)
 	sp.SetError(err)
-	rsp := sp.Child("reply")
-	defer rsp.End()
-	ack := wire.Ack{}
-	if err != nil {
-		ack.Err = err.Error()
-		code, ra := wire.ErrCode(err)
-		ack.Code, ack.RetryAfterNanos = code, ra.Nanoseconds()
-	}
-	n, werr := cs.write(id, wire.KindAck, ack)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	resp.FromError(err)
+	return s.send(sp, cs, env.ID, wire.ReplyKind(env.Kind), resp)
 }
 
-func (s *Server) writeSearchResp(sp *obs.Span, kind string, cs *connState, id uint64, hits []core.SearchHit, err error) error {
-	s.countOpError(kind, err)
-	sp.SetError(err)
+// send writes payload to the peer as one frame of the given kind, under a
+// reply phase span of sp when the request has phase spans at all (a nil
+// span is a no-op).
+func (s *Server) send(sp *obs.Span, cs *connState, id uint64, kind string, payload interface{}) error {
 	rsp := sp.Child("reply")
 	defer rsp.End()
-	resp := wire.SearchResp{Hits: hits}
+	env, err := wire.NewEnvelope(kind, "", id, 0, payload)
 	if err != nil {
-		resp.Err = err.Error()
-		code, ra := wire.ErrCode(err)
-		resp.Code, resp.RetryAfterNanos = code, ra.Nanoseconds()
+		return err
 	}
-	n, werr := cs.write(id, wire.KindSearchResp, resp)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	return s.sendEnv(cs, id, env)
 }
 
-func (s *Server) writeGetResp(sp *obs.Span, kind string, cs *connState, id uint64, ct []byte, owner string, err error) error {
-	s.countOpError(kind, err)
-	sp.SetError(err)
-	rsp := sp.Child("reply")
-	defer rsp.End()
-	resp := wire.GetResp{Ciphertext: ct, Owner: owner}
-	if err != nil {
-		resp.Err = err.Error()
-		code, ra := wire.ErrCode(err)
-		resp.Code, resp.RetryAfterNanos = code, ra.Nanoseconds()
-	}
-	n, werr := cs.write(id, wire.KindGetResp, resp)
+// sendEnv writes an envelope — built by send, or produced elsewhere (the
+// leader, via a Forwarder; the hello answer) — under the connection's write
+// lock, which serializes the frames of concurrent handlers: copied by value,
+// re-stamped with the origin request's id, its body bytes untouched. The
+// hop-internal Auth never leaks back to the client.
+func (s *Server) sendEnv(cs *connState, id uint64, env *wire.Envelope) error {
+	out := *env
+	out.ID = id
+	out.Auth = ""
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	n, err := wire.WriteEnvelope(cs.conn, &out)
 	s.met.txBytes.Add(int64(n))
-	return werr
-}
-
-func (s *Server) writeTrainJobResp(sp *obs.Span, kind string, cs *connState, id uint64, st core.TrainJobStatus, err error) error {
-	s.countOpError(kind, err)
-	sp.SetError(err)
-	rsp := sp.Child("reply")
-	defer rsp.End()
-	resp := wire.TrainJobResp{Job: wire.TrainJobStatus{
-		JobID: st.JobID,
-		State: string(st.State),
-		Err:   st.Err,
-		Epoch: st.Epoch,
-	}}
-	if err != nil {
-		resp.Err = err.Error()
-		code, ra := wire.ErrCode(err)
-		resp.Code, resp.RetryAfterNanos = code, ra.Nanoseconds()
-	}
-	n, werr := cs.write(id, wire.KindTrainJobResp, resp)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	return err
 }

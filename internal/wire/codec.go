@@ -3,6 +3,7 @@ package wire
 import (
 	"mie/internal/bin"
 	"mie/internal/core"
+	"mie/internal/obs"
 )
 
 // Body codecs: one appendBody/decodeBody pair per payload type, each a
@@ -112,28 +113,18 @@ func (r *HelloResp) decodeBody(c *bin.Cursor) {
 	r.LagNanos = c.Varint()
 }
 
-// appendStatus and consumeStatus carry the error triple every response
-// starts with: message, ErrCode* classification, retry-after hint.
-func appendStatus(b []byte, msg string, code int, retryAfterNanos int64) []byte {
-	b = bin.AppendString(b, msg)
-	b = bin.AppendVarint(b, int64(code))
-	return bin.AppendVarint(b, retryAfterNanos)
+func (s Status) appendBody(b []byte) []byte {
+	b = bin.AppendString(b, s.Err)
+	b = bin.AppendVarint(b, int64(s.Code))
+	return bin.AppendVarint(b, s.RetryAfterNanos)
 }
 
-func consumeStatus(c *bin.Cursor) (msg string, code int, retryAfterNanos int64) {
-	return c.String(), c.Int(), c.Varint()
-}
-
-func (a Ack) appendBody(b []byte) []byte {
-	return appendStatus(b, a.Err, a.Code, a.RetryAfterNanos)
-}
-
-func (a *Ack) decodeBody(c *bin.Cursor) {
-	a.Err, a.Code, a.RetryAfterNanos = consumeStatus(c)
+func (s *Status) decodeBody(c *bin.Cursor) {
+	s.Err, s.Code, s.RetryAfterNanos = c.String(), c.Int(), c.Varint()
 }
 
 func (r SearchResp) appendBody(b []byte) []byte {
-	b = appendStatus(b, r.Err, r.Code, r.RetryAfterNanos)
+	b = r.Status.appendBody(b)
 	b = bin.AppendUvarint(b, uint64(len(r.Hits)))
 	for i := range r.Hits {
 		b = r.Hits[i].AppendTo(b)
@@ -146,7 +137,7 @@ func (r SearchResp) appendBody(b []byte) []byte {
 const minHit = 1 + 1 + 8 + 1
 
 func (r *SearchResp) decodeBody(c *bin.Cursor) {
-	r.Err, r.Code, r.RetryAfterNanos = consumeStatus(c)
+	r.Status.decodeBody(c)
 	r.Hits = nil
 	if n := c.Count(minHit); n > 0 {
 		r.Hits = make([]core.SearchHit, n)
@@ -157,28 +148,28 @@ func (r *SearchResp) decodeBody(c *bin.Cursor) {
 }
 
 func (r GetResp) appendBody(b []byte) []byte {
-	b = appendStatus(b, r.Err, r.Code, r.RetryAfterNanos)
+	b = r.Status.appendBody(b)
 	b = bin.AppendBytes(b, r.Ciphertext)
 	return bin.AppendString(b, r.Owner)
 }
 
 func (r *GetResp) decodeBody(c *bin.Cursor) {
-	r.Err, r.Code, r.RetryAfterNanos = consumeStatus(c)
+	r.Status.decodeBody(c)
 	r.Ciphertext = c.Bytes()
 	r.Owner = c.String()
 }
 
 func (r TrainJobResp) appendBody(b []byte) []byte {
-	b = appendStatus(b, r.Err, r.Code, r.RetryAfterNanos)
+	b = r.Status.appendBody(b)
 	b = bin.AppendUvarint(b, r.Job.JobID)
-	b = bin.AppendString(b, r.Job.State)
+	b = bin.AppendString(b, string(r.Job.State))
 	b = bin.AppendString(b, r.Job.Err)
 	return bin.AppendUvarint(b, r.Job.Epoch)
 }
 
 func (r *TrainJobResp) decodeBody(c *bin.Cursor) {
-	r.Err, r.Code, r.RetryAfterNanos = consumeStatus(c)
-	r.Job = TrainJobStatus{JobID: c.Uvarint(), State: c.String(), Err: c.String(), Epoch: c.Uvarint()}
+	r.Status.decodeBody(c)
+	r.Job = core.TrainJobStatus{JobID: c.Uvarint(), State: core.TrainJobState(c.String()), Err: c.String(), Epoch: c.Uvarint()}
 }
 
 func (r TraceResp) appendBody(b []byte) []byte {
@@ -200,9 +191,9 @@ func (r TraceResp) appendBody(b []byte) []byte {
 	return b
 }
 
-// minTraceSpan is the smallest encoding of a span: two ids, two empty
+// minSpanRecord is the smallest encoding of a span: two ids, two empty
 // strings, two one-byte varints.
-const minTraceSpan = 8 + 8 + 1 + 1 + 1 + 1
+const minSpanRecord = 8 + 8 + 1 + 1 + 1 + 1
 
 func (r *TraceResp) decodeBody(c *bin.Cursor) {
 	r.Err = c.String()
@@ -212,10 +203,10 @@ func (r *TraceResp) decodeBody(c *bin.Cursor) {
 	r.DurationNanos = c.Varint()
 	r.Reason = c.String()
 	r.Spans = nil
-	if n := c.Count(minTraceSpan); n > 0 {
-		r.Spans = make([]TraceSpan, n)
+	if n := c.Count(minSpanRecord); n > 0 {
+		r.Spans = make([]obs.SpanRecord, n)
 		for i := range r.Spans {
-			r.Spans[i] = TraceSpan{
+			r.Spans[i] = obs.SpanRecord{
 				SpanID:        c.U64(),
 				ParentID:      c.U64(),
 				Name:          c.String(),

@@ -33,7 +33,7 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(KindSearch, SearchReq{RepoID: "r", Query: core.Query{K: 10}})
-	seed(KindAck, Ack{Err: "boom"})
+	seed(KindAck, Ack{Status{Err: "boom"}})
 	seed(KindGetResp, GetResp{Ciphertext: []byte{1, 2, 3}, Owner: "me"})
 	seed(KindCancel, CancelReq{ID: 99})
 	seed(KindHello, Hello{MaxVersion: ProtocolVersion})
@@ -188,7 +188,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 // exercising the cases their names promise after a layout change.
 func writeFuzzCorpus(t *testing.T) {
 	var ack bytes.Buffer
-	writeFrame(t, &ack, KindAck, Ack{Err: "boom"})
+	writeFrame(t, &ack, KindAck, Ack{Status{Err: "boom"}})
 	oversize := binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)
 	oversize = append(oversize, frameMagic, kindCodes[KindUpdate])
 	batches := replSeedBatches()

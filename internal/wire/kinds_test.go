@@ -78,6 +78,73 @@ func TestPayloadTableIsComplete(t *testing.T) {
 	}
 }
 
+// TestKindRows holds the kinds table to the rules the transport tier reads
+// off it: what answers what, who may answer, and what may be resent.
+func TestKindRows(t *testing.T) {
+	wantIdempotent := map[string]bool{
+		KindSearch: true, KindGet: true, KindTraceGet: true, KindTrainStatus: true, KindTrainWait: true,
+	}
+	jobPolls := map[string]bool{KindTrainStatus: true, KindTrainWait: true}
+	if len(kinds) != 23 {
+		t.Errorf("the kinds table has %d rows, want 22 (codes are append-only; update this test with the new row)", len(kinds)-1)
+	}
+	for code := 1; code < len(kinds); code++ {
+		k := kinds[code]
+		if got := Idempotent(k.name); got != wantIdempotent[k.name] {
+			t.Errorf("%s: Idempotent = %v, want %v", k.name, got, wantIdempotent[k.name])
+		}
+		if LeaderOnly(k.name) && Idempotent(k.name) && !jobPolls[k.name] {
+			t.Errorf("%s: a leader-only request that may be resent blind", k.name)
+		}
+		if k.reply == "" {
+			// A response or a fire-and-forget frame: nothing routes on it.
+			if LeaderOnly(k.name) || Idempotent(k.name) {
+				t.Errorf("%s: routing flags on a kind that is not answered", k.name)
+			}
+			continue
+		}
+		reply, known := kindCodes[k.reply]
+		if !known {
+			t.Errorf("%s: reply %q is not a kind", k.name, k.reply)
+		} else if r := kinds[reply]; r.reply != "" || r.flags != 0 {
+			t.Errorf("%s: reply %s is itself a request row", k.name, k.reply)
+		}
+		if ReplyKind(k.name) != k.reply {
+			t.Errorf("%s: ReplyKind = %q, want %q", k.name, ReplyKind(k.name), k.reply)
+		}
+	}
+	if LeaderOnly("no-such-kind") || Idempotent("no-such-kind") || ReplyKind("no-such-kind") != "" {
+		t.Error("an unknown kind reads as a routable request")
+	}
+
+	// Every repoFirst kind's golden frame yields the RepoID it was made
+	// from, peeked without decoding the body; no other frame yields one.
+	for _, pc := range payloads {
+		for i, kind := range pc.kinds {
+			golden, err := os.ReadFile(filepath.Join("testdata", "v3", kind+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, _, err := ReadFrame(bytes.NewReader(golden))
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			g := newGen(int64(1000 + i))
+			g.small = true
+			want := ""
+			if f := reflect.ValueOf(pc.gen(g)).Elem().FieldByName("RepoID"); row(kind).flags&repoFirst != 0 {
+				if !f.IsValid() {
+					t.Fatalf("%s is marked repoFirst but %s has no RepoID", kind, pc.name)
+				}
+				want = f.String()
+			}
+			if got := env.RepoID(); got != want {
+				t.Errorf("%s: golden frame RepoID() = %q, want %q", kind, got, want)
+			}
+		}
+	}
+}
+
 // encodeBody encodes a payload the way NewEnvelope does.
 func encodeBody(t testing.TB, kind string, v any) []byte {
 	t.Helper()

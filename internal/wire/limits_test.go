@@ -158,7 +158,7 @@ func TestUpdateDoesNotAliasFrame(t *testing.T) {
 func TestWritePoolDropsLargeBuffers(t *testing.T) {
 	writeFrame(t, io.Discard, KindGetResp, GetResp{Ciphertext: make([]byte, 8<<20)})
 	runtime.GC()
-	writeFrame(t, io.Discard, KindAck, Ack{Err: "small"})
+	writeFrame(t, io.Discard, KindAck, Ack{Status{Err: "small"}})
 	for i := 0; i < 64; i++ {
 		bp := writeBufs.Get().(*[]byte)
 		if cap(*bp) > pooledBufCap {

@@ -8,6 +8,7 @@ import (
 
 	"mie/internal/core"
 	"mie/internal/dpe"
+	"mie/internal/obs"
 	"mie/internal/vec"
 )
 
@@ -63,21 +64,21 @@ var payloads = []payloadCase{
 		return HelloResp{Version: g.int(), Role: g.str(), CaughtUp: g.r.Intn(2) == 1, LagNanos: int64(g.int())}
 	}, KindHelloResp),
 	payload(func(g *valueGen) Ack {
-		return Ack{Err: g.str(), Code: g.int(), RetryAfterNanos: int64(g.int())}
+		return Ack{g.status()}
 	}, KindAck, KindError),
 	searchRespCase(),
 	payload(func(g *valueGen) GetResp {
-		return GetResp{Err: g.str(), Code: g.int(), RetryAfterNanos: int64(g.int()), Ciphertext: g.bytes(), Owner: g.str()}
+		return GetResp{Status: g.status(), Ciphertext: g.bytes(), Owner: g.str()}
 	}, KindGetResp),
 	payload(func(g *valueGen) TrainJobResp {
-		return TrainJobResp{Err: g.str(), Code: g.int(), RetryAfterNanos: int64(g.int()),
-			Job: TrainJobStatus{JobID: g.u64(), State: g.str(), Err: g.str(), Epoch: g.u64()}}
+		return TrainJobResp{Status: g.status(),
+			Job: core.TrainJobStatus{JobID: g.u64(), State: core.TrainJobState(g.str()), Err: g.str(), Epoch: g.u64()}}
 	}, KindTrainJobResp),
 	payload(func(g *valueGen) TraceResp {
-		resp := TraceResp{Err: g.str(), TraceID: g.u64(), Root: g.str(), StartUnixNano: int64(g.int()),
-			DurationNanos: int64(g.int()), Reason: g.str()}
-		resp.Spans = listOf(g, func() TraceSpan {
-			return TraceSpan{SpanID: g.u64(), ParentID: g.u64(), Name: g.str(),
+		resp := TraceResp{Err: g.str(), Trace: obs.Trace{TraceID: g.u64(), Root: g.str(), StartUnixNano: int64(g.int()),
+			DurationNanos: int64(g.int()), Reason: g.str()}}
+		resp.Spans = listOf(g, func() obs.SpanRecord {
+			return obs.SpanRecord{SpanID: g.u64(), ParentID: g.u64(), Name: g.str(),
 				StartUnixNano: int64(g.int()), DurationNanos: int64(g.int()), Err: g.str()}
 		})
 		return resp
@@ -99,14 +100,14 @@ var payloads = []payloadCase{
 // body on their own: the frame itself and parts nested in a payload.
 var notPayloads = map[string]bool{
 	"Envelope": true, "kindInfo": true,
-	"RepoOptions": true, "TrainJobStatus": true, "TraceSpan": true, "ReplRecord": true,
+	"RepoOptions": true, "Status": true, "ReplRecord": true,
 }
 
 // searchRespCase compares scores by bit pattern: NaN must survive, and
 // reflect.DeepEqual says NaN != NaN.
 func searchRespCase() payloadCase {
 	c := payload(func(g *valueGen) SearchResp {
-		resp := SearchResp{Err: g.str(), Code: g.int(), RetryAfterNanos: int64(g.int())}
+		resp := SearchResp{Status: g.status()}
 		resp.Hits = listOf(g, func() core.SearchHit {
 			return core.SearchHit{ObjectID: g.str(), Owner: g.str(), Score: g.score(), Ciphertext: g.bytes()}
 		})
@@ -158,6 +159,11 @@ func (g *valueGen) int() int {
 		return math.MinInt64
 	}
 	return g.pick(1 << 20)
+}
+
+// status draws the error triple every response but TraceResp opens with.
+func (g *valueGen) status() Status {
+	return Status{Err: g.str(), Code: g.int(), RetryAfterNanos: int64(g.int())}
 }
 
 func (g *valueGen) u64() uint64 {

@@ -63,6 +63,7 @@ import (
 	"mie/internal/auth"
 	"mie/internal/bin"
 	"mie/internal/core"
+	"mie/internal/obs"
 )
 
 // ProtocolVersion is the one protocol version this package speaks.
@@ -182,14 +183,6 @@ type Envelope struct {
 	sum uint32
 }
 
-// Timeout returns the request's remaining time budget, if any.
-func (e *Envelope) Timeout() (time.Duration, bool) {
-	if e.TimeoutNanos <= 0 {
-		return 0, false
-	}
-	return time.Duration(e.TimeoutNanos), true
-}
-
 // Request payloads.
 type (
 	// Hello opens a connection.
@@ -276,33 +269,43 @@ const (
 	ErrCodeUnsupportedVersion = 7
 )
 
+// errCodes pairs each wire code with the sentinel it encodes: ErrCode reads
+// the table forwards, Sentinel backwards.
+var errCodes = [...]struct {
+	code     int
+	sentinel error
+}{
+	{ErrCodeExists, core.ErrRepoExists},
+	{ErrCodeRepoNotFound, core.ErrRepoNotFound},
+	{ErrCodeOverQuota, core.ErrOverQuota},
+	{ErrCodeUnknownObject, core.ErrUnknownObject},
+	{ErrCodeUnknownJob, core.ErrUnknownJob},
+	{ErrCodeUnsupportedVersion, ErrUnsupportedVersion},
+}
+
+// tokenRejections all travel as ErrCodeUnauthorized, which therefore has no
+// sentinel to map back to.
+var tokenRejections = [...]error{
+	auth.ErrMalformed, auth.ErrBadMAC, auth.ErrExpired, auth.ErrWrongRepo, auth.ErrRevoked,
+}
+
 // ErrCode classifies an engine/auth error into its wire code and, for quota
 // rejections, extracts the server's retry-after hint. Servers call it when
 // building any error-carrying response.
 func ErrCode(err error) (code int, retryAfter time.Duration) {
-	switch {
-	case err == nil:
-		return ErrCodeUnspecified, 0
-	case errors.Is(err, core.ErrRepoExists):
-		return ErrCodeExists, 0
-	case errors.Is(err, core.ErrRepoNotFound):
-		return ErrCodeRepoNotFound, 0
-	case errors.Is(err, core.ErrOverQuota):
-		var qe *core.QuotaError
-		if errors.As(err, &qe) {
-			return ErrCodeOverQuota, qe.RetryAfter
+	for _, row := range errCodes {
+		if errors.Is(err, row.sentinel) {
+			var qe *core.QuotaError
+			if row.code == ErrCodeOverQuota && errors.As(err, &qe) {
+				retryAfter = qe.RetryAfter
+			}
+			return row.code, retryAfter
 		}
-		return ErrCodeOverQuota, 0
-	case errors.Is(err, auth.ErrMalformed), errors.Is(err, auth.ErrBadMAC),
-		errors.Is(err, auth.ErrExpired), errors.Is(err, auth.ErrWrongRepo),
-		errors.Is(err, auth.ErrRevoked):
-		return ErrCodeUnauthorized, 0
-	case errors.Is(err, core.ErrUnknownObject):
-		return ErrCodeUnknownObject, 0
-	case errors.Is(err, core.ErrUnknownJob):
-		return ErrCodeUnknownJob, 0
-	case errors.Is(err, ErrUnsupportedVersion):
-		return ErrCodeUnsupportedVersion, 0
+	}
+	for _, rejection := range tokenRejections {
+		if errors.Is(err, rejection) {
+			return ErrCodeUnauthorized, 0
+		}
 	}
 	return ErrCodeUnspecified, 0
 }
@@ -311,19 +314,10 @@ func ErrCode(err error) (code int, retryAfter time.Duration) {
 // (nil for codes without one), so client-side errors unwrap to the same
 // values errors.Is matches against locally.
 func Sentinel(code int) error {
-	switch code {
-	case ErrCodeExists:
-		return core.ErrRepoExists
-	case ErrCodeRepoNotFound:
-		return core.ErrRepoNotFound
-	case ErrCodeOverQuota:
-		return core.ErrOverQuota
-	case ErrCodeUnknownObject:
-		return core.ErrUnknownObject
-	case ErrCodeUnknownJob:
-		return core.ErrUnknownJob
-	case ErrCodeUnsupportedVersion:
-		return ErrUnsupportedVersion
+	for _, row := range errCodes {
+		if row.code == code {
+			return row.sentinel
+		}
 	}
 	return nil
 }
@@ -343,66 +337,64 @@ type (
 		// LagNanos is the follower's last observed replication lag.
 		LagNanos int64
 	}
-	// Ack acknowledges a mutation; Err is empty on success. Code classifies
-	// the error (ErrCode* constants) and RetryAfterNanos, when positive,
-	// hints when a rejected request may be retried — both zero on frames
-	// from peers predating typed errors.
-	Ack struct {
+	// Status is the error triple every response but TraceResp starts with:
+	// Err is empty on success, Code classifies the error (ErrCode*
+	// constants) and RetryAfterNanos, when positive, hints when a rejected
+	// request may be retried.
+	Status struct {
 		Err             string
 		Code            int
 		RetryAfterNanos int64
+	}
+	// Ack acknowledges a mutation; as the body of a KindError frame it
+	// carries a failure no typed response could.
+	Ack struct {
+		Status
 	}
 	// SearchResp carries ranked hits.
 	SearchResp struct {
-		Err             string
-		Code            int
-		RetryAfterNanos int64
-		Hits            []core.SearchHit
+		Status
+		Hits []core.SearchHit
 	}
 	// GetResp carries one ciphertext and its owner id.
 	GetResp struct {
-		Err             string
-		Code            int
-		RetryAfterNanos int64
-		Ciphertext      []byte
-		Owner           string
-	}
-	// TrainJobStatus mirrors core.TrainJobStatus on the wire.
-	TrainJobStatus struct {
-		JobID uint64
-		State string
-		Err   string
-		Epoch uint64
+		Status
+		Ciphertext []byte
+		Owner      string
 	}
 	// TrainJobResp answers the train-job kinds; Err reports request-level
 	// failures (unknown repository/job), Job.Err a failed training run.
 	TrainJobResp struct {
-		Err             string
-		Code            int
-		RetryAfterNanos int64
-		Job             TrainJobStatus
+		Status
+		Job core.TrainJobStatus
 	}
-	// TraceSpan is one span of a server-side trace on the wire.
-	TraceSpan struct {
-		SpanID        uint64
-		ParentID      uint64
-		Name          string
-		StartUnixNano int64
-		DurationNanos int64
-		Err           string
-	}
-	// TraceResp answers KindTraceGet. Err is set when the trace is unknown
-	// (never kept, or already evicted from the server's ring).
+	// TraceResp answers KindTraceGet with the server-side span tree. Err is
+	// set when the trace is unknown (never kept, or already evicted from the
+	// server's ring).
 	TraceResp struct {
-		Err           string
-		TraceID       uint64
-		Root          string
-		StartUnixNano int64
-		DurationNanos int64
-		Reason        string
-		Spans         []TraceSpan
+		Err string
+		obs.Trace
 	}
 )
+
+// FromError fills the status from a request's outcome: cleared for nil,
+// otherwise the message, its ErrCode classification and retry-after hint.
+func (s *Status) FromError(err error) {
+	*s = Status{}
+	if err != nil {
+		code, retryAfter := ErrCode(err)
+		*s = Status{Err: err.Error(), Code: code, RetryAfterNanos: retryAfter.Nanoseconds()}
+	}
+}
+
+// Failure returns the status when it reports an error and nil on success —
+// the read side of FromError, for clients that turn it back into an error.
+func (s *Status) Failure() *Status {
+	if s.Err == "" {
+		return nil
+	}
+	return s
+}
 
 // ToCore converts wire options into engine options.
 func (o RepoOptions) ToCore() core.RepositoryOptions {
@@ -432,42 +424,76 @@ func FromCore(opts core.RepositoryOptions) RepoOptions {
 	}
 }
 
-// kindInfo is one row of the kind table.
+// kindInfo is one row of the kind table: everything the transport tier
+// knows about a kind. Server, router, follower and client read it through
+// the accessors below instead of keeping kind lists of their own.
 type kindInfo struct {
 	name string
 	// maxFrame caps the frame's length field for this kind; ReadFrame
 	// checks it before allocating anything, WriteEnvelope before sending.
 	maxFrame uint32
-	// repoFirst marks a request whose body starts with its repository id.
-	repoFirst bool
+	flags    kindFlags
+	// reply names the response kind that answers this request and carries
+	// its errors; empty on responses and fire-and-forget frames.
+	reply string
 }
 
-// kinds maps a kind's wire code (the index) to its name and limits. Codes
-// are part of the protocol: append, never renumber.
+type kindFlags uint8
+
+const (
+	// repoFirst marks a request whose body starts with its repository id.
+	repoFirst kindFlags = 1 << iota
+	// leader marks a request only the leader may answer: it mutates state or
+	// touches the leader-resident training job table. Everything else is a
+	// read — serving those from follower replicas is the point of read
+	// scale-out.
+	leader
+	// idempotent marks a request that is safe to send again on a fresh
+	// connection after a transport error. A mutation is not: it may have
+	// executed, and only the origin caller knows whether re-sending is safe.
+	idempotent
+)
+
+// kinds maps a kind's wire code (the index) to its row. Codes are part of
+// the protocol: append, never renumber.
 var kinds = [...]kindInfo{
-	1:  {KindCreateRepo, smallFrame, true},
-	2:  {KindTrain, smallFrame, true},
-	3:  {KindUpdate, MaxFrameSize, true},
-	4:  {KindRemove, smallFrame, true},
-	5:  {KindSearch, queryFrame, true},
-	6:  {KindGet, smallFrame, true},
-	7:  {KindAck, smallFrame, false},
-	8:  {KindSearchResp, MaxFrameSize, false},
-	9:  {KindGetResp, MaxFrameSize, false},
-	10: {KindError, smallFrame, false},
-	11: {KindHello, smallFrame, false},
-	12: {KindHelloResp, smallFrame, false},
-	13: {KindCancel, smallFrame, false},
-	14: {KindTrainStart, smallFrame, true},
-	15: {KindTrainStatus, smallFrame, true},
-	16: {KindTrainWait, smallFrame, true},
-	17: {KindTrainJobResp, smallFrame, false},
-	18: {KindTraceGet, smallFrame, false},
-	19: {KindTraceResp, queryFrame, false},
-	20: {KindReplSubscribe, smallFrame, true},
-	21: {KindReplRecords, MaxFrameSize, false},
-	22: {KindReplAck, smallFrame, true},
+	1:  {KindCreateRepo, smallFrame, repoFirst | leader, KindAck},
+	2:  {KindTrain, smallFrame, repoFirst | leader, KindAck},
+	3:  {KindUpdate, MaxFrameSize, repoFirst | leader, KindAck},
+	4:  {KindRemove, smallFrame, repoFirst | leader, KindAck},
+	5:  {KindSearch, queryFrame, repoFirst | idempotent, KindSearchResp},
+	6:  {KindGet, smallFrame, repoFirst | idempotent, KindGetResp},
+	7:  {KindAck, smallFrame, 0, ""},
+	8:  {KindSearchResp, MaxFrameSize, 0, ""},
+	9:  {KindGetResp, MaxFrameSize, 0, ""},
+	10: {KindError, smallFrame, 0, ""},
+	11: {KindHello, smallFrame, 0, KindHelloResp},
+	12: {KindHelloResp, smallFrame, 0, ""},
+	13: {KindCancel, smallFrame, 0, ""},
+	14: {KindTrainStart, smallFrame, repoFirst | leader, KindTrainJobResp},
+	15: {KindTrainStatus, smallFrame, repoFirst | leader | idempotent, KindTrainJobResp},
+	16: {KindTrainWait, smallFrame, repoFirst | leader | idempotent, KindTrainJobResp},
+	17: {KindTrainJobResp, smallFrame, 0, ""},
+	18: {KindTraceGet, smallFrame, idempotent, KindTraceResp},
+	19: {KindTraceResp, queryFrame, 0, ""},
+	20: {KindReplSubscribe, smallFrame, repoFirst, KindReplRecords},
+	21: {KindReplRecords, MaxFrameSize, 0, ""},
+	22: {KindReplAck, smallFrame, repoFirst, ""},
 }
+
+// row returns a kind's table row; the zero row for a name not in the table.
+func row(kind string) kindInfo { return kinds[kindCodes[kind]] }
+
+// LeaderOnly reports whether a request kind must be answered by the leader.
+func LeaderOnly(kind string) bool { return row(kind).flags&leader != 0 }
+
+// Idempotent reports whether a request kind may be resent after a transport
+// error.
+func Idempotent(kind string) bool { return row(kind).flags&idempotent != 0 }
+
+// ReplyKind returns the response kind that answers a request kind and
+// carries its errors; empty for a kind that is not answered.
+func ReplyKind(kind string) string { return row(kind).reply }
 
 var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -669,7 +695,7 @@ func (e *Envelope) Decode(v interface{}) error {
 // is how the router picks a backend. It is empty for kinds that address no
 // repository and for bodies too damaged to tell.
 func (e *Envelope) RepoID() string {
-	if !kinds[kindCodes[e.Kind]].repoFirst {
+	if row(e.Kind).flags&repoFirst == 0 {
 		return ""
 	}
 	c := bin.NewCursor(e.Data)
@@ -695,7 +721,7 @@ func AnswerHello(hello *Envelope, status HelloResp) (reply *Envelope, refused er
 	var body bodyEncoder = status
 	if refused != nil {
 		reply.Kind = KindError
-		body = Ack{Err: refused.Error(), Code: ErrCodeUnsupportedVersion}
+		body = Ack{Status{Err: refused.Error(), Code: ErrCodeUnsupportedVersion}}
 	}
 	reply.Data = body.appendBody(nil)
 	return reply, refused

@@ -105,9 +105,8 @@ func TestEnvelopeCarriesIDAndTimeout(t *testing.T) {
 	if got.TraceID != 0xdead || got.SpanID != 0xbeef || !got.TraceSampled {
 		t.Errorf("trace context lost: %+v", got)
 	}
-	d, ok := got.Timeout()
-	if !ok || d != 1500*time.Millisecond {
-		t.Errorf("timeout = %v (%v)", d, ok)
+	if d := time.Duration(got.TimeoutNanos); d != 1500*time.Millisecond {
+		t.Errorf("timeout = %v", d)
 	}
 	var req SearchReq
 	if err := got.Decode(&req); err != nil {
@@ -154,7 +153,7 @@ func TestReadFrameOversized(t *testing.T) {
 func TestReadFrameGarbageBody(t *testing.T) {
 	// A well-formed header whose body does not match its checksum.
 	var buf bytes.Buffer
-	writeFrame(t, &buf, KindAck, Ack{Err: "x"})
+	writeFrame(t, &buf, KindAck, Ack{Status{Err: "x"}})
 	frame := buf.Bytes()
 	frame[len(frame)-1] ^= 0xff
 	if _, _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrMalformed) {
@@ -243,7 +242,7 @@ func TestRepoIDPeek(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := ""
-			if kinds[kindCodes[kind]].repoFirst {
+			if row(kind).flags&repoFirst != 0 {
 				f := reflect.ValueOf(v).Elem().FieldByName("RepoID")
 				if !f.IsValid() {
 					t.Fatalf("%s is marked repoFirst but %s has no RepoID", kind, pc.name)
@@ -283,7 +282,7 @@ func TestRepoOptionsFromCoreRoundTrip(t *testing.T) {
 
 func TestDecodeWrongType(t *testing.T) {
 	var buf bytes.Buffer
-	writeFrame(t, &buf, KindAck, Ack{Err: "x"})
+	writeFrame(t, &buf, KindAck, Ack{Status{Err: "x"}})
 	env, _, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -366,13 +366,7 @@ func (l *localRepo) Remove(ctx context.Context, objectID string) error {
 	return l.repo.RemoveContext(ctx, objectID)
 }
 
-func (l *localRepo) Train(ctx context.Context) error {
-	job, err := l.TrainAsync(ctx)
-	if err != nil {
-		return err
-	}
-	return waitTrained(ctx, job)
-}
+func (l *localRepo) Train(ctx context.Context) error { return train(ctx, l) }
 
 func (l *localRepo) TrainAsync(ctx context.Context) (*TrainJob, error) {
 	if err := ctx.Err(); err != nil {
@@ -435,13 +429,7 @@ func (r *remoteRepo) Remove(ctx context.Context, objectID string) error {
 	return r.conn.Remove(ctx, r.repoID, objectID)
 }
 
-func (r *remoteRepo) Train(ctx context.Context) error {
-	job, err := r.TrainAsync(ctx)
-	if err != nil {
-		return err
-	}
-	return waitTrained(ctx, job)
-}
+func (r *remoteRepo) Train(ctx context.Context) error { return train(ctx, r) }
 
 func (r *remoteRepo) TrainAsync(ctx context.Context) (*TrainJob, error) {
 	st, err := r.conn.TrainStart(ctx, r.repoID)
@@ -449,22 +437,14 @@ func (r *remoteRepo) TrainAsync(ctx context.Context) (*TrainJob, error) {
 		return nil, err
 	}
 	return &TrainJob{id: st.JobID, status: func(ctx context.Context, wait bool) (TrainStatus, error) {
+		poll := r.conn.TrainStatus
+		if wait {
+			poll = r.conn.TrainWait
+		}
 		for {
-			var wst wire.TrainJobStatus
-			var err error
-			if wait {
-				wst, err = r.conn.TrainWait(ctx, r.repoID, st.JobID)
-			} else {
-				wst, err = r.conn.TrainStatus(ctx, r.repoID, st.JobID)
-			}
+			got, err := poll(ctx, r.repoID, st.JobID)
 			if err != nil {
 				return TrainStatus{}, err
-			}
-			got := TrainStatus{
-				JobID: wst.JobID,
-				State: TrainState(wst.State),
-				Err:   wst.Err,
-				Epoch: wst.Epoch,
 			}
 			if !wait || got.State != TrainRunning {
 				return got, nil
@@ -502,8 +482,13 @@ func (r *remoteRepo) FetchTrace(ctx context.Context, traceID uint64) (*Trace, er
 
 var _ TraceFetcher = (*remoteRepo)(nil)
 
-// waitTrained blocks on a train job and folds its outcome into an error.
-func waitTrained(ctx context.Context, job *TrainJob) error {
+// train is Train on either kind of handle: it starts (or joins) a train job,
+// blocks on it and folds its outcome into an error.
+func train(ctx context.Context, r Repository) error {
+	job, err := r.TrainAsync(ctx)
+	if err != nil {
+		return err
+	}
 	st, err := job.Wait(ctx)
 	if err != nil {
 		return err

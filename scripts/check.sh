@@ -86,4 +86,9 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz=FuzzDenseEncodeAll -fuzztime="$FUZZTIME" ./internal/dpe
 fi
 
+# Last, the size of the tree: non-blank non-test Go lines per package, the
+# transport tier's sum and the total outside bench/ (ROADMAP's diet item
+# quotes these). Printed for the reviewer; no threshold.
+bash scripts/loc.sh
+
 echo "check.sh: all gates passed"
