@@ -64,7 +64,12 @@ func (o *Options) setDefaults() {
 
 // Candidate is one live code surfaced by a probe, already exactly scored.
 type Candidate struct {
-	// Slot is the code's position in the flat block (stable until Compact).
+	// Slot is the code's position in the flat block. Slots keep their
+	// relative order for the life of the index but are renumbered when the
+	// index compacts itself, which only a replace or a remove can cause: an
+	// index that has only ever been appended to under distinct keys (one
+	// codebook word per key, say) numbers its codes 0, 1, 2, … in insertion
+	// order for good.
 	Slot int
 	// Key is the owner the code was added under.
 	Key string
@@ -82,7 +87,8 @@ type ProbeStats struct {
 
 // Stats is a point-in-time summary of an Index.
 type Stats struct {
-	// Live and Dead count codes; Dead are tombstoned slots awaiting Compact.
+	// Live and Dead count codes; Dead are tombstoned slots the next
+	// self-compaction reclaims (Dead never exceeds Live between mutations).
 	Live, Dead int
 	// Bits is the code length in bits (0 until the first insert).
 	Bits int
@@ -102,9 +108,10 @@ type table struct {
 
 // Index is a multi-probe LSH index over fixed-length binary codes. Multiple
 // codes may share one key (an object contributes every encoding of one
-// modality); Add replaces, Remove tombstones, Compact reclaims. All methods
-// are safe for concurrent use: Probe takes a read lock, mutators a write
-// lock.
+// modality); AddAll replaces, Remove tombstones, and the index compacts
+// itself whenever tombstones outnumber live codes, so its memory is bounded
+// by its live set however long it is overwritten. All methods are safe for
+// concurrent use: Probe takes a read lock, mutators a write lock.
 type Index struct {
 	mu   sync.RWMutex
 	opts Options
@@ -177,6 +184,7 @@ func (ix *Index) AddAll(key string, codes []vec.BitVec) error {
 		return nil
 	}
 	ix.removeLocked(key)
+	defer ix.boundDeadLocked()
 	for _, c := range codes {
 		if c.Len() == 0 {
 			return errors.New("ann: zero-length code")
@@ -187,15 +195,17 @@ func (ix *Index) AddAll(key string, codes []vec.BitVec) error {
 		if c.Len() != ix.nbits {
 			return fmt.Errorf("ann: code length %d != index code length %d", c.Len(), ix.nbits)
 		}
-		ix.addWordsLocked(key, c.Words())
+		ix.codes = c.AppendWords(ix.codes)
+		ix.indexTailLocked(key)
 	}
 	return nil
 }
 
-// addWordsLocked appends one code to the flat block and every table.
-func (ix *Index) addWordsLocked(key string, w []uint64) {
+// indexTailLocked gives the code just appended to the flat block its slot:
+// owner, liveness, and an entry in every table.
+func (ix *Index) indexTailLocked(key string) {
 	slot := int32(len(ix.keys))
-	ix.codes = append(ix.codes, w...)
+	w := ix.codes[int(slot)*ix.wordsPer:]
 	ix.keys = append(ix.keys, key)
 	ix.live = append(ix.live, true)
 	ix.liveCount++
@@ -213,12 +223,24 @@ func (ix *Index) addWordsLocked(key string, w []uint64) {
 }
 
 // Remove tombstones every code stored under key. Unknown keys are a no-op.
-// Bucket entries are left in place (skipped by probes) until Compact, the
-// same tombstone discipline the segmented inverted index uses.
+// Bucket entries are left in place (skipped by probes) until the index next
+// compacts itself, the same tombstone discipline the segmented inverted
+// index uses.
 func (ix *Index) Remove(key string) {
 	ix.mu.Lock()
 	ix.removeLocked(key)
+	ix.boundDeadLocked()
 	ix.mu.Unlock()
+}
+
+// boundDeadLocked compacts once tombstones outnumber live codes. A pass
+// costs O(live) and needs more than that many removals to come due again,
+// so it is amortised O(1) per code removed, and the flat block never holds
+// more than twice the live set plus one key's codes.
+func (ix *Index) boundDeadLocked() {
+	if ix.deadCount > ix.liveCount {
+		ix.compactLocked()
+	}
 }
 
 func (ix *Index) removeLocked(key string) {
@@ -242,19 +264,16 @@ func (ix *Index) removeLocked(key string) {
 	ix.masksDirty = true
 }
 
-// Compact rebuilds the flat block and every table without the tombstoned
-// slots, in surviving-slot order. A no-op when nothing is dead.
-func (ix *Index) Compact() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.deadCount == 0 {
-		return
-	}
+// compactLocked rebuilds the flat block and every table without the
+// tombstoned slots, in surviving-slot order — so what a probe returns stays
+// a function of the live set and its insertion order, whenever the pass
+// happens to run.
+func (ix *Index) compactLocked() {
 	oldCodes, oldKeys, oldLive, wp := ix.codes, ix.keys, ix.live, ix.wordsPer
 	ix.codes = make([]uint64, 0, ix.liveCount*wp)
 	ix.keys = make([]string, 0, ix.liveCount)
-	ix.live = ix.live[:0]
-	ix.slots = make(map[string][]int32)
+	ix.live = make([]bool, 0, ix.liveCount)
+	ix.slots = make(map[string][]int32, len(ix.slots))
 	ix.liveCount, ix.deadCount = 0, 0
 	for _, t := range ix.tables {
 		t.buckets = make(map[uint64][]int32)
@@ -266,9 +285,9 @@ func (ix *Index) Compact() {
 		if !oldLive[slot] {
 			continue
 		}
-		ix.addWordsLocked(key, oldCodes[slot*wp:(slot+1)*wp])
+		ix.codes = append(ix.codes, oldCodes[slot*wp:(slot+1)*wp]...)
+		ix.indexTailLocked(key)
 	}
-	ix.masksDirty = true
 }
 
 // Disable empties the index and rejects all further inserts; probes return
@@ -296,18 +315,6 @@ func (ix *Index) CodeBits() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.nbits
-}
-
-// DeadFraction returns the tombstoned share of all slots, the signal
-// callers compact on.
-func (ix *Index) DeadFraction() float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	total := ix.liveCount + ix.deadCount
-	if total == 0 {
-		return 0
-	}
-	return float64(ix.deadCount) / float64(total)
 }
 
 // IndexStats returns a point-in-time summary.
@@ -342,7 +349,10 @@ func (ix *Index) Probe(code vec.BitVec) ([]Candidate, ProbeStats) {
 	if ix.liveCount == 0 || code.Len() != ix.nbits {
 		return nil, st
 	}
-	qw := code.Words()
+	// The query's words are read into a stack buffer (codes longer than it
+	// spill to the heap): probing allocates for its results only.
+	var qbuf [64]uint64
+	qw := code.AppendWords(qbuf[:0])
 	visited := make([]uint64, (len(ix.keys)+63)/64)
 	for _, t := range ix.tables {
 		h := hashWords(qw, t.bits)

@@ -128,22 +128,18 @@ func TestRemoveAndReplace(t *testing.T) {
 	if got := ix.Live(); got != 2 {
 		t.Fatalf("Live after replace = %d, want 2", got)
 	}
+	if st := ix.IndexStats(); st.Dead != 2 {
+		t.Errorf("Dead after replace = %d, want a's 2 tombstones", st.Dead)
+	}
+	// Removing b leaves 3 tombstones against 1 live code: the index compacts
+	// itself, which must preserve probe results and reclaim every tombstone.
 	ix.Remove("b")
+	if st := ix.IndexStats(); st.Dead != 0 || st.Live != 1 {
+		t.Errorf("after the self-compaction: %+v, want 1 live, 0 dead", st)
+	}
 	cands, _ := ix.Probe(a)
-	if len(cands) != 1 || cands[0].Key != "a" || cands[0].Dist != 0 {
+	if len(cands) != 1 || cands[0].Key != "a" || cands[0].Dist != 0 || cands[0].Slot != 0 {
 		t.Fatalf("candidates after remove = %+v", cands)
-	}
-	if df := ix.DeadFraction(); df <= 0 {
-		t.Errorf("DeadFraction = %v, want > 0", df)
-	}
-	// Compact must preserve probe results and reclaim tombstones.
-	ix.Compact()
-	if df := ix.DeadFraction(); df != 0 {
-		t.Errorf("DeadFraction after Compact = %v", df)
-	}
-	cands, _ = ix.Probe(a)
-	if len(cands) != 1 || cands[0].Key != "a" || cands[0].Dist != 0 {
-		t.Fatalf("candidates after compact = %+v", cands)
 	}
 	// An empty AddAll is a remove.
 	if err := ix.AddAll("a", nil); err != nil {
@@ -306,8 +302,10 @@ func TestConcurrentProbeAndMutate(t *testing.T) {
 				ix.Remove(key)
 			case 1:
 				_ = ix.AddAll(key, []vec.BitVec{randCode(mrng, 64)})
-			default:
-				ix.Compact()
+			default: // a compaction at an arbitrary point, beside the self-triggered ones
+				ix.mu.Lock()
+				ix.compactLocked()
+				ix.mu.Unlock()
 			}
 		}
 	}()
@@ -319,4 +317,68 @@ func TestConcurrentProbeAndMutate(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestOverwriteChurnIsBounded: the index bounds its own tombstones. One key
+// overwritten ten thousand times — no caller ever compacting — leaves the
+// flat block, the slot tables and the buckets sized by the live set, and
+// probes still see exactly the live codes.
+func TestOverwriteChurnIsBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ix := New(exhaustive(2, 4))
+	const perKey, nbits = 5, 128
+	draw := func() []vec.BitVec {
+		cs := make([]vec.BitVec, perKey)
+		for i := range cs {
+			cs[i] = randCode(rng, nbits)
+		}
+		return cs
+	}
+	if err := ix.AddAll("still", draw()); err != nil {
+		t.Fatal(err)
+	}
+	var last []vec.BitVec
+	for i := 0; i < 10000; i++ {
+		last = draw()
+		if err := ix.AddAll("churned", last); err != nil {
+			t.Fatal(err)
+		}
+		if st := ix.IndexStats(); st.Dead > st.Live {
+			t.Fatalf("overwrite %d: %d dead > %d live", i, st.Dead, st.Live)
+		}
+	}
+	live := ix.Live()
+	if live != 2*perKey {
+		t.Fatalf("Live = %d, want %d", live, 2*perKey)
+	}
+	const slack = perKey // one key's codes, mid-mutation
+	if got, max := len(ix.codes), (2*live+slack)*ix.wordsPer; got > max {
+		t.Errorf("flat block holds %d words after the churn, want <= %d", got, max)
+	}
+	if got, max := cap(ix.codes), 4*(2*live+slack)*ix.wordsPer; got > max {
+		t.Errorf("flat block capacity %d words after the churn, want <= %d", got, max)
+	}
+	if got := len(ix.keys); got > 2*live+slack {
+		t.Errorf("%d slots after the churn, want <= %d", got, 2*live+slack)
+	}
+	entries := 0
+	for _, tb := range ix.tables {
+		for _, b := range tb.buckets {
+			entries += len(b)
+		}
+	}
+	if max := len(ix.tables) * (2*live + slack); entries > max {
+		t.Errorf("%d bucket entries after the churn, want <= %d", entries, max)
+	}
+	cands, _ := ix.Probe(last[0])
+	if len(cands) != live {
+		t.Fatalf("exhaustive probe returned %d candidates, want the %d live codes", len(cands), live)
+	}
+	hit := false
+	for _, c := range cands {
+		hit = hit || (c.Key == "churned" && c.Dist == 0)
+	}
+	if !hit {
+		t.Error("the last overwrite's code is not among the candidates")
+	}
 }

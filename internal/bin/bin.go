@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrCorrupt is wrapped by every Cursor failure.
@@ -30,6 +31,13 @@ var ErrCorrupt = errors.New("bin: corrupt encoding")
 
 // AppendUvarint appends v as an unsigned varint.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// UvarintLen returns the number of bytes AppendUvarint(nil, v) writes.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// BytesLen returns the number of bytes AppendBytes or AppendString writes
+// for a run of n bytes.
+func BytesLen(n int) int { return UvarintLen(uint64(n)) + n }
 
 // AppendVarint appends v as a zigzag varint.
 func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }

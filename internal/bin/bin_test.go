@@ -123,3 +123,16 @@ func TestHostileInput(t *testing.T) {
 		t.Errorf("trailing byte: Done = %v, want ErrCorrupt", err)
 	}
 }
+
+func TestLensMatchTheEncoders(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		if got, want := UvarintLen(v), len(AppendUvarint(nil, v)); got != want {
+			t.Errorf("UvarintLen(%d) = %d, AppendUvarint writes %d", v, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 127, 128, 20000} {
+		if got, want := BytesLen(n), len(AppendBytes(nil, make([]byte, n))); got != want {
+			t.Errorf("BytesLen(%d) = %d, AppendBytes writes %d", n, got, want)
+		}
+	}
+}

@@ -33,6 +33,18 @@ func (u *Update) AppendTo(b []byte) []byte {
 	return vec.AppendBitVecs(b, u.AudioEncodings)
 }
 
+// EncodedSize returns len(u.AppendTo(nil)) without encoding anything, so a
+// caller that keeps the encoding (a WAL record, which the replication hub
+// retains) can allocate it exactly once and exactly as large.
+func (u *Update) EncodedSize() int {
+	n := bin.BytesLen(len(u.ObjectID)) + bin.BytesLen(len(u.Owner)) + bin.BytesLen(len(u.Ciphertext))
+	n += bin.UvarintLen(uint64(len(u.TextTokens)))
+	for _, freq := range u.TextTokens {
+		n += len(dpe.Token{}) + bin.UvarintLen(freq)
+	}
+	return n + vec.BitVecsLen(u.ImageEncodings) + vec.BitVecsLen(u.AudioEncodings)
+}
+
 // ConsumeFrom reverses AppendTo; failures are left on the cursor.
 func (u *Update) ConsumeFrom(c *bin.Cursor) {
 	u.ObjectID = c.String()

@@ -29,6 +29,12 @@ func codecUpdate() *Update {
 func TestUpdateBinaryRoundTrip(t *testing.T) {
 	want := codecUpdate()
 	enc := want.AppendTo(nil)
+	if got := want.EncodedSize(); got != len(enc) {
+		t.Fatalf("EncodedSize = %d, the encoding has %d bytes", got, len(enc))
+	}
+	if got := new(Update).EncodedSize(); got != len(new(Update).AppendTo(nil)) {
+		t.Fatalf("EncodedSize of the zero update = %d, the encoding has %d bytes", got, len(new(Update).AppendTo(nil)))
+	}
 	for i := 0; i < 20; i++ { // map iteration order must not reach the bytes
 		if again := want.AppendTo(nil); !bytes.Equal(enc, again) {
 			t.Fatal("one update encoded to two different byte strings")

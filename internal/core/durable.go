@@ -112,10 +112,12 @@ var ErrBadWALRecord = errors.New("core: bad WAL record")
 // encodeWALRecord encodes the update up, or the removal of id when up is
 // nil.
 func encodeWALRecord(up *Update, id string) []byte {
+	// Sized exactly: the record outlives this call (the replication hub
+	// buffers it), so spare capacity would be retained, not reused.
 	if up == nil {
-		return bin.AppendString([]byte{walRemove}, id)
+		return bin.AppendString(append(make([]byte, 0, 1+bin.BytesLen(len(id))), walRemove), id)
 	}
-	return up.AppendTo(append(make([]byte, 0, 64+len(up.Ciphertext)), walUpdate))
+	return up.AppendTo(append(make([]byte, 0, 1+up.EncodedSize()), walUpdate))
 }
 
 // decodeWALRecord reverses encodeWALRecord; id is always the object the

@@ -180,6 +180,7 @@ type denseEngine struct {
 	annOpts   ANNOptions
 	vocab     *cluster.Vocabulary[vec.BitVec] // nil until trained
 	wordANN   *ann.Index                      // nil unless the codebook crosses MinWords
+	terms     []index.Term                    // word -> index term, built with the codebook
 }
 
 func (e *denseEngine) Modality() Modality { return e.modality }
@@ -224,10 +225,21 @@ func (e *denseEngine) Train(sample []vec.BitVec) (ModalityEngine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.withVocab(vocab), nil
+}
+
+// withVocab returns a copy of e serving the given codebook, with everything
+// derived from it built once: the word-level ANN (large codebooks only) and
+// the table of index terms, so mapping an object to terms formats no strings.
+func (e *denseEngine) withVocab(vocab *cluster.Vocabulary[vec.BitVec]) *denseEngine {
 	out := *e
 	out.vocab = vocab
 	out.wordANN = out.buildWordANN()
-	return &out, nil
+	out.terms = make([]index.Term, vocab.Size())
+	for word := range out.terms {
+		out.terms[word] = index.Term(e.prefix + strconv.Itoa(word))
+	}
+	return &out
 }
 
 // Refine warm-starts mini-batch k-means from the current codebook words and
@@ -251,31 +263,16 @@ func (e *denseEngine) Refine(delta []vec.BitVec) (ModalityEngine, cluster.DriftR
 	if err != nil {
 		return nil, cluster.DriftReport{}, false, err
 	}
-	out := *e
-	out.vocab = vocab
-	out.wordANN = out.buildWordANN()
-	return &out, res.Drift, true, nil
-}
-
-func (e *denseEngine) term(word int) index.Term {
-	return index.Term(e.prefix + strconv.Itoa(word))
+	return e.withVocab(vocab), res.Drift, true, nil
 }
 
 func (e *denseEngine) histTerms(encs []vec.BitVec) map[index.Term]uint64 {
 	if e.vocab == nil || len(encs) == 0 {
 		return nil
 	}
-	if e.wordANN == nil {
-		hist := e.vocab.QuantizeAll(encs)
-		terms := make(map[index.Term]uint64, len(hist))
-		for word, freq := range hist {
-			terms[e.term(word)] = freq
-		}
-		return terms
-	}
-	terms := make(map[index.Term]uint64)
+	terms := make(map[index.Term]uint64, len(encs))
 	for _, enc := range encs {
-		terms[e.term(e.quantize(enc))]++
+		terms[e.terms[e.quantize(enc)]]++
 	}
 	return terms
 }
@@ -416,8 +413,5 @@ func (e *denseEngine) Restore(words []vec.BitVec) (ModalityEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := *e
-	out.vocab = vocab
-	out.wordANN = out.buildWordANN()
-	return &out, nil
+	return e.withVocab(vocab), nil
 }

@@ -130,12 +130,13 @@ type RepositoryOptions struct {
 }
 
 // ANNOptions governs the multi-probe LSH candidate indexes that make the
-// dense linear-scan fallback and large-codebook quantization sublinear. One
-// candidate index per dense modality tracks every stored encoding; linear
-// searches route through it once the live code count crosses MinCorpus, and
-// codebook quantization routes through a word index once the vocabulary
-// crosses MinWords. Below the thresholds every path stays exact, so small
-// repositories (and existing tests and golden fixtures) are unaffected.
+// dense linear-scan fallback and large-codebook quantization sublinear. While
+// a dense modality has no codebook, one candidate index tracks every
+// encoding stored for it; linear searches route through it once the live
+// code count crosses MinCorpus, and codebook quantization routes through a
+// word index once the vocabulary crosses MinWords. Below the thresholds
+// every path stays exact, so small repositories (and existing tests and
+// golden fixtures) are unaffected.
 type ANNOptions struct {
 	// Disable turns approximate candidate generation off entirely; every
 	// dense search and quantization stays exact.
@@ -279,6 +280,16 @@ type repoState struct {
 	spillDirs []string
 }
 
+// indexed reports whether this epoch answers modality i from its inverted
+// index: the repository is trained, the index exists and the engine has what
+// it needs to map encodings to terms. The predicate is per modality — a
+// dense modality that had no data at Train time stays un-Ready inside a
+// trained repository. It decides both which branch a search takes and
+// whether the modality keeps a candidate index (Repository.ann).
+func (st *repoState) indexed(i int) bool {
+	return st.trained && st.indexes[i] != nil && st.engines[i].Ready()
+}
+
 // changeRec is one generation-stamped entry of the train-time changelog.
 type changeRec struct {
 	// epoch stamps the generation the change was applied under.
@@ -329,11 +340,15 @@ type Repository struct {
 	// objects is the storage layer: ciphertext + encodings per object id.
 	objects store.Store[*storedObject]
 
-	// ann holds the per-dense-modality candidate indexes (nil when disabled
-	// or no dense modality is enabled). Assigned once at construction and
-	// never replaced; the indexes are internally locked, so searches probe
-	// them lock-free while mutators maintain them under writeMu.
-	ann *annSet
+	// ann is parallel to the engine set (nil when ANN is disabled): entry i
+	// is modality i's candidate index and exists exactly while a search of
+	// that modality would use it — the modality is dense and the current
+	// epoch does not answer it from its inverted index (repoState.indexed).
+	// Construction creates the entries, mutators mirror codes into them under
+	// writeMu, and the epoch install that gives a modality its codebook
+	// releases its entry for good (releaseANN). Searches load entries without
+	// a lock; the indexes are internally locked.
+	ann []atomic.Pointer[ann.Index]
 
 	// state is the current epoch (engines + indexes); swapped by Train.
 	state atomic.Pointer[repoState]
@@ -444,28 +459,20 @@ func NewRepository(id string, opts RepositoryOptions) (*Repository, error) {
 	return r, nil
 }
 
-// annSet is one candidate index per engine slot (nil for engines whose
-// linear fallback cannot route through ANN, i.e. sparse modalities).
-type annSet struct {
-	idx []*ann.Index
-}
-
-func newANNSet(engines []ModalityEngine, o ANNOptions) *annSet {
+// newANNSet creates an empty candidate index for every engine whose linear
+// fallback can route through one (the dense modalities); a new repository is
+// untrained, so every such modality starts with its entry.
+func newANNSet(engines []ModalityEngine, o ANNOptions) []atomic.Pointer[ann.Index] {
 	if o.Disable {
 		return nil
 	}
-	s := &annSet{idx: make([]*ann.Index, len(engines))}
-	any := false
+	set := make([]atomic.Pointer[ann.Index], len(engines))
 	for i, eng := range engines {
 		if _, ok := eng.(annSearcher); ok {
-			s.idx[i] = ann.New(ann.Options{Tables: o.Tables, Bits: o.Bits, Probes: o.Probes, Seed: o.Seed})
-			any = true
+			set[i].Store(ann.New(ann.Options{Tables: o.Tables, Bits: o.Bits, Probes: o.Probes, Seed: o.Seed}))
 		}
 	}
-	if !any {
-		return nil
-	}
-	return s
+	return set
 }
 
 // annSearcher is the optional engine capability searchModality routes dense
@@ -474,19 +481,21 @@ type annSearcher interface {
 	annSearch(q *Query, idx *ann.Index, depth int) ([]index.Result, ann.ProbeStats)
 }
 
-// maintainANN mirrors one object mutation into the candidate indexes: obj's
-// encodings replace the previous set under its id, nil obj is a removal.
-// Callers hold writeMu. An encoding-length mismatch means the corpus is not
+// maintainANN mirrors one object mutation into the candidate indexes that
+// exist: obj's encodings replace the previous set under its id, nil obj is a
+// removal. A modality the epoch answers from its inverted index has no
+// entry, so on a fully trained repository this does nothing. Callers hold
+// writeMu. An encoding-length mismatch means the corpus is not
 // ANN-indexable; that modality's index disables itself and searches fall
 // back to the exact scan for good.
 func (r *Repository) maintainANN(st *repoState, id string, obj *storedObject) {
-	if r.ann == nil {
-		return
-	}
-	for i, a := range r.ann.idx {
+	mirrored := false
+	for i := range r.ann {
+		a := r.ann[i].Load()
 		if a == nil {
 			continue
 		}
+		mirrored = true
 		if obj == nil {
 			a.Remove(id)
 			continue
@@ -495,35 +504,49 @@ func (r *Repository) maintainANN(st *repoState, id string, obj *storedObject) {
 			a.Disable()
 		}
 	}
-	r.updateANNGauge()
+	if mirrored {
+		r.updateANNGauge()
+	}
 }
 
-// refreshANN compacts the candidate indexes — always after a full Train,
-// and past a tombstone threshold after an incremental one, mirroring the
-// segmented indexes' compaction policy.
-func (r *Repository) refreshANN(force bool) {
-	if r.ann == nil {
-		return
-	}
-	for _, a := range r.ann.idx {
-		if a == nil {
+// releaseANN drops the candidate index of every modality st answers from
+// its inverted index, freeing its code block, keys and tables. Called with
+// every epoch install, under writeMu, so no mutator can be mirroring into an
+// entry as it goes. A search that loaded the previous epoch may still be
+// looking: it either holds the index (and probes codes that are all still
+// stored) or finds the entry gone and takes the exact scan — both correct.
+// It returns how many candidate indexes remain.
+func (r *Repository) releaseANN(st *repoState) (remaining int) {
+	released := false
+	for i := range r.ann {
+		if r.ann[i].Load() == nil {
 			continue
 		}
-		if force || a.DeadFraction() >= 0.25 {
-			a.Compact()
+		if !st.indexed(i) {
+			remaining++
+			continue
 		}
+		r.ann[i].Store(nil)
+		released = true
 	}
-	r.updateANNGauge()
+	if released {
+		r.updateANNGauge()
+	}
+	return remaining
 }
 
-// rebuildANN reconstructs the candidate indexes from the store after a
+// rebuildANN fills the candidate indexes that exist from the store after a
 // snapshot restore, in sorted id order. Construction is seeded, so a rebuilt
-// index probes identically to the one the snapshotted repository held.
+// index probes identically to the one the snapshotted repository held. It
+// runs after the restored epoch is installed and its modalities released, so
+// a trained snapshot rebuilds nothing.
 func (r *Repository) rebuildANN() {
-	if r.ann == nil {
+	st := r.state.Load()
+	if r.releaseANN(st) == 0 {
 		return
 	}
-	st := r.state.Load()
+	_, sp := obs.StartSpan(context.Background(), r.met.reg, "repo/ann_build")
+	defer sp.End()
 	snap := r.objects.Items()
 	ids := make([]string, 0, len(snap))
 	for id := range snap {
@@ -537,8 +560,8 @@ func (r *Repository) rebuildANN() {
 
 func (r *Repository) updateANNGauge() {
 	var live int
-	for _, a := range r.ann.idx {
-		if a != nil {
+	for i := range r.ann {
+		if a := r.ann[i].Load(); a != nil {
 			live += a.Live()
 		}
 	}
@@ -565,8 +588,11 @@ func (r *Repository) ResidentBytes() int64 { return repoBaseBytes + r.resident.L
 
 // approxObjectBytes estimates the resident cost of one stored object:
 // ciphertext, text tokens (32-byte tokens plus map and posting overhead),
-// and packed encoding words counted twice — once stored, once mirrored into
-// candidate indexes and postings.
+// and packed encoding words counted twice — once stored, once again for
+// what is derived from them: the candidate index's copy while the modality
+// has no codebook, postings and segment columns once it has. The second
+// term is deliberately not lowered for trained repositories: tenancy
+// budgets are calibrated against this estimate.
 func approxObjectBytes(obj *storedObject) int64 {
 	n := int64(len(obj.ciphertext)) + 96
 	n += int64(len(obj.textTokens)) * 80
@@ -987,16 +1013,13 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 		closeIndexes(indexes, spillDirs)
 		return err
 	}
-	r.state.Store(&repoState{
+	r.installEpoch(&repoState{
 		epoch:     cl.epoch,
 		trained:   true,
 		engines:   engines,
 		indexes:   indexes,
 		spillDirs: spillDirs,
 	})
-	if r.tap != nil {
-		r.tap.EpochInstalled(r.id, cl.epoch)
-	}
 	r.changelog = nil
 	// A full rebuild re-indexed everything; the accumulated delta is spent.
 	r.deltaIDs = make(map[string]struct{})
@@ -1015,9 +1038,6 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 			r.met.audioVocabWords.Set(int64(eng.CodebookSize()))
 		}
 	}
-	asp := sp.Child("ann_refresh")
-	r.refreshANN(true)
-	asp.End()
 	r.met.trainFull.Inc()
 	info := &TrainInfo{Epoch: cl.epoch, Mode: "full"}
 	if prev := r.lastTrain.Load(); prev != nil && prev.DriftFallback && prev.Epoch == cl.epoch {
@@ -1030,6 +1050,17 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 	r.updateIndexGauges()
 	r.leak.recordTrain(r.id)
 	return nil
+}
+
+// installEpoch makes next the serving epoch: one atomic swap, then the
+// candidate indexes of the modalities next answers from its inverted indexes
+// are released and the replication tap is told. Callers hold writeMu.
+func (r *Repository) installEpoch(next *repoState) {
+	r.state.Store(next)
+	r.releaseANN(next)
+	if r.tap != nil {
+		r.tap.EpochInstalled(r.id, next.epoch)
+	}
 }
 
 // trainingSample gathers up to capN encodings for one engine from the
@@ -1168,16 +1199,13 @@ func (r *Repository) tryTrainIncremental(ctx context.Context, sp *obs.Span) (han
 	}
 	rsp.End()
 	r.deltaIDs = make(map[string]struct{})
-	r.state.Store(&repoState{
+	r.installEpoch(&repoState{
 		epoch:     cur.epoch + 1,
 		trained:   true,
 		engines:   engines,
 		indexes:   cur.indexes,
 		spillDirs: cur.spillDirs,
 	})
-	if r.tap != nil {
-		r.tap.EpochInstalled(r.id, cur.epoch+1)
-	}
 	r.writeMu.Unlock()
 	// NOTE: cur's indexes are shared with the new epoch — do not close them.
 
@@ -1201,7 +1229,6 @@ func (r *Repository) tryTrainIncremental(ctx context.Context, sp *obs.Span) (han
 			r.met.audioVocabWords.Set(int64(eng.CodebookSize()))
 		}
 	}
-	r.refreshANN(false)
 	r.met.trainIncremental.Inc()
 	r.lastTrain.Store(&TrainInfo{
 		Epoch:     cur.epoch + 1,
@@ -1541,22 +1568,21 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 }
 
 // searchModality runs one modality's lookup for the given epoch: the
-// inverted index when the epoch is trained and the engine has its codebook;
-// before training, a dense scan routes through the ANN candidate index once
+// inverted index when the epoch answers the modality from it (st.indexed);
+// otherwise a dense scan routes through the ANN candidate index once
 // the live code count crosses ANNOptions.MinCorpus, and falls back to the
-// engine's exact linear scan below it (or when the index disabled itself).
+// engine's exact linear scan below it, when the index disabled itself, or
+// when a newer epoch has released it since st was loaded.
 func (r *Repository) searchModality(st *repoState, i int, eng ModalityEngine, q *Query, depth int) []index.Result {
-	if st.trained && st.indexes[i] != nil && eng.Ready() {
+	if st.indexed(i) {
 		return st.indexes[i].Search(eng.QueryTerms(q), depth)
 	}
-	if r.ann != nil && i < len(r.ann.idx) {
-		if a := r.ann.idx[i]; a != nil && a.Live() >= r.opts.ANN.MinCorpus {
-			if as, ok := eng.(annSearcher); ok {
-				res, stats := as.annSearch(q, a, depth)
-				r.met.annProbes.Add(int64(stats.Probes))
-				r.met.annCandidates.Add(int64(stats.Candidates))
-				return res
-			}
+	if i < len(r.ann) {
+		if a := r.ann[i].Load(); a != nil && a.Live() >= r.opts.ANN.MinCorpus {
+			res, stats := eng.(annSearcher).annSearch(q, a, depth)
+			r.met.annProbes.Add(int64(stats.Probes))
+			r.met.annCandidates.Add(int64(stats.Candidates))
+			return res
 		}
 	}
 	return eng.LinearSearch(q, r.objects, depth)

@@ -154,13 +154,11 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 	}
 	r.resident.Store(resident)
 	r.met.objects.Set(int64(r.objects.Len()))
-	// The ANN candidate indexes are derived state: rebuild them from the
-	// stored encodings in sorted id order. Construction is seeded, so the
-	// rebuilt indexes are deterministic across restores.
-	_, asp := obs.StartSpan(context.Background(), r.met.reg, "repo/ann_build")
-	r.rebuildANN()
-	asp.End()
 	if !snap.Trained {
+		// No codebook anywhere: every dense modality is searched through its
+		// candidate index, derived state that is rebuilt from the stored
+		// encodings.
+		r.rebuildANN()
 		return r, nil
 	}
 	// Restore the engines' trained state from the serialized codebooks,
@@ -234,6 +232,9 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 			r.met.audioVocabWords.Set(int64(eng.CodebookSize()))
 		}
 	}
+	// Last, with the engines restored: candidate indexes for the modalities
+	// that still have no codebook, and only those.
+	r.rebuildANN()
 	return r, nil
 }
 

@@ -91,8 +91,14 @@ func checkWALRecordDecode(t *testing.T, data []byte, what string) {
 		}
 		return
 	}
-	if again := encodeWALRecord(up, id); !bytes.Equal(again, data) {
+	again := encodeWALRecord(up, id)
+	if !bytes.Equal(again, data) {
 		t.Fatalf("%s: a record that decodes must have exactly one encoding\n got %x\nwant %x", what, again, data)
+	}
+	// The replication hub buffers every record it is handed: the encoder
+	// sizes the buffer exactly, in one allocation.
+	if len(again) != cap(again) {
+		t.Fatalf("%s: record of %d bytes sits in a buffer of %d", what, len(again), cap(again))
 	}
 }
 

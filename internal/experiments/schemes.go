@@ -110,7 +110,7 @@ func (m *mieStack) add(obj *core.Object) error {
 		return fmt.Errorf("mie update %s: %w", obj.ID, err)
 	}
 	if m.meter != nil {
-		m.meter.AddTransfer(device.Network, int64(len(up.AppendTo(nil))), 0)
+		m.meter.AddTransfer(device.Network, int64(up.EncodedSize()), 0)
 	}
 	return m.repo.Update(up)
 }

@@ -23,6 +23,9 @@ func TestBitVecsBinaryRoundTrip(t *testing.T) {
 		vs = append(vs, randomBitVec(r, n))
 	}
 	enc := AppendBitVecs(nil, vs)
+	if n := BitVecsLen(vs); n != len(enc) || BitVecsLen(nil) != len(AppendBitVecs(nil, nil)) {
+		t.Fatalf("BitVecsLen = %d, the encoding has %d bytes", n, len(enc))
+	}
 	c := bin.NewCursor(enc)
 	got := ConsumeBitVecs(c)
 	if err := c.Done(); err != nil {

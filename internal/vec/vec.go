@@ -169,6 +169,11 @@ func (b BitVec) Words() []uint64 {
 	return out
 }
 
+// AppendWords appends the packed words to dst and returns the extended
+// slice: the way to read a vector's words into storage the caller owns (a
+// flat code block, a stack buffer) in one copy and no allocation of its own.
+func (b BitVec) AppendWords(dst []uint64) []uint64 { return append(dst, b.words...) }
+
 // Set sets bit i to v.
 func (b BitVec) Set(i int, v bool) {
 	if i < 0 || i >= b.n {
@@ -279,6 +284,15 @@ func AppendBitVecs(b []byte, vs []BitVec) []byte {
 		}
 	}
 	return b
+}
+
+// BitVecsLen returns the number of bytes AppendBitVecs writes for vs.
+func BitVecsLen(vs []BitVec) int {
+	n := bin.UvarintLen(uint64(len(vs)))
+	for _, v := range vs {
+		n += bin.UvarintLen(uint64(v.n)) + 8*len(v.words)
+	}
+	return n
 }
 
 // ConsumeBitVecs reverses AppendBitVecs. The vectors share one freshly

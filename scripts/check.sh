@@ -49,8 +49,10 @@ go test -race -shuffle=on -cover ./...
 go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./internal/replica ./internal/router ./internal/index
 # The write path's one encoding, repeated too: WAL record codec, recovery
 # (crash matrix, refusal of anything that is not a record) and the leader-log = follower-log
-# identity test, which runs a two-node cluster under a partition.
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat' ./internal/core
+# identity test, which runs a two-node cluster under a partition. The ANN
+# tests ride along: an epoch install releases a candidate index while
+# searches that loaded the previous epoch may still be probing it.
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|ANN' ./internal/core
 
 # The experiment printer still builds and runs all three schemes end to end
 # — build, train, query, rank — through the binary (about two seconds; its
@@ -59,6 +61,10 @@ go run ./cmd/mie-bench -scale quick -experiment table2,fig5,table3
 # The index microbenchmark still runs, at one core and two. No parsing, no
 # threshold: speed gates live in bench/.
 go test -run '^$' -bench SegmentedLookup -benchtime 100x -cpu 1,2 ./internal/index
+# Likewise the trained, durable update path at the spine's engine shape
+# (ingest-durable's mix, without the transport); it reports the live heap a
+# mutation leaves behind beside allocations.
+go test -run '^$' -bench TrainedUpdate -benchtime 100x -cpu 1,2 ./internal/core
 # Likewise the frame codec's round trip over the spine's three frame shapes.
 go test -run '^$' -bench FrameRoundTrip -benchtime 100x ./internal/wire
 # And the client's Dense-DPE encode at the shapes that run (one descriptor,
