@@ -210,9 +210,8 @@ type walReplay struct {
 }
 
 // loadRepo restores one repository from its on-disk image: snapshot load,
-// WAL replay on top (remove-then-add, the same idempotent discipline as the
-// train-time changelog), then the log stays attached so new mutations keep
-// appending. It is the shared path of eager recovery and cold activation.
+// WAL replay on top (remove-then-add, so replaying a record twice converges),
+// then the log stays attached so new mutations keep appending. It is the shared path of eager recovery and cold activation.
 func (d *durability) loadRepo(sp *obs.Span, id string, indexOpts *RepositoryOptions) (*Repository, walReplay, error) {
 	var st walReplay
 	repo, err := loadSnapshotFile(sp, filepath.Join(d.dir, snapshotFileName(id)), indexOpts)

@@ -129,7 +129,7 @@ func assertSameObjects(t *testing.T, label string, got, want *Repository) {
 	t.Helper()
 	g, w := got.objects.Items(), want.objects.Items()
 	if len(g) != len(w) {
-		t.Fatalf("%s: recovered %d objects, want %d (%v vs %v)", label, len(g), len(w), sortedKeys(g), sortedKeys(w))
+		t.Fatalf("%s: recovered %d objects, want %d (%v vs %v)", label, len(g), len(w), sortedIDs(g), sortedIDs(w))
 	}
 	for id, wo := range w {
 		go_, ok := g[id]
@@ -140,15 +140,6 @@ func assertSameObjects(t *testing.T, label string, got, want *Repository) {
 			t.Fatalf("%s: object %q recovered with wrong ciphertext", label, id)
 		}
 	}
-}
-
-func sortedKeys(m map[string]*storedObject) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // verifyCrashPoint asserts the core crash-safety contract for one outcome:

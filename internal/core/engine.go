@@ -53,7 +53,7 @@ type ModalityEngine interface {
 	QueryTerms(q *Query) map[index.Term]uint64
 	// LinearSearch is the pre-training fallback: a ranked scan over the
 	// whole store (Algorithm 9's linear branch).
-	LinearSearch(q *Query, objects store.Store[*storedObject], depth int) []index.Result
+	LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) []index.Result
 	// SnapshotState returns the trained codebook words for serialization;
 	// nil when the engine holds no trained state.
 	SnapshotState() []vec.BitVec
@@ -83,7 +83,6 @@ func newEngines(opts RepositoryOptions) []ModalityEngine {
 				encs:      func(o *storedObject) []vec.BitVec { return o.imageEncs },
 				queryEncs: func(q *Query) []vec.BitVec { return q.ImageEncodings },
 				params:    opts.Vocab,
-				annOpts:   opts.ANN,
 			})
 		case ModalityAudio:
 			engines = append(engines, &denseEngine{
@@ -92,7 +91,6 @@ func newEngines(opts RepositoryOptions) []ModalityEngine {
 				encs:      func(o *storedObject) []vec.BitVec { return o.audioEncs },
 				queryEncs: func(q *Query) []vec.BitVec { return q.AudioEncodings },
 				params:    opts.Vocab,
-				annOpts:   opts.ANN,
 			})
 		}
 	}
@@ -149,7 +147,7 @@ func (textEngine) QueryTerms(q *Query) map[index.Term]uint64 {
 }
 
 // LinearSearch is the pre-training fallback: token-overlap TF scoring.
-func (textEngine) LinearSearch(q *Query, objects store.Store[*storedObject], depth int) []index.Result {
+func (textEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) []index.Result {
 	scores := make(map[index.DocID]float64)
 	objects.Range(func(id string, obj *storedObject) bool {
 		var s float64
@@ -163,7 +161,7 @@ func (textEngine) LinearSearch(q *Query, objects store.Store[*storedObject], dep
 		}
 		return true
 	})
-	return rankMap(scores, depth)
+	return index.TopK(scores, depth)
 }
 
 // ---------------------------------------------------------------------------
@@ -177,9 +175,7 @@ type denseEngine struct {
 	encs      func(*storedObject) []vec.BitVec
 	queryEncs func(*Query) []vec.BitVec
 	params    cluster.VocabParams
-	annOpts   ANNOptions
 	vocab     *cluster.Vocabulary[vec.BitVec] // nil until trained
-	wordANN   *ann.Index                      // nil unless the codebook crosses MinWords
 	terms     []index.Term                    // word -> index term, built with the codebook
 }
 
@@ -228,13 +224,12 @@ func (e *denseEngine) Train(sample []vec.BitVec) (ModalityEngine, error) {
 	return e.withVocab(vocab), nil
 }
 
-// withVocab returns a copy of e serving the given codebook, with everything
-// derived from it built once: the word-level ANN (large codebooks only) and
-// the table of index terms, so mapping an object to terms formats no strings.
+// withVocab returns a copy of e serving the given codebook, with the table of
+// index terms derived from it built once, so mapping an object to terms
+// formats no strings.
 func (e *denseEngine) withVocab(vocab *cluster.Vocabulary[vec.BitVec]) *denseEngine {
 	out := *e
 	out.vocab = vocab
-	out.wordANN = out.buildWordANN()
 	out.terms = make([]index.Term, vocab.Size())
 	for word := range out.terms {
 		out.terms[word] = index.Term(e.prefix + strconv.Itoa(word))
@@ -272,51 +267,9 @@ func (e *denseEngine) histTerms(encs []vec.BitVec) map[index.Term]uint64 {
 	}
 	terms := make(map[index.Term]uint64, len(encs))
 	for _, enc := range encs {
-		terms[e.terms[e.quantize(enc)]]++
+		terms[e.terms[e.vocab.Quantize(enc)]]++
 	}
 	return terms
-}
-
-// buildWordANN indexes the codebook words for approximate quantization, one
-// word per key so candidate slots double as word indexes. Small codebooks
-// (below ANNOptions.MinWords) quantize exactly through the vocabulary's own
-// lookup tree; only corpora large enough for tree descent or scanning to
-// matter pay the approximation.
-func (e *denseEngine) buildWordANN() *ann.Index {
-	if e.vocab == nil || e.annOpts.Disable || e.vocab.Size() < e.annOpts.MinWords {
-		return nil
-	}
-	ix := ann.New(ann.Options{
-		Tables: e.annOpts.Tables,
-		Bits:   e.annOpts.Bits,
-		Probes: e.annOpts.Probes,
-		Seed:   e.annOpts.Seed,
-	})
-	for i, w := range e.vocab.Words() {
-		if err := ix.AddAll(strconv.Itoa(i), []vec.BitVec{w}); err != nil {
-			return nil
-		}
-	}
-	return ix
-}
-
-// quantize maps one encoding to its (approximately) nearest codebook word.
-// With a word ANN the candidates arrive in ascending slot order and the
-// strict < keeps the lowest word on distance ties — the same tie-break the
-// vocabulary's exact scan uses.
-func (e *denseEngine) quantize(enc vec.BitVec) int {
-	if e.wordANN != nil {
-		if cands, _ := e.wordANN.Probe(enc); len(cands) > 0 {
-			best := cands[0]
-			for _, c := range cands[1:] {
-				if c.Dist < best.Dist {
-					best = c
-				}
-			}
-			return best.Slot
-		}
-	}
-	return e.vocab.Quantize(enc)
 }
 
 func (e *denseEngine) ExtractTerms(obj *storedObject) map[index.Term]uint64 {
@@ -330,7 +283,7 @@ func (e *denseEngine) QueryTerms(q *Query) map[index.Term]uint64 {
 // LinearSearch is the pre-codebook fallback: each query encoding votes for
 // the object holding its nearest stored encoding (by Hamming distance),
 // weighted by similarity.
-func (e *denseEngine) LinearSearch(q *Query, objects store.Store[*storedObject], depth int) []index.Result {
+func (e *denseEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) []index.Result {
 	qEncs := e.queryEncs(q)
 	scores := make(map[index.DocID]float64)
 	objects.Range(func(id string, obj *storedObject) bool {
@@ -353,13 +306,6 @@ func (e *denseEngine) LinearSearch(q *Query, objects store.Store[*storedObject],
 		}
 		return true
 	})
-	return rankMap(scores, depth)
-}
-
-// rankMap turns a linear-scan score map into a sorted, depth-truncated
-// result list through the shared bounded-heap selection — O(n log depth)
-// instead of materializing and sorting the whole map.
-func rankMap(scores map[index.DocID]float64, depth int) []index.Result {
 	return index.TopK(scores, depth)
 }
 

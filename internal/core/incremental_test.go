@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -284,6 +286,140 @@ func TestNewModalityFallsBackToFull(t *testing.T) {
 	if r.VocabularySize() == 0 {
 		t.Error("fallback did not build the image codebook")
 	}
+}
+
+// abortTrain runs one Train on r that reaches trainInstallHook — codebooks
+// and indexes ready — and is cancelled there, so it must not install.
+func abortTrain(t *testing.T, r *Repository) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	trainInstallHook = cancel
+	defer func() { trainInstallHook = nil }()
+	if err := r.TrainContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("train cancelled at the install hook: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestAbortedTrainLeavesLastTrainUntouched: a drift fallback whose full
+// rebuild is then cancelled installed nothing, so LastTrain must keep
+// describing the epoch that is serving. The drift decision itself did happen
+// and stays counted.
+func TestAbortedTrainLeavesLastTrainUntouched(t *testing.T) {
+	c := testClient(t)
+	opts := smallRepoOptions("")
+	opts.Incremental.DriftThreshold = 1e-9
+	opts.Incremental.ReassignThreshold = -1
+	r, err := NewRepository("inc-abort-drift", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRepo(t, c, r, 4, 2)
+	if err := r.Train(); err != nil {
+		t.Fatal(err)
+	}
+	before, epoch, fallbacks := r.LastTrain(), r.Epoch(), r.met.driftFallbacks.Value()
+	for i := 0; i < 10; i++ {
+		putObject(t, c, r, testObject(7, i)) // a class the codebook never saw
+	}
+	abortTrain(t, r)
+	if got := r.LastTrain(); got != before {
+		t.Errorf("aborted train rewrote LastTrain: %+v, want the installed %+v", got, before)
+	}
+	if got := r.Epoch(); got != epoch {
+		t.Errorf("aborted train moved the epoch to %d, want %d", got, epoch)
+	}
+	if got := r.met.driftFallbacks.Value(); got != fallbacks+1 {
+		t.Errorf("repo_train_drift_fallback_total = %d, want %d", got, fallbacks+1)
+	}
+	// The retry sees the same delta, falls back again and this time installs.
+	if err := r.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if info := r.LastTrain(); info.Mode != "full" || !info.DriftFallback || info.Epoch != epoch+1 {
+		t.Errorf("retry after the abort = %+v, want a drift-fallback full train installing epoch %d", info, epoch+1)
+	}
+}
+
+// TestAbortedTrainReturnsTakenIDs: Train takes deltaIDs aside when it plans;
+// a run that does not install must hand them back, or the next Train would
+// work from an empty delta. Each mode is checked against a twin repository
+// given the same writes and no aborted run.
+func TestAbortedTrainReturnsTakenIDs(t *testing.T) {
+	c := testClient(t)
+	pair := func(t *testing.T, id string) (aborted, twin *Repository) {
+		t.Helper()
+		var err error
+		if aborted, err = NewRepository(id, smallRepoOptions("")); err != nil {
+			t.Fatal(err)
+		}
+		if twin, err = NewRepository(id+"-twin", smallRepoOptions("")); err != nil {
+			t.Fatal(err)
+		}
+		return aborted, twin
+	}
+	// abortThenTrain aborts one Train on the first repository, checks the
+	// taken-aside ids came back, then trains both.
+	abortThenTrain := func(t *testing.T, aborted, twin *Repository) {
+		t.Helper()
+		abortTrain(t, aborted)
+		if got, want := len(aborted.deltaIDs), len(twin.deltaIDs); got != want {
+			t.Fatalf("deltaIDs after the aborted train holds %d ids, want %d", got, want)
+		}
+		putObject(t, c, aborted, testObject(2, 50)) // a write after the abort joins them
+		putObject(t, c, twin, testObject(2, 50))
+		if err := aborted.Train(); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Train(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := *aborted.LastTrain(), *twin.LastTrain(); got != want {
+			t.Fatalf("train after the abort = %+v, twin %+v", got, want)
+		}
+		for cls := 0; cls < 3; cls++ {
+			requireSameHits(t, c, aborted, twin, testObject(cls, 77))
+		}
+	}
+
+	t.Run("incremental", func(t *testing.T) {
+		aborted, twin := pair(t, "abort-inc")
+		for _, r := range []*Repository{aborted, twin} {
+			fillRepo(t, c, r, 4, 3)
+			if err := r.Train(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				putObject(t, c, r, testObject(1, 100+i))
+			}
+			if err := r.Remove("obj-c0-0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		abortThenTrain(t, aborted, twin)
+		if info := aborted.LastTrain(); info.Mode != "incremental" || info.DeltaDocs != 7 {
+			t.Errorf("LastTrain = %+v, want incremental over 7 docs (5 new, 1 removed, 1 late)", info)
+		}
+	})
+
+	// A modality with data but no codebook forces the full path; losing the
+	// ids would let the retry refine from nothing and leave it without one.
+	t.Run("full", func(t *testing.T) {
+		aborted, twin := pair(t, "abort-full")
+		for _, r := range []*Repository{aborted, twin} {
+			putObject(t, c, r, &Object{ID: "t1", Owner: "u", Text: "text only corpus"})
+			if err := r.Train(); err != nil {
+				t.Fatal(err)
+			}
+			fillRepo(t, c, r, 3, 3) // images arrive
+		}
+		abortThenTrain(t, aborted, twin)
+		if info := aborted.LastTrain(); info.Mode != "full" {
+			t.Errorf("LastTrain = %+v, want full", info)
+		}
+		if aborted.VocabularySize() == 0 {
+			t.Error("train after the abort built no image codebook")
+		}
+	})
 }
 
 // TestIncrementalSnapshotRoundTrip pins that a repository shaped by

@@ -90,17 +90,8 @@ func newRepoMetrics(reg *obs.Registry, id string) *repoMetrics {
 	}
 }
 
-// Common repository errors.
-var (
-	// ErrNotTrained is never returned by Search (which falls back to linear
-	// scan) but is exposed for callers that want to require an index.
-	ErrNotTrained = errors.New("core: repository not trained")
-	// ErrNoObjects is returned by Train on an empty repository when the
-	// image modality needs a codebook.
-	ErrNoObjects = errors.New("core: nothing to train on")
-	// ErrUnknownObject is returned by Get for absent ids.
-	ErrUnknownObject = errors.New("core: unknown object")
-)
+// ErrUnknownObject is returned by Get for absent ids.
+var ErrUnknownObject = errors.New("core: unknown object")
 
 // RepositoryOptions configures the server-side engine of one repository.
 type RepositoryOptions struct {
@@ -120,9 +111,6 @@ type RepositoryOptions struct {
 	// FusionCandidates is the per-modality candidate depth fed to rank
 	// fusion before truncating to k; 0 means 10*k.
 	FusionCandidates int
-	// StoreShards is the shard count of the object store; 0 means
-	// store.DefaultShards.
-	StoreShards int
 	// Incremental tunes incremental training and the segmented index.
 	Incremental IncrementalOptions
 	// ANN tunes the approximate dense-search candidate indexes.
@@ -130,16 +118,14 @@ type RepositoryOptions struct {
 }
 
 // ANNOptions governs the multi-probe LSH candidate indexes that make the
-// dense linear-scan fallback and large-codebook quantization sublinear. While
-// a dense modality has no codebook, one candidate index tracks every
-// encoding stored for it; linear searches route through it once the live
-// code count crosses MinCorpus, and codebook quantization routes through a
-// word index once the vocabulary crosses MinWords. Below the thresholds
-// every path stays exact, so small repositories (and existing tests and
-// golden fixtures) are unaffected.
+// dense linear-scan fallback sublinear. While a dense modality has no
+// codebook, one candidate index tracks every encoding stored for it; linear
+// searches route through it once the live code count crosses MinCorpus. Below
+// the threshold every search stays exact, so small repositories (and existing
+// tests and golden fixtures) are unaffected.
 type ANNOptions struct {
 	// Disable turns approximate candidate generation off entirely; every
-	// dense search and quantization stays exact.
+	// dense search stays exact.
 	Disable bool
 	// Tables is L, the number of independent hash tables; 0 means 8.
 	Tables int
@@ -152,9 +138,6 @@ type ANNOptions struct {
 	// MinCorpus is the live encoding count at which dense linear searches
 	// route through the candidate index; 0 means 4096.
 	MinCorpus int
-	// MinWords is the codebook size at which quantization routes through a
-	// word index instead of the vocabulary's exact lookup; 0 means 4096.
-	MinWords int
 	// Seed drives the per-table bit sampling; 0 means 1.
 	Seed int64
 }
@@ -223,9 +206,6 @@ func (o *RepositoryOptions) setDefaults() {
 	if o.ANN.MinCorpus == 0 {
 		o.ANN.MinCorpus = 4096
 	}
-	if o.ANN.MinWords == 0 {
-		o.ANN.MinWords = 4096
-	}
 	if o.ANN.Seed == 0 {
 		o.ANN.Seed = 1
 	}
@@ -290,21 +270,14 @@ func (st *repoState) indexed(i int) bool {
 	return st.trained && st.indexes[i] != nil && st.engines[i].Ready()
 }
 
-// changeRec is one generation-stamped entry of the train-time changelog.
-type changeRec struct {
-	// epoch stamps the generation the change was applied under.
-	epoch  uint64
-	remove bool
-	id     string
-	obj    *storedObject // nil for removes
-}
-
-// changelog captures writes that land while a Train is building the next
-// epoch off-lock; they are replayed against the fresh indexes just before
-// the swap so the new epoch reflects every write the old one served.
-type changelog struct {
-	epoch uint64 // the epoch being built
-	recs  []changeRec
+// unindex drops id's postings from every index of the epoch.
+func (st *repoState) unindex(id string) {
+	doc := index.DocID(id)
+	for _, idx := range st.indexes {
+		if idx != nil {
+			idx.Remove(doc)
+		}
+	}
 }
 
 // Repository is the untrusted server-side engine for one shared repository:
@@ -317,9 +290,9 @@ type changelog struct {
 // one ModalityEngine per media type above it, and an epoch-swapped index set
 // on top. Reads (Get/Search) take no repository-wide lock — they load the
 // current epoch atomically and go through the store's shard locks only.
-// Train never blocks them: it snapshots the store, builds codebooks and
-// fresh indexes off-lock, replays the concurrent-write changelog, and swaps
-// the new epoch in atomically.
+// Train never blocks them: it builds codebooks (and, for a full rebuild,
+// fresh indexes from a store snapshot) off-lock, re-indexes the ids written
+// meanwhile from the store, and swaps the new epoch in atomically.
 type Repository struct {
 	id   string
 	opts RepositoryOptions
@@ -338,7 +311,7 @@ type Repository struct {
 	gov *TenantGovernor
 
 	// objects is the storage layer: ciphertext + encodings per object id.
-	objects store.Store[*storedObject]
+	objects *store.Sharded[*storedObject]
 
 	// ann is parallel to the engine set (nil when ANN is disabled): entry i
 	// is modality i's candidate index and exists exactly while a search of
@@ -363,11 +336,11 @@ type Repository struct {
 	// repository's write-ahead log: every mutation is appended before it is
 	// applied, so an acknowledged write is replayable after a crash.
 	wal *wal.Log
-	// changelog is non-nil while a Train is in flight (guarded by writeMu).
-	changelog *changelog
-	// deltaIDs (guarded by writeMu) accumulates the object ids touched by
-	// Update/Remove since the last Train install — the changelog the
-	// incremental train path refines codebooks from and re-indexes.
+	// deltaIDs (guarded by writeMu) is the one record of what changed: the
+	// object ids touched by Update/Remove since a Train last took the set
+	// aside. Ids only — what an id holds is read from the store when it is
+	// needed. Train takes the set aside and starts a fresh one; a run that
+	// does not install merges what it took back.
 	deltaIDs map[string]struct{}
 	// trainMu serializes Train calls; searches and writes proceed under it.
 	trainMu sync.Mutex
@@ -413,9 +386,9 @@ func (r *Repository) LastTrain() *TrainInfo { return r.lastTrain.Load() }
 
 // Test hooks (nil outside tests): updateIndexHook injects an index failure
 // for one modality inside Update's index step, so the rollback path is
-// testable; trainInstallHook runs off-lock after the next epoch's indexes
-// are built, just before the install, so tests can hold a Train in flight
-// deterministically.
+// testable; trainInstallHook runs off-lock once the next epoch's codebooks
+// and indexes are ready, just before the re-index and install, so tests can
+// hold a Train in flight deterministically.
 var (
 	updateIndexHook  func(Modality) error
 	trainInstallHook func()
@@ -449,7 +422,7 @@ func NewRepository(id string, opts RepositoryOptions) (*Repository, error) {
 		id:       id,
 		opts:     opts,
 		met:      newRepoMetrics(obs.Default(), id),
-		objects:  store.New[*storedObject](opts.StoreShards),
+		objects:  store.New[*storedObject](store.DefaultShards),
 		leak:     newLeakage(),
 		deltaIDs: make(map[string]struct{}),
 	}
@@ -548,12 +521,7 @@ func (r *Repository) rebuildANN() {
 	_, sp := obs.StartSpan(context.Background(), r.met.reg, "repo/ann_build")
 	defer sp.End()
 	snap := r.objects.Items()
-	ids := make([]string, 0, len(snap))
-	for id := range snap {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(snap) {
 		r.maintainANN(st, id, snap[id])
 	}
 }
@@ -686,14 +654,9 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 		return err
 	}
 	st := r.state.Load()
-	doc := index.DocID(up.ObjectID)
 	prev, replaced := r.objects.Put(up.ObjectID, obj)
 	if replaced {
-		for _, idx := range st.indexes {
-			if idx != nil {
-				idx.Remove(doc)
-			}
-		}
+		st.unindex(up.ObjectID)
 	}
 	if st.trained {
 		isp := sp.Child("index")
@@ -724,9 +687,6 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 		r.resident.Add(newBytes)
 	}
 	r.maintainANN(st, up.ObjectID, obj)
-	if cl := r.changelog; cl != nil {
-		cl.recs = append(cl.recs, changeRec{epoch: st.epoch, id: up.ObjectID, obj: obj})
-	}
 	r.deltaIDs[up.ObjectID] = struct{}{}
 	r.met.objects.Set(int64(r.objects.Len()))
 	r.met.leakUpdateTokens.Add(int64(r.leak.recordUpdate(up)))
@@ -788,20 +748,12 @@ func (r *Repository) RemoveContext(ctx context.Context, objectID string) error {
 		}
 	}
 	if prev, existed := r.objects.Delete(objectID); existed {
-		doc := index.DocID(objectID)
-		for _, idx := range st.indexes {
-			if idx != nil {
-				idx.Remove(doc)
-			}
-		}
+		st.unindex(objectID)
 		r.maintainANN(st, objectID, nil)
 		r.deltaIDs[objectID] = struct{}{}
 		bytes := approxObjectBytes(prev)
 		r.resident.Add(-bytes)
 		r.gov.creditRemove(prev.owner, bytes)
-	}
-	if cl := r.changelog; cl != nil {
-		cl.recs = append(cl.recs, changeRec{epoch: st.epoch, remove: true, id: objectID})
 	}
 	r.met.objects.Set(int64(r.objects.Len()))
 	r.leak.recordRemove(objectID)
@@ -888,30 +840,35 @@ func (r *Repository) GetContext(ctx context.Context, objectID string) (ciphertex
 }
 
 // Train runs the machine-learning step in the cloud (CLOUD.Train,
-// Algorithm 6). On the first call — or whenever refinement is impossible or
-// drifted too far — it is a full rebuild: flat k-means over the stored
-// Dense-DPE encodings of each dense modality — in Hamming space, since that
-// is what the encodings preserve — selects the codebook words, a lookup tree
-// is built over them, and every stored object is (re)indexed. Sparse
-// modalities need no training; their index is simply (re)built.
+// Algorithm 6) as one pipeline of five steps, the same for a first Train and
+// for every later one; only what steps two and three do differs.
 //
-// On a trained repository Train is incremental: a compaction policy, not a
-// rebuild. The codebooks are warm-start refined from only the encodings of
-// objects changed since the last Train (mini-batch k-means seeded with the
-// previous centroids), those delta objects are re-indexed in place, the
-// memtable segments are sealed and background compaction is requested —
-// cost proportional to the churn, not the corpus. A quantization-drift
-// metric guards the shortcut: past Incremental.DriftThreshold (or
-// ReassignThreshold) the refined codebook is rejected and the run falls
-// back to the full rebuild above.
+//  1. Plan, under writeMu: load the serving epoch, take deltaIDs — the ids
+//     written since the last Train — aside and start a fresh set, so every
+//     write from here on is recorded apart from what the run works on.
+//  2. Codebooks, off-lock. On a trained repository they are warm-start
+//     refined from the encodings of the taken-aside objects only (mini-batch
+//     k-means seeded with the previous centroids): cost proportional to the
+//     churn, not the corpus. When that is impossible (untrained, or a
+//     modality has data but no codebook yet), disabled, or drifted past
+//     Incremental.DriftThreshold/ReassignThreshold, flat k-means re-clusters
+//     the stored Dense-DPE encodings of a sorted store snapshot — in Hamming
+//     space, since that is what the encodings preserve — and a lookup tree is
+//     built over the words. Sparse modalities need no training.
+//  3. Indexes, off-lock: an incremental run carries the serving epoch's
+//     indexes forward; a full run bulk-builds fresh ones from the snapshot.
+//  4. Re-index, under writeMu: every id the run must account for is removed
+//     from each index and re-added from the store as it stands now, under
+//     the new codebooks — the taken-aside ids and the ones written since for
+//     an incremental run, only the latter for a full one (its snapshot, taken
+//     after the plan, already holds everything written before it).
+//  5. Install the epoch with one atomic swap, still under writeMu, so no
+//     write slips between re-index and install.
 //
-// Train never blocks readers or writers for its duration: the full path
-// opens a generation-stamped changelog, snapshots the store, builds the
-// codebooks and a fresh index set entirely off-lock, then replays the
-// changelog and installs the new epoch with one atomic swap; the
-// incremental path refines off-lock and only takes the write lock to
-// re-index the delta. A Search issued mid-training is served by the
-// previous epoch throughout.
+// Train never blocks readers or writers for its duration: a Search issued
+// mid-training is served by the previous epoch throughout. A run that does
+// not install — cancelled, or failed — merges the ids it took back, so the
+// next Train accounts for them.
 func (r *Repository) Train() error { return r.TrainContext(context.Background()) }
 
 // TrainContext is Train with cooperative cancellation: the context is
@@ -929,108 +886,214 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 		return err
 	}
 
-	// Incremental fast path: on a trained repository with an intact codebook
-	// lineage, refine from the delta instead of rebuilding. Falls through to
-	// the full rebuild when disabled, untrained, refinement is impossible,
-	// or drift exceeded the threshold.
-	if handled, err := r.tryTrainIncremental(ctx, sp); handled {
-		return err
-	}
-
-	// Phase 1 — open the changelog, then snapshot the store. Order matters:
-	// with the log installed first, a write racing the snapshot copy is also
-	// logged, and replay (remove-then-add) is idempotent, so nothing is
-	// lost either way.
+	// Step 1 — plan.
 	r.writeMu.Lock()
 	cur := r.state.Load()
-	cl := &changelog{epoch: cur.epoch + 1}
-	r.changelog = cl
+	taken := r.deltaIDs
+	r.deltaIDs = make(map[string]struct{})
 	r.writeMu.Unlock()
-	defer func() { // retire the changelog on every exit path
-		r.writeMu.Lock()
-		r.changelog = nil
-		r.writeMu.Unlock()
+	installed := false
+	defer func() {
+		if !installed {
+			r.writeMu.Lock()
+			r.mergeDelta(taken)
+			r.writeMu.Unlock()
+		}
 	}()
-	snap := r.objects.Items()
-	// Deterministic sample order (sorted object ids) so retraining a given
-	// repository always yields the same codebooks.
-	ids := make([]string, 0, len(snap))
-	for id := range snap {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	info := &TrainInfo{Epoch: cur.epoch + 1, Mode: "full"}
 
-	// Phase 2 — train the engines off-lock. Dense engines run k-means over
-	// up to TrainingSampleCap encodings; sparse engines and dense engines
-	// with no data yet pass through unchanged (their codebook, if any, is
-	// kept, so a later Train can pick up data that arrived since).
-	engines := make([]ModalityEngine, len(cur.engines))
-	for i, eng := range cur.engines {
-		if err := ctx.Err(); err != nil {
+	// Step 2 — codebooks: refine from the delta where that is possible and
+	// allowed. Removed objects contribute no encodings; step 4 drops their
+	// postings.
+	var engines []ModalityEngine
+	if cur.trained && !r.opts.Incremental.Disable {
+		delta := make(map[string]*storedObject, len(taken))
+		for id := range taken {
+			if obj, ok := r.objects.Get(id); ok {
+				delta[id] = obj
+			}
+		}
+		refined, drift, err := r.codebooks(ctx, sp, cur.engines, delta, sortedIDs(delta), true)
+		if err != nil {
 			return err
 		}
-		sample := trainingSample(eng, snap, ids, r.opts.TrainingSampleCap)
-		if len(sample) == 0 {
-			engines[i] = eng
-			continue
+		if refined != nil {
+			r.met.driftPermille.Set(int64(drift.MeanShift * 1000))
+			info.Drift = drift
+			if drift.Exceeds(r.opts.Incremental.DriftThreshold, r.opts.Incremental.ReassignThreshold) {
+				// The delta pulled the codebook too far from the epoch the
+				// standing postings were quantized under: re-cluster.
+				r.met.driftFallbacks.Inc()
+				info.DriftFallback = true
+			} else {
+				info.Mode = "incremental"
+				engines = refined
+			}
 		}
-		csp := sp.Child(string(eng.Modality()) + "_codebook")
-		trained, err := eng.Train(sample)
-		csp.End()
-		if err != nil {
-			return fmt.Errorf("core: train %s codebook: %w", eng.Modality(), err)
-		}
-		engines[i] = trained
 	}
-
-	// Phase 3 — build the next epoch's indexes off-lock from the snapshot,
-	// through the bulk path.
-	bsp := sp.Child("build_indexes")
-	indexes, spillDirs, err := r.buildIndexes(engines, cl.epoch, snap, ids)
-	bsp.End()
-	if err != nil {
-		return err
+	// Step 3 — indexes. In carried indexes the objects outside the delta keep
+	// their previous-epoch quantization, which is exactly the bounded
+	// staleness the drift threshold guards.
+	indexes, spillDirs := cur.indexes, cur.spillDirs
+	full := engines == nil
+	if full {
+		// The snapshot is copied shard by shard, not at one instant; a write
+		// racing the copy is in the fresh deltaIDs, and step 4 re-indexes it.
+		snap := r.objects.Items()
+		ids := sortedIDs(snap)
+		var err error
+		if engines, _, err = r.codebooks(ctx, sp, cur.engines, snap, ids, false); err != nil {
+			return err
+		}
+		bsp := sp.Child("build_indexes")
+		indexes, spillDirs, err = r.buildIndexes(engines, info.Epoch, snap, ids)
+		bsp.End()
+		if err != nil {
+			return err
+		}
+	}
+	next := &repoState{epoch: info.Epoch, trained: true, engines: engines, indexes: indexes, spillDirs: spillDirs}
+	discard := func() { // a full run that does not install drops what it built
+		if full {
+			closeIndexes(indexes, spillDirs)
+		}
 	}
 	if hook := trainInstallHook; hook != nil {
 		hook()
 	}
 	if err := ctx.Err(); err != nil {
-		// Aborted after the expensive build: drop the fresh indexes, keep
-		// the current epoch serving.
-		closeIndexes(indexes, spillDirs)
+		discard()
 		return err
 	}
 
-	// Phase 4 — replay the writes that landed during training against the
-	// fresh indexes, then swap the epoch in. Both happen under writeMu so
-	// no write can slip between replay and install.
+	// Steps 4 and 5 — re-index and install.
 	r.writeMu.Lock()
-	rsp := sp.Child("replay")
-	err = replayChangelog(engines, indexes, cl)
+	if !full {
+		r.mergeDelta(taken)
+		info.DeltaDocs = len(r.deltaIDs)
+	}
+	rsp := sp.Child("reindex")
+	err := r.reindex(next, r.deltaIDs)
 	rsp.End()
 	if err != nil {
 		r.writeMu.Unlock()
-		closeIndexes(indexes, spillDirs)
+		discard()
 		return err
 	}
-	r.installEpoch(&repoState{
-		epoch:     cl.epoch,
-		trained:   true,
-		engines:   engines,
-		indexes:   indexes,
-		spillDirs: spillDirs,
-	})
-	r.changelog = nil
-	// A full rebuild re-indexed everything; the accumulated delta is spent.
 	r.deltaIDs = make(map[string]struct{})
-	// Phase 5 — retire the previous epoch's indexes: close spill logs and
-	// drop their now-unreferenced spill directories. In-flight searches
-	// that loaded the old state only read its in-memory postings, so
-	// closing the spill log under them is safe.
-	closeIndexes(cur.indexes, cur.spillDirs)
+	r.installEpoch(next)
+	installed = true
+	if full {
+		// Retire the previous epoch's indexes: close spill logs and drop their
+		// now-unreferenced spill directories. In-flight searches that loaded
+		// the old state only read its in-memory postings, so closing the spill
+		// log under them is safe.
+		closeIndexes(cur.indexes, cur.spillDirs)
+	}
 	r.writeMu.Unlock()
 
-	for _, eng := range engines {
+	r.lastTrain.Store(info)
+	r.leak.recordTrain(r.id)
+	if full {
+		r.met.trainFull.Inc()
+	} else {
+		r.met.trainIncremental.Inc()
+		// Train as compaction policy: freeze the memtables into sealed
+		// segments and let the background compactor merge. Sealing is O(1);
+		// the merge is off the Train critical path.
+		for _, idx := range indexes {
+			if idx != nil {
+				if err := idx.Seal(); err != nil {
+					return err
+				}
+			}
+		}
+		r.requestCompaction()
+	}
+	r.updateIndexGauges()
+	return nil
+}
+
+// mergeDelta returns ids a Train took aside to deltaIDs. Callers hold
+// writeMu.
+func (r *Repository) mergeDelta(taken map[string]struct{}) {
+	for id := range taken {
+		r.deltaIDs[id] = struct{}{}
+	}
+}
+
+// codebooks runs step 2 of Train for every engine over objs (ids is its
+// sorted key list): a warm-start refinement when refine is set, a fresh
+// k-means otherwise. Engines with nothing to learn from — sparse modalities,
+// dense ones with no data in objs — pass through unchanged, codebook
+// included, so a later Train can pick up data that arrives. It returns nil
+// engines when a refinement is impossible (data for a modality that never
+// trained: only a fresh k-means can give it a codebook), and otherwise the
+// new engine set with the worst drift any refinement measured.
+func (r *Repository) codebooks(ctx context.Context, sp *obs.Span, cur []ModalityEngine, objs map[string]*storedObject, ids []string, refine bool) ([]ModalityEngine, cluster.DriftReport, error) {
+	var worst cluster.DriftReport
+	engines := make([]ModalityEngine, len(cur))
+	for i, eng := range cur {
+		if err := ctx.Err(); err != nil {
+			return nil, worst, err
+		}
+		sample := trainingSample(eng, objs, ids, r.opts.TrainingSampleCap)
+		if len(sample) == 0 {
+			engines[i] = eng
+			continue
+		}
+		csp := sp.Child(string(eng.Modality()) + "_codebook")
+		var drift cluster.DriftReport
+		var err error
+		ok, verb := true, "train"
+		if refine {
+			verb = "refine"
+			engines[i], drift, ok, err = eng.Refine(sample)
+		} else {
+			engines[i], err = eng.Train(sample)
+		}
+		csp.End()
+		if err != nil {
+			return nil, worst, fmt.Errorf("core: %s %s codebook: %w", verb, eng.Modality(), err)
+		}
+		if !ok {
+			return nil, worst, nil
+		}
+		worst.MeanShift = max(worst.MeanShift, drift.MeanShift)
+		worst.MaxShift = max(worst.MaxShift, drift.MaxShift)
+		worst.ReassignedFraction = max(worst.ReassignedFraction, drift.ReassignedFraction)
+	}
+	return engines, worst, nil
+}
+
+// reindex is step 4 of Train, the one remove-then-re-add loop: each id is
+// dropped from every index of st and, if the store still holds it, indexed
+// again under st's engines. Reading the store here, under writeMu, is what an
+// ordered replay of full-state records would converge to — the last write to
+// an id wins, whatever came before it. Callers hold writeMu.
+func (r *Repository) reindex(st *repoState, ids map[string]struct{}) error {
+	for id := range ids {
+		st.unindex(id)
+		if obj, ok := r.objects.Get(id); ok {
+			if err := indexObject(st, id, obj); err != nil {
+				return fmt.Errorf("core: reindex %s: %w", id, err)
+			}
+		}
+	}
+	return nil
+}
+
+// installEpoch makes next the serving epoch: one atomic swap, then the
+// candidate indexes of the modalities next answers from its inverted indexes
+// are released, the replication tap is told and the codebook gauges follow.
+// Callers hold writeMu.
+func (r *Repository) installEpoch(next *repoState) {
+	r.state.Store(next)
+	r.releaseANN(next)
+	if r.tap != nil {
+		r.tap.EpochInstalled(r.id, next.epoch)
+	}
+	for _, eng := range next.engines {
 		switch eng.Modality() {
 		case ModalityImage:
 			r.met.vocabWords.Set(int64(eng.CodebookSize()))
@@ -1038,29 +1101,18 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 			r.met.audioVocabWords.Set(int64(eng.CodebookSize()))
 		}
 	}
-	r.met.trainFull.Inc()
-	info := &TrainInfo{Epoch: cl.epoch, Mode: "full"}
-	if prev := r.lastTrain.Load(); prev != nil && prev.DriftFallback && prev.Epoch == cl.epoch {
-		// tryTrainIncremental pre-recorded the fallback for this epoch; keep
-		// its drift report on the final record.
-		info.DriftFallback = true
-		info.Drift = prev.Drift
-	}
-	r.lastTrain.Store(info)
-	r.updateIndexGauges()
-	r.leak.recordTrain(r.id)
-	return nil
 }
 
-// installEpoch makes next the serving epoch: one atomic swap, then the
-// candidate indexes of the modalities next answers from its inverted indexes
-// are released and the replication tap is told. Callers hold writeMu.
-func (r *Repository) installEpoch(next *repoState) {
-	r.state.Store(next)
-	r.releaseANN(next)
-	if r.tap != nil {
-		r.tap.EpochInstalled(r.id, next.epoch)
+// sortedIDs returns the keys of a store copy in sorted order — the order
+// every pass over one uses, so that retraining or restoring a given
+// repository always yields the same codebooks and indexes.
+func sortedIDs(objs map[string]*storedObject) []string {
+	ids := make([]string, 0, len(objs))
+	for id := range objs {
+		ids = append(ids, id)
 	}
+	sort.Strings(ids)
+	return ids
 }
 
 // trainingSample gathers up to capN encodings for one engine from the
@@ -1076,169 +1128,6 @@ func trainingSample(eng ModalityEngine, snap map[string]*storedObject, ids []str
 		}
 	}
 	return sample
-}
-
-// tryTrainIncremental attempts the incremental train path: refine the
-// codebooks from only the delta sample (warm-started from the previous
-// epoch), re-index just the delta objects against the refined engines, seal
-// the memtables and hand merging to the background compactor. Returns
-// handled=false when the run must go through the full rebuild instead —
-// incremental training disabled, repository untrained, a modality has delta
-// data but no prior codebook, or measured drift exceeded the thresholds.
-func (r *Repository) tryTrainIncremental(ctx context.Context, sp *obs.Span) (handled bool, err error) {
-	if r.opts.Incremental.Disable {
-		return false, nil
-	}
-	r.writeMu.Lock()
-	cur := r.state.Load()
-	if !cur.trained {
-		r.writeMu.Unlock()
-		return false, nil
-	}
-	deltaIDs := make([]string, 0, len(r.deltaIDs))
-	for id := range r.deltaIDs {
-		deltaIDs = append(deltaIDs, id)
-	}
-	r.writeMu.Unlock()
-	// Deterministic sample order, mirroring the full path's sorted snapshot.
-	sort.Strings(deltaIDs)
-
-	// Refine each engine off-lock from the delta sample. Removed objects
-	// contribute no encodings; they are handled at the re-index step.
-	isp := sp.Child("incremental_refine")
-	defer isp.End()
-	deltaObjs := make(map[string]*storedObject, len(deltaIDs))
-	liveIDs := make([]string, 0, len(deltaIDs))
-	for _, id := range deltaIDs {
-		if obj, ok := r.objects.Get(id); ok {
-			deltaObjs[id] = obj
-			liveIDs = append(liveIDs, id)
-		}
-	}
-	engines := make([]ModalityEngine, len(cur.engines))
-	var worst cluster.DriftReport
-	for i, eng := range cur.engines {
-		if err := ctx.Err(); err != nil {
-			return true, err
-		}
-		sample := trainingSample(eng, deltaObjs, liveIDs, r.opts.TrainingSampleCap)
-		refined, drift, ok, err := eng.Refine(sample)
-		if err != nil {
-			return true, fmt.Errorf("core: refine %s codebook: %w", eng.Modality(), err)
-		}
-		if !ok {
-			// Data arrived for a modality that never trained: only a full
-			// re-cluster can give it a codebook.
-			return false, nil
-		}
-		if drift.MeanShift > worst.MeanShift {
-			worst.MeanShift = drift.MeanShift
-		}
-		if drift.MaxShift > worst.MaxShift {
-			worst.MaxShift = drift.MaxShift
-		}
-		if drift.ReassignedFraction > worst.ReassignedFraction {
-			worst.ReassignedFraction = drift.ReassignedFraction
-		}
-		engines[i] = refined
-	}
-	r.met.driftPermille.Set(int64(worst.MeanShift * 1000))
-	if worst.Exceeds(r.opts.Incremental.DriftThreshold, r.opts.Incremental.ReassignThreshold) {
-		// The delta pulled the codebook too far from the epoch the standing
-		// postings were quantized under: re-cluster from scratch. Record the
-		// decision so the full path can attribute its run to drift.
-		r.met.driftFallbacks.Inc()
-		r.lastTrain.Store(&TrainInfo{
-			Epoch:         cur.epoch + 1,
-			Mode:          "full",
-			DriftFallback: true,
-			Drift:         worst,
-			DeltaDocs:     len(deltaIDs),
-		})
-		return false, nil
-	}
-	if hook := trainInstallHook; hook != nil {
-		hook()
-	}
-	if err := ctx.Err(); err != nil {
-		return true, err
-	}
-
-	// Install: under the write lock, re-index every object in the (possibly
-	// grown) delta set against the refined engines and swap the epoch. The
-	// index pointers carry over — updates already landed in the live
-	// segmented indexes; only the delta's quantization changes. Objects not
-	// in the delta keep their previous-epoch quantization, which is exactly
-	// the bounded staleness the drift threshold guards.
-	r.writeMu.Lock()
-	rsp := sp.Child("incremental_reindex")
-	reindexed := 0
-	for id := range r.deltaIDs {
-		doc := index.DocID(id)
-		obj, live := r.objects.Get(id)
-		for i := range engines {
-			idx := cur.indexes[i]
-			if idx == nil {
-				continue
-			}
-			idx.Remove(doc)
-			if !live {
-				continue
-			}
-			terms := engines[i].ExtractTerms(obj)
-			if len(terms) == 0 {
-				continue
-			}
-			if err := idx.Add(doc, terms); err != nil {
-				rsp.End()
-				r.writeMu.Unlock()
-				return true, fmt.Errorf("core: incremental reindex %s: %w", id, err)
-			}
-		}
-		reindexed++
-	}
-	rsp.End()
-	r.deltaIDs = make(map[string]struct{})
-	r.installEpoch(&repoState{
-		epoch:     cur.epoch + 1,
-		trained:   true,
-		engines:   engines,
-		indexes:   cur.indexes,
-		spillDirs: cur.spillDirs,
-	})
-	r.writeMu.Unlock()
-	// NOTE: cur's indexes are shared with the new epoch — do not close them.
-
-	// Train as compaction policy: freeze the memtables into sealed segments
-	// and let the background compactor merge. Sealing is O(1); the merge is
-	// off the Train critical path.
-	for _, idx := range cur.indexes {
-		if idx != nil {
-			if err := idx.Seal(); err != nil {
-				return true, err
-			}
-		}
-	}
-	r.requestCompaction()
-
-	for _, eng := range engines {
-		switch eng.Modality() {
-		case ModalityImage:
-			r.met.vocabWords.Set(int64(eng.CodebookSize()))
-		case ModalityAudio:
-			r.met.audioVocabWords.Set(int64(eng.CodebookSize()))
-		}
-	}
-	r.met.trainIncremental.Inc()
-	r.lastTrain.Store(&TrainInfo{
-		Epoch:     cur.epoch + 1,
-		Mode:      "incremental",
-		Drift:     worst,
-		DeltaDocs: reindexed,
-	})
-	r.updateIndexGauges()
-	r.leak.recordTrain(r.id)
-	return true, nil
 }
 
 // requestCompaction spawns (at most one at a time) a background goroutine
@@ -1405,43 +1294,6 @@ func (r *Repository) segmentedOptions(opts index.Options) index.SegmentedOptions
 		CompactSegments: r.opts.Incremental.CompactSegments,
 		OnSeal:          r.requestCompaction,
 	}
-}
-
-// replayChangelog applies the writes captured during off-lock training to
-// the next epoch's indexes. Replay is idempotent (remove-then-add), so an
-// object both present in the snapshot and logged converges to its logged
-// version.
-func replayChangelog(engines []ModalityEngine, indexes []*index.Segmented, cl *changelog) error {
-	for _, rec := range cl.recs {
-		if rec.epoch >= cl.epoch {
-			// Stamped by a later generation than the one being built; can
-			// only happen if install ordering is broken — skip defensively.
-			continue
-		}
-		doc := index.DocID(rec.id)
-		for _, idx := range indexes {
-			if idx != nil {
-				idx.Remove(doc)
-			}
-		}
-		if rec.remove {
-			continue
-		}
-		for i, eng := range engines {
-			idx := indexes[i]
-			if idx == nil {
-				continue
-			}
-			terms := eng.ExtractTerms(rec.obj)
-			if len(terms) == 0 {
-				continue
-			}
-			if err := idx.Add(doc, terms); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // closeIndexes closes an epoch's indexes and removes their per-epoch spill

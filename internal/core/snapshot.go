@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"mie/internal/dpe"
@@ -162,8 +161,7 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 		return r, nil
 	}
 	// Restore the engines' trained state from the serialized codebooks,
-	// then rebuild the first trained epoch through the same bulk path
-	// Train uses.
+	// then the first trained epoch's indexes.
 	cur := r.state.Load()
 	engines := make([]ModalityEngine, len(cur.engines))
 	for i, eng := range cur.engines {
@@ -206,32 +204,24 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 		// Legacy layout (no serialized segments): rebuild through the same
 		// bulk path Train uses.
 		objs := r.objects.Items()
-		ids := make([]string, 0, len(objs))
-		for id := range objs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
 		var err error
-		indexes, spillDirs, err = r.buildIndexes(engines, epoch, objs, ids)
+		indexes, spillDirs, err = r.buildIndexes(engines, epoch, objs, sortedIDs(objs))
 		if err != nil {
 			return nil, err
 		}
 	}
-	r.state.Store(&repoState{
+	// Publish the restored epoch the way Train does. Nothing else can reach
+	// the repository yet; the lock is installEpoch's contract.
+	r.writeMu.Lock()
+	r.installEpoch(&repoState{
 		epoch:     epoch,
 		trained:   true,
 		engines:   engines,
 		indexes:   indexes,
 		spillDirs: spillDirs,
 	})
-	for _, eng := range engines {
-		switch eng.Modality() {
-		case ModalityImage:
-			r.met.vocabWords.Set(int64(eng.CodebookSize()))
-		case ModalityAudio:
-			r.met.audioVocabWords.Set(int64(eng.CodebookSize()))
-		}
-	}
+	r.writeMu.Unlock()
+	r.updateIndexGauges()
 	// Last, with the engines restored: candidate indexes for the modalities
 	// that still have no codebook, and only those.
 	r.rebuildANN()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -94,4 +95,59 @@ func TestModalityLookupsRunInParallel(t *testing.T) {
 	if best >= 0.95 {
 		t.Errorf("search span = %.2fx the summed lookup spans; lookups do not appear to run in parallel", best)
 	}
+}
+
+// TestTrainSpansPartitionTheRun traces one Train of each mode and checks the
+// children of repo/train are what the pipeline's steps are called, one after
+// the other: none overlaps the next (a span left open over a later step would
+// count that step twice) and together they fit inside the parent.
+func TestTrainSpansPartitionTheRun(t *testing.T) {
+	c := testClient(t)
+	r, err := NewRepository("train-spans", smallRepoOptions(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRepo(t, c, r, 4, 3)
+	tracer := obs.NewTracer(obs.NewRegistry(), 1)
+	trainTraced := func(mode string, want ...string) {
+		t.Helper()
+		ctx, at := tracer.ForceTrace(context.Background())
+		if err := r.TrainContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.LastTrain().Mode; got != mode {
+			t.Fatalf("train mode = %q, want %q", got, mode)
+		}
+		spans := at.Finish().Spans // sorted by start
+		var parent obs.SpanRecord
+		for _, s := range spans {
+			if s.Name == "repo/train" {
+				parent = s
+			}
+		}
+		var names []string
+		var sum, prevEnd int64
+		for _, s := range spans {
+			if s.ParentID != parent.SpanID || s.SpanID == parent.SpanID {
+				continue
+			}
+			if s.StartUnixNano < prevEnd {
+				t.Errorf("%s train: %s starts before %s has ended", mode, s.Name, names[len(names)-1])
+			}
+			prevEnd = s.StartUnixNano + s.DurationNanos
+			sum += s.DurationNanos
+			names = append(names, s.Name[len("repo/train/"):])
+		}
+		if fmt.Sprint(names) != fmt.Sprint(want) {
+			t.Errorf("%s train: children of repo/train = %v, want %v", mode, names, want)
+		}
+		if sum > parent.DurationNanos {
+			t.Errorf("%s train: children sum to %dns, more than the parent's %dns", mode, sum, parent.DurationNanos)
+		}
+	}
+	trainTraced("full", "image_codebook", "build_indexes", "reindex")
+	for i := 0; i < 5; i++ {
+		putObject(t, c, r, testObject(1, 100+i))
+	}
+	trainTraced("incremental", "image_codebook", "reindex")
 }

@@ -118,8 +118,8 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	if !r.IsTrained() {
 		t.Fatal("not trained after release")
 	}
-	// The changelog replay must have carried the mid-train update AND its
-	// removal into the new epoch: the object stays gone.
+	// The install-time re-index must have carried the mid-train update AND
+	// its removal into the new epoch: the object stays gone.
 	hits, err = r.Search(qNew)
 	if err != nil {
 		t.Fatal(err)
@@ -129,15 +129,27 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	}
 }
 
-// TestTrainReplayMatchesSequentialOracle runs concurrent Update/Remove/
+// TestTrainReindexMatchesSequentialOracle runs concurrent Update/Remove/
 // Search traffic against a repository while Train is provably in flight,
 // then checks the post-train index state against a sequential oracle: a
 // fresh repository given the same final object set, trained, and queried
-// identically. Run under -race this is also the data-race workout for the
-// store/changelog/epoch-swap machinery.
-func TestTrainReplayMatchesSequentialOracle(t *testing.T) {
+// identically. The scripts include the two orders a set of ids loses and a
+// log of records keeps — overwrite-then-remove and remove-then-re-add of one
+// id — because the install-time re-index reads the store instead of replaying
+// a log. Run under -race this is also the data-race workout for the
+// store/deltaIDs/epoch-swap machinery. Both modes of the held Train run: the
+// incremental one re-indexes into the carried indexes, the full one into the
+// fresh indexes it built from a snapshot taken before any of the writes.
+func TestTrainReindexMatchesSequentialOracle(t *testing.T) {
+	t.Run("incremental", func(t *testing.T) { trainReindexOracle(t, false) })
+	t.Run("full", func(t *testing.T) { trainReindexOracle(t, true) })
+}
+
+func trainReindexOracle(t *testing.T, disableIncremental bool) {
 	c := testClient(t)
-	r, err := NewRepository("stress", smallRepoOptions(""))
+	opts := smallRepoOptions("")
+	opts.Incremental.Disable = disableIncremental
+	r, err := NewRepository("stress", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +165,7 @@ func TestTrainReplayMatchesSequentialOracle(t *testing.T) {
 	// range, so the final object set is deterministic regardless of
 	// interleaving.
 	const writers = 4
-	const perWriter = 6
+	const perWriter = 10
 	type step struct {
 		id      string
 		up      *Update // nil means Remove
@@ -165,13 +177,18 @@ func TestTrainReplayMatchesSequentialOracle(t *testing.T) {
 		for i := 0; i < perWriter; i++ {
 			id := fmt.Sprintf("st-%d-%d", w, i)
 			first := textUpdate(t, c, id, (w*perWriter+i)%5+1)
-			switch i % 3 {
+			second := textUpdate(t, c, id, (w+i)%4+2)
+			switch i % 5 {
 			case 0: // insert then overwrite with a different frequency
-				second := textUpdate(t, c, id, (w+i)%4+2)
 				scripts[w] = append(scripts[w], step{id: id, up: first}, step{id: id, up: second, isFinal: true})
 				final[id] = second
 			case 1: // insert then remove again
 				scripts[w] = append(scripts[w], step{id: id, up: first}, step{id: id, isFinal: true})
+			case 2: // insert, overwrite, then remove: nothing may survive
+				scripts[w] = append(scripts[w], step{id: id, up: first}, step{id: id, up: second}, step{id: id, isFinal: true})
+			case 3: // insert, remove, then re-add: the re-added version survives
+				scripts[w] = append(scripts[w], step{id: id, up: first}, step{id: id}, step{id: id, up: second, isFinal: true})
+				final[id] = second
 			default: // keep the first version
 				scripts[w] = append(scripts[w], step{id: id, up: first, isFinal: true})
 				final[id] = first
@@ -224,8 +241,9 @@ func TestTrainReplayMatchesSequentialOracle(t *testing.T) {
 			}
 		}()
 	}
-	// Writers finish while Train is still parked at the gate: every one of
-	// their writes lands in the changelog and must survive the replay.
+	// Writers finish while Train is still parked at the gate: every id they
+	// touch lands in deltaIDs and must come out of the re-index as the store
+	// holds it.
 	writerWg.Wait()
 	close(stop)
 	searchWg.Wait()
@@ -237,6 +255,9 @@ func TestTrainReplayMatchesSequentialOracle(t *testing.T) {
 	release()
 	if err := <-trainDone; err != nil {
 		t.Fatalf("train: %v", err)
+	}
+	if got, want := r.LastTrain().Mode == "full", disableIncremental; got != want {
+		t.Fatalf("held train resolved as %q", r.LastTrain().Mode)
 	}
 
 	// Oracle: same base corpus + the same final writer objects, applied
@@ -256,7 +277,7 @@ func TestTrainReplayMatchesSequentialOracle(t *testing.T) {
 	}
 
 	// A single-term ranked query gives exactly reproducible TF-IDF scores;
-	// post-replay results must match the oracle hit for hit.
+	// post-train results must match the oracle hit for hit.
 	q, err := c.PrepareQuery(&Object{ID: "oq", Text: "oceanwave"}, 50)
 	if err != nil {
 		t.Fatal(err)

@@ -503,7 +503,7 @@ func TestSearchServedWhileTrainRPCInFlight(t *testing.T) {
 	if err := <-trainDone; err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	// The mid-train update survived the epoch swap via changelog replay.
+	// The mid-train update survived the epoch swap via the install-time re-index.
 	hits, err = conn2.Search(testCtx, "live", q)
 	if err != nil {
 		t.Fatal(err)

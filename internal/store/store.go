@@ -16,29 +16,6 @@ import (
 	"sync"
 )
 
-// Store is the small interface the repository engine programs against. Keys
-// are object identifiers (the deterministic ID(d) the scheme leaks); values
-// are whatever record the engine keeps per object.
-type Store[V any] interface {
-	// Get returns the value stored under key.
-	Get(key string) (V, bool)
-	// Put stores v under key and returns the previous value, if any.
-	Put(key string, v V) (prev V, replaced bool)
-	// Delete removes key and returns the value it held, if any.
-	Delete(key string) (V, bool)
-	// Len returns the number of stored entries.
-	Len() int
-	// Range calls fn for every entry until fn returns false. Iteration is
-	// per-shard: entries added or removed concurrently may or may not be
-	// observed, but each surviving entry is visited at most once.
-	Range(fn func(key string, v V) bool)
-	// Items returns a copied view of the store. The copy is taken shard by
-	// shard, so it is NOT a point-in-time cut under concurrent writes —
-	// callers needing consistency must replay a changelog over it (which is
-	// exactly what the repository's off-lock Train does).
-	Items() map[string]V
-}
-
 // DefaultShards is the shard count used when none is given: enough ways to
 // make same-shard writer collisions rare at realistic core counts, small
 // enough that per-shard overhead is negligible.
@@ -49,13 +26,13 @@ type shard[V any] struct {
 	m  map[string]V
 }
 
-// Sharded is the standard Store implementation: FNV-1a of the key picks the
+// Sharded is the store the repository engine programs against. Keys are
+// object identifiers (the deterministic ID(d) the scheme leaks); values are
+// whatever record the engine keeps per object. FNV-1a of the key picks the
 // shard, each shard holds its own map under its own RWMutex.
 type Sharded[V any] struct {
 	shards []shard[V]
 }
-
-var _ Store[int] = (*Sharded[int])(nil)
 
 // New creates a sharded store with n shards; n <= 0 takes DefaultShards.
 func New[V any](n int) *Sharded[V] {
@@ -119,7 +96,9 @@ func (s *Sharded[V]) Len() int {
 	return n
 }
 
-// Range calls fn for every entry until fn returns false.
+// Range calls fn for every entry until fn returns false. Iteration is
+// per-shard: entries added or removed concurrently may or may not be
+// observed, but each surviving entry is visited at most once.
 func (s *Sharded[V]) Range(fn func(key string, v V) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -134,7 +113,11 @@ func (s *Sharded[V]) Range(fn func(key string, v V) bool) {
 	}
 }
 
-// Items returns a shard-by-shard copy of the store's contents.
+// Items returns a copied view of the store. The copy is taken shard by
+// shard, so it is NOT a point-in-time cut under concurrent writes — callers
+// needing consistency must track which keys are written while they work and
+// read those again afterwards (which is exactly what the repository's
+// off-lock Train does).
 func (s *Sharded[V]) Items() map[string]V {
 	out := make(map[string]V, s.Len())
 	for i := range s.shards {
