@@ -231,10 +231,7 @@ func BenchmarkFeatureExtractText(b *testing.B) {
 }
 
 func BenchmarkIndexAdd(b *testing.B) {
-	ix, err := index.New(index.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := index.New()
 	terms := map[index.Term]uint64{"a": 1, "b": 2, "c": 3, "d": 1, "e": 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -245,10 +242,7 @@ func BenchmarkIndexAdd(b *testing.B) {
 }
 
 func BenchmarkIndexSearch(b *testing.B) {
-	ix, err := index.New(index.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := index.New()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10000; i++ {
 		terms := make(map[index.Term]uint64)

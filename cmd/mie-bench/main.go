@@ -246,30 +246,28 @@ func configFor(scale string) (experiments.Config, error) {
 }
 
 func runAblations(e *env) error {
-	return withTempDir(func(dir string) error {
-		for _, a := range []struct {
-			title string
-			run   func() ([]experiments.AblationRow, error)
-		}{
-			{"Dense-DPE encoding size M (mAP)",
-				func() ([]experiments.AblationRow, error) { return experiments.AblationEncodingSize(e.cfg) }},
-			{"Dense-DPE threshold t (mAP; the security/utility dial)",
-				func() ([]experiments.AblationRow, error) { return experiments.AblationThreshold(e.cfg) }},
-			{"training space: plaintext-Euclidean vs encoded-Hamming (mAP)",
-				func() ([]experiments.AblationRow, error) { return experiments.AblationTrainingSpace(e.cfg) }},
-			{"champion list size R (P@10 vs unbounded index)",
-				func() ([]experiments.AblationRow, error) { return experiments.AblationChampionSize(e.cfg, dir) }},
-			{"rank fusion method (AP on topic query)",
-				func() ([]experiments.AblationRow, error) { return experiments.AblationFusion(e.cfg) }},
-		} {
-			rows, err := a.run()
-			if err != nil {
-				return fmt.Errorf("%s: %w", a.title, err)
-			}
-			experiments.WriteAblationReport(os.Stdout, a.title, rows)
+	for _, a := range []struct {
+		title string
+		run   func() ([]experiments.AblationRow, error)
+	}{
+		{"Dense-DPE encoding size M (mAP)",
+			func() ([]experiments.AblationRow, error) { return experiments.AblationEncodingSize(e.cfg) }},
+		{"Dense-DPE threshold t (mAP; the security/utility dial)",
+			func() ([]experiments.AblationRow, error) { return experiments.AblationThreshold(e.cfg) }},
+		{"training space: plaintext-Euclidean vs encoded-Hamming (mAP)",
+			func() ([]experiments.AblationRow, error) { return experiments.AblationTrainingSpace(e.cfg) }},
+		{"champion list size R (P@10 vs unbounded index)",
+			func() ([]experiments.AblationRow, error) { return experiments.AblationChampionSize(e.cfg) }},
+		{"rank fusion method (AP on topic query)",
+			func() ([]experiments.AblationRow, error) { return experiments.AblationFusion(e.cfg) }},
+	} {
+		rows, err := a.run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.title, err)
 		}
-		return nil
-	})
+		experiments.WriteAblationReport(os.Stdout, a.title, rows)
+	}
+	return nil
 }
 
 // withTempDir runs f with a scratch directory that is removed afterwards.

@@ -20,8 +20,8 @@ import (
 // annRepoOptions routes every dense linear scan through the candidate index
 // (MinCorpus 1) with an exhaustive probe budget (Probes = 2^Bits), the
 // setting where the ANN ranking is provably identical to the exact scan.
-func annRepoOptions(dir string) RepositoryOptions {
-	opts := smallRepoOptions(dir)
+func annRepoOptions() RepositoryOptions {
+	opts := smallRepoOptions()
 	opts.ANN = ANNOptions{Tables: 2, Bits: 6, Probes: 1 << 6, MinCorpus: 1}
 	return opts
 }
@@ -34,8 +34,8 @@ func annRepoOptions(dir string) RepositoryOptions {
 // disabled.
 func TestANNExhaustiveParity(t *testing.T) {
 	c := testClient(t)
-	optsANN := annRepoOptions(t.TempDir())
-	optsExact := smallRepoOptions(t.TempDir())
+	optsANN := annRepoOptions()
+	optsExact := smallRepoOptions()
 	optsExact.ANN.Disable = true
 	ra, err := NewRepository("parity-ann", optsANN)
 	if err != nil {
@@ -116,7 +116,7 @@ func liveHeap() uint64 {
 // never surface a removed object and always see a replaced one.
 func TestANNMaintenanceFollowsMutations(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("ann-maint", annRepoOptions(t.TempDir()))
+	r, err := NewRepository("ann-maint", annRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func annEntries(r *Repository) int {
 // and names what must hold afterwards.
 func TestANNLifecycle(t *testing.T) {
 	c := testClient(t)
-	opts := annRepoOptions(t.TempDir())
+	opts := annRepoOptions()
 	opts.Modalities = []Modality{ModalityText, ModalityImage}
 	r, err := NewRepository("ann-life", opts)
 	if err != nil {
@@ -225,7 +225,7 @@ func TestANNLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := builds.Count()
-			if r, err = LoadRepository(&buf, nil); err != nil {
+			if r, err = LoadRepository(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if got := builds.Count(); got != before {
@@ -259,7 +259,7 @@ func TestANNLifecycle(t *testing.T) {
 // through the exact scan — until the full Train that clusters them.
 func TestANNOutlivesTrainForAModalityWithoutCodebook(t *testing.T) {
 	c := testClient(t)
-	optsANN := annRepoOptions(t.TempDir())
+	optsANN := annRepoOptions()
 	optsANN.Modalities = []Modality{ModalityText, ModalityImage}
 	optsExact := optsANN
 	optsExact.ANN = ANNOptions{Disable: true}
@@ -359,9 +359,7 @@ func TestTrainedOverwritesDoNotGrowTheHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	heap := func() int64 {
-		if err := r.CompactNow(); err != nil { // the inverted indexes' own garbage is not what is measured
-			t.Fatal(err)
-		}
+		r.CompactNow() // the inverted indexes' own garbage is not what is measured
 		return int64(liveHeap())
 	}
 	resident, before := r.ResidentBytes(), heap()
@@ -389,7 +387,7 @@ func TestTrainedOverwritesDoNotGrowTheHeap(t *testing.T) {
 // on across that install and the incremental ones after it.
 func TestANNSearchDuringTrainAndChurn(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("ann-stress", annRepoOptions(t.TempDir()))
+	r, err := NewRepository("ann-stress", annRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +471,7 @@ func TestGoldenANNRestore(t *testing.T) {
 	query := &Object{Image: classImage(1, 77)}
 
 	if *updateGolden {
-		r, err := NewRepository("golden-ann", annRepoOptions(t.TempDir()))
+		r, err := NewRepository("golden-ann", annRepoOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +514,7 @@ func TestGoldenANNRestore(t *testing.T) {
 		t.Fatalf("open golden snapshot (run with -update to regenerate): %v", err)
 	}
 	defer func() { _ = f.Close() }()
-	r, err := LoadRepository(f, nil)
+	r, err := LoadRepository(f)
 	if err != nil {
 		t.Fatalf("golden ANN snapshot no longer loads: %v", err)
 	}
@@ -548,7 +546,7 @@ func TestGoldenANNRestore(t *testing.T) {
 // half of the restore guarantee).
 func TestANNSnapshotRoundTripUntrained(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("ann-snap", annRepoOptions(t.TempDir()))
+	r, err := NewRepository("ann-snap", annRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +558,7 @@ func TestANNSnapshotRoundTripUntrained(t *testing.T) {
 	if err := r.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadRepository(&buf, nil)
+	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,6 +63,9 @@ var importRules = map[string]struct {
 		// checked-in bytes: the snapshot.
 		{pkg: "core", deny: gob, exempt: []string{"snapshot.go", "object.go"}},
 	}},
+	"TestIndexIsPureMemory": {"the inverted index holds its postings in memory; persistence is the snapshot's job", []importRule{
+		{pkg: "index", deny: []string{"encoding/gob", "os"}},
+	}},
 	"TestBaselinesImportOnlyPrimitives": {"the baselines are built from MIE's primitives, not from MIE", []importRule{
 		{pkg: "msse", allow: []string{"cluster", "crypto", "paillier", "device", "fusion", "imaging", "index", "text"}},
 	}},
@@ -129,6 +132,10 @@ func TestIndexAndClusterDoNotImportCore(t *testing.T) { checkImports(t) }
 // written by the hand-rolled binary codec (internal/wire, internal/bin), so
 // the packages a request passes through must not import encoding/gob.
 func TestTransportDoesNotImportGob(t *testing.T) { checkImports(t) }
+
+// TestIndexIsPureMemory: internal/index has one mode, TF-IDF over in-memory
+// postings, so it touches neither the disk nor a serialization format.
+func TestIndexIsPureMemory(t *testing.T) { checkImports(t) }
 
 // TestBaselinesImportOnlyPrimitives: the MSSE baselines are built from the
 // same primitives as MIE and from nothing of MIE itself — not the engine,

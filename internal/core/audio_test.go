@@ -61,7 +61,7 @@ func TestAudioOnlyObjectAccepted(t *testing.T) {
 
 func TestAudioSearchUntrainedAndTrained(t *testing.T) {
 	c := audioTestClient(t)
-	r, err := NewRepository("audio-repo", smallRepoOptions(""))
+	r, err := NewRepository("audio-repo", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTrimodalObjectFusion(t *testing.T) {
 	// An object carrying all three modalities: a query matching on all
 	// three must outrank single-modality matches via fusion.
 	c := audioTestClient(t)
-	r, err := NewRepository("trimodal", smallRepoOptions(""))
+	r, err := NewRepository("trimodal", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTrimodalObjectFusion(t *testing.T) {
 
 func TestAudioSnapshotRoundTrip(t *testing.T) {
 	c := audioTestClient(t)
-	r, err := NewRepository("audio-snap", smallRepoOptions(""))
+	r, err := NewRepository("audio-snap", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestAudioSnapshotRoundTrip(t *testing.T) {
 	if err := r.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadRepository(&buf, nil)
+	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"mie/internal/crypto"
 	"mie/internal/dpe"
 	"mie/internal/imaging"
-	"mie/internal/index"
 )
 
 func testRepoKey(b byte) RepositoryKey {
@@ -75,7 +74,7 @@ func testObject(class int, n int) *Object {
 	}
 }
 
-func smallRepoOptions(string) RepositoryOptions {
+func smallRepoOptions() RepositoryOptions {
 	return RepositoryOptions{
 		Vocab: cluster.VocabParams{
 			Words:   20,
@@ -257,7 +256,7 @@ func fillRepo(t *testing.T, c *Client, r *Repository, perClass, classes int) {
 
 func TestRepositoryLinearSearchBeforeTraining(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repo1", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo1", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +290,7 @@ func TestRepositoryLinearSearchBeforeTraining(t *testing.T) {
 
 func TestRepositoryTrainedSearch(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repo2", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo2", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +337,7 @@ func TestRepositoryTrainedSearch(t *testing.T) {
 // map order reshuffled those ranks from one call to the next.
 func TestRepeatedSearchIsBitIdentical(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repeat", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repeat", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +396,7 @@ func TestRepeatedSearchIsBitIdentical(t *testing.T) {
 
 func TestUpdateAfterTrainingIsIndexed(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repo3", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo3", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +431,7 @@ func TestUpdateAfterTrainingIsIndexed(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repo4", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo4", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +465,7 @@ func TestRemove(t *testing.T) {
 
 func TestUpdateReplacesExisting(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repo5", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo5", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +523,7 @@ func TestTrainEmptyRepository(t *testing.T) {
 
 func TestRetrainBuildsCodebookOnceImagesArrive(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("retrain", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("retrain", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +565,7 @@ func TestRetrainBuildsCodebookOnceImagesArrive(t *testing.T) {
 
 func TestSearchSingleModalityQueries(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repo6", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo6", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +601,7 @@ func TestSearchSingleModalityQueries(t *testing.T) {
 
 func TestLeakageProfile(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("repo7", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo7", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +646,7 @@ func TestConcurrentMultiUserUpdates(t *testing.T) {
 	// The Figure 4 scenario: multiple writers make independent progress on
 	// one repository with no client-side shared state.
 	c := testClient(t)
-	r, err := NewRepository("repo8", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("repo8", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,84 +741,5 @@ func TestRepositoryValidation(t *testing.T) {
 	}
 	if _, err := NewRepository("x", RepositoryOptions{}); err != nil {
 		t.Errorf("valid repo: %v", err)
-	}
-}
-
-func TestRepositoryWithChampionSpill(t *testing.T) {
-	// Exercise the §VI scalability path end-to-end: champion-bounded
-	// indexes with disk spill, search correctness, and background merge.
-	c := testClient(t)
-	opts := smallRepoOptions("")
-	opts.Index = index.Options{ChampionSize: 3, SpillDir: t.TempDir()}
-	r, err := NewRepository("spilled", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := r.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	// Many docs share a hot keyword with increasing frequency, plus decoys
-	// without it (so the hot keyword's idf stays positive).
-	for i := 0; i < 12; i++ {
-		textBody := "hotword"
-		for j := 0; j < i; j++ {
-			textBody += " hotword"
-		}
-		obj := &Object{ID: fmt.Sprintf("hot-%02d", i), Owner: "u", Text: textBody + " filler" + fmt.Sprint(i)}
-		up, err := c.PrepareUpdate(obj, testDataKey(11))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Update(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		obj := &Object{ID: fmt.Sprintf("cold-%d", i), Owner: "u", Text: "unrelated quiet content " + fmt.Sprint(i)}
-		up, err := c.PrepareUpdate(obj, testDataKey(11))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Update(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Train(); err != nil {
-		t.Fatal(err)
-	}
-	q, err := c.PrepareQuery(&Object{ID: "q", Text: "hotword"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err := r.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 3 {
-		t.Fatalf("got %d hits", len(hits))
-	}
-	// Champions must be the highest-frequency docs.
-	if hits[0].ObjectID != "hot-11" || hits[1].ObjectID != "hot-10" {
-		t.Errorf("champion order wrong: %+v", hits)
-	}
-	// Remove a spilled doc and merge: no stale postings resurface.
-	r.Remove("hot-00")
-	if err := r.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	q2, err := c.PrepareQuery(&Object{ID: "q2", Text: "hotword"}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err = r.Search(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hits {
-		if h.ObjectID == "hot-00" {
-			t.Error("removed doc resurfaced after merge")
-		}
 	}
 }

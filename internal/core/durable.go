@@ -212,9 +212,9 @@ type walReplay struct {
 // loadRepo restores one repository from its on-disk image: snapshot load,
 // WAL replay on top (remove-then-add, so replaying a record twice converges),
 // then the log stays attached so new mutations keep appending. It is the shared path of eager recovery and cold activation.
-func (d *durability) loadRepo(sp *obs.Span, id string, indexOpts *RepositoryOptions) (*Repository, walReplay, error) {
+func (d *durability) loadRepo(sp *obs.Span, id string) (*Repository, walReplay, error) {
 	var st walReplay
-	repo, err := loadSnapshotFile(sp, filepath.Join(d.dir, snapshotFileName(id)), indexOpts)
+	repo, err := loadSnapshotFile(sp, filepath.Join(d.dir, snapshotFileName(id)))
 	if err != nil {
 		return nil, st, err
 	}
@@ -293,7 +293,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 			report.ColdRepositories++
 			continue
 		}
-		repo, rec, err := d.loadRepo(sp, id, s.repoOpts)
+		repo, rec, err := d.loadRepo(sp, id)
 		if err != nil {
 			failed(stem, err)
 			continue
@@ -332,14 +332,14 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 }
 
 // loadSnapshotFile restores one repository from its snapshot file.
-func loadSnapshotFile(sp *obs.Span, path string, indexOpts *RepositoryOptions) (*Repository, error) {
+func loadSnapshotFile(sp *obs.Span, path string) (*Repository, error) {
 	ssp := sp.Child("snapshot_load")
 	defer ssp.End()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	repo, err := LoadRepository(f, indexOpts)
+	repo, err := LoadRepository(f)
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}

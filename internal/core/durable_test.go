@@ -325,7 +325,7 @@ func TestTrainedSnapshotPlusWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := svc.CreateRepository("tr", smallRepoOptions(t.TempDir()))
+	repo, err := svc.CreateRepository("tr", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestWALCompensation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := svc.CreateRepository("cp", smallRepoOptions(t.TempDir()))
+	repo, err := svc.CreateRepository("cp", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestCrashMidCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := smallRepoOptions("")
+	opts := smallRepoOptions()
 	opts.Incremental.MemtableCap = 4
 	opts.Incremental.CompactSegments = 2
 	repo, err := svc.CreateRepository("mc", opts)

@@ -111,7 +111,7 @@ func TestGoldenSegmentedSnapshotCompatibility(t *testing.T) {
 		t.Fatalf("open golden snapshot (run with -update to regenerate): %v", err)
 	}
 	defer func() { _ = f.Close() }()
-	r, err := LoadRepository(f, nil)
+	r, err := LoadRepository(f)
 	if err != nil {
 		t.Fatalf("golden segmented snapshot no longer loads: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 		t.Fatalf("open golden snapshot (run with -update to regenerate): %v", err)
 	}
 	defer func() { _ = f.Close() }()
-	r, err := LoadRepository(f, nil)
+	r, err := LoadRepository(f)
 	if err != nil {
 		t.Fatalf("golden snapshot no longer loads: %v", err)
 	}

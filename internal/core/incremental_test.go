@@ -13,7 +13,7 @@ import (
 // textOnlyIncrementalOptions is a text-only repository with a tiny memtable,
 // so modest churn exercises auto-seal, multiple segments and compaction.
 func textOnlyIncrementalOptions() RepositoryOptions {
-	opts := smallRepoOptions("")
+	opts := smallRepoOptions()
 	opts.Modalities = []Modality{ModalityText}
 	opts.Incremental.MemtableCap = 4
 	opts.Incremental.CompactSegments = 3
@@ -174,9 +174,7 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 		}
 	}
 	// Compacting the segmented index must not change the ranking either.
-	if err := inc.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
+	inc.CompactNow()
 	after, err := inc.Search(q)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +216,7 @@ func TestIncrementalDisabledForcesFull(t *testing.T) {
 // refined vocabulary and push the run through the full re-cluster.
 func TestDriftFallbackForcesFullRebuild(t *testing.T) {
 	c := testClient(t)
-	opts := smallRepoOptions("")
+	opts := smallRepoOptions()
 	opts.Incremental.DriftThreshold = 1e-9
 	opts.Incremental.ReassignThreshold = -1 // isolate the mean-shift check
 	r, err := NewRepository("inc-drift", opts)
@@ -259,7 +257,7 @@ func TestDriftFallbackForcesFullRebuild(t *testing.T) {
 // codebook cannot be refined — Train must detect it and full-train.
 func TestNewModalityFallsBackToFull(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("inc-newmod", smallRepoOptions(""))
+	r, err := NewRepository("inc-newmod", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +304,7 @@ func abortTrain(t *testing.T, r *Repository) {
 // and stays counted.
 func TestAbortedTrainLeavesLastTrainUntouched(t *testing.T) {
 	c := testClient(t)
-	opts := smallRepoOptions("")
+	opts := smallRepoOptions()
 	opts.Incremental.DriftThreshold = 1e-9
 	opts.Incremental.ReassignThreshold = -1
 	r, err := NewRepository("inc-abort-drift", opts)
@@ -349,10 +347,10 @@ func TestAbortedTrainReturnsTakenIDs(t *testing.T) {
 	pair := func(t *testing.T, id string) (aborted, twin *Repository) {
 		t.Helper()
 		var err error
-		if aborted, err = NewRepository(id, smallRepoOptions("")); err != nil {
+		if aborted, err = NewRepository(id, smallRepoOptions()); err != nil {
 			t.Fatal(err)
 		}
-		if twin, err = NewRepository(id+"-twin", smallRepoOptions("")); err != nil {
+		if twin, err = NewRepository(id+"-twin", smallRepoOptions()); err != nil {
 			t.Fatal(err)
 		}
 		return aborted, twin
@@ -463,7 +461,7 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	if err := r.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadRepository(&buf, nil)
+	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,9 +543,7 @@ func TestCompactionMergesSegmentsAndDropsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
+	r.CompactNow()
 	stats := r.IndexStats()
 	for mod, s := range stats {
 		if s.SealedSegments > 1 {
@@ -679,9 +675,7 @@ func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 	if err := r.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
+	r.CompactNow()
 
 	oracle, err := NewRepository("compact-oracle", textOnlyIncrementalOptions())
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // quantities Table I says MIE reveals, counted.
 func TestLeakageSummaryCounts(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("leakrepo", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("leakrepo", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestLeakageSummaryCounts(t *testing.T) {
 	// And through the service aggregation used by /debug/leakage.
 	svc := openMem(t)
 	t.Cleanup(func() { _ = svc.Close() })
-	r2, err := svc.CreateRepository("svc-repo", smallRepoOptions(t.TempDir()))
+	r2, err := svc.CreateRepository("svc-repo", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,6 @@ type ServiceOptions struct {
 	// from their on-disk snapshots without loading — and activate on first
 	// touch via the snapshot+WAL-replay path. Requires Dir.
 	LazyActivation bool
-	// Repo, when non-nil, overrides load-time engine knobs (currently the
-	// inverted-index options) of every repository restored from disk.
-	Repo *RepositoryOptions
 }
 
 // repoEntry is the lifecycle record of one hosted repository. It exists for
@@ -93,7 +90,6 @@ func OpenService(opts ServiceOptions) (*Service, *RecoveryReport, error) {
 	s.durable = newDurability(DurableOptions{Dir: opts.Dir, Sync: opts.Sync, SyncInterval: opts.SyncInterval})
 	s.lazy = opts.LazyActivation
 	s.budget = opts.MemoryBudget
-	s.repoOpts = opts.Repo
 	s.gov = newTenantGovernor(opts.Quotas)
 	report, err := s.openDir()
 	if report != nil {
@@ -181,7 +177,7 @@ func (s *Service) activate(e *repoEntry) (*Repository, error) {
 	}
 	start := time.Now()
 	_, sp := obs.StartSpan(context.Background(), obs.Default(), "repo/activate")
-	repo, _, err := s.durable.loadRepo(sp, e.id, s.repoOpts)
+	repo, _, err := s.durable.loadRepo(sp, e.id)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: activate %s: %w", e.id, err)

@@ -113,7 +113,7 @@ func (s *Service) InstallSnapshot(id string, image []byte) error {
 	if s.durable == nil {
 		return fmt.Errorf("core: install snapshot of %s: service is not durable", id)
 	}
-	repo, err := LoadRepository(bytes.NewReader(image), s.repoOpts)
+	repo, err := LoadRepository(bytes.NewReader(image))
 	if err != nil {
 		return fmt.Errorf("core: install snapshot of %s: %w", id, err)
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -48,7 +46,6 @@ type repoMetrics struct {
 	memtableDocs     *obs.Gauge
 	deadDocs         *obs.Gauge
 	compactions      *obs.Counter
-	compactErrors    *obs.Counter
 	trainFull        *obs.Counter
 	trainIncremental *obs.Counter
 	driftFallbacks   *obs.Counter
@@ -78,7 +75,6 @@ func newRepoMetrics(reg *obs.Registry, id string) *repoMetrics {
 		memtableDocs:     reg.Gauge(obs.L("repo_index_memtable_docs", "repo", id)),
 		deadDocs:         reg.Gauge(obs.L("repo_index_dead_docs", "repo", id)),
 		compactions:      reg.Counter(obs.L("repo_index_compactions_total", "repo", id)),
-		compactErrors:    reg.Counter(obs.L("repo_index_compact_errors_total", "repo", id)),
 		trainFull:        reg.Counter(obs.L("repo_train_full_total", "repo", id)),
 		trainIncremental: reg.Counter(obs.L("repo_train_incremental_total", "repo", id)),
 		driftFallbacks:   reg.Counter(obs.L("repo_train_drift_fallback_total", "repo", id)),
@@ -102,9 +98,6 @@ type RepositoryOptions struct {
 	// branch 10, height 3) is built over them. Zero values take the
 	// paper's shape.
 	Vocab cluster.VocabParams
-	// Index configures the per-modality inverted indexes (champion lists,
-	// spill directory).
-	Index index.Options
 	// TrainingSampleCap bounds how many encodings feed k-means; 0 means
 	// 20000. Training cost is the cloud's to pay, but tests want it tunable.
 	TrainingSampleCap int
@@ -255,9 +248,6 @@ type repoState struct {
 	// (only the engines change), so retiring an epoch must only close its
 	// indexes when the successor actually replaced them.
 	indexes []*index.Segmented
-	// spillDirs is parallel to indexes: the per-epoch spill directory of
-	// each index ("" when spilling is off), removed when the epoch retires.
-	spillDirs []string
 }
 
 // indexed reports whether this epoch answers modality i from its inverted
@@ -934,7 +924,7 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 	// Step 3 — indexes. In carried indexes the objects outside the delta keep
 	// their previous-epoch quantization, which is exactly the bounded
 	// staleness the drift threshold guards.
-	indexes, spillDirs := cur.indexes, cur.spillDirs
+	indexes := cur.indexes
 	full := engines == nil
 	if full {
 		// The snapshot is copied shard by shard, not at one instant; a write
@@ -946,16 +936,16 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 			return err
 		}
 		bsp := sp.Child("build_indexes")
-		indexes, spillDirs, err = r.buildIndexes(engines, info.Epoch, snap, ids)
+		indexes, err = r.buildIndexes(engines, snap, ids)
 		bsp.End()
 		if err != nil {
 			return err
 		}
 	}
-	next := &repoState{epoch: info.Epoch, trained: true, engines: engines, indexes: indexes, spillDirs: spillDirs}
+	next := &repoState{epoch: info.Epoch, trained: true, engines: engines, indexes: indexes}
 	discard := func() { // a full run that does not install drops what it built
 		if full {
-			closeIndexes(indexes, spillDirs)
+			closeIndexes(indexes)
 		}
 	}
 	if hook := trainInstallHook; hook != nil {
@@ -984,11 +974,10 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 	r.installEpoch(next)
 	installed = true
 	if full {
-		// Retire the previous epoch's indexes: close spill logs and drop their
-		// now-unreferenced spill directories. In-flight searches that loaded
-		// the old state only read its in-memory postings, so closing the spill
-		// log under them is safe.
-		closeIndexes(cur.indexes, cur.spillDirs)
+		// Retire the previous epoch's indexes. Closing only refuses further
+		// writes and compactions; in-flight searches that loaded the old
+		// state keep reading its postings.
+		closeIndexes(cur.indexes)
 	}
 	r.writeMu.Unlock()
 
@@ -1184,17 +1173,10 @@ func (r *Repository) compactPass(hook func()) {
 	defer csp.End()
 	st := r.state.Load()
 	for _, idx := range st.indexes {
-		if idx == nil || !idx.NeedsCompaction() {
-			continue
+		if idx != nil && idx.NeedsCompaction() {
+			idx.Compact()
+			r.met.compactions.Inc()
 		}
-		if err := idx.Compact(); err != nil {
-			// The epoch may have been retired (spill dirs removed) while
-			// we merged; the next compaction of the live epoch catches up.
-			r.met.compactErrors.Inc()
-			csp.SetError(err)
-			continue
-		}
-		r.met.compactions.Inc()
 	}
 	r.updateIndexGauges()
 }
@@ -1202,19 +1184,15 @@ func (r *Repository) compactPass(hook func()) {
 // CompactNow synchronously compacts every index of the current epoch,
 // regardless of thresholds — the deterministic variant of the background
 // compactor for tests, benchmarks and operational tooling.
-func (r *Repository) CompactNow() error {
+func (r *Repository) CompactNow() {
 	st := r.state.Load()
 	for _, idx := range st.indexes {
-		if idx == nil {
-			continue
+		if idx != nil {
+			idx.Compact()
+			r.met.compactions.Inc()
 		}
-		if err := idx.Compact(); err != nil {
-			return err
-		}
-		r.met.compactions.Inc()
 	}
 	r.updateIndexGauges()
-	return nil
 }
 
 // IndexStats returns per-modality segment statistics for the current epoch,
@@ -1249,24 +1227,14 @@ func (r *Repository) updateIndexGauges() {
 	r.met.deadDocs.Set(int64(dead))
 }
 
-// buildIndexes creates one inverted index per engine for the given epoch and
-// bulk-loads the snapshot into it. Shared between Train and snapshot
-// restore. On error, indexes already built are closed.
-func (r *Repository) buildIndexes(engines []ModalityEngine, epoch uint64, snap map[string]*storedObject, ids []string) ([]*index.Segmented, []string, error) {
+// buildIndexes creates one inverted index per engine and bulk-loads the
+// snapshot into it. Shared between Train and snapshot restore. On error,
+// indexes already built are closed.
+func (r *Repository) buildIndexes(engines []ModalityEngine, snap map[string]*storedObject, ids []string) ([]*index.Segmented, error) {
 	indexes := make([]*index.Segmented, len(engines))
-	spillDirs := make([]string, len(engines))
-	fail := func(err error) ([]*index.Segmented, []string, error) {
-		closeIndexes(indexes, spillDirs)
-		return nil, nil, err
-	}
 	for i, eng := range engines {
-		opts := r.indexOptions(string(eng.Modality()), epoch)
-		idx, err := index.NewSegmented(r.segmentedOptions(opts))
-		if err != nil {
-			return fail(err)
-		}
+		idx := r.newIndex()
 		indexes[i] = idx
-		spillDirs[i] = opts.SpillDir
 		batch := make([]index.BatchDoc, 0, len(ids))
 		for _, id := range ids {
 			if terms := eng.ExtractTerms(snap[id]); len(terms) > 0 {
@@ -1274,51 +1242,36 @@ func (r *Repository) buildIndexes(engines []ModalityEngine, epoch uint64, snap m
 			}
 		}
 		if err := idx.AddBatch(batch); err != nil {
-			return fail(err)
+			closeIndexes(indexes)
+			return nil, err
 		}
 		// Freeze the bulk load into one sealed segment, so the epoch starts
 		// with an empty memtable and post-train updates accumulate separately.
 		if err := idx.Seal(); err != nil {
-			return fail(err)
+			closeIndexes(indexes)
+			return nil, err
 		}
 	}
-	return indexes, spillDirs, nil
+	return indexes, nil
 }
 
-// segmentedOptions wraps one modality's index options in the repository's
+// newIndex creates one modality's empty index with the repository's
 // segmentation knobs, wiring auto-seal to the background compactor.
-func (r *Repository) segmentedOptions(opts index.Options) index.SegmentedOptions {
-	return index.SegmentedOptions{
-		Index:           opts,
+func (r *Repository) newIndex() *index.Segmented {
+	return index.NewSegmented(index.SegmentedOptions{
 		MemtableCap:     r.opts.Incremental.MemtableCap,
 		CompactSegments: r.opts.Incremental.CompactSegments,
 		OnSeal:          r.requestCompaction,
-	}
+	})
 }
 
-// closeIndexes closes an epoch's indexes and removes their per-epoch spill
-// directories (best effort).
-func closeIndexes(indexes []*index.Segmented, spillDirs []string) {
-	for i, idx := range indexes {
-		if idx == nil {
-			continue
-		}
-		_ = idx.Close()
-		if i < len(spillDirs) && spillDirs[i] != "" {
-			_ = os.RemoveAll(spillDirs[i])
+// closeIndexes closes an epoch's indexes.
+func closeIndexes(indexes []*index.Segmented) {
+	for _, idx := range indexes {
+		if idx != nil {
+			idx.Close()
 		}
 	}
-}
-
-// indexOptions derives one index's options for an epoch. The spill
-// directory is suffixed with the epoch so the next epoch's index never
-// shares a spill log with the one still serving searches.
-func (r *Repository) indexOptions(modality string, epoch uint64) index.Options {
-	opts := r.opts.Index
-	if opts.SpillDir != "" {
-		opts.SpillDir = opts.SpillDir + "/" + r.id + "-" + modality + "-e" + strconv.FormatUint(epoch, 10)
-	}
-	return opts
 }
 
 // Search answers a multimodal query (CLOUD.Search, Algorithm 9): per
@@ -1440,9 +1393,8 @@ func (r *Repository) searchModality(st *repoState, i int, eng ModalityEngine, q 
 	return eng.LinearSearch(q, r.objects, depth)
 }
 
-// Close releases index resources (spill logs) and the write-ahead log. Any
-// in-flight background compaction is waited out first, so no merge races the
-// teardown.
+// Close closes the indexes and the write-ahead log. Any in-flight background
+// compaction is waited out first, so no merge races the teardown.
 func (r *Repository) Close() error {
 	r.compactMu.Lock()
 	r.compactClosed = true
@@ -1450,21 +1402,11 @@ func (r *Repository) Close() error {
 	r.compactWG.Wait()
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
-	st := r.state.Load()
-	var firstErr error
-	for _, idx := range st.indexes {
-		if idx == nil {
-			continue
-		}
-		if err := idx.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	closeIndexes(r.state.Load().indexes)
+	if r.wal == nil {
+		return nil
 	}
-	if r.wal != nil {
-		if err := r.wal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		r.wal = nil
-	}
-	return firstErr
+	err := r.wal.Close()
+	r.wal = nil
+	return err
 }

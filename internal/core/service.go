@@ -45,8 +45,6 @@ type Service struct {
 	lazy bool
 	// budget is the resident-bytes cap (0 = unlimited).
 	budget int64
-	// repoOpts overrides load-time engine knobs of restored repositories.
-	repoOpts *RepositoryOptions
 	// gov is the per-tenant admission governor (nil = no quotas).
 	gov *TenantGovernor
 	// tap (nil unless replication is enabled; set before the service serves

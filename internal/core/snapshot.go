@@ -73,10 +73,6 @@ func (r *Repository) snapshotLocked(w io.Writer) error {
 		Opts:    r.opts,
 		Trained: st.trained,
 	}
-	// Index options carry host paths that may not apply on restore; the
-	// loader re-derives them from its own options, so drop them here.
-	snap.Opts.Index.SpillDir = ""
-	snap.Opts.Index.ChampionSize = 0
 	r.objects.Range(func(id string, obj *storedObject) bool {
 		snap.Objects = append(snap.Objects, snapshotObject{
 			ID:         id,
@@ -120,10 +116,9 @@ func (r *Repository) snapshotLocked(w io.Writer) error {
 var ErrBadSnapshot = errors.New("core: invalid repository snapshot")
 
 // LoadRepository restores a repository from a snapshot. The vocabulary's
-// lookup tree and the inverted indexes are rebuilt; search results after a
-// restore are identical to before it. Index options (champion lists, spill
-// dir) may be overridden for the new host via opts.
-func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, error) {
+// lookup tree and the inverted indexes are rebuilt; search results and
+// Options after a restore are identical to before it.
+func LoadRepository(rd io.Reader) (*Repository, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(rd).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -131,11 +126,7 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 	if snap.Magic != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, snap.Magic)
 	}
-	opts := snap.Opts
-	if indexOpts != nil {
-		opts.Index = indexOpts.Index
-	}
-	r, err := NewRepository(snap.ID, opts)
+	r, err := NewRepository(snap.ID, snap.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -178,25 +169,15 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 		}
 		engines[i] = restored
 	}
-	epoch := cur.epoch + 1
 	var indexes []*index.Segmented
-	var spillDirs []string
 	if len(snap.IndexSegments) == len(engines) {
 		// Segmented layout: restore the exact segment structure and postings
 		// the snapshot pinned, preserving per-epoch quantization.
 		indexes = make([]*index.Segmented, len(engines))
-		spillDirs = make([]string, len(engines))
 		for i, eng := range engines {
-			iopts := r.indexOptions(string(eng.Modality()), epoch)
-			idx, err := index.NewSegmented(r.segmentedOptions(iopts))
-			if err != nil {
-				closeIndexes(indexes, spillDirs)
-				return nil, err
-			}
-			indexes[i] = idx
-			spillDirs[i] = iopts.SpillDir
-			if err := idx.LoadSegments(snap.IndexSegments[i]); err != nil {
-				closeIndexes(indexes, spillDirs)
+			indexes[i] = r.newIndex()
+			if err := indexes[i].LoadSegments(snap.IndexSegments[i]); err != nil {
+				closeIndexes(indexes)
 				return nil, fmt.Errorf("core: restore %s index segments: %w", eng.Modality(), err)
 			}
 		}
@@ -205,8 +186,7 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 		// bulk path Train uses.
 		objs := r.objects.Items()
 		var err error
-		indexes, spillDirs, err = r.buildIndexes(engines, epoch, objs, sortedIDs(objs))
-		if err != nil {
+		if indexes, err = r.buildIndexes(engines, objs, sortedIDs(objs)); err != nil {
 			return nil, err
 		}
 	}
@@ -214,11 +194,10 @@ func LoadRepository(rd io.Reader, indexOpts *RepositoryOptions) (*Repository, er
 	// the repository yet; the lock is installEpoch's contract.
 	r.writeMu.Lock()
 	r.installEpoch(&repoState{
-		epoch:     epoch,
-		trained:   true,
-		engines:   engines,
-		indexes:   indexes,
-		spillDirs: spillDirs,
+		epoch:   cur.epoch + 1,
+		trained: true,
+		engines: engines,
+		indexes: indexes,
 	})
 	r.writeMu.Unlock()
 	r.updateIndexGauges()

@@ -13,7 +13,7 @@ import (
 func buildTrainedRepo(t *testing.T, id string) (*Client, *Repository) {
 	t.Helper()
 	c := testClient(t)
-	r, err := NewRepository(id, smallRepoOptions(t.TempDir()))
+	r, err := NewRepository(id, smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := r.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadRepository(&buf, nil)
+	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotUntrainedRepo(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("snap-untrained", smallRepoOptions(t.TempDir()))
+	r, err := NewRepository("snap-untrained", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSnapshotUntrainedRepo(t *testing.T) {
 	if err := r.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadRepository(&buf, nil)
+	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestSnapshotUntrainedRepo(t *testing.T) {
 }
 
 func TestLoadRepositoryRejectsGarbage(t *testing.T) {
-	if _, err := LoadRepository(bytes.NewReader([]byte("not a snapshot")), nil); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := LoadRepository(bytes.NewReader([]byte("not a snapshot"))); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("err = %v, want ErrBadSnapshot", err)
 	}
 	// Valid gob of the wrong shape must also fail cleanly.
-	if _, err := LoadRepository(bytes.NewReader([]byte{}), nil); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := LoadRepository(bytes.NewReader([]byte{})); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("empty: err = %v, want ErrBadSnapshot", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestLoadRepositoryRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := LoadRepository(bytes.NewReader(trunc), nil); err == nil {
+	if _, err := LoadRepository(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated snapshot loaded without error")
 	}
 }
@@ -147,7 +147,7 @@ func TestSaveLoadService(t *testing.T) {
 	svc := openMem(t)
 	c := testClient(t)
 	for _, id := range []string{"alpha", "beta/with:odd chars"} {
-		repo, err := svc.CreateRepository(id, smallRepoOptions(t.TempDir()))
+		repo, err := svc.CreateRepository(id, smallRepoOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestSaveServiceOverwritesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	svc := openMem(t)
 	c := testClient(t)
-	repo, err := svc.CreateRepository("r", smallRepoOptions(t.TempDir()))
+	repo, err := svc.CreateRepository("r", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestLoadServicePartialFailure(t *testing.T) {
 	dir := t.TempDir()
 	svc := openMem(t)
 	c := testClient(t)
-	repo, err := svc.CreateRepository("good", smallRepoOptions(t.TempDir()))
+	repo, err := svc.CreateRepository("good", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

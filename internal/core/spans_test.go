@@ -27,7 +27,7 @@ func TestModalityLookupsRunInParallel(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs >1 CPU to observe lookup parallelism")
 	}
-	r, err := NewRepository("spans", smallRepoOptions(""))
+	r, err := NewRepository("spans", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestModalityLookupsRunInParallel(t *testing.T) {
 // count that step twice) and together they fit inside the parent.
 func TestTrainSpansPartitionTheRun(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("train-spans", smallRepoOptions(""))
+	r, err := NewRepository("train-spans", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func textUpdate(t *testing.T, c *Client, id string, freq int) *Update {
 // reindex, which stalled every one of these calls.
 func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("nonblock", smallRepoOptions(""))
+	r, err := NewRepository("nonblock", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTrainReindexMatchesSequentialOracle(t *testing.T) {
 
 func trainReindexOracle(t *testing.T, disableIncremental bool) {
 	c := testClient(t)
-	opts := smallRepoOptions("")
+	opts := smallRepoOptions()
 	opts.Incremental.Disable = disableIncremental
 	r, err := NewRepository("stress", opts)
 	if err != nil {
@@ -262,7 +262,7 @@ func trainReindexOracle(t *testing.T, disableIncremental bool) {
 
 	// Oracle: same base corpus + the same final writer objects, applied
 	// sequentially, then trained.
-	oracle, err := NewRepository("oracle", smallRepoOptions(""))
+	oracle, err := NewRepository("oracle", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func trainReindexOracle(t *testing.T, disableIncremental bool) {
 // exists) is fully reinstated.
 func TestUpdateRollbackOnIndexError(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("rollback", smallRepoOptions(""))
+	r, err := NewRepository("rollback", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func q0(t *testing.T, c *Client, class int) *Query {
 // leakage — only hits actually returned are recorded.
 func TestSearchDropsStaleHitsWithoutRecordingAccess(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("stale", smallRepoOptions(""))
+	r, err := NewRepository("stale", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,10 +106,7 @@ func plaintextRankings(cfg Config, set *dataset.HolidaysSet, k int) ([][]string,
 	if err != nil {
 		return nil, err
 	}
-	ix, err := index.New(index.Options{})
-	if err != nil {
-		return nil, err
-	}
+	ix := index.New()
 	for id, d := range descs {
 		hist := tree.QuantizeAll(d)
 		terms := make(map[index.Term]uint64, len(hist))

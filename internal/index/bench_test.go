@@ -41,10 +41,7 @@ func BenchmarkSegmentedLookup(b *testing.B) {
 					}
 					return terms
 				}
-				s, err := NewSegmented(SegmentedOptions{MemtableCap: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
+				s := NewSegmented(SegmentedOptions{MemtableCap: -1})
 				defer s.Close()
 				for i := 0; i < docs; i++ {
 					if err := s.Add(DocID(fmt.Sprintf("obj-%05d", i)), draw(shape.perDoc)); err != nil {

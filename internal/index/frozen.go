@@ -2,7 +2,6 @@ package index
 
 import (
 	"cmp"
-	"os"
 	"slices"
 )
 
@@ -14,56 +13,41 @@ type posting struct {
 
 // frozen is the immutable columnar form of a sealed segment. Documents are
 // numbered by dense segment-local ordinals in DocID order; every term owns one
-// column of (ordinal, tf) postings sorted by ordinal; lengths and liveness are
-// flat arrays indexed by ordinal. Ordinals are never reused, so a posting can
-// only ever be attributed to the document version it was written for.
+// column of (ordinal, tf) postings sorted by ordinal; liveness is a flat array
+// indexed by ordinal. Ordinals are never reused, so a posting can only ever be
+// attributed to the document version it was written for.
 //
 // Everything but live/liveN is read-only after freeze and may be read without
 // a lock (Compact does, off the facade lock). live and liveN are written under
 // Segmented.mu.Lock and read under Segmented.mu.RLock.
 type frozen struct {
-	id       int
-	spillDir string // this segment's private spill dir ("" without champions)
+	id int
 
-	docs  []DocID  // ordinal -> DocID, ascending
-	lens  []uint64 // ordinal -> total term frequency (BM25)
-	live  []bool   // ordinal -> still the document's current version
-	liveN int      // number of true entries in live
+	docs  []DocID // ordinal -> DocID, ascending
+	live  []bool  // ordinal -> still the document's current version
+	liveN int     // number of true entries in live
 	cols  map[Term][]posting
-
-	// Champion mode only: the consumed memtable's spill log, its per-term
-	// spilled counts (document frequency adds them), and which log records
-	// were still current at freeze — the log also holds postings of versions
-	// that were superseded or removed while the segment was a memtable.
-	spill        *spillLog
-	spilled      map[Term]int
-	spillCurrent []bool
 }
 
-// freeze consumes a memtable into its columnar form: it takes over the spill
-// log and the spilled counts and keeps none of the index's other maps, so they
-// are garbage once the caller drops seg, which must not be used afterwards.
-// The caller has exclusive access to seg. All documents start live.
-func freeze(seg *segment) (*frozen, error) {
+// freeze consumes a memtable into its columnar form. It keeps none of the
+// memtable's maps, so they are garbage once the caller drops seg, which must
+// not be used afterwards. The caller has exclusive access to seg. All
+// documents start live.
+func freeze(seg *segment) *frozen {
 	ix := seg.idx
 	f := &frozen{
-		id:       seg.id,
-		spillDir: seg.spillDir,
-		docs:     make([]DocID, 0, len(ix.docTerms)),
-		cols:     make(map[Term][]posting, len(ix.postings)),
-		spill:    ix.spill,
-		spilled:  ix.spilled,
+		id:   seg.id,
+		docs: make([]DocID, 0, len(ix.docTerms)),
+		cols: make(map[Term][]posting, len(ix.postings)),
 	}
 	for doc := range ix.docTerms {
 		f.docs = append(f.docs, doc)
 	}
 	slices.Sort(f.docs)
 	ordOf := make(map[DocID]uint32, len(f.docs))
-	f.lens = make([]uint64, len(f.docs))
 	f.live = make([]bool, len(f.docs))
 	for ord, doc := range f.docs {
 		ordOf[doc] = uint32(ord)
-		f.lens[ord] = ix.docLens[doc]
 		f.live[ord] = true
 	}
 	f.liveN = len(f.docs)
@@ -82,18 +66,7 @@ func freeze(seg *segment) (*frozen, error) {
 		slices.SortFunc(col, func(a, b posting) int { return cmp.Compare(a.ord, b.ord) })
 		f.cols[term] = col
 	}
-
-	if f.spill != nil {
-		records, err := f.spill.readAll()
-		if err != nil {
-			return nil, err
-		}
-		f.spillCurrent = make([]bool, len(records))
-		for i, rec := range records {
-			f.spillCurrent[i] = ix.spillCurrent(rec)
-		}
-	}
-	return f, nil
+	return f
 }
 
 // ordOf returns doc's ordinal in this segment.
@@ -102,10 +75,9 @@ func (f *frozen) ordOf(doc DocID) (int, bool) {
 }
 
 // liveDocs reconstructs the full term-frequency map of every document whose
-// keep entry is set, merging the champion columns with the current spill
-// records (among duplicates for one (term, doc) the latest appended wins).
-// Documents are returned in DocID order, which is ordinal order.
-func (f *frozen) liveDocs(keep []bool) ([]BatchDoc, error) {
+// keep entry is set. Documents are returned in DocID order, which is ordinal
+// order.
+func (f *frozen) liveDocs(keep []bool) []BatchDoc {
 	nTerms := make([]int, len(f.docs))
 	for _, col := range f.cols {
 		for _, p := range col {
@@ -128,36 +100,5 @@ func (f *frozen) liveDocs(keep []bool) ([]BatchDoc, error) {
 			}
 		}
 	}
-	if f.spill != nil {
-		records, err := f.spill.readAll()
-		if err != nil {
-			return nil, err
-		}
-		for i, rec := range records {
-			if !f.spillCurrent[i] {
-				continue
-			}
-			if ord, ok := f.ordOf(rec.Doc); ok && slot[ord] >= 0 {
-				out[slot[ord]].Terms[rec.Term] = rec.Freq
-			}
-		}
-	}
-	return out, nil
-}
-
-// close releases the spill log, if any.
-func (f *frozen) close() error {
-	if f.spill == nil {
-		return nil
-	}
-	return f.spill.close()
-}
-
-// retire closes a segment that left the facade and removes its spill dir.
-func (f *frozen) retire() error {
-	err := f.close()
-	if f.spillDir != "" {
-		os.RemoveAll(f.spillDir)
-	}
-	return err
+	return out
 }

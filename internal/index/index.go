@@ -1,7 +1,6 @@
 // Package index implements the server-side retrieval substrate: a dynamic
-// inverted index with TF-IDF ranked search, per-term champion posting lists,
-// and disk spill with periodic merge for indexes that outgrow main memory
-// (paper §VI). One index instance serves one modality of one repository.
+// inverted index over in-memory postings with TF-IDF ranked search (paper
+// §VI). One index instance serves one modality of one repository.
 //
 // Index keys are opaque term strings — Sparse-DPE tokens for text, visual
 // word ids for images — so the same structure works in the encrypted domain
@@ -9,11 +8,7 @@
 package index
 
 import (
-	"encoding/gob"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -34,90 +29,33 @@ type Result struct {
 	Score float64
 }
 
-// Ranking selects the term-weighting function used by Search.
-type Ranking int
-
-const (
-	// RankTFIDF is the classic tf·idf weighting the paper's prototype uses.
-	RankTFIDF Ranking = iota
-	// RankBM25 is Okapi BM25 with standard parameters — the "more complex
-	// functions could be used without loss of generality" option of §VI.
-	RankBM25
-)
-
-// Options configures an Inverted index.
-type Options struct {
-	// ChampionSize, when positive, caps the number of postings kept in
-	// memory per term to the top-ChampionSize by frequency ("champion
-	// lists"); the remainder spills to disk. Zero disables spilling.
-	ChampionSize int
-	// SpillDir is where spilled postings are written. Required when
-	// ChampionSize > 0.
-	SpillDir string
-	// Ranking selects the scoring function (default tf·idf).
-	Ranking Ranking
-}
-
-// Inverted is a dynamic inverted index with ranked retrieval.
+// Inverted is a dynamic inverted index with TF-IDF ranked retrieval.
 // It is safe for concurrent use.
 type Inverted struct {
-	mu        sync.RWMutex
-	postings  map[Term]map[DocID]uint64
-	docTerms  map[DocID]map[Term]struct{} // reverse map for O(|d|) removal
-	docLens   map[DocID]uint64            // total term frequency per doc (BM25)
-	totalLen  uint64
-	docCount  int
-	opts      Options
-	spill     *spillLog
-	spilled   map[Term]int // count of spilled postings per term
-	tombstone map[DocID]struct{}
+	mu       sync.RWMutex
+	postings map[Term]map[DocID]uint64
+	docTerms map[DocID]map[Term]struct{} // reverse map for O(|d|) removal
 }
 
-// New creates an index. With ChampionSize > 0 the spill directory is
-// created eagerly so configuration errors surface at startup.
-func New(opts Options) (*Inverted, error) {
-	idx := &Inverted{
-		postings:  make(map[Term]map[DocID]uint64),
-		docTerms:  make(map[DocID]map[Term]struct{}),
-		docLens:   make(map[DocID]uint64),
-		opts:      opts,
-		spilled:   make(map[Term]int),
-		tombstone: make(map[DocID]struct{}),
-	}
-	if opts.ChampionSize > 0 {
-		if opts.SpillDir == "" {
-			return nil, errors.New("index: ChampionSize requires SpillDir")
-		}
-		if err := os.MkdirAll(opts.SpillDir, 0o755); err != nil {
-			return nil, fmt.Errorf("index: create spill dir: %w", err)
-		}
-		sl, err := openSpillLog(filepath.Join(opts.SpillDir, "postings.spill"))
-		if err != nil {
-			return nil, err
-		}
-		idx.spill = sl
-	}
-	return idx, nil
-}
+// errEmptyDoc rejects a document without an id.
+var errEmptyDoc = errors.New("index: empty DocID")
 
-// Close releases the spill log, if any.
-func (ix *Inverted) Close() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.spill == nil {
-		return nil
+// New creates an empty index.
+func New() *Inverted {
+	return &Inverted{
+		postings: make(map[Term]map[DocID]uint64),
+		docTerms: make(map[DocID]map[Term]struct{}),
 	}
-	return ix.spill.close()
 }
 
 // DocCount returns the number of indexed documents.
 func (ix *Inverted) DocCount() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.docCount
+	return len(ix.docTerms)
 }
 
-// TermCount returns the number of distinct terms currently in memory.
+// TermCount returns the number of distinct terms.
 func (ix *Inverted) TermCount() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -136,48 +74,29 @@ func (ix *Inverted) Has(doc DocID) bool {
 // Re-adding an existing document replaces its previous postings, matching
 // the paper's Update semantics (remove then add).
 func (ix *Inverted) Add(doc DocID, terms map[Term]uint64) error {
+	if doc == "" {
+		return errEmptyDoc
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.addLocked(doc, terms)
+	ix.addLocked(doc, terms)
+	return nil
 }
 
-// BatchDoc pairs one document with its term-frequency map for AddBatch.
+// BatchDoc pairs one document with its term-frequency map, the unit of the
+// bulk paths (Segmented.AddBatch, snapshot segments).
 type BatchDoc struct {
 	Doc   DocID
 	Terms map[Term]uint64
 }
 
-// AddBatch indexes a batch of documents under a single lock acquisition —
-// the bulk path epoch rebuilds use (Train re-creating an index from a store
-// snapshot). Semantically identical to calling Add once per entry, in order,
-// minus len(docs)-1 lock round-trips. On error the batch stops at the
-// offending document; earlier entries remain indexed.
-func (ix *Inverted) AddBatch(docs []BatchDoc) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for _, d := range docs {
-		if err := ix.addLocked(d.Doc, d.Terms); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ix *Inverted) addLocked(doc DocID, terms map[Term]uint64) error {
-	if doc == "" {
-		return errors.New("index: empty DocID")
-	}
-	if _, ok := ix.docTerms[doc]; ok {
-		ix.removeLocked(doc)
-	}
-	delete(ix.tombstone, doc)
+func (ix *Inverted) addLocked(doc DocID, terms map[Term]uint64) {
+	ix.removeLocked(doc)
 	set := make(map[Term]struct{}, len(terms))
-	var docLen uint64
 	for term, freq := range terms {
 		if freq == 0 {
 			continue
 		}
-		docLen += freq
 		pl := ix.postings[term]
 		if pl == nil {
 			pl = make(map[DocID]uint64)
@@ -185,38 +104,8 @@ func (ix *Inverted) addLocked(doc DocID, terms map[Term]uint64) error {
 		}
 		pl[doc] = freq
 		set[term] = struct{}{}
-		if ix.opts.ChampionSize > 0 && len(pl) > ix.opts.ChampionSize {
-			if err := ix.evictLocked(term, pl); err != nil {
-				return err
-			}
-		}
 	}
 	ix.docTerms[doc] = set
-	ix.docLens[doc] = docLen
-	ix.totalLen += docLen
-	ix.docCount++
-	return nil
-}
-
-// evictLocked spills the lowest-frequency posting of term to disk, keeping
-// the in-memory list a champion list of the top entries.
-func (ix *Inverted) evictLocked(term Term, pl map[DocID]uint64) error {
-	var victim DocID
-	var vf uint64
-	first := true
-	for d, f := range pl {
-		if first || f < vf || (f == vf && d < victim) {
-			victim, vf, first = d, f, false
-		}
-	}
-	if err := ix.spill.append(spillRecord{Term: term, Doc: victim, Freq: vf}); err != nil {
-		return err
-	}
-	delete(pl, victim)
-	ix.spilled[term]++
-	// The victim doc still references the term; docTerms stays as-is so
-	// removal can tombstone spilled postings.
-	return nil
 }
 
 // Remove deletes a document and all its postings. Removing an unknown doc is
@@ -228,123 +117,34 @@ func (ix *Inverted) Remove(doc DocID) {
 }
 
 func (ix *Inverted) removeLocked(doc DocID) {
-	set, ok := ix.docTerms[doc]
-	if !ok {
-		return
-	}
-	for term := range set {
-		if pl := ix.postings[term]; pl != nil {
-			delete(pl, doc)
-			if len(pl) == 0 && ix.spilled[term] == 0 {
-				delete(ix.postings, term)
-			}
+	for term := range ix.docTerms[doc] {
+		pl := ix.postings[term]
+		delete(pl, doc)
+		if len(pl) == 0 {
+			delete(ix.postings, term)
 		}
 	}
 	delete(ix.docTerms, doc)
-	ix.totalLen -= ix.docLens[doc]
-	delete(ix.docLens, doc)
-	ix.docCount--
-	if ix.spill != nil {
-		// Spilled postings for this doc become stale; tombstone them until
-		// the next merge compacts the log.
-		ix.tombstone[doc] = struct{}{}
-	}
-}
-
-// PostingsLen returns the number of in-memory postings for a term.
-func (ix *Inverted) PostingsLen(term Term) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.postings[term])
-}
-
-// SpilledLen returns the number of postings for term currently on disk
-// (including any that are tombstoned but not yet merged).
-func (ix *Inverted) SpilledLen(term Term) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.spilled[term]
-}
-
-// docFreq returns the total document frequency of a term (memory + disk).
-func (ix *Inverted) docFreqLocked(term Term) int {
-	return len(ix.postings[term]) + ix.spilled[term]
 }
 
 // Search ranks documents against the query term-frequency map with TF-IDF
-// and returns the top k. Only champion (in-memory) postings are scanned,
-// which is the scalability trade the paper makes: champions hold the top
-// ranked objects per term, so precision is preserved.
+// and returns the top k.
 func (ix *Inverted) Search(query map[Term]uint64, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var avgLen float64
-	if ix.docCount > 0 {
-		avgLen = float64(ix.totalLen) / float64(ix.docCount)
-	}
+	n := len(ix.docTerms)
 	scores := make(map[DocID]float64)
 	for _, term := range sortedTerms(query) {
 		pl := ix.postings[term]
-		if len(pl) == 0 && ix.spilled[term] == 0 {
-			continue
-		}
 		qf := float64(query[term])
-		df := ix.docFreqLocked(term)
 		for doc, tf := range pl {
-			var w float64
-			if ix.opts.Ranking == RankBM25 {
-				w = text.BM25(tf, ix.docCount, df, float64(ix.docLens[doc]), avgLen, 0, 0)
-			} else {
-				w = text.TFIDF(tf, ix.docCount, df)
-			}
-			scores[doc] += qf * w
+			scores[doc] += qf * text.TFIDF(tf, n, len(pl))
 		}
 	}
 	return TopK(scores, k)
-}
-
-// Merge compacts the spill log: postings of removed documents are dropped
-// and the survivors are reloaded into memory (then re-evicted down to the
-// champion bound). This is the periodic merge of §VI.
-func (ix *Inverted) Merge() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.spill == nil {
-		return nil
-	}
-	records, err := ix.spill.readAll()
-	if err != nil {
-		return err
-	}
-	if err := ix.spill.reset(); err != nil {
-		return err
-	}
-	ix.spilled = make(map[Term]int)
-	for _, rec := range records {
-		if _, dead := ix.tombstone[rec.Doc]; dead {
-			continue
-		}
-		// A fresher in-memory posting (from a re-add) wins over the spilled one.
-		pl := ix.postings[rec.Term]
-		if pl == nil {
-			pl = make(map[DocID]uint64)
-			ix.postings[rec.Term] = pl
-		}
-		if _, ok := pl[rec.Doc]; ok {
-			continue
-		}
-		pl[rec.Doc] = rec.Freq
-		if ix.opts.ChampionSize > 0 && len(pl) > ix.opts.ChampionSize {
-			if err := ix.evictLocked(rec.Term, pl); err != nil {
-				return err
-			}
-		}
-	}
-	ix.tombstone = make(map[DocID]struct{})
-	return nil
 }
 
 // sortedTerms returns the query's terms in ascending order. Every ranked scan
@@ -463,68 +263,4 @@ func less(a, b Result) bool {
 // the canonical presentation order.
 func SortResults(rs []Result) {
 	sort.Slice(rs, func(i, j int) bool { return less(rs[j], rs[i]) })
-}
-
-// spillRecord is one on-disk posting.
-type spillRecord struct {
-	Term Term
-	Doc  DocID
-	Freq uint64
-}
-
-// spillLog is an append-only gob log of spilled postings.
-type spillLog struct {
-	path string
-	f    *os.File
-	enc  *gob.Encoder
-}
-
-func openSpillLog(path string) (*spillLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("index: open spill log: %w", err)
-	}
-	return &spillLog{path: path, f: f, enc: gob.NewEncoder(f)}, nil
-}
-
-func (sl *spillLog) append(rec spillRecord) error {
-	if err := sl.enc.Encode(rec); err != nil {
-		return fmt.Errorf("index: spill append: %w", err)
-	}
-	return nil
-}
-
-func (sl *spillLog) readAll() ([]spillRecord, error) {
-	f, err := os.Open(sl.path)
-	if err != nil {
-		return nil, fmt.Errorf("index: open spill for read: %w", err)
-	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var out []spillRecord
-	for {
-		var rec spillRecord
-		if err := dec.Decode(&rec); err != nil {
-			break // EOF or truncated tail: everything decoded so far is valid
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-func (sl *spillLog) reset() error {
-	if err := sl.f.Close(); err != nil {
-		return fmt.Errorf("index: close spill: %w", err)
-	}
-	f, err := os.OpenFile(sl.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("index: reset spill: %w", err)
-	}
-	sl.f = f
-	sl.enc = gob.NewEncoder(f)
-	return nil
-}
-
-func (sl *spillLog) close() error {
-	return sl.f.Close()
 }

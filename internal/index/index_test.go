@@ -7,44 +7,15 @@ import (
 	"testing"
 )
 
-func newMem(t *testing.T) *Inverted {
-	t.Helper()
-	ix, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix
-}
-
-func newSpilling(t *testing.T, champ int) *Inverted {
-	t.Helper()
-	ix, err := New(Options{ChampionSize: champ, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := ix.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	return ix
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{ChampionSize: 5}); err == nil {
-		t.Error("expected error: ChampionSize without SpillDir")
-	}
-}
-
 func TestAddEmptyDocID(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	if err := ix.Add("", map[Term]uint64{"a": 1}); err == nil {
 		t.Error("expected error for empty DocID")
 	}
 }
 
 func TestAddSearchBasic(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	docs := map[DocID]map[Term]uint64{
 		"d1": {"cloud": 3, "secure": 1},
 		"d2": {"cloud": 1, "mobile": 5},
@@ -71,7 +42,7 @@ func TestAddSearchBasic(t *testing.T) {
 }
 
 func TestSearchZeroK(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	if err := ix.Add("d", map[Term]uint64{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +52,7 @@ func TestSearchZeroK(t *testing.T) {
 }
 
 func TestSearchUnknownTerm(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	if err := ix.Add("d", map[Term]uint64{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +62,7 @@ func TestSearchUnknownTerm(t *testing.T) {
 }
 
 func TestUbiquitousTermScoresZero(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	for i := 0; i < 4; i++ {
 		if err := ix.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"every": 1}); err != nil {
 			t.Fatal(err)
@@ -104,7 +75,7 @@ func TestUbiquitousTermScoresZero(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	if err := ix.Add("d1", map[Term]uint64{"a": 1, "b": 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +102,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestReAddReplaces(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	if err := ix.Add("d", map[Term]uint64{"old": 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +125,7 @@ func TestReAddReplaces(t *testing.T) {
 }
 
 func TestAddRemoveInverseProperty(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	rng := rand.New(rand.NewSource(1))
 	// Interleave adds and removes; after removing everything the index must
 	// be empty again.
@@ -190,7 +161,7 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 }
 
 func TestTopKLimit(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	for i := 0; i < 50; i++ {
 		if err := ix.Add(DocID(fmt.Sprintf("d%02d", i)), map[Term]uint64{"q": uint64(i + 1)}); err != nil {
 			t.Fatal(err)
@@ -215,7 +186,7 @@ func TestTopKLimit(t *testing.T) {
 }
 
 func TestDeterministicTieBreak(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	for _, d := range []DocID{"b", "a", "c"} {
 		if err := ix.Add(d, map[Term]uint64{"q": 2}); err != nil {
 			t.Fatal(err)
@@ -233,100 +204,8 @@ func TestDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestChampionEviction(t *testing.T) {
-	ix := newSpilling(t, 3)
-	for i := 0; i < 10; i++ {
-		if err := ix.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"hot": uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ix.PostingsLen("hot"); got != 3 {
-		t.Errorf("in-memory postings = %d, want champion size 3", got)
-	}
-	if got := ix.SpilledLen("hot"); got != 7 {
-		t.Errorf("spilled postings = %d, want 7", got)
-	}
-	if err := ix.Add("decoy", map[Term]uint64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Champions must be the top-frequency docs.
-	res := ix.Search(map[Term]uint64{"hot": 1}, 3)
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	if res[0].Doc != "d9" || res[1].Doc != "d8" || res[2].Doc != "d7" {
-		t.Errorf("champions wrong: %v", res)
-	}
-}
-
-func TestChampionDocFreqCountsSpilled(t *testing.T) {
-	// df must include spilled postings or idf would be inflated.
-	ix := newSpilling(t, 2)
-	for i := 0; i < 6; i++ {
-		if err := ix.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"w": uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ix.Add("decoy", map[Term]uint64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	ixMem := newMem(t)
-	for i := 0; i < 6; i++ {
-		if err := ixMem.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"w": uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ixMem.Add("decoy", map[Term]uint64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	rs := ix.Search(map[Term]uint64{"w": 1}, 1)
-	rm := ixMem.Search(map[Term]uint64{"w": 1}, 1)
-	if len(rs) != 1 || len(rm) != 1 {
-		t.Fatal("missing results")
-	}
-	if rs[0].Score != rm[0].Score {
-		t.Errorf("champion score %v != full-index score %v", rs[0].Score, rm[0].Score)
-	}
-}
-
-func TestMergeCompactsTombstones(t *testing.T) {
-	ix := newSpilling(t, 2)
-	for i := 0; i < 8; i++ {
-		if err := ix.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"w": uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Remove docs whose postings were spilled (low freq ones).
-	ix.Remove("d0")
-	ix.Remove("d1")
-	if err := ix.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.PostingsLen("w") + ix.SpilledLen("w"); got != 6 {
-		t.Errorf("postings after merge = %d, want 6", got)
-	}
-	// Survivors are intact and ranked correctly.
-	if err := ix.Add("decoy", map[Term]uint64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	res := ix.Search(map[Term]uint64{"w": 1}, 2)
-	if len(res) != 2 || res[0].Doc != "d7" {
-		t.Errorf("post-merge search: %v", res)
-	}
-}
-
-func TestMergeNoSpillIsNoop(t *testing.T) {
-	ix := newMem(t)
-	if err := ix.Add("d", map[Term]uint64{"a": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Merge(); err != nil {
-		t.Errorf("Merge on memory-only index: %v", err)
-	}
-}
-
 func TestConcurrentAddSearchRemove(t *testing.T) {
-	ix := newMem(t)
+	ix := New()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -353,70 +232,5 @@ func TestSortResults(t *testing.T) {
 	SortResults(rs)
 	if rs[0].Doc != "a" || rs[1].Doc != "b" || rs[2].Doc != "c" {
 		t.Errorf("SortResults order: %v", rs)
-	}
-}
-
-func TestBM25Ranking(t *testing.T) {
-	ix, err := New(Options{Ranking: RankBM25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// d1 matches with high tf in a short doc, d2 with the same tf in a much
-	// longer doc: BM25's length normalization must prefer d1.
-	if err := ix.Add("d1", map[Term]uint64{"q": 3, "x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add("d2", map[Term]uint64{"q": 3, "f1": 20, "f2": 20, "f3": 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add("decoy", map[Term]uint64{"other": 1}); err != nil {
-		t.Fatal(err)
-	}
-	res := ix.Search(map[Term]uint64{"q": 1}, 2)
-	if len(res) != 2 {
-		t.Fatalf("got %d results", len(res))
-	}
-	if res[0].Doc != "d1" {
-		t.Errorf("BM25 top = %s, want d1 (length normalization): %v", res[0].Doc, res)
-	}
-	// Under plain TF-IDF the two docs tie (same tf, same df).
-	ixT, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []DocID{"d1", "d2"} {
-		if err := ixT.Add(d, map[Term]uint64{"q": 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ixT.Add("decoy", map[Term]uint64{"other": 1}); err != nil {
-		t.Fatal(err)
-	}
-	resT := ixT.Search(map[Term]uint64{"q": 1}, 2)
-	if len(resT) != 2 || resT[0].Score != resT[1].Score {
-		t.Errorf("TF-IDF should tie equal-tf docs: %v", resT)
-	}
-}
-
-func TestBM25DocLengthTrackedThroughRemove(t *testing.T) {
-	ix, err := New(Options{Ranking: RankBM25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add("long", map[Term]uint64{"a": 50, "b": 50}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add("short", map[Term]uint64{"q": 1}); err != nil {
-		t.Fatal(err)
-	}
-	ix.Remove("long")
-	// After removing the long doc, avg length shrinks; the search must not
-	// be skewed by stale totals (just verify it still returns sane scores).
-	if err := ix.Add("decoy", map[Term]uint64{"z": 1}); err != nil {
-		t.Fatal(err)
-	}
-	res := ix.Search(map[Term]uint64{"q": 1}, 1)
-	if len(res) != 1 || res[0].Score <= 0 {
-		t.Errorf("post-remove BM25 search: %v", res)
 	}
 }

@@ -14,67 +14,30 @@ import (
 
 // --- the naive reference ---------------------------------------------------
 
-// corpus is what a reference ranking is computed over: the postings a search
-// may see per document, the full document lengths, and per-term document
-// frequency that exists only as a count (spilled postings in champion mode).
-type corpus struct {
-	docs     map[DocID]map[Term]uint64
-	lens     map[DocID]uint64
-	extraDF  map[Term]int
-	totalLen uint64
-}
-
-// corpusOf is the corpus of an index without champion lists: every posting of
-// every live document is visible.
-func corpusOf(live map[DocID]map[Term]uint64) corpus {
-	c := corpus{docs: live, lens: make(map[DocID]uint64, len(live))}
-	for doc, terms := range live {
-		for _, tf := range terms {
-			c.lens[doc] += tf
-		}
-		c.totalLen += c.lens[doc]
-	}
-	return c
-}
-
 // refSearch is the linear-scan scorer every Lookup must equal bit for bit:
 // one pass per live document, weights summed in sorted-term order, full sort,
 // cut at k.
-func refSearch(c corpus, ranking Ranking, query map[Term]uint64, k int) []Result {
+func refSearch(live map[DocID]map[Term]uint64, query map[Term]uint64, k int) []Result {
 	terms := make([]Term, 0, len(query))
 	for term := range query {
 		terms = append(terms, term)
 	}
 	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
-	n := len(c.docs)
-	var avgLen float64
-	if n > 0 {
-		avgLen = float64(c.totalLen) / float64(n)
-	}
 	df := make(map[Term]int, len(terms))
 	for _, term := range terms {
-		df[term] = c.extraDF[term]
-		for _, have := range c.docs {
+		for _, have := range live {
 			if have[term] > 0 {
 				df[term]++
 			}
 		}
 	}
 	out := []Result{}
-	for doc, have := range c.docs {
+	for doc, have := range live {
 		var score float64
 		for _, term := range terms {
-			tf := have[term]
-			if tf == 0 {
-				continue
+			if tf := have[term]; tf > 0 {
+				score += float64(query[term]) * text.TFIDF(tf, len(live), df[term])
 			}
-			var w float64
-			if ranking == RankBM25 {
-				w = text.BM25(tf, n, df[term], float64(c.lens[doc]), avgLen, 0, 0)
-			} else {
-				w = text.TFIDF(tf, n, df[term])
-			}
-			score += float64(query[term]) * w
 		}
 		if score > 0 {
 			out = append(out, Result{Doc: doc, Score: score})
@@ -103,46 +66,6 @@ func sameResults(a, b []Result) bool {
 		}
 	}
 	return true
-}
-
-// visibleCorpus reads, white-box, what a champion-mode index lets a search
-// see: the in-memory (champion) postings of live document versions, and the
-// spilled counts document frequency adds. Lengths are the model's: a document
-// keeps its full length when some of its postings spill.
-func visibleCorpus(s *Segmented, live map[DocID]map[Term]uint64) corpus {
-	full := corpusOf(live)
-	c := corpus{
-		docs:     make(map[DocID]map[Term]uint64, len(live)),
-		lens:     full.lens,
-		extraDF:  make(map[Term]int),
-		totalLen: full.totalLen,
-	}
-	for doc := range live {
-		c.docs[doc] = map[Term]uint64{}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for term, pl := range s.mem.idx.postings {
-		for doc, tf := range pl {
-			c.docs[doc][term] = tf
-		}
-	}
-	for term, n := range s.mem.idx.spilled {
-		c.extraDF[term] += n
-	}
-	for _, f := range s.sealed {
-		for term, col := range f.cols {
-			for _, p := range col {
-				if f.live[p.ord] {
-					c.docs[f.docs[p.ord]][term] = uint64(p.tf)
-				}
-			}
-		}
-		for term, n := range f.spilled {
-			c.extraDF[term] += n
-		}
-	}
-	return c
 }
 
 // --- the model of the facade -----------------------------------------------
@@ -204,12 +127,6 @@ func (m *segModel) reloaded() { m.dead = 0 }
 
 // --- seeded traces -----------------------------------------------------------
 
-type traceConfig struct {
-	ranking  Ranking
-	champion int // ChampionSize, 0 = off
-	memCap   int
-}
-
 const (
 	traceDocs  = 40
 	traceVocab = 24
@@ -261,27 +178,16 @@ func seededTrace(seed int64, steps int) []byte {
 }
 
 // runTrace interprets data as Add / re-Add / Remove / Seal / Compact / reload
-// operations against a Segmented and its model, and after every step checks
-// Lookup against the reference (exactly), the reconstructed contents against
-// the model (exactly) and Stats against the model.
-func runTrace(t *testing.T, cfg traceConfig, data []byte) {
+// operations against a Segmented with the given memtable cap and its model,
+// and after every step checks Lookup against the reference (exactly), the
+// reconstructed contents against the model (exactly) and Stats against the
+// model.
+func runTrace(t *testing.T, memCap int, data []byte) {
 	t.Helper()
-	opts := SegmentedOptions{Index: Options{Ranking: cfg.ranking}, MemtableCap: cfg.memCap}
-	open := func() *Segmented {
-		o := opts
-		if cfg.champion > 0 {
-			o.Index.ChampionSize = cfg.champion
-			o.Index.SpillDir = t.TempDir()
-		}
-		s, err := NewSegmented(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	open := func() *Segmented { return NewSegmented(SegmentedOptions{MemtableCap: memCap}) }
 	s := open()
 	defer func() { s.Close() }()
-	m := newSegModel(cfg.memCap)
+	m := newSegModel(memCap)
 	r := &traceReader{data: data}
 
 	for step := 0; !r.done(); step++ {
@@ -309,9 +215,7 @@ func runTrace(t *testing.T, cfg traceConfig, data []byte) {
 		case op < 15:
 			desc = "compact"
 			hadSealed := s.Stats().SealedSegments > 0
-			if err := s.Compact(); err != nil {
-				t.Fatalf("step %d compact: %v", step, err)
-			}
+			s.Compact()
 			m.compacted(hadSealed)
 		default:
 			desc = "reload"
@@ -328,8 +232,8 @@ func runTrace(t *testing.T, cfg traceConfig, data []byte) {
 			m.reloaded()
 		}
 
-		// Contents: every live document's full term map survives, whatever
-		// mix of columns and spill log holds it.
+		// Contents: every live document's full term map survives, whichever
+		// segment holds it.
 		groups, err := s.SegmentBatches()
 		if err != nil {
 			t.Fatalf("step %d (%s): SegmentBatches: %v", step, desc, err)
@@ -352,10 +256,6 @@ func runTrace(t *testing.T, cfg traceConfig, data []byte) {
 			t.Fatalf("step %d (%s): stats %+v, want live %d dead %d memtable %d", step, desc, st, len(m.live), m.dead, len(m.inMem))
 		}
 
-		c := corpusOf(m.live)
-		if cfg.champion > 0 {
-			c = visibleCorpus(s, m.live)
-		}
 		qrng := rand.New(rand.NewSource(int64(step)))
 		for q := 0; q < 3; q++ {
 			query := make(map[Term]uint64)
@@ -363,7 +263,7 @@ func runTrace(t *testing.T, cfg traceConfig, data []byte) {
 				query[Term(fmt.Sprintf("t%02d", qrng.Intn(traceVocab+2)))] = uint64(1 + qrng.Intn(3))
 			}
 			k := []int{1, 3, 10, 100}[qrng.Intn(4)]
-			want := refSearch(c, cfg.ranking, query, k)
+			want := refSearch(m.live, query, k)
 			if got := s.Lookup(query, k); !sameResults(got, want) {
 				t.Fatalf("step %d (%s): Lookup(%v, %d)\ngot  %v\nwant %v", step, desc, query, k, got, want)
 			}
@@ -390,20 +290,17 @@ func equalDocs(a, b map[DocID]map[Term]uint64) bool {
 }
 
 func TestSegmentedMatchesReferenceOnSeededTraces(t *testing.T) {
-	for _, ranking := range []Ranking{RankTFIDF, RankBM25} {
-		for _, champion := range []int{0, 2} {
-			for seed := int64(1); seed <= 4; seed++ {
-				cfg := traceConfig{ranking: ranking, champion: champion, memCap: 3 + int(seed)*2}
-				t.Run(fmt.Sprintf("ranking=%d/champion=%d/seed=%d", ranking, champion, seed), func(t *testing.T) {
-					runTrace(t, cfg, seededTrace(seed, 150))
-				})
-			}
-		}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runTrace(t, 3+int(seed)*2, seededTrace(seed, 150))
+		})
 	}
 }
 
-// FuzzSegmentedOps lets the fuzzer write the trace: the first byte picks
-// ranking, champion mode and memtable cap, the rest are operations.
+// FuzzSegmentedOps lets the fuzzer write the trace: the high six bits of the
+// first byte pick the memtable cap, the rest are operations. The low two bits
+// once chose a ranking and champion mode; they are ignored, so the checked-in
+// corpus stays valid.
 func FuzzSegmentedOps(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(append([]byte{byte(seed * 37)}, seededTrace(seed, 20)...))
@@ -412,12 +309,7 @@ func FuzzSegmentedOps(f *testing.F) {
 		if len(data) == 0 || len(data) > 1<<10 {
 			return
 		}
-		cfg := traceConfig{
-			ranking:  Ranking(data[0] & 1),
-			champion: int(data[0] & 2), // 0 or 2
-			memCap:   2 + int(data[0]>>2)%7,
-		}
-		runTrace(t, cfg, data[1:])
+		runTrace(t, 2+int(data[0]>>2)%7, data[1:])
 	})
 }
 
@@ -426,81 +318,71 @@ func FuzzSegmentedOps(f *testing.F) {
 // A term frequency wider than a column saturates once, at the facade, so every
 // stage of a segment's life scores and stores the same value.
 func TestSegmentedSaturatesHostileTermFrequency(t *testing.T) {
-	for _, ranking := range []Ranking{RankTFIDF, RankBM25} {
-		s, err := NewSegmented(SegmentedOptions{Index: Options{Ranking: ranking}, MemtableCap: -1})
-		if err != nil {
+	s := NewSegmented(SegmentedOptions{MemtableCap: -1})
+	defer s.Close()
+	hostile := map[Term]uint64{"big": 1 << 40, "small": 2}
+	if err := s.Add("evil", hostile); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"small": uint64(i + 1), "other": 1}); err != nil {
 			t.Fatal(err)
 		}
-		hostile := map[Term]uint64{"big": 1 << 40, "small": 2}
-		if err := s.Add("evil", hostile); err != nil {
-			t.Fatal(err)
+	}
+	if hostile["big"] != 1<<40 {
+		t.Fatal("Add modified the caller's map")
+	}
+	m := newSegModel(-1)
+	m.add("evil", hostile)
+	for i := 0; i < 5; i++ {
+		m.add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"small": uint64(i + 1), "other": 1})
+	}
+	query := map[Term]uint64{"big": 3, "small": 1}
+	want := refSearch(m.live, query, 10)
+	if want[0].Doc != "evil" {
+		t.Fatalf("reference does not rank the hostile doc first: %v", want)
+	}
+	check := func(stage string, s *Segmented) {
+		t.Helper()
+		if got := s.Lookup(query, 10); !sameResults(got, want) {
+			t.Fatalf("%s: Lookup\ngot  %v\nwant %v", stage, got, want)
 		}
-		for i := 0; i < 5; i++ {
-			if err := s.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"small": uint64(i + 1), "other": 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if hostile["big"] != 1<<40 {
-			t.Fatal("Add modified the caller's map")
-		}
-		m := newSegModel(-1)
-		m.add("evil", hostile)
-		for i := 0; i < 5; i++ {
-			m.add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"small": uint64(i + 1), "other": 1})
-		}
-		query := map[Term]uint64{"big": 3, "small": 1}
-		want := refSearch(corpusOf(m.live), ranking, query, 10)
-		if want[0].Doc != "evil" {
-			t.Fatalf("reference does not rank the hostile doc first: %v", want)
-		}
-		check := func(stage string, s *Segmented) {
-			t.Helper()
-			if got := s.Lookup(query, 10); !sameResults(got, want) {
-				t.Fatalf("ranking %d, %s: Lookup\ngot  %v\nwant %v", ranking, stage, got, want)
-			}
-			groups, err := s.SegmentBatches()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, g := range groups {
-				for _, d := range g {
-					if d.Doc == "evil" && d.Terms["big"] != math.MaxUint32 {
-						t.Fatalf("ranking %d, %s: stored tf %d, want %d", ranking, stage, d.Terms["big"], uint64(math.MaxUint32))
-					}
-				}
-			}
-		}
-		check("memtable", s)
-		if err := s.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		check("sealed", s)
-		if err := s.Add("late", map[Term]uint64{"other": 1}); err != nil {
-			t.Fatal(err)
-		}
-		s.Remove("late")
-		if err := s.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		check("compacted", s)
 		groups, err := s.SegmentBatches()
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := NewSegmented(SegmentedOptions{Index: Options{Ranking: ranking}, MemtableCap: -1})
-		if err != nil {
-			t.Fatal(err)
+		for _, g := range groups {
+			for _, d := range g {
+				if d.Doc == "evil" && d.Terms["big"] != math.MaxUint32 {
+					t.Fatalf("%s: stored tf %d, want %d", stage, d.Terms["big"], uint64(math.MaxUint32))
+				}
+			}
 		}
-		if err := restored.LoadSegments(groups); err != nil {
-			t.Fatal(err)
-		}
-		check("reloaded", restored)
-		restored.Close()
-		s.Close()
 	}
+	check("memtable", s)
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	check("sealed", s)
+	if err := s.Add("late", map[Term]uint64{"other": 1}); err != nil {
+		t.Fatal(err)
+	}
+	s.Remove("late")
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	s.Compact()
+	check("compacted", s)
+	groups, err := s.SegmentBatches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewSegmented(SegmentedOptions{MemtableCap: -1})
+	defer restored.Close()
+	if err := restored.LoadSegments(groups); err != nil {
+		t.Fatal(err)
+	}
+	check("reloaded", restored)
 }
 
 // --- concurrency -------------------------------------------------------------
@@ -508,123 +390,117 @@ func TestSegmentedSaturatesHostileTermFrequency(t *testing.T) {
 // Four readers race one writer (Add / re-Add / Remove / Seal) and a compactor.
 // Every Lookup must return exactly what the reference returns on some state
 // the index held between the moment the reader started and the moment it
-// finished: a search sees a write entirely or not at all.
+// finished: a search sees a write entirely or not at all. The subtest keeps
+// the name it had when BM25 ran beside TF-IDF as ranking=1.
 func TestSegmentedLookupLinearizableUnderWrites(t *testing.T) {
-	for _, ranking := range []Ranking{RankTFIDF, RankBM25} {
-		t.Run(fmt.Sprintf("ranking=%d", ranking), func(t *testing.T) {
-			s, err := NewSegmented(SegmentedOptions{Index: Options{Ranking: ranking}, MemtableCap: 6})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("ranking=0", segmentedLookupLinearizableUnderWrites)
+}
+
+func segmentedLookupLinearizableUnderWrites(t *testing.T) {
+	s := NewSegmented(SegmentedOptions{MemtableCap: 6})
+	defer s.Close()
+
+	// states[i] is the live set after i writes. The writer publishes state
+	// i+1 before it starts write i+1, so a reader that observed "started =
+	// hi" can read states[:hi+1].
+	var (
+		statesMu  sync.Mutex
+		states    = []map[DocID]map[Term]uint64{{}}
+		started   atomic.Int64
+		completed atomic.Int64
+	)
+	const writes = 300
+	stop := make(chan struct{})
+	var readers, compactor sync.WaitGroup
+
+	compactor.Add(1)
+	go func() {
+		defer compactor.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			defer s.Close()
+			s.Compact()
+		}
+	}()
 
-			// states[i] is the corpus after i writes. The writer publishes
-			// state i+1 before it starts write i+1, so a reader that observed
-			// "started = hi" can read states[:hi+1].
-			var (
-				statesMu  sync.Mutex
-				states    = []corpus{corpusOf(map[DocID]map[Term]uint64{})}
-				started   atomic.Int64
-				completed atomic.Int64
-			)
-			const writes = 300
-			stop := make(chan struct{})
-			var readers, compactor sync.WaitGroup
-
-			compactor.Add(1)
-			go func() {
-				defer compactor.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := s.Compact(); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-
-			for g := 0; g < 4; g++ {
-				readers.Add(1)
-				go func(g int) {
-					defer readers.Done()
-					rng := rand.New(rand.NewSource(int64(900 + g)))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						query := make(map[Term]uint64)
-						for i := 1 + rng.Intn(3); i > 0; i-- {
-							query[Term(fmt.Sprintf("t%02d", rng.Intn(traceVocab)))] = uint64(1 + rng.Intn(3))
-						}
-						lo := completed.Load()
-						got := s.Lookup(query, 5)
-						hi := started.Load()
-						statesMu.Lock()
-						window := states[lo : hi+1]
-						statesMu.Unlock()
-						ok := false
-						for _, c := range window {
-							if sameResults(got, refSearch(c, ranking, query, 5)) {
-								ok = true
-								break
-							}
-						}
-						if !ok {
-							t.Errorf("Lookup(%v) = %v matches no state in [%d, %d]", query, got, lo, hi)
-							return
-						}
-					}
-				}(g)
-			}
-
-			m := newSegModel(6)
-			r := &traceReader{data: seededTrace(77+int64(ranking), writes)}
-			for w := 0; w < writes; w++ {
-				var apply func() error
-				switch op := r.next() % 16; {
-				case op < 9:
-					doc := DocID(fmt.Sprintf("d%02d", r.next()%traceDocs))
-					terms := r.terms()
-					m.add(doc, terms)
-					apply = func() error { return s.Add(doc, terms) }
-				case op < 13:
-					doc := DocID(fmt.Sprintf("d%02d", r.next()%traceDocs))
-					m.remove(doc)
-					apply = func() error { s.Remove(doc); return nil }
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(900 + g)))
+			for {
+				select {
+				case <-stop:
+					return
 				default:
-					apply = s.Seal
 				}
-				snapshot := make(map[DocID]map[Term]uint64, len(m.live))
-				for doc, terms := range m.live {
-					snapshot[doc] = terms // term maps are never mutated after add
+				query := make(map[Term]uint64)
+				for i := 1 + rng.Intn(3); i > 0; i-- {
+					query[Term(fmt.Sprintf("t%02d", rng.Intn(traceVocab)))] = uint64(1 + rng.Intn(3))
 				}
+				lo := completed.Load()
+				got := s.Lookup(query, 5)
+				hi := started.Load()
 				statesMu.Lock()
-				states = append(states, corpusOf(snapshot))
+				window := states[lo : hi+1]
 				statesMu.Unlock()
-				started.Add(1)
-				if err := apply(); err != nil {
-					t.Error(err)
-					break
+				ok := false
+				for _, live := range window {
+					if sameResults(got, refSearch(live, query, 5)) {
+						ok = true
+						break
+					}
 				}
-				completed.Add(1)
+				if !ok {
+					t.Errorf("Lookup(%v) = %v matches no state in [%d, %d]", query, got, lo, hi)
+					return
+				}
 			}
-			close(stop)
-			readers.Wait()
-			compactor.Wait()
+		}(g)
+	}
 
-			final := corpusOf(m.live)
-			for term := 0; term < traceVocab; term++ {
-				query := map[Term]uint64{Term(fmt.Sprintf("t%02d", term)): 1}
-				if got, want := s.Lookup(query, 10), refSearch(final, ranking, query, 10); !sameResults(got, want) {
-					t.Fatalf("after the race: Lookup(%v)\ngot  %v\nwant %v", query, got, want)
-				}
-			}
-		})
+	m := newSegModel(6)
+	r := &traceReader{data: seededTrace(77, writes)}
+	for w := 0; w < writes; w++ {
+		var apply func() error
+		switch op := r.next() % 16; {
+		case op < 9:
+			doc := DocID(fmt.Sprintf("d%02d", r.next()%traceDocs))
+			terms := r.terms()
+			m.add(doc, terms)
+			apply = func() error { return s.Add(doc, terms) }
+		case op < 13:
+			doc := DocID(fmt.Sprintf("d%02d", r.next()%traceDocs))
+			m.remove(doc)
+			apply = func() error { s.Remove(doc); return nil }
+		default:
+			apply = s.Seal
+		}
+		snapshot := make(map[DocID]map[Term]uint64, len(m.live))
+		for doc, terms := range m.live {
+			snapshot[doc] = terms // term maps are never mutated after add
+		}
+		statesMu.Lock()
+		states = append(states, snapshot)
+		statesMu.Unlock()
+		started.Add(1)
+		if err := apply(); err != nil {
+			t.Error(err)
+			break
+		}
+		completed.Add(1)
+	}
+	close(stop)
+	readers.Wait()
+	compactor.Wait()
+
+	for term := 0; term < traceVocab; term++ {
+		query := map[Term]uint64{Term(fmt.Sprintf("t%02d", term)): 1}
+		if got, want := s.Lookup(query, 10), refSearch(m.live, query, 10); !sameResults(got, want) {
+			t.Fatalf("after the race: Lookup(%v)\ngot  %v\nwant %v", query, got, want)
+		}
 	}
 }

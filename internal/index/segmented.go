@@ -2,10 +2,7 @@ package index
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -17,11 +14,6 @@ var ErrClosed = errors.New("index: closed")
 
 // SegmentedOptions configures a Segmented index.
 type SegmentedOptions struct {
-	// Index carries the per-segment options. SpillDir, when champion lists
-	// are enabled, is treated as a parent directory: every segment spills
-	// into its own SpillDir/seg-<id> subdirectory so segment lifecycles
-	// (seal, compact, drop) stay independent on disk.
-	Index Options
 	// MemtableCap auto-seals the memtable once it holds this many documents.
 	// Zero means DefaultMemtableCap; negative disables auto-sealing.
 	MemtableCap int
@@ -51,9 +43,8 @@ func (o *SegmentedOptions) setDefaults() {
 // segment is the memtable: the one mutable Inverted inside a Segmented facade.
 // Sealing consumes it into a frozen segment (see freeze).
 type segment struct {
-	id       int
-	idx      *Inverted
-	spillDir string // this segment's private spill dir ("" without champions)
+	id  int
+	idx *Inverted
 }
 
 // Segmented is an LSM-flavored composition: all writes land in a small mutable
@@ -77,7 +68,6 @@ type Segmented struct {
 	mem         *segment
 	sealed      []*frozen // oldest first
 	owner       map[DocID]int
-	totalLen    uint64 // sum of live document lengths (BM25 avgdl)
 	compactions uint64
 	closed      bool
 
@@ -87,42 +77,20 @@ type Segmented struct {
 }
 
 // NewSegmented creates an empty Segmented index.
-func NewSegmented(opts SegmentedOptions) (*Segmented, error) {
+func NewSegmented(opts SegmentedOptions) *Segmented {
 	opts.setDefaults()
 	s := &Segmented{
 		opts:  opts,
 		owner: make(map[DocID]int),
 	}
-	if err := s.freshMemtableLocked(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.freshMemtableLocked()
+	return s
 }
 
 // freshMemtableLocked installs a new empty memtable segment.
-func (s *Segmented) freshMemtableLocked() error {
+func (s *Segmented) freshMemtableLocked() {
 	s.nextID++
-	mem, err := s.newSegment(s.nextID)
-	if err != nil {
-		return err
-	}
-	s.mem = mem
-	return nil
-}
-
-// newSegment creates an empty mutable segment with its private spill dir.
-func (s *Segmented) newSegment(id int) (*segment, error) {
-	opts := s.opts.Index
-	dir := ""
-	if opts.ChampionSize > 0 {
-		dir = filepath.Join(opts.SpillDir, fmt.Sprintf("seg-%d", id))
-		opts.SpillDir = dir
-	}
-	idx, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &segment{id: id, idx: idx, spillDir: dir}, nil
+	s.mem = &segment{id: s.nextID, idx: New()}
 }
 
 // Add indexes (or re-indexes) a document in the memtable. A previous version
@@ -141,7 +109,6 @@ func (s *Segmented) addLocked(doc DocID, terms map[Term]uint64) error {
 		return err
 	}
 	s.owner[doc] = s.mem.id
-	s.totalLen += s.mem.idx.docLens[doc]
 	return nil
 }
 
@@ -154,7 +121,6 @@ func (s *Segmented) retireLocked(doc DocID) {
 	}
 	delete(s.owner, doc)
 	if own == s.mem.id {
-		s.totalLen -= s.mem.idx.docLens[doc]
 		s.mem.idx.Remove(doc)
 		return
 	}
@@ -165,7 +131,6 @@ func (s *Segmented) retireLocked(doc DocID) {
 		if ord, ok := f.ordOf(doc); ok {
 			f.live[ord] = false
 			f.liveN--
-			s.totalLen -= f.lens[ord]
 		}
 		return
 	}
@@ -248,12 +213,9 @@ func (s *Segmented) sealLocked() error {
 	if s.mem.idx.DocCount() == 0 {
 		return nil
 	}
-	f, err := freeze(s.mem)
-	if err != nil {
-		return err
-	}
-	s.sealed = append(s.sealed, f)
-	return s.freshMemtableLocked()
+	s.sealed = append(s.sealed, freeze(s.mem))
+	s.freshMemtableLocked()
+	return nil
 }
 
 // Has reports whether doc is live in the index.
@@ -320,13 +282,12 @@ func (s *Segmented) deadLocked() int {
 	return dead
 }
 
-// queryTerm is one query term's share of a Lookup, filled in two steps:
-// document frequency across all segments first, then the weights it implies.
+// queryTerm is one query term's share of a Lookup: its query-side frequency,
+// and the idf its document frequency across all segments implies.
 type queryTerm struct {
 	term Term
-	qf   float64 // query-side frequency
-	df   int     // live documents holding the term, plus spilled postings
-	idf  float64 // tf-idf only: hoisted out of the posting loop
+	qf   float64
+	idf  float64 // hoisted out of the posting loops
 }
 
 // accPool recycles Lookup's dense score accumulators. Every buffer in it is
@@ -338,8 +299,7 @@ var accPool sync.Pool
 // memtable and every sealed segment, and returns the top k. Scores match a
 // single Inverted holding the same live documents: document frequency counts
 // each live doc once (a sealed posting whose version was removed or re-added
-// elsewhere fails its segment's live-bit test), and BM25 length statistics
-// aggregate across segments.
+// elsewhere fails its segment's live-bit test).
 //
 // The whole query runs under one facade read lock, which excludes every writer
 // to the memtable and to the live bits. Query terms are walked in sorted order
@@ -357,34 +317,23 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	docCount := len(s.owner)
-	bm25 := s.opts.Index.Ranking == RankBM25
-	var avgLen float64
-	if docCount > 0 {
-		avgLen = float64(s.totalLen) / float64(docCount)
-	}
 	mem := s.mem.idx
 	for i := range qts {
 		qt := &qts[i]
-		qt.df = len(mem.postings[qt.term]) + mem.spilled[qt.term]
+		df := len(mem.postings[qt.term])
 		for _, f := range s.sealed {
 			col := f.cols[qt.term]
 			if f.liveN == len(f.docs) {
-				qt.df += len(col)
+				df += len(col)
 			} else {
 				for _, p := range col {
 					if f.live[p.ord] {
-						qt.df++
+						df++
 					}
 				}
 			}
-			if f.spill != nil {
-				qt.df += f.spilled[qt.term]
-			}
 		}
-		if !bm25 {
-			qt.idf = text.TFIDF(1, docCount, qt.df) // 1 * idf
-		}
+		qt.idf = text.TFIDF(1, len(s.owner), df) // 1 * idf
 	}
 
 	top := NewTopKHeap(k)
@@ -399,7 +348,7 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 			for i := range qts {
 				cols[i] = f.cols[qts[i].term]
 			}
-			f.score(qts, cols, bm25, docCount, avgLen, *acc, top)
+			f.score(qts, cols, *acc, top)
 		}
 		accPool.Put(acc)
 	}
@@ -411,11 +360,7 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 			scores = make(map[DocID]float64)
 		}
 		for doc, tf := range pl {
-			if bm25 {
-				scores[doc] += qt.qf * text.BM25(tf, docCount, qt.df, float64(mem.docLens[doc]), avgLen, 0, 0)
-			} else {
-				scores[doc] += qt.qf * (float64(tf) * qt.idf)
-			}
+			scores[doc] += qt.qf * (float64(tf) * qt.idf) // text.TFIDF, idf hoisted
 		}
 	}
 	for doc, sc := range scores {
@@ -440,16 +385,11 @@ func getAcc(n int) *[]float64 {
 // scored document to top. cols[i] is this segment's column for qts[i]. Summing
 // and collecting both walk those columns, so the cost follows the postings
 // touched, not the segment's size.
-func (f *frozen) score(qts []queryTerm, cols [][]posting, bm25 bool, docCount int, avgLen float64, acc []float64, top *TopKHeap) {
+func (f *frozen) score(qts []queryTerm, cols [][]posting, acc []float64, top *TopKHeap) {
 	for i, col := range cols {
 		qt := &qts[i]
 		for _, p := range col {
-			if !f.live[p.ord] {
-				continue
-			}
-			if bm25 {
-				acc[p.ord] += qt.qf * text.BM25(uint64(p.tf), docCount, qt.df, float64(f.lens[p.ord]), avgLen, 0, 0)
-			} else {
+			if f.live[p.ord] {
 				// The expression text.TFIDF evaluates, idf computed once.
 				acc[p.ord] += qt.qf * (float64(p.tf) * qt.idf)
 			}
@@ -476,15 +416,14 @@ func (s *Segmented) Search(query map[Term]uint64, k int) []Result {
 }
 
 // Compact merges every sealed segment into a single new frozen segment,
-// dropping tombstoned garbage and merging spilled postings back up to the
-// champion bound. The merged segment is built and frozen from the immutable
-// sources without holding the facade lock (a brief lock snapshots the segment
-// list and the live bits), so Lookup/Add/Remove proceed concurrently; a short
-// write lock swaps it in and, in the same pass that re-points owners, clears
-// the live bit of every document removed or re-added while the merge ran —
-// those stale copies are skipped at read time and reclaimed by the next
-// compaction.
-func (s *Segmented) Compact() error {
+// dropping tombstoned garbage. The merged segment is built and frozen from the
+// immutable sources without holding the facade lock (a brief lock snapshots
+// the segment list and the live bits), so Lookup/Add/Remove proceed
+// concurrently; a short write lock swaps it in and, in the same pass that
+// re-points owners, clears the live bit of every document removed or re-added
+// while the merge ran — those stale copies are skipped at read time and
+// reclaimed by the next compaction.
+func (s *Segmented) Compact() {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -493,7 +432,7 @@ func (s *Segmented) Compact() error {
 	s.mu.Lock()
 	if s.closed || len(s.sealed) == 0 {
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	srcs := append([]*frozen(nil), s.sealed...)
 	srcIDs := make(map[int]bool, len(srcs))
@@ -508,16 +447,13 @@ func (s *Segmented) Compact() error {
 
 	// Phase 2: pour the live documents into a fresh Inverted and freeze it,
 	// off-lock, from immutable sources.
-	merged, err := s.mergeSegments(mergedID, srcs, liveAt)
-	if err != nil {
-		return err
-	}
+	merged := mergeSegments(mergedID, srcs, liveAt)
 
 	// Phase 3: swap under the write lock.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return merged.retire()
+		return
 	}
 	// Keep sealed segments that appeared after the snapshot (seals during the
 	// build); the merged segment replaces the sources as the oldest entry.
@@ -540,40 +476,15 @@ func (s *Segmented) Compact() error {
 		}
 	}
 	s.compactions++
-	s.mu.Unlock()
-
-	// Phase 4: retire the source segments.
-	var firstErr error
-	for _, f := range srcs {
-		if err := f.retire(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // mergeSegments builds the frozen segment holding every document of srcs whose
 // liveAt entry is set. It reads only the sources' immutable parts.
-func (s *Segmented) mergeSegments(id int, srcs []*frozen, liveAt [][]bool) (merged *frozen, err error) {
-	pour, err := s.newSegment(id)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			pour.idx.Close()
-			if pour.spillDir != "" {
-				os.RemoveAll(pour.spillDir)
-			}
-		}
-	}()
+func mergeSegments(id int, srcs []*frozen, liveAt [][]bool) *frozen {
+	pour := &segment{id: id, idx: New()} // private until frozen: no lock needed
 	for i, f := range srcs {
-		batch, err := f.liveDocs(liveAt[i])
-		if err != nil {
-			return nil, err
-		}
-		if err := pour.idx.AddBatch(batch); err != nil {
-			return nil, err
+		for _, d := range f.liveDocs(liveAt[i]) {
+			pour.idx.addLocked(d.Doc, d.Terms)
 		}
 	}
 	return freeze(pour)
@@ -592,19 +503,11 @@ func (s *Segmented) SegmentBatches() ([][]BatchDoc, error) {
 	}
 	var groups [][]BatchDoc
 	for _, f := range s.sealed {
-		batch, err := f.liveDocs(f.live)
-		if err != nil {
-			return nil, err
-		}
-		if len(batch) > 0 { // a fully-garbage sealed segment is dropped
+		if batch := f.liveDocs(f.live); len(batch) > 0 { // a fully-garbage sealed segment is dropped
 			groups = append(groups, batch)
 		}
 	}
-	batch, err := s.mem.idx.liveDocs()
-	if err != nil {
-		return nil, err
-	}
-	return append(groups, batch), nil
+	return append(groups, s.mem.idx.liveDocs()), nil
 }
 
 // LoadSegments rebuilds segment state from SegmentBatches output: every group
@@ -634,66 +537,27 @@ func (s *Segmented) LoadSegments(groups [][]BatchDoc) error {
 	return nil
 }
 
-// Close releases every segment's resources. Further mutations fail with
-// ErrClosed; an in-flight Compact aborts at its swap point.
-func (s *Segmented) Close() error {
+// Close marks the index closed: further mutations fail with ErrClosed and an
+// in-flight Compact drops its result at its swap point.
+func (s *Segmented) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	firstErr := s.mem.idx.Close()
-	for _, f := range s.sealed {
-		if err := f.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
-// liveDocs reconstructs the full term-frequency map of every document of a
-// memtable, merging in-memory postings with spilled ones. Documents are
-// returned in DocID order for determinism. Stale spill records are skipped (see
-// spillCurrent); among duplicate records for one (term, doc) the latest
-// appended wins.
-func (ix *Inverted) liveDocs() ([]BatchDoc, error) {
+// liveDocs returns every document of a memtable with its full term-frequency
+// map, in DocID order for determinism.
+func (ix *Inverted) liveDocs() []BatchDoc {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	docs := make(map[DocID]map[Term]uint64, len(ix.docTerms))
+	out := make([]BatchDoc, 0, len(ix.docTerms))
 	for doc, set := range ix.docTerms {
-		docs[doc] = make(map[Term]uint64, len(set))
-	}
-	for term, pl := range ix.postings {
-		for doc, tf := range pl {
-			docs[doc][term] = tf
+		terms := make(map[Term]uint64, len(set))
+		for term := range set {
+			terms[term] = ix.postings[term][doc]
 		}
-	}
-	if ix.spill != nil {
-		records, err := ix.spill.readAll()
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range records {
-			if ix.spillCurrent(rec) {
-				docs[rec.Doc][rec.Term] = rec.Freq
-			}
-		}
-	}
-	out := make([]BatchDoc, 0, len(docs))
-	for doc, terms := range docs {
 		out = append(out, BatchDoc{Doc: doc, Terms: terms})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Doc < out[j].Doc })
-	return out, nil
-}
-
-// spillCurrent reports whether a spill-log record still describes its
-// document: the document's latest version has the term (a removed document has
-// no version; a superseded one may have lost the term), and no fresher
-// in-memory posting shadows the record.
-func (ix *Inverted) spillCurrent(rec spillRecord) bool {
-	_, has := ix.docTerms[rec.Doc][rec.Term]
-	_, inMem := ix.postings[rec.Term][rec.Doc]
-	return has && !inMem
+	return out
 }

@@ -22,7 +22,8 @@ const (
 	followerBackoffMax = 2 * time.Second
 )
 
-// lagSampleCap bounds the retained lag samples (newest-wins ring).
+// lagSampleCap bounds the retained lag samples (a ring: the newest replace
+// the oldest).
 const lagSampleCap = 4096
 
 // Status is a follower's replication health, adapted into the server's
@@ -59,6 +60,7 @@ type Follower struct {
 
 	lagMu      sync.Mutex
 	lagSamples []time.Duration
+	lagNext    int // ring write cursor once lagSamples is full
 
 	appliedC    *obs.Counter
 	duplicatesC *obs.Counter
@@ -323,7 +325,10 @@ func (s *session) handleBatch(env *wire.Envelope) error {
 	if len(s.f.lagSamples) < lagSampleCap {
 		s.f.lagSamples = append(s.f.lagSamples, lag)
 	} else {
-		s.f.lagSamples[int(last.Seq)%lagSampleCap] = lag
+		// Overwrite the oldest sample. Sequence numbers cannot pick the slot:
+		// they are per stream and restart at 1 for every repository.
+		s.f.lagSamples[s.f.lagNext] = lag
+		s.f.lagNext = (s.f.lagNext + 1) % lagSampleCap
 	}
 	s.f.lagMu.Unlock()
 	cur := s.f.Cursor(repoID)

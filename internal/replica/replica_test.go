@@ -554,6 +554,45 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	}
 }
 
+// TestLagQuantileForgetsOldSamples: the lag ring keeps the newest
+// lagSampleCap samples whatever streams they came from. Sequences are per
+// stream and restart at 1, so a ring indexed by sequence would pile the
+// second phase's samples onto its low slots and keep reporting the first.
+func TestLagQuantileForgetsOldSamples(t *testing.T) {
+	fol := idleFollower(nil)
+	p1, p2 := net.Pipe()
+	defer func() { _ = p1.Close() }()
+	defer func() { _ = p2.Close() }()
+	go func() { _, _ = io.Copy(io.Discard, p2) }() // the acks
+	s := &session{f: fol, conn: p1, subs: map[uint64]string{}, byRepo: map[string]uint64{}}
+	const streams = 4
+	feed := func(phase int, lag time.Duration) {
+		for st := 0; st < streams; st++ {
+			repoID := fmt.Sprintf("p%d-r%d", phase, st)
+			id := uint64(phase*streams + st + 1)
+			s.subs[id] = repoID
+			// Cursor far ahead: every record is a duplicate, so the batch
+			// exercises the lag bookkeeping without touching a service.
+			fol.setCursor(repoID, Cursor{Gen: 1, Seq: 1 << 30})
+			for seq := uint64(1); seq <= lagSampleCap/streams; seq++ {
+				rec := wire.NewReplRecord(1, seq, wire.ReplMutation, time.Now().Add(-lag).UnixNano(), []byte{1})
+				env, err := wire.NewEnvelope(wire.KindReplRecords, "", id, 0, wire.ReplRecords{RepoID: repoID, Records: []wire.ReplRecord{rec}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.handleBatch(env); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	feed(0, time.Second)
+	feed(1, time.Millisecond)
+	if got := fol.LagQuantile(0.5); got < time.Millisecond || got >= 100*time.Millisecond {
+		t.Errorf("median lag = %v after %d samples of 1ms, want ~1ms", got, lagSampleCap)
+	}
+}
+
 // TestApplyRejectsCorruptRecord: a flipped payload byte must fail the CRC
 // check before it can reach the engine.
 func TestApplyRejectsCorruptRecord(t *testing.T) {

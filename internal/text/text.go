@@ -118,24 +118,3 @@ func TFIDF(tf uint64, docCount, docFreq int) float64 {
 	}
 	return float64(tf) * idf
 }
-
-// BM25 is an alternative weighting function (paper: "more complex functions
-// could be used without loss of generality, e.g. BM25"). k1 and b take their
-// customary defaults when zero.
-func BM25(tf uint64, docCount, docFreq int, docLen, avgDocLen float64, k1, b float64) float64 {
-	if tf == 0 || docFreq <= 0 || docCount <= 0 {
-		return 0
-	}
-	if k1 == 0 {
-		k1 = 1.2
-	}
-	if b == 0 {
-		b = 0.75
-	}
-	if avgDocLen <= 0 {
-		avgDocLen = 1
-	}
-	idf := math.Log(1 + (float64(docCount)-float64(docFreq)+0.5)/(float64(docFreq)+0.5))
-	tff := float64(tf)
-	return idf * (tff * (k1 + 1)) / (tff + k1*(1-b+b*docLen/avgDocLen))
-}

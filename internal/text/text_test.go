@@ -240,19 +240,3 @@ func TestTFIDF(t *testing.T) {
 		t.Errorf("score must be clamped at 0, got %v", got)
 	}
 }
-
-func TestBM25(t *testing.T) {
-	if got := BM25(0, 100, 10, 50, 50, 0, 0); got != 0 {
-		t.Errorf("tf=0 should score 0, got %v", got)
-	}
-	low := BM25(1, 1000, 10, 100, 100, 0, 0)
-	high := BM25(10, 1000, 10, 100, 100, 0, 0)
-	if high <= low {
-		t.Errorf("higher tf should not lower BM25: %v vs %v", high, low)
-	}
-	// saturation: tf 100 vs tf 10 gain should be < tf 10 vs tf 1 gain
-	vhigh := BM25(100, 1000, 10, 100, 100, 0, 0)
-	if vhigh-high >= high-low {
-		t.Errorf("BM25 must saturate: deltas %v vs %v", vhigh-high, high-low)
-	}
-}

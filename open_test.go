@@ -4,10 +4,15 @@ package mie
 // options-mismatch detection on embedded reuse, and asynchronous training.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"mie/internal/cluster"
+	"mie/internal/core"
 )
 
 func newTestClient(t *testing.T) *Client {
@@ -186,4 +191,122 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(canceled, Options{Client: newTestClient(t), RepoID: "r", Create: true}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Open with canceled ctx: err = %v", err)
 	}
+}
+
+// zeroFields lists the leaf fields of v that hold their zero value.
+func zeroFields(v reflect.Value, path string) []string {
+	if v.Kind() != reflect.Struct {
+		if v.IsZero() {
+			return []string{path}
+		}
+		return nil
+	}
+	var zero []string
+	for i := 0; i < v.NumField(); i++ {
+		zero = append(zero, zeroFields(v.Field(i), path+"."+v.Type().Field(i).Name)...)
+	}
+	return zero
+}
+
+// TestRestoreKeepsOptions: every RepositoryOptions field survives every path
+// that rebuilds a repository from its snapshot, so an embedded Open with the
+// creation options still matches the restored repository.
+func TestRestoreKeepsOptions(t *testing.T) {
+	ctx := context.Background()
+	opts := RepositoryOptions{
+		Modalities:        []core.Modality{core.ModalityText, core.ModalityImage},
+		Vocab:             cluster.VocabParams{Words: 12, Tree: cluster.TreeParams{Branch: 2, Height: 3, Seed: 5}, Seed: 3, MaxIter: 7},
+		TrainingSampleCap: 999,
+		FusionCandidates:  17,
+		Incremental:       core.IncrementalOptions{Disable: true, DriftThreshold: 0.3, ReassignThreshold: 0.7, MemtableCap: 5, CompactSegments: 3},
+		ANN:               core.ANNOptions{Disable: true, Tables: 3, Bits: 9, Probes: 5, MinCorpus: 11, Seed: 4},
+	}
+	if zero := zeroFields(reflect.ValueOf(opts), "RepositoryOptions"); len(zero) > 0 {
+		t.Fatalf("fields left at their default: %v", zero)
+	}
+	want := opts.WithDefaults()
+	check := func(path string, svc *Service) {
+		t.Helper()
+		repo, release, err := svc.Acquire("opts")
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		defer release()
+		if got := repo.Options(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Options()\ngot  %+v\nwant %+v", path, got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClient(t)
+	h, err := Open(ctx, Options{Service: svc, Client: c, RepoID: "opts", Create: true, Repo: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dk, err := NewDataKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range []string{"alpha document one", "beta document two", "gamma note three"} {
+		if err := h.Add(ctx, &Object{ID: string(rune('a' + i)), Owner: "me", Text: text}, dk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Train(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = h.Close()
+	check("created", svc)
+
+	repo, release, err := svc.Acquire("opts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	err = repo.Snapshot(&image)
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := core.LoadRepository(bytes.NewReader(image.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Options(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Snapshot -> LoadRepository: Options()\ngot  %+v\nwant %+v", got, want)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, _, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = restarted.Close() }()
+	check("durable restart", restarted)
+	if err := restarted.EvictRepository("opts"); err != nil {
+		t.Fatal(err)
+	}
+	check("eviction and re-activation", restarted)
+
+	follower, _, err := OpenService(ServiceOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = follower.Close() }()
+	if err := follower.InstallSnapshot("opts", image.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	check("InstallSnapshot", follower)
+
+	h2, err := Open(ctx, Options{Service: restarted, Client: c, RepoID: "opts", Create: true, Repo: opts})
+	if err != nil {
+		t.Fatalf("Open with the creation options after a restart: %v", err)
+	}
+	_ = h2.Close()
 }

@@ -28,11 +28,12 @@ done
 
 # Layering gate first and by name: the segmented-index refactor depends on
 # core/index/cluster staying free of transport imports (and index/cluster
-# free of upward imports), and the scale-out tier on replica/router never
-# reaching into the server, and the MSSE baselines importing nothing of MIE
-# but its primitives (an allow-list). The full suite runs these too, but a
-# fast, explicit failure here names the broken boundary instead of burying it.
-go test -run 'TestEngineLayersDoNotImportTransport|TestIndexAndClusterDoNotImportCore|TestReplicationTierImportBoundaries|TestBaselinesImportOnlyPrimitives' ./internal/core
+# free of upward imports), the index on staying pure memory (no os, no
+# encoding/gob), the scale-out tier on replica/router never reaching into the
+# server, and the MSSE baselines importing nothing of MIE but its primitives
+# (an allow-list). The full suite runs these too, but a fast, explicit failure
+# here names the broken boundary instead of burying it.
+go test -run 'TestEngineLayersDoNotImportTransport|TestIndexAndClusterDoNotImportCore|TestIndexIsPureMemory|TestReplicationTierImportBoundaries|TestBaselinesImportOnlyPrimitives' ./internal/core
 
 # -shuffle surfaces inter-test ordering dependencies; -cover prints a
 # per-package coverage summary so coverage regressions are visible in CI
