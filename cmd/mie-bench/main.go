@@ -17,10 +17,6 @@
 //
 //	incremental     retrain cost after ~10% churn, incremental vs full
 //	                rebuild, with mAP parity
-//	ann             recall@10-vs-speedup sweep of the multi-probe LSH
-//	                candidate index against the exact popcount scan, plus
-//	                the fused pipeline's mAP delta (target: >=5x at
-//	                recall@10 >= 0.9, mAP within 2 points)
 //	tenancy         a repository fleet churned through lazy activation and
 //	                LRU eviction under a memory budget (activation latency,
 //	                resident accounting, acked-write durability), then
@@ -29,7 +25,7 @@
 //	                consistent-hash router, replication lag, and the
 //	                zero-loss leader-kill ledger
 //
-// incremental, ann, tenancy and cluster also write their report as
+// incremental, tenancy and cluster also write their report as
 // BENCH_<name>.json in the working directory. Speed numbers — throughput,
 // latency percentiles, WAL and fsync cost, per-layer time — come from
 // `go run ./bench`, not from here; what request tracing costs is its
@@ -144,14 +140,6 @@ var table = []struct {
 		}
 		experiments.WriteIncrementalReport(os.Stdout, report)
 		return save("incremental", report)
-	}},
-	{"ann", false, func(e *env) error {
-		report, err := experiments.ANNExperiment(e.cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteANNReport(os.Stdout, report)
-		return save("ann", report)
 	}},
 	{"tenancy", false, func(e *env) error {
 		return withTempDir(func(dir string) error {

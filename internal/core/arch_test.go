@@ -41,12 +41,10 @@ var importRules = map[string]struct {
 		{pkg: "core", deny: transport},
 		{pkg: "index", deny: transport},
 		{pkg: "cluster", deny: transport},
-		{pkg: "ann", deny: transport},
 	}},
 	"TestIndexAndClusterDoNotImportCore": {"upward dependency inside the engine", []importRule{
 		{pkg: "index", deny: []string{"core"}},
 		{pkg: "cluster", deny: []string{"core", "index"}},
-		{pkg: "ann", deny: []string{"core", "index"}},
 	}},
 	"TestReplicationTierImportBoundaries": {"replication-tier layering violation", []importRule{
 		{pkg: "replica", deny: []string{"server", "router"}},
@@ -109,8 +107,8 @@ func checkImports(t *testing.T) {
 }
 
 // TestEngineLayersDoNotImportTransport pins the import boundary of the
-// engine: internal/core, internal/index, internal/cluster and internal/ann
-// are the server-side retrieval stack and must stay free of the transport
+// engine: internal/core, internal/index and internal/cluster are the
+// server-side retrieval stack and must stay free of the transport
 // and scale-out layers — the layering the segmented index refactor relies
 // on (index and cluster are swappable below core).
 func TestEngineLayersDoNotImportTransport(t *testing.T) { checkImports(t) }
@@ -123,8 +121,8 @@ func TestEngineLayersDoNotImportTransport(t *testing.T) { checkImports(t) }
 func TestReplicationTierImportBoundaries(t *testing.T) { checkImports(t) }
 
 // TestIndexAndClusterDoNotImportCore checks direction within the engine:
-// the index, cluster and ann layers sit below core and must not import it
-// (or, for cluster and ann, their sibling index).
+// the index and cluster layers sit below core and must not import it (or,
+// for cluster, its sibling index).
 func TestIndexAndClusterDoNotImportCore(t *testing.T) { checkImports(t) }
 
 // TestTransportDoesNotImportGob keeps reflection-driven encoding off the

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
-	"mie/internal/ann"
 	"mie/internal/cluster"
 	"mie/internal/index"
 	"mie/internal/store"
@@ -49,11 +49,14 @@ type ModalityEngine interface {
 	// index terms; nil when the object carries nothing for this modality or
 	// the engine is not Ready.
 	ExtractTerms(obj *storedObject) map[index.Term]uint64
-	// QueryTerms maps a query into index terms, mirroring ExtractTerms.
-	QueryTerms(q *Query) map[index.Term]uint64
-	// LinearSearch is the pre-training fallback: a ranked scan over the
-	// whole store (Algorithm 9's linear branch).
-	LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) []index.Result
+	// QueryTerms maps a query into index terms, mirroring ExtractTerms. It
+	// returns ErrEncodingLength for encodings the codebook cannot quantize.
+	QueryTerms(q *Query) (map[index.Term]uint64, error)
+	// LinearSearch is the pre-training path: an exact ranked scan over the
+	// whole store (Algorithm 9's linear branch). It returns
+	// ErrEncodingLength when a query encoding cannot be compared with a
+	// stored one.
+	LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) ([]index.Result, error)
 	// SnapshotState returns the trained codebook words for serialization;
 	// nil when the engine holds no trained state.
 	SnapshotState() []vec.BitVec
@@ -63,6 +66,9 @@ type ModalityEngine interface {
 	// CodebookSize returns the number of trained words (0 when untrained or
 	// the modality needs no codebook).
 	CodebookSize() int
+	// codeBits returns the bit length of the trained words, which every
+	// encoding of the modality must share (0 without a codebook).
+	codeBits() int
 }
 
 // newEngines builds the engine set for the enabled modalities, in the fixed
@@ -123,6 +129,7 @@ func (e textEngine) Refine([]vec.BitVec) (ModalityEngine, cluster.DriftReport, b
 }
 func (e textEngine) Restore([]vec.BitVec) (ModalityEngine, error) { return e, nil }
 func (textEngine) CodebookSize() int                              { return 0 }
+func (textEngine) codeBits() int                                  { return 0 }
 
 func (textEngine) ExtractTerms(obj *storedObject) map[index.Term]uint64 {
 	if len(obj.textTokens) == 0 {
@@ -135,19 +142,19 @@ func (textEngine) ExtractTerms(obj *storedObject) map[index.Term]uint64 {
 	return terms
 }
 
-func (textEngine) QueryTerms(q *Query) map[index.Term]uint64 {
+func (textEngine) QueryTerms(q *Query) (map[index.Term]uint64, error) {
 	if len(q.TextTokens) == 0 {
-		return nil
+		return nil, nil
 	}
 	terms := make(map[index.Term]uint64, len(q.TextTokens))
 	for tok, freq := range q.TextTokens {
 		terms[index.Term(tok.String())] = freq
 	}
-	return terms
+	return terms, nil
 }
 
 // LinearSearch is the pre-training fallback: token-overlap TF scoring.
-func (textEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) []index.Result {
+func (textEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) ([]index.Result, error) {
 	scores := make(map[index.DocID]float64)
 	objects.Range(func(id string, obj *storedObject) bool {
 		var s float64
@@ -161,7 +168,7 @@ func (textEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], 
 		}
 		return true
 	})
-	return index.TopK(scores, depth)
+	return index.TopK(scores, depth), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -192,6 +199,12 @@ func (e *denseEngine) CodebookSize() int {
 		return 0
 	}
 	return e.vocab.Size()
+}
+func (e *denseEngine) codeBits() int {
+	if e.CodebookSize() == 0 {
+		return 0
+	}
+	return e.vocab.Word(0).Len()
 }
 
 // clusterFns returns the Hamming-space clustering and distance functions the
@@ -276,16 +289,22 @@ func (e *denseEngine) ExtractTerms(obj *storedObject) map[index.Term]uint64 {
 	return e.histTerms(e.encs(obj))
 }
 
-func (e *denseEngine) QueryTerms(q *Query) map[index.Term]uint64 {
-	return e.histTerms(e.queryEncs(q))
+func (e *denseEngine) QueryTerms(q *Query) (map[index.Term]uint64, error) {
+	encs := e.queryEncs(q)
+	if err := sameLength(e.modality, encs, e.codeBits()); err != nil {
+		return nil, err
+	}
+	return e.histTerms(encs), nil
 }
 
-// LinearSearch is the pre-codebook fallback: each query encoding votes for
-// the object holding its nearest stored encoding (by Hamming distance),
-// weighted by similarity.
-func (e *denseEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) []index.Result {
+// LinearSearch is the pre-codebook path, and exact: each query encoding votes
+// for the object holding its nearest stored encoding (by Hamming distance),
+// weighted by similarity. Update keeps the stored encodings at one length; a
+// query encoding of another is refused at the first comparison.
+func (e *denseEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], depth int) ([]index.Result, error) {
 	qEncs := e.queryEncs(q)
 	scores := make(map[index.DocID]float64)
+	var err error
 	objects.Range(func(id string, obj *storedObject) bool {
 		oEncs := e.encs(obj)
 		if len(oEncs) == 0 {
@@ -295,6 +314,10 @@ func (e *denseEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObjec
 		for _, qe := range qEncs {
 			best := 1.0
 			for _, oe := range oEncs {
+				if qe.Len() != oe.Len() {
+					err = errLength(e.modality, qe.Len(), oe.Len())
+					return false
+				}
 				if d := vec.NormHamming(qe, oe); d < best {
 					best = d
 				}
@@ -306,38 +329,29 @@ func (e *denseEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObjec
 		}
 		return true
 	})
-	return index.TopK(scores, depth)
+	if err != nil {
+		return nil, err
+	}
+	return index.TopK(scores, depth), nil
 }
 
-// annSearch is LinearSearch routed through an ANN candidate index: each query
-// encoding probes for candidates, the per-object minimum distance becomes the
-// same 1 - d/n similarity vote the exact scan computes, and the votes
-// accumulate in query-encoding order. Under an exhaustive probe budget the
-// candidate set covers every live code, so the scores — and the TopK ranking
-// built from them — are bit-identical to LinearSearch.
-func (e *denseEngine) annSearch(q *Query, idx *ann.Index, depth int) ([]index.Result, ann.ProbeStats) {
-	n := idx.CodeBits()
-	if n == 0 {
-		return nil, ann.ProbeStats{}
-	}
-	scores := make(map[index.DocID]float64)
-	var total ann.ProbeStats
-	for _, qe := range e.queryEncs(q) {
-		cands, st := idx.Probe(qe)
-		total.Probes += st.Probes
-		total.Candidates += st.Candidates
-		best := make(map[index.DocID]int, len(cands))
-		for _, c := range cands {
-			id := index.DocID(c.Key)
-			if d, ok := best[id]; !ok || c.Dist < d {
-				best[id] = c.Dist
-			}
+// sameLength returns ErrEncodingLength unless every encoding in encs has
+// want bits — or, while nothing fixes the length (want 0), the first one's —
+// and that length is not zero.
+func sameLength(m Modality, encs []vec.BitVec, want int) error {
+	for _, enc := range encs {
+		if want == 0 {
+			want = enc.Len()
 		}
-		for id, d := range best {
-			scores[id] += 1 - float64(d)/float64(n)
+		if enc.Len() != want || want == 0 {
+			return errLength(m, enc.Len(), want)
 		}
 	}
-	return index.TopK(scores, depth), total
+	return nil
+}
+
+func errLength(m Modality, got, want int) error {
+	return fmt.Errorf("%w: a %d-bit %s encoding where %d bits are held", ErrEncodingLength, got, m, want)
 }
 
 func (e *denseEngine) SnapshotState() []vec.BitVec {

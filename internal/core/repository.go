@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mie/internal/ann"
 	"mie/internal/cluster"
 	"mie/internal/dpe"
 	"mie/internal/fusion"
@@ -50,12 +49,6 @@ type repoMetrics struct {
 	trainIncremental *obs.Counter
 	driftFallbacks   *obs.Counter
 	driftPermille    *obs.Gauge
-
-	// ANN telemetry: bucket probes and candidates scored by approximate
-	// dense searches, and the live code count across the candidate indexes.
-	annProbes     *obs.Counter
-	annCandidates *obs.Counter
-	annCodes      *obs.Gauge
 }
 
 func newRepoMetrics(reg *obs.Registry, id string) *repoMetrics {
@@ -79,15 +72,19 @@ func newRepoMetrics(reg *obs.Registry, id string) *repoMetrics {
 		trainIncremental: reg.Counter(obs.L("repo_train_incremental_total", "repo", id)),
 		driftFallbacks:   reg.Counter(obs.L("repo_train_drift_fallback_total", "repo", id)),
 		driftPermille:    reg.Gauge(obs.L("repo_train_drift_permille", "repo", id)),
-
-		annProbes:     reg.Counter(obs.L("repo_ann_probes_total", "repo", id)),
-		annCandidates: reg.Counter(obs.L("repo_ann_candidates_total", "repo", id)),
-		annCodes:      reg.Gauge(obs.L("repo_ann_codes", "repo", id)),
 	}
 }
 
 // ErrUnknownObject is returned by Get for absent ids.
 var ErrUnknownObject = errors.New("core: unknown object")
+
+// ErrEncodingLength is returned by Update and Search for a dense encoding
+// the engine cannot compare with the codes of its modality: an empty one, or
+// one whose bit length differs from the rest of the request's, from the
+// codebook words' once the modality has a codebook, or otherwise from the
+// stored encodings'. Hamming distance is only defined between codes of one
+// length.
+var ErrEncodingLength = errors.New("core: dense encoding length mismatch")
 
 // RepositoryOptions configures the server-side engine of one repository.
 type RepositoryOptions struct {
@@ -106,33 +103,6 @@ type RepositoryOptions struct {
 	FusionCandidates int
 	// Incremental tunes incremental training and the segmented index.
 	Incremental IncrementalOptions
-	// ANN tunes the approximate dense-search candidate indexes.
-	ANN ANNOptions
-}
-
-// ANNOptions governs the multi-probe LSH candidate indexes that make the
-// dense linear-scan fallback sublinear. While a dense modality has no
-// codebook, one candidate index tracks every encoding stored for it; linear
-// searches route through it once the live code count crosses MinCorpus. Below
-// the threshold every search stays exact, so small repositories (and existing
-// tests and golden fixtures) are unaffected.
-type ANNOptions struct {
-	// Disable turns approximate candidate generation off entirely; every
-	// dense search stays exact.
-	Disable bool
-	// Tables is L, the number of independent hash tables; 0 means 8.
-	Tables int
-	// Bits is K, the sampled bit positions per table; 0 means 16.
-	Bits int
-	// Probes is the per-table bucket-probe budget (capped at 2^Bits, where
-	// probing is exhaustive and ANN rankings match the exact scan
-	// bit-for-bit); 0 means 12.
-	Probes int
-	// MinCorpus is the live encoding count at which dense linear searches
-	// route through the candidate index; 0 means 4096.
-	MinCorpus int
-	// Seed drives the per-table bit sampling; 0 means 1.
-	Seed int64
 }
 
 // IncrementalOptions governs the incremental train/index pipeline: how large
@@ -187,21 +157,6 @@ func (o *RepositoryOptions) setDefaults() {
 	if o.Incremental.CompactSegments == 0 {
 		o.Incremental.CompactSegments = index.DefaultCompactSegments
 	}
-	if o.ANN.Tables == 0 {
-		o.ANN.Tables = 8
-	}
-	if o.ANN.Bits == 0 {
-		o.ANN.Bits = 16
-	}
-	if o.ANN.Probes == 0 {
-		o.ANN.Probes = 12
-	}
-	if o.ANN.MinCorpus == 0 {
-		o.ANN.MinCorpus = 4096
-	}
-	if o.ANN.Seed == 0 {
-		o.ANN.Seed = 1
-	}
 }
 
 // WithDefaults returns a copy of o with zero fields replaced by the values
@@ -254,8 +209,8 @@ type repoState struct {
 // index: the repository is trained, the index exists and the engine has what
 // it needs to map encodings to terms. The predicate is per modality — a
 // dense modality that had no data at Train time stays un-Ready inside a
-// trained repository. It decides both which branch a search takes and
-// whether the modality keeps a candidate index (Repository.ann).
+// trained repository. It decides which branch a search takes: the index, or
+// the engine's exact linear scan.
 func (st *repoState) indexed(i int) bool {
 	return st.trained && st.indexes[i] != nil && st.engines[i].Ready()
 }
@@ -303,16 +258,6 @@ type Repository struct {
 	// objects is the storage layer: ciphertext + encodings per object id.
 	objects *store.Sharded[*storedObject]
 
-	// ann is parallel to the engine set (nil when ANN is disabled): entry i
-	// is modality i's candidate index and exists exactly while a search of
-	// that modality would use it — the modality is dense and the current
-	// epoch does not answer it from its inverted index (repoState.indexed).
-	// Construction creates the entries, mutators mirror codes into them under
-	// writeMu, and the epoch install that gives a modality its codebook
-	// releases its entry for good (releaseANN). Searches load entries without
-	// a lock; the indexes are internally locked.
-	ann []atomic.Pointer[ann.Index]
-
 	// state is the current epoch (engines + indexes); swapped by Train.
 	state atomic.Pointer[repoState]
 
@@ -332,6 +277,10 @@ type Repository struct {
 	// needed. Train takes the set aside and starts a fresh one; a run that
 	// does not install merges what it took back.
 	deltaIDs map[string]struct{}
+	// codes (guarded by writeMu) is parallel to the engine set: what the
+	// stored encodings of modality i have in common. Update keeps every one of
+	// them at one bit length, so the exact scan never meets two.
+	codes []codeCount
 	// trainMu serializes Train calls; searches and writes proceed under it.
 	trainMu sync.Mutex
 	// jobs tracks asynchronous training runs (TrainStart/TrainWait).
@@ -353,6 +302,10 @@ type Repository struct {
 	pendingHook    func()
 	compactWG      sync.WaitGroup
 }
+
+// codeCount counts the stored objects that carry encodings of one modality;
+// bits is the length all of those encodings have while there are any.
+type codeCount struct{ holders, bits int }
 
 // TrainInfo describes how one Train call resolved.
 type TrainInfo struct {
@@ -408,6 +361,7 @@ func NewRepository(id string, opts RepositoryOptions) (*Repository, error) {
 		return nil, errors.New("core: repository needs an id")
 	}
 	opts.setDefaults()
+	engines := newEngines(opts)
 	r := &Repository{
 		id:       id,
 		opts:     opts,
@@ -415,115 +369,10 @@ func NewRepository(id string, opts RepositoryOptions) (*Repository, error) {
 		objects:  store.New[*storedObject](store.DefaultShards),
 		leak:     newLeakage(),
 		deltaIDs: make(map[string]struct{}),
+		codes:    make([]codeCount, len(engines)),
 	}
-	engines := newEngines(opts)
 	r.state.Store(&repoState{engines: engines})
-	r.ann = newANNSet(engines, opts.ANN)
 	return r, nil
-}
-
-// newANNSet creates an empty candidate index for every engine whose linear
-// fallback can route through one (the dense modalities); a new repository is
-// untrained, so every such modality starts with its entry.
-func newANNSet(engines []ModalityEngine, o ANNOptions) []atomic.Pointer[ann.Index] {
-	if o.Disable {
-		return nil
-	}
-	set := make([]atomic.Pointer[ann.Index], len(engines))
-	for i, eng := range engines {
-		if _, ok := eng.(annSearcher); ok {
-			set[i].Store(ann.New(ann.Options{Tables: o.Tables, Bits: o.Bits, Probes: o.Probes, Seed: o.Seed}))
-		}
-	}
-	return set
-}
-
-// annSearcher is the optional engine capability searchModality routes dense
-// linear scans through once the candidate index covers enough of the corpus.
-type annSearcher interface {
-	annSearch(q *Query, idx *ann.Index, depth int) ([]index.Result, ann.ProbeStats)
-}
-
-// maintainANN mirrors one object mutation into the candidate indexes that
-// exist: obj's encodings replace the previous set under its id, nil obj is a
-// removal. A modality the epoch answers from its inverted index has no
-// entry, so on a fully trained repository this does nothing. Callers hold
-// writeMu. An encoding-length mismatch means the corpus is not
-// ANN-indexable; that modality's index disables itself and searches fall
-// back to the exact scan for good.
-func (r *Repository) maintainANN(st *repoState, id string, obj *storedObject) {
-	mirrored := false
-	for i := range r.ann {
-		a := r.ann[i].Load()
-		if a == nil {
-			continue
-		}
-		mirrored = true
-		if obj == nil {
-			a.Remove(id)
-			continue
-		}
-		if err := a.AddAll(id, st.engines[i].TrainingSample(obj)); err != nil {
-			a.Disable()
-		}
-	}
-	if mirrored {
-		r.updateANNGauge()
-	}
-}
-
-// releaseANN drops the candidate index of every modality st answers from
-// its inverted index, freeing its code block, keys and tables. Called with
-// every epoch install, under writeMu, so no mutator can be mirroring into an
-// entry as it goes. A search that loaded the previous epoch may still be
-// looking: it either holds the index (and probes codes that are all still
-// stored) or finds the entry gone and takes the exact scan — both correct.
-// It returns how many candidate indexes remain.
-func (r *Repository) releaseANN(st *repoState) (remaining int) {
-	released := false
-	for i := range r.ann {
-		if r.ann[i].Load() == nil {
-			continue
-		}
-		if !st.indexed(i) {
-			remaining++
-			continue
-		}
-		r.ann[i].Store(nil)
-		released = true
-	}
-	if released {
-		r.updateANNGauge()
-	}
-	return remaining
-}
-
-// rebuildANN fills the candidate indexes that exist from the store after a
-// snapshot restore, in sorted id order. Construction is seeded, so a rebuilt
-// index probes identically to the one the snapshotted repository held. It
-// runs after the restored epoch is installed and its modalities released, so
-// a trained snapshot rebuilds nothing.
-func (r *Repository) rebuildANN() {
-	st := r.state.Load()
-	if r.releaseANN(st) == 0 {
-		return
-	}
-	_, sp := obs.StartSpan(context.Background(), r.met.reg, "repo/ann_build")
-	defer sp.End()
-	snap := r.objects.Items()
-	for _, id := range sortedIDs(snap) {
-		r.maintainANN(st, id, snap[id])
-	}
-}
-
-func (r *Repository) updateANNGauge() {
-	var live int
-	for i := range r.ann {
-		if a := r.ann[i].Load(); a != nil {
-			live += a.Live()
-		}
-	}
-	r.met.annCodes.Set(int64(live))
 }
 
 // setGovernor hands the repository its service's admission governor.
@@ -547,10 +396,9 @@ func (r *Repository) ResidentBytes() int64 { return repoBaseBytes + r.resident.L
 // approxObjectBytes estimates the resident cost of one stored object:
 // ciphertext, text tokens (32-byte tokens plus map and posting overhead),
 // and packed encoding words counted twice — once stored, once again for
-// what is derived from them: the candidate index's copy while the modality
-// has no codebook, postings and segment columns once it has. The second
-// term is deliberately not lowered for trained repositories: tenancy
-// budgets are calibrated against this estimate.
+// what is derived from them, postings and segment columns. The second term
+// is deliberately kept for modalities without a codebook, which derive
+// nothing: tenancy budgets are calibrated against this estimate.
 func approxObjectBytes(obj *storedObject) int64 {
 	n := int64(len(obj.ciphertext)) + 96
 	n += int64(len(obj.textTokens)) * 80
@@ -624,6 +472,13 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 	}
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
+	// Installs happen under writeMu too, so st is the epoch this update lands
+	// in. Encodings the engine could not compare are refused before anything
+	// is charged or logged.
+	st := r.state.Load()
+	if err := r.checkLengths(st, obj); err != nil {
+		return err
+	}
 	newBytes := approxObjectBytes(obj)
 	var prevBytes int64
 	var prevOwner string
@@ -643,7 +498,6 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 		r.gov.undoUpdate(up.Owner, newBytes, prevOwner, prevBytes, hadPrev)
 		return err
 	}
-	st := r.state.Load()
 	prev, replaced := r.objects.Put(up.ObjectID, obj)
 	if replaced {
 		st.unindex(up.ObjectID)
@@ -672,16 +526,45 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 		}
 	}
 	if replaced {
+		r.countCodes(prev, -1)
 		r.resident.Add(newBytes - prevBytes)
 	} else {
 		r.resident.Add(newBytes)
 	}
-	r.maintainANN(st, up.ObjectID, obj)
+	r.countCodes(obj, 1)
 	r.deltaIDs[up.ObjectID] = struct{}{}
 	r.met.objects.Set(int64(r.objects.Len()))
 	r.met.leakUpdateTokens.Add(int64(r.leak.recordUpdate(up)))
 	r.met.leakUpdateDistinct.Set(int64(r.leak.DistinctUpdateTokens()))
 	return nil
+}
+
+// checkLengths holds obj's dense encodings to what the engine can compare
+// them with (ErrEncodingLength): per modality, one non-zero bit length, and
+// that the words' of st's codebook once there is one, otherwise the stored
+// encodings' while there are any. Callers hold writeMu.
+func (r *Repository) checkLengths(st *repoState, obj *storedObject) error {
+	for i, eng := range st.engines {
+		want := eng.codeBits()
+		if want == 0 && r.codes[i].holders > 0 {
+			want = r.codes[i].bits
+		}
+		if err := sameLength(eng.Modality(), eng.TrainingSample(obj), want); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// countCodes adds delta to the holder count of every modality obj carries
+// encodings of. Callers hold writeMu, or own the repository outright.
+func (r *Repository) countCodes(obj *storedObject, delta int) {
+	for i, eng := range r.state.Load().engines {
+		if encs := eng.TrainingSample(obj); len(encs) > 0 {
+			r.codes[i].holders += delta
+			r.codes[i].bits = encs[0].Len()
+		}
+	}
 }
 
 // indexObject inserts one object into the epoch's per-modality indexes.
@@ -739,7 +622,7 @@ func (r *Repository) RemoveContext(ctx context.Context, objectID string) error {
 	}
 	if prev, existed := r.objects.Delete(objectID); existed {
 		st.unindex(objectID)
-		r.maintainANN(st, objectID, nil)
+		r.countCodes(prev, -1)
 		r.deltaIDs[objectID] = struct{}{}
 		bytes := approxObjectBytes(prev)
 		r.resident.Add(-bytes)
@@ -1073,12 +956,10 @@ func (r *Repository) reindex(st *repoState, ids map[string]struct{}) error {
 }
 
 // installEpoch makes next the serving epoch: one atomic swap, then the
-// candidate indexes of the modalities next answers from its inverted indexes
-// are released, the replication tap is told and the codebook gauges follow.
-// Callers hold writeMu.
+// replication tap is told and the codebook gauges follow. Callers hold
+// writeMu.
 func (r *Repository) installEpoch(next *repoState) {
 	r.state.Store(next)
-	r.releaseANN(next)
 	if r.tap != nil {
 		r.tap.EpochInstalled(r.id, next.epoch)
 	}
@@ -1324,12 +1205,13 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 		}
 	}
 	joined := make([][]index.Result, len(active))
+	errs := make([]error, len(active))
 	lookup := func(j int) {
 		i := active[j]
 		eng := st.engines[i]
 		csp := sp.Child(string(eng.Modality()) + "_lookup")
 		defer csp.End()
-		joined[j] = r.searchModality(st, i, eng, q, depth)
+		joined[j], errs[j] = r.searchModality(st, i, eng, q, depth)
 	}
 	if len(active) == 1 {
 		lookup(0) // nothing to overlap with: skip the goroutine and the join
@@ -1343,6 +1225,10 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 			}(j)
 		}
 		wg.Wait()
+	}
+	if err := errors.Join(errs...); err != nil {
+		sp.SetError(err)
+		return nil, err
 	}
 	fsp := sp.Child("fusion")
 	fused := fusion.Fuse(method, joined, q.K)
@@ -1373,24 +1259,17 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 }
 
 // searchModality runs one modality's lookup for the given epoch: the
-// inverted index when the epoch answers the modality from it (st.indexed);
-// otherwise a dense scan routes through the ANN candidate index once
-// the live code count crosses ANNOptions.MinCorpus, and falls back to the
-// engine's exact linear scan below it, when the index disabled itself, or
-// when a newer epoch has released it since st was loaded.
-func (r *Repository) searchModality(st *repoState, i int, eng ModalityEngine, q *Query, depth int) []index.Result {
-	if st.indexed(i) {
-		return st.indexes[i].Search(eng.QueryTerms(q), depth)
+// inverted index when the epoch answers the modality from it (st.indexed),
+// the engine's exact linear scan otherwise.
+func (r *Repository) searchModality(st *repoState, i int, eng ModalityEngine, q *Query, depth int) ([]index.Result, error) {
+	if !st.indexed(i) {
+		return eng.LinearSearch(q, r.objects, depth)
 	}
-	if i < len(r.ann) {
-		if a := r.ann[i].Load(); a != nil && a.Live() >= r.opts.ANN.MinCorpus {
-			res, stats := eng.(annSearcher).annSearch(q, a, depth)
-			r.met.annProbes.Add(int64(stats.Probes))
-			r.met.annCandidates.Add(int64(stats.Candidates))
-			return res
-		}
+	terms, err := eng.QueryTerms(q)
+	if err != nil {
+		return nil, err
 	}
-	return eng.LinearSearch(q, r.objects, depth)
+	return st.indexes[i].Search(terms, depth), nil
 }
 
 // Close closes the indexes and the write-ahead log. Any in-flight background

@@ -140,15 +140,12 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 			audioEncs:  so.AudioEncs,
 		}
 		r.objects.Put(so.ID, obj)
+		r.countCodes(obj, 1)
 		resident += approxObjectBytes(obj)
 	}
 	r.resident.Store(resident)
 	r.met.objects.Set(int64(r.objects.Len()))
 	if !snap.Trained {
-		// No codebook anywhere: every dense modality is searched through its
-		// candidate index, derived state that is rebuilt from the stored
-		// encodings.
-		r.rebuildANN()
 		return r, nil
 	}
 	// Restore the engines' trained state from the serialized codebooks,
@@ -201,9 +198,6 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 	})
 	r.writeMu.Unlock()
 	r.updateIndexGauges()
-	// Last, with the engines restored: candidate indexes for the modalities
-	// that still have no codebook, and only those.
-	r.rebuildANN()
 	return r, nil
 }
 

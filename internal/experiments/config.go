@@ -48,12 +48,6 @@ type Config struct {
 	PaillierBits int
 	// K is the top-k of search experiments (paper: 20).
 	K int
-	// ANNCorpus and ANNQueries size the approximate-dense-search sweep
-	// (mie-bench -experiment ann): how many synthetic codes the candidate
-	// index holds and how many queries score each (tables, bits, probes)
-	// point.
-	ANNCorpus  int
-	ANNQueries int
 	// TenancyRepos is how many repositories the multi-tenancy benchmark
 	// (mie-bench -experiment tenancy) hosts on one lazily-activating service.
 	TenancyRepos int
@@ -92,8 +86,6 @@ func Default() Config {
 		TreeHeight:        3,
 		PaillierBits:      512,
 		K:                 10,
-		ANNCorpus:         10000,
-		ANNQueries:        200,
 		TenancyRepos:      10000,
 		ClusterNodes:      []int{1, 2, 4},
 		ClusterRepos:      8,
@@ -121,8 +113,6 @@ func PaperScale() Config {
 		TreeHeight:        3,
 		PaillierBits:      1024,
 		K:                 20,
-		ANNCorpus:         100000,
-		ANNQueries:        500,
 		TenancyRepos:      100000,
 		ClusterNodes:      []int{1, 2, 4},
 		ClusterRepos:      16,
@@ -143,8 +133,6 @@ func PaperSample() Config {
 	cfg.SearchRepoSize = 100
 	cfg.MultiUserSize = 100
 	cfg.HolidayGroups = 50
-	cfg.ANNCorpus = 10000
-	cfg.ANNQueries = 200
 	cfg.TenancyRepos = 10000
 	cfg.ClusterRepos = 8
 	cfg.ClusterObjects = 10
@@ -169,8 +157,6 @@ func Quick() Config {
 		TreeHeight:        2,
 		PaillierBits:      512,
 		K:                 5,
-		ANNCorpus:         2000,
-		ANNQueries:        50,
 		TenancyRepos:      500,
 		ClusterNodes:      []int{1, 2},
 		ClusterRepos:      4,

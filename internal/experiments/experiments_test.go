@@ -274,25 +274,3 @@ func TestAttackExperimentShape(t *testing.T) {
 		t.Error("report header missing")
 	}
 }
-
-// The ANN gate: the multi-probe LSH candidate path must keep recall@10 >= 0.9
-// at its best operating point. A regression here means probe enumeration or
-// the re-rank sweep broke even though the parity tests (which use exhaustive
-// budgets) still pass. The seeded quick run lands on exactly 0.900, so the
-// comparison is >=, not >.
-func TestANNExperimentShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow experiment")
-	}
-	report, err := ANNExperiment(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Sweep) == 0 {
-		t.Fatal("empty sweep")
-	}
-	if report.Best.Recall10 < 0.9 {
-		t.Errorf("best recall@10 = %.3f (L=%d K=%d probes=%d), below the 0.9 floor",
-			report.Best.Recall10, report.Best.Tables, report.Best.Bits, report.Best.Probes)
-	}
-}

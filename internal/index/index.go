@@ -162,8 +162,7 @@ func sortedTerms(query map[Term]uint64) []Term {
 // TopK selects the k highest-scoring documents from a score map, breaking
 // score ties by DocID for determinism. Non-positive scores are dropped.
 // Exported so every ranked-scan path — index lookups, the engines' linear
-// fallbacks, the ANN re-rank — truncates through the same selection with the
-// same tie-break.
+// scans — truncates through the same selection with the same tie-break.
 func TopK(scores map[DocID]float64, k int) []Result {
 	top := NewTopKHeap(k)
 	for doc, s := range scores {

@@ -518,3 +518,70 @@ func TestSearchServedWhileTrainRPCInFlight(t *testing.T) {
 		t.Errorf("mid-train update missing after swap: %+v", hits)
 	}
 }
+
+// TestMismatchedEncodingLengthsLeaveTheServerUp: a co-owner whose Dense-DPE
+// output length differs from everyone else's sends image updates and
+// queries the engine cannot compare with the stored codes. Before and after
+// Train, each is answered with the engine's length error, and the same
+// server goes on answering the other co-owners.
+func TestMismatchedEncodingLengthsLeaveTheServerUp(t *testing.T) {
+	leakcheck.Check(t)
+	srv := startServer(t)
+	conn := dial(t, srv, nil)
+	cc := newCoreClient(t, nil) // 256-bit image codes
+	odd, err := core.NewClient(core.ClientConfig{
+		Key:     repoKey(),
+		Dense:   dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 128, Threshold: 0.5},
+		Pyramid: imaging.PyramidParams{Scales: []int{16}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.CreateRepository(testCtx, "shared", smallOpts()); err != nil {
+		t.Fatal(err)
+	}
+	for cls := 0; cls < 3; cls++ {
+		for i := 0; i < 3; i++ {
+			up, err := cc.PrepareUpdate(&core.Object{ID: fmt.Sprintf("s-c%d-%d", cls, i), Owner: "alice", Image: classImage(cls, int64(i))}, dataKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.Update(testCtx, "shared", up); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	image := &core.Object{ID: "q", Owner: "bob", Image: classImage(1, 50)}
+	good, err := cc.PrepareQuery(image, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostileQuery, err := odd.PrepareQuery(image, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostileUpdate, err := odd.PrepareUpdate(image, dataKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), core.ErrEncodingLength.Error()) {
+			t.Fatalf("%s: err = %v, want %v", what, err, core.ErrEncodingLength)
+		}
+	}
+	for _, phase := range []string{"untrained", "trained"} {
+		if phase == "trained" {
+			if err := conn.Train(testCtx, "shared"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refused(phase+" update", conn.Update(testCtx, "shared", hostileUpdate))
+		_, err := conn.Search(testCtx, "shared", hostileQuery)
+		refused(phase+" search", err)
+		hits, err := conn.Search(testCtx, "shared", good)
+		if err != nil || len(hits) == 0 {
+			t.Fatalf("%s: the next search got %d hits, err %v", phase, len(hits), err)
+		}
+	}
+}

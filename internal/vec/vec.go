@@ -169,11 +169,6 @@ func (b BitVec) Words() []uint64 {
 	return out
 }
 
-// AppendWords appends the packed words to dst and returns the extended
-// slice: the way to read a vector's words into storage the caller owns (a
-// flat code block, a stack buffer) in one copy and no allocation of its own.
-func (b BitVec) AppendWords(dst []uint64) []uint64 { return append(dst, b.words...) }
-
 // Set sets bit i to v.
 func (b BitVec) Set(i int, v bool) {
 	if i < 0 || i >= b.n {
@@ -344,11 +339,9 @@ func Hamming(a, b BitVec) int {
 }
 
 // HammingWords returns the number of differing bits between two packed word
-// blocks — the one popcount loop every Hamming-distance path shares. The ANN
-// re-rank stage calls it directly on flat []uint64 code blocks, scoring
-// candidates without materializing BitVec values. Callers must uphold the
-// BitVec invariant that bits beyond the logical length are zero; panics on
-// mismatched word counts.
+// blocks — the one popcount loop every Hamming-distance path shares. Callers
+// must uphold the BitVec invariant that bits beyond the logical length are
+// zero; panics on mismatched word counts.
 func HammingWords(a, b []uint64) int {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: HammingWords length mismatch %d != %d", len(a), len(b)))

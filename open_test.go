@@ -219,7 +219,6 @@ func TestRestoreKeepsOptions(t *testing.T) {
 		TrainingSampleCap: 999,
 		FusionCandidates:  17,
 		Incremental:       core.IncrementalOptions{Disable: true, DriftThreshold: 0.3, ReassignThreshold: 0.7, MemtableCap: 5, CompactSegments: 3},
-		ANN:               core.ANNOptions{Disable: true, Tables: 3, Bits: 9, Probes: 5, MinCorpus: 11, Seed: 4},
 	}
 	if zero := zeroFields(reflect.ValueOf(opts), "RepositoryOptions"); len(zero) > 0 {
 		t.Fatalf("fields left at their default: %v", zero)
