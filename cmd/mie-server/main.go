@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mie-server [-addr :7709] [-data-dir /var/lib/mie] [-snapshot-every 5m]
-//	           [-wal-sync always] [-lazy] [-memory-budget 4GiB]
+//	           [-wal-sync always] [-memory-budget 4GiB]
 //	           [-quota-objects N] [-quota-bytes N] [-quota-inflight N]
 //	           [-debug-addr 127.0.0.1:7710] [-log-level info]
 //	           [-trace-sample 0.01] [-slow-ms 250]
@@ -30,13 +30,13 @@
 // writes survive power loss), "interval" (fsync on a timer; a crash may
 // lose the last interval's writes) or "never" (fastest; the OS decides).
 //
-// Multi-tenancy (requires -data-dir): -lazy starts every recovered
-// repository cold — its snapshot and WAL stay on disk until the first
-// request activates it — so a server can catalog far more repositories
-// than fit in memory. -memory-budget (bytes; k/M/G/Ki/Mi/Gi suffixes
-// accepted) caps the approximate resident footprint of active
+// Multi-tenancy (requires -data-dir): -memory-budget (bytes; k/M/G/Ki/Mi/Gi
+// suffixes accepted) caps the approximate resident footprint of active
 // repositories; least-recently-used idle repositories are evicted back to
-// disk when the budget is exceeded. -quota-objects/-quota-bytes bound any
+// disk when the budget is exceeded. With a budget every recovered
+// repository starts cold — its snapshot and WAL stay on disk until the
+// first request activates it — so a server can catalog far more
+// repositories than fit in memory; without one, startup loads them all. -quota-objects/-quota-bytes bound any
 // single tenant's resident footprint and -quota-inflight its concurrent
 // requests (0 = unlimited); over-quota requests are rejected with a typed
 // wire error carrying a retry-after hint, keyed on the User field of the
@@ -77,7 +77,6 @@ import (
 // tenancyFlags carries the multi-tenant lifecycle knobs from flag parsing
 // to run.
 type tenancyFlags struct {
-	lazy         bool
 	memoryBudget string
 	quotas       core.Quotas
 }
@@ -95,7 +94,6 @@ func main() {
 	peers := flag.String("peers", "", "leader address a follower replicates from and forwards mutations to (with -role follower)")
 	routerSpec := flag.String("router", "", "run as the routing tier instead of a node: comma-separated name=addr members, first entry is the leader; serves on -addr")
 	var ten tenancyFlags
-	flag.BoolVar(&ten.lazy, "lazy", false, "activate repositories on first use instead of at startup (requires -data-dir)")
 	flag.StringVar(&ten.memoryBudget, "memory-budget", "", "approximate resident-memory budget for active repositories, e.g. 512MiB or 4GiB; idle repositories are evicted to disk above it (requires -data-dir; empty = unlimited)")
 	flag.Int64Var(&ten.quotas.MaxObjects, "quota-objects", 0, "per-tenant cap on resident objects (0 = unlimited)")
 	flag.Int64Var(&ten.quotas.MaxBytes, "quota-bytes", 0, "per-tenant cap on approximate resident bytes (0 = unlimited)")
@@ -193,11 +191,7 @@ func run(addr, dataDir string, snapEvery time.Duration, walSync, debugAddr, logL
 	tracer.SetSlowThreshold(time.Duration(slowMS) * time.Millisecond)
 	tracer.SetLogger(logger)
 
-	sopts := core.ServiceOptions{
-		Dir:            dataDir,
-		LazyActivation: ten.lazy,
-		Quotas:         ten.quotas,
-	}
+	sopts := core.ServiceOptions{Dir: dataDir, Quotas: ten.quotas}
 	if ten.memoryBudget != "" {
 		if sopts.MemoryBudget, err = parseBytes(ten.memoryBudget); err != nil {
 			return fmt.Errorf("-memory-budget: %w", err)
@@ -227,7 +221,6 @@ func run(addr, dataDir string, snapEvery time.Duration, walSync, debugAddr, logL
 			"torn_bytes_discarded", report.TornBytes,
 			"orphans_removed", report.OrphansRemoved,
 			"wal_sync", policy.String(),
-			"lazy", ten.lazy,
 			"memory_budget", sopts.MemoryBudget,
 			"dir", dataDir)
 	}

@@ -1,42 +1,25 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"mie/internal/bin"
 	"mie/internal/obs"
 	"mie/internal/wal"
 )
 
-// DurableOptions configures a service's snapshot+WAL persistence: each
-// hosted repository gets one snapshot file plus one write-ahead log in Dir.
-// Every acknowledged Update/Remove is appended to the log before the caller
-// sees success; a periodic snapshot folds the log back into the snapshot
-// and rotates it empty. Startup is the inverse: load snapshot, replay log.
-type DurableOptions struct {
-	// Dir is the data directory (snapshots and logs side by side).
-	Dir string
-	// Sync is the WAL fsync policy; the zero value is wal.SyncAlways, under
-	// which every acknowledged mutation survives kill -9 and power loss.
-	Sync wal.SyncPolicy
-	// SyncInterval bounds the loss window under wal.SyncInterval; 0 means
-	// the wal package default (100ms).
-	SyncInterval time.Duration
-}
-
 // RecoveryReport summarizes what OpenService reconstructed.
 type RecoveryReport struct {
 	// Repositories successfully restored (snapshot loaded, WAL replayed).
 	Repositories int
-	// ColdRepositories were discovered on disk but, under LazyActivation,
-	// registered cold rather than loaded; they activate on first touch.
+	// ColdRepositories were discovered on disk but, on a service with a
+	// MemoryBudget, registered cold rather than loaded; they activate on
+	// first touch.
 	ColdRepositories int
 	// ReplayedRecords is the total number of WAL mutations applied on top
 	// of snapshots.
@@ -46,8 +29,9 @@ type RecoveryReport struct {
 	// TornBytes is how much torn or corrupt WAL tail was discarded — the
 	// footprint of dying mid-write, cut off rather than erred on.
 	TornBytes int64
-	// OrphansRemoved counts dead files cleaned up (a .wal with no snapshot:
-	// a creation or drop that crashed halfway).
+	// OrphansRemoved counts dead files cleaned up: a .wal with no snapshot
+	// (a creation or drop that crashed halfway) or a ".snap-*" temp file (a
+	// snapshot write that crashed before its rename).
 	OrphansRemoved int
 }
 
@@ -70,13 +54,17 @@ func (walObserver) Synced()        { walFsyncsC.Inc() }
 // for the real disk. Never set in production code.
 var walFileOpener func(path string) (wal.File, error)
 
-// durability is a service's persistence configuration.
+// durability is a service's snapshot+WAL persistence: each hosted
+// repository gets one snapshot file plus one write-ahead log in dir. Every
+// acknowledged Update/Remove is appended to the log before the caller sees
+// success; a periodic snapshot folds the log back into the snapshot and
+// rotates it empty. Startup is the inverse: load snapshot, replay log.
 type durability struct {
 	dir  string
 	opts wal.Options
 }
 
-func newDurability(o DurableOptions) *durability {
+func newDurability(o ServiceOptions) *durability {
 	wo := wal.Options{
 		Sync:         o.Sync,
 		SyncInterval: o.SyncInterval,
@@ -165,27 +153,48 @@ func (r *Repository) apply(payload []byte) error {
 // initRepo makes a freshly created repository durable from birth: it opens
 // the repository's (empty) log and writes an initial snapshot, so a restart
 // before the first periodic snapshot still knows the repository exists and
-// has a snapshot to replay the WAL onto.
+// has a snapshot to replay the WAL onto. A pre-existing log at this path
+// belongs to a previous incarnation (a drop that crashed before deleting
+// it); the new repository starts empty. On error the caller closes r, and
+// with it any log already attached.
 func (d *durability) initRepo(r *Repository) error {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return fmt.Errorf("core: create data dir: %w", err)
 	}
+	if err := d.freshLog(r); err != nil {
+		return err
+	}
+	return r.saveTo(d.dir)
+}
+
+// freshLog opens r's log, resets it empty and attaches it: the log step
+// creation and install share. Creation resets before its first snapshot,
+// install after its image is durable.
+func (d *durability) freshLog(r *Repository) error {
 	l, _, err := wal.Open(filepath.Join(d.dir, walFileName(r.ID())), d.opts, nil)
 	if err != nil {
 		return err
 	}
-	// A pre-existing log at this path belongs to a previous incarnation (a
-	// drop that crashed before deleting it); the new repository starts empty.
 	if err := l.Reset(); err != nil {
 		_ = l.Close()
 		return err
 	}
 	r.attachWAL(l)
-	if err := r.saveTo(d.dir); err != nil {
-		_ = l.Close()
-		return err
-	}
 	return nil
+}
+
+// quarantine renames the snapshot and log of a repository that failed to
+// load aside, to "<name>.quarantined", and makes the renames durable. Neither
+// openDir nor the orphan sweep matches that suffix, so the bytes survive for
+// whoever repairs them while a new repository takes the id.
+func (d *durability) quarantine(stem string) error {
+	for _, name := range []string{stem + ".snap", stem + ".wal"} {
+		p := filepath.Join(d.dir, name)
+		if err := os.Rename(p, p+".quarantined"); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("core: quarantine %s: %w", name, err)
+		}
+	}
+	return syncDir(d.dir)
 }
 
 // removeRepoFiles deletes a dropped repository's on-disk state. The
@@ -211,7 +220,8 @@ type walReplay struct {
 
 // loadRepo restores one repository from its on-disk image: snapshot load,
 // WAL replay on top (remove-then-add, so replaying a record twice converges),
-// then the log stays attached so new mutations keep appending. It is the shared path of eager recovery and cold activation.
+// then the log stays attached so new mutations keep appending. It is the
+// load step of activate.
 func (d *durability) loadRepo(sp *obs.Span, id string) (*Repository, walReplay, error) {
 	var st walReplay
 	repo, err := loadSnapshotFile(sp, filepath.Join(d.dir, snapshotFileName(id)))
@@ -245,86 +255,77 @@ func (d *durability) loadRepo(sp *obs.Span, id string) (*Repository, walReplay, 
 }
 
 // openDir populates a durable service from its data directory: every
-// snapshot is restored — or, under LazyActivation, registered cold — and
-// orphaned logs are pruned. Files that fail to load are reported together
-// and their stems remembered (Service.unloaded), so no later sweep or create
-// touches them; valid repositories still come up (partial availability beats
-// none after a crash). A fresh or missing directory yields an empty — but
-// durable — service.
+// snapshot is registered as a cold entry, orphaned files are pruned, and —
+// unless a budget makes the service start cold — each entry is activated
+// the way Acquire activates it. Files that fail to load are reported
+// together and their stems remembered (Service.unloaded), so no later sweep
+// or create touches them; valid repositories still come up (partial
+// availability beats none after a crash). A fresh or missing directory
+// yields an empty — but durable — service. Nothing else can reach the
+// service yet, so the catalog is filled without its lock.
 func (s *Service) openDir() (*RecoveryReport, error) {
 	d := s.durable
 	report := &RecoveryReport{}
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: create data dir: %w", err)
 	}
-	entries, err := os.ReadDir(d.dir)
+	files, err := os.ReadDir(d.dir)
 	if err != nil {
 		return nil, fmt.Errorf("core: read data dir: %w", err)
 	}
-	_, sp := obs.StartSpan(context.Background(), obs.Default(), "service/recovery")
-	defer sp.End()
 	var loadErrs []error
 	failed := func(stem string, err error) {
 		loadErrs = append(loadErrs, fmt.Errorf("%s.snap: %w", stem, err))
-		if s.unloaded == nil {
-			s.unloaded = make(map[string]bool)
-		}
 		s.unloaded[stem] = true
 	}
+	var cold []*repoEntry
 	snapStems := make(map[string]bool)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") {
+	for _, f := range files {
+		if f.IsDir() || !strings.HasSuffix(f.Name(), ".snap") {
 			continue
 		}
-		stem := strings.TrimSuffix(e.Name(), ".snap")
+		stem := strings.TrimSuffix(f.Name(), ".snap")
 		snapStems[stem] = true
 		id, err := repoIDFromStem(stem)
 		if err != nil {
 			failed(stem, err)
 			continue
 		}
-		if s.lazy {
-			// Discover, don't load: the entry starts cold and activates on
-			// first Acquire.
-			s.mu.Lock()
-			s.entries[id] = &repoEntry{id: id}
-			s.repoGauge.Set(int64(len(s.entries)))
-			s.mu.Unlock()
-			report.ColdRepositories++
+		e := &repoEntry{id: id}
+		s.entries[id] = e
+		cold = append(cold, e)
+	}
+	// A .wal with no snapshot is dead: either a creation that crashed before
+	// its initial snapshot (never acknowledged) or a drop that crashed
+	// between deleting the snapshot and the log. A ".snap-*" file is a
+	// snapshot write that crashed before its rename (writeImage).
+	for _, f := range files {
+		name := f.Name()
+		stem, isWAL := strings.CutSuffix(name, ".wal")
+		if f.IsDir() || !(isWAL && !snapStems[stem] || strings.HasPrefix(name, ".snap-")) {
 			continue
 		}
-		repo, rec, err := d.loadRepo(sp, id)
+		if err := os.Remove(filepath.Join(d.dir, name)); err == nil {
+			report.OrphansRemoved++
+		}
+	}
+	if s.budget > 0 {
+		report.ColdRepositories, cold = len(cold), nil
+	}
+	for _, e := range cold {
+		e.mu.Lock()
+		_, rec, err := s.activate(e, false)
 		if err != nil {
-			failed(stem, err)
+			delete(s.entries, e.id)
+			failed(repoFileStem(e.id), err)
 			continue
 		}
-		repo.setGovernor(s.gov)
-		if s.tap != nil {
-			repo.setTap(s.tap)
-		}
-		s.gov.addRepo(repo)
 		report.Repositories++
 		report.ReplayedRecords += rec.Records
 		report.ReplayedBytes += rec.Bytes
 		report.TornBytes += rec.Torn
-		entry := &repoEntry{id: id, repo: repo, lastUsed: s.clock.Add(1)}
-		s.mu.Lock()
-		s.entries[id] = entry
-		s.repoGauge.Set(int64(len(s.entries)))
-		s.mu.Unlock()
-		s.markActive(entry)
 	}
-	// A .wal with no snapshot is dead: either a creation that crashed before
-	// its initial snapshot (never acknowledged) or a drop that crashed
-	// between deleting the snapshot and the log.
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".wal") || snapStems[strings.TrimSuffix(e.Name(), ".wal")] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(d.dir, e.Name())); err == nil {
-			report.OrphansRemoved++
-		}
-	}
+	s.repoGauge.Set(int64(len(s.entries)))
 	if len(loadErrs) > 0 {
 		return report, fmt.Errorf("core: %d snapshot(s) failed to load: %w", len(loadErrs), errors.Join(loadErrs...))
 	}

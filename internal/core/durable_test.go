@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mie/internal/cluster"
+	"mie/internal/dpe"
 	"mie/internal/wal"
 	"mie/internal/wal/walfault"
 )
@@ -608,6 +609,91 @@ func TestOrphanWALPruned(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ghost.wal")); !os.IsNotExist(err) {
 		t.Error("orphan wal still on disk")
+	}
+}
+
+// TestRecoveryReportOfAFixedDirectory opens one directory of every start-up
+// shape — a snapshot, a WAL with records past it, a torn tail, an orphan
+// log — and holds the RecoveryReport to literals recorded before start-up
+// loads went through activation, field by field. The records are built by
+// hand, not by a Client, so their bytes are fixed. Start-up loads count as
+// activations now (they were not counted before): one repository, one.
+func TestRecoveryReportOfAFixedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := svc.CreateRepository("fx", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := func(id string, n byte) *Update {
+		return &Update{ObjectID: id, Owner: "u", Ciphertext: bytes.Repeat([]byte{n}, 40),
+			TextTokens: map[dpe.Token]uint64{{n}: 1, {n, 1}: 2}}
+	}
+	for i, id := range []string{"a", "b", "c", "d", "b"} {
+		if i == 2 {
+			if err := SaveService(svc, dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := repo.Update(up(id, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := repo.Remove("c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walFileName("fx")), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0, 0, 0, 9, 1, 2, 3}); err != nil { // a record header cut short
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ghost.wal"), []byte("MIEWAL1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, report, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	want := RecoveryReport{Repositories: 1, ReplayedRecords: 4, ReplayedBytes: 348, TornBytes: 7, OrphansRemoved: 1}
+	if *report != want {
+		t.Errorf("report = %+v\nwant     %+v", *report, want)
+	}
+	if st := svc.Lifecycle(); st.Activations != 1 || st.Active != 1 {
+		t.Errorf("after start-up: %+v, want 1 activation, 1 active", st)
+	}
+}
+
+// TestSnapshotTempLeftoverSwept: a snapshot write that crashed before its
+// rename leaves a ".snap-*" temp file; the next open removes and counts it.
+func TestSnapshotTempLeftoverSwept(t *testing.T) {
+	dir := t.TempDir()
+	leftover := filepath.Join(dir, ".snap-1234567")
+	if err := os.WriteFile(leftover, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, report, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	if report.OrphansRemoved != 1 {
+		t.Errorf("OrphansRemoved = %d, want 1", report.OrphansRemoved)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Errorf("temp leftover still on disk: %v", err)
 	}
 }
 

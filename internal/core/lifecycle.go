@@ -29,15 +29,13 @@ type ServiceOptions struct {
 	SyncInterval time.Duration
 	// MemoryBudget caps the approximate resident bytes across active
 	// repositories; beyond it the least-recently-used unpinned repository
-	// is evicted back to disk. 0 means unlimited. Requires Dir.
+	// is evicted back to disk. 0 means unlimited. Requires Dir. A durable
+	// service with a budget starts cold: its repositories stay on disk until
+	// their first Acquire.
 	MemoryBudget int64
 	// Quotas configures per-tenant admission control; the zero value
 	// disables it.
 	Quotas Quotas
-	// LazyActivation makes discovered repositories start cold — registered
-	// from their on-disk snapshots without loading — and activate on first
-	// touch via the snapshot+WAL-replay path. Requires Dir.
-	LazyActivation bool
 }
 
 // repoEntry is the lifecycle record of one hosted repository. It exists for
@@ -54,48 +52,41 @@ type repoEntry struct {
 	pins int
 	// lastUsed is the service's logical LRU clock at the last Acquire.
 	lastUsed uint64
-	// loading, while non-nil, is the single-flight activation (or creation)
-	// latch: concurrent acquirers wait on it instead of loading twice.
+	// loading, while non-nil, is the latch of the one load in flight — a
+	// create, an activation or an install. Everyone else waits it out in
+	// claim instead of loading twice.
 	loading chan struct{}
-	// dropped marks an entry removed from the catalog, so a racing
-	// activation discards its result instead of resurrecting it.
+	// dropped marks an entry removed from the catalog. Only a holder of mu
+	// with no load in flight (or the latch holder itself) sets it, so a load
+	// never settles into a dropped entry.
 	dropped bool
 }
 
 // OpenService opens a service. It unifies what used to be NewService (in
 // memory) and LoadService (durable): with a Dir every snapshot in it is
-// restored — eagerly, or merely discovered when LazyActivation is set — and
-// new mutations keep appending to the per-repository write-ahead logs.
+// registered and — unless a MemoryBudget makes the service start cold —
+// activated, and new mutations keep appending to the per-repository
+// write-ahead logs.
 //
 // The returned RecoveryReport says what was reconstructed. Like LoadService
 // before it, a durable open that fails to restore some repositories still
 // returns the service (partial availability beats none after a crash)
 // alongside the error.
 func OpenService(opts ServiceOptions) (*Service, *RecoveryReport, error) {
+	s := newServiceShell()
+	s.gov = newTenantGovernor(opts.Quotas)
 	if opts.Dir == "" {
 		if opts.MemoryBudget > 0 {
 			return nil, nil, errors.New("core: MemoryBudget needs a data directory to evict to")
 		}
-		if opts.LazyActivation {
-			return nil, nil, errors.New("core: LazyActivation needs a data directory to activate from")
-		}
-		s := newServiceShell()
-		s.gov = newTenantGovernor(opts.Quotas)
 		return s, &RecoveryReport{}, nil
 	}
 	if opts.MemoryBudget < 0 {
 		return nil, nil, errors.New("core: negative MemoryBudget")
 	}
-	s := newServiceShell()
-	s.durable = newDurability(DurableOptions{Dir: opts.Dir, Sync: opts.Sync, SyncInterval: opts.SyncInterval})
-	s.lazy = opts.LazyActivation
+	s.durable = newDurability(opts)
 	s.budget = opts.MemoryBudget
-	s.gov = newTenantGovernor(opts.Quotas)
 	report, err := s.openDir()
-	if report != nil {
-		// An eager open may have restored more than the budget allows.
-		s.maybeEvict(nil)
-	}
 	return s, report, err
 }
 
@@ -109,88 +100,200 @@ func OpenService(opts ServiceOptions) (*Service, *RecoveryReport, error) {
 // Activation is single-flight: one loader runs the snapshot+WAL-replay
 // path while concurrent acquirers of the same repository wait for it.
 func (s *Service) Acquire(id string) (*Repository, func(), error) {
+	e, err := s.claim(id, claimHosted)
+	if err != nil {
+		return nil, nil, err
+	}
+	if r := e.repo; r != nil {
+		e.pins++
+		e.lastUsed = s.clock.Add(1)
+		e.mu.Unlock()
+		return r, s.releaseFunc(e), nil
+	}
+	repo, _, err := s.activate(e, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return repo, s.releaseFunc(e), nil
+}
+
+// claimMode says which catalog states claim accepts for an id.
+type claimMode int
+
+const (
+	claimHosted  claimMode = iota // a hosted id (Acquire, DropRepository)
+	claimNew                      // an id nobody holds (CreateRepository)
+	claimInstall                  // either; a new entry if unknown (InstallSnapshot)
+)
+
+// claim is the one way to an entry: it returns id's entry with e.mu held
+// and no load in flight, ready for the caller to latch. A new entry is
+// locked before it enters the catalog, so nobody else can reach it first.
+// The stem of a repository that failed to load at start-up is nobody's to
+// reuse by accident: a create is refused, and an install first renames its
+// files aside (durability.quarantine) and forgets the stem.
+func (s *Service) claim(id string, mode claimMode) (*repoEntry, error) {
 	for {
-		s.mu.RLock()
-		e := s.entries[id]
-		s.mu.RUnlock()
-		if e == nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrRepoNotFound, id)
+		e, fresh, err := s.lookup(id, mode)
+		if err != nil || fresh {
+			return e, err
 		}
-		e.mu.Lock()
-		if e.dropped {
-			e.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w: %s", ErrRepoNotFound, id)
-		}
-		if e.repo != nil {
-			e.pins++
-			e.lastUsed = s.clock.Add(1)
-			r := e.repo
-			e.mu.Unlock()
-			return r, s.releaseFunc(e), nil
-		}
-		if ch := e.loading; ch != nil {
-			e.mu.Unlock()
-			<-ch
-			continue
-		}
-		// Cold, and this caller won the activation: latch, load off-lock,
-		// install.
-		ch := make(chan struct{})
-		e.loading = ch
-		e.mu.Unlock()
-
-		repo, err := s.activate(e)
-
-		e.mu.Lock()
-		e.loading = nil
-		if err == nil && e.dropped {
-			// Dropped while loading: discard the resurrected state.
-			e.mu.Unlock()
-			close(ch)
-			s.gov.removeRepo(repo)
-			_ = repo.Close()
-			return nil, nil, fmt.Errorf("%w: %s", ErrRepoNotFound, id)
-		}
-		if err == nil {
-			e.repo = repo
-			e.pins++
-			e.lastUsed = s.clock.Add(1)
+		if e.await() {
+			return e, nil
 		}
 		e.mu.Unlock()
-		close(ch)
-		if err != nil {
-			return nil, nil, err
+		if mode == claimHosted {
+			return nil, fmt.Errorf("%w: %s", ErrRepoNotFound, id)
 		}
-		s.markActive(e)
-		s.maybeEvict(e)
-		return repo, s.releaseFunc(e), nil
+		// Dropped while we waited; an install starts a fresh entry.
 	}
 }
 
-// activate loads one cold repository from disk: snapshot, then WAL replay,
-// then the governor recount — all before any request sees it.
-func (s *Service) activate(e *repoEntry) (*Repository, error) {
-	if s.durable == nil {
-		// Cold entries only exist on durable services; an in-memory entry is
-		// always resident.
-		return nil, fmt.Errorf("%w: %s", ErrRepoNotFound, e.id)
+// lookup finds id's entry — or, outside claimHosted, enters a new one,
+// locked, and reports it fresh.
+func (s *Service) lookup(id string, mode claimMode) (e *repoEntry, fresh bool, err error) {
+	if mode == claimHosted {
+		s.mu.RLock()
+		e = s.entries[id]
+		s.mu.RUnlock()
+		if e == nil {
+			err = fmt.Errorf("%w: %s", ErrRepoNotFound, id)
+		}
+		return e, false, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e = s.entries[id]; e != nil {
+		if mode == claimNew {
+			return nil, false, fmt.Errorf("%w: %s", ErrRepoExists, id)
+		}
+		return e, false, nil
+	}
+	if stem := repoFileStem(id); s.unloaded[stem] {
+		if mode == claimNew {
+			return nil, false, fmt.Errorf("%w: %s failed to load at start-up and its files are kept", ErrRepoExists, id)
+		}
+		if err := s.durable.quarantine(stem); err != nil {
+			return nil, false, err
+		}
+		delete(s.unloaded, stem)
+	}
+	e = &repoEntry{id: id}
+	e.mu.Lock()
+	s.entries[id] = e
+	s.repoGauge.Set(int64(len(s.entries)))
+	return e, true, nil
+}
+
+// await locks e and waits out its in-flight load, if any — the one place
+// anything blocks on a latch. It reports whether e is still hosted; e.mu is
+// held on return either way.
+func (e *repoEntry) await() bool {
+	e.mu.Lock()
+	for e.loading != nil {
+		ch := e.loading
+		e.mu.Unlock()
+		<-ch
+		e.mu.Lock()
+	}
+	return !e.dropped
+}
+
+// latch marks a load of e in flight and releases e.mu, which claim left
+// held. settle releases the latch.
+func (e *repoEntry) latch() chan struct{} {
+	ch := make(chan struct{})
+	e.loading = ch
+	e.mu.Unlock()
+	return ch
+}
+
+// settle releases the latch taken by latch, admitting repo unless the load
+// failed (err != nil leaves the entry as it was). Admission is the one way
+// into residence: governor, tap and recount first, so no request sees the
+// repository half set up; then it is published, joins the resident set and
+// the budget is checked — never evicting e itself. pin pins it for the
+// caller.
+func (s *Service) settle(e *repoEntry, ch chan struct{}, repo *Repository, err error, pin bool) error {
+	if err == nil {
+		repo.setGovernor(s.gov)
+		if s.tap != nil {
+			repo.setTap(s.tap)
+		}
+		s.gov.addRepo(repo)
+	}
+	e.mu.Lock()
+	e.loading = nil
+	if err == nil {
+		e.repo = repo
+		e.lastUsed = s.clock.Add(1)
+		if pin {
+			e.pins++
+		}
+	}
+	e.mu.Unlock()
+	close(ch)
+	if err != nil {
+		return err
+	}
+	s.activeMu.Lock()
+	s.active[e] = struct{}{}
+	s.activeGauge.Set(int64(len(s.active)))
+	s.activeMu.Unlock()
+	s.maybeEvict(e)
+	return nil
+}
+
+// retire is the one way out of residence, called with e.mu held: the
+// governor is credited, the repository closed — which seals its write-ahead
+// log; the on-disk snapshot+WAL image already holds every acknowledged
+// mutation — and e leaves the resident set. Holding e.mu keeps a new
+// activation from reopening the log before it is sealed. A cold entry is a
+// no-op.
+func (s *Service) retire(e *repoEntry) error {
+	repo := e.repo
+	if repo == nil {
+		return nil
+	}
+	e.repo = nil
+	s.gov.removeRepo(repo)
+	err := repo.Close()
+	s.activeMu.Lock()
+	delete(s.active, e)
+	s.activeGauge.Set(int64(len(s.active)))
+	s.activeMu.Unlock()
+	return err
+}
+
+// unregister marks e dropped and takes it out of the catalog; e.mu is held.
+func (s *Service) unregister(e *repoEntry) {
+	e.dropped = true
+	s.mu.Lock()
+	if s.entries[e.id] == e {
+		delete(s.entries, e.id)
+		s.repoGauge.Set(int64(len(s.entries)))
+	}
+	s.mu.Unlock()
+}
+
+// activate loads cold entry e from disk — snapshot, then WAL replay — under
+// its latch and admits it: the path of an Acquire that finds e cold and of
+// every repository a durable service without a budget opens with. e.mu is
+// held (claim's state) and released on return.
+func (s *Service) activate(e *repoEntry, pin bool) (*Repository, walReplay, error) {
+	ch := e.latch()
 	start := time.Now()
 	_, sp := obs.StartSpan(context.Background(), obs.Default(), "repo/activate")
-	repo, _, err := s.durable.loadRepo(sp, e.id)
+	repo, rec, err := s.durable.loadRepo(sp, e.id)
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("core: activate %s: %w", e.id, err)
+		err = fmt.Errorf("core: activate %s: %w", e.id, err)
+	} else {
+		s.activations.Add(1)
+		s.activationsC.Inc()
+		s.activationH.Observe(time.Since(start).Seconds())
 	}
-	repo.setGovernor(s.gov)
-	if s.tap != nil {
-		repo.setTap(s.tap)
-	}
-	s.gov.addRepo(repo)
-	s.activations.Add(1)
-	s.activationsC.Inc()
-	s.activationH.Observe(time.Since(start).Seconds())
-	return repo, nil
+	return repo, rec, s.settle(e, ch, repo, err, pin)
 }
 
 // releaseFunc builds the idempotent pin release for one Acquire.
@@ -206,23 +309,6 @@ func (s *Service) releaseFunc(e *repoEntry) func() {
 			s.maybeEvict(nil)
 		})
 	}
-}
-
-// markActive adds e to the resident set and refreshes the repo_active
-// gauge.
-func (s *Service) markActive(e *repoEntry) {
-	s.activeMu.Lock()
-	s.active[e] = struct{}{}
-	s.activeGauge.Set(int64(len(s.active)))
-	s.activeMu.Unlock()
-}
-
-// markInactive removes e from the resident set.
-func (s *Service) markInactive(e *repoEntry) {
-	s.activeMu.Lock()
-	delete(s.active, e)
-	s.activeGauge.Set(int64(len(s.active)))
-	s.activeMu.Unlock()
 }
 
 // activeEntries snapshots the resident set.
@@ -270,35 +356,31 @@ func (s *Service) maybeEvict(exclude *repoEntry) {
 		if total <= s.budget || victim == nil {
 			return
 		}
-		s.evictEntry(victim)
+		_ = s.evictEntry(victim) // pinned since the scan: the next scan skips it
 	}
 }
 
-// evictEntry moves one active entry back to cold: the governor is credited,
-// the repository closed — which seals its write-ahead log; the on-disk
-// snapshot+WAL image already holds every acknowledged mutation — and the
-// in-memory state dropped. Returns false if the entry was pinned, dropped
-// or already cold by the time the lock was taken.
-func (s *Service) evictEntry(e *repoEntry) bool {
+// evictEntry retires e back to cold unless requests pin it; a cold entry
+// (dropped ones included: they are retired under the same lock that marks
+// them) is left as it is.
+func (s *Service) evictEntry(e *repoEntry) error {
 	e.mu.Lock()
-	if e.repo == nil || e.pins > 0 || e.dropped {
-		e.mu.Unlock()
-		return false
+	defer e.mu.Unlock()
+	if e.repo == nil {
+		return nil
 	}
-	repo := e.repo
-	s.gov.removeRepo(repo)
+	if e.pins > 0 {
+		return fmt.Errorf("core: repository %s is pinned by in-flight requests", e.id)
+	}
 	// A close error cannot lose acknowledged data — the WAL sync policy
 	// already governed what an ack meant — so eviction proceeds and the
 	// error is only counted.
-	if err := repo.Close(); err != nil {
+	if err := s.retire(e); err != nil {
 		s.evictErrorsC.Inc()
 	}
-	e.repo = nil
-	e.mu.Unlock()
-	s.markInactive(e)
 	s.evictions.Add(1)
 	s.evictionsC.Inc()
-	return true
+	return nil
 }
 
 // EvictRepository forces one repository cold, regardless of the memory
@@ -315,26 +397,7 @@ func (s *Service) EvictRepository(id string) error {
 	if e == nil {
 		return fmt.Errorf("%w: %s", ErrRepoNotFound, id)
 	}
-	e.mu.Lock()
-	cold := e.repo == nil
-	pinned := e.pins > 0
-	e.mu.Unlock()
-	if cold {
-		return nil
-	}
-	if pinned {
-		return fmt.Errorf("core: repository %s is pinned by in-flight requests", id)
-	}
-	if !s.evictEntry(e) {
-		e.mu.Lock()
-		cold = e.repo == nil
-		e.mu.Unlock()
-		if cold {
-			return nil
-		}
-		return fmt.Errorf("core: repository %s is pinned by in-flight requests", id)
-	}
-	return nil
+	return s.evictEntry(e)
 }
 
 // LifecycleStats is a point-in-time summary of the service's repository

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,15 +41,12 @@ func TestOpenServiceValidation(t *testing.T) {
 	if _, _, err := OpenService(ServiceOptions{MemoryBudget: 1 << 20}); err == nil {
 		t.Error("in-memory service with a memory budget should be rejected")
 	}
-	if _, _, err := OpenService(ServiceOptions{LazyActivation: true}); err == nil {
-		t.Error("in-memory service with lazy activation should be rejected")
-	}
 	if _, _, err := OpenService(ServiceOptions{Dir: t.TempDir(), MemoryBudget: -1}); err == nil {
 		t.Error("negative memory budget should be rejected")
 	}
 }
 
-func TestLazyActivationSingleFlight(t *testing.T) {
+func TestColdActivationSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	c := testClient(t)
 	{
@@ -54,7 +54,7 @@ func TestLazyActivationSingleFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repo, err := svc.CreateRepository("lazy", RepositoryOptions{})
+		repo, err := svc.CreateRepository("cold", RepositoryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,9 @@ func TestLazyActivationSingleFlight(t *testing.T) {
 		}
 	}
 
-	svc, report, err := OpenService(ServiceOptions{Dir: dir, Sync: wal.SyncNever, LazyActivation: true})
+	// A budget makes the service start cold; this one is far above the
+	// repository's footprint, so nothing is evicted during the herd.
+	svc, report, err := OpenService(ServiceOptions{Dir: dir, Sync: wal.SyncNever, MemoryBudget: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestLazyActivationSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			repo, release, err := svc.Acquire("lazy")
+			repo, release, err := svc.Acquire("cold")
 			if err != nil {
 				errs[i] = err
 				return
@@ -585,5 +587,240 @@ func TestRepoIDFromStemRoundTrip(t *testing.T) {
 		if _, err := repoIDFromStem(bad); err == nil {
 			t.Errorf("stem %q: expected parse error", bad)
 		}
+	}
+}
+
+// gateInstall makes the next WAL open after arm() block until release().
+// An install holds its entry's latch across that open (installImage opens
+// the fresh log last), so a test can act while an install is in flight.
+// The service captures the opener at OpenService: call this first.
+func gateInstall(t *testing.T) (arm func(), reached <-chan struct{}, release func()) {
+	var armed atomic.Bool
+	hit, gate := make(chan struct{}), make(chan struct{})
+	walFileOpener = func(p string) (wal.File, error) {
+		if armed.CompareAndSwap(true, false) {
+			close(hit)
+			<-gate
+		}
+		return os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		walFileOpener = nil
+	})
+	return func() { armed.Store(true) }, hit, release
+}
+
+// snapshotImage is a leader's snapshot image of repository id holding one
+// text object per given object id, all owned by "u".
+func snapshotImage(t *testing.T, c *Client, id string, objs ...string) []byte {
+	t.Helper()
+	r, err := NewRepository(id, RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
+	for i, o := range objs {
+		if err := r.Update(ownedUpdate(t, c, o, "u", "installed object "+o, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var image bytes.Buffer
+	if err := r.Snapshot(&image); err != nil {
+		t.Fatal(err)
+	}
+	return image.Bytes()
+}
+
+// TestInstallSnapshotRacesAcquireHerd: acquirers of a cold repository that
+// arrive while an install holds its latch wait for the install instead of
+// loading the old files beside it — one engine, and no load but the
+// install's.
+func TestInstallSnapshotRacesAcquireHerd(t *testing.T) {
+	arm, reached, release := gateInstall(t)
+	c := testClient(t)
+	svc, _, err := OpenService(ServiceOptions{Dir: t.TempDir(), Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	repo, err := svc.CreateRepository("herd", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Update(ownedUpdate(t, c, "old", "u", "before the install", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.EvictRepository("herd"); err != nil {
+		t.Fatal(err)
+	}
+	image := snapshotImage(t, c, "herd", "new")
+
+	arm()
+	installed := make(chan error, 1)
+	go func() { installed <- svc.InstallSnapshot("herd", image) }()
+	<-reached
+	const herd = 16
+	var wg sync.WaitGroup
+	repos := make([]*Repository, herd)
+	errs := make([]error, herd)
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, rel, err := svc.Acquire("herd")
+			if err == nil {
+				repos[i] = r
+				rel()
+			}
+			errs[i] = err
+		}(i)
+	}
+	time.Sleep(10 * time.Millisecond) // let the herd reach the latch; the outcome must not depend on it
+	release()
+	if err := <-installed; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for i := 0; i < herd; i++ {
+		if errs[i] != nil {
+			t.Fatalf("acquirer %d: %v", i, errs[i])
+		}
+		if repos[i] != repos[0] {
+			t.Fatalf("acquirer %d saw a different engine instance", i)
+		}
+	}
+	if _, _, err := repos[0].Get("new"); err != nil {
+		t.Errorf("installed object: %v", err)
+	}
+	if _, _, err := repos[0].Get("old"); !errors.Is(err, ErrUnknownObject) {
+		t.Errorf("object of the replaced incarnation: err = %v, want ErrUnknownObject", err)
+	}
+	if st := svc.Lifecycle(); st.Activations != 0 || st.Active != 1 {
+		t.Errorf("after install + herd: %+v, want 0 activations, 1 active", st)
+	}
+}
+
+// TestInstallSnapshotRacesDrop: a drop that arrives while an install holds
+// the latch waits it out and then removes the installed repository — no
+// resurrection, now or after a restart, and no files left behind.
+func TestInstallSnapshotRacesDrop(t *testing.T) {
+	arm, reached, release := gateInstall(t)
+	c := testClient(t)
+	dir := t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: dir, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateRepository("gone", RepositoryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	image := snapshotImage(t, c, "gone", "new")
+
+	arm()
+	installed := make(chan error, 1)
+	go func() { installed <- svc.InstallSnapshot("gone", image) }()
+	<-reached
+	dropped := make(chan error, 1)
+	go func() { dropped <- svc.DropRepository("gone") }()
+	time.Sleep(10 * time.Millisecond) // let the drop reach the latch; the outcome must not depend on it
+	release()
+	if err := <-installed; err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	if err := <-dropped; err != nil {
+		t.Fatalf("drop: %v", err)
+	}
+	if _, _, err := svc.Acquire("gone"); !errors.Is(err, ErrRepoNotFound) {
+		t.Errorf("acquire after drop: err = %v, want ErrRepoNotFound", err)
+	}
+	if st := svc.Lifecycle(); st.Repositories != 0 || st.Active != 0 {
+		t.Errorf("after drop: %+v, want nothing hosted", st)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		t.Errorf("file left behind: %s", f.Name())
+	}
+	svc, _, err = OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	if got := svc.Repositories(); len(got) != 0 {
+		t.Errorf("restart resurrected %v", got)
+	}
+}
+
+// TestInstallSnapshotOverPinnedRepository: installing over a resident
+// repository retires it while requests still pin it. Their searches finish
+// against the old incarnation; the next Acquire sees the image, and the
+// tenant's usage moves from the old objects to the new.
+func TestInstallSnapshotOverPinnedRepository(t *testing.T) {
+	arm, reached, release := gateInstall(t)
+	c := testClient(t)
+	svc, _, err := OpenService(ServiceOptions{Dir: t.TempDir(), Sync: wal.SyncNever, Quotas: Quotas{MaxObjects: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	repo, err := svc.CreateRepository("pinned", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"o1", "o2"} {
+		if err := repo.Update(ownedUpdate(t, c, id, "u", "pinned text "+id, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, releasePin, err := svc.Acquire("pinned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := snapshotImage(t, c, "pinned", "n1")
+	query := &Object{ID: "q", Text: "pinned text o1"}
+
+	arm()
+	installed := make(chan error, 1)
+	go func() { installed <- svc.InstallSnapshot("pinned", image) }()
+	<-reached // the old incarnation is retired, the new one not yet admitted
+	if got := searchIDs(t, c, old, query, 2); len(got) == 0 || got[0] != "o1" {
+		t.Errorf("search on the pinned old incarnation mid-install = %v, want o1 first", got)
+	}
+	release()
+	if err := <-installed; err != nil {
+		t.Fatal(err)
+	}
+	if got := searchIDs(t, c, old, query, 2); len(got) == 0 || got[0] != "o1" {
+		t.Errorf("search on the pinned old incarnation after install = %v, want o1 first", got)
+	}
+	releasePin()
+
+	fresh, rel, err := svc.Acquire("pinned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	if fresh == old {
+		t.Fatal("Acquire after install returned the old engine")
+	}
+	if _, _, err := fresh.Get("n1"); err != nil {
+		t.Errorf("installed object: %v", err)
+	}
+	if _, _, err := fresh.Get("o1"); !errors.Is(err, ErrUnknownObject) {
+		t.Errorf("old object after install: err = %v, want ErrUnknownObject", err)
+	}
+	if u := svc.Tenants().Usage("u"); u.Objects != 1 {
+		t.Errorf("usage after install = %+v, want 1 object (old credited, image counted)", u)
+	}
+	if st := svc.Lifecycle(); st.Active != 1 {
+		t.Errorf("after install: %+v, want 1 active", st)
 	}
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"mie/internal/wal"
 )
@@ -107,8 +107,11 @@ func (r *Repository) ApplyReplicated(payload []byte) error {
 // a follower crash at any point recovers either the old state or the new.
 // Concurrent readers of the previous incarnation finish against its epoch;
 // new Acquires see the installed state. The entry is claimed through the
-// same single-flight latch activation uses, so an in-flight activation and
-// an install never interleave.
+// same latch activation uses, so an in-flight activation and an install
+// never interleave. An id unknown here gets a new entry (a snapshot can
+// precede the catalog create on a resumed stream); the files of a
+// repository under it that failed to load are renamed aside first, never
+// overwritten.
 func (s *Service) InstallSnapshot(id string, image []byte) error {
 	if s.durable == nil {
 		return fmt.Errorf("core: install snapshot of %s: service is not durable", id)
@@ -121,116 +124,36 @@ func (s *Service) InstallSnapshot(id string, image []byte) error {
 		_ = repo.Close()
 		return fmt.Errorf("core: install snapshot of %s: image holds repository %q", id, repo.ID())
 	}
-
-	// Claim the entry: create it if unknown (a snapshot can precede the
-	// catalog create on a resumed stream), wait out any in-flight
-	// activation, then hold the loading latch for the span of the install.
-	var e *repoEntry
-	for {
-		s.mu.Lock()
-		e = s.entries[id]
-		if e == nil {
-			e = &repoEntry{id: id}
-			s.entries[id] = e
-			s.repoGauge.Set(int64(len(s.entries)))
-		}
-		s.mu.Unlock()
-		e.mu.Lock()
-		if e.dropped {
-			// Dropped concurrently and already out of the catalog; retry
-			// against a fresh entry.
-			e.mu.Unlock()
-			continue
-		}
-		if ch := e.loading; ch != nil {
-			e.mu.Unlock()
-			<-ch
-			continue
-		}
-		break
+	e, err := s.claim(id, claimInstall)
+	if err == nil {
+		_ = s.retire(e) // the old incarnation: its log is reset next, so a close error loses nothing
+		ch := e.latch()
+		err = s.durable.installImage(image, repo)
+		err = s.settle(e, ch, repo, err, false)
 	}
-	ch := make(chan struct{})
-	e.loading = ch
-	old := e.repo
-	e.repo = nil
-	e.mu.Unlock()
-	if old != nil {
-		s.gov.removeRepo(old)
-		_ = old.Close()
-		s.markInactive(e)
-	}
-
-	err = s.durable.installImage(id, image, repo)
-
-	e.mu.Lock()
-	e.loading = nil
-	dropped := e.dropped
-	if err == nil && !dropped {
-		e.repo = repo
-		e.lastUsed = s.clock.Add(1)
-	}
-	e.mu.Unlock()
-	close(ch)
 	if err != nil {
 		_ = repo.Close()
 		return fmt.Errorf("core: install snapshot of %s: %w", id, err)
 	}
-	if dropped {
-		_ = repo.Close()
-		return fmt.Errorf("%w: %s", ErrRepoNotFound, id)
-	}
-	repo.setGovernor(s.gov)
-	if s.tap != nil {
-		repo.setTap(s.tap)
-	}
-	s.gov.addRepo(repo)
-	s.markActive(e)
-	s.maybeEvict(e)
 	return nil
 }
 
-// installImage writes the snapshot image durably (tmp + fsync + rename, the
-// same discipline saveTo uses), resets the repository's WAL — the image is
-// the consistent cut; everything in the old log is inside it — and attaches
-// the fresh log to repo so subsequent mutations (replicated applies) append.
-func (d *durability) installImage(id string, image []byte, repo *Repository) error {
+// installImage writes the snapshot image durably, then resets the
+// repository's WAL — the image is the consistent cut; everything in the old
+// log is inside it — and attaches the fresh log to repo so subsequent
+// mutations (replicated applies) append.
+func (d *durability) installImage(image []byte, repo *Repository) error {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return fmt.Errorf("core: create data dir: %w", err)
 	}
-	path := filepath.Join(d.dir, snapshotFileName(id))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err := writeImage(d.dir, snapshotFileName(repo.ID()), func(w io.Writer) error {
+		_, err := w.Write(image)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(image)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(d.dir); err != nil {
-		return err
-	}
-	l, _, err := wal.Open(filepath.Join(d.dir, walFileName(id)), d.opts, nil)
-	if err != nil {
-		return err
-	}
-	if err := l.Reset(); err != nil {
-		_ = l.Close()
-		return err
-	}
-	repo.attachWAL(l)
-	return nil
+	return d.freshLog(repo)
 }
 
 // SetWALFileOpenerForTest overrides how WAL backing files are opened — the

@@ -22,27 +22,25 @@ var (
 // (Figure 1). It is the object cmd/mie-server exposes over the network.
 //
 // A service knows every repository in its catalog but need not hold them
-// all in memory: on a durable service opened with LazyActivation,
-// repositories start cold (snapshot + WAL on disk only), are activated on
-// first Acquire, and are evicted back to cold — least recently used first —
-// whenever the resident footprint exceeds MemoryBudget. Construction goes
-// through OpenService.
+// all in memory: on a durable service with a MemoryBudget, repositories
+// start cold (snapshot + WAL on disk only), are activated on first Acquire,
+// and are evicted back to cold — least recently used first — whenever the
+// resident footprint exceeds the budget. Construction goes through
+// OpenService.
 type Service struct {
-	// mu guards the entry catalog.
+	// mu guards the entry catalog and unloaded.
 	mu      sync.RWMutex
 	entries map[string]*repoEntry
+	// unloaded holds the file stems of the repositories openDir found but
+	// could not load. Their files are somebody's data: nothing the service
+	// does later — the orphan sweep, a create under the same id — may delete
+	// or overwrite them. Only an install under the id takes the stem out,
+	// after renaming the files aside (claim).
+	unloaded map[string]bool
 
 	// durable (nil for in-memory services) is the snapshot+WAL persistence
 	// configuration.
 	durable *durability
-	// unloaded holds the file stems of the repositories openDir found but
-	// could not load (written before the service is handed out, read-only
-	// after). Their files are somebody's data: nothing the service does
-	// later — the orphan sweep, a create under the same id — may delete or
-	// overwrite them.
-	unloaded map[string]bool
-	// lazy defers loading discovered repositories until first touch.
-	lazy bool
 	// budget is the resident-bytes cap (0 = unlimited).
 	budget int64
 	// gov is the per-tenant admission governor (nil = no quotas).
@@ -78,6 +76,7 @@ func newServiceShell() *Service {
 	reg := obs.Default()
 	return &Service{
 		entries:      make(map[string]*repoEntry),
+		unloaded:     make(map[string]bool),
 		active:       make(map[*repoEntry]struct{}),
 		repoGauge:    reg.Gauge("service_repositories"),
 		activeGauge:  reg.Gauge("repo_active"),
@@ -93,57 +92,32 @@ func newServiceShell() *Service {
 // log is opened and an initial snapshot written before the create is
 // acknowledged, so a crash at any later point can restore it.
 func (s *Service) CreateRepository(id string, opts RepositoryOptions) (*Repository, error) {
-	// Reserve the id first (with the creation latch held), then build the
-	// repository off the catalog lock: a concurrent Acquire of the same id
-	// waits on the latch instead of finding half a repository.
-	if s.unloaded[repoFileStem(id)] {
-		return nil, fmt.Errorf("%w: %s failed to load at start-up and its files are kept", ErrRepoExists, id)
-	}
-	e := &repoEntry{id: id, loading: make(chan struct{})}
-	s.mu.Lock()
-	if _, ok := s.entries[id]; ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrRepoExists, id)
-	}
-	s.entries[id] = e
-	s.repoGauge.Set(int64(len(s.entries)))
-	s.mu.Unlock()
-
-	r, err := NewRepository(id, opts)
-	if err == nil && s.durable != nil {
-		if derr := s.durable.initRepo(r); derr != nil {
-			_ = r.Close()
-			err = derr
-		}
-	}
-	e.mu.Lock()
+	// Reserve the id under the latch, then build the repository off the
+	// catalog lock: a concurrent Acquire of the same id waits on the latch
+	// instead of finding half a repository.
+	e, err := s.claim(id, claimNew)
 	if err != nil {
-		e.dropped = true
-		ch := e.loading
-		e.loading = nil
-		e.mu.Unlock()
-		close(ch)
-		s.mu.Lock()
-		delete(s.entries, id)
-		s.repoGauge.Set(int64(len(s.entries)))
-		s.mu.Unlock()
 		return nil, err
 	}
-	r.setGovernor(s.gov)
-	if s.tap != nil {
-		r.setTap(s.tap)
+	ch := e.latch()
+	r, err := NewRepository(id, opts)
+	if err == nil && s.durable != nil {
+		if err = s.durable.initRepo(r); err != nil {
+			_ = r.Close()
+		}
 	}
-	e.repo = r
-	e.lastUsed = s.clock.Add(1)
-	ch := e.loading
-	e.loading = nil
-	e.mu.Unlock()
-	close(ch)
+	if err != nil {
+		// Never acknowledged: the id leaves the catalog again.
+		e.mu.Lock()
+		s.unregister(e)
+		e.mu.Unlock()
+	}
+	if err := s.settle(e, ch, r, err, false); err != nil {
+		return nil, err
+	}
 	if s.tap != nil {
 		s.tap.RepoCreated(id, r.Options())
 	}
-	s.markActive(e)
-	s.maybeEvict(e)
 	return r, nil
 }
 
@@ -192,35 +166,16 @@ func (s *Service) LeakageSummaries() map[string]LeakageSummary {
 // first, so a crash mid-drop can at worst leave an orphaned log (pruned on
 // the next load), never a snapshot that would resurrect the repository.
 func (s *Service) DropRepository(id string) error {
-	s.mu.Lock()
-	e, ok := s.entries[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrRepoNotFound, id)
+	// Wait out any in-flight load, then tear down whatever is resident. The
+	// dropped mark makes a racing Acquire fail instead of resurrecting the
+	// repository from its (about to be deleted) files.
+	e, err := s.claim(id, claimHosted)
+	if err != nil {
+		return err
 	}
-	delete(s.entries, id)
-	s.repoGauge.Set(int64(len(s.entries)))
-	s.mu.Unlock()
-
-	// Wait out any in-flight activation, then tear down whatever is
-	// resident. The dropped mark makes a racing Acquire fail instead of
-	// resurrecting the repository from its (about to be deleted) files.
-	e.mu.Lock()
-	for e.loading != nil {
-		ch := e.loading
-		e.mu.Unlock()
-		<-ch
-		e.mu.Lock()
-	}
-	e.dropped = true
-	var err error
-	if e.repo != nil {
-		s.gov.removeRepo(e.repo)
-		err = e.repo.Close()
-		e.repo = nil
-	}
+	s.unregister(e)
+	err = s.retire(e)
 	e.mu.Unlock()
-	s.markInactive(e)
 	if s.durable != nil {
 		if derr := s.durable.removeRepoFiles(id); derr != nil && err == nil {
 			err = derr
@@ -241,22 +196,12 @@ func (s *Service) Close() error {
 	s.mu.Unlock()
 	var firstErr error
 	for id, e := range entries {
-		e.mu.Lock()
-		for e.loading != nil {
-			ch := e.loading
-			e.mu.Unlock()
-			<-ch
-			e.mu.Lock()
-		}
+		e.await()
 		e.dropped = true
-		if e.repo != nil {
-			if err := e.repo.Close(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("close %s: %w", id, err)
-			}
-			e.repo = nil
+		if err := s.retire(e); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("close %s: %w", id, err)
 		}
 		e.mu.Unlock()
-		s.markInactive(e)
 	}
 	return firstErr
 }

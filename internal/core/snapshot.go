@@ -201,43 +201,18 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 	return r, nil
 }
 
-// saveTo writes the repository's snapshot into dir — write to temp, fsync
-// the file, rename over the target, fsync the directory — and then rotates
-// the repository's write-ahead log empty. The whole sequence runs under
-// writeMu, so the snapshot and the log rotation are one consistent cut: no
-// mutation can land between "folded into the snapshot" and "dropped from
-// the log". The log is only rotated after the snapshot is durable on disk;
-// if the process dies in between, replaying the (now stale) log over the
-// newer snapshot converges, because records carry full object state and
+// saveTo writes the repository's snapshot into dir (writeImage) and then
+// rotates the repository's write-ahead log empty. The whole sequence runs
+// under writeMu, so the snapshot and the log rotation are one consistent
+// cut: no mutation can land between "folded into the snapshot" and "dropped
+// from the log". The log is only rotated after the snapshot is durable on
+// disk; if the process dies in between, replaying the (now stale) log over
+// the newer snapshot converges, because records carry full object state and
 // replay preserves their order.
 func (r *Repository) saveTo(dir string) error {
-	path := filepath.Join(dir, snapshotFileName(r.id))
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return fmt.Errorf("core: temp snapshot: %w", err)
-	}
-	abort := func() { _ = tmp.Close(); _ = os.Remove(tmp.Name()) }
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
-	if err := r.snapshotLocked(tmp); err != nil {
-		abort()
-		return err
-	}
-	// fsync before rename: the rename must never expose a snapshot whose
-	// bytes could still be lost to a power cut.
-	if err := tmp.Sync(); err != nil {
-		abort()
-		return fmt.Errorf("core: sync snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("core: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("core: commit snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
+	if err := writeImage(dir, snapshotFileName(r.id), r.snapshotLocked); err != nil {
 		return err
 	}
 	if r.wal != nil {
@@ -246,6 +221,32 @@ func (r *Repository) saveTo(dir string) error {
 		}
 	}
 	return nil
+}
+
+// writeImage is the one snapshot-file writer: write fills a temp file in
+// dir, which is fsynced, renamed over name and made durable by an fsync of
+// the directory. fsync comes before the rename, so the rename never exposes
+// bytes a power cut could still take. The temp name matches ".snap-*",
+// which openDir sweeps if a crash leaves one behind.
+func writeImage(dir, name string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, ".snap-*")
+	if err != nil {
+		return fmt.Errorf("core: temp snapshot: %w", err)
+	}
+	if err = write(tmp); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("core: write snapshot %s: %w", name, err)
+	}
+	return syncDir(dir)
 }
 
 // repoFileStem escapes a repository id into a safe file-name stem, shared

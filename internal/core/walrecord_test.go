@@ -316,3 +316,97 @@ func TestUnloadedRepositoryFilesSurviveRestarts(t *testing.T) {
 		}
 	}
 }
+
+// TestInstallSnapshotQuarantinesUnloadedFiles: a follower handed a snapshot
+// for a repository that failed to load renames the broken snapshot and log
+// aside — byte for byte as found — and installs the image under the id.
+// Restarts and the SaveService sweep leave the quarantined files alone, and
+// the installed repository serves the image's objects.
+func TestInstallSnapshotQuarantinesUnloadedFiles(t *testing.T) {
+	c := testClient(t)
+	muts := crashMutations(t, c)
+	dir := t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := svc.CreateRepository("broken", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range muts[:2] {
+		if err := repo.Update(m.up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(filepath.Join(dir, walFileName("broken")), wal.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte{0x90, 1, 'x'}); err != nil { // no such record kind
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string][]byte{}
+	for _, name := range []string{snapshotFileName("broken"), walFileName("broken")} {
+		if kept[name+".quarantined"], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leader, err := NewRepository("broken", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Update(muts[2].up); err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	if err := leader.Snapshot(&image); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, _, err = OpenService(ServiceOptions{Dir: dir})
+	if !errors.Is(err, ErrBadWALRecord) || svc == nil {
+		t.Fatalf("open = %v, %v; want a service and ErrBadWALRecord", svc, err)
+	}
+	if err := svc.InstallSnapshot("broken", image.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 0; restart <= 2; restart++ {
+		if restart > 0 {
+			if svc, _, err = OpenService(ServiceOptions{Dir: dir}); err != nil {
+				t.Fatalf("restart %d: %v", restart, err)
+			}
+		}
+		repo, err := svc.Repository("broken")
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		if _, _, err := repo.Get(muts[2].id); err != nil {
+			t.Errorf("restart %d: installed object %s: %v", restart, muts[2].id, err)
+		}
+		if _, _, err := repo.Get(muts[0].id); !errors.Is(err, ErrUnknownObject) {
+			t.Errorf("restart %d: object %s of the broken repository is served: %v", restart, muts[0].id, err)
+		}
+		if err := SaveService(svc, dir); err != nil {
+			t.Fatalf("restart %d: save: %v", restart, err)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range kept {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatalf("restart %d: %v", restart, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("restart %d: %s is %d bytes, want the %d found", restart, name, len(got), len(want))
+			}
+		}
+	}
+}

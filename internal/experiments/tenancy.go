@@ -174,18 +174,18 @@ func TenancyExperiment(cfg Config, dir string) (*TenancyReport, error) {
 		return nil, err
 	}
 
-	// Reopen lazy: the whole fleet starts cold and activates on first touch.
+	// Reopen under the budget: the whole fleet starts cold and activates on
+	// first touch.
 	svc, rec, err := core.OpenService(core.ServiceOptions{
-		Dir:            dir,
-		Sync:           wal.SyncNever,
-		MemoryBudget:   tenancyMemoryBudget,
-		LazyActivation: true,
+		Dir:          dir,
+		Sync:         wal.SyncNever,
+		MemoryBudget: tenancyMemoryBudget,
 	})
 	if err != nil {
 		return nil, err
 	}
 	if rec.ColdRepositories != n {
-		return nil, fmt.Errorf("experiments: lazy open discovered %d cold repositories, want %d", rec.ColdRepositories, n)
+		return nil, fmt.Errorf("experiments: budgeted open discovered %d cold repositories, want %d", rec.ColdRepositories, n)
 	}
 
 	// Churn: 2N random touches, half against a small hot set so warm hits
@@ -315,11 +315,10 @@ func tenancyFairness(cfg Config, client *core.Client, dir string, n, inflightQuo
 	lightOps := hotOpsPerWorker
 
 	svc, _, err := core.OpenService(core.ServiceOptions{
-		Dir:            dir,
-		Sync:           wal.SyncNever,
-		MemoryBudget:   tenancyMemoryBudget,
-		LazyActivation: true,
-		Quotas:         core.Quotas{MaxInflight: inflightQuota},
+		Dir:          dir,
+		Sync:         wal.SyncNever,
+		MemoryBudget: tenancyMemoryBudget,
+		Quotas:       core.Quotas{MaxInflight: inflightQuota},
 	})
 	if err != nil {
 		return nil, err

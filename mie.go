@@ -65,7 +65,7 @@ type (
 	// Service hosts repositories in process.
 	Service = core.Service
 	// ServiceOptions configures OpenService: durable directory, sync
-	// policy, lazy activation, memory budget and tenant quotas.
+	// policy, memory budget and tenant quotas.
 	ServiceOptions = core.ServiceOptions
 	// RecoveryReport summarizes what OpenService recovered from disk.
 	RecoveryReport = core.RecoveryReport
@@ -169,10 +169,10 @@ func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
 // ServiceOptions value yields a purely in-memory service (the old
 // NewService behavior); setting Dir makes it durable (snapshot + WAL per
 // repository, the old LoadService behavior), and on a durable service
-// LazyActivation, MemoryBudget and Quotas unlock the multi-tenant
-// lifecycle: repositories start cold, activate on first use, and are
-// evicted back to disk under memory pressure. The report describes what
-// was recovered from Dir (nil for in-memory services).
+// MemoryBudget and Quotas unlock the multi-tenant lifecycle: with a budget
+// repositories start cold, activate on first use, and are evicted back to
+// disk under memory pressure. The report describes what was recovered from
+// Dir (nil for in-memory services).
 func OpenService(opts ServiceOptions) (*Service, *RecoveryReport, error) {
 	return core.OpenService(opts)
 }
@@ -293,9 +293,9 @@ func openLocal(opts Options) (Repository, error) {
 			existed = true
 		}
 	}
-	// The handle holds an activation pin for its lifetime: on a lazy
-	// service the repository cannot be evicted out from under an open
-	// embedded handle. Close releases the pin.
+	// The handle holds an activation pin for its lifetime: on a service
+	// with a memory budget the repository cannot be evicted out from under
+	// an open embedded handle. Close releases the pin.
 	repo, release, err := svc.Acquire(opts.RepoID)
 	if err != nil {
 		return nil, err
@@ -399,8 +399,8 @@ func (l *localRepo) Get(ctx context.Context, objectID string) ([]byte, string, e
 	return l.repo.GetContext(ctx, objectID)
 }
 
-// Close releases the handle's activation pin so a lazy service may evict
-// the repository again. Idempotent (the pin release is once-only).
+// Close releases the handle's activation pin so a service with a memory
+// budget may evict the repository again. Idempotent (the pin release is once-only).
 func (l *localRepo) Close() error {
 	if l.release != nil {
 		l.release()

@@ -55,7 +55,11 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # the install-time re-index of writes made while a Train is held, and searches
 # that loaded the untrained epoch still scanning the store as the first Train
 # installs its index are again where an ordering bug shows one run in fifty.
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch' ./internal/core
+# So are the residency latch paths — create, activation, eviction, a
+# follower's snapshot install racing acquirers and drops, and the quarantine
+# of a repository that failed to load — which share one claim/settle/retire
+# protocol (lifecycle.go).
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded' ./internal/core
 
 # The experiment printer still builds and runs all three schemes end to end
 # — build, train, query, rank — through the binary (about two seconds; its
