@@ -12,7 +12,8 @@
 // to everything.
 //
 // Attack model. For each update the server observed ID(d) plus the token
-// ids and frequencies (MIE's update leakage). For documents the adversary
+// ids and frequencies (MIE's update leakage), and it logged exactly those
+// bytes: Recorder decodes them from the durable record stream. For documents the adversary
 // *knows in plaintext*, it can line up each document's keyword-frequency
 // multiset against the observed token-frequency multiset: a keyword can map
 // to a token only if their frequency signatures agree on every known
@@ -20,10 +21,7 @@
 // token matches its signature.
 package attack
 
-import (
-	"mie/internal/core"
-	"mie/internal/dpe"
-)
+import "mie/internal/dpe"
 
 // KnownDoc is one plaintext document in the adversary's background
 // knowledge: its id and its keyword-frequency histogram (post-stemming, the
@@ -44,10 +42,10 @@ type Recovery struct {
 }
 
 // RecoverKeywords runs the frequency-signature attack: observations are the
-// server's update leakage log, known the adversary's plaintext documents.
-func RecoverKeywords(observations []core.UpdateObservation, known []KnownDoc) *Recovery {
-	// Index observations of known docs (latest update wins, as on the
-	// server).
+// server's update leakage (a Recorder's), known the adversary's plaintext
+// documents.
+func RecoverKeywords(observations []Observation, known []KnownDoc) *Recovery {
+	// Index observations of known docs (latest wins, as on the server).
 	obsByDoc := make(map[string]map[dpe.Token]uint64, len(observations))
 	for _, o := range observations {
 		obsByDoc[o.ObjectID] = o.Tokens

@@ -2,6 +2,8 @@ package attack
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"mie/internal/core"
@@ -10,9 +12,31 @@ import (
 	"mie/internal/text"
 )
 
+// openTarget opens a durable repository under a Recorder, closed at the end
+// of the test.
+func openTarget(t *testing.T) (*core.Repository, *Recorder) {
+	t.Helper()
+	svc, repo, rec, err := OpenTarget(t.TempDir(), "attacked", core.RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	return repo, rec
+}
+
+// observations returns what rec saw, failing the test on a decode error.
+func observations(t *testing.T, rec *Recorder) []Observation {
+	t.Helper()
+	obs, err := rec.Observations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obs
+}
+
 // buildCorpus runs real MIE updates over a text corpus and returns the
 // server's observations plus the ground-truth keyword->token mapping.
-func buildCorpus(t *testing.T, docs map[string]string) ([]core.UpdateObservation, map[string]dpe.Token, map[string]map[string]uint64) {
+func buildCorpus(t *testing.T, docs map[string]string) ([]Observation, map[string]dpe.Token, map[string]map[string]uint64) {
 	t.Helper()
 	var master crypto.Key
 	master[0] = 7
@@ -20,10 +44,7 @@ func buildCorpus(t *testing.T, docs map[string]string) ([]core.UpdateObservation
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := core.NewRepository("attacked", core.RepositoryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo, rec := openTarget(t)
 	sparse := dpe.NewSparse(crypto.DeriveKey(master, "rk2"))
 	truth := make(map[string]dpe.Token)
 	plaintexts := make(map[string]map[string]uint64, len(docs))
@@ -46,7 +67,62 @@ func buildCorpus(t *testing.T, docs map[string]string) ([]core.UpdateObservation
 		}
 		plaintexts[id] = kw
 	}
-	return repo.Leakage().UpdateObservations(), truth, plaintexts
+	return observations(t, rec), truth, plaintexts
+}
+
+// TestAttackObservesTheRecordStream: over a seeded run of inserts,
+// overwrites and removes, the recorder holds exactly one observation per id
+// ever updated — removed ids included — carrying that id's last update's
+// token frequencies.
+func TestAttackObservesTheRecordStream(t *testing.T) {
+	var master crypto.Key
+	master[0] = 7
+	client, err := core.NewClient(core.ClientConfig{Key: core.RepositoryKey{Master: master}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, rec := openTarget(t)
+	words := []string{"river", "stone", "bridge", "lantern", "harbor", "meadow", "falcon", "copper"}
+	rng := rand.New(rand.NewSource(29))
+	last := make(map[string]map[dpe.Token]uint64)
+	removed := 0
+	var dk crypto.Key
+	for i := 0; i < 300; i++ {
+		id := fmt.Sprintf("d%02d", rng.Intn(40))
+		if rng.Intn(5) == 0 {
+			if _, seen := last[id]; seen {
+				removed++
+			}
+			if err := repo.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		body := ""
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			body += words[rng.Intn(len(words))] + " "
+		}
+		up, err := client.PrepareUpdate(&core.Object{ID: id, Owner: "u", Text: body}, dk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := repo.Update(up); err != nil {
+			t.Fatal(err)
+		}
+		last[id] = up.TextTokens
+	}
+	if removed == 0 {
+		t.Fatal("trace removed no updated id")
+	}
+	obs := observations(t, rec)
+	if len(obs) != len(last) {
+		t.Fatalf("%d observations, want one per updated id (%d)", len(obs), len(last))
+	}
+	for _, o := range obs {
+		if want, ok := last[o.ObjectID]; !ok || !reflect.DeepEqual(o.Tokens, want) {
+			t.Errorf("%s: observed %v, last update carried %v", o.ObjectID, o.Tokens, want)
+		}
+	}
 }
 
 func TestFullKnowledgeRecoversUniqueSignatures(t *testing.T) {

@@ -136,6 +136,14 @@ func decodeWALRecord(b []byte) (up *Update, id string, err error) {
 	return up, id, nil
 }
 
+// DecodeRecord decodes one durable mutation record — a WAL record, which is
+// also exactly the payload ReplicationTap.MutationLogged delivers. It returns
+// the update, or nil and the removed object's id; anything but a well-formed
+// current-format record is ErrBadWALRecord.
+func DecodeRecord(b []byte) (up *Update, id string, err error) {
+	return decodeWALRecord(b)
+}
+
 // apply decodes one record and applies it through the public mutation path:
 // the one function behind recovery replay (the log is attached only
 // afterwards, so replay does not re-append what it reads) and follower apply.
@@ -343,6 +351,7 @@ func (s *Service) openDir() (*RecoveryReport, error) {
 		report.TornBytes += rec.Torn
 	}
 	s.repoGauge.Set(int64(len(s.entries)))
+	s.restoreFailed.Set(int64(len(s.unloaded)))
 	if len(loadErrs) > 0 {
 		return report, fmt.Errorf("core: %d snapshot(s) failed to load: %w", len(loadErrs), errors.Join(loadErrs...))
 	}

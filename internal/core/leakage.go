@@ -12,25 +12,26 @@ import (
 // leakage profile of Table I — MIE reveals ID(w), freq(w) at update time and
 // ID(w), ID(d) at search time — and so the bench harness can report what
 // each scheme exposed.
-// UpdateObservation is what the server sees for one update: the object's
-// deterministic id and its token ids with frequencies — the raw material of
-// leakage-abuse attacks (see internal/attack).
-type UpdateObservation struct {
-	ObjectID string
-	Tokens   map[dpe.Token]uint64
-}
-
+//
+// It keeps aggregates only, so its size is bounded by the token vocabulary
+// and the live object ids, never by the update history. The per-update view
+// an attacker works from — ID(d), ID(w), freq(w) of each update — is the
+// durable record stream itself (ReplicationTap, DecodeRecord).
 type Leakage struct {
 	mu sync.Mutex
-	// observations is the per-update log (ID(d), ID(w), freq(w)).
-	observations []UpdateObservation
 	// updateTokens counts how often each deterministic token id was seen in
 	// updates (ID(w) + freq(w) update leakage).
 	updateTokens map[dpe.Token]uint64
 	// searchTokens counts tokens observed in queries (ID(w) search leakage).
 	searchTokens map[dpe.Token]uint64
-	// accessed counts object-id accesses (ID(d) access pattern).
+	// accessed counts ID(d) access-pattern reveals per live object id. A
+	// removed id's count is folded into retiredObjects.
 	accessed map[string]int
+	// retiredObjects is how many removed ids had been revealed at least once.
+	retiredObjects int
+	// Running totals behind Summary: the sum of updateTokens, the number of
+	// repeat sightings in searchTokens, and every access reveal.
+	updateTokenMass, searchTokenRepeats, accessReveals uint64
 	// counters
 	updates, removes, searches, trains int
 }
@@ -43,34 +44,22 @@ func newLeakage() *Leakage {
 	}
 }
 
-// recordUpdate logs one update's leakage and returns the revealed token-
+// recordUpdate counts one update's leakage and returns the revealed token-
 // frequency mass (the freq(w) update leakage), for the telemetry counters.
 func (l *Leakage) recordUpdate(up *Update) (tokenMass uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.updates++
-	obs := UpdateObservation{ObjectID: up.ObjectID, Tokens: make(map[dpe.Token]uint64, len(up.TextTokens))}
 	for tok, freq := range up.TextTokens {
 		l.updateTokens[tok] += freq
-		obs.Tokens[tok] = freq
 		tokenMass += freq
 	}
-	l.observations = append(l.observations, obs)
+	l.updateTokenMass += tokenMass
 	return tokenMass
 }
 
-// UpdateObservations returns a copy of the per-update leakage log, in
-// arrival order.
-func (l *Leakage) UpdateObservations() []UpdateObservation {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]UpdateObservation, len(l.observations))
-	copy(out, l.observations)
-	return out
-}
-
-// recordSearch logs one query's leakage and returns how many of its tokens
-// the server had already seen in earlier queries — the search-pattern
+// recordSearch counts one query's leakage and returns how many of its
+// tokens the server had already seen in earlier queries — the search-pattern
 // repeats that make queries linkable.
 func (l *Leakage) recordSearch(q *Query) (repeats int) {
 	l.mu.Lock()
@@ -82,23 +71,42 @@ func (l *Leakage) recordSearch(q *Query) (repeats int) {
 		}
 		l.searchTokens[tok]++
 	}
+	l.searchTokenRepeats += uint64(repeats)
 	return repeats
 }
 
-// recordAccess logs one ID(d) access-pattern reveal.
+// recordAccess counts one ID(d) access-pattern reveal.
 func (l *Leakage) recordAccess(objectID string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.accessed[objectID]++
+	l.accessReveals++
 }
 
-func (l *Leakage) recordRemove(string) {
+// recordRemove counts one removal and retires the id's access count.
+func (l *Leakage) recordRemove(objectID string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.removes++
+	l.retireLocked(objectID)
 }
 
-func (l *Leakage) recordTrain(string) {
+// retire folds a removed id's access count into the retired totals; an id
+// with no count is a no-op.
+func (l *Leakage) retire(objectID string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.retireLocked(objectID)
+}
+
+func (l *Leakage) retireLocked(objectID string) {
+	if _, ok := l.accessed[objectID]; ok {
+		delete(l.accessed, objectID)
+		l.retiredObjects++
+	}
+}
+
+func (l *Leakage) recordTrain() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.trains++
@@ -135,7 +143,8 @@ func (l *Leakage) SearchTokenCount(tok dpe.Token) uint64 {
 	return l.searchTokens[tok]
 }
 
-// AccessCount returns how many times an object id was returned/read.
+// AccessCount returns how many times a live object id was returned/read; a
+// removed id reads 0.
 func (l *Leakage) AccessCount(objectID string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -168,34 +177,26 @@ type LeakageSummary struct {
 	DistinctSearchTokens int    `json:"distinct_search_tokens"`
 	SearchTokenRepeats   uint64 `json:"search_token_repeats"`
 	// Access-pattern leakage: distinct object ids revealed (ID(d)) and
-	// total reveals across searches and gets.
+	// total reveals across searches and gets. An id removed after a reveal
+	// and revealed again once re-added counts as two objects.
 	DistinctObjectsAccessed int    `json:"distinct_objects_accessed"`
 	AccessReveals           uint64 `json:"access_reveals"`
 }
 
-// Summary aggregates the leakage log into its per-repository profile.
+// Summary returns the repository's leakage profile; it is O(1).
 func (l *Leakage) Summary() LeakageSummary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := LeakageSummary{
+	return LeakageSummary{
 		Updates:                 l.updates,
 		Removes:                 l.removes,
 		Searches:                l.searches,
 		Trains:                  l.trains,
 		DistinctUpdateTokens:    len(l.updateTokens),
+		UpdateTokenMass:         l.updateTokenMass,
 		DistinctSearchTokens:    len(l.searchTokens),
-		DistinctObjectsAccessed: len(l.accessed),
+		SearchTokenRepeats:      l.searchTokenRepeats,
+		DistinctObjectsAccessed: len(l.accessed) + l.retiredObjects,
+		AccessReveals:           l.accessReveals,
 	}
-	for _, freq := range l.updateTokens {
-		s.UpdateTokenMass += freq
-	}
-	for _, n := range l.searchTokens {
-		if n > 1 {
-			s.SearchTokenRepeats += n - 1
-		}
-	}
-	for _, n := range l.accessed {
-		s.AccessReveals += uint64(n)
-	}
-	return s
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"mie/internal/obs"
@@ -116,5 +120,82 @@ func TestLeakageSummaryCounts(t *testing.T) {
 	sums := svc.LeakageSummaries()
 	if got := sums["svc-repo"]; got.Updates != 1 || got.DistinctUpdateTokens != 1 {
 		t.Errorf("service summary = %+v", got)
+	}
+}
+
+// TestLeakageLedgerIsBounded drives 10⁵ updates, overwrites, removes,
+// searches and gets over 64 ids and a 200-word vocabulary. The ledger must
+// stay within the vocabulary and the live ids, and the live heap must not
+// grow with the operation count.
+func TestLeakageLedgerIsBounded(t *testing.T) {
+	const ids, vocab, ops, warm = 64, 200, 100_000, 10_000
+	c := testClient(t)
+	r, err := NewRepository("bounded", RepositoryOptions{Modalities: []Modality{ModalityText}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.Close() })
+	rng := rand.New(rand.NewSource(12))
+	text := func(n int) string {
+		var b strings.Builder
+		for ; n > 0; n-- {
+			fmt.Fprintf(&b, "word%03d ", rng.Intn(vocab))
+		}
+		return b.String()
+	}
+	ups := make([]*Update, 32)
+	for i := range ups {
+		if ups[i], err = c.PrepareUpdate(&Object{ID: "pool", Owner: "u", Text: text(12)}, testDataKey(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := make([]*Query, 32)
+	for i := range queries {
+		if queries[i], err = c.PrepareQuery(&Object{ID: "q", Text: text(2)}, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var heapAtWarm uint64
+	for i := 0; i < ops; i++ {
+		if i == warm {
+			heapAtWarm = liveHeap()
+		}
+		id := fmt.Sprintf("obj-%02d", rng.Intn(ids))
+		switch roll := rng.Intn(10); {
+		case roll < 5:
+			up := *ups[rng.Intn(len(ups))]
+			up.ObjectID = id
+			err = r.Update(&up)
+		case roll < 6:
+			err = r.Remove(id)
+		case roll < 9:
+			_, err = r.Search(queries[rng.Intn(len(queries))])
+		default:
+			if _, _, err = r.Get(id); errors.Is(err, ErrUnknownObject) {
+				err = nil
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	growth := int64(liveHeap()) - int64(heapAtWarm)
+	t.Logf("live heap growth %d B", growth)
+
+	l := r.leak
+	l.mu.Lock()
+	updateTokens, searchTokens, accessed := len(l.updateTokens), len(l.searchTokens), len(l.accessed)
+	l.mu.Unlock()
+	if updateTokens > vocab || searchTokens > vocab {
+		t.Errorf("token maps hold %d update and %d search tokens, vocabulary is %d", updateTokens, searchTokens, vocab)
+	}
+	if live := r.objects.Len(); accessed > live {
+		t.Errorf("accessed holds %d ids, %d are live", accessed, live)
+	}
+	if sum := l.Summary(); sum.Updates+sum.Removes+sum.Searches == 0 || sum.AccessReveals == 0 {
+		t.Fatalf("trace exercised nothing: %+v", sum)
+	}
+	if growth >= 1<<20 {
+		t.Errorf("live heap grew %d B between operation %d and %d", growth, warm, ops)
 	}
 }

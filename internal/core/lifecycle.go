@@ -177,6 +177,7 @@ func (s *Service) lookup(id string, mode claimMode) (e *repoEntry, fresh bool, e
 			return nil, false, err
 		}
 		delete(s.unloaded, stem)
+		s.restoreFailed.Set(int64(len(s.unloaded)))
 	}
 	e = &repoEntry{id: id}
 	e.mu.Lock()

@@ -707,9 +707,20 @@ func (r *Repository) GetContext(ctx context.Context, objectID string) (ciphertex
 		sp.SetError(err)
 		return nil, "", err
 	}
+	r.revealAccess(objectID)
+	return obj.ciphertext, obj.owner, nil
+}
+
+// revealAccess counts one ID(d) reveal of an object the caller just read
+// from the store. Reads take no lock against Remove, so the object may be
+// gone by the time the reveal is counted; the recheck afterwards retires
+// the id again, and the ledger never keeps a removed id.
+func (r *Repository) revealAccess(objectID string) {
 	r.leak.recordAccess(objectID)
 	r.met.leakAccessReveals.Inc()
-	return obj.ciphertext, obj.owner, nil
+	if _, ok := r.objects.Get(objectID); !ok {
+		r.leak.retire(objectID)
+	}
 }
 
 // Train runs the machine-learning step in the cloud (CLOUD.Train,
@@ -865,7 +876,7 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 	r.writeMu.Unlock()
 
 	r.lastTrain.Store(info)
-	r.leak.recordTrain(r.id)
+	r.leak.recordTrain()
 	if full {
 		r.met.trainFull.Inc()
 	} else {
@@ -1243,8 +1254,7 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 			// access, since nothing about it is returned to the caller.
 			continue
 		}
-		r.leak.recordAccess(string(res.Doc))
-		r.met.leakAccessReveals.Inc()
+		r.revealAccess(string(res.Doc))
 		hits = append(hits, SearchHit{
 			ObjectID:   string(res.Doc),
 			Owner:      obj.owner,

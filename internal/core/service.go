@@ -68,6 +68,10 @@ type Service struct {
 	evictionsC   *obs.Counter
 	evictErrorsC *obs.Counter
 	activationH  *obs.Histogram
+
+	// restoreFailed is len(unloaded): repositories down since start-up
+	// while the healthy ones serve.
+	restoreFailed *obs.Gauge
 }
 
 // newServiceShell builds an empty service with its metric handles; the
@@ -75,15 +79,16 @@ type Service struct {
 func newServiceShell() *Service {
 	reg := obs.Default()
 	return &Service{
-		entries:      make(map[string]*repoEntry),
-		unloaded:     make(map[string]bool),
-		active:       make(map[*repoEntry]struct{}),
-		repoGauge:    reg.Gauge("service_repositories"),
-		activeGauge:  reg.Gauge("repo_active"),
-		activationsC: reg.Counter("repo_activations_total"),
-		evictionsC:   reg.Counter("repo_evictions_total"),
-		evictErrorsC: reg.Counter("repo_eviction_errors_total"),
-		activationH:  reg.Histogram("repo_activation_seconds"),
+		entries:       make(map[string]*repoEntry),
+		unloaded:      make(map[string]bool),
+		active:        make(map[*repoEntry]struct{}),
+		repoGauge:     reg.Gauge("service_repositories"),
+		activeGauge:   reg.Gauge("repo_active"),
+		restoreFailed: reg.Gauge("service_restore_failed"),
+		activationsC:  reg.Counter("repo_activations_total"),
+		evictionsC:    reg.Counter("repo_evictions_total"),
+		evictErrorsC:  reg.Counter("repo_eviction_errors_total"),
+		activationH:   reg.Histogram("repo_activation_seconds"),
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mie/internal/obs"
 	"mie/internal/wal"
 )
 
@@ -408,6 +409,60 @@ func TestInstallSnapshotQuarantinesUnloadedFiles(t *testing.T) {
 				t.Fatalf("restart %d: %s is %d bytes, want the %d found", restart, name, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestRestoreFailedGauge: service_restore_failed counts the repositories a
+// start-up could not load while the healthy ones serve — 1 after opening a
+// directory with one corrupt snapshot, 0 once a follower install has
+// quarantined it.
+func TestRestoreFailedGauge(t *testing.T) {
+	c := testClient(t)
+	muts := crashMutations(t, c)
+	dir := t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"healthy", "broken"} {
+		if _, err := svc.CreateRepository(id, RepositoryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName("broken")), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gauge := obs.Default().Gauge("service_restore_failed")
+	svc, _, err = OpenService(ServiceOptions{Dir: dir})
+	if err == nil || svc == nil {
+		t.Fatalf("open = %v, %v; want a service and a load error", svc, err)
+	}
+	t.Cleanup(func() { _ = svc.Close() })
+	if got := gauge.Value(); got != 1 {
+		t.Errorf("service_restore_failed after open = %d, want 1", got)
+	}
+	if _, err := svc.Repository("healthy"); err != nil {
+		t.Errorf("healthy repository not served: %v", err)
+	}
+	leader, err := NewRepository("broken", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Update(muts[0].up); err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	if err := leader.Snapshot(&image); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.InstallSnapshot("broken", image.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Errorf("service_restore_failed after install = %d, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"mie/internal/attack"
 	"mie/internal/core"
@@ -23,7 +24,8 @@ type AttackRow struct {
 
 // AttackExperiment runs the passive leakage-abuse attack of internal/attack
 // against a real MIE repository built from a large-vocabulary text corpus,
-// sweeping the adversary's document knowledge. The paper's claim (§V-A),
+// sweeping the adversary's document knowledge. The adversary's view is the
+// durable record stream the server logged, decoded by an attack.Recorder. The paper's claim (§V-A),
 // citing Cash et al., is that passive attacks demand near-total document
 // knowledge (~95% known documents for ~58% query recovery); the measured
 // curve here lands on the same shape — recovery grows slowly and substantial
@@ -40,12 +42,18 @@ func AttackExperiment(cfg Config) ([]AttackRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	repo, err := core.NewRepository("attack-target", core.RepositoryOptions{
+	dir, err := os.MkdirTemp("", "mie-attack-")
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = os.RemoveAll(dir) }()
+	svc, repo, recorder, err := attack.OpenTarget(dir, "attack-target", core.RepositoryOptions{
 		Modalities: []core.Modality{core.ModalityText},
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer func() { _ = svc.Close() }()
 	sparse := dpe.NewSparse(mieSparseKey())
 	truth := make(map[string]dpe.Token)
 	plaintexts := make([]attack.KnownDoc, 0, len(corpus))
@@ -65,7 +73,10 @@ func AttackExperiment(cfg Config) ([]AttackRow, error) {
 		}
 		plaintexts = append(plaintexts, attack.KnownDoc{DocID: obj.ID, Keywords: kw})
 	}
-	observations := repo.Leakage().UpdateObservations()
+	observations, err := recorder.Observations()
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []AttackRow
 	for _, frac := range []float64{0.10, 0.25, 0.50, 0.75, 0.95, 1.0} {

@@ -60,11 +60,16 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # of a repository that failed to load — which share one claim/settle/retire
 # protocol (lifecycle.go).
 go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded' ./internal/core
+# The leakage ledger stays bounded under 10⁵ operations, the attack's
+# recorder sees exactly the logged record stream, and the restore-failed
+# gauge follows a failed load through its quarantine.
+go test -race -count=2 -run 'TestLeakageLedgerIsBounded|TestAttackObservesTheRecordStream|TestRestoreFailedGauge' ./internal/core ./internal/attack
 
 # The experiment printer still builds and runs all three schemes end to end
-# — build, train, query, rank — through the binary (about two seconds; its
-# gates are go tests in internal/experiments, run above).
-go run ./cmd/mie-bench -scale quick -experiment table2,fig5,table3
+# — build, train, query, rank — and the §V-A attack over a durable service's
+# record stream, through the binary (a few seconds; its gates are go tests
+# in internal/experiments, run above).
+go run ./cmd/mie-bench -scale quick -experiment table2,fig5,table3,attack
 # The index microbenchmark still runs, at one core and two. No parsing, no
 # threshold: speed gates live in bench/.
 go test -run '^$' -bench SegmentedLookup -benchtime 100x -cpu 1,2 ./internal/index
