@@ -349,14 +349,7 @@ func benchMIEStack(b *testing.B, n int) (*Client, Repository) {
 		Client: client,
 		RepoID: "bench",
 		Create: true,
-		Repo: RepositoryOptions{
-			Vocab: cluster.VocabParams{
-				Words:   50,
-				Tree:    cluster.TreeParams{Branch: 4, Height: 2, Seed: 1},
-				Seed:    1,
-				MaxIter: 10,
-			},
-		},
+		Repo:   RepositoryOptions{VocabWords: 50, VocabMaxIter: 10, TreeBranch: 4, TreeHeight: 2, TreeSeed: 1},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"mie/internal/cluster"
 	"mie/internal/crypto"
 	"mie/internal/dpe"
 	"mie/internal/imaging"
@@ -75,14 +74,7 @@ func testObject(class int, n int) *Object {
 }
 
 func smallRepoOptions() RepositoryOptions {
-	return RepositoryOptions{
-		Vocab: cluster.VocabParams{
-			Words:   20,
-			Tree:    cluster.TreeParams{Branch: 3, Height: 2, Seed: 1},
-			Seed:    1,
-			MaxIter: 10,
-		},
-	}
+	return RepositoryOptions{VocabWords: 20, VocabMaxIter: 10, TreeBranch: 3, TreeHeight: 2, TreeSeed: 1}
 }
 
 func TestPrepareUpdateValidation(t *testing.T) {
@@ -501,7 +493,7 @@ func TestUpdateReplacesExisting(t *testing.T) {
 func TestTrainEmptyRepository(t *testing.T) {
 	// Training with no dense data is legal (sparse modalities need none);
 	// the codebook stays dormant until a later Train finds image encodings.
-	r, err := NewRepository("empty", RepositoryOptions{Vocab: cluster.VocabParams{Words: 8, Tree: cluster.TreeParams{Branch: 2, Height: 1}}})
+	r, err := NewRepository("empty", RepositoryOptions{VocabWords: 8, TreeBranch: 2, TreeHeight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,14 +502,6 @@ func TestTrainEmptyRepository(t *testing.T) {
 	}
 	if r.VocabularySize() != 0 {
 		t.Errorf("vocabulary = %d without any image data", r.VocabularySize())
-	}
-	// A text-only repository trains fine when empty (no codebook needed).
-	rt, err := NewRepository("textonly", RepositoryOptions{Modalities: []Modality{ModalityText}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Train(); err != nil {
-		t.Errorf("text-only train: %v", err)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"mie/internal/cluster"
 	"mie/internal/dpe"
 	"mie/internal/fusion"
 	"mie/internal/index"
@@ -482,7 +481,6 @@ func TestEncodingLengthMismatchIsRefused(t *testing.T) {
 		return &Update{ObjectID: id, Owner: "u", TextTokens: map[dpe.Token]uint64{{0xaa}: 1}, ImageEncodings: encs}
 	}
 	opts := smallRepoOptions()
-	opts.Modalities = []Modality{ModalityText, ModalityImage}
 	for _, tc := range []struct {
 		name    string
 		trained bool
@@ -593,10 +591,7 @@ func spineShapeUpdates(rng *rand.Rand, n int) []*Update {
 func TestTrainedOverwritesDoNotGrowTheHeap(t *testing.T) {
 	const objects, overwrites = 48, 5000
 	ups := spineShapeUpdates(rand.New(rand.NewSource(5)), objects)
-	r, err := NewRepository("overwrite-heap", RepositoryOptions{
-		Modalities: []Modality{ModalityText, ModalityImage},
-		Vocab:      cluster.VocabParams{Words: 20, Tree: cluster.TreeParams{Branch: 3, Height: 2, Seed: 1}, Seed: 1, MaxIter: 5},
-	})
+	r, err := NewRepository("overwrite-heap", RepositoryOptions{VocabWords: 20, VocabMaxIter: 5, TreeBranch: 3, TreeHeight: 2, TreeSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"mie/internal/cluster"
 	"mie/internal/dpe"
 	"mie/internal/wal"
 	"mie/internal/wal/walfault"
@@ -511,10 +510,8 @@ func TestCrashMidCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := smallRepoOptions()
-	opts.Incremental.MemtableCap = 4
-	opts.Incremental.CompactSegments = 2
-	repo, err := svc.CreateRepository("mc", opts)
+	withIndexShape(t, 4, 2)
+	repo, err := svc.CreateRepository("mc", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,8 +710,7 @@ func BenchmarkTrainedUpdate(b *testing.B) {
 	}
 	defer func() { _ = svc.Close() }()
 	r, err := svc.CreateRepository("trained-update", RepositoryOptions{
-		Modalities:        []Modality{ModalityText, ModalityImage},
-		Vocab:             cluster.VocabParams{Words: 200, Tree: cluster.TreeParams{Branch: 4, Height: 3, Seed: 1}, Seed: 1, MaxIter: 5},
+		VocabWords: 200, VocabMaxIter: 5, TreeBranch: 4, TreeHeight: 3, TreeSeed: 1,
 		TrainingSampleCap: 3000,
 	})
 	if err != nil {

@@ -71,45 +71,27 @@ type ModalityEngine interface {
 	codeBits() int
 }
 
-// newEngines builds the engine set for the enabled modalities, in the fixed
-// text, image, audio order (which is also the rank-fusion list order).
+// newEngines builds the text, image and audio engines in that fixed order
+// (which is also the rank-fusion list order). Every repository has all three.
 func newEngines(opts RepositoryOptions) []ModalityEngine {
-	var engines []ModalityEngine
-	for _, m := range []Modality{ModalityText, ModalityImage, ModalityAudio} {
-		if !optsHaveModality(opts, m) {
-			continue
-		}
-		switch m {
-		case ModalityText:
-			engines = append(engines, textEngine{})
-		case ModalityImage:
-			engines = append(engines, &denseEngine{
-				modality:  ModalityImage,
-				prefix:    "vw:",
-				encs:      func(o *storedObject) []vec.BitVec { return o.imageEncs },
-				queryEncs: func(q *Query) []vec.BitVec { return q.ImageEncodings },
-				params:    opts.Vocab,
-			})
-		case ModalityAudio:
-			engines = append(engines, &denseEngine{
-				modality:  ModalityAudio,
-				prefix:    "aw:",
-				encs:      func(o *storedObject) []vec.BitVec { return o.audioEncs },
-				queryEncs: func(q *Query) []vec.BitVec { return q.AudioEncodings },
-				params:    opts.Vocab,
-			})
-		}
+	vocab := opts.vocab()
+	return []ModalityEngine{
+		textEngine{},
+		&denseEngine{
+			modality:  ModalityImage,
+			prefix:    "vw:",
+			encs:      func(o *storedObject) []vec.BitVec { return o.imageEncs },
+			queryEncs: func(q *Query) []vec.BitVec { return q.ImageEncodings },
+			params:    vocab,
+		},
+		&denseEngine{
+			modality:  ModalityAudio,
+			prefix:    "aw:",
+			encs:      func(o *storedObject) []vec.BitVec { return o.audioEncs },
+			queryEncs: func(q *Query) []vec.BitVec { return q.AudioEncodings },
+			params:    vocab,
+		},
 	}
-	return engines
-}
-
-func optsHaveModality(opts RepositoryOptions, m Modality) bool {
-	for _, mm := range opts.Modalities {
-		if mm == m {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -10,14 +10,23 @@ import (
 	"testing"
 )
 
-// textOnlyIncrementalOptions is a text-only repository with a tiny memtable,
-// so modest churn exercises auto-seal, multiple segments and compaction.
-func textOnlyIncrementalOptions() RepositoryOptions {
-	opts := smallRepoOptions()
-	opts.Modalities = []Modality{ModalityText}
-	opts.Incremental.MemtableCap = 4
-	opts.Incremental.CompactSegments = 3
-	return opts
+// withIndexShape shrinks the segmented indexes built during one test, so
+// modest churn exercises auto-seal, multiple segments and compaction.
+func withIndexShape(t testing.TB, memtable, compact int) {
+	t.Helper()
+	oldMemtable, oldCompact := memtableCap, compactSegments
+	memtableCap, compactSegments = memtable, compact
+	t.Cleanup(func() { memtableCap, compactSegments = oldMemtable, oldCompact })
+}
+
+// withDriftGuards moves the incremental-training guards for one test; a
+// hair-trigger drift threshold forces every refinement that moves a centroid
+// back through the full re-cluster.
+func withDriftGuards(t testing.TB, drift, reassign float64) {
+	t.Helper()
+	oldDrift, oldReassign := driftThreshold, reassignThreshold
+	driftThreshold, reassignThreshold = drift, reassign
+	t.Cleanup(func() { driftThreshold, reassignThreshold = oldDrift, oldReassign })
 }
 
 func TestFirstTrainIsFullRebuild(t *testing.T) {
@@ -39,7 +48,8 @@ func TestFirstTrainIsFullRebuild(t *testing.T) {
 // re-indexed, the epoch advances, and search reflects every change.
 func TestIncrementalTrainOnChurn(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("inc-churn", textOnlyIncrementalOptions())
+	withIndexShape(t, 4, 3)
+	r, err := NewRepository("inc-churn", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +115,16 @@ func TestIncrementalTrainOnChurn(t *testing.T) {
 
 // TestIncrementalMatchesFullRebuildRanking is the parity half of the
 // acceptance bar: for sparse (vocabulary-free) content, the incremental path
-// must rank exactly like a full rebuild of the same final corpus.
+// must rank exactly like a full build of the same final corpus — a fresh
+// repository given the same writes and trained once.
 func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 	c := testClient(t)
-	inc, err := NewRepository("parity-inc", textOnlyIncrementalOptions())
+	withIndexShape(t, 4, 3)
+	inc, err := NewRepository("parity-inc", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullOpts := textOnlyIncrementalOptions()
-	fullOpts.Incremental.Disable = true
-	full, err := NewRepository("parity-full", fullOpts)
+	full, err := NewRepository("parity-full", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +141,10 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 		up := textUpdate(t, c, fmt.Sprintf("doc-%02d", i), i%6+1)
 		apply(func(r *Repository) error { return r.Update(up) })
 	}
-	apply((*Repository).Train)
-	// 25% churn: replacements, removals, inserts — then retrain both.
+	if err := inc.Train(); err != nil {
+		t.Fatal(err)
+	}
+	// 25% churn: replacements, removals, inserts — then train both.
 	for i := 0; i < 4; i++ {
 		up := textUpdate(t, c, fmt.Sprintf("doc-%02d", i), (i+3)%6+1)
 		apply(func(r *Repository) error { return r.Update(up) })
@@ -147,7 +159,7 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 		t.Fatalf("incremental repo trained in mode %q", got)
 	}
 	if got := full.LastTrain().Mode; got != "full" {
-		t.Fatalf("disabled repo trained in mode %q", got)
+		t.Fatalf("fresh repo trained in mode %q", got)
 	}
 
 	q, err := c.PrepareQuery(&Object{ID: "q", Text: "oceanwave"}, 50)
@@ -163,7 +175,7 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("incremental returned %d hits, full rebuild %d", len(got), len(want))
+		t.Fatalf("incremental returned %d hits, full build %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].ObjectID != want[i].ObjectID {
@@ -186,28 +198,55 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 	}
 }
 
-func TestIncrementalDisabledForcesFull(t *testing.T) {
+// TestFullRetrainEqualsFreshBuild: a full retrain of a trained repository —
+// forced through the drift guard — builds what one Train of a fresh
+// repository holding the same objects builds. Train re-clusters a sorted
+// snapshot of the store with the repository's seed, so the two rank text,
+// image and fused queries alike, down to the score bits.
+func TestFullRetrainEqualsFreshBuild(t *testing.T) {
 	c := testClient(t)
-	opts := textOnlyIncrementalOptions()
-	opts.Incremental.Disable = true
-	r, err := NewRepository("inc-disabled", opts)
+	retrained, err := NewRepository("retrained", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(textUpdate(t, c, "a", 2)); err != nil {
+	fillRepo(t, c, retrained, 4, 2)
+	if err := retrained.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	// Churn: a class the codebook never saw, an overwrite, a removal.
+	for i := 0; i < 4; i++ {
+		putObject(t, c, retrained, testObject(2, i))
+	}
+	putObject(t, c, retrained, &Object{ID: "obj-c0-1", Owner: "user1", Text: "mountain snow", Image: classImage(1, 40)})
+	if err := retrained.Remove("obj-c1-2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(textUpdate(t, c, "b", 3)); err != nil {
+	withDriftGuards(t, 1e-9, -1)
+	if err := retrained.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	if info := retrained.LastTrain(); info.Mode != "full" || !info.DriftFallback {
+		t.Fatalf("retrain = %+v, want a drift-forced full train", info)
+	}
+
+	fresh, err := NewRepository("fresh", smallRepoOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if info := r.LastTrain(); info.Mode != "full" || info.DriftFallback {
-		t.Errorf("disabled retrain = %+v, want plain full", info)
+	for _, id := range sortedIDs(retrained.objects.Items()) {
+		obj, _ := retrained.objects.Get(id)
+		if err := fresh.Update(updateFromStored(id, obj)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fresh.Train(); err != nil {
+		t.Fatal(err)
+	}
+	for cls := 0; cls < 3; cls++ {
+		obj := testObject(cls, 77)
+		requireSameHits(t, c, retrained, fresh, &Object{ID: "text", Text: obj.Text})
+		requireSameHits(t, c, retrained, fresh, &Object{ID: "image", Image: obj.Image})
+		requireSameHits(t, c, retrained, fresh, obj)
 	}
 }
 
@@ -216,10 +255,8 @@ func TestIncrementalDisabledForcesFull(t *testing.T) {
 // refined vocabulary and push the run through the full re-cluster.
 func TestDriftFallbackForcesFullRebuild(t *testing.T) {
 	c := testClient(t)
-	opts := smallRepoOptions()
-	opts.Incremental.DriftThreshold = 1e-9
-	opts.Incremental.ReassignThreshold = -1 // isolate the mean-shift check
-	r, err := NewRepository("inc-drift", opts)
+	withDriftGuards(t, 1e-9, -1) // -1 isolates the mean-shift check
+	r, err := NewRepository("inc-drift", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +341,8 @@ func abortTrain(t *testing.T, r *Repository) {
 // and stays counted.
 func TestAbortedTrainLeavesLastTrainUntouched(t *testing.T) {
 	c := testClient(t)
-	opts := smallRepoOptions()
-	opts.Incremental.DriftThreshold = 1e-9
-	opts.Incremental.ReassignThreshold = -1
-	r, err := NewRepository("inc-abort-drift", opts)
+	withDriftGuards(t, 1e-9, -1)
+	r, err := NewRepository("inc-abort-drift", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +544,8 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 // segment with zero dead postings, without changing a single ranking.
 func TestCompactionMergesSegmentsAndDropsGarbage(t *testing.T) {
 	c := testClient(t)
-	r, err := NewRepository("inc-compact", textOnlyIncrementalOptions())
+	withIndexShape(t, 4, 3)
+	r, err := NewRepository("inc-compact", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,9 +610,8 @@ func TestCompactionMergesSegmentsAndDropsGarbage(t *testing.T) {
 // sequential oracle exactly.
 func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 	c := testClient(t)
-	opts := textOnlyIncrementalOptions()
-	opts.Incremental.MemtableCap = 8
-	r, err := NewRepository("compact-stress", opts)
+	withIndexShape(t, 8, 3)
+	r, err := NewRepository("compact-stress", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +712,7 @@ func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 	}
 	r.CompactNow()
 
-	oracle, err := NewRepository("compact-oracle", textOnlyIncrementalOptions())
+	oracle, err := NewRepository("compact-oracle", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

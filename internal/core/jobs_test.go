@@ -173,7 +173,7 @@ func TestTrainContextExpiredUpFront(t *testing.T) {
 func TestRepositoryOptionsAccessor(t *testing.T) {
 	repo, _ := jobTestRepo(t, 1)
 	opts := repo.Options()
-	if opts.Vocab.Words == 0 || opts.TrainingSampleCap == 0 {
+	if opts.VocabWords == 0 || opts.TrainingSampleCap == 0 {
 		t.Errorf("Options() missing defaults: %+v", opts)
 	}
 }

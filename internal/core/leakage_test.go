@@ -130,7 +130,7 @@ func TestLeakageSummaryCounts(t *testing.T) {
 func TestLeakageLedgerIsBounded(t *testing.T) {
 	const ids, vocab, ops, warm = 64, 200, 100_000, 10_000
 	c := testClient(t)
-	r, err := NewRepository("bounded", RepositoryOptions{Modalities: []Modality{ModalityText}})
+	r, err := NewRepository("bounded", RepositoryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -824,3 +824,180 @@ func TestInstallSnapshotOverPinnedRepository(t *testing.T) {
 		t.Errorf("after install: %+v, want 1 active", st)
 	}
 }
+
+// TestWritesToAClosedRepositoryAreRefused: a handle that outlives its
+// repository's residence — evicted, dropped, or its service closed — must not
+// acknowledge what it can no longer log. Update, Remove and a Train's install
+// fail with ErrRepoNotFound before anything is charged or logged, and what
+// the service hosts afterwards holds none of them.
+func TestWritesToAClosedRepositoryAreRefused(t *testing.T) {
+	c := testClient(t)
+	for _, tc := range []struct {
+		name    string
+		durable bool
+		retire  func(*Service) error
+		// check inspects what the service hosts after the refused writes.
+		check func(t *testing.T, svc *Service, dir string)
+	}{
+		{name: "evict", durable: true,
+			retire: func(s *Service) error { return s.EvictRepository("r") },
+			check:  func(t *testing.T, svc *Service, _ string) { holdsOnlyKeep(t, svc) }},
+		{name: "drop in memory",
+			retire: func(s *Service) error { return s.DropRepository("r") },
+			check:  func(t *testing.T, svc *Service, _ string) { isGone(t, svc) }},
+		{name: "drop durable", durable: true,
+			retire: func(s *Service) error { return s.DropRepository("r") },
+			check: func(t *testing.T, svc *Service, dir string) {
+				isGone(t, svc)
+				files, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range files {
+					t.Errorf("file left behind: %s", f.Name())
+				}
+			}},
+		{name: "service close", durable: true,
+			retire: (*Service).Close,
+			check: func(t *testing.T, _ *Service, dir string) {
+				svc, _, err := OpenService(ServiceOptions{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = svc.Close() }()
+				holdsOnlyKeep(t, svc)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := ServiceOptions{}
+			if tc.durable {
+				opts.Dir = t.TempDir()
+			}
+			svc, _, err := OpenService(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = svc.Close() }()
+			if _, err := svc.CreateRepository("r", smallRepoOptions()); err != nil {
+				t.Fatal(err)
+			}
+			stale, err := svc.Repository("r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			putObject(t, c, stale, &Object{ID: "keep", Owner: "u", Text: "kept before the close"})
+			if err := tc.retire(svc); err != nil {
+				t.Fatal(err)
+			}
+			up, err := c.PrepareUpdate(&Object{ID: "late", Owner: "u", Text: "written after the close"}, testDataKey(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := stale.Update(up); !errors.Is(err, ErrRepoNotFound) {
+				t.Errorf("update of a closed repository: err = %v, want ErrRepoNotFound", err)
+			}
+			if err := stale.Remove("keep"); !errors.Is(err, ErrRepoNotFound) {
+				t.Errorf("remove from a closed repository: err = %v, want ErrRepoNotFound", err)
+			}
+			if err := stale.Train(); !errors.Is(err, ErrRepoNotFound) {
+				t.Errorf("train of a closed repository: err = %v, want ErrRepoNotFound", err)
+			}
+			if stale.IsTrained() {
+				t.Error("a closed repository installed a trained epoch")
+			}
+			tc.check(t, svc, opts.Dir)
+		})
+	}
+}
+
+// holdsOnlyKeep checks that repository "r" of svc holds "keep" and nothing
+// written after it was closed.
+func holdsOnlyKeep(t *testing.T, svc *Service) {
+	t.Helper()
+	repo, release, err := svc.Acquire("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if _, _, err := repo.Get("keep"); err != nil {
+		t.Errorf("acknowledged object lost: %v", err)
+	}
+	if _, _, err := repo.Get("late"); !errors.Is(err, ErrUnknownObject) {
+		t.Errorf("refused update stored: err = %v", err)
+	}
+	if repo.Size() != 1 || repo.IsTrained() {
+		t.Errorf("repository holds %d objects (trained %v), want only keep, untrained", repo.Size(), repo.IsTrained())
+	}
+}
+
+// isGone checks that svc no longer hosts repository "r".
+func isGone(t *testing.T, svc *Service) {
+	t.Helper()
+	if _, _, err := svc.Acquire("r"); !errors.Is(err, ErrRepoNotFound) {
+		t.Errorf("acquire after drop: err = %v, want ErrRepoNotFound", err)
+	}
+}
+
+// TestClosedRepositoryRacingWritersLoseNothing: writers keep going through
+// one handle while the service evicts the repository under them. Each write
+// is either acknowledged — and then found after re-activation — or refused
+// with ErrRepoNotFound; none is acknowledged and lost.
+func TestClosedRepositoryRacingWritersLoseNothing(t *testing.T) {
+	const writers, perWriter = 4, 25
+	c := testClient(t)
+	svc, _, err := OpenService(ServiceOptions{Dir: t.TempDir(), Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	if _, err := svc.CreateRepository("r", smallRepoOptions()); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := svc.Repository("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := make([][]*Update, writers)
+	for w := range ups {
+		for i := 0; i < perWriter; i++ {
+			ups[w] = append(ups[w], textUpdate(t, c, fmt.Sprintf("w%d-%02d", w, i), i%4+1))
+		}
+	}
+	acked := make([][]string, writers)
+	var wg sync.WaitGroup
+	for w := range ups {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, up := range ups[w] {
+				switch err := stale.Update(up); {
+				case err == nil:
+					acked[w] = append(acked[w], up.ObjectID)
+				case !errors.Is(err, ErrRepoNotFound):
+					t.Errorf("update %s: %v", up.ObjectID, err)
+				}
+			}
+		}(w)
+	}
+	if err := svc.EvictRepository("r"); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	repo, release, err := svc.Acquire("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	n := 0
+	for _, ids := range acked {
+		for _, id := range ids {
+			if _, _, err := repo.Get(id); err != nil {
+				t.Errorf("acknowledged %s lost: %v", id, err)
+			}
+		}
+		n += len(ids)
+	}
+	if repo.Size() != n {
+		t.Errorf("re-activated repository holds %d objects, %d were acknowledged", repo.Size(), n)
+	}
+}

@@ -86,85 +86,70 @@ var ErrUnknownObject = errors.New("core: unknown object")
 // length.
 var ErrEncodingLength = errors.New("core: dense encoding length mismatch")
 
-// RepositoryOptions configures the server-side engine of one repository.
+// RepositoryOptions are the public training parameters CLOUD.CreateRepository
+// (Algorithm 5) fixes once for a repository. They are exactly what a create
+// request carries (wire.RepoOptions is this type), so an embedded repository,
+// a remote one and a follower's copy are configured alike. Zero values take
+// the paper's shape. Every repository serves text, image and audio.
 type RepositoryOptions struct {
-	// Modalities the repository accepts; empty means both.
-	Modalities []Modality
-	// Vocab configures visual-word training: a flat k-means selects
-	// Vocab.Words visual words (paper: 1000) and a lookup tree (paper:
-	// branch 10, height 3) is built over them. Zero values take the
-	// paper's shape.
-	Vocab cluster.VocabParams
+	// VocabWords is how many visual words flat k-means selects (paper: 1000).
+	VocabWords int
+	// VocabMaxIter caps the k-means iterations; 0 means the k-means default.
+	VocabMaxIter int
+	// TreeBranch and TreeHeight shape the lookup tree built over the words
+	// (paper: 10 wide, 3 high).
+	TreeBranch int
+	TreeHeight int
+	// TreeSeed seeds both the flat k-means and the lookup tree.
+	TreeSeed int64
 	// TrainingSampleCap bounds how many encodings feed k-means; 0 means
 	// 20000. Training cost is the cloud's to pay, but tests want it tunable.
 	TrainingSampleCap int
 	// FusionCandidates is the per-modality candidate depth fed to rank
 	// fusion before truncating to k; 0 means 10*k.
 	FusionCandidates int
-	// Incremental tunes incremental training and the segmented index.
-	Incremental IncrementalOptions
 }
 
-// IncrementalOptions governs the incremental train/index pipeline: how large
-// the mutable memtable segment may grow, when background compaction merges
-// sealed segments, and how much codebook drift a warm-started refinement may
-// accumulate before Train falls back to a full re-cluster + index rebuild.
-type IncrementalOptions struct {
-	// Disable forces every Train through the full rebuild path (the
-	// pre-incremental behavior). The segmented index layout is kept.
-	Disable bool
-	// DriftThreshold is the normalized mean centroid Hamming shift above
-	// which a refined codebook is rejected and Train re-clusters from
-	// scratch. 0 means 0.15; negative disables the check.
-	DriftThreshold float64
-	// ReassignThreshold is the fraction of delta samples whose nearest word
-	// changed during refinement above which Train re-clusters from scratch.
-	// 0 means 0.5; negative disables the check.
-	ReassignThreshold float64
-	// MemtableCap is the per-index memtable size at which it auto-seals into
-	// an immutable segment; 0 means index.DefaultMemtableCap.
-	MemtableCap int
-	// CompactSegments is the sealed-segment count that triggers background
-	// compaction; 0 means index.DefaultCompactSegments.
-	CompactSegments int
-}
+// Engine constants, variables only so package tests can move them. A
+// warm-started refinement whose normalized mean centroid shift exceeds
+// driftThreshold, or whose fraction of reassigned delta samples exceeds
+// reassignThreshold, is rejected and Train re-clusters from scratch. Each
+// modality's index auto-seals its memtable at memtableCap documents and is
+// compacted in the background at compactSegments sealed segments.
+var (
+	driftThreshold    = 0.15
+	reassignThreshold = 0.5
+	memtableCap       = index.DefaultMemtableCap
+	compactSegments   = index.DefaultCompactSegments
+)
 
-func (o *RepositoryOptions) setDefaults() {
-	if len(o.Modalities) == 0 {
-		o.Modalities = []Modality{ModalityText, ModalityImage, ModalityAudio}
+// WithDefaults returns a copy of o with zero fields replaced by the values
+// NewRepository applies — the normalized form callers compare against
+// Repository.Options to detect a configuration mismatch on re-open.
+func (o RepositoryOptions) WithDefaults() RepositoryOptions {
+	if o.VocabWords == 0 {
+		o.VocabWords = 1000
 	}
-	if o.Vocab.Words == 0 {
-		o.Vocab.Words = 1000
+	if o.TreeBranch == 0 {
+		o.TreeBranch = 10
 	}
-	if o.Vocab.Tree.Branch == 0 {
-		o.Vocab.Tree.Branch = 10
-	}
-	if o.Vocab.Tree.Height == 0 {
-		o.Vocab.Tree.Height = 3
+	if o.TreeHeight == 0 {
+		o.TreeHeight = 3
 	}
 	if o.TrainingSampleCap == 0 {
 		o.TrainingSampleCap = 20000
 	}
-	if o.Incremental.DriftThreshold == 0 {
-		o.Incremental.DriftThreshold = 0.15
-	}
-	if o.Incremental.ReassignThreshold == 0 {
-		o.Incremental.ReassignThreshold = 0.5
-	}
-	if o.Incremental.MemtableCap == 0 {
-		o.Incremental.MemtableCap = index.DefaultMemtableCap
-	}
-	if o.Incremental.CompactSegments == 0 {
-		o.Incremental.CompactSegments = index.DefaultCompactSegments
-	}
+	return o
 }
 
-// WithDefaults returns a copy of o with zero fields replaced by the values
-// NewRepository would apply — the normalized form callers compare against
-// Repository.Options to detect a configuration mismatch on re-open.
-func (o RepositoryOptions) WithDefaults() RepositoryOptions {
-	o.setDefaults()
-	return o
+// vocab is the codebook training shape the options describe.
+func (o RepositoryOptions) vocab() cluster.VocabParams {
+	return cluster.VocabParams{
+		Words:   o.VocabWords,
+		Tree:    cluster.TreeParams{Branch: o.TreeBranch, Height: o.TreeHeight, Seed: o.TreeSeed},
+		Seed:    o.TreeSeed,
+		MaxIter: o.VocabMaxIter,
+	}
 }
 
 // SearchHit is one ranked result returned to the querying user: the
@@ -235,7 +220,9 @@ func (st *repoState) unindex(id string) {
 // one ModalityEngine per media type above it, and an epoch-swapped index set
 // on top. Reads (Get/Search) take no repository-wide lock — they load the
 // current epoch atomically and go through the store's shard locks only.
-// Train never blocks them: it builds codebooks (and, for a full rebuild,
+// Writers are serialized by writeMu; since a scan of the store holds one
+// shard at a time, a write waits for one shard of a long search, not all of
+// it. Train blocks neither: it builds codebooks (and, for a full rebuild,
 // fresh indexes from a store snapshot) off-lock, re-indexes the ids written
 // meanwhile from the store, and swaps the new epoch in atomically.
 type Repository struct {
@@ -271,6 +258,10 @@ type Repository struct {
 	// repository's write-ahead log: every mutation is appended before it is
 	// applied, so an acknowledged write is replayable after a crash.
 	wal *wal.Log
+	// closed (guarded by writeMu) is set by Close. A closed repository
+	// refuses writes and Train installs (errIfClosed): anything it accepted
+	// would be acknowledged and then lost.
+	closed bool
 	// deltaIDs (guarded by writeMu) is the one record of what changed: the
 	// object ids touched by Update/Remove since a Train last took the set
 	// aside. Ids only — what an id holds is read from the store when it is
@@ -360,7 +351,7 @@ func NewRepository(id string, opts RepositoryOptions) (*Repository, error) {
 	if id == "" {
 		return nil, errors.New("core: repository needs an id")
 	}
-	opts.setDefaults()
+	opts = opts.WithDefaults()
 	engines := newEngines(opts)
 	r := &Repository{
 		id:       id,
@@ -472,6 +463,9 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 	}
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
+	if err := r.errIfClosed(); err != nil {
+		return err
+	}
 	// Installs happen under writeMu too, so st is the epoch this update lands
 	// in. Encodings the engine could not compare are refused before anything
 	// is charged or logged.
@@ -614,6 +608,9 @@ func (r *Repository) RemoveContext(ctx context.Context, objectID string) error {
 	defer sp.End()
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
+	if err := r.errIfClosed(); err != nil {
+		return err
+	}
 	st := r.state.Load()
 	if _, exists := r.objects.Get(objectID); exists {
 		if err := r.walAppend(sp, nil, objectID); err != nil {
@@ -630,6 +627,16 @@ func (r *Repository) RemoveContext(ctx context.Context, objectID string) error {
 	}
 	r.met.objects.Set(int64(r.objects.Len()))
 	r.leak.recordRemove(objectID)
+	return nil
+}
+
+// errIfClosed refuses a mutation of a closed repository with an error that
+// matches ErrRepoNotFound: the handle is stale, and the caller must look the
+// repository up again. Callers hold writeMu.
+func (r *Repository) errIfClosed() error {
+	if r.closed {
+		return fmt.Errorf("%w: %s is closed", ErrRepoNotFound, r.id)
+	}
 	return nil
 }
 
@@ -734,11 +741,11 @@ func (r *Repository) revealAccess(objectID string) {
 //     refined from the encodings of the taken-aside objects only (mini-batch
 //     k-means seeded with the previous centroids): cost proportional to the
 //     churn, not the corpus. When that is impossible (untrained, or a
-//     modality has data but no codebook yet), disabled, or drifted past
-//     Incremental.DriftThreshold/ReassignThreshold, flat k-means re-clusters
-//     the stored Dense-DPE encodings of a sorted store snapshot — in Hamming
-//     space, since that is what the encodings preserve — and a lookup tree is
-//     built over the words. Sparse modalities need no training.
+//     modality has data but no codebook yet) or drifted past driftThreshold
+//     or reassignThreshold, flat k-means re-clusters the stored Dense-DPE
+//     encodings of a sorted store snapshot — in Hamming space, since that is
+//     what the encodings preserve — and a lookup tree is built over the
+//     words. Sparse modalities need no training.
 //  3. Indexes, off-lock: an incremental run carries the serving epoch's
 //     indexes forward; a full run bulk-builds fresh ones from the snapshot.
 //  4. Re-index, under writeMu: every id the run must account for is removed
@@ -786,11 +793,10 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 	}()
 	info := &TrainInfo{Epoch: cur.epoch + 1, Mode: "full"}
 
-	// Step 2 — codebooks: refine from the delta where that is possible and
-	// allowed. Removed objects contribute no encodings; step 4 drops their
-	// postings.
+	// Step 2 — codebooks: refine from the delta where that is possible.
+	// Removed objects contribute no encodings; step 4 drops their postings.
 	var engines []ModalityEngine
-	if cur.trained && !r.opts.Incremental.Disable {
+	if cur.trained {
 		delta := make(map[string]*storedObject, len(taken))
 		for id := range taken {
 			if obj, ok := r.objects.Get(id); ok {
@@ -804,7 +810,7 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 		if refined != nil {
 			r.met.driftPermille.Set(int64(drift.MeanShift * 1000))
 			info.Drift = drift
-			if drift.Exceeds(r.opts.Incremental.DriftThreshold, r.opts.Incremental.ReassignThreshold) {
+			if drift.Exceeds(driftThreshold, reassignThreshold) {
 				// The delta pulled the codebook too far from the epoch the
 				// standing postings were quantized under: re-cluster.
 				r.met.driftFallbacks.Inc()
@@ -856,9 +862,12 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 		r.mergeDelta(taken)
 		info.DeltaDocs = len(r.deltaIDs)
 	}
-	rsp := sp.Child("reindex")
-	err := r.reindex(next, r.deltaIDs)
-	rsp.End()
+	err := r.errIfClosed()
+	if err == nil {
+		rsp := sp.Child("reindex")
+		err = r.reindex(next, r.deltaIDs)
+		rsp.End()
+	}
 	if err != nil {
 		r.writeMu.Unlock()
 		discard()
@@ -1151,8 +1160,8 @@ func (r *Repository) buildIndexes(engines []ModalityEngine, snap map[string]*sto
 // segmentation knobs, wiring auto-seal to the background compactor.
 func (r *Repository) newIndex() *index.Segmented {
 	return index.NewSegmented(index.SegmentedOptions{
-		MemtableCap:     r.opts.Incremental.MemtableCap,
-		CompactSegments: r.opts.Incremental.CompactSegments,
+		MemtableCap:     memtableCap,
+		CompactSegments: compactSegments,
 		OnSeal:          r.requestCompaction,
 	})
 }
@@ -1282,7 +1291,8 @@ func (r *Repository) searchModality(st *repoState, i int, eng ModalityEngine, q 
 	return st.indexes[i].Search(terms, depth), nil
 }
 
-// Close closes the indexes and the write-ahead log. Any in-flight background
+// Close closes the indexes and the write-ahead log; from then on Update,
+// Remove and a Train's install fail (errIfClosed). Any in-flight background
 // compaction is waited out first, so no merge races the teardown.
 func (r *Repository) Close() error {
 	r.compactMu.Lock()
@@ -1291,6 +1301,7 @@ func (r *Repository) Close() error {
 	r.compactWG.Wait()
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
+	r.closed = true
 	closeIndexes(r.state.Load().indexes)
 	if r.wal == nil {
 		return nil

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"mie/internal/cluster"
 	"mie/internal/dpe"
 	"mie/internal/index"
 	"mie/internal/obs"
@@ -41,7 +42,7 @@ type snapshotObject struct {
 type snapshot struct {
 	Magic      string
 	ID         string
-	Opts       RepositoryOptions
+	Opts       snapshotOptions
 	Objects    []snapshotObject
 	Trained    bool
 	VocabWords []vec.BitVec
@@ -50,6 +51,30 @@ type snapshot struct {
 	// postings grouped by segment (memtable last). Nil in pre-segmented
 	// snapshots.
 	IndexSegments [][][]index.BatchDoc
+}
+
+// snapshotOptions is the on-disk form of RepositoryOptions, under the field
+// names images have always used (gob matches fields by name): Vocab is the
+// codebook shape, with TreeSeed written into both of its seeds. Older images
+// also hold Modalities, Incremental and ANN fields, which gob skips, and may
+// hold two different seeds; Vocab.Tree.Seed is the one read back, because
+// restore rebuilds the lookup tree from it.
+type snapshotOptions struct {
+	Vocab             cluster.VocabParams
+	TrainingSampleCap int
+	FusionCandidates  int
+}
+
+func (o snapshotOptions) options() RepositoryOptions {
+	return RepositoryOptions{
+		VocabWords:        o.Vocab.Words,
+		VocabMaxIter:      o.Vocab.MaxIter,
+		TreeBranch:        o.Vocab.Tree.Branch,
+		TreeHeight:        o.Vocab.Tree.Height,
+		TreeSeed:          o.Vocab.Tree.Seed,
+		TrainingSampleCap: o.TrainingSampleCap,
+		FusionCandidates:  o.FusionCandidates,
+	}
 }
 
 // Snapshot serializes the repository's durable state to w. Safe to call
@@ -70,7 +95,7 @@ func (r *Repository) snapshotLocked(w io.Writer) error {
 	snap := snapshot{
 		Magic:   snapshotMagic,
 		ID:      r.id,
-		Opts:    r.opts,
+		Opts:    snapshotOptions{r.opts.vocab(), r.opts.TrainingSampleCap, r.opts.FusionCandidates},
 		Trained: st.trained,
 	}
 	r.objects.Range(func(id string, obj *storedObject) bool {
@@ -126,7 +151,7 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 	if snap.Magic != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, snap.Magic)
 	}
-	r, err := NewRepository(snap.ID, snap.Opts)
+	r, err := NewRepository(snap.ID, snap.Opts.options())
 	if err != nil {
 		return nil, err
 	}

@@ -145,11 +145,9 @@ func TestTrainReindexMatchesSequentialOracle(t *testing.T) {
 	t.Run("full", func(t *testing.T) { trainReindexOracle(t, true) })
 }
 
-func trainReindexOracle(t *testing.T, disableIncremental bool) {
+func trainReindexOracle(t *testing.T, full bool) {
 	c := testClient(t)
-	opts := smallRepoOptions()
-	opts.Incremental.Disable = disableIncremental
-	r, err := NewRepository("stress", opts)
+	r, err := NewRepository("stress", smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +155,18 @@ func trainReindexOracle(t *testing.T, disableIncremental bool) {
 	fillRepo(t, c, r, 3, 3)
 	if err := r.Train(); err != nil {
 		t.Fatal(err)
+	}
+	// For the full mode, images of a class the codebook never saw, under a
+	// hair-trigger drift guard, send the held Train down the full path.
+	var drifted []*Object
+	if full {
+		withDriftGuards(t, 1e-9, -1)
+		for i := 0; i < 4; i++ {
+			drifted = append(drifted, testObject(7, i))
+		}
+	}
+	for _, obj := range drifted {
+		putObject(t, c, r, obj)
 	}
 
 	// Pre-build every writer's script sequentially (PrepareUpdate involves
@@ -256,7 +266,7 @@ func trainReindexOracle(t *testing.T, disableIncremental bool) {
 	if err := <-trainDone; err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	if got, want := r.LastTrain().Mode == "full", disableIncremental; got != want {
+	if got, want := r.LastTrain().Mode == "full", full; got != want {
 		t.Fatalf("held train resolved as %q", r.LastTrain().Mode)
 	}
 
@@ -267,6 +277,9 @@ func trainReindexOracle(t *testing.T, disableIncremental bool) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, oracle, 3, 3)
+	for _, obj := range drifted {
+		putObject(t, c, oracle, obj)
+	}
 	for id, up := range final {
 		if err := oracle.Update(up); err != nil {
 			t.Fatalf("oracle update %s: %v", id, err)

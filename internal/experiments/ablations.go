@@ -49,7 +49,7 @@ func mieMAPWithParams(cfg Config, set *dataset.HolidaysSet, dense dpe.DenseParam
 	if err != nil {
 		return 0, err
 	}
-	repo, err := core.NewRepository(repoID, core.RepositoryOptions{Vocab: cfg.vocab()})
+	repo, err := core.NewRepository(repoID, cfg.repoOptions())
 	if err != nil {
 		return 0, err
 	}

@@ -47,9 +47,7 @@ func AttackExperiment(cfg Config) ([]AttackRow, error) {
 		return nil, err
 	}
 	defer func() { _ = os.RemoveAll(dir) }()
-	svc, repo, recorder, err := attack.OpenTarget(dir, "attack-target", core.RepositoryOptions{
-		Modalities: []core.Modality{core.ModalityText},
-	})
+	svc, repo, recorder, err := attack.OpenTarget(dir, "attack-target", core.RepositoryOptions{})
 	if err != nil {
 		return nil, err
 	}

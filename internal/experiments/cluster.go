@@ -371,7 +371,7 @@ func clusterSeed(cfg Config, conn *client.Conn, repoIDs []string, objects int) (
 	}
 	acked := make(map[string][]string, len(repoIDs))
 	var queries []*core.Query
-	ropts := wireOpts(cfg)
+	ropts := cfg.repoOptions()
 	for r, repoID := range repoIDs {
 		if err := conn.CreateRepository(ctx, repoID, ropts); err != nil {
 			return nil, nil, fmt.Errorf("create %s: %w", repoID, err)
@@ -540,7 +540,7 @@ func clusterFailoverPhase(cfg Config, dir string, report *ClusterReport) (err er
 	defer func() { _ = conn.Close() }()
 
 	const repoID = "failover-repo"
-	if err := conn.CreateRepository(ctx, repoID, wireOpts(cfg)); err != nil {
+	if err := conn.CreateRepository(ctx, repoID, cfg.repoOptions()); err != nil {
 		return err
 	}
 

@@ -148,7 +148,7 @@ func TestClusterKillMatrixEveryBoundary(t *testing.T) {
 			}
 			defer func() { _ = conn.Close() }()
 			const repoID = "kill-matrix"
-			if err := conn.CreateRepository(context.Background(), repoID, wireOpts(cfg)); err != nil {
+			if err := conn.CreateRepository(context.Background(), repoID, cfg.repoOptions()); err != nil {
 				t.Fatal(err)
 			}
 			l := newLedger(t, cfg, conn, repoID)
@@ -207,7 +207,7 @@ func TestClusterTornLeaderWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = conn.Close() }()
-		if err := conn.CreateRepository(context.Background(), repoID, wireOpts(cfg)); err != nil {
+		if err := conn.CreateRepository(context.Background(), repoID, cfg.repoOptions()); err != nil {
 			t.Fatal(err)
 		}
 		l := newLedger(t, cfg, conn, repoID)
@@ -235,7 +235,7 @@ func TestClusterTornLeaderWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if err := conn.CreateRepository(context.Background(), repoID, wireOpts(cfg)); err != nil {
+	if err := conn.CreateRepository(context.Background(), repoID, cfg.repoOptions()); err != nil {
 		t.Fatal(err)
 	}
 	l := newLedger(t, cfg, conn, repoID)
@@ -292,7 +292,7 @@ func TestClusterPartitionHealResume(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }()
 	const repoID = "split-brain"
-	if err := conn.CreateRepository(context.Background(), repoID, wireOpts(cfg)); err != nil {
+	if err := conn.CreateRepository(context.Background(), repoID, cfg.repoOptions()); err != nil {
 		t.Fatal(err)
 	}
 	l := newLedger(t, cfg, conn, repoID)
@@ -349,7 +349,7 @@ func TestClusterSearchDuringReplayStress(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }()
 	const repoID = "replay-stress"
-	if err := conn.CreateRepository(context.Background(), repoID, wireOpts(cfg)); err != nil {
+	if err := conn.CreateRepository(context.Background(), repoID, cfg.repoOptions()); err != nil {
 		t.Fatal(err)
 	}
 	l := newLedger(t, cfg, conn, repoID)
@@ -422,7 +422,7 @@ func TestClusterRouterFailoverToFollower(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }()
 	const repoID = "leaderless-reads"
-	if err := conn.CreateRepository(context.Background(), repoID, wireOpts(cfg)); err != nil {
+	if err := conn.CreateRepository(context.Background(), repoID, cfg.repoOptions()); err != nil {
 		t.Fatal(err)
 	}
 	l := newLedger(t, cfg, conn, repoID)

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"mie/internal/cluster"
+	"mie/internal/core"
 	"mie/internal/imaging"
 )
 
@@ -173,6 +174,18 @@ func (c Config) pyramid() imaging.PyramidParams {
 
 func (c Config) tree() cluster.TreeParams {
 	return cluster.TreeParams{Branch: c.TreeBranch, Height: c.TreeHeight, Seed: c.Seed}
+}
+
+// repoOptions are the MIE repository's engine parameters: the same codebook
+// shape vocab gives the baselines.
+func (c Config) repoOptions() core.RepositoryOptions {
+	return core.RepositoryOptions{
+		VocabWords:   c.Words,
+		VocabMaxIter: c.TrainIters,
+		TreeBranch:   c.TreeBranch,
+		TreeHeight:   c.TreeHeight,
+		TreeSeed:     c.Seed,
+	}
 }
 
 func (c Config) vocab() cluster.VocabParams {

@@ -23,10 +23,11 @@ type IncrementalReport struct {
 	ChurnDocs     int     `json:"churn_docs"`
 	ChurnFraction float64 `json:"churn_fraction"`
 	// InitialTrainMs is the first Train over the base corpus — always a
-	// full build, identical for both pipelines.
+	// full build.
 	InitialTrainMs float64 `json:"initial_train_ms"`
-	// FullRetrainMs is the second Train with IncrementalOptions.Disable
-	// set: re-cluster everything, rebuild every index.
+	// FullRetrainMs is the full path over the post-churn corpus: one Train
+	// of a fresh repository holding the same objects, which re-clusters
+	// everything and builds every index, as a full retrain does.
 	FullRetrainMs float64 `json:"full_retrain_ms"`
 	// IncrementalRetrainMs is the same churn retrained through the
 	// incremental path: warm-started codebook refinement over the delta,
@@ -60,9 +61,10 @@ type IncrementalReport struct {
 
 // IncrementalExperiment measures the tentpole claim of the segmented-index
 // refactor: after a ~10% churn, Train should cost a small delta pass, not a
-// full rebuild. Two identical repositories ingest the same Holidays corpus
-// and the same churn; one retrains incrementally, the other is forced
-// through the legacy full path, and both answer the same queries.
+// full rebuild. One repository ingests the Holidays corpus, trains, takes the
+// churn and retrains incrementally; a fresh repository holding the same
+// post-churn objects trains once, the full path; both answer the same
+// queries.
 func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 	set := dataset.Holidays(dataset.HolidaysParams{
 		Groups:    cfg.HolidayGroups,
@@ -95,55 +97,42 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 		return nil, fmt.Errorf("experiments: churn sample too small: %d < %d", len(extra.Objects), additions)
 	}
 
-	inc, err := newMIERepo(cfg, nil, "inc-train", core.RepositoryOptions{Vocab: cfg.vocab()})
+	inc, err := newMIE(cfg, nil, "inc-train")
 	if err != nil {
 		return nil, err
 	}
-	full, err := newMIERepo(cfg, nil, "inc-rebuild", core.RepositoryOptions{
-		Vocab:       cfg.vocab(),
-		Incremental: core.IncrementalOptions{Disable: true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	stacks := []*mieStack{inc, full}
-
-	report := &IncrementalReport{ChurnDocs: churn}
-	for _, s := range stacks {
-		for _, obj := range set.Objects {
-			if err := s.add(obj); err != nil {
-				return nil, err
-			}
-		}
-		t0 := time.Now()
-		if err := s.repo.Train(); err != nil {
+	for _, obj := range set.Objects {
+		if err := inc.add(obj); err != nil {
 			return nil, err
 		}
-		if s == inc {
-			report.InitialTrainMs = ms(time.Since(t0))
-		}
 	}
+	t0 := time.Now()
+	if err := inc.repo.Train(); err != nil {
+		return nil, err
+	}
+	report := &IncrementalReport{ChurnDocs: churn, InitialTrainMs: ms(time.Since(t0))}
 
-	// Apply the identical churn to both repositories.
-	for _, s := range stacks {
-		for i := 0; i < additions; i++ {
-			obj := *extra.Objects[i]
-			obj.ID = fmt.Sprintf("churn-%d", i)
-			if err := s.add(&obj); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < replacements; i++ {
-			j := (i * len(set.Objects)) / replacements
-			if err := s.add(set.Objects[j]); err != nil {
-				return nil, err
-			}
+	// The churn: fresh uploads under new ids, then re-uploads of existing
+	// objects.
+	fresh := make([]*core.Object, additions)
+	for i := range fresh {
+		obj := *extra.Objects[i]
+		obj.ID = fmt.Sprintf("churn-%d", i)
+		fresh[i] = &obj
+	}
+	churned := append([]*core.Object(nil), fresh...)
+	for i := 0; i < replacements; i++ {
+		churned = append(churned, set.Objects[(i*len(set.Objects))/replacements])
+	}
+	for _, obj := range churned {
+		if err := inc.add(obj); err != nil {
+			return nil, err
 		}
 	}
 	report.Corpus = inc.repo.Size()
 	report.ChurnFraction = float64(churn) / float64(report.Corpus)
 
-	t0 := time.Now()
+	t0 = time.Now()
 	if err := inc.repo.Train(); err != nil {
 		return nil, err
 	}
@@ -153,6 +142,20 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 		report.DeltaDocs = info.DeltaDocs
 		report.DriftMeanShift = info.Drift.MeanShift
 		report.DriftReassigned = info.Drift.ReassignedFraction
+	}
+
+	// The full-rebuild baseline: a fresh repository holding the same
+	// post-churn objects, trained once. Train re-clusters a sorted snapshot
+	// of the store with the repository's fixed seed, so this is the codebook
+	// and the postings a full retrain of inc would build.
+	full, err := newMIE(cfg, nil, "inc-rebuild")
+	if err != nil {
+		return nil, err
+	}
+	for _, obj := range append(set.Objects[:len(set.Objects):len(set.Objects)], fresh...) {
+		if err := full.add(obj); err != nil {
+			return nil, err
+		}
 	}
 	t0 = time.Now()
 	if err := full.repo.Train(); err != nil {

@@ -13,7 +13,6 @@ import (
 	"mie/internal/dpe"
 	"mie/internal/imaging"
 	"mie/internal/server"
-	"mie/internal/wire"
 )
 
 // MultiUserRow is one client's bar of Figure 4: per-category cost when two
@@ -47,7 +46,7 @@ func MultiUserExperiment(cfg Config) ([]MultiUserRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bootstrap.CreateRepository(context.Background(), "fig4", wireOpts(cfg)); err != nil {
+	if err := bootstrap.CreateRepository(context.Background(), "fig4", cfg.repoOptions()); err != nil {
 		return nil, err
 	}
 	if err := bootstrap.Close(); err != nil {
@@ -115,14 +114,4 @@ func runMultiUserClient(cfg Config, addr string, p device.Profile, id int) (Mult
 		Index:   meter.Time(device.Index),
 		Total:   meter.Total(),
 	}, nil
-}
-
-func wireOpts(cfg Config) wire.RepoOptions {
-	return wire.RepoOptions{
-		VocabWords:   cfg.Words,
-		VocabMaxIter: cfg.TrainIters,
-		TreeBranch:   cfg.TreeBranch,
-		TreeHeight:   cfg.TreeHeight,
-		TreeSeed:     cfg.Seed,
-	}
 }

@@ -73,17 +73,11 @@ type mieStack struct {
 }
 
 func newMIE(cfg Config, meter *device.Meter, repoID string) (*mieStack, error) {
-	return newMIERepo(cfg, meter, repoID, core.RepositoryOptions{Vocab: cfg.vocab()})
-}
-
-// newMIERepo is newMIE with explicit repository options — the incremental
-// experiment needs two stacks that differ only in IncrementalOptions.
-func newMIERepo(cfg Config, meter *device.Meter, repoID string, ropts core.RepositoryOptions) (*mieStack, error) {
 	client, err := newMIEClient(cfg, meter)
 	if err != nil {
 		return nil, err
 	}
-	repo, err := core.NewRepository(repoID, ropts)
+	repo, err := core.NewRepository(repoID, cfg.repoOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -119,7 +119,7 @@ func TenancyExperiment(cfg Config, dir string) (*TenancyReport, error) {
 		return nil, err
 	}
 	report := &TenancyReport{Seed: cfg.Seed, Repos: n, MemoryBudgetBytes: tenancyMemoryBudget}
-	ropts := core.RepositoryOptions{Vocab: cfg.vocab()}
+	ropts := cfg.repoOptions()
 
 	// acked maps repository id -> object ids whose writes were acknowledged;
 	// the read-back sweep at the end must find every one of them.

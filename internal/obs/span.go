@@ -51,7 +51,7 @@ func StartSpan(ctx context.Context, reg *Registry, name string) (context.Context
 	s := &Span{reg: reg, path: name, start: timeNow()}
 	if at := traceFrom(ctx); at != nil {
 		s.tr = at
-		s.id = newSpanID()
+		s.id = newID()
 		if parent := SpanFromContext(ctx); parent != nil && parent.tr == at {
 			s.parentID = parent.id
 		} else if at.rootID.Load() == 0 {
@@ -75,7 +75,7 @@ func (s *Span) Child(name string) *Span {
 	c := &Span{reg: s.reg, path: s.path + "/" + name, start: timeNow()}
 	if s.tr != nil {
 		c.tr = s.tr
-		c.id = newSpanID()
+		c.id = newID()
 		c.parentID = s.id
 	}
 	return c

@@ -51,17 +51,8 @@ var idRand = func() *mrand.Rand {
 
 var idMu sync.Mutex
 
-func newTraceID() uint64 {
-	idMu.Lock()
-	defer idMu.Unlock()
-	for {
-		if id := idRand.Uint64(); id != 0 {
-			return id
-		}
-	}
-}
-
-func newSpanID() uint64 {
+// newID draws a nonzero trace or span id.
+func newID() uint64 {
 	idMu.Lock()
 	defer idMu.Unlock()
 	for {
@@ -365,7 +356,7 @@ func (t *Tracer) begin(ctx context.Context, traceID, remoteParent uint64, sample
 		return ctx, nil
 	}
 	if traceID == 0 {
-		traceID = newTraceID()
+		traceID = newID()
 	}
 	at := &ActiveTrace{
 		tracer:       t,

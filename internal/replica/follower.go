@@ -417,7 +417,7 @@ func (s *session) applyCatalog(rec *wire.ReplRecord) error {
 	}
 	switch rec.Kind {
 	case wire.ReplCreate:
-		_, err := s.f.svc.CreateRepository(ev.RepoID, ev.Opts.ToCore())
+		_, err := s.f.svc.CreateRepository(ev.RepoID, ev.Opts)
 		if err != nil && !errors.Is(err, core.ErrRepoExists) {
 			return fmt.Errorf("create %q: %w", ev.RepoID, err)
 		}

@@ -438,7 +438,7 @@ func (h *Hub) snapshotRecord(repoID string, st *stream) (*wire.ReplRecord, error
 // create so the follower can mirror it, zero options on a drop. The
 // follower's applyCatalog decodes it.
 func catalogPayload(id string, opts core.RepositoryOptions) []byte {
-	env, err := wire.NewEnvelope(wire.KindCreateRepo, "", 0, 0, wire.CreateRepoReq{RepoID: id, Opts: wire.FromCore(opts)})
+	env, err := wire.NewEnvelope(wire.KindCreateRepo, "", 0, 0, wire.CreateRepoReq{RepoID: id, Opts: opts})
 	if err != nil {
 		panic("replica: CreateRepoReq has no binary form: " + err.Error()) // a bug in wire's codec table, not an input
 	}

@@ -176,7 +176,7 @@ func TestExpiredDeadlineNeverReachesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	repo, err := svc.CreateRepository("r", smallOpts().ToCore())
+	repo, err := svc.CreateRepository("r", smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestEveryKindSpanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	if _, err := svc.CreateRepository("r", smallOpts().ToCore()); err != nil {
+	if _, err := svc.CreateRepository("r", smallOpts()); err != nil {
 		t.Fatal(err)
 	}
 	traceID := uint64(0x7000)

@@ -22,7 +22,7 @@ import (
 // rank or score.
 func TestWirePathMatchesInProcess(t *testing.T) {
 	local := memSvc(t)
-	localRepo, err := local.CreateRepository("parity", smallOpts().ToCore())
+	localRepo, err := local.CreateRepository("parity", smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

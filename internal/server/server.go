@@ -563,7 +563,7 @@ func onRepo[Q, R any, PR responsePtr[R]](run func(ctx context.Context, repo *cor
 // any repository and outside tenant quotas.
 var handlers = map[string]handler{
 	wire.KindCreateRepo: on(func(_ context.Context, svc *core.Service, _ string, req *wire.CreateRepoReq, _ *wire.Ack) error {
-		_, err := svc.CreateRepository(req.RepoID, req.Opts.ToCore())
+		_, err := svc.CreateRepository(req.RepoID, req.Opts)
 		return err
 	}),
 	// Blocking semantics on top of the async job table: start (or join) a

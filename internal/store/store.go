@@ -1,9 +1,10 @@
 // Package store provides the repository engine's storage substrate: a
-// string-keyed, N-way sharded concurrent map. Splitting the flat object map
-// into independently locked shards removes the single point of contention
-// the old repository-wide RWMutex created under the paper's Figure 4
-// multi-writer workload — writers touching different objects proceed in
-// parallel, and readers never contend with writers on other shards.
+// string-keyed, N-way sharded concurrent map. The repository serializes its
+// writers itself, so sharding does not make writes parallel; what it buys is
+// that a scan never holds the whole map. Range and Items lock one shard at a
+// time, so a writer waits for at most one shard of a long scan — the
+// untrained exact search, which walks every stored encoding, or Train's
+// snapshot of the store — instead of all of it.
 //
 // The package is deliberately generic and knows nothing about MIE: it is the
 // storage layer under internal/core's modality engines, mirroring how the

@@ -199,16 +199,9 @@ type (
 		RepoID string
 		Opts   RepoOptions
 	}
-	// RepoOptions is the serializable subset of core.RepositoryOptions.
-	RepoOptions struct {
-		VocabWords        int
-		VocabMaxIter      int
-		TreeBranch        int
-		TreeHeight        int
-		TreeSeed          int64
-		TrainingSampleCap int
-		FusionCandidates  int
-	}
+	// RepoOptions are a repository's engine parameters: the engine's own
+	// options type, all of which a create request carries.
+	RepoOptions = core.RepositoryOptions
 	// TrainReq triggers server-side training: synchronously for KindTrain
 	// and asynchronously for KindTrainStart.
 	TrainReq struct {
@@ -394,34 +387,6 @@ func (s *Status) Failure() *Status {
 		return nil
 	}
 	return s
-}
-
-// ToCore converts wire options into engine options.
-func (o RepoOptions) ToCore() core.RepositoryOptions {
-	opts := core.RepositoryOptions{
-		TrainingSampleCap: o.TrainingSampleCap,
-		FusionCandidates:  o.FusionCandidates,
-	}
-	opts.Vocab.Words = o.VocabWords
-	opts.Vocab.MaxIter = o.VocabMaxIter
-	opts.Vocab.Seed = o.TreeSeed
-	opts.Vocab.Tree.Branch = o.TreeBranch
-	opts.Vocab.Tree.Height = o.TreeHeight
-	opts.Vocab.Tree.Seed = o.TreeSeed
-	return opts
-}
-
-// FromCore converts engine options into their wire representation.
-func FromCore(opts core.RepositoryOptions) RepoOptions {
-	return RepoOptions{
-		VocabWords:        opts.Vocab.Words,
-		VocabMaxIter:      opts.Vocab.MaxIter,
-		TreeBranch:        opts.Vocab.Tree.Branch,
-		TreeHeight:        opts.Vocab.Tree.Height,
-		TreeSeed:          opts.Vocab.Seed,
-		TrainingSampleCap: opts.TrainingSampleCap,
-		FusionCandidates:  opts.FusionCandidates,
-	}
 }
 
 // kindInfo is one row of the kind table: everything the transport tier

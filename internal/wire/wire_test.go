@@ -259,27 +259,6 @@ func TestRepoIDPeek(t *testing.T) {
 	}
 }
 
-func TestRepoOptionsToCore(t *testing.T) {
-	opts := RepoOptions{VocabWords: 500, VocabMaxIter: 7, TreeBranch: 4, TreeHeight: 2, TreeSeed: 9, TrainingSampleCap: 100, FusionCandidates: 30}
-	c := opts.ToCore()
-	if c.Vocab.Words != 500 || c.Vocab.MaxIter != 7 || c.Vocab.Seed != 9 {
-		t.Errorf("vocab params lost: %+v", c.Vocab)
-	}
-	if c.Vocab.Tree.Branch != 4 || c.Vocab.Tree.Height != 2 || c.Vocab.Tree.Seed != 9 {
-		t.Errorf("tree params lost: %+v", c.Vocab.Tree)
-	}
-	if c.TrainingSampleCap != 100 || c.FusionCandidates != 30 {
-		t.Errorf("caps lost: %+v", c)
-	}
-}
-
-func TestRepoOptionsFromCoreRoundTrip(t *testing.T) {
-	w := RepoOptions{VocabWords: 500, VocabMaxIter: 7, TreeBranch: 4, TreeHeight: 2, TreeSeed: 9, TrainingSampleCap: 100, FusionCandidates: 30}
-	if got := FromCore(w.ToCore()); got != w {
-		t.Errorf("FromCore(ToCore(w)) = %+v, want %+v", got, w)
-	}
-}
-
 func TestDecodeWrongType(t *testing.T) {
 	var buf bytes.Buffer
 	writeFrame(t, &buf, KindAck, Ack{Status{Err: "x"}})

@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"time"
 
 	"mie/internal/audio"
@@ -44,7 +43,6 @@ import (
 	"mie/internal/imaging"
 	"mie/internal/obs"
 	"mie/internal/server"
-	"mie/internal/wire"
 )
 
 // Re-exported core types; see the internal packages for full documentation.
@@ -301,7 +299,7 @@ func openLocal(opts Options) (Repository, error) {
 		return nil, err
 	}
 	h := &localRepo{client: opts.Client, repo: repo, release: release}
-	if existed && !reflect.DeepEqual(repo.Options(), opts.Repo.WithDefaults()) {
+	if existed && repo.Options() != opts.Repo.WithDefaults() {
 		return h, fmt.Errorf("mie: repository %q exists with different options: %w",
 			opts.RepoID, ErrRepositoryExists)
 	}
@@ -318,7 +316,7 @@ func openRemote(ctx context.Context, opts Options) (Repository, error) {
 	}
 	r := &remoteRepo{client: opts.Client, conn: conn, repoID: opts.RepoID}
 	if opts.Create {
-		if err := conn.CreateRepository(ctx, opts.RepoID, wire.FromCore(opts.Repo)); err != nil {
+		if err := conn.CreateRepository(ctx, opts.RepoID, opts.Repo); err != nil {
 			// The server classifies the collision with a typed wire code
 			// (client.RemoteError unwraps to core.ErrRepoExists), so the
 			// match is on the code, never on message text. On this path the

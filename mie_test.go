@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"mie/internal/cluster"
 	"mie/internal/dpe"
 	"mie/internal/imaging"
 )
@@ -34,12 +33,7 @@ func smallClientConfig(key RepositoryKey) ClientConfig {
 }
 
 func smallRepoOptions() RepositoryOptions {
-	return RepositoryOptions{Vocab: cluster.VocabParams{
-		Words:   20,
-		Tree:    cluster.TreeParams{Branch: 3, Height: 2, Seed: 1},
-		Seed:    1,
-		MaxIter: 10,
-	}}
+	return RepositoryOptions{VocabWords: 20, VocabMaxIter: 10, TreeBranch: 3, TreeHeight: 2, TreeSeed: 1}
 }
 
 func testClientKey(t *testing.T) *Client {

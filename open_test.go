@@ -8,11 +8,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
-	"mie/internal/cluster"
 	"mie/internal/core"
+	"mie/internal/obs"
+	"mie/internal/replica"
+	"mie/internal/server"
 )
 
 func newTestClient(t *testing.T) *Client {
@@ -48,7 +51,7 @@ func TestOpenLocalCreateConflict(t *testing.T) {
 	// Re-creating with different options reports the sentinel but still
 	// hands back a working handle to the existing repository.
 	other := smallRepoOptions()
-	other.Vocab.Words = 99
+	other.VocabWords = 99
 	r3, err := Open(ctx, Options{Service: svc, Client: c, RepoID: "r", Create: true, Repo: other})
 	if !errors.Is(err, ErrRepositoryExists) {
 		t.Fatalf("mismatched re-create: err = %v, want ErrRepositoryExists", err)
@@ -193,35 +196,51 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
-// zeroFields lists the leaf fields of v that hold their zero value.
-func zeroFields(v reflect.Value, path string) []string {
-	if v.Kind() != reflect.Struct {
-		if v.IsZero() {
-			return []string{path}
-		}
-		return nil
-	}
-	var zero []string
-	for i := 0; i < v.NumField(); i++ {
-		zero = append(zero, zeroFields(v.Field(i), path+"."+v.Type().Field(i).Name)...)
-	}
-	return zero
+// createdOptions is a replication tap that records the options each
+// repository of a service was created with, before anything else (a snapshot
+// install) can replace them.
+type createdOptions struct {
+	mu   sync.Mutex
+	opts map[string]RepositoryOptions
 }
 
+func (c *createdOptions) RepoCreated(id string, opts RepositoryOptions) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.opts[id] = opts
+}
+
+func (c *createdOptions) get(id string) (RepositoryOptions, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	opts, ok := c.opts[id]
+	return opts, ok
+}
+
+func (*createdOptions) RepoDropped(string)            {}
+func (*createdOptions) MutationLogged(string, []byte) {}
+func (*createdOptions) EpochInstalled(string, uint64) {}
+
 // TestRestoreKeepsOptions: every RepositoryOptions field survives every path
-// that rebuilds a repository from its snapshot, so an embedded Open with the
-// creation options still matches the restored repository.
+// that rebuilds a repository — from its snapshot, or on a follower from the
+// leader's catalog stream — so an embedded Open with the creation options
+// still matches the rebuilt repository.
 func TestRestoreKeepsOptions(t *testing.T) {
 	ctx := context.Background()
 	opts := RepositoryOptions{
-		Modalities:        []core.Modality{core.ModalityText, core.ModalityImage},
-		Vocab:             cluster.VocabParams{Words: 12, Tree: cluster.TreeParams{Branch: 2, Height: 3, Seed: 5}, Seed: 3, MaxIter: 7},
+		VocabWords:        12,
+		VocabMaxIter:      7,
+		TreeBranch:        2,
+		TreeHeight:        3,
+		TreeSeed:          5,
 		TrainingSampleCap: 999,
 		FusionCandidates:  17,
-		Incremental:       core.IncrementalOptions{Disable: true, DriftThreshold: 0.3, ReassignThreshold: 0.7, MemtableCap: 5, CompactSegments: 3},
 	}
-	if zero := zeroFields(reflect.ValueOf(opts), "RepositoryOptions"); len(zero) > 0 {
-		t.Fatalf("fields left at their default: %v", zero)
+	v := reflect.ValueOf(opts)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("RepositoryOptions.%s left at its default", v.Type().Field(i).Name)
+		}
 	}
 	want := opts.WithDefaults()
 	check := func(path string, svc *Service) {
@@ -231,7 +250,7 @@ func TestRestoreKeepsOptions(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		defer release()
-		if got := repo.Options(); !reflect.DeepEqual(got, want) {
+		if got := repo.Options(); got != want {
 			t.Errorf("%s: Options()\ngot  %+v\nwant %+v", path, got, want)
 		}
 	}
@@ -260,6 +279,7 @@ func TestRestoreKeepsOptions(t *testing.T) {
 	}
 	_ = h.Close()
 	check("created", svc)
+	catalogFollower(t, svc, want)
 
 	repo, release, err := svc.Acquire("opts")
 	if err != nil {
@@ -275,7 +295,7 @@ func TestRestoreKeepsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.Options(); !reflect.DeepEqual(got, want) {
+	if got := restored.Options(); got != want {
 		t.Errorf("Snapshot -> LoadRepository: Options()\ngot  %+v\nwant %+v", got, want)
 	}
 	if err := svc.Close(); err != nil {
@@ -308,4 +328,51 @@ func TestRestoreKeepsOptions(t *testing.T) {
 		t.Fatalf("Open with the creation options after a restart: %v", err)
 	}
 	_ = h2.Close()
+}
+
+// catalogFollower serves leader through a replication hub and starts a
+// follower on it. The follower learns repository "opts" from the catalog
+// stream and creates it with the options the create record carries; those,
+// and what the follower ends up hosting, must equal want.
+func catalogFollower(t *testing.T, leader *Service, want RepositoryOptions) {
+	t.Helper()
+	srv, err := server.New("127.0.0.1:0", leader, nil, server.WithReplication(replica.NewHub(leader, obs.NewRegistry())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	folSvc, _, err := OpenService(ServiceOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = folSvc.Close() }()
+	created := &createdOptions{opts: make(map[string]RepositoryOptions)}
+	folSvc.SetReplicationTap(created)
+	fol, err := replica.StartFollower(folSvc, srv.Addr(), obs.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got, ok := created.get("opts")
+		if ok {
+			if got != want {
+				t.Errorf("catalog create on the follower: Options()\ngot  %+v\nwant %+v", got, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never created the repository")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	repo, release, err := folSvc.Acquire("opts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if got := repo.Options(); got != want {
+		t.Errorf("follower: Options()\ngot  %+v\nwant %+v", got, want)
+	}
 }

@@ -16,6 +16,9 @@ go vet ./...
 # The commands must also vet clean under the static-networking build tag
 # used for fully static deploy builds.
 go vet -tags netgo ./cmd/...
+# The paper's client runs on a phone: the whole tree must also compile and
+# vet for linux/arm64 (no cgo, no network needed).
+GOOS=linux GOARCH=arm64 go vet ./...
 go build ./...
 # The goroutine-leak sentinel (internal/leakcheck) must stay wired into the
 # connection-lifecycle tests; a silent drop would let Close-path leaks pass.
@@ -58,8 +61,9 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # So are the residency latch paths — create, activation, eviction, a
 # follower's snapshot install racing acquirers and drops, and the quarantine
 # of a repository that failed to load — which share one claim/settle/retire
-# protocol (lifecycle.go).
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded' ./internal/core
+# protocol (lifecycle.go) — and a stale handle to a repository that protocol
+# closed, which must refuse writes instead of acknowledging them.
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed' ./internal/core
 # The leakage ledger stays bounded under 10⁵ operations, the attack's
 # recorder sees exactly the logged record stream, and the restore-failed
 # gauge follows a failed load through its quarantine.
