@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"mie/internal/audio"
 	"mie/internal/crypto"
@@ -149,8 +150,11 @@ func (c *Client) PrepareUpdateContext(ctx context.Context, obj *Object, dataKey 
 	_, sp := obs.StartSpan(ctx, obs.Default(), "client/prepare_update")
 	defer sp.End()
 	esp := sp.Child("extract")
-	hist, descs, audioDescs := c.extractFeatures(obj)
+	hist, descs, audioDescs, err := c.extractFeatures(obj)
 	esp.End()
+	if err != nil {
+		return nil, err
+	}
 	up := &Update{ObjectID: obj.ID, Owner: obj.Owner}
 	var encodeErr error
 	csp := sp.Child("encode")
@@ -196,8 +200,11 @@ func (c *Client) PrepareQueryContext(ctx context.Context, obj *Object, k int) (*
 	_, sp := obs.StartSpan(ctx, obs.Default(), "client/prepare_query")
 	defer sp.End()
 	esp := sp.Child("extract")
-	hist, descs, audioDescs := c.extractFeatures(obj)
+	hist, descs, audioDescs, err := c.extractFeatures(obj)
 	esp.End()
+	if err != nil {
+		return nil, err
+	}
 	q := &Query{K: k}
 	var encodeErr error
 	csp := sp.Child("encode")
@@ -226,8 +233,14 @@ func DecryptObject(ciphertext []byte, dataKey crypto.Key) (*Object, error) {
 	return UnmarshalObject(plain)
 }
 
-// extractFeatures performs the plaintext feature extraction (Index cost).
-func (c *Client) extractFeatures(obj *Object) (text.Histogram, [][]float64, [][]float64) {
+// extractFeatures performs the plaintext feature extraction (Index cost),
+// after refusing an image whose pixels do not match its dimensions.
+func (c *Client) extractFeatures(obj *Object) (text.Histogram, [][]float64, [][]float64, error) {
+	if obj.Image != nil {
+		if err := obj.Image.Validate(); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: %w", err)
+		}
+	}
 	var hist text.Histogram
 	var descs, audioDescs [][]float64
 	c.timeCPU(device.Index, func() {
@@ -241,7 +254,7 @@ func (c *Client) extractFeatures(obj *Object) (text.Histogram, [][]float64, [][]
 			audioDescs = audio.Extract(obj.Audio)
 		}
 	})
-	return hist, descs, audioDescs
+	return hist, descs, audioDescs, nil
 }
 
 func (c *Client) encodeText(hist text.Histogram) map[dpe.Token]uint64 {
@@ -256,11 +269,22 @@ func (c *Client) encodeText(hist text.Histogram) map[dpe.Token]uint64 {
 }
 
 func (c *Client) encodeDense(enc *dpe.Dense, descs [][]float64) ([]vec.BitVec, error) {
-	out, err := enc.EncodeAll(descs)
+	out, err := enc.EncodeAll(descs, c.encodeWorkers())
 	if err != nil {
 		return nil, fmt.Errorf("core: encode: %w", err)
 	}
 	return out, nil
+}
+
+// encodeWorkers is how many goroutines one modality's Dense-DPE encode fans
+// out over: every core, except on a metered client. A Meter charges the wall
+// time of the encode as one core's device work (the figures' Encrypt bars and
+// mAh), which parallel wall time is not, so a metered client encodes serially.
+func (c *Client) encodeWorkers() int {
+	if c.meter != nil {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 func (c *Client) timeCPU(cat device.Category, fn func()) {

@@ -100,13 +100,23 @@ func TestPrepareQueryValidation(t *testing.T) {
 // TestPrepareSurfacesEncodeErrors: a descriptor the Dense-DPE kernel refuses
 // fails the whole prepare with the dpe sentinel still matchable through the
 // core wrap — a non-finite pixel must not turn into codes that depend on the
-// CPU doing the float-to-integer conversion.
+// CPU doing the float-to-integer conversion — and so does an image whose
+// pixels do not match its dimensions, with the imaging sentinel.
 func TestPrepareSurfacesEncodeErrors(t *testing.T) {
 	withPixel := func(v float64) *Object {
 		obj := testObject(0, 1)
 		obj.Image.Pix[5*32+7] = v
 		return obj
 	}
+	withImage := func(im *imaging.Image) *Object {
+		obj := testObject(0, 1)
+		obj.Image = im
+		return obj
+	}
+	// 2^32: W·H wraps to 0 on 64-bit ints, the length of an empty Pix. The
+	// shift is not a constant so the file still builds where int has 32 bits.
+	shift := 32
+	huge := 1 << shift
 	wrongDim, err := NewClient(ClientConfig{
 		Key:     testRepoKey(1),
 		Dense:   dpe.DenseParams{InDim: imaging.DescriptorDim / 2, OutDim: 256, Threshold: 0.5},
@@ -124,6 +134,11 @@ func TestPrepareSurfacesEncodeErrors(t *testing.T) {
 		{"NaN pixel", testClient(t), withPixel(math.NaN()), dpe.ErrNonFinite},
 		{"+Inf pixel", testClient(t), withPixel(math.Inf(1)), dpe.ErrNonFinite},
 		{"descriptor dimension", wrongDim, testObject(0, 1), dpe.ErrBadDimension},
+		{"pixels short of W·H", testClient(t), withImage(&imaging.Image{W: 48, H: 48, Pix: make([]float64, 100)}), imaging.ErrBadImage},
+		{"pixels past W·H", testClient(t), withImage(&imaging.Image{W: 4, H: 4, Pix: make([]float64, 17)}), imaging.ErrBadImage},
+		{"negative width", testClient(t), withImage(&imaging.Image{W: -5, H: 3}), imaging.ErrBadImage},
+		{"zero height", testClient(t), withImage(&imaging.Image{W: 5}), imaging.ErrBadImage},
+		{"W·H overflows to len(Pix)", testClient(t), withImage(&imaging.Image{W: huge, H: huge}), imaging.ErrBadImage},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package dpe
 
 import (
+	"runtime"
 	"testing"
 
 	"mie/internal/vec"
@@ -12,9 +13,10 @@ var benchSink []vec.BitVec
 // run: 29 descriptors of 64 components is one 64x64 image through the dense
 // pyramid, 2048 bits is the spine's and the experiments' code length, 512
 // the NewDense default. "one" is the single-vector entry point Table II and
-// the bench tracer call.
+// the bench tracer call; "all" fans out over GOMAXPROCS workers, as the
+// client's does, so -cpu shows the width's gain.
 func BenchmarkDenseDPEEncode(b *testing.B) {
-	byOne, all := entryPoints[0].encode, entryPoints[1].encode
+	byOne, all := entryPoints[0].encode, encodeAllWith(runtime.GOMAXPROCS(0))
 	for _, bc := range []struct {
 		name   string
 		n, out int

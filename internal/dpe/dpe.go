@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"mie/internal/crypto"
 	"mie/internal/vec"
@@ -163,7 +165,12 @@ func (d *Dense) Encode(p []float64) (vec.BitVec, error) {
 // in the same order, each bit for bit what Encode returns for that vector.
 // All of them are checked before any is encoded, so a bad vector costs no
 // arithmetic or allocation. An empty descs yields nil.
-func (d *Dense) EncodeAll(descs [][]float64) ([]vec.BitVec, error) {
+//
+// The encoding fans out over min(workers, len(descs)) goroutines, the
+// calling one among them; workers below 1 count as 1. Each code is one
+// vector through the same kernel, so the width changes no bit (DESIGN.md §5
+// item 9). Nothing past the checks can fail, so no worker can panic.
+func (d *Dense) EncodeAll(descs [][]float64, workers int) ([]vec.BitVec, error) {
 	for i, p := range descs {
 		if err := d.check(p); err != nil {
 			return nil, fmt.Errorf("descriptor %d: %w", i, err)
@@ -173,10 +180,29 @@ func (d *Dense) EncodeAll(descs [][]float64) ([]vec.BitVec, error) {
 		return nil, nil
 	}
 	out := make([]vec.BitVec, len(descs))
-	for i, p := range descs {
-		out[i] = vec.NewBitVec(d.outDim)
-		d.encode(out[i], p)
+	// Workers claim the next index from a shared counter rather than a fixed
+	// share, so a slow or preempted core holds up at most one vector.
+	var next atomic.Int64
+	run := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(descs) {
+				return
+			}
+			out[i] = vec.NewBitVec(d.outDim)
+			d.encode(out[i], descs[i])
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(descs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 	return out, nil
 }
 

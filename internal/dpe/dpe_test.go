@@ -138,12 +138,20 @@ func TestDenseDistanceEncodingCheck(t *testing.T) {
 	}
 }
 
-// entryPoints are the two ways into the Dense-DPE kernel; every property of
-// the encoding must hold through both.
-var entryPoints = []struct {
+// encodeAllWith is EncodeAll at a fixed width.
+func encodeAllWith(workers int) func(d *Dense, ps [][]float64) ([]vec.BitVec, error) {
+	return func(d *Dense, ps [][]float64) ([]vec.BitVec, error) { return d.EncodeAll(ps, workers) }
+}
+
+// entryPoint is one way into the Dense-DPE kernel, encoding a batch.
+type entryPoint struct {
 	name   string
 	encode func(d *Dense, ps [][]float64) ([]vec.BitVec, error)
-}{
+}
+
+// entryPoints are the two ways into the Dense-DPE kernel; every property of
+// the encoding must hold through both.
+var entryPoints = []entryPoint{
 	{"Encode", func(d *Dense, ps [][]float64) ([]vec.BitVec, error) {
 		out := make([]vec.BitVec, len(ps))
 		for i, p := range ps {
@@ -155,8 +163,13 @@ var entryPoints = []struct {
 		}
 		return out, nil
 	}},
-	{"EncodeAll", (*Dense).EncodeAll},
+	{"EncodeAll", encodeAllWith(1)},
 }
+
+// encodeWidths are the EncodeAll widths the bit-identity tests run at: the
+// serial path, fewer workers than most batches, an odd count, and more
+// workers than any batch holds.
+var encodeWidths = []int{1, 2, 3, 8, 64}
 
 // table2Case is one (key, threshold, entry point, seed) cell of the Table II
 // property tests. Bounds are stated for t = 0.5 and scale with t/0.5.
@@ -458,34 +471,41 @@ func refEncode(d *Dense, p []float64) (vec.BitVec, error) {
 	return e, nil
 }
 
-// checkAgainstReference asserts that EncodeAll(descs), Encode and refEncode
-// agree word for word and that no bit past OutDim is set.
-func checkAgainstReference(t *testing.T, d *Dense, descs [][]float64) {
+// checkAgainstReference asserts that Encode and EncodeAll at every one of
+// widths agree word for word with refEncode and set no bit past OutDim.
+func checkAgainstReference(t *testing.T, d *Dense, descs [][]float64, widths ...int) {
 	t.Helper()
-	all, err := d.EncodeAll(descs)
-	if err != nil {
-		t.Fatal(err)
+	codes := map[string][]vec.BitVec{"Encode": make([]vec.BitVec, len(descs))}
+	for i, p := range descs {
+		e, err := d.Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes["Encode"][i] = e
 	}
-	if len(all) != len(descs) || (len(descs) == 0 && all != nil) {
-		t.Fatalf("EncodeAll returned %d encodings (nil=%v) for %d vectors", len(all), all == nil, len(descs))
+	for _, w := range widths {
+		all, err := d.EncodeAll(descs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != len(descs) || (len(descs) == 0 && all != nil) {
+			t.Fatalf("EncodeAll on %d workers returned %d encodings (nil=%v) for %d vectors", w, len(all), all == nil, len(descs))
+		}
+		codes[fmt.Sprintf("EncodeAll on %d workers", w)] = all
 	}
 	for i, p := range descs {
 		want, err := refEncode(d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := d.Encode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, got := range map[string]vec.BitVec{"EncodeAll": all[i], "Encode": one} {
-			if got.Len() != d.outDim || !reflect.DeepEqual(got.Words(), want.Words()) {
-				t.Fatalf("vector %d of %d: %s differs from the reference\n got %x\nwant %x", i, len(descs), name, got.Words(), want.Words())
+		for name, got := range codes {
+			if got[i].Len() != d.outDim || !reflect.DeepEqual(got[i].Words(), want.Words()) {
+				t.Fatalf("vector %d of %d: %s differs from the reference\n got %x\nwant %x", i, len(descs), name, got[i].Words(), want.Words())
 			}
-		}
-		if r := d.outDim % 64; r != 0 {
-			if last := all[i].Words()[d.outDim/64]; last>>uint(r) != 0 {
-				t.Fatalf("vector %d: bits set past OutDim=%d: %x", i, d.outDim, last)
+			if r := d.outDim % 64; r != 0 {
+				if last := got[i].Words()[d.outDim/64]; last>>uint(r) != 0 {
+					t.Fatalf("vector %d: %s sets bits past OutDim=%d: %x", i, name, d.outDim, last)
+				}
 			}
 		}
 	}
@@ -499,7 +519,7 @@ func TestEncodeAllMatchesReference(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 29} {
 			t.Run(fmt.Sprintf("%dx%d/batch%d", dim.in, dim.out, n), func(t *testing.T) {
-				checkAgainstReference(t, d, seededDescriptors(int64(n), n, dim.in))
+				checkAgainstReference(t, d, seededDescriptors(int64(n), n, dim.in), encodeWidths...)
 			})
 		}
 		// At descriptor scale a different summation order moves a dot product
@@ -511,7 +531,7 @@ func TestEncodeAllMatchesReference(t *testing.T) {
 			for _, p := range descs {
 				vec.Scale(p, 5e14)
 			}
-			checkAgainstReference(t, d, descs)
+			checkAgainstReference(t, d, descs, encodeWidths...)
 		})
 	}
 }
@@ -533,7 +553,7 @@ func TestDenseCodesPinnedAcrossCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	descs := seededDescriptors(2017, 200, 64)
-	for _, ep := range entryPoints {
+	for _, ep := range append(entryPoints, entryPoint{"EncodeAll/8 workers", encodeAllWith(8)}) {
 		es, err := ep.encode(d, descs)
 		if err != nil {
 			t.Fatal(err)
@@ -586,7 +606,7 @@ func TestDenseRejectsBadVectors(t *testing.T) {
 			// First, last and mid-block positions: the check covers every
 			// vector before any is encoded.
 			for _, i := range []int{0, 2, 5} {
-				es, err := d.EncodeAll(with(i, tt.p))
+				es, err := d.EncodeAll(with(i, tt.p), 4)
 				if !errors.Is(err, tt.want) || es != nil {
 					t.Errorf("EncodeAll with bad vector %d: %v, err = %v, want nil, %v", i, es, err, tt.want)
 				}
@@ -629,10 +649,10 @@ func TestDenseBoundKeepsQuantizerInRange(t *testing.T) {
 	}
 }
 
-// FuzzDenseEncodeAll decodes dimensions, batch size and vector components
-// from bytes: admissible batches must match refEncode through both entry
-// points, and a batch with any NaN, infinity or out-of-range component must
-// be refused by all three.
+// FuzzDenseEncodeAll decodes dimensions, batch size, vector components and
+// EncodeAll's width from bytes: admissible batches must match refEncode
+// through both entry points, and a batch with any NaN, infinity or
+// out-of-range component must be refused by all three.
 func FuzzDenseEncodeAll(f *testing.F) {
 	f.Add([]byte{63, 255, 7, 5, 0x12, 0x34, 0xfe, 0xdc, 0x00, 0x01})
 	f.Add([]byte{2, 2, 0, 3})
@@ -644,6 +664,9 @@ func FuzzDenseEncodeAll(f *testing.F) {
 		inDim := 1 + int(data[0])%64
 		outDim := 1 + (int(data[1])|int(data[2])<<8)%320
 		n := int(data[3]) % 13
+		// The width comes from the last byte, so the components' bytes are
+		// what they were before the width was drawn.
+		workers := 1 + int(data[len(data)-1])%16
 		// 2^0 … 2^48: from descriptor scale up to components whose rounding
 		// error is of the order of the quantization step, where the order of
 		// summation shows in the bits.
@@ -693,8 +716,8 @@ func FuzzDenseEncodeAll(f *testing.F) {
 			anyBad = anyBad || bad
 		}
 		if !anyBad {
-			checkAgainstReference(t, d, descs)
-		} else if es, err := d.EncodeAll(descs); !errors.Is(err, ErrNonFinite) || es != nil {
+			checkAgainstReference(t, d, descs, workers)
+		} else if es, err := d.EncodeAll(descs, workers); !errors.Is(err, ErrNonFinite) || es != nil {
 			t.Fatalf("EncodeAll on a batch with an inadmissible vector: %v, err = %v", es, err)
 		}
 	})

@@ -17,6 +17,7 @@ package imaging
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -36,6 +37,20 @@ const DescriptorScale = 0.3
 type Image struct {
 	W, H int
 	Pix  []float64 // row-major, len W*H
+}
+
+// ErrBadImage is returned for an image whose dimensions are not positive or
+// whose pixel slice does not hold exactly W·H values; extracting from one
+// would index past its pixels.
+var ErrBadImage = errors.New("imaging: malformed image")
+
+// Validate reports whether im can be extracted from: W and H positive and
+// len(Pix) == W·H, decided without forming a product that could overflow.
+func (im *Image) Validate() error {
+	if im.W <= 0 || im.H <= 0 || len(im.Pix)%im.W != 0 || len(im.Pix)/im.W != im.H {
+		return fmt.Errorf("%w: %dx%d with %d pixels", ErrBadImage, im.W, im.H, len(im.Pix))
+	}
+	return nil
 }
 
 // NewImage allocates a zero image.

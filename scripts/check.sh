@@ -68,6 +68,13 @@ go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|
 # recorder sees exactly the logged record stream, and the restore-failed
 # gauge follows a failed load through its quarantine.
 go test -race -count=2 -run 'TestLeakageLedgerIsBounded|TestAttackObservesTheRecordStream|TestRestoreFailedGauge' ./internal/core ./internal/attack
+# The client's Dense-DPE encode fans one object's descriptors out over
+# GOMAXPROCS workers: the bit-identity tests at every width (and the metered
+# client's single width) again under the race detector, where a worker that
+# wrote another's slot shows, then once on one P, the one-worker path.
+width='EncodeAllMatchesReference|DenseCodesPinnedAcrossCommits|FuzzDenseEncodeAll|DenseRejectsBadVectors|PrepareCodesAcrossWidths|EncodeWidthFollowsMeter|PrepareSurfacesEncodeErrors'
+go test -race -count=5 -run "$width" ./internal/dpe ./internal/core
+GOMAXPROCS=1 go test -count=1 -run "$width" ./internal/dpe ./internal/core
 
 # The experiment printer still builds and runs all three schemes end to end
 # — build, train, query, rank — and the §V-A attack over a durable service's
@@ -86,6 +93,9 @@ go test -run '^$' -bench FrameRoundTrip -benchtime 100x ./internal/wire
 # And the client's Dense-DPE encode at the shapes that run (one descriptor,
 # one image's 29, at 2048 and 512 bits).
 go test -run '^$' -bench DenseDPEEncode -benchtime 100x -cpu 1,2 ./internal/dpe
+# And the whole client half of a search and an add at the spine shape
+# (extraction, the fanned-out encode, text PRF, AES).
+go test -run '^$' -bench 'PrepareQuery|PrepareUpdate' -benchtime 100x -cpu 1,2 ./internal/core
 # And the cloud's Train kernels, both Hamming k-means, at the spine's shape
 # (3000 client-encoded 2048-bit codes into 200 words).
 go test -run '^$' -bench 'HammingKMeans' -benchtime 5x -cpu 1 ./internal/cluster
