@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mie/internal/dpe"
+	"mie/internal/vec"
 	"mie/internal/wal"
 	"mie/internal/wal/walfault"
 )
@@ -379,62 +380,173 @@ func TestTrainedSnapshotPlusWALReplay(t *testing.T) {
 	}
 }
 
-// TestWALCompensation: an Update that fails mid-index is rolled back in
-// memory AND compensated in the log, so replaying the log after a crash
-// converges to the rolled-back state instead of resurrecting the failed
-// write.
-func TestWALCompensation(t *testing.T) {
+// TestDurableLogHoldsExactlyTheAcknowledgedMutations is the write path's
+// contract as a property: nothing can fail after the append, so over a
+// seeded trace of inserts, overwrites, removes of stored and unknown ids,
+// full and incremental Trains, and refused writes of every kind — encodings
+// of mixed lengths, an owner over quota, a stale handle to an evicted
+// repository, a WAL append error — the log holds one record per
+// acknowledged mutation, in acknowledgement order, each the encoding of that
+// mutation, and nothing of a refused one. A crash of the log and a reopen
+// then land on the live repository's objects.
+func TestDurableLogHoldsExactlyTheAcknowledgedMutations(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runLogTrace(t, seed) })
+	}
+}
+
+func runLogTrace(t *testing.T, seed int64) {
+	const (
+		repoID  = "trace"
+		ids     = 10 // stored ids; removes also draw from 4 ids never stored
+		owners  = 3
+		perUser = 4 // MaxObjects: an owner holding 4 is refused a fifth
+		steps   = 240
+	)
+	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 	disk := walfault.NewDisk()
+	walPath := filepath.Join(dir, walFileName(repoID))
+	disk.Script(walPath, walfault.Script{FailWriteAt: 20 + rng.Intn(40)})
 	walFileOpener = func(p string) (wal.File, error) { return disk.Open(p) }
 	t.Cleanup(func() { walFileOpener = nil })
-	c := testClient(t)
-	svc, _, err := OpenService(ServiceOptions{Dir: dir})
+	opts := ServiceOptions{Dir: dir, Quotas: Quotas{MaxObjects: perUser}} // SyncAlways
+	svc, _, err := OpenService(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := svc.CreateRepository("cp", smallRepoOptions())
+	defer func() { _ = svc.Close() }()
+	repo, err := svc.CreateRepository(repoID, smallRepoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillRepo(t, c, repo, 2, 2)
-	if err := repo.Train(); err != nil {
-		t.Fatal(err)
-	}
-	sizeBefore := repo.Size()
 
-	failErr := errors.New("injected index failure")
-	updateIndexHook = func(m Modality) error {
-		if m == ModalityText {
-			return failErr
+	// Image codes sit near a few centres, so a refinement usually stays
+	// under the drift guard and later Trains go incremental.
+	centres := []vec.BitVec{randomCode(rng, 64), randomCode(rng, 64), randomCode(rng, 64)}
+	codes := func() []vec.BitVec {
+		out := make([]vec.BitVec, 1+rng.Intn(3))
+		for i := range out {
+			out[i] = nearCode(rng, centres[rng.Intn(len(centres))], 4)
 		}
-		return nil
+		return out
 	}
-	up, err := c.PrepareUpdate(&Object{ID: "doomed", Owner: "u", Text: "never lands"}, testDataKey(7))
-	if err != nil {
-		t.Fatal(err)
+	update := func(step int, id string) *Update {
+		return &Update{
+			ObjectID:       id,
+			Owner:          fmt.Sprintf("u%d", rng.Intn(owners)),
+			Ciphertext:     []byte(fmt.Sprintf("ct-%d", step)),
+			TextTokens:     map[dpe.Token]uint64{{byte(rng.Intn(16))}: 1, {byte(rng.Intn(16))}: 2},
+			ImageEncodings: codes(),
+		}
 	}
-	if err := repo.Update(up); !errors.Is(err, failErr) {
-		t.Fatalf("update err = %v, want injected failure", err)
-	}
-	updateIndexHook = nil
-	if repo.Size() != sizeBefore {
-		t.Fatalf("rolled-back update changed size: %d != %d", repo.Size(), sizeBefore)
+	id := func(n int) string { return fmt.Sprintf("o%02d", rng.Intn(n)) }
+
+	live := map[string][]byte{} // the acknowledged state: id -> ciphertext
+	var want [][]byte           // records the log must hold, in order
+	refused := map[string]int{}
+	modes := map[string]int{}
+	// refusal names a refused write's cause, failing on any other error.
+	refusal := func(step int, err error) string {
+		t.Helper()
+		for name, cause := range map[string]error{"length": ErrEncodingLength, "quota": ErrOverQuota, "closed": ErrRepoNotFound, "wal": walfault.ErrInjected} {
+			if errors.Is(err, cause) {
+				refused[name]++
+				return name
+			}
+		}
+		t.Fatalf("step %d: unexpected error %v", step, err)
+		return ""
 	}
 
-	disk.File(filepath.Join(dir, walFileName("cp"))).Crash()
-	svc2, _, err := OpenService(ServiceOptions{Dir: dir})
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(100); {
+		case op < 50: // insert or overwrite
+			up := update(step, id(ids))
+			if err := repo.Update(up); err != nil {
+				refusal(step, err)
+				continue
+			}
+			live[up.ObjectID] = up.Ciphertext
+			want = append(want, encodeWALRecord(up, up.ObjectID))
+		case op < 70: // remove, sometimes of an id never stored
+			rid := id(ids + 4)
+			if err := repo.Remove(rid); err != nil {
+				if refusal(step, err) != "wal" {
+					t.Fatalf("step %d: remove refused with %v", step, err)
+				}
+				continue
+			}
+			if _, ok := live[rid]; ok { // an unknown id is acknowledged, not logged
+				delete(live, rid)
+				want = append(want, encodeWALRecord(nil, rid))
+			}
+		case op < 80:
+			if err := repo.Train(); err != nil {
+				t.Fatalf("step %d: train: %v", step, err)
+			}
+			modes[repo.LastTrain().Mode]++
+		case op < 92: // encodings of two lengths: refused before the append
+			up := update(step, id(ids))
+			up.ImageEncodings = append(up.ImageEncodings, randomCode(rng, 128))
+			if err := repo.Update(up); refusal(step, err) != "length" {
+				t.Fatalf("step %d: mixed-length update refused with %v", step, err)
+			}
+		default: // a write through a stale handle to an evicted repository
+			if err := svc.EvictRepository(repoID); err != nil {
+				t.Fatal(err)
+			}
+			if err := repo.Update(update(step, id(ids))); refusal(step, err) != "closed" {
+				t.Fatalf("step %d: update through a stale handle refused with %v", step, err)
+			}
+			if err := repo.Remove(id(ids)); refusal(step, err) != "closed" {
+				t.Fatalf("step %d: remove through a stale handle refused with %v", step, err)
+			}
+			if repo, err = svc.Repository(repoID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := readPayloads(t, bytes.NewReader(disk.File(walPath).Durable()))
+	if len(got) != len(want) {
+		t.Fatalf("log holds %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d is not the encoding of acknowledged mutation %d", i+1, i+1)
+		}
+	}
+	for _, name := range []string{"length", "quota", "closed"} {
+		if refused[name] == 0 {
+			t.Errorf("the trace refused no write for %q; refusals %v", name, refused)
+		}
+	}
+	if refused["wal"] != 1 {
+		t.Errorf("the injected WAL fault refused %d writes, want 1", refused["wal"])
+	}
+	if modes["full"] == 0 || modes["incremental"] == 0 {
+		t.Errorf("the trace trained %v, want full and incremental runs", modes)
+	}
+	if repo.Size() != len(live) {
+		t.Fatalf("repository holds %d objects, the acknowledged writes %d", repo.Size(), len(live))
+	}
+	for oid, ct := range live {
+		if got, _, err := repo.Get(oid); err != nil || !bytes.Equal(got, ct) {
+			t.Fatalf("object %s: %q, %v; want its last acknowledged version", oid, got, err)
+		}
+	}
+
+	disk.File(walPath).Crash()
+	svc2, _, err := OpenService(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := svc2.Repository("cp")
+	defer func() { _ = svc2.Close() }()
+	recovered, err := svc2.Repository(repoID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r2.Get("doomed"); !errors.Is(err, ErrUnknownObject) {
-		t.Errorf("failed update resurrected by replay: %v", err)
-	}
-	assertSameObjects(t, "compensation", r2, repo)
+	assertSameObjects(t, "after a crash", recovered, repo)
 }
 
 // TestDropRepositoryDoesNotResurrect is the stale-snapshot regression test:

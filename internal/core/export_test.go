@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,8 +25,14 @@ func LogPayloads(t *testing.T, dir, id string) [][]byte {
 		t.Fatal(err)
 	}
 	defer func() { _ = f.Close() }()
+	return readPayloads(t, f)
+}
+
+// readPayloads reads every record payload of a log.
+func readPayloads(t *testing.T, log io.Reader) [][]byte {
+	t.Helper()
 	var out [][]byte
-	if _, err := wal.ReadLog(f, func(b []byte) error {
+	if _, err := wal.ReadLog(log, func(b []byte) error {
 		out = append(out, append([]byte(nil), b...))
 		return nil
 	}); err != nil {
@@ -33,6 +40,3 @@ func LogPayloads(t *testing.T, dir, id string) [][]byte {
 	}
 	return out
 }
-
-// SetUpdateIndexHook installs (nil removes) the injected index failure.
-func SetUpdateIndexHook(h func(Modality) error) { updateIndexHook = h }

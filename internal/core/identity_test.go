@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -18,13 +17,12 @@ import (
 	"mie/internal/wire"
 )
 
-// TestReplicatedLogIsTheLeaderLog follows a fixed trace — inserts, an overwrite,
-// removes, and both kinds of compensation (a rolled-back insert and a
-// rolled-back replace) — from a network client through the router and the
-// leader to the follower, and then reads both nodes' logs: the follower's
-// record sequence is the leader's byte for byte, and each record is one kind
-// byte plus the UpdateReq / RemoveReq frame body after its RepoID — the
-// bytes the client sent.
+// TestReplicatedLogIsTheLeaderLog follows a fixed trace — inserts, an
+// overwrite, removes, and the remove of an id that was never stored — from a
+// network client through the router and the leader to the follower, and then
+// reads both nodes' logs: the follower's record sequence is the leader's byte
+// for byte, and each record is one kind byte plus the UpdateReq / RemoveReq
+// frame body after its RepoID — the bytes the client sent.
 func TestReplicatedLogIsTheLeaderLog(t *testing.T) {
 	leakcheck.Check(t)
 	const repoID = "identity"
@@ -71,10 +69,6 @@ func TestReplicatedLogIsTheLeaderLog(t *testing.T) {
 		return env.Data[len(bin.AppendString(nil, repoID)):]
 	}
 	var want [][]byte // the records both logs must hold, in order
-	update := func(up *core.Update) error {
-		want = append(want, append([]byte{core.WALUpdate}, frameBody(wire.KindUpdate, wire.UpdateReq{RepoID: repoID, Update: *up})...))
-		return conn.Update(ctx, repoID, up)
-	}
 	remove := func(id string) {
 		t.Helper()
 		want = append(want, append([]byte{core.WALRemove}, frameBody(wire.KindRemove, wire.RemoveReq{RepoID: repoID, ObjectID: id})...))
@@ -84,15 +78,15 @@ func TestReplicatedLogIsTheLeaderLog(t *testing.T) {
 	}
 	mustUpdate := func(up *core.Update) {
 		t.Helper()
-		if err := update(up); err != nil {
+		want = append(want, append([]byte{core.WALUpdate}, frameBody(wire.KindUpdate, wire.UpdateReq{RepoID: repoID, Update: *up})...))
+		if err := conn.Update(ctx, repoID, up); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// A trained repository (only a trained one indexes on update, and only a
-	// failed index insert compensates) whose two logs start empty: the train
-	// re-syncs the follower through a snapshot, which resets its log, and a
-	// save rotates the leader's.
+	// A trained repository (a trained one indexes on update) whose two logs
+	// start empty: the train re-syncs the follower through a snapshot, which
+	// resets its log, and a save rotates the leader's.
 	if err := conn.CreateRepository(ctx, repoID, wire.RepoOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,37 +112,7 @@ func TestReplicatedLogIsTheLeaderLog(t *testing.T) {
 	if err := conn.Remove(ctx, repoID, "never-stored"); err != nil { // unknown id: acknowledged, not logged
 		t.Fatal(err)
 	}
-
-	// Compensation. The index hook is process-wide, so the follower is cut
-	// off while it is armed and applies these records once it is disarmed.
-	caughtUp()
-	cl.PartitionFollower(1, true)
-	boom := errors.New("injected index failure")
-	failOnce := func() {
-		fired := false
-		core.SetUpdateIndexHook(func(core.Modality) error {
-			if fired {
-				return nil
-			}
-			fired = true
-			return boom
-		})
-	}
-	defer core.SetUpdateIndexHook(nil)
-	failOnce()
-	if err := update(prepare("c", "c never lands")); err == nil {
-		t.Fatal("update acknowledged although its index insert failed")
-	}
-	want = append(want, append([]byte{core.WALRemove}, bin.AppendString(nil, "c")...)) // the insert, undone
-	failOnce()
-	if err := update(prepare("a", "third version of a never lands")); err == nil {
-		t.Fatal("replace acknowledged although its index insert failed")
-	}
-	want = append(want, want[2]) // the replace, undone: a2's record again
-	core.SetUpdateIndexHook(nil)
-	cl.PartitionFollower(1, false)
-
-	mustUpdate(prepare("d", "d arrives after the rollbacks"))
+	mustUpdate(prepare("d", "d arrives last"))
 	caughtUp()
 
 	leader, follower := core.LogPayloads(t, leaderDir, repoID), core.LogPayloads(t, followerDir, repoID)

@@ -235,7 +235,8 @@ func TestFullRetrainEqualsFreshBuild(t *testing.T) {
 	}
 	for _, id := range sortedIDs(retrained.objects.Items()) {
 		obj, _ := retrained.objects.Get(id)
-		if err := fresh.Update(updateFromStored(id, obj)); err != nil {
+		up := &Update{ObjectID: id, Owner: obj.owner, Ciphertext: obj.ciphertext, TextTokens: obj.textTokens, ImageEncodings: obj.imageEncs, AudioEncodings: obj.audioEncs}
+		if err := fresh.Update(up); err != nil {
 			t.Fatal(err)
 		}
 	}

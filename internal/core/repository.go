@@ -318,13 +318,10 @@ type TrainInfo struct {
 // LastTrain returns how the most recent Train resolved (nil before any).
 func (r *Repository) LastTrain() *TrainInfo { return r.lastTrain.Load() }
 
-// Test hooks (nil outside tests): updateIndexHook injects an index failure
-// for one modality inside Update's index step, so the rollback path is
-// testable; trainInstallHook runs off-lock once the next epoch's codebooks
-// and indexes are ready, just before the re-index and install, so tests can
-// hold a Train in flight deterministically.
+// Test hooks (nil outside tests): trainInstallHook runs off-lock once the
+// next epoch's codebooks and indexes are ready, just before the re-index and
+// install, so tests can hold a Train in flight deterministically.
 var (
-	updateIndexHook  func(Modality) error
 	trainInstallHook func()
 	searchStartHook  func()
 	// compactStartHook runs inside the background compactor goroutine before
@@ -438,10 +435,11 @@ func (r *Repository) codebookSize(m Modality) int {
 
 // Update stores (or replaces) an encrypted object and its encodings
 // (CLOUD.Update, Algorithm 7). If the repository is trained the object is
-// indexed immediately; otherwise indexing happens at Train time. Update is
-// atomic: either the object is stored and fully indexed across every
-// modality, or (on an index error) the previous state — prior object and
-// postings, or absence — is restored and the error returned.
+// indexed immediately; otherwise indexing happens at Train time. Every
+// refusal — a missing id, an encoding of the wrong length, an owner over
+// quota, a closed repository, a WAL error — comes before the mutation is
+// logged and leaves no trace; after the append nothing can fail, so an
+// acknowledged update is stored and indexed across every modality.
 func (r *Repository) Update(up *Update) error {
 	return r.UpdateContext(context.Background(), up)
 }
@@ -498,26 +496,8 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 	}
 	if st.trained {
 		isp := sp.Child("index")
-		err := indexObject(st, up.ObjectID, obj)
+		indexObject(st, up.ObjectID, obj)
 		isp.End()
-		if err != nil {
-			// Roll back: indexObject already unwound its partial postings;
-			// restore the previous object and its postings, or erase the
-			// insert entirely, so no stored-but-partially-indexed object
-			// survives.
-			if replaced {
-				r.objects.Put(up.ObjectID, prev)
-				_ = indexObject(st, up.ObjectID, prev) // best-effort reinstate
-			} else {
-				r.objects.Delete(up.ObjectID)
-			}
-			// The mutation is already in the log but was rolled back in
-			// memory; log the inverse so replay converges to the same
-			// rolled-back state.
-			r.walCompensate(up.ObjectID, prev, replaced)
-			r.gov.undoUpdate(up.Owner, newBytes, prevOwner, prevBytes, hadPrev)
-			return err
-		}
 	}
 	if replaced {
 		r.countCodes(prev, -1)
@@ -536,7 +516,8 @@ func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 // checkLengths holds obj's dense encodings to what the engine can compare
 // them with (ErrEncodingLength): per modality, one non-zero bit length, and
 // that the words' of st's codebook once there is one, otherwise the stored
-// encodings' while there are any. Callers hold writeMu.
+// encodings' while there are any. Callers hold writeMu, or own the
+// repository outright.
 func (r *Repository) checkLengths(st *repoState, obj *storedObject) error {
 	for i, eng := range st.engines {
 		want := eng.codeBits()
@@ -562,36 +543,14 @@ func (r *Repository) countCodes(obj *storedObject, delta int) {
 }
 
 // indexObject inserts one object into the epoch's per-modality indexes.
-// On failure it unwinds the postings already added for earlier modalities,
-// so a partially indexed object never escapes.
-func indexObject(st *repoState, id string, obj *storedObject) error {
-	doc := index.DocID(id)
+func indexObject(st *repoState, id string, obj *storedObject) {
 	for i, eng := range st.engines {
-		idx := st.indexes[i]
-		if idx == nil {
-			continue
-		}
-		terms := eng.ExtractTerms(obj)
-		if len(terms) == 0 {
-			continue
-		}
-		var err error
-		if updateIndexHook != nil {
-			err = updateIndexHook(eng.Modality())
-		}
-		if err == nil {
-			err = idx.Add(doc, terms)
-		}
-		if err != nil {
-			for j := 0; j < i; j++ {
-				if st.indexes[j] != nil {
-					st.indexes[j].Remove(doc)
-				}
+		if idx := st.indexes[i]; idx != nil {
+			if terms := eng.ExtractTerms(obj); len(terms) > 0 {
+				idx.Add(index.DocID(id), terms)
 			}
-			return err
 		}
 	}
-	return nil
 }
 
 // Remove deletes an object and its index entries (CLOUD.Remove,
@@ -659,35 +618,6 @@ func (r *Repository) walAppend(sp *obs.Span, up *Update, id string) error {
 		r.tap.MutationLogged(r.id, payload)
 	}
 	return nil
-}
-
-// walCompensate logs the inverse of a mutation that was appended but then
-// rolled back in memory: the previous object (a replace) or a removal (an
-// insert). Best effort — if even the compensation cannot be logged, replay
-// may resurrect the rolled-back write, which the caller was told failed;
-// the log is by then poisoned or the disk gone, so a louder failure is
-// already on its way.
-func (r *Repository) walCompensate(id string, prev *storedObject, replaced bool) {
-	var up *Update
-	if replaced {
-		up = updateFromStored(id, prev)
-	}
-	// Followers replay the compensation too (walAppend taps it), converging
-	// on the same rolled-back state the leader settled on.
-	_ = r.walAppend(nil, up, id)
-}
-
-// updateFromStored reconstructs the Update that produced a stored object,
-// for compensation records.
-func updateFromStored(id string, obj *storedObject) *Update {
-	return &Update{
-		ObjectID:       id,
-		Owner:          obj.owner,
-		Ciphertext:     obj.ciphertext,
-		TextTokens:     obj.textTokens,
-		ImageEncodings: obj.imageEncs,
-		AudioEncodings: obj.audioEncs,
-	}
 }
 
 // attachWAL hands the repository its write-ahead log. Called once, after
@@ -836,11 +766,8 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 			return err
 		}
 		bsp := sp.Child("build_indexes")
-		indexes, err = r.buildIndexes(engines, snap, ids)
+		indexes = r.buildIndexes(engines, snap, ids)
 		bsp.End()
-		if err != nil {
-			return err
-		}
 	}
 	next := &repoState{epoch: info.Epoch, trained: true, engines: engines, indexes: indexes}
 	discard := func() { // a full run that does not install drops what it built
@@ -862,24 +789,21 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 		r.mergeDelta(taken)
 		info.DeltaDocs = len(r.deltaIDs)
 	}
-	err := r.errIfClosed()
-	if err == nil {
-		rsp := sp.Child("reindex")
-		err = r.reindex(next, r.deltaIDs)
-		rsp.End()
-	}
-	if err != nil {
+	if err := r.errIfClosed(); err != nil {
 		r.writeMu.Unlock()
 		discard()
 		return err
 	}
+	rsp := sp.Child("reindex")
+	r.reindex(next, r.deltaIDs)
+	rsp.End()
 	r.deltaIDs = make(map[string]struct{})
 	r.installEpoch(next)
 	installed = true
 	if full {
-		// Retire the previous epoch's indexes. Closing only refuses further
-		// writes and compactions; in-flight searches that loaded the old
-		// state keep reading its postings.
+		// Retire the previous epoch's indexes. A closed index ignores
+		// further writes and compactions; in-flight searches that loaded
+		// the old state keep reading its postings.
 		closeIndexes(cur.indexes)
 	}
 	r.writeMu.Unlock()
@@ -895,9 +819,7 @@ func (r *Repository) TrainContext(ctx context.Context) error {
 		// the merge is off the Train critical path.
 		for _, idx := range indexes {
 			if idx != nil {
-				if err := idx.Seal(); err != nil {
-					return err
-				}
+				idx.Seal()
 			}
 		}
 		r.requestCompaction()
@@ -963,16 +885,13 @@ func (r *Repository) codebooks(ctx context.Context, sp *obs.Span, cur []Modality
 // again under st's engines. Reading the store here, under writeMu, is what an
 // ordered replay of full-state records would converge to — the last write to
 // an id wins, whatever came before it. Callers hold writeMu.
-func (r *Repository) reindex(st *repoState, ids map[string]struct{}) error {
+func (r *Repository) reindex(st *repoState, ids map[string]struct{}) {
 	for id := range ids {
 		st.unindex(id)
 		if obj, ok := r.objects.Get(id); ok {
-			if err := indexObject(st, id, obj); err != nil {
-				return fmt.Errorf("core: reindex %s: %w", id, err)
-			}
+			indexObject(st, id, obj)
 		}
 	}
-	return nil
 }
 
 // installEpoch makes next the serving epoch: one atomic swap, then the
@@ -1129,9 +1048,8 @@ func (r *Repository) updateIndexGauges() {
 }
 
 // buildIndexes creates one inverted index per engine and bulk-loads the
-// snapshot into it. Shared between Train and snapshot restore. On error,
-// indexes already built are closed.
-func (r *Repository) buildIndexes(engines []ModalityEngine, snap map[string]*storedObject, ids []string) ([]*index.Segmented, error) {
+// snapshot into it. Shared between Train and snapshot restore.
+func (r *Repository) buildIndexes(engines []ModalityEngine, snap map[string]*storedObject, ids []string) []*index.Segmented {
 	indexes := make([]*index.Segmented, len(engines))
 	for i, eng := range engines {
 		idx := r.newIndex()
@@ -1142,18 +1060,12 @@ func (r *Repository) buildIndexes(engines []ModalityEngine, snap map[string]*sto
 				batch = append(batch, index.BatchDoc{Doc: index.DocID(id), Terms: terms})
 			}
 		}
-		if err := idx.AddBatch(batch); err != nil {
-			closeIndexes(indexes)
-			return nil, err
-		}
+		idx.AddBatch(batch)
 		// Freeze the bulk load into one sealed segment, so the epoch starts
 		// with an empty memtable and post-train updates accumulate separately.
-		if err := idx.Seal(); err != nil {
-			closeIndexes(indexes)
-			return nil, err
-		}
+		idx.Seal()
 	}
-	return indexes, nil
+	return indexes
 }
 
 // newIndex creates one modality's empty index with the repository's

@@ -142,7 +142,11 @@ var ErrBadSnapshot = errors.New("core: invalid repository snapshot")
 
 // LoadRepository restores a repository from a snapshot. The vocabulary's
 // lookup tree and the inverted indexes are rebuilt; search results and
-// Options after a restore are identical to before it.
+// Options after a restore are identical to before it. Every object is held
+// to the checks Update makes before it logs — an id, and encodings the
+// engines can compare — so a snapshot that smuggles in what Update would
+// have refused fails with ErrBadSnapshot instead of breaking every later
+// Train.
 func LoadRepository(rd io.Reader) (*Repository, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(rd).Decode(&snap); err != nil {
@@ -155,8 +159,32 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := r.state.Load()
+	if snap.Trained {
+		// Restore the engines' trained state from the serialized codebooks
+		// first, so the objects are checked against them.
+		engines := make([]ModalityEngine, len(st.engines))
+		for i, eng := range st.engines {
+			var words []vec.BitVec
+			switch eng.Modality() {
+			case ModalityImage:
+				words = snap.VocabWords
+			case ModalityAudio:
+				words = snap.AudioWords
+			}
+			restored, err := eng.Restore(words)
+			if err != nil {
+				return nil, fmt.Errorf("core: restore %s vocabulary: %w", eng.Modality(), err)
+			}
+			engines[i] = restored
+		}
+		st = &repoState{epoch: st.epoch + 1, trained: true, engines: engines}
+	}
 	var resident int64
 	for _, so := range snap.Objects {
+		if so.ID == "" {
+			return nil, fmt.Errorf("%w: an object without an id", ErrBadSnapshot)
+		}
 		obj := &storedObject{
 			owner:      so.Owner,
 			ciphertext: so.Ciphertext,
@@ -164,7 +192,12 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 			imageEncs:  so.ImageEncs,
 			audioEncs:  so.AudioEncs,
 		}
-		r.objects.Put(so.ID, obj)
+		if err := r.checkLengths(st, obj); err != nil {
+			return nil, fmt.Errorf("%w: object %q: %w", ErrBadSnapshot, so.ID, err)
+		}
+		if _, dup := r.objects.Put(so.ID, obj); dup {
+			return nil, fmt.Errorf("%w: object %q stored twice", ErrBadSnapshot, so.ID)
+		}
 		r.countCodes(obj, 1)
 		resident += approxObjectBytes(obj)
 	}
@@ -173,33 +206,23 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 	if !snap.Trained {
 		return r, nil
 	}
-	// Restore the engines' trained state from the serialized codebooks,
-	// then the first trained epoch's indexes.
-	cur := r.state.Load()
-	engines := make([]ModalityEngine, len(cur.engines))
-	for i, eng := range cur.engines {
-		var words []vec.BitVec
-		switch eng.Modality() {
-		case ModalityImage:
-			words = snap.VocabWords
-		case ModalityAudio:
-			words = snap.AudioWords
-		}
-		restored, err := eng.Restore(words)
-		if err != nil {
-			return nil, fmt.Errorf("core: restore %s vocabulary: %w", eng.Modality(), err)
-		}
-		engines[i] = restored
-	}
-	var indexes []*index.Segmented
-	if len(snap.IndexSegments) == len(engines) {
+	if len(snap.IndexSegments) == len(st.engines) {
 		// Segmented layout: restore the exact segment structure and postings
 		// the snapshot pinned, preserving per-epoch quantization.
-		indexes = make([]*index.Segmented, len(engines))
-		for i, eng := range engines {
-			indexes[i] = r.newIndex()
-			if err := indexes[i].LoadSegments(snap.IndexSegments[i]); err != nil {
-				closeIndexes(indexes)
+		for _, segs := range snap.IndexSegments {
+			for _, group := range segs {
+				for _, d := range group {
+					if d.Doc == "" {
+						return nil, fmt.Errorf("%w: an index posting without a document id", ErrBadSnapshot)
+					}
+				}
+			}
+		}
+		st.indexes = make([]*index.Segmented, len(st.engines))
+		for i, eng := range st.engines {
+			st.indexes[i] = r.newIndex()
+			if err := st.indexes[i].LoadSegments(snap.IndexSegments[i]); err != nil {
+				closeIndexes(st.indexes)
 				return nil, fmt.Errorf("core: restore %s index segments: %w", eng.Modality(), err)
 			}
 		}
@@ -207,20 +230,12 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 		// Legacy layout (no serialized segments): rebuild through the same
 		// bulk path Train uses.
 		objs := r.objects.Items()
-		var err error
-		if indexes, err = r.buildIndexes(engines, objs, sortedIDs(objs)); err != nil {
-			return nil, err
-		}
+		st.indexes = r.buildIndexes(st.engines, objs, sortedIDs(objs))
 	}
 	// Publish the restored epoch the way Train does. Nothing else can reach
 	// the repository yet; the lock is installEpoch's contract.
 	r.writeMu.Lock()
-	r.installEpoch(&repoState{
-		epoch:   cur.epoch + 1,
-		trained: true,
-		engines: engines,
-		indexes: indexes,
-	})
+	r.installEpoch(st)
 	r.writeMu.Unlock()
 	r.updateIndexGauges()
 	return r, nil

@@ -2,11 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mie/internal/dpe"
+	"mie/internal/vec"
 )
 
 // buildTrainedRepo creates a trained repository with multimodal content.
@@ -127,6 +133,82 @@ func TestLoadRepositoryRejectsGarbage(t *testing.T) {
 	// Valid gob of the wrong shape must also fail cleanly.
 	if _, err := LoadRepository(bytes.NewReader([]byte{})); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("empty: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestLoadRepositoryRefusesWhatUpdateRefuses: each snapshot object is held to
+// the checks Update makes before it logs, and every posting needs a document
+// id, so a snapshot holding what no write could have stored fails with
+// ErrBadSnapshot. The first two rows used to load and leave a repository no
+// Train could succeed on ("index: empty DocID", "encoding 1 has 128 bits,
+// want 64").
+func TestLoadRepositoryRefusesWhatUpdateRefuses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	codes := func(bits int) []vec.BitVec {
+		return []vec.BitVec{randomCode(rng, bits), randomCode(rng, bits), randomCode(rng, bits)}
+	}
+	image := func(trained bool) []byte {
+		t.Helper()
+		r, err := NewRepository("restore", smallRepoOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			up := &Update{ObjectID: fmt.Sprintf("o%02d", i), Owner: "u", TextTokens: map[dpe.Token]uint64{{byte(i)}: 1}, ImageEncodings: codes(64)}
+			if err := r.Update(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if trained {
+			if err := r.Train(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := r.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	images := map[bool][]byte{false: image(false), true: image(true)}
+	for trained, img := range images {
+		r, err := LoadRepository(bytes.NewReader(img))
+		if err != nil {
+			t.Fatalf("unedited snapshot (trained %v): %v", trained, err)
+		}
+		if err := r.Train(); err != nil {
+			t.Fatalf("train after restoring the unedited snapshot (trained %v): %v", trained, err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		trained bool
+		edit    func(s *snapshot)
+	}{
+		{"untrained: an object without an id", false, func(s *snapshot) { s.Objects[1].ID = "" }},
+		{"untrained: image codes of two lengths", false, func(s *snapshot) { s.Objects[1].ImageEncs = codes(128) }},
+		{"untrained: one id stored twice", false, func(s *snapshot) { s.Objects[1].ID = s.Objects[0].ID }},
+		{"trained: codes the codebook cannot compare", true, func(s *snapshot) { s.Objects[0].ImageEncs = codes(128) }},
+		{"trained: a posting without a document id", true, func(s *snapshot) { s.IndexSegments[0][0][0].Doc = "" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap snapshot
+			if err := gob.NewDecoder(bytes.NewReader(images[tc.trained])).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&snap)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := LoadRepository(&buf); !errors.Is(err, ErrBadSnapshot) {
+				size := -1
+				if r != nil {
+					size = r.Size()
+				}
+				t.Fatalf("err = %v (size %d), want ErrBadSnapshot", err, size)
+			}
+		})
 	}
 }
 

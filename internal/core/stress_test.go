@@ -319,101 +319,6 @@ func trainReindexOracle(t *testing.T, full bool) {
 	}
 }
 
-// TestUpdateRollbackOnIndexError injects an index failure for one modality
-// mid-update and asserts atomicity: the object insert is rolled back, the
-// earlier modality's postings are unwound, and a prior version (when one
-// exists) is fully reinstated.
-func TestUpdateRollbackOnIndexError(t *testing.T) {
-	c := testClient(t)
-	r, err := NewRepository("rollback", smallRepoOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillRepo(t, c, r, 3, 3)
-	if err := r.Train(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A transient failure: the first image-index insert fails, later ones
-	// (including the rollback's best-effort reinstate of the previous
-	// version) succeed.
-	boom := errors.New("injected image index failure")
-	failImageOnce := func() func(Modality) error {
-		fired := false
-		return func(m Modality) error {
-			if m == ModalityImage && !fired {
-				fired = true
-				return boom
-			}
-			return nil
-		}
-	}
-	updateIndexHook = failImageOnce()
-	t.Cleanup(func() { updateIndexHook = nil })
-
-	// Fresh object: the failed update must leave no trace — not in the
-	// store, no text postings either.
-	obj := testObject(1, 99)
-	obj.ID = "atomic-new"
-	up, err := c.PrepareUpdate(obj, testDataKey(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Update(up); !errors.Is(err, boom) {
-		t.Fatalf("update err = %v, want injected failure", err)
-	}
-	if _, _, err := r.Get("atomic-new"); !errors.Is(err, ErrUnknownObject) {
-		t.Fatalf("failed update left object stored: err=%v", err)
-	}
-	updateIndexHook = nil
-	q, err := c.PrepareQuery(&Object{ID: "q", Text: obj.Text}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err := r.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hits {
-		if h.ObjectID == "atomic-new" {
-			t.Fatal("failed update left text postings behind")
-		}
-	}
-
-	// Replacement: the failed update must reinstate the previous version.
-	victim := "obj-c0-0"
-	before, err := r.Search(q0(t, c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	updateIndexHook = failImageOnce()
-	repl := testObject(0, 0) // same ID as victim, fresh content
-	repl.Text = "totally different replacement text"
-	upRepl, err := c.PrepareUpdate(repl, testDataKey(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Update(upRepl); !errors.Is(err, boom) {
-		t.Fatalf("replace err = %v, want injected failure", err)
-	}
-	updateIndexHook = nil
-	if _, _, err := r.Get(victim); err != nil {
-		t.Fatalf("previous version not reinstated: %v", err)
-	}
-	after, err := r.Search(q0(t, c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("search after failed replace: %d hits, want %d", len(after), len(before))
-	}
-	for i := range after {
-		if after[i].ObjectID != before[i].ObjectID {
-			t.Fatalf("hit %d changed after failed replace: %s vs %s", i, after[i].ObjectID, before[i].ObjectID)
-		}
-	}
-}
-
 // q0 builds the standing class-0 text query.
 func q0(t *testing.T, c *Client, class int) *Query {
 	t.Helper()

@@ -197,8 +197,8 @@ func (g *TenantGovernor) chargeUpdate(owner string, newBytes int64, prevOwner st
 	return nil
 }
 
-// undoUpdate reverses a successful chargeUpdate after the mutation it
-// admitted was rolled back.
+// undoUpdate reverses a successful chargeUpdate whose mutation the WAL then
+// refused.
 func (g *TenantGovernor) undoUpdate(owner string, newBytes int64, prevOwner string, prevBytes int64, replaced bool) {
 	if g == nil {
 		return

@@ -113,9 +113,7 @@ func plaintextRankings(cfg Config, set *dataset.HolidaysSet, k int) ([][]string,
 		for w, f := range hist {
 			terms[index.Term("vw:"+strconv.Itoa(w))] = f
 		}
-		if err := ix.Add(index.DocID(id), terms); err != nil {
-			return nil, err
-		}
+		ix.Add(index.DocID(id), terms)
 	}
 	ranks := make([][]string, len(set.Queries))
 	for i, q := range set.Queries {

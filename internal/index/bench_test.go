@@ -44,13 +44,9 @@ func BenchmarkSegmentedLookup(b *testing.B) {
 				s := NewSegmented(SegmentedOptions{MemtableCap: -1})
 				defer s.Close()
 				for i := 0; i < docs; i++ {
-					if err := s.Add(DocID(fmt.Sprintf("obj-%05d", i)), draw(shape.perDoc)); err != nil {
-						b.Fatal(err)
-					}
+					s.Add(DocID(fmt.Sprintf("obj-%05d", i)), draw(shape.perDoc))
 					if (i+1)%(docs/segments) == 0 {
-						if err := s.Seal(); err != nil {
-							b.Fatal(err)
-						}
+						s.Seal()
 					}
 				}
 				queries := make([]map[Term]uint64, 256)

@@ -8,7 +8,6 @@
 package index
 
 import (
-	"errors"
 	"slices"
 	"sort"
 	"sync"
@@ -36,9 +35,6 @@ type Inverted struct {
 	postings map[Term]map[DocID]uint64
 	docTerms map[DocID]map[Term]struct{} // reverse map for O(|d|) removal
 }
-
-// errEmptyDoc rejects a document without an id.
-var errEmptyDoc = errors.New("index: empty DocID")
 
 // New creates an empty index.
 func New() *Inverted {
@@ -72,15 +68,13 @@ func (ix *Inverted) Has(doc DocID) bool {
 
 // Add indexes (or re-indexes) a document given its term-frequency map.
 // Re-adding an existing document replaces its previous postings, matching
-// the paper's Update semantics (remove then add).
-func (ix *Inverted) Add(doc DocID, terms map[Term]uint64) error {
-	if doc == "" {
-		return errEmptyDoc
-	}
+// the paper's Update semantics (remove then add). The index takes any id,
+// the empty one included: an object id is checked where it enters the
+// program, not here.
+func (ix *Inverted) Add(doc DocID, terms map[Term]uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.addLocked(doc, terms)
-	return nil
 }
 
 // BatchDoc pairs one document with its term-frequency map, the unit of the

@@ -7,13 +7,6 @@ import (
 	"testing"
 )
 
-func TestAddEmptyDocID(t *testing.T) {
-	ix := New()
-	if err := ix.Add("", map[Term]uint64{"a": 1}); err == nil {
-		t.Error("expected error for empty DocID")
-	}
-}
-
 func TestAddSearchBasic(t *testing.T) {
 	ix := New()
 	docs := map[DocID]map[Term]uint64{
@@ -22,9 +15,7 @@ func TestAddSearchBasic(t *testing.T) {
 		"d3": {"mobile": 2},
 	}
 	for d, terms := range docs {
-		if err := ix.Add(d, terms); err != nil {
-			t.Fatal(err)
-		}
+		ix.Add(d, terms)
 	}
 	if ix.DocCount() != 3 {
 		t.Fatalf("DocCount = %d", ix.DocCount())
@@ -43,9 +34,7 @@ func TestAddSearchBasic(t *testing.T) {
 
 func TestSearchZeroK(t *testing.T) {
 	ix := New()
-	if err := ix.Add("d", map[Term]uint64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
+	ix.Add("d", map[Term]uint64{"x": 1})
 	if res := ix.Search(map[Term]uint64{"x": 1}, 0); res != nil {
 		t.Errorf("k=0 should return nil, got %v", res)
 	}
@@ -53,9 +42,7 @@ func TestSearchZeroK(t *testing.T) {
 
 func TestSearchUnknownTerm(t *testing.T) {
 	ix := New()
-	if err := ix.Add("d", map[Term]uint64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
+	ix.Add("d", map[Term]uint64{"x": 1})
 	if res := ix.Search(map[Term]uint64{"nope": 1}, 5); len(res) != 0 {
 		t.Errorf("unknown term returned %v", res)
 	}
@@ -64,9 +51,7 @@ func TestSearchUnknownTerm(t *testing.T) {
 func TestUbiquitousTermScoresZero(t *testing.T) {
 	ix := New()
 	for i := 0; i < 4; i++ {
-		if err := ix.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"every": 1}); err != nil {
-			t.Fatal(err)
-		}
+		ix.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"every": 1})
 	}
 	// idf = log(4/4) = 0 -> no result should surface.
 	if res := ix.Search(map[Term]uint64{"every": 1}, 5); len(res) != 0 {
@@ -76,12 +61,8 @@ func TestUbiquitousTermScoresZero(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	ix := New()
-	if err := ix.Add("d1", map[Term]uint64{"a": 1, "b": 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add("d2", map[Term]uint64{"a": 1}); err != nil {
-		t.Fatal(err)
-	}
+	ix.Add("d1", map[Term]uint64{"a": 1, "b": 2})
+	ix.Add("d2", map[Term]uint64{"a": 1})
 	ix.Remove("d1")
 	if ix.Has("d1") {
 		t.Error("d1 still present after Remove")
@@ -103,12 +84,8 @@ func TestRemove(t *testing.T) {
 
 func TestReAddReplaces(t *testing.T) {
 	ix := New()
-	if err := ix.Add("d", map[Term]uint64{"old": 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add("d", map[Term]uint64{"new": 5}); err != nil {
-		t.Fatal(err)
-	}
+	ix.Add("d", map[Term]uint64{"old": 5})
+	ix.Add("d", map[Term]uint64{"new": 5})
 	if ix.DocCount() != 1 {
 		t.Fatalf("DocCount = %d, want 1 after re-add", ix.DocCount())
 	}
@@ -116,9 +93,7 @@ func TestReAddReplaces(t *testing.T) {
 		t.Errorf("stale term survived re-add: %v", res)
 	}
 	// With one doc in the corpus idf = 0, so add a decoy to score "new".
-	if err := ix.Add("decoy", map[Term]uint64{"decoyterm": 1}); err != nil {
-		t.Fatal(err)
-	}
+	ix.Add("decoy", map[Term]uint64{"decoyterm": 1})
 	if res := ix.Search(map[Term]uint64{"new": 1}, 5); len(res) != 1 || res[0].Doc != "d" {
 		t.Errorf("new term not searchable: %v", res)
 	}
@@ -141,9 +116,7 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 		for j := 0; j < 1+rng.Intn(5); j++ {
 			terms[Term(fmt.Sprintf("t%d", rng.Intn(20)))] = uint64(1 + rng.Intn(4))
 		}
-		if err := ix.Add(d, terms); err != nil {
-			t.Fatal(err)
-		}
+		ix.Add(d, terms)
 		live[d] = true
 	}
 	if ix.DocCount() != len(live) {
@@ -163,14 +136,10 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 func TestTopKLimit(t *testing.T) {
 	ix := New()
 	for i := 0; i < 50; i++ {
-		if err := ix.Add(DocID(fmt.Sprintf("d%02d", i)), map[Term]uint64{"q": uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
+		ix.Add(DocID(fmt.Sprintf("d%02d", i)), map[Term]uint64{"q": uint64(i + 1)})
 	}
 	// Need a decoy so idf > 0.
-	if err := ix.Add("decoy", map[Term]uint64{"other": 1}); err != nil {
-		t.Fatal(err)
-	}
+	ix.Add("decoy", map[Term]uint64{"other": 1})
 	res := ix.Search(map[Term]uint64{"q": 1}, 5)
 	if len(res) != 5 {
 		t.Fatalf("got %d results, want 5", len(res))
@@ -188,13 +157,9 @@ func TestTopKLimit(t *testing.T) {
 func TestDeterministicTieBreak(t *testing.T) {
 	ix := New()
 	for _, d := range []DocID{"b", "a", "c"} {
-		if err := ix.Add(d, map[Term]uint64{"q": 2}); err != nil {
-			t.Fatal(err)
-		}
+		ix.Add(d, map[Term]uint64{"q": 2})
 	}
-	if err := ix.Add("decoy", map[Term]uint64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
+	ix.Add("decoy", map[Term]uint64{"x": 1})
 	res := ix.Search(map[Term]uint64{"q": 1}, 3)
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
@@ -213,10 +178,7 @@ func TestConcurrentAddSearchRemove(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				d := DocID(fmt.Sprintf("w%d-d%d", w, i))
-				if err := ix.Add(d, map[Term]uint64{Term(fmt.Sprintf("t%d", i%10)): 1}); err != nil {
-					t.Error(err)
-					return
-				}
+				ix.Add(d, map[Term]uint64{Term(fmt.Sprintf("t%d", i%10)): 1})
 				ix.Search(map[Term]uint64{Term(fmt.Sprintf("t%d", i%10)): 1}, 5)
 				if i%3 == 0 {
 					ix.Remove(d)

@@ -197,9 +197,7 @@ func runTrace(t *testing.T, memCap int, data []byte) {
 			doc := DocID(fmt.Sprintf("d%02d", r.next()%traceDocs))
 			terms := r.terms()
 			desc = fmt.Sprintf("add %s %v", doc, terms)
-			if err := s.Add(doc, terms); err != nil {
-				t.Fatalf("step %d %s: %v", step, desc, err)
-			}
+			s.Add(doc, terms)
 			m.add(doc, terms)
 		case op < 11:
 			doc := DocID(fmt.Sprintf("d%02d", r.next()%(traceDocs+8))) // sometimes unknown
@@ -208,9 +206,7 @@ func runTrace(t *testing.T, memCap int, data []byte) {
 			m.remove(doc)
 		case op < 13:
 			desc = "seal"
-			if err := s.Seal(); err != nil {
-				t.Fatalf("step %d seal: %v", step, err)
-			}
+			s.Seal()
 			m.seal()
 		case op < 15:
 			desc = "compact"
@@ -321,13 +317,9 @@ func TestSegmentedSaturatesHostileTermFrequency(t *testing.T) {
 	s := NewSegmented(SegmentedOptions{MemtableCap: -1})
 	defer s.Close()
 	hostile := map[Term]uint64{"big": 1 << 40, "small": 2}
-	if err := s.Add("evil", hostile); err != nil {
-		t.Fatal(err)
-	}
+	s.Add("evil", hostile)
 	for i := 0; i < 5; i++ {
-		if err := s.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"small": uint64(i + 1), "other": 1}); err != nil {
-			t.Fatal(err)
-		}
+		s.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"small": uint64(i + 1), "other": 1})
 	}
 	if hostile["big"] != 1<<40 {
 		t.Fatal("Add modified the caller's map")
@@ -360,17 +352,11 @@ func TestSegmentedSaturatesHostileTermFrequency(t *testing.T) {
 		}
 	}
 	check("memtable", s)
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
+	s.Seal()
 	check("sealed", s)
-	if err := s.Add("late", map[Term]uint64{"other": 1}); err != nil {
-		t.Fatal(err)
-	}
+	s.Add("late", map[Term]uint64{"other": 1})
 	s.Remove("late")
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
+	s.Seal()
 	s.Compact()
 	check("compacted", s)
 	groups, err := s.SegmentBatches()
@@ -465,17 +451,17 @@ func segmentedLookupLinearizableUnderWrites(t *testing.T) {
 	m := newSegModel(6)
 	r := &traceReader{data: seededTrace(77, writes)}
 	for w := 0; w < writes; w++ {
-		var apply func() error
+		var apply func()
 		switch op := r.next() % 16; {
 		case op < 9:
 			doc := DocID(fmt.Sprintf("d%02d", r.next()%traceDocs))
 			terms := r.terms()
 			m.add(doc, terms)
-			apply = func() error { return s.Add(doc, terms) }
+			apply = func() { s.Add(doc, terms) }
 		case op < 13:
 			doc := DocID(fmt.Sprintf("d%02d", r.next()%traceDocs))
 			m.remove(doc)
-			apply = func() error { s.Remove(doc); return nil }
+			apply = func() { s.Remove(doc) }
 		default:
 			apply = s.Seal
 		}
@@ -487,10 +473,7 @@ func segmentedLookupLinearizableUnderWrites(t *testing.T) {
 		states = append(states, snapshot)
 		statesMu.Unlock()
 		started.Add(1)
-		if err := apply(); err != nil {
-			t.Error(err)
-			break
-		}
+		apply()
 		completed.Add(1)
 	}
 	close(stop)

@@ -9,7 +9,10 @@ import (
 	"mie/internal/text"
 )
 
-// ErrClosed is returned by mutating operations on a closed Segmented index.
+// ErrClosed is returned by SegmentBatches and LoadSegments on a closed
+// Segmented index: they read or write a snapshot's contents, and a closed
+// index has none to give or take. Every other write to a closed index —
+// Add, AddBatch, Remove, Seal, Compact — is ignored.
 var ErrClosed = errors.New("index: closed")
 
 // SegmentedOptions configures a Segmented index.
@@ -96,20 +99,14 @@ func (s *Segmented) freshMemtableLocked() {
 // Add indexes (or re-indexes) a document in the memtable. A previous version
 // in a sealed segment is tombstoned by clearing its live bit; one in the
 // memtable is removed in place. The memtable auto-seals past MemtableCap.
-func (s *Segmented) Add(doc DocID, terms map[Term]uint64) error {
-	return s.AddBatch([]BatchDoc{{Doc: doc, Terms: terms}})
+func (s *Segmented) Add(doc DocID, terms map[Term]uint64) {
+	s.AddBatch([]BatchDoc{{Doc: doc, Terms: terms}})
 }
 
-func (s *Segmented) addLocked(doc DocID, terms map[Term]uint64) error {
-	if s.closed {
-		return ErrClosed
-	}
+func (s *Segmented) addLocked(doc DocID, terms map[Term]uint64) {
 	s.retireLocked(doc)
-	if err := s.mem.idx.Add(doc, clampTerms(terms)); err != nil {
-		return err
-	}
+	s.mem.idx.Add(doc, clampTerms(terms))
 	s.owner[doc] = s.mem.id
-	return nil
 }
 
 // retireLocked drops doc's current version, if it has one: removed in place
@@ -156,31 +153,23 @@ func clampTerms(terms map[Term]uint64) map[Term]uint64 {
 // AddBatch is the bulk segment-build primitive: the entire batch lands in the
 // current memtable under one lock acquisition (no mid-batch auto-seal), so an
 // epoch rebuild can pour a store snapshot into exactly one segment and Seal
-// it. On error the batch stops at the offending document; earlier entries
-// remain indexed. If the batch pushed the memtable past MemtableCap it is
-// sealed once at the end.
-func (s *Segmented) AddBatch(docs []BatchDoc) error {
+// it. If the batch pushed the memtable past MemtableCap it is sealed once at
+// the end. A closed index ignores the batch.
+func (s *Segmented) AddBatch(docs []BatchDoc) {
 	s.mu.Lock()
-	var err error
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
 	for _, d := range docs {
-		if err = s.addLocked(d.Doc, d.Terms); err != nil {
-			break
-		}
+		s.addLocked(d.Doc, d.Terms)
 	}
-	sealedNow := false
-	if err == nil && s.opts.MemtableCap > 0 && s.mem.idx.DocCount() >= s.opts.MemtableCap {
-		if serr := s.sealLocked(); serr != nil {
-			err = serr
-		} else {
-			sealedNow = true
-		}
-	}
+	sealedNow := s.opts.MemtableCap > 0 && s.mem.idx.DocCount() >= s.opts.MemtableCap && s.sealLocked()
 	cb := s.opts.OnSeal
 	s.mu.Unlock()
 	if sealedNow && cb != nil {
 		cb()
 	}
-	return err
 }
 
 // Remove tombstones a document. Removing an unknown doc is a no-op.
@@ -193,29 +182,26 @@ func (s *Segmented) Remove(doc DocID) {
 }
 
 // Seal freezes the current memtable into the sealed-segment list and starts a
-// fresh one. Sealing an empty memtable is a no-op.
-func (s *Segmented) Seal() error {
+// fresh one. Sealing an empty memtable, or a closed index, is a no-op.
+func (s *Segmented) Seal() {
 	s.mu.Lock()
-	err := s.sealLocked()
-	sealedNow := err == nil
+	sealedNow := s.sealLocked()
 	cb := s.opts.OnSeal
 	s.mu.Unlock()
 	if sealedNow && cb != nil {
 		cb()
 	}
-	return err
 }
 
-func (s *Segmented) sealLocked() error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.mem.idx.DocCount() == 0 {
-		return nil
+// sealLocked freezes a non-empty memtable of an open index and reports
+// whether it did.
+func (s *Segmented) sealLocked() bool {
+	if s.closed || s.mem.idx.DocCount() == 0 {
+		return false
 	}
 	s.sealed = append(s.sealed, freeze(s.mem))
 	s.freshMemtableLocked()
-	return nil
+	return true
 }
 
 // Has reports whether doc is live in the index.
@@ -524,21 +510,18 @@ func (s *Segmented) LoadSegments(groups [][]BatchDoc) error {
 	}
 	for i, group := range groups {
 		for _, d := range group {
-			if err := s.addLocked(d.Doc, d.Terms); err != nil {
-				return err
-			}
+			s.addLocked(d.Doc, d.Terms)
 		}
 		if i < len(groups)-1 {
-			if err := s.sealLocked(); err != nil {
-				return err
-			}
+			s.sealLocked()
 		}
 	}
 	return nil
 }
 
-// Close marks the index closed: further mutations fail with ErrClosed and an
-// in-flight Compact drops its result at its swap point.
+// Close marks the index closed: further writes are ignored, SegmentBatches
+// and LoadSegments fail with ErrClosed, and an in-flight Compact drops its
+// result at its swap point.
 func (s *Segmented) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -78,12 +78,8 @@ func segmentedMatchesMonolithicOracle(t *testing.T) {
 		case op < 6 || len(live) == 0: // add or re-add
 			doc := DocID(fmt.Sprintf("d%d", rng.Intn(60)))
 			terms := randTermsFor(rng, 40, 6)
-			if err := seg.Add(doc, terms); err != nil {
-				t.Fatal(err)
-			}
-			if err := oracle.Add(doc, terms); err != nil {
-				t.Fatal(err)
-			}
+			seg.Add(doc, terms)
+			oracle.Add(doc, terms)
 			live[doc] = terms
 		case op < 8: // remove (sometimes an unknown doc)
 			doc := DocID(fmt.Sprintf("d%d", rng.Intn(80)))
@@ -91,9 +87,7 @@ func segmentedMatchesMonolithicOracle(t *testing.T) {
 			oracle.Remove(doc)
 			delete(live, doc)
 		case op == 8:
-			if err := seg.Seal(); err != nil {
-				t.Fatal(err)
-			}
+			seg.Seal()
 		default:
 			seg.Compact()
 		}
@@ -125,9 +119,7 @@ func TestSegmentedAutoSealAndStats(t *testing.T) {
 	seals := 0
 	seg.opts.OnSeal = func() { seals++ }
 	for i := 0; i < 7; i++ {
-		if err := seg.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"a": 1}); err != nil {
-			t.Fatal(err)
-		}
+		seg.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"a": 1})
 	}
 	st := seg.Stats()
 	if st.SealedSegments != 2 {
@@ -161,9 +153,7 @@ func TestSegmentedNeedsCompaction(t *testing.T) {
 		t.Error("empty index must not need compaction")
 	}
 	for i := 0; i < 6; i++ {
-		if err := seg.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"a": 1}); err != nil {
-			t.Fatal(err)
-		}
+		seg.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"a": 1})
 	}
 	if !seg.NeedsCompaction() {
 		t.Errorf("3 sealed segments at threshold 3 must need compaction (stats %+v)", seg.Stats())
@@ -182,14 +172,10 @@ func TestSegmentedBatchesRoundTrip(t *testing.T) {
 	seg := NewSegmented(SegmentedOptions{MemtableCap: 5})
 	defer seg.Close()
 	for i := 0; i < 33; i++ {
-		if err := seg.Add(DocID(fmt.Sprintf("d%d", i)), randTermsFor(rng, 30, 5)); err != nil {
-			t.Fatal(err)
-		}
+		seg.Add(DocID(fmt.Sprintf("d%d", i)), randTermsFor(rng, 30, 5))
 	}
 	seg.Remove("d3")
-	if err := seg.Add("d4", randTermsFor(rng, 30, 5)); err != nil { // supersede a sealed version
-		t.Fatal(err)
-	}
+	seg.Add("d4", randTermsFor(rng, 30, 5)) // supersede a sealed version
 	groups, err := seg.SegmentBatches()
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +207,7 @@ func TestSegmentedAddBatchBuildsOneSegment(t *testing.T) {
 	for i := range batch {
 		batch[i] = BatchDoc{Doc: DocID(fmt.Sprintf("d%d", i)), Terms: map[Term]uint64{"a": 1}}
 	}
-	if err := seg.AddBatch(batch); err != nil {
-		t.Fatal(err)
-	}
+	seg.AddBatch(batch)
 	st := seg.Stats()
 	if st.SealedSegments != 1 {
 		t.Errorf("bulk batch must build exactly one sealed segment, got %d", st.SealedSegments)
@@ -236,25 +220,44 @@ func TestSegmentedAddBatchBuildsOneSegment(t *testing.T) {
 	}
 }
 
+// A closed index ignores writes: Add, AddBatch, Remove, Seal and Compact
+// change nothing and Lookup keeps serving the postings it held at Close.
+// Only the snapshot primitives, which have no contents to give or take,
+// report ErrClosed.
 func TestSegmentedClose(t *testing.T) {
-	seg := NewSegmented(SegmentedOptions{})
-	if err := seg.Add("d1", map[Term]uint64{"a": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Seal(); err != nil {
-		t.Fatal(err)
-	}
+	seals := 0
+	seg := NewSegmented(SegmentedOptions{OnSeal: func() { seals++ }})
+	seg.Add("d1", map[Term]uint64{"a": 1})
+	seg.Seal()
+	seg.Add("d2", map[Term]uint64{"a": 2, "b": 1}) // left in the memtable
+	query := map[Term]uint64{"a": 1, "b": 1}
+	hits, stats, docs := seg.Lookup(query, 10), seg.Stats(), seg.DocCount()
 	seg.Close()
 	seg.Close() // idempotent
-	if err := seg.Add("d2", map[Term]uint64{"a": 1}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Add after Close: err = %v, want ErrClosed", err)
-	}
-	if err := seg.Seal(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Seal after Close: err = %v, want ErrClosed", err)
-	}
+
+	seg.Add("d3", map[Term]uint64{"a": 1})
+	seg.Add("d2", map[Term]uint64{"c": 1})
+	seg.AddBatch([]BatchDoc{{Doc: "d4", Terms: map[Term]uint64{"b": 1}}})
+	seg.Remove("d1")
+	seg.Seal()
 	seg.Compact()
-	if got := seg.Stats().Compactions; got != 0 {
-		t.Errorf("Compact after Close must be a no-op, ran %d compactions", got)
+	if got := seg.DocCount(); got != docs {
+		t.Errorf("DocCount after writes to a closed index = %d, want %d", got, docs)
+	}
+	if got := seg.Stats(); got != stats {
+		t.Errorf("Stats after writes to a closed index = %+v, want %+v", got, stats)
+	}
+	if got := seg.Lookup(query, 10); !sameResults(got, hits) {
+		t.Errorf("Lookup after writes to a closed index = %v, want %v", got, hits)
+	}
+	if seals != 1 {
+		t.Errorf("OnSeal ran %d times, want once (before Close)", seals)
+	}
+	if _, err := seg.SegmentBatches(); !errors.Is(err, ErrClosed) {
+		t.Errorf("SegmentBatches after Close: err = %v, want ErrClosed", err)
+	}
+	if err := seg.LoadSegments(nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("LoadSegments after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -265,9 +268,7 @@ func TestSegmentedConcurrentOpsDuringCompaction(t *testing.T) {
 	seg := NewSegmented(SegmentedOptions{MemtableCap: 8})
 	defer seg.Close()
 	for i := 0; i < 64; i++ {
-		if err := seg.Add(DocID(fmt.Sprintf("base-%d", i)), map[Term]uint64{"common": 1, Term(fmt.Sprintf("b%d", i)): 2}); err != nil {
-			t.Fatal(err)
-		}
+		seg.Add(DocID(fmt.Sprintf("base-%d", i)), map[Term]uint64{"common": 1, Term(fmt.Sprintf("b%d", i)): 2})
 	}
 	var writersWG, bgWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -314,10 +315,7 @@ func TestSegmentedConcurrentOpsDuringCompaction(t *testing.T) {
 			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
 				doc := DocID(fmt.Sprintf("w%d-%d", w, i))
-				if err := seg.Add(doc, map[Term]uint64{"common": 1, Term(fmt.Sprintf("u-%s", doc)): 3}); err != nil {
-					t.Error(err)
-					return
-				}
+				seg.Add(doc, map[Term]uint64{"common": 1, Term(fmt.Sprintf("u-%s", doc)): 3})
 				if i%7 == 0 {
 					seg.Remove(doc)
 				}

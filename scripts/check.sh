@@ -62,8 +62,11 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # follower's snapshot install racing acquirers and drops, and the quarantine
 # of a repository that failed to load — which share one claim/settle/retire
 # protocol (lifecycle.go) — and a stale handle to a repository that protocol
-# closed, which must refuse writes instead of acknowledging them.
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed' ./internal/core
+# closed, which must refuse writes instead of acknowledging them. The log
+# property (TestDurableLogHoldsExactlyTheAcknowledgedMutations: one record
+# per acknowledged write, none for a refused one) matches 'Durable'; a
+# restore held to the same pre-append checks is 'LoadRepositoryRefuses'.
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses' ./internal/core
 # The leakage ledger stays bounded under 10⁵ operations, the attack's
 # recorder sees exactly the logged record stream, and the restore-failed
 # gauge follows a failed load through its quarantine.
