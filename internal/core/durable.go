@@ -85,7 +85,7 @@ func newDurability(o ServiceOptions) *durability {
 // start with: gob opens every message with its length as a gob uint, which
 // is either the value itself (0x00–0x7F) or a negated byte count
 // (0xF8–0xFF). The first byte therefore tells a record apart from the gob
-// records earlier commits wrote (wal_legacy.go).
+// records earlier commits wrote, which are refused as ErrBadWALRecord.
 const (
 	walUpdate byte = 0xA1
 	walRemove byte = 0xA2
@@ -380,8 +380,18 @@ func loadSnapshotFile(sp *obs.Span, path string) (*Repository, error) {
 // on-disk snapshot+WAL image is already their only state. Snapshot and log
 // files belonging to repositories the service no longer hosts (cold or
 // active) are removed — without that, a repository dropped at runtime would
-// resurrect from its stale snapshot on the next restart.
+// resurrect from its stale snapshot on the next restart. A durable service
+// saves only into its own data directory: a snapshot written elsewhere while
+// the log it supersedes is rotated at home would lose acknowledged writes,
+// so any other dir is refused before anything is written.
 func SaveService(s *Service, dir string) error {
+	if s.durable != nil {
+		fi, err := os.Stat(dir)
+		home, herr := os.Stat(s.durable.dir)
+		if err != nil || herr != nil || !os.SameFile(fi, home) {
+			return fmt.Errorf("core: save into %s: a durable service saves only into its data directory %s", dir, s.durable.dir)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: create snapshot dir: %w", err)
 	}

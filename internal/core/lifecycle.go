@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"mie/internal/obs"
 	"mie/internal/wal"
@@ -168,6 +169,9 @@ func (s *Service) lookup(id string, mode claimMode) (e *repoEntry, fresh bool, e
 			return nil, false, fmt.Errorf("%w: %s", ErrRepoExists, id)
 		}
 		return e, false, nil
+	}
+	if !utf8.ValidString(id) {
+		return nil, false, fmt.Errorf("core: repository id %q is not valid UTF-8", id)
 	}
 	if stem := repoFileStem(id); s.unloaded[stem] {
 		if mode == claimNew {
@@ -443,54 +447,32 @@ func (s *Service) MemoryBudget() int64 { return s.budget }
 // configured. The governor is safe to use as nil.
 func (s *Service) Tenants() *TenantGovernor { return s.gov }
 
-// repoIDFromStem inverts repoFileStem: %xxxx escapes become runes again.
-// Escapes are zero-padded to four hex digits but runes beyond the BMP print
-// five or six, so the parse tries the shortest escape first and accepts the
-// first decoding that re-escapes to exactly the input stem — a verified
-// round trip, so the derived id always resolves back to the same files. A
-// stem the writer could have produced from two different ids (an astral
-// rune whose escape is continued by literal hex digits) decodes to the BMP
-// interpretation; activation then reports the snapshot-id mismatch as a
-// load error, never serving the wrong repository.
+// repoIDFromStem inverts repoFileStem. A stem is a string of UTF-16 code
+// units — each %xxxx escape is one, and so is each literal byte, which is
+// ASCII — so decoding the units gives the id. A stem repoFileStem cannot
+// have written (a lone surrogate, upper-case hex, an escaped character that
+// needs none) does not re-escape to itself and is an error, so the id
+// always resolves back to the same files.
 func repoIDFromStem(stem string) (string, error) {
-	if !strings.Contains(stem, "%") {
-		return stem, nil
-	}
-	isHex := func(c byte) bool {
-		return c >= '0' && c <= '9' || c >= 'a' && c <= 'f'
-	}
-	var b strings.Builder
-	for i := 0; i < len(stem); {
-		c := stem[i]
-		if c != '%' {
-			b.WriteByte(c)
-			i++
+	units := make([]uint16, 0, len(stem))
+	for i := 0; i < len(stem); i++ {
+		if stem[i] != '%' {
+			units = append(units, uint16(stem[i]))
 			continue
 		}
-		j := i + 1
-		for j < len(stem) && j < i+1+6 && isHex(stem[j]) {
-			j++
-		}
-		if j < i+5 {
+		if i+5 > len(stem) {
 			return "", fmt.Errorf("core: truncated escape in file stem %q", stem)
 		}
-		written := false
-		for k := i + 5; k <= j; k++ {
-			v, err := strconv.ParseUint(stem[i+1:k], 16, 32)
-			if err == nil && v <= 0x10FFFF && repoFileStem(string(rune(v))) == "%"+stem[i+1:k] {
-				b.WriteRune(rune(v))
-				i = k
-				written = true
-				break
-			}
-		}
-		if !written {
+		u, err := strconv.ParseUint(stem[i+1:i+5], 16, 16)
+		if err != nil {
 			return "", fmt.Errorf("core: bad escape in file stem %q", stem)
 		}
+		units = append(units, uint16(u))
+		i += 4
 	}
-	id := b.String()
+	id := string(utf16.Decode(units))
 	if repoFileStem(id) != stem {
-		return "", fmt.Errorf("core: file stem %q does not round-trip", stem)
+		return "", fmt.Errorf("core: file stem %q is not the escape of any id", stem)
 	}
 	return id, nil
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"mie/internal/wal"
 	"mie/internal/wal/walfault"
@@ -571,22 +572,116 @@ func TestRepoIDFromStemRoundTrip(t *testing.T) {
 			t.Errorf("id %q: round-tripped to %q via stem %q", id, got, stem)
 		}
 	}
-	// Astral runes produce genuinely ambiguous stems (%1f600 is both U+1F600
-	// and U+1F60 followed by a literal '0'); the inverse may pick either, but
-	// whatever it picks must re-escape to the same stem, so the files still
-	// resolve and the snapshot-id check catches any mismatch at load time.
-	stem := repoFileStem("emoji-😀")
-	got, err := repoIDFromStem(stem)
-	if err != nil {
-		t.Fatalf("astral stem %q: %v", stem, err)
+	// An astral rune is escaped as its surrogate pair, so its stem is no
+	// longer the stem of a BMP rune followed by a literal digit: both ids
+	// of a pair that once collided round-trip exactly, each to itself.
+	for _, pair := range [][2]string{{"x-😀", "x-ὠ0"}, {"emoji-😀", "emoji-\U0010FFFF"}} {
+		if repoFileStem(pair[0]) == repoFileStem(pair[1]) {
+			t.Errorf("ids %q and %q share the stem %q", pair[0], pair[1], repoFileStem(pair[0]))
+		}
+		for _, id := range pair {
+			if !roundTrips(id) {
+				t.Errorf("id %q does not round-trip through stem %q", id, repoFileStem(id))
+			}
+		}
 	}
-	if repoFileStem(got) != stem {
-		t.Errorf("astral stem %q: decoded id %q does not re-escape to it", stem, got)
+	// So does any string of runes.
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 500; n++ {
+		runes := make([]rune, 1+rng.Intn(4))
+		for i := range runes {
+			for runes[i] = -1; !utf8.ValidRune(runes[i]); {
+				runes[i] = rune(rng.Intn(utf8.MaxRune + 1))
+			}
+		}
+		if id := string(runes); !roundTrips(id) {
+			t.Errorf("id %q does not round-trip through stem %q", id, repoFileStem(id))
+		}
+	}
+	if got := repoFileStem("x-😀"); got != "x-%d83d%de00" {
+		t.Errorf("astral stem %q, want x-%%d83d%%de00", got)
+	}
+	// A stem the escaper cannot write has no id: a lone or reversed
+	// surrogate, upper-case hex, an escaped character that needs none, an
+	// escape of the wrong width.
+	for _, bad := range []string{"%d83d", "%dc00", "%de00%d83d", "%d83dx", "%00E9", "%0061", "%1f6"} {
+		if id, err := repoIDFromStem(bad); err == nil {
+			t.Errorf("stem %q: parsed to %q, want an error", bad, id)
+		}
 	}
 	for _, bad := range []string{"%12", "%zzzz", "%"} {
 		if _, err := repoIDFromStem(bad); err == nil {
 			t.Errorf("stem %q: expected parse error", bad)
 		}
+	}
+}
+
+func roundTrips(id string) bool {
+	got, err := repoIDFromStem(repoFileStem(id))
+	return err == nil && got == id
+}
+
+// TestRepoIDStemsSurviveRestart: every repository id gets files of its own
+// and comes back under its own id, with its objects, after a restart — an
+// astral rune included, and the pair whose stems once collided (creating
+// the second reset the first one's log and overwrote its snapshot). An id
+// that is not valid UTF-8, whose runes once all escaped to %fffd, is
+// refused by create and by install before any file opens.
+func TestRepoIDStemsSurviveRestart(t *testing.T) {
+	c := testClient(t)
+	for _, ids := range [][]string{{"photos-😀"}, {"x-😀", "x-ὠ0"}} {
+		dir := t.TempDir()
+		svc, _, err := OpenService(ServiceOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			r, err := svc.CreateRepository(id, RepositoryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Update(ownedUpdate(t, c, fmt.Sprintf("obj-%d", i), "u", "stem survivor", 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc, _, err = OpenService(ServiceOptions{Dir: dir})
+		if err != nil {
+			t.Fatalf("%q: restart: %v", ids, err)
+		}
+		for i, id := range ids {
+			r, err := svc.Repository(id)
+			if err != nil {
+				t.Fatalf("%q after restart: %v", id, err)
+			}
+			if _, _, err := r.Get(fmt.Sprintf("obj-%d", i)); err != nil || r.Size() != 1 {
+				t.Errorf("%q after restart: %d objects, get obj-%d: %v", id, r.Size(), i, err)
+			}
+		}
+		if got := len(svc.Repositories()); got != len(ids) {
+			t.Errorf("%q: %d repositories after restart, want %d", ids, got, len(ids))
+		}
+		_ = svc.Close()
+	}
+
+	dir := t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	for _, id := range []string{"\xff", "\xfe"} {
+		if _, err := svc.CreateRepository(id, RepositoryOptions{}); err == nil {
+			t.Errorf("create %q: accepted an id that is not UTF-8", id)
+		}
+		if err := svc.InstallSnapshot(id, snapshotImage(t, c, id, "o")); err == nil {
+			t.Errorf("install %q: accepted an id that is not UTF-8", id)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 || len(svc.Repositories()) != 0 {
+		t.Errorf("refused ids left %d files and %q behind", len(files), svc.Repositories())
 	}
 }
 

@@ -150,6 +150,20 @@ func (s *Service) Repositories() []string {
 	return out
 }
 
+// Unloaded lists the ids of the repositories whose files failed to load at
+// start-up and are kept untouched: not hosted, yet not gone either.
+func (s *Service) Unloaded() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]string, 0, len(s.unloaded))
+	for stem := range s.unloaded {
+		if id, err := repoIDFromStem(stem); err == nil {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // LeakageSummaries returns the per-repository leakage profiles of the
 // *active* repositories, keyed by repository id — the payload of the
 // server's /debug/leakage endpoint. Cold repositories have no in-memory

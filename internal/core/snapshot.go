@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"unicode/utf16"
 
 	"mie/internal/cluster"
 	"mie/internal/dpe"
@@ -290,13 +291,19 @@ func writeImage(dir, name string, write func(io.Writer) error) error {
 }
 
 // repoFileStem escapes a repository id into a safe file-name stem, shared
-// by the snapshot and WAL naming so the two always sit side by side.
+// by the snapshot and WAL naming so the two always sit side by side. Every
+// escape is '%' and exactly four hex digits: a rune above U+FFFF is written
+// as its UTF-16 surrogate pair, so two ids never share a stem. Ids are valid
+// UTF-8 (lookup refuses any other).
 func repoFileStem(id string) string {
 	var b strings.Builder
 	for _, r := range id {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
 			b.WriteRune(r)
+		case r > 0xFFFF:
+			hi, lo := utf16.EncodeRune(r)
+			fmt.Fprintf(&b, "%%%04x%%%04x", hi, lo)
 		default:
 			fmt.Fprintf(&b, "%%%04x", r)
 		}

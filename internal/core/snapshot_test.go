@@ -359,3 +359,58 @@ func TestLoadServiceFreshDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSaveServiceRefusesForeignDir: a durable service saves only into its
+// own data directory. Saving one elsewhere used to write the snapshots
+// there and rotate the logs at home, so the next start at home lost every
+// acknowledged write. An in-memory service still exports to any directory.
+func TestSaveServiceRefusesForeignDir(t *testing.T) {
+	c := testClient(t)
+	home, foreign := t.TempDir(), t.TempDir()
+	svc, _, err := OpenService(ServiceOptions{Dir: home})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := svc.CreateRepository("r", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Update(ownedUpdate(t, c, "o", "u", "acknowledged", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveService(svc, foreign); err == nil {
+		t.Error("a durable service saved into a foreign directory")
+	}
+	if files, _ := os.ReadDir(foreign); len(files) != 0 {
+		t.Errorf("the refused save left %d files in the foreign directory", len(files))
+	}
+	_ = svc.Close()
+	restored, _, err := OpenService(ServiceOptions{Dir: home})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := restored.Repository("r"); err != nil || got.Size() != 1 {
+		t.Fatalf("restored at home: err %v, want the acknowledged object", err)
+	}
+	_ = restored.Close()
+
+	mem := openMem(t)
+	mr, err := mem.CreateRepository("m", RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mr.Update(ownedUpdate(t, c, "o", "u", "exported", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveService(mem, foreign); err != nil {
+		t.Fatalf("in-memory export: %v", err)
+	}
+	restored, _, err = OpenService(ServiceOptions{Dir: foreign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = restored.Close() }()
+	if got, err := restored.Repository("m"); err != nil || got.Size() != 1 {
+		t.Fatalf("exported in-memory repository: err %v", err)
+	}
+}

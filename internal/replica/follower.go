@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mie/internal/bin"
 	"mie/internal/client"
 	"mie/internal/core"
 	"mie/internal/obs"
@@ -297,8 +298,9 @@ func (s *session) handleBatch(env *wire.Envelope) error {
 	}
 	if batch.Err != "" {
 		if batch.Code == wire.ErrCodeRepoNotFound {
-			// The repository is gone on the leader; the catalog drop event
-			// converges us, so just end this stream.
+			// The leader does not host the repository (dropped, or it
+			// cannot open it); the catalog's drop event or image converges
+			// us, so just end this stream.
 			s.unsubscribeLocal(repoID)
 			return nil
 		}
@@ -351,85 +353,122 @@ func (s *session) apply(repoID string, rec *wire.ReplRecord) error {
 		return fmt.Errorf("stream %q seq %d: %w", repoID, rec.Seq, err)
 	}
 	cur := s.f.Cursor(repoID)
+	if rec.Gen == cur.Gen && rec.Seq <= cur.Seq {
+		s.f.duplicatesC.Inc()
+		return nil
+	}
+	var err error
 	switch rec.Kind {
 	case wire.ReplSnapshot:
-		if rec.Gen == cur.Gen && rec.Seq <= cur.Seq {
-			s.f.duplicatesC.Inc()
-			return nil
+		if repoID == CatalogStream {
+			err = s.installCatalog(rec.Payload)
+		} else {
+			err = s.f.svc.InstallSnapshot(repoID, rec.Payload)
 		}
-		if err := s.f.svc.InstallSnapshot(repoID, rec.Payload); err != nil {
-			return fmt.Errorf("install snapshot %q: %w", repoID, err)
+		if err == nil {
+			s.f.snapshotsC.Inc()
 		}
-		s.f.snapshotsC.Inc()
-		s.f.appliedC.Inc()
-		s.progressed = true
-		s.f.setCursor(repoID, Cursor{Gen: rec.Gen, Seq: rec.Seq})
-		return nil
 	case wire.ReplMutation:
-		if rec.Gen == cur.Gen && rec.Seq <= cur.Seq {
-			s.f.duplicatesC.Inc()
-			return nil
-		}
 		if rec.Gen != cur.Gen || rec.Seq != cur.Seq+1 {
 			return fmt.Errorf("stream %q: gap at (%d,%d), cursor (%d,%d)", repoID, rec.Gen, rec.Seq, cur.Gen, cur.Seq)
 		}
-		repo, release, err := s.f.svc.Acquire(repoID)
-		if err != nil {
-			return fmt.Errorf("acquire %q: %w", repoID, err)
+		var repo *core.Repository
+		var release func()
+		if repo, release, err = s.f.svc.Acquire(repoID); err == nil {
+			err = repo.ApplyReplicated(rec.Payload)
+			release()
+			if err != nil {
+				s.f.applyErrsC.Inc()
+			}
 		}
-		err = repo.ApplyReplicated(rec.Payload)
-		release()
-		if err != nil {
-			s.f.applyErrsC.Inc()
-			return fmt.Errorf("apply %q seq %d: %w", repoID, rec.Seq, err)
-		}
-		s.f.appliedC.Inc()
-		s.progressed = true
-		s.f.setCursor(repoID, Cursor{Gen: rec.Gen, Seq: rec.Seq})
-		return nil
 	case wire.ReplCreate, wire.ReplDrop:
 		if repoID != CatalogStream {
 			return fmt.Errorf("stream %q: catalog record on repo stream", repoID)
 		}
-		if rec.Gen == cur.Gen && rec.Seq < cur.Seq {
-			s.f.duplicatesC.Inc()
-			return nil
+		var ev wire.CreateRepoReq // what the hub's catalogPayload wrote
+		if err = decodeCatalogEvent(rec.Payload, &ev); err == nil && rec.Kind == wire.ReplCreate {
+			err = s.create(ev)
+		} else if err == nil {
+			err = s.drop(ev.RepoID)
 		}
-		if err := s.applyCatalog(rec); err != nil {
-			return err
-		}
-		s.f.appliedC.Inc()
-		s.progressed = true
-		s.f.setCursor(CatalogStream, Cursor{Gen: rec.Gen, Seq: rec.Seq})
-		return nil
 	default:
 		return fmt.Errorf("stream %q: unknown record kind %d", repoID, rec.Kind)
 	}
+	if err != nil {
+		return fmt.Errorf("stream %q seq %d: %w", repoID, rec.Seq, err)
+	}
+	s.f.appliedC.Inc()
+	s.progressed = true
+	s.f.setCursor(repoID, Cursor{Gen: rec.Gen, Seq: rec.Seq})
+	return nil
 }
 
-// applyCatalog converges the local catalog on a create/drop event. Creates
-// tolerate an existing repository and drops a missing one: catalog listings
-// are replayed on every re-sync, so both directions must be idempotent.
-func (s *session) applyCatalog(rec *wire.ReplRecord) error {
-	var ev wire.CreateRepoReq // what the hub's catalogPayload wrote
-	if err := (&wire.Envelope{Kind: wire.KindCreateRepo, Data: rec.Payload}).Decode(&ev); err != nil {
-		return fmt.Errorf("catalog seq %d: %w", rec.Seq, err)
+// decodeCatalogEvent decodes a catalogPayload.
+func decodeCatalogEvent(payload []byte, ev *wire.CreateRepoReq) error {
+	return (&wire.Envelope{Kind: wire.KindCreateRepo, Data: payload}).Decode(ev)
+}
+
+// installCatalog makes the local catalog the leader's catalog image (see
+// Hub.catalogImage): every listed repository is created if missing and
+// subscribed, the ones the leader cannot open are left as they are, and
+// every other local repository is dropped the way a live drop event drops
+// it.
+func (s *session) installCatalog(image []byte) error {
+	c := bin.NewCursor(image)
+	keep := make(map[string]bool)
+	for n := c.Count(1); n > 0; n-- {
+		var ev wire.CreateRepoReq
+		if err := decodeCatalogEvent(c.Bytes(), &ev); err != nil {
+			return err
+		}
+		if err := s.create(ev); err != nil {
+			return err
+		}
+		keep[ev.RepoID] = true
 	}
-	switch rec.Kind {
-	case wire.ReplCreate:
-		_, err := s.f.svc.CreateRepository(ev.RepoID, ev.Opts)
-		if err != nil && !errors.Is(err, core.ErrRepoExists) {
-			return fmt.Errorf("create %q: %w", ev.RepoID, err)
+	for n := c.Count(1); n > 0; n-- {
+		keep[c.String()] = true
+	}
+	if err := c.Done(); err != nil {
+		return fmt.Errorf("catalog image: %w", err)
+	}
+	for _, id := range s.f.svc.Repositories() {
+		if !keep[id] {
+			if err := s.drop(id); err != nil {
+				return err
+			}
 		}
-		s.f.trackStream(ev.RepoID)
-		return s.subscribe(ev.RepoID)
-	case wire.ReplDrop:
-		s.unsubscribeLocal(ev.RepoID)
-		s.f.dropCursor(ev.RepoID)
-		if err := s.f.svc.DropRepository(ev.RepoID); err != nil && !errors.Is(err, core.ErrRepoNotFound) {
-			return fmt.Errorf("drop %q: %w", ev.RepoID, err)
-		}
-		return nil
+	}
+	return nil
+}
+
+// create mirrors a repository the leader announced and subscribes its
+// stream; one that exists already is kept, so a replayed announcement is
+// harmless.
+func (s *session) create(ev wire.CreateRepoReq) error {
+	_, err := s.f.svc.CreateRepository(ev.RepoID, ev.Opts)
+	if err != nil && !errors.Is(err, core.ErrRepoExists) {
+		return fmt.Errorf("create %q: %w", ev.RepoID, err)
+	}
+	// A zero cursor, so a session torn after this event but before the
+	// stream's first record still resubscribes the stream on reconnect.
+	s.f.mu.Lock()
+	if _, known := s.f.cursors[ev.RepoID]; !known {
+		s.f.cursors[ev.RepoID] = Cursor{}
+	}
+	s.f.mu.Unlock()
+	return s.subscribe(ev.RepoID)
+}
+
+// drop forgets a repository the leader no longer holds: its stream, its
+// cursor, its files. One already gone is fine.
+func (s *session) drop(id string) error {
+	s.unsubscribeLocal(id)
+	s.f.mu.Lock()
+	delete(s.f.cursors, id)
+	s.f.mu.Unlock()
+	if err := s.f.svc.DropRepository(id); err != nil && !errors.Is(err, core.ErrRepoNotFound) {
+		return fmt.Errorf("drop %q: %w", id, err)
 	}
 	return nil
 }
@@ -437,23 +476,5 @@ func (s *session) applyCatalog(rec *wire.ReplRecord) error {
 func (f *Follower) setCursor(repoID string, c Cursor) {
 	f.mu.Lock()
 	f.cursors[repoID] = c
-	f.mu.Unlock()
-}
-
-// trackStream gives a newly announced stream a zero cursor, so a session
-// torn after the catalog event but before the stream's first record still
-// resubscribes it on reconnect (the catalog cursor has moved past the event
-// by then and the leader will not announce it again).
-func (f *Follower) trackStream(repoID string) {
-	f.mu.Lock()
-	if _, known := f.cursors[repoID]; !known {
-		f.cursors[repoID] = Cursor{}
-	}
-	f.mu.Unlock()
-}
-
-func (f *Follower) dropCursor(repoID string) {
-	f.mu.Lock()
-	delete(f.cursors, repoID)
 	f.mu.Unlock()
 }

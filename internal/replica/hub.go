@@ -13,12 +13,14 @@
 // replayable record-by-record — at a train install (trained state lives in
 // the snapshot, not the WAL) and implicitly at leader restart (a fresh Hub
 // draws fresh generations). A subscriber whose cursor cannot be resumed —
-// wrong generation, or trimmed past the in-memory buffer — receives a full
-// snapshot stamped with the exact cursor of its cut and resumes from there;
-// SnapshotBytes captures that cursor under the repository's write lock, so
-// the image and the cursor can never disagree. A cursor (g, s) always means
-// "every record of generation g up to and including s is applied"; records
-// at or below it are duplicates the follower drops.
+// wrong generation, or trimmed past the in-memory buffer — receives one
+// ReplSnapshot record stamped with the exact cursor of its cut and resumes
+// from there: a repository's full image (SnapshotBytes captures the cursor
+// under the repository's write lock, so the image and the cursor can never
+// disagree), or the catalog's image, which the follower installs — creating
+// what it lacks and dropping what the leader no longer holds. A cursor
+// (g, s) always means "every record of generation g up to and including s
+// is applied"; records at or below it are duplicates the follower drops.
 //
 // Replication endpoints assume the trusted interior of a deployment (the
 // same trust domain as the leader's disk); run them inside the TLS/VPN
@@ -29,10 +31,12 @@ import (
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"mie/internal/bin"
 	"mie/internal/core"
 	"mie/internal/obs"
 	"mie/internal/wire"
@@ -274,9 +278,6 @@ func (h *Hub) Status() (role string, caughtUp bool, lagNanos int64) {
 // Subscribe (server.ReplicationSource) streams records for one stream to
 // send until ctx ends. See the package comment for cursor semantics.
 func (h *Hub) Subscribe(ctx context.Context, req wire.ReplSubscribeReq, send func(*wire.ReplRecords) error) error {
-	if req.RepoID == CatalogStream {
-		return h.subscribeCatalog(ctx, req, send)
-	}
 	cursor := Cursor{Gen: req.Gen, Seq: req.Seq}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -289,28 +290,24 @@ func (h *Hub) Subscribe(ctx context.Context, req wire.ReplSubscribeReq, send fun
 			return fmt.Errorf("%w: %s", core.ErrRepoNotFound, req.RepoID)
 		}
 		st.mu.Lock()
-		if st.dropped {
-			st.mu.Unlock()
-			return fmt.Errorf("%w: %s", core.ErrRepoNotFound, req.RepoID)
+		dropped, resumable := st.dropped, st.resumableLocked(cursor)
+		var batch []wire.ReplRecord
+		if resumable {
+			batch = batchAfterLocked(st, cursor.Seq)
 		}
-		if !st.resumableLocked(cursor) {
-			st.mu.Unlock()
-			rec, err := h.snapshotRecord(req.RepoID, st)
+		ch := st.notify
+		st.mu.Unlock()
+		switch {
+		case dropped:
+			return fmt.Errorf("%w: %s", core.ErrRepoNotFound, req.RepoID)
+		case !resumable:
+			rec, err := h.resync(req.RepoID, st)
 			if err != nil {
-				return err
-			}
-			if err := send(&wire.ReplRecords{RepoID: req.RepoID, Records: []wire.ReplRecord{*rec}}); err != nil {
 				return err
 			}
 			h.snapshotsC.Inc()
-			h.batchesC.Inc()
-			cursor = Cursor{Gen: rec.Gen, Seq: rec.Seq}
-			continue
-		}
-		batch := batchAfterLocked(st, cursor.Seq)
-		if len(batch) == 0 {
-			ch := st.notify
-			st.mu.Unlock()
+			batch = []wire.ReplRecord{rec}
+		case len(batch) == 0:
 			select {
 			case <-ch:
 			case <-ctx.Done():
@@ -318,70 +315,7 @@ func (h *Hub) Subscribe(ctx context.Context, req wire.ReplSubscribeReq, send fun
 			}
 			continue
 		}
-		st.mu.Unlock()
 		if err := send(&wire.ReplRecords{RepoID: req.RepoID, Records: batch}); err != nil {
-			return err
-		}
-		h.batchesC.Inc()
-		cursor = Cursor{Gen: batch[len(batch)-1].Gen, Seq: batch[len(batch)-1].Seq}
-	}
-}
-
-// subscribeCatalog streams the catalog: a non-resumable cursor first
-// receives the full current listing as create records stamped with the
-// capture cursor, then live events.
-func (h *Hub) subscribeCatalog(ctx context.Context, req wire.ReplSubscribeReq, send func(*wire.ReplRecords) error) error {
-	st := h.stream(CatalogStream)
-	cursor := Cursor{Gen: req.Gen, Seq: req.Seq}
-	st.mu.Lock()
-	if !st.resumableLocked(cursor) {
-		// Capture the cursor before listing: a drop racing the listing is
-		// replayed as a live event at a higher sequence, so the follower
-		// converges either way.
-		cut := Cursor{Gen: st.gen, Seq: st.next}
-		st.mu.Unlock()
-		batch := wire.ReplRecords{RepoID: CatalogStream}
-		now := time.Now().UnixNano()
-		for _, id := range h.svc.Repositories() {
-			repo, release, err := h.svc.Acquire(id)
-			if err != nil {
-				continue // dropped concurrently; a live event covers it
-			}
-			opts := repo.Options()
-			release()
-			batch.Records = append(batch.Records, wire.NewReplRecord(cut.Gen, cut.Seq, wire.ReplCreate, now, catalogPayload(id, opts)))
-		}
-		if err := send(&batch); err != nil {
-			return err
-		}
-		h.batchesC.Inc()
-		cursor = cut
-	} else {
-		st.mu.Unlock()
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.mu.Lock()
-		if !st.resumableLocked(cursor) {
-			// Trimmed past the buffer mid-session: restart with a listing.
-			st.mu.Unlock()
-			return h.subscribeCatalog(ctx, wire.ReplSubscribeReq{RepoID: CatalogStream}, send)
-		}
-		batch := batchAfterLocked(st, cursor.Seq)
-		if len(batch) == 0 {
-			ch := st.notify
-			st.mu.Unlock()
-			select {
-			case <-ch:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			continue
-		}
-		st.mu.Unlock()
-		if err := send(&wire.ReplRecords{RepoID: CatalogStream, Records: batch}); err != nil {
 			return err
 		}
 		h.batchesC.Inc()
@@ -411,32 +345,68 @@ func batchAfterLocked(st *stream, seq uint64) []wire.ReplRecord {
 	return out
 }
 
-// snapshotRecord produces a ReplSnapshot record for one repository: the
-// image and the cursor of its cut, captured atomically under the
-// repository's write lock.
-func (h *Hub) snapshotRecord(repoID string, st *stream) (*wire.ReplRecord, error) {
-	repo, release, err := h.svc.Acquire(repoID)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
+// resync answers a cursor the stream cannot resume with one ReplSnapshot
+// record stamped with the cursor of its cut: a repository's image, or for
+// the catalog a catalog image.
+func (h *Hub) resync(id string, st *stream) (wire.ReplRecord, error) {
 	var cut Cursor
-	image, err := repo.SnapshotBytes(func() {
+	capture := func() {
 		st.mu.Lock()
 		cut = Cursor{Gen: st.gen, Seq: st.next}
 		st.mu.Unlock()
-	})
-	if err != nil {
-		return nil, err
 	}
-	rec := wire.NewReplRecord(cut.Gen, cut.Seq, wire.ReplSnapshot, time.Now().UnixNano(), image)
-	return &rec, nil
+	var image []byte
+	if id == CatalogStream {
+		capture()
+		image = h.catalogImage()
+	} else {
+		// The image and the cursor of its cut are captured atomically under
+		// the repository's write lock.
+		repo, release, err := h.svc.Acquire(id)
+		if err != nil {
+			return wire.ReplRecord{}, err
+		}
+		image, err = repo.SnapshotBytes(capture)
+		release()
+		if err != nil {
+			return wire.ReplRecord{}, err
+		}
+	}
+	return wire.NewReplRecord(cut.Gen, cut.Seq, wire.ReplSnapshot, time.Now().UnixNano(), image), nil
+}
+
+// catalogImage lists the leader's catalog, read after the cut: a create or
+// drop racing the read is also replayed as a live event above the cut, and
+// the follower applies both idempotently. The image is the count and
+// CreateRepoReq bodies (catalogPayload) of the repositories the leader
+// hosts, then the count and ids of those it holds but cannot open — those
+// that failed to load at start-up or to activate now — which the follower
+// keeps as they are.
+func (h *Hub) catalogImage() []byte {
+	var hosted []byte
+	n, down := 0, h.svc.Unloaded()
+	for _, id := range h.svc.Repositories() {
+		repo, release, err := h.svc.Acquire(id)
+		switch {
+		case err == nil:
+			hosted = bin.AppendBytes(hosted, catalogPayload(id, repo.Options()))
+			n++
+			release()
+		case !errors.Is(err, core.ErrRepoNotFound):
+			down = append(down, id)
+		}
+	}
+	image := append(bin.AppendUvarint(nil, uint64(n)), hosted...)
+	image = bin.AppendUvarint(image, uint64(len(down)))
+	for _, id := range down {
+		image = bin.AppendString(image, id)
+	}
+	return image
 }
 
 // catalogPayload is the payload of a catalog-stream record: the body of a
 // CreateRepoReq frame naming the repository — with its engine options on a
-// create so the follower can mirror it, zero options on a drop. The
-// follower's applyCatalog decodes it.
+// create so the follower can mirror it, zero options on a drop.
 func catalogPayload(id string, opts core.RepositoryOptions) []byte {
 	env, err := wire.NewEnvelope(wire.KindCreateRepo, "", 0, 0, wire.CreateRepoReq{RepoID: id, Opts: opts})
 	if err != nil {

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -483,7 +486,8 @@ func idleFollower(svc *core.Service) *Follower {
 }
 
 // TestDuplicateDeliveryIdempotent: applying the same record sequence twice
-// leaves the cursor and the state exactly where the first pass put them —
+// — the catalog image, then the repository's snapshot and mutations —
+// leaves the cursors and the state exactly where the first pass put them:
 // the at-least-once wire can never double-apply.
 func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	leakcheck.Check(t)
@@ -496,6 +500,11 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustUpdate(t, c, repo, "o0", "idempotent base doc")
+	catHead := hub.Head(CatalogStream)
+	cat := collect(hub, CatalogStream, Cursor{})
+	cat.waitHead(t, catHead)
+	cat.stop(t)
+	image := cat.records() // one catalog image
 	head0 := hub.Head("r")
 	col := collect(hub, "r", Cursor{})
 	col.waitHead(t, head0)
@@ -513,13 +522,15 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	p1, p2 := net.Pipe()
 	defer func() { _ = p1.Close() }()
 	defer func() { _ = p2.Close() }()
-	go func() { _, _ = io.Copy(io.Discard, p2) }()
+	go func() { _, _ = io.Copy(io.Discard, p2) }() // the image's subscribe
 	s := &session{f: fol, conn: p1, subs: map[uint64]string{}, byRepo: map[string]uint64{}}
-	if _, err := folSvc.CreateRepository("r", core.RepositoryOptions{}); err != nil {
-		t.Fatal(err)
-	}
 
 	apply := func(label string) {
+		for i := range image {
+			if err := s.apply(CatalogStream, &image[i]); err != nil {
+				t.Fatalf("%s: catalog record %d: %v", label, i, err)
+			}
+		}
 		for i := range recs {
 			if err := s.apply("r", &recs[i]); err != nil {
 				t.Fatalf("%s: record %d: %v", label, i, err)
@@ -530,17 +541,23 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	if got := fol.Cursor("r"); got != head {
 		t.Fatalf("cursor %+v after first pass, want %+v", got, head)
 	}
+	if got := fol.Cursor(CatalogStream); got != catHead {
+		t.Fatalf("catalog cursor %+v after first pass, want %+v", got, catHead)
+	}
 	applied := fol.appliedC.Value()
 
 	apply("duplicate pass")
 	if got := fol.Cursor("r"); got != head {
 		t.Fatalf("cursor moved to %+v on duplicates", got)
 	}
+	if got := fol.Cursor(CatalogStream); got != catHead {
+		t.Fatalf("catalog cursor moved to %+v on a duplicate image", got)
+	}
 	if fol.appliedC.Value() != applied {
 		t.Fatalf("duplicates were applied: %d -> %d", applied, fol.appliedC.Value())
 	}
-	if got := fol.duplicatesC.Value(); got != int64(len(recs)) {
-		t.Fatalf("dropped %d duplicates, want %d", got, len(recs))
+	if got, want := fol.duplicatesC.Value(), int64(len(image)+len(recs)); got != want {
+		t.Fatalf("dropped %d duplicates, want %d", got, want)
 	}
 
 	fr, err := folSvc.Repository("r")
@@ -665,55 +682,62 @@ func TestApplyRejectsOldFormatRecord(t *testing.T) {
 	}
 }
 
-// cutProxy forwards one leader connection but tears it down after limit
-// server->client bytes — mid-frame, mid-record. Later connections pass
-// through untouched.
-type cutProxy struct {
-	ln     net.Listener
-	target string
-	limit  int64
+// link relays follower connections to a leader address, playing the
+// network between the two: its first connection can be torn down after
+// limit leader->follower bytes (mid-frame, mid-record), it can be
+// partitioned (live connections torn down, new ones refused) and it can be
+// repointed at a restarted leader.
+type link struct {
+	ln net.Listener
 
-	mu    sync.Mutex
-	first bool
-	conns []net.Conn
-	wg    sync.WaitGroup
+	mu          sync.Mutex
+	target      string
+	limit       int64 // > 0: cut the next connection after this many bytes
+	partitioned bool
+	conns       []net.Conn
+	wg          sync.WaitGroup
 }
 
-func newCutProxy(t *testing.T, target string, limit int64) *cutProxy {
+func newLink(t *testing.T, target string, limit int64) *link {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &cutProxy{ln: ln, target: target, limit: limit, first: true}
-	p.wg.Add(1)
-	go p.acceptLoop()
-	return p
+	l := &link{ln: ln, target: target, limit: limit}
+	l.wg.Add(1)
+	go l.acceptLoop()
+	return l
 }
 
-func (p *cutProxy) acceptLoop() {
-	defer p.wg.Done()
+func (l *link) acceptLoop() {
+	defer l.wg.Done()
 	for {
-		conn, err := p.ln.Accept()
+		conn, err := l.ln.Accept()
 		if err != nil {
 			return
 		}
-		up, err := net.Dial("tcp", p.target)
-		if err != nil {
+		l.mu.Lock()
+		target, limit, down := l.target, l.limit, l.partitioned
+		l.limit = 0
+		l.mu.Unlock()
+		var up net.Conn
+		if !down {
+			up, err = net.Dial("tcp", target)
+		}
+		if down || err != nil {
 			_ = conn.Close()
 			continue
 		}
-		p.mu.Lock()
-		cut := p.first
-		p.first = false
-		p.conns = append(p.conns, conn, up)
-		p.mu.Unlock()
-		p.wg.Add(2)
-		go func() { defer p.wg.Done(); _, _ = io.Copy(up, conn); _ = up.Close() }()
+		l.mu.Lock()
+		l.conns = append(l.conns, conn, up)
+		l.mu.Unlock()
+		l.wg.Add(2)
+		go func() { defer l.wg.Done(); _, _ = io.Copy(up, conn); _ = up.Close() }()
 		go func() {
-			defer p.wg.Done()
-			if cut {
-				_, _ = io.CopyN(conn, up, p.limit)
+			defer l.wg.Done()
+			if limit > 0 {
+				_, _ = io.CopyN(conn, up, limit)
 				_ = up.Close()
 			} else {
 				_, _ = io.Copy(conn, up)
@@ -723,24 +747,50 @@ func (p *cutProxy) acceptLoop() {
 	}
 }
 
-func (p *cutProxy) Close() {
-	_ = p.ln.Close()
-	p.mu.Lock()
-	for _, c := range p.conns {
+func (l *link) Addr() string { return l.ln.Addr().String() }
+
+// Partition cuts (or heals) the link.
+func (l *link) Partition(on bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.partitioned = on
+	if on {
+		l.closeConnsLocked()
+	}
+}
+
+// SetTarget points new connections at another leader address.
+func (l *link) SetTarget(addr string) {
+	l.mu.Lock()
+	l.target = addr
+	l.mu.Unlock()
+}
+
+func (l *link) closeConnsLocked() {
+	for _, c := range l.conns {
 		_ = c.Close()
 	}
-	p.mu.Unlock()
-	p.wg.Wait()
+	l.conns = nil
+}
+
+func (l *link) Close() {
+	_ = l.ln.Close()
+	l.mu.Lock()
+	l.closeConnsLocked()
+	l.mu.Unlock()
+	l.wg.Wait()
 }
 
 // TestFollowerTornMidRecordResume: the session is torn mid-frame at several
 // byte offsets; the follower must reconnect, resume from its cursor, and end
 // byte-identical to the leader — the torn partial frame never corrupts
 // anything. The offsets straddle the three frames the leader sends: the
-// handshake ends at byte 49, the catalog batch at 136 (it was 342 while the
-// catalog payload was a gob struct, which is why 100 joined the list) and
-// the repository's snapshot record at 3483. A cut just past the catalog
-// batch (150) once left the repository announced but never resubscribed.
+// handshake ends at byte 49, the catalog image at about 139 (it was 342
+// while the catalog payload was a gob struct, which is why 100 joined the
+// list) and the repository's snapshot record at about 3033 (generations and
+// timestamps are varints, so the last two move by a byte or two from run to
+// run). A cut just past the catalog (150) once left the repository
+// announced but never resubscribed; 3000 tears the snapshot record's tail.
 func TestFollowerTornMidRecordResume(t *testing.T) {
 	leakcheck.Check(t)
 	svc, hub, srv := startLeader(t, t.TempDir())
@@ -755,9 +805,9 @@ func TestFollowerTornMidRecordResume(t *testing.T) {
 		mustUpdate(t, c, repo, fmt.Sprintf("o%d", i), fmt.Sprintf("torn resume doc %d", i))
 	}
 
-	for _, limit := range []int64{40, 100, 150, 300, 600, 2000} {
+	for _, limit := range []int64{40, 100, 150, 300, 600, 2000, 3000} {
 		t.Run(fmt.Sprintf("cut@%d", limit), func(t *testing.T) {
-			proxy := newCutProxy(t, srv.Addr(), limit)
+			proxy := newLink(t, srv.Addr(), limit)
 			defer proxy.Close()
 			folSvc := openSvc(t, t.TempDir())
 			defer func() { _ = folSvc.Close() }()
@@ -780,4 +830,225 @@ func TestFollowerTornMidRecordResume(t *testing.T) {
 	}
 }
 
-func (p *cutProxy) Addr() string { return p.ln.Addr().String() }
+// pair is a leader and one follower joined by a link, each on its own data
+// directory; either side can be restarted on it.
+type pair struct {
+	t          *testing.T
+	leaderOpts core.ServiceOptions
+	svc        *core.Service
+	hub        *Hub
+	srv        *server.Server
+	link       *link
+	folDir     string
+	folSvc     *core.Service
+	fol        *Follower
+	c          *core.Client
+}
+
+func newPair(t *testing.T, leaderOpts core.ServiceOptions) *pair {
+	t.Helper()
+	p := &pair{t: t, leaderOpts: leaderOpts, folDir: t.TempDir(), c: testClient(t)}
+	p.startLeader()
+	p.link = newLink(t, p.srv.Addr(), 0)
+	p.startFollower()
+	t.Cleanup(func() {
+		p.stopFollower()
+		p.link.Close()
+		p.stopLeader()
+	})
+	return p
+}
+
+// startLeader opens the leader's directory; a snapshot that fails to load
+// leaves the rest of the catalog serving, as in cmd/mie-server.
+func (p *pair) startLeader() {
+	svc, _, err := core.OpenService(p.leaderOpts)
+	if svc == nil {
+		p.t.Fatal(err)
+	}
+	p.svc, p.hub = svc, NewHub(svc, obs.NewRegistry())
+	if p.srv, err = server.New("127.0.0.1:0", svc, nil, server.WithReplication(p.hub)); err != nil {
+		p.t.Fatal(err)
+	}
+	if p.link != nil {
+		p.link.SetTarget(p.srv.Addr())
+	}
+}
+
+func (p *pair) stopLeader() {
+	_ = p.srv.Close()
+	_ = p.svc.Close()
+}
+
+func (p *pair) startFollower() {
+	p.folSvc = openSvc(p.t, p.folDir)
+	fol, err := StartFollower(p.folSvc, p.link.Addr(), obs.NewRegistry(), nil)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.fol = fol
+}
+
+func (p *pair) stopFollower() {
+	p.fol.Close()
+	_ = p.folSvc.Close()
+}
+
+// create makes a repository on the leader holding n objects.
+func (p *pair) create(id string, n int) {
+	repo, err := p.svc.CreateRepository(id, core.RepositoryOptions{})
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		mustUpdate(p.t, p.c, repo, fmt.Sprintf("o%d", i), fmt.Sprintf("pair doc %d of %s", i, id))
+	}
+}
+
+// waitParity waits until the follower is at the leader's head on the
+// catalog and every repository the leader hosts, then holds it to the
+// leader: the same catalog, and per repository the same objects and
+// ranking.
+func (p *pair) waitParity() {
+	p.t.Helper()
+	ids := p.svc.Repositories()
+	sort.Strings(ids)
+	waitFollowerCaughtUp(p.t, p.fol, p.hub, ids)
+	if got := p.fol.Cursor(CatalogStream); got != p.hub.Head(CatalogStream) {
+		p.t.Fatalf("catalog cursor %+v, leader head %+v", got, p.hub.Head(CatalogStream))
+	}
+	got := p.folSvc.Repositories()
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, ids) {
+		p.t.Fatalf("follower hosts %q, leader %q", got, ids)
+	}
+	for _, id := range ids {
+		lr, err := p.svc.Repository(id)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		fr, err := p.folSvc.Repository(id)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		if lr.Size() != fr.Size() {
+			p.t.Fatalf("%s: follower holds %d objects, leader %d", id, fr.Size(), lr.Size())
+		}
+		if lh, fh := searchIDs(p.t, p.c, lr, "pair doc"), searchIDs(p.t, p.c, fr, "pair doc"); !reflect.DeepEqual(lh, fh) {
+			p.t.Fatalf("%s: search parity broken: leader %v follower %v", id, ranked(lh), ranked(fh))
+		}
+	}
+}
+
+// TestFollowerForgetsWhatTheLeaderDropped: a follower that missed the drop
+// event of repository "a" — it was down, its leader restarted, or the
+// catalog buffer was trimmed past the event — is resynced with a catalog
+// image and drops "a" with its files, so it never serves a repository its
+// leader no longer holds.
+func TestFollowerForgetsWhatTheLeaderDropped(t *testing.T) {
+	dropA := func(p *pair) {
+		if err := p.svc.DropRepository("a"); err != nil {
+			p.t.Fatal(err)
+		}
+	}
+	rows := []struct {
+		name   string
+		buffer int // maxBufferedRecords for the row; 0 keeps the default
+		miss   func(p *pair)
+	}{
+		{name: "follower restarts", miss: func(p *pair) {
+			p.stopFollower()
+			dropA(p)
+			p.startFollower()
+		}},
+		{name: "leader restarts", miss: func(p *pair) {
+			p.link.Partition(true)
+			dropA(p)
+			p.stopLeader()
+			p.startLeader()
+			p.link.Partition(false)
+		}},
+		{name: "catalog trimmed", buffer: 2, miss: func(p *pair) {
+			p.link.Partition(true)
+			dropA(p)
+			for _, id := range []string{"c", "d", "e"} {
+				p.create(id, 2)
+			}
+			p.link.Partition(false)
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			if row.buffer > 0 {
+				old := maxBufferedRecords
+				maxBufferedRecords = row.buffer
+				t.Cleanup(func() { maxBufferedRecords = old })
+			}
+			p := newPair(t, core.ServiceOptions{Dir: t.TempDir()})
+			p.create("a", 3)
+			p.create("b", 3)
+			p.waitParity()
+			row.miss(p)
+			p.waitParity()
+			if _, err := p.folSvc.Repository("a"); !errors.Is(err, core.ErrRepoNotFound) {
+				t.Fatalf("follower still serves the dropped repository: err=%v", err)
+			}
+			for _, name := range []string{"a.snap", "a.wal"} {
+				if _, err := os.Stat(filepath.Join(p.folDir, name)); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("%s of the dropped repository: stat err=%v, want not exist", name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestFollowerKeepsWhatItsLeaderCannotOpen: a repository whose snapshot the
+// restarted leader cannot load — at start-up, or at activation under a
+// memory budget — is listed as present but unopenable in the catalog image,
+// and the follower keeps its copy and every object in it.
+func TestFollowerKeepsWhatItsLeaderCannotOpen(t *testing.T) {
+	for _, budget := range []int64{0, 1 << 30} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			leakcheck.Check(t)
+			dir := t.TempDir()
+			p := newPair(t, core.ServiceOptions{Dir: dir, MemoryBudget: budget})
+			p.create("ok", 3)
+			p.create("bad", 4)
+			p.waitParity()
+			p.link.Partition(true)
+			p.stopLeader()
+			if err := os.WriteFile(filepath.Join(dir, "bad.snap"), []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p.startLeader()
+			p.link.Partition(false)
+			waitFollowerCaughtUp(t, p.fol, p.hub, []string{"ok"})
+			fr, err := p.folSvc.Repository("bad")
+			if err != nil {
+				t.Fatalf("follower dropped the repository its leader cannot open: %v", err)
+			}
+			for i := 0; i < 4; i++ {
+				if _, _, err := fr.Get(fmt.Sprintf("o%d", i)); err != nil {
+					t.Errorf("object o%d: %v", i, err)
+				}
+			}
+			if fr.Size() != 4 {
+				t.Errorf("follower holds %d objects of bad, want 4", fr.Size())
+			}
+		})
+	}
+}
+
+// TestFollowerCatchesUpWithAnEmptyCatalog: a leader with no repositories
+// answers a catalog subscription with an empty image, so the follower's
+// catalog cursor reaches the head without waiting for a first event — at
+// start and again after the leader restarts.
+func TestFollowerCatchesUpWithAnEmptyCatalog(t *testing.T) {
+	leakcheck.Check(t)
+	p := newPair(t, core.ServiceOptions{Dir: t.TempDir()})
+	p.waitParity()
+	p.stopLeader()
+	p.startLeader()
+	p.waitParity()
+}

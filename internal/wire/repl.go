@@ -18,7 +18,8 @@ const (
 	KindReplRecords = "repl-records"
 	// KindReplAck reports the follower's durable cursor back to the leader.
 	// Like KindCancel it is fire-and-forget: the leader never responds, it
-	// only updates its lag accounting and trim watermark.
+	// only records the cursor for observability (replica.Hub.Acked). Nothing
+	// waits on acks: the leader trims its stream buffers by size caps alone.
 	KindReplAck = "repl-ack"
 )
 
@@ -28,11 +29,15 @@ const (
 	// and the UpdateReq / RemoveReq body after its RepoID (core/durable.go);
 	// followers apply it through the same function crash recovery uses.
 	ReplMutation = 1
-	// ReplSnapshot: a full repository snapshot image. Sent when the
-	// follower's cursor cannot be served from the in-memory stream buffer
-	// (new follower, trimmed history, or a generation change after a train
-	// install). The record's (Gen, Seq) is the exact cursor of the cut: the
-	// image contains every mutation below it and none at or above it.
+	// ReplSnapshot: the one answer to a cursor that cannot be served from
+	// the in-memory stream buffer (new follower, trimmed history, or a
+	// generation change after a train install or leader restart). On a
+	// repository stream it is the full repository snapshot image; on the
+	// catalog stream it is the catalog image (internal/replica), which the
+	// follower installs: the repositories the leader hosts with their
+	// options, and the ids it holds but cannot open. The record's (Gen, Seq)
+	// is the exact cursor of the cut: the image contains every event below
+	// it and none at or above it.
 	ReplSnapshot = 2
 	// ReplCreate: a catalog-stream record announcing a repository; Payload
 	// is a CreateRepoReq body (the repository and its engine options).
@@ -44,12 +49,12 @@ const (
 
 // ReplSubscribeReq opens one replication stream. Gen/Seq resume a previous
 // stream: the leader replays records from that cursor if its buffer still
-// holds them and falls back to a snapshot transfer otherwise. A zero cursor
-// always yields a snapshot (or, for the catalog, a full listing).
+// holds them and falls back to a ReplSnapshot record otherwise. A zero
+// cursor always yields one.
 type ReplSubscribeReq struct {
 	// RepoID names the repository stream; empty subscribes to the catalog
-	// stream (repository create/drop events, replayed as a full listing
-	// first so a fresh follower discovers the fleet).
+	// stream (repository create/drop events, after a catalog image when the
+	// cursor cannot resume, so a fresh follower discovers the fleet).
 	RepoID string
 	Gen    uint64
 	Seq    uint64

@@ -508,5 +508,6 @@ func Serve(addr string, svc *Service) (*server.Server, error) {
 // written via fsync+rename and pruned of dropped repositories) and rotates
 // each repository's write-ahead log; OpenService(ServiceOptions{Dir: dir})
 // restores them. Together they give an embedded deployment the same crash
-// safety cmd/mie-server's -data-dir flag provides.
+// safety cmd/mie-server's -data-dir flag provides. A durable service saves
+// only into its own data directory.
 func SaveService(svc *Service, dir string) error { return core.SaveService(svc, dir) }

@@ -46,6 +46,9 @@ go test -race -shuffle=on -cover ./...
 # Connection-lifecycle packages again, repeated: admission slots, mux
 # teardown, follower resume and router failover are where an ordering bug
 # shows up one run in fifty, and one pass of the full suite would miss it.
+# The replica package's catalog-image tests (a follower forgetting what its
+# leader dropped, keeping what its leader cannot open, reaching an empty
+# catalog's head) ride on its -count=5 run here.
 # internal/wire rides along for its pooled write buffers, internal/index
 # because its searches read sealed segments' live bits and the memtable
 # under nothing but the facade lock, against concurrent
@@ -66,7 +69,10 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # property (TestDurableLogHoldsExactlyTheAcknowledgedMutations: one record
 # per acknowledged write, none for a refused one) matches 'Durable'; a
 # restore held to the same pre-append checks is 'LoadRepositoryRefuses'.
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses' ./internal/core
+# Every id owns its files and restores under itself after a restart
+# ('RepoIDStemsSurviveRestart'), and a durable service refuses to save into
+# a directory that is not its own ('SaveServiceRefusesForeignDir').
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses|RepoIDStemsSurviveRestart|SaveServiceRefusesForeignDir' ./internal/core
 # The leakage ledger stays bounded under 10⁵ operations, the attack's
 # recorder sees exactly the logged record stream, and the restore-failed
 # gauge follows a failed load through its quarantine.
