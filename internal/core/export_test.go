@@ -9,12 +9,20 @@ import (
 	"mie/internal/wal"
 )
 
-// Seams for the external test package (identity_test.go), which drives this
-// package through the replication tier and so cannot live inside it.
+// Seams for the external test packages (identity_test.go, hugek_test.go),
+// which drive this package through the server, the client and the
+// replication tier and so cannot live inside it.
 
 const (
 	WALUpdate = walUpdate
 	WALRemove = walRemove
+)
+
+var (
+	TestClient       = testClient
+	TestObject       = testObject
+	TestDataKey      = testDataKey
+	SmallRepoOptions = smallRepoOptions
 )
 
 // LogPayloads reads every record payload of a repository's log in dir.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,7 +107,8 @@ type RepositoryOptions struct {
 	// 20000. Training cost is the cloud's to pay, but tests want it tunable.
 	TrainingSampleCap int
 	// FusionCandidates is the per-modality candidate depth fed to rank
-	// fusion before truncating to k; 0 means 10*k.
+	// fusion before truncating to k; 0 means 10*k (MaxInt where that
+	// overflows).
 	FusionCandidates int
 }
 
@@ -1128,7 +1130,12 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 
 	depth := r.opts.FusionCandidates
 	if depth <= 0 {
-		depth = 10 * q.K
+		// 10·k, saturated: k arrives unbounded off the wire, and a wrapped
+		// product would ask every modality for nothing.
+		depth = math.MaxInt
+		if q.K <= math.MaxInt/10 {
+			depth = 10 * q.K
+		}
 	}
 	var active []int // engines the query carries a modality for
 	for i, eng := range st.engines {

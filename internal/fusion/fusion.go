@@ -7,7 +7,9 @@
 package fusion
 
 import (
+	"hash/maphash"
 	"math"
+	"slices"
 
 	"mie/internal/index"
 )
@@ -27,41 +29,109 @@ const (
 )
 
 // Fuse merges the per-modality ranked lists (each sorted descending by its
-// own score) and returns the top k documents under the fused score. Ranks
-// are 1-based. Empty lists contribute nothing.
+// own score) and returns the top k documents under the fused score. Ranks are
+// 1-based. Empty lists contribute nothing.
+//
+// When only one list is non-empty and it names each document once, its order
+// is already the fused order — every method's score falls strictly with rank
+// — so it passes straight through with its fused scores, and no tally is
+// built.
 func Fuse(method Method, lists [][]index.Result, k int) []index.Result {
 	if k <= 0 {
 		return nil
 	}
-	n := 0
+	n, nonEmpty := 0, 0
+	var only []index.Result
 	for _, list := range lists {
+		if len(list) > 0 {
+			nonEmpty++
+			only = list
+		}
 		n += len(list)
 	}
+	if nonEmpty == 1 && distinct(only) {
+		out := make([]index.Result, min(k, len(only)))
+		for i := range out {
+			out[i] = index.Result{Doc: only[i].Doc, Score: fused(method, kernel(method, 0, i), 1)}
+		}
+		return out
+	}
 	type tally struct {
+		doc  index.DocID
 		sum  float64
 		hits int
 	}
-	tallies := make(map[index.DocID]tally, n)
+	// Tallies sit in a slice in order of first sight, so only finding a
+	// document's slot hashes its id.
+	slot := make(map[index.DocID]int, n)
+	tallies := make([]tally, 0, n)
 	for _, list := range lists {
 		for i, r := range list {
-			rank := float64(i + 1)
-			t := tallies[r.Doc]
-			switch method {
-			case RRF:
-				t.sum += 1 / (60 + rank)
-			default: // ISR and LogISR share the inverse-square kernel
-				t.sum += 1 / (rank * rank)
+			j, ok := slot[r.Doc]
+			if !ok {
+				j = len(tallies)
+				slot[r.Doc] = j
+				tallies = append(tallies, tally{doc: r.Doc})
 			}
+			t := &tallies[j]
+			t.sum = kernel(method, t.sum, i)
 			t.hits++
-			tallies[r.Doc] = t
 		}
 	}
-	top := index.NewTopKHeap(k)
-	for doc, t := range tallies {
-		if method == LogISR {
-			t.sum *= math.Log(1 + float64(t.hits))
-		}
-		top.Offer(index.Result{Doc: doc, Score: t.sum})
+	top := index.NewTop(k, len(tallies))
+	for _, t := range tallies {
+		top.Offer(t.doc, fused(method, t.sum, t.hits))
 	}
 	return top.Results()
 }
+
+// hashSeed keys distinct's hashes.
+var hashSeed = maphash.MakeSeed()
+
+// distinct reports whether no document appears twice in list. Two ids with
+// equal hashes only send the list down the tallying path, which is right for
+// every input.
+func distinct(list []index.Result) bool {
+	hs := make([]uint64, 0, 128) // on the stack for a list of up to 128
+	for _, r := range list {
+		hs = append(hs, maphash.String(hashSeed, string(r.Doc)))
+	}
+	slices.Sort(hs)
+	for i := 1; i < len(hs); i++ {
+		if hs[i] == hs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// kernel adds the contribution of the hit at 0-based position i of a list to
+// sum.
+func kernel(method Method, sum float64, i int) float64 {
+	rank := float64(i + 1)
+	if method == RRF {
+		return sum + 1/(60+rank)
+	}
+	return sum + 1/(rank*rank) // ISR and LogISR share the inverse-square kernel
+}
+
+// fused is a document's score from its kernel sum and its number of hits.
+func fused(method Method, sum float64, hits int) float64 {
+	if method == LogISR {
+		if hits < len(logHits) {
+			sum *= logHits[hits]
+		} else {
+			sum *= math.Log(1 + float64(hits))
+		}
+	}
+	return sum
+}
+
+// logHits[h] is log(1 + h), LogISR's boost for a document found h times, so
+// the common counts cost a lookup instead of a math.Log per document.
+var logHits = func() (boost [8]float64) {
+	for h := range boost {
+		boost[h] = math.Log(1 + float64(h))
+	}
+	return boost
+}()

@@ -8,6 +8,7 @@
 package index
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -127,30 +128,39 @@ func (ix *Inverted) Search(query map[Term]uint64, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
+	qts := queryTerms(query)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	n := len(ix.docTerms)
 	scores := make(map[DocID]float64)
-	for _, term := range sortedTerms(query) {
-		pl := ix.postings[term]
-		qf := float64(query[term])
+	for _, qt := range qts {
+		pl := ix.postings[qt.term]
 		for doc, tf := range pl {
-			scores[doc] += qf * text.TFIDF(tf, n, len(pl))
+			scores[doc] += qt.qf * text.TFIDF(tf, n, len(pl))
 		}
 	}
 	return TopK(scores, k)
 }
 
-// sortedTerms returns the query's terms in ascending order. Every ranked scan
+// queryTerm is one query term's share of a ranked scan: its query-side
+// frequency and, in a Segmented lookup, the idf its document frequency across
+// all segments implies (hoisted out of the posting loops).
+type queryTerm struct {
+	term Term
+	qf   float64
+	idf  float64
+}
+
+// queryTerms returns the query's terms in ascending order. Every ranked scan
 // walks them in this order, so a document's score is one float sum with one
 // order of additions: the same query always returns the same bits.
-func sortedTerms(query map[Term]uint64) []Term {
-	terms := make([]Term, 0, len(query))
-	for term := range query {
-		terms = append(terms, term)
+func queryTerms(query map[Term]uint64) []queryTerm {
+	qts := make([]queryTerm, 0, len(query))
+	for term, qf := range query {
+		qts = append(qts, queryTerm{term: term, qf: float64(qf)})
 	}
-	slices.Sort(terms)
-	return terms
+	slices.SortFunc(qts, func(a, b queryTerm) int { return cmp.Compare(a.term, b.term) })
+	return qts
 }
 
 // TopK selects the k highest-scoring documents from a score map, breaking
@@ -158,102 +168,20 @@ func sortedTerms(query map[Term]uint64) []Term {
 // Exported so every ranked-scan path — index lookups, the engines' linear
 // scans — truncates through the same selection with the same tie-break.
 func TopK(scores map[DocID]float64, k int) []Result {
-	top := NewTopKHeap(k)
+	top := NewTop(k, len(scores))
 	for doc, s := range scores {
-		if s > 0 && top.admits(s) {
-			top.Offer(Result{Doc: doc, Score: s})
-		}
+		top.Offer(doc, s)
 	}
 	return top.Results()
-}
-
-// TopKHeap keeps the k best results offered to it in a bounded min-heap
-// (O(n log k), no full materialize-and-sort). The order is total — score, then
-// DocID — so the outcome does not depend on the order of the offers.
-type TopKHeap struct {
-	k int
-	h []Result // min-heap under less: h[0] is the weakest kept result
-}
-
-// NewTopKHeap returns a selector for the k best results (none when k <= 0).
-func NewTopKHeap(k int) *TopKHeap {
-	return &TopKHeap{k: k}
-}
-
-// admits reports whether a result with this score could enter the heap. It is
-// the cheap pre-check that lets a scan skip a candidate without touching its
-// DocID: false means Offer would certainly drop it.
-func (t *TopKHeap) admits(score float64) bool {
-	return len(t.h) < t.k || (len(t.h) > 0 && score >= t.h[0].Score)
-}
-
-// Offer considers one result.
-func (t *TopKHeap) Offer(r Result) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, r)
-		for i := len(t.h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !less(t.h[i], t.h[parent]) {
-				break
-			}
-			t.h[i], t.h[parent] = t.h[parent], t.h[i]
-			i = parent
-		}
-		return
-	}
-	if len(t.h) == 0 || !less(t.h[0], r) {
-		return
-	}
-	t.h[0] = r
-	t.siftDown(len(t.h))
-}
-
-// siftDown restores the heap property of h[:n] after h[0] changed.
-func (t *TopKHeap) siftDown(n int) {
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && less(t.h[r], t.h[child]) {
-			child = r
-		}
-		if !less(t.h[child], t.h[i]) {
-			return
-		}
-		t.h[i], t.h[child] = t.h[child], t.h[i]
-		i = child
-	}
-}
-
-// Results returns the kept results best first (the order of SortResults) and
-// empties the heap. The slice is the caller's.
-func (t *TopKHeap) Results() []Result {
-	// Heapsort in place: moving the weakest to the end, n times, leaves the
-	// slice descending.
-	for n := len(t.h) - 1; n > 0; n-- {
-		t.h[0], t.h[n] = t.h[n], t.h[0]
-		t.siftDown(n)
-	}
-	out := t.h
-	if out == nil {
-		out = []Result{}
-	}
-	t.h = nil
-	return out
-}
-
-// less orders results ascending: by score, then by DocID (reversed so that
-// lexicographically smaller ids rank higher on equal scores).
-func less(a, b Result) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Doc > b.Doc
 }
 
 // SortResults orders results descending by score (ties by DocID ascending),
 // the canonical presentation order.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return less(rs[j], rs[i]) })
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Score != rs[j].Score {
+			return rs[i].Score > rs[j].Score
+		}
+		return rs[i].Doc < rs[j].Doc
+	})
 }

@@ -130,13 +130,18 @@ func (m *segModel) reloaded() { m.dead = 0 }
 const (
 	traceDocs  = 40
 	traceVocab = 24
+	lowVocab   = 3 // the low-entropy mode's vocabulary
 )
 
 // traceReader decodes an operation trace from bytes, so the seeded generator
 // and the fuzzer drive the same interpreter. Reads past the end yield zeros.
+// In low-entropy mode documents draw from a three-term vocabulary with term
+// frequencies 1 and 2, so most documents tie with many others and the ranking
+// rests on the DocID tie-break across segments and the memtable.
 type traceReader struct {
-	data []byte
-	pos  int
+	data       []byte
+	pos        int
+	lowEntropy bool
 }
 
 func (r *traceReader) done() bool { return r.pos >= len(r.data) }
@@ -151,6 +156,14 @@ func (r *traceReader) next() int {
 }
 
 func (r *traceReader) terms() map[Term]uint64 {
+	if r.lowEntropy {
+		n := 1 + r.next()%lowVocab
+		terms := make(map[Term]uint64, n)
+		for i := 0; i < n; i++ {
+			terms[Term(fmt.Sprintf("t%02d", r.next()%lowVocab))] = uint64(1 + r.next()%2)
+		}
+		return terms
+	}
 	n := 1 + r.next()%6
 	terms := make(map[Term]uint64, n)
 	for i := 0; i < n; i++ {
@@ -181,14 +194,17 @@ func seededTrace(seed int64, steps int) []byte {
 // operations against a Segmented with the given memtable cap and its model,
 // and after every step checks Lookup against the reference (exactly), the
 // reconstructed contents against the model (exactly) and Stats against the
-// model.
-func runTrace(t *testing.T, memCap int, data []byte) {
+// model. In low-entropy mode the queries draw from the same three terms and
+// every one is checked at depths 1, 2, live−1, live and live+5. It returns how
+// many steps ended with at least three sealed segments, a non-empty memtable
+// and a tombstone: the layout where ties cross the most sources.
+func runTrace(t *testing.T, memCap int, data []byte, lowEntropy bool) (mixed int) {
 	t.Helper()
 	open := func() *Segmented { return NewSegmented(SegmentedOptions{MemtableCap: memCap}) }
 	s := open()
 	defer func() { s.Close() }()
 	m := newSegModel(memCap)
-	r := &traceReader{data: data}
+	r := &traceReader{data: data, lowEntropy: lowEntropy}
 
 	for step := 0; !r.done(); step++ {
 		var desc string
@@ -251,20 +267,38 @@ func runTrace(t *testing.T, memCap int, data []byte) {
 		if st.LiveDocs != len(m.live) || st.DeadDocs != m.dead || st.MemtableDocs != len(m.inMem) {
 			t.Fatalf("step %d (%s): stats %+v, want live %d dead %d memtable %d", step, desc, st, len(m.live), m.dead, len(m.inMem))
 		}
+		if st.SealedSegments >= 3 && st.MemtableDocs > 0 && st.DeadDocs > 0 {
+			mixed++
+		}
 
 		qrng := rand.New(rand.NewSource(int64(step)))
 		for q := 0; q < 3; q++ {
 			query := make(map[Term]uint64)
-			for i := 1 + qrng.Intn(4); i > 0; i-- {
-				query[Term(fmt.Sprintf("t%02d", qrng.Intn(traceVocab+2)))] = uint64(1 + qrng.Intn(3))
+			depths := []int{[]int{1, 3, 10, 100}[qrng.Intn(4)]}
+			if lowEntropy {
+				for i := 1 + qrng.Intn(lowVocab); i > 0; i-- {
+					query[Term(fmt.Sprintf("t%02d", qrng.Intn(lowVocab)))] = uint64(1 + qrng.Intn(2))
+				}
+				live := len(m.live)
+				depths = []int{1, 2, live - 1, live, live + 5}
+			} else {
+				for i := 1 + qrng.Intn(4); i > 0; i-- {
+					query[Term(fmt.Sprintf("t%02d", qrng.Intn(traceVocab+2)))] = uint64(1 + qrng.Intn(3))
+				}
 			}
-			k := []int{1, 3, 10, 100}[qrng.Intn(4)]
-			want := refSearch(m.live, query, k)
-			if got := s.Lookup(query, k); !sameResults(got, want) {
-				t.Fatalf("step %d (%s): Lookup(%v, %d)\ngot  %v\nwant %v", step, desc, query, k, got, want)
+			ranked := refSearch(m.live, query, math.MaxInt) // every depth's answer is a prefix
+			for _, k := range depths {
+				if k < 1 {
+					continue
+				}
+				want := ranked[:min(k, len(ranked))]
+				if got := s.Lookup(query, k); !sameResults(got, want) {
+					t.Fatalf("step %d (%s): Lookup(%v, %d)\ngot  %v\nwant %v", step, desc, query, k, got, want)
+				}
 			}
 		}
 	}
+	return mixed
 }
 
 func equalDocs(a, b map[DocID]map[Term]uint64) bool {
@@ -288,24 +322,41 @@ func equalDocs(a, b map[DocID]map[Term]uint64) bool {
 func TestSegmentedMatchesReferenceOnSeededTraces(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runTrace(t, 3+int(seed)*2, seededTrace(seed, 150))
+			runTrace(t, 3+int(seed)*2, seededTrace(seed, 150), false)
+		})
+	}
+}
+
+// The low-entropy traces: documents and queries over three terms, so scores
+// tie in bulk, and each trace must reach the layout where a tie crosses three
+// sealed segments, the memtable and tombstoned versions.
+func TestSegmentedMatchesReferenceOnTieHeavyTraces(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			if mixed := runTrace(t, 4, seededTrace(100+seed, 200), true); mixed == 0 {
+				t.Fatal("the trace never held three sealed segments, a memtable and a tombstone at once")
+			}
 		})
 	}
 }
 
 // FuzzSegmentedOps lets the fuzzer write the trace: the high six bits of the
-// first byte pick the memtable cap, the rest are operations. The low two bits
-// once chose a ranking and champion mode; they are ignored, so the checked-in
-// corpus stays valid.
+// first byte pick the memtable cap, its lowest bit the low-entropy mode, and
+// the rest are operations. The two low bits once chose a ranking and champion
+// mode, so the checked-in corpus entries named bm25-* now replay in the
+// low-entropy mode; any byte string is still a trace.
 func FuzzSegmentedOps(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(append([]byte{byte(seed * 37)}, seededTrace(seed, 20)...))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(append([]byte{byte(seed*8) | 1}, seededTrace(100+seed, 40)...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1<<10 {
 			return
 		}
-		runTrace(t, 2+int(data[0]>>2)%7, data[1:])
+		runTrace(t, 2+int(data[0]>>2)%7, data[1:], data[0]&1 == 1)
 	})
 }
 

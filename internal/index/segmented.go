@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -268,18 +269,19 @@ func (s *Segmented) deadLocked() int {
 	return dead
 }
 
-// queryTerm is one query term's share of a Lookup: its query-side frequency,
-// and the idf its document frequency across all segments implies.
-type queryTerm struct {
-	term Term
-	qf   float64
-	idf  float64 // hoisted out of the posting loops
+// lookupScratch is the reusable working memory of one Lookup: the dense score
+// accumulator, the column of each query term in the segment being scored,
+// and the selector with its candidate buffer.
+type lookupScratch struct {
+	acc  []float64 // indexed by ordinal; all zero over its full capacity
+	cols [][]posting
+	sel  selector
 }
 
-// accPool recycles Lookup's dense score accumulators. Every buffer in it is
-// all zeros over its full capacity: Lookup clears exactly the entries it
-// touched before putting one back, so reuse costs no memclr.
-var accPool sync.Pool
+// scratchPool recycles Lookup's scratch. Every accumulator in it is all zeros
+// over its full capacity: score clears exactly the entries it set before the
+// scratch goes back, so reuse costs no memclr.
+var scratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 
 // Lookup ranks live documents against the query term-frequency map over the
 // memtable and every sealed segment, and returns the top k. Scores match a
@@ -289,18 +291,16 @@ var accPool sync.Pool
 //
 // The whole query runs under one facade read lock, which excludes every writer
 // to the memtable and to the live bits. Query terms are walked in sorted order
-// (see sortedTerms). Each live document is owned by exactly one segment, so
+// (see queryTerms). Each live document is owned by exactly one segment, so
 // per-segment accumulators are disjoint: no cross-segment score merge, one
-// heap fed from every segment; DocID strings are touched only for score ties
-// and the winners.
+// selector fed from every segment by (score, segment, ordinal); DocID strings
+// are read only for score ties across segments or with the memtable, and
+// for the winners.
 func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	qts := make([]queryTerm, 0, len(query))
-	for _, term := range sortedTerms(query) {
-		qts = append(qts, queryTerm{term: term, qf: float64(query[term])})
-	}
+	qts := queryTerms(query)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	mem := s.mem.idx
@@ -322,21 +322,25 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 		qt.idf = text.TFIDF(1, len(s.owner), df) // 1 * idf
 	}
 
-	top := NewTopKHeap(k)
+	sc := scratchPool.Get().(*lookupScratch)
+	sel := &sc.sel
+	sel.reset(k)
 	if len(s.sealed) > 0 {
 		maxDocs := 0
 		for _, f := range s.sealed {
 			maxDocs = max(maxDocs, len(f.docs))
 		}
-		acc := getAcc(maxDocs) // one buffer serves every segment in turn
-		cols := make([][]posting, len(qts))
+		if len(sc.acc) < maxDocs {
+			sc.acc = make([]float64, maxDocs) // one buffer serves every segment in turn
+		}
+		sc.cols = slices.Grow(sc.cols[:0], len(qts))[:len(qts)]
 		for _, f := range s.sealed {
 			for i := range qts {
-				cols[i] = f.cols[qts[i].term]
+				sc.cols[i] = f.cols[qts[i].term]
 			}
-			f.score(qts, cols, *acc, top)
+			f.score(qts, sc.cols, sc.acc, sel, sel.table(f.docs, true))
 		}
-		accPool.Put(acc)
+		clear(sc.cols)
 	}
 	var scores map[DocID]float64 // the memtable stays map-keyed: small and mutable
 	for i := range qts {
@@ -349,37 +353,47 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 			scores[doc] += qt.qf * (float64(tf) * qt.idf) // text.TFIDF, idf hoisted
 		}
 	}
-	for doc, sc := range scores {
-		if sc > 0 && top.admits(sc) {
-			top.Offer(Result{Doc: doc, Score: sc})
+	if len(scores) > 0 {
+		src := sel.table(nil, false)
+		for doc, v := range scores {
+			sel.offerID(src, doc, v)
 		}
 	}
-	return top.Results()
-}
-
-// getAcc returns an all-zero accumulator of at least n entries.
-func getAcc(n int) *[]float64 {
-	if acc, ok := accPool.Get().(*[]float64); ok && cap(*acc) >= n {
-		return acc
-	}
-	acc := make([]float64, n)
-	return &acc
+	out := sel.results()
+	sel.reset(0) // drop the id tables before the scratch is shared
+	scratchPool.Put(sc)
+	return out
 }
 
 // score accumulates the query's weights for this segment's live documents in
 // acc (indexed by ordinal, all zero on entry and on return), then offers every
-// scored document to top. cols[i] is this segment's column for qts[i]. Summing
-// and collecting both walk those columns, so the cost follows the postings
-// touched, not the segment's size.
-func (f *frozen) score(qts []queryTerm, cols [][]posting, acc []float64, top *TopKHeap) {
+// scored document to sel as table src. cols[i] is this segment's column for
+// qts[i].
+//
+// Collecting reads back every accumulator entry the sum touched. When the
+// columns hold fewer postings than the segment has documents, walking them
+// again is the shorter way there; otherwise one sequential pass over the
+// segment's accumulator is, and it visits the ordinals in order.
+func (f *frozen) score(qts []queryTerm, cols [][]posting, acc []float64, sel *selector, src uint32) {
+	touched, allLive := 0, f.liveN == len(f.docs)
 	for i, col := range cols {
 		qt := &qts[i]
+		touched += len(col)
 		for _, p := range col {
-			if f.live[p.ord] {
+			if allLive || f.live[p.ord] {
 				// The expression text.TFIDF evaluates, idf computed once.
 				acc[p.ord] += qt.qf * (float64(p.tf) * qt.idf)
 			}
 		}
+	}
+	if touched >= len(f.docs) {
+		for ord, sc := range acc[:len(f.docs)] {
+			if sc != 0 {
+				acc[ord] = 0
+				sel.offer(sc, src, uint32(ord))
+			}
+		}
+		return
 	}
 	for _, col := range cols {
 		for _, p := range col {
@@ -388,9 +402,7 @@ func (f *frozen) score(qts []queryTerm, cols [][]posting, acc []float64, top *To
 				continue // dead, zero-weight, or already collected via another term
 			}
 			acc[p.ord] = 0
-			if top.admits(sc) {
-				top.Offer(Result{Doc: f.docs[p.ord], Score: sc})
-			}
+			sel.offer(sc, src, p.ord)
 		}
 	}
 }

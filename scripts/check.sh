@@ -71,8 +71,11 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # restore held to the same pre-append checks is 'LoadRepositoryRefuses'.
 # Every id owns its files and restores under itself after a restart
 # ('RepoIDStemsSurviveRestart'), and a durable service refuses to save into
-# a directory that is not its own ('SaveServiceRefusesForeignDir').
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses|RepoIDStemsSurviveRestart|SaveServiceRefusesForeignDir' ./internal/core
+# a directory that is not its own ('SaveServiceRefusesForeignDir'). A search
+# whose k is too large for the fusion depth 10·k to fit an int answers like
+# any k past the repository's size, in process and over the wire
+# ('TestSearchHugeK').
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses|RepoIDStemsSurviveRestart|SaveServiceRefusesForeignDir|TestSearchHugeK' ./internal/core
 # The leakage ledger stays bounded under 10⁵ operations, the attack's
 # recorder sees exactly the logged record stream, and the restore-failed
 # gauge follows a failed load through its quarantine.
@@ -93,6 +96,9 @@ go run ./cmd/mie-bench -scale quick -experiment table2,fig5,table3,attack
 # The index microbenchmark still runs, at one core and two. No parsing, no
 # threshold: speed gates live in bench/.
 go test -run '^$' -bench SegmentedLookup -benchtime 100x -cpu 1,2 ./internal/index
+# Likewise rank fusion at the spine's shape (two lists of depth 100 to k = 10,
+# and one list).
+go test -run '^$' -bench Fuse -benchtime 100x ./internal/fusion
 # Likewise the trained, durable update path at the spine's engine shape
 # (ingest-durable's mix, without the transport); it reports the live heap a
 # mutation leaves behind beside allocations.
@@ -115,7 +121,7 @@ go test -run '^$' -bench 'HammingKMeans' -benchtime 5x -cpu 1 ./internal/cluster
 # crash (the log's framing, then each record's mutation body, which is also
 # what a follower is handed) must fail cleanly, never panic — and over the
 # kernels that are checked against a naive reference: the segmented index
-# (operation traces), the Dense-DPE encode (dimensions, batch sizes and
+# (operation traces), rank fusion (lists, ties, k), the Dense-DPE encode (dimensions, batch sizes and
 # components, non-finite ones included) and both Hamming k-means (widths,
 # point sets, k, PriorWeight and seeds).
 # FUZZTIME=0 skips (corpus-only replay already ran as part of go test above).
@@ -127,6 +133,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" ./internal/wal
     go test -run='^$' -fuzz=FuzzWALRecordDecode -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz=FuzzSegmentedOps -fuzztime="$FUZZTIME" ./internal/index
+    go test -run='^$' -fuzz=FuzzFuse -fuzztime="$FUZZTIME" ./internal/fusion
     go test -run='^$' -fuzz=FuzzDenseEncodeAll -fuzztime="$FUZZTIME" ./internal/dpe
     go test -run='^$' -fuzz=FuzzHammingKMeans -fuzztime="$FUZZTIME" ./internal/cluster
 fi
