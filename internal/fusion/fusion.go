@@ -118,20 +118,7 @@ func kernel(method Method, sum float64, i int) float64 {
 // fused is a document's score from its kernel sum and its number of hits.
 func fused(method Method, sum float64, hits int) float64 {
 	if method == LogISR {
-		if hits < len(logHits) {
-			sum *= logHits[hits]
-		} else {
-			sum *= math.Log(1 + float64(hits))
-		}
+		sum *= math.Log(1 + float64(hits))
 	}
 	return sum
 }
-
-// logHits[h] is log(1 + h), LogISR's boost for a document found h times, so
-// the common counts cost a lookup instead of a math.Log per document.
-var logHits = func() (boost [8]float64) {
-	for h := range boost {
-		boost[h] = math.Log(1 + float64(h))
-	}
-	return boost
-}()

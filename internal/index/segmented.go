@@ -368,32 +368,18 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 // score accumulates the query's weights for this segment's live documents in
 // acc (indexed by ordinal, all zero on entry and on return), then offers every
 // scored document to sel as table src. cols[i] is this segment's column for
-// qts[i].
-//
-// Collecting reads back every accumulator entry the sum touched. When the
-// columns hold fewer postings than the segment has documents, walking them
-// again is the shorter way there; otherwise one sequential pass over the
-// segment's accumulator is, and it visits the ordinals in order.
+// qts[i]. Summing and collecting both walk those columns, so the cost follows
+// the postings touched, not the segment's size.
 func (f *frozen) score(qts []queryTerm, cols [][]posting, acc []float64, sel *selector, src uint32) {
-	touched, allLive := 0, f.liveN == len(f.docs)
+	allLive := f.liveN == len(f.docs)
 	for i, col := range cols {
 		qt := &qts[i]
-		touched += len(col)
 		for _, p := range col {
 			if allLive || f.live[p.ord] {
 				// The expression text.TFIDF evaluates, idf computed once.
 				acc[p.ord] += qt.qf * (float64(p.tf) * qt.idf)
 			}
 		}
-	}
-	if touched >= len(f.docs) {
-		for ord, sc := range acc[:len(f.docs)] {
-			if sc != 0 {
-				acc[ord] = 0
-				sel.offer(sc, src, uint32(ord))
-			}
-		}
-		return
 	}
 	for _, col := range cols {
 		for _, p := range col {

@@ -86,9 +86,8 @@ func (s *selector) admit(score float64, src, ord uint32) {
 }
 
 // beatsBar breaks a tie with the bar for the document at ordinal ord of the
-// sorted table src. A scan offers a segment's ordinals in ascending order, so
-// once the bar comes from the same segment, every later tie loses on one
-// integer compare.
+// sorted table src: on one integer compare when the bar comes from the same
+// segment.
 func (s *selector) beatsBar(src, ord uint32) bool {
 	if src == s.bar.src {
 		return ord < s.bar.ord
