@@ -3,15 +3,15 @@
 // each exchange to a device.Meter so the figures' Network sub-operation can
 // be attributed per call.
 //
-// A Conn runs the hello handshake at dial time and then multiplexes: one
-// writer goroutine serializes outgoing frames, one reader goroutine demuxes
-// responses by request ID, and any number of callers share the single TCP
-// connection with their requests in flight concurrently — sixteen pipelined
-// searches cost one connection, not sixteen. Deadlines on the caller's
-// context ride along on the wire, and canceling a context mid-call emits a
-// best-effort Cancel frame so the server can abandon the work. A server
-// that cannot speak wire.ProtocolVersion fails the dial with an error
-// matching wire.ErrUnsupportedVersion.
+// A Conn runs the hello handshake at dial time and then multiplexes: callers
+// write their own request frames (wire.FrameConn), one reader goroutine
+// demuxes responses by request ID, and any number of callers share the
+// single TCP connection with their requests in flight concurrently —
+// sixteen pipelined searches cost one connection, not sixteen. The caller's
+// context bounds its whole call, and its deadline rides along on the wire;
+// canceling it mid-call emits a best-effort Cancel frame so the server can
+// abandon the work. A server that cannot speak wire.ProtocolVersion fails
+// the dial with an error matching wire.ErrUnsupportedVersion.
 //
 // Transport failures poison the connection — a frame boundary lost to a
 // half-written request or half-read response makes every subsequent byte
@@ -73,11 +73,9 @@ const (
 	reconnectBackoffMax = 800 * time.Millisecond
 )
 
-// writeQueueDepth bounds frames queued to the writer goroutine. Callers
-// block (cancelably) when it is full; fire-and-forget Cancel frames are
-// dropped instead, since the server finishing a canceled request is merely
-// wasted work, not an error.
-const writeQueueDepth = 64
+// dialTimeout bounds a dial and its hello when the caller's context does
+// not, so a peer that accepts and never answers cannot hold a caller forever.
+const dialTimeout = 5 * time.Second
 
 // Option customizes a Conn.
 type Option func(*Conn)
@@ -115,6 +113,8 @@ type Conn struct {
 	tracer  *obs.Tracer
 	retries int
 
+	dialing chan struct{} // holds a token while a transport is being dialed
+
 	mu     sync.Mutex
 	token  string
 	tr     *transport
@@ -125,7 +125,13 @@ type Conn struct {
 // Dial connects to an MIE server and runs the hello handshake. meter may be
 // nil.
 func Dial(addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
-	c := &Conn{addr: addr, meter: meter, retries: defaultMaxRetries}
+	return DialContext(context.Background(), addr, meter, opts...)
+}
+
+// DialContext is Dial bounded by ctx: the connection and the hello exchange
+// give up when ctx ends.
+func DialContext(ctx context.Context, addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
+	c := &Conn{addr: addr, meter: meter, retries: defaultMaxRetries, dialing: make(chan struct{}, 1)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -135,7 +141,7 @@ func Dial(addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
 	if c.tracer == nil {
 		c.tracer = obs.DefaultTracer()
 	}
-	if _, err := c.transport(); err != nil {
+	if _, err := c.transport(ctx); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -171,24 +177,30 @@ func (c *Conn) tokenSnapshot() string {
 }
 
 // transport returns the live transport, redialing if the previous one was
-// poisoned. Redials after the initial connection are counted as reconnects.
-func (c *Conn) transport() (*transport, error) {
+// poisoned; redials after the first are counted as reconnects. One caller
+// dials, outside c.mu; the others wait for it while their ctx allows.
+func (c *Conn) transport(ctx context.Context) (*transport, error) {
+	if t, err := c.live(); t != nil || err != nil {
+		return t, err
+	}
+	select {
+	case c.dialing <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-c.dialing }()
+	if t, err := c.live(); t != nil || err != nil {
+		return t, err
+	}
+	t, err := c.connect(ctx)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
+		t.fail(ErrClosed)
 		return nil, ErrClosed
-	}
-	if c.tr != nil {
-		select {
-		case <-c.tr.done: // poisoned; discard and redial below
-			c.tr = nil
-		default:
-			return c.tr, nil
-		}
-	}
-	t, err := c.connect()
-	if err != nil {
-		return nil, err
 	}
 	if c.dialed {
 		c.reg.Counter("client_reconnects_total").Inc()
@@ -198,43 +210,77 @@ func (c *Conn) transport() (*transport, error) {
 	return t, nil
 }
 
-// connect dials, runs the handshake and starts the mux goroutines.
-// Handshake traffic is connection setup, not an operation, so it is not
-// metered.
-func (c *Conn) connect() (*transport, error) {
-	tcp, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
+// live returns the current transport unless it is poisoned (nil then), or
+// ErrClosed after Close.
+func (c *Conn) live() (*transport, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, ErrClosed
 	}
-	if _, err := Handshake(tcp); err != nil {
-		_ = tcp.Close()
+	if c.tr != nil && c.tr.failure() != nil {
+		c.tr = nil
+	}
+	return c.tr, nil
+}
+
+// connect dials, runs the handshake and starts the demuxing reader, all
+// bounded by ctx and by dialTimeout. Handshake traffic is connection setup,
+// not an operation, so it is not metered.
+func (c *Conn) connect(ctx context.Context) (*transport, error) {
+	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
+	defer cancel()
+	fc, _, err := DialHello(ctx, c.addr)
+	if err != nil {
 		return nil, err
 	}
 	t := &transport{
-		tcp:    tcp,
-		reg:    c.reg,
-		calls:  make(map[uint64]chan demuxed),
-		writeq: make(chan outFrame, writeQueueDepth),
-		done:   make(chan struct{}),
+		fc:      fc,
+		reg:     c.reg,
+		txBytes: c.reg.Counter("client_tx_bytes_total"),
+		rxBytes: c.reg.Counter("client_rx_bytes_total"),
+		calls:   make(map[uint64]chan demuxed),
 	}
-	go t.writeLoop()
 	go t.readLoop()
 	return t, nil
 }
 
+// DialHello connects to addr and runs the hello exchange, both bounded by
+// ctx, and returns the framed connection and the peer's HelloResp.
+func DialHello(ctx context.Context, addr string) (*wire.FrameConn, wire.HelloResp, error) {
+	var d net.Dialer
+	tcp, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, wire.HelloResp{}, fmt.Errorf("client: dial %s: %w", addr, err)
+	}
+	fc := wire.NewFrameConn(tcp)
+	hr, err := Handshake(ctx, fc)
+	if err != nil {
+		_ = fc.Close()
+		return nil, hr, err
+	}
+	return fc, hr, nil
+}
+
 // Handshake runs the hello exchange on a freshly connected socket and
-// returns the peer's HelloResp. A peer that refuses the version, or selects
-// another one, yields an error matching wire.ErrUnsupportedVersion.
-func Handshake(conn net.Conn) (wire.HelloResp, error) {
-	var hr wire.HelloResp
+// returns the peer's HelloResp. The exchange ends with ctx, by its deadline
+// or its cancellation. A peer that refuses the version, or selects another
+// one, yields an error matching wire.ErrUnsupportedVersion.
+func Handshake(ctx context.Context, fc *wire.FrameConn) (hr wire.HelloResp, err error) {
+	stop := context.AfterFunc(ctx, func() { _ = fc.Close() })
+	defer func() {
+		if !stop() { // ctx ended, and with it the exchange
+			hr, err = wire.HelloResp{}, fmt.Errorf("client: hello: %w", ctx.Err())
+		}
+	}()
 	hello, err := wire.NewEnvelope(wire.KindHello, "", 0, 0, wire.Hello{MaxVersion: wire.ProtocolVersion})
 	if err == nil {
-		_, err = wire.WriteEnvelope(conn, hello)
+		_, err = fc.WriteFrame(ctx, hello)
 	}
 	if err != nil {
 		return hr, fmt.Errorf("client: hello: %w", err)
 	}
-	env, _, err := wire.ReadFrame(conn)
+	env, _, err := fc.ReadFrame()
 	if err != nil {
 		return hr, fmt.Errorf("client: hello response: %w", err)
 	}
@@ -268,29 +314,18 @@ type demuxed struct {
 	n   int // bytes on the wire
 }
 
-type writeResult struct {
-	n   int
-	err error
-}
-
-type outFrame struct {
-	env *wire.Envelope
-	res chan writeResult // nil for fire-and-forget frames (Cancel)
-}
-
-// transport is one TCP connection plus its mux state. It is immutable after
-// connect except for the call table; once poisoned (fail) it is never
-// reused — Conn dials a fresh one.
+// transport is one framed connection plus its call table; one reader
+// goroutine routes each response to its caller. Once poisoned (fail) it is
+// never reused — Conn dials a fresh one.
 type transport struct {
-	tcp    net.Conn
-	reg    *obs.Registry
-	writeq chan outFrame
-	done   chan struct{}
+	fc               *wire.FrameConn
+	reg              *obs.Registry
+	txBytes, rxBytes *obs.Counter
 
 	mu     sync.Mutex
 	nextID uint64
 	calls  map[uint64]chan demuxed
-	err    error
+	err    error // poison cause; set once, before the call table drains
 
 	failOnce sync.Once
 }
@@ -308,28 +343,29 @@ func (t *transport) fail(err error) {
 			close(ch)
 		}
 		t.mu.Unlock()
-		close(t.done)
-		_ = t.tcp.Close()
+		_ = t.fc.Close()
 	})
 }
 
-// failure returns the poison cause.
+// failure returns the poison cause; nil while the transport is live.
 func (t *transport) failure() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.err != nil {
-		return t.err
-	}
-	return errors.New("client: connection failed")
+	return t.err
 }
 
-// register allocates a request ID and installs the caller's response channel.
-func (t *transport) register(ch chan demuxed) uint64 {
+// register allocates a request ID and installs the caller's response
+// channel; it fails once the transport is poisoned, whose table no longer
+// drains.
+func (t *transport) register(ch chan demuxed) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.err != nil {
+		return 0, t.err
+	}
 	t.nextID++
 	t.calls[t.nextID] = ch
-	return t.nextID
+	return t.nextID, nil
 }
 
 // unregister removes a call table entry, if still present.
@@ -341,7 +377,8 @@ func (t *transport) unregister(id uint64) {
 
 // abandon gives up on an in-flight request: removes its table entry (so a
 // late response is dropped by the demux) and emits a best-effort Cancel
-// frame telling the server to stop working on it.
+// frame telling the server to stop working on it — skipped when another
+// caller holds the write slot, since the server may just finish the work.
 func (t *transport) abandon(id uint64) {
 	t.mu.Lock()
 	_, pending := t.calls[id]
@@ -354,33 +391,13 @@ func (t *transport) abandon(id uint64) {
 	if err != nil {
 		return
 	}
-	select {
-	case t.writeq <- outFrame{env: env}:
+	n, err := t.fc.TryWriteFrame(env)
+	t.txBytes.Add(int64(n))
+	switch {
+	case err != nil:
+		t.fail(fmt.Errorf("client: write %s: %w", env.Kind, err))
+	case n > 0:
 		t.reg.Counter("client_cancel_frames_total").Inc()
-	case <-t.done:
-	default: // queue full: skip — the server just finishes the request
-	}
-}
-
-// writeLoop is the single writer: it serializes all outgoing frames onto the
-// socket and reports each frame's fate to its sender. A write error poisons
-// the transport — the peer's read position is unknowable mid-frame.
-func (t *transport) writeLoop() {
-	for {
-		select {
-		case f := <-t.writeq:
-			n, err := wire.WriteEnvelope(t.tcp, f.env)
-			t.reg.Counter("client_tx_bytes_total").Add(int64(n))
-			if f.res != nil {
-				f.res <- writeResult{n, err}
-			}
-			if err != nil {
-				t.fail(fmt.Errorf("client: write %s: %w", f.env.Kind, err))
-				return
-			}
-		case <-t.done:
-			return
-		}
 	}
 }
 
@@ -389,12 +406,12 @@ func (t *transport) writeLoop() {
 // (canceled) requests and are dropped. A read error poisons the transport.
 func (t *transport) readLoop() {
 	for {
-		env, n, err := wire.ReadFrame(t.tcp)
+		env, n, err := t.fc.ReadFrame()
 		if err != nil {
 			t.fail(fmt.Errorf("client: read response: %w", err))
 			return
 		}
-		t.reg.Counter("client_rx_bytes_total").Add(int64(n))
+		t.rxBytes.Add(int64(n))
 		t.mu.Lock()
 		ch, ok := t.calls[env.ID]
 		if ok {
@@ -410,37 +427,25 @@ func (t *transport) readLoop() {
 }
 
 // muxExchange sends one pre-built envelope on the transport and awaits the
-// response echoing its ID. The envelope's ID is (re)stamped with
-// a fresh request ID for this transport.
+// response echoing its ID. The envelope's ID is (re)stamped with a fresh
+// request ID for this transport. ctx bounds the wait for the write slot,
+// the write (by its deadline) and the wait for the response.
 func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope) (*wire.Envelope, int, int, error) {
 	ch := make(chan demuxed, 1)
-	id := t.register(ch)
+	id, err := t.register(ch)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	defer t.unregister(id)
 	env.ID = id
-	res := make(chan writeResult, 1)
-	select {
-	case t.writeq <- outFrame{env: env, res: res}:
-	case <-t.done:
-		return nil, 0, 0, t.failure()
-	case <-ctx.Done():
-		return nil, 0, 0, ctx.Err()
-	}
-	var up int
-	select {
-	case wr := <-res:
-		if wr.err != nil {
-			return nil, 0, 0, wr.err
+	up, err := t.fc.WriteFrame(ctx, env)
+	t.txBytes.Add(int64(up))
+	if err != nil {
+		if up == 0 && ctx.Err() != nil {
+			return nil, 0, 0, ctx.Err() // nothing was sent: the stream is intact
 		}
-		up = wr.n
-	case <-t.done:
-		// A peer that answers and hangs up can poison the transport before
-		// this goroutine has picked up its own write result.
-		select {
-		case wr := <-res:
-			up = wr.n
-		default:
-		}
-		return t.settle(ch, up)
+		t.fail(fmt.Errorf("client: write %s: %w", env.Kind, err))
+		return nil, up, 0, t.failure()
 	}
 	select {
 	case d, ok := <-ch:
@@ -451,22 +456,7 @@ func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope
 	case <-ctx.Done():
 		t.abandon(id)
 		return nil, up, 0, ctx.Err()
-	case <-t.done:
-		return t.settle(ch, up)
 	}
-}
-
-// settle ends an exchange on a poisoned transport: teardown may race a
-// response already delivered to ch, and that response still counts.
-func (t *transport) settle(ch chan demuxed, up int) (*wire.Envelope, int, int, error) {
-	select {
-	case d, ok := <-ch:
-		if ok {
-			return d.env, up, d.n, nil
-		}
-	default:
-	}
-	return nil, up, 0, t.failure()
 }
 
 // transient reports whether err is a transport-level failure worth a
@@ -508,7 +498,7 @@ func (c *Conn) exchange(ctx context.Context, env *wire.Envelope) (resp *wire.Env
 			out.TimeoutNanos = int64(timeout)
 		}
 		var t *transport
-		if t, err = c.transport(); err == nil {
+		if t, err = c.transport(ctx); err == nil {
 			resp, up, down, err = c.muxExchange(ctx, t, &out)
 		}
 		if err == nil {

@@ -2,8 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
-	"net"
 	"time"
 
 	"mie/internal/obs"
@@ -33,11 +31,11 @@ func (c *Conn) Forward(ctx context.Context, env *wire.Envelope) (resp *wire.Enve
 // node's replication role and caught-up state. The probe uses its own
 // short-lived connection so it can never poison pooled request traffic.
 func Hello(addr string, timeout time.Duration) (wire.HelloResp, error) {
-	tcp, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return wire.HelloResp{}, fmt.Errorf("client: hello dial %s: %w", addr, err)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	fc, hr, err := DialHello(ctx, addr)
+	if err == nil {
+		_ = fc.Close()
 	}
-	defer func() { _ = tcp.Close() }()
-	_ = tcp.SetDeadline(time.Now().Add(timeout))
-	return Handshake(tcp)
+	return hr, err
 }

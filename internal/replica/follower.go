@@ -1,10 +1,10 @@
 package replica
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,9 +69,10 @@ type Follower struct {
 	reconnectsC *obs.Counter
 	applyErrsC  *obs.Counter // mutation records the engine refused (core.ErrBadWALRecord and the like)
 
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	// ctx ends at Close, and with it the session's dial, hello and socket.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // StartFollower connects svc to the leader at addr and begins replicating.
@@ -98,8 +99,8 @@ func StartFollower(svc *core.Service, addr string, reg *obs.Registry, log *slog.
 		snapshotsC:  reg.Counter("repl_follower_snapshots_total"),
 		reconnectsC: reg.Counter("repl_follower_reconnects_total"),
 		applyErrsC:  reg.Counter("repl_follower_apply_errors_total"),
-		done:        make(chan struct{}),
 	}
+	f.ctx, f.stop = context.WithCancel(context.Background())
 	f.wg.Add(1)
 	go f.run()
 	return f, nil
@@ -108,7 +109,7 @@ func StartFollower(svc *core.Service, addr string, reg *obs.Registry, log *slog.
 // Close stops replication. The follower's service is untouched: it keeps
 // serving whatever state it has replicated so far.
 func (f *Follower) Close() {
-	f.closeOnce.Do(func() { close(f.done) })
+	f.stop()
 	f.wg.Wait()
 }
 
@@ -148,18 +149,11 @@ func (f *Follower) LagQuantile(q float64) time.Duration {
 func (f *Follower) run() {
 	defer f.wg.Done()
 	backoff := followerBackoffMin
-	for {
-		select {
-		case <-f.done:
-			return
-		default:
-		}
+	for f.ctx.Err() == nil {
 		progressed, err := f.session()
 		f.connected.Store(false)
-		select {
-		case <-f.done:
+		if f.ctx.Err() != nil {
 			return
-		default:
 		}
 		if err != nil && f.log != nil {
 			f.log.Warn("replica: follower session ended", "leader", f.addr, "err", err.Error())
@@ -170,7 +164,7 @@ func (f *Follower) run() {
 		}
 		select {
 		case <-time.After(backoff):
-		case <-f.done:
+		case <-f.ctx.Done():
 			return
 		}
 		if backoff *= 2; backoff > followerBackoffMax {
@@ -184,28 +178,17 @@ func (f *Follower) run() {
 // records as they arrive. It returns when the connection breaks or the
 // follower is closed; progressed reports whether any record was applied.
 func (f *Follower) session() (progressed bool, err error) {
-	conn, err := net.DialTimeout("tcp", f.addr, 5*time.Second)
+	hctx, cancel := context.WithTimeout(f.ctx, 5*time.Second)
+	fc, _, err := client.DialHello(hctx, f.addr)
+	cancel()
 	if err != nil {
-		return false, err
-	}
-	// Unblock the read loop on Close by tearing down the socket.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-f.done:
-		case <-stop:
-		}
-		_ = conn.Close()
-	}()
-
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := client.Handshake(conn); err != nil {
 		return false, fmt.Errorf("leader %s: %w", f.addr, err)
 	}
-	_ = conn.SetDeadline(time.Time{})
+	defer func() { _ = fc.Close() }()
+	// Unblock the read loop on Close by tearing down the socket.
+	defer context.AfterFunc(f.ctx, func() { _ = fc.Close() })()
 
-	s := &session{f: f, conn: conn, subs: make(map[uint64]string), byRepo: make(map[string]uint64)}
+	s := &session{f: f, fc: fc, subs: make(map[uint64]string), byRepo: make(map[string]uint64)}
 	// Catalog first: it materializes repo subscriptions for anything new.
 	if err := s.subscribe(CatalogStream); err != nil {
 		return false, err
@@ -227,7 +210,7 @@ func (f *Follower) session() (progressed bool, err error) {
 	f.connected.Store(true)
 
 	for {
-		env, _, err := wire.ReadFrame(conn)
+		env, _, err := fc.ReadFrame()
 		if err != nil {
 			return s.progressed, err
 		}
@@ -247,10 +230,10 @@ func (f *Follower) session() (progressed bool, err error) {
 }
 
 // session is the per-connection state: the stream-id assignments of this
-// connection and the socket write path (single goroutine, no lock needed).
+// connection and its framed socket (written by this goroutine alone).
 type session struct {
 	f          *Follower
-	conn       net.Conn
+	fc         *wire.FrameConn
 	nextID     uint64
 	subs       map[uint64]string // envelope ID -> stream
 	byRepo     map[string]uint64 // stream -> envelope ID
@@ -269,7 +252,7 @@ func (s *session) subscribe(repoID string) error {
 	s.byRepo[repoID] = id
 	env, err := wire.NewEnvelope(wire.KindReplSubscribe, "", id, 0, wire.ReplSubscribeReq{RepoID: repoID, Gen: cur.Gen, Seq: cur.Seq})
 	if err == nil {
-		_, err = wire.WriteEnvelope(s.conn, env)
+		_, err = s.fc.WriteFrame(context.Background(), env)
 	}
 	if err != nil {
 		return fmt.Errorf("subscribe %q: %w", repoID, err)
@@ -336,7 +319,7 @@ func (s *session) handleBatch(env *wire.Envelope) error {
 	cur := s.f.Cursor(repoID)
 	ack, err := wire.NewEnvelope(wire.KindReplAck, "", 0, 0, wire.ReplAck{RepoID: repoID, Gen: cur.Gen, Seq: cur.Seq})
 	if err == nil {
-		_, err = wire.WriteEnvelope(s.conn, ack)
+		_, err = s.fc.WriteFrame(context.Background(), ack)
 	}
 	if err != nil {
 		return fmt.Errorf("ack %q: %w", repoID, err)

@@ -481,7 +481,6 @@ func idleFollower(svc *core.Service) *Follower {
 		snapshotsC:  reg.Counter("repl_follower_snapshots_total"),
 		reconnectsC: reg.Counter("repl_follower_reconnects_total"),
 		applyErrsC:  reg.Counter("repl_follower_apply_errors_total"),
-		done:        make(chan struct{}),
 	}
 }
 
@@ -523,7 +522,7 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	defer func() { _ = p1.Close() }()
 	defer func() { _ = p2.Close() }()
 	go func() { _, _ = io.Copy(io.Discard, p2) }() // the image's subscribe
-	s := &session{f: fol, conn: p1, subs: map[uint64]string{}, byRepo: map[string]uint64{}}
+	s := &session{f: fol, fc: wire.NewFrameConn(p1), subs: map[uint64]string{}, byRepo: map[string]uint64{}}
 
 	apply := func(label string) {
 		for i := range image {
@@ -581,7 +580,7 @@ func TestLagQuantileForgetsOldSamples(t *testing.T) {
 	defer func() { _ = p1.Close() }()
 	defer func() { _ = p2.Close() }()
 	go func() { _, _ = io.Copy(io.Discard, p2) }() // the acks
-	s := &session{f: fol, conn: p1, subs: map[uint64]string{}, byRepo: map[string]uint64{}}
+	s := &session{f: fol, fc: wire.NewFrameConn(p1), subs: map[uint64]string{}, byRepo: map[string]uint64{}}
 	const streams = 4
 	feed := func(phase int, lag time.Duration) {
 		for st := 0; st < streams; st++ {

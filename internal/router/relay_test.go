@@ -182,7 +182,7 @@ func TestRelayByPeek(t *testing.T) {
 			}
 			defer func() { _ = conn.Close() }()
 			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-			if _, err := client.Handshake(conn); err != nil {
+			if _, err := client.Handshake(context.Background(), wire.NewFrameConn(conn)); err != nil {
 				t.Fatal(err)
 			}
 			requests := relayRequests(t)

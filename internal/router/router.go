@@ -54,7 +54,7 @@ type Config struct {
 type backend struct {
 	name string
 	addr string
-	conn *client.Conn
+	conn atomic.Pointer[client.Conn]
 
 	healthy  atomic.Bool
 	caughtUp atomic.Bool
@@ -85,11 +85,11 @@ type Router struct {
 	failoverC *obs.Counter
 	errorsC   *obs.Counter
 
-	dialMu sync.Mutex
-
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	// ctx ends at Close; every relay, and so every backend dial, derives
+	// from it.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // Start launches a router over cfg's membership. Every node is probed once
@@ -141,8 +141,8 @@ func Start(cfg Config) (*Router, error) {
 		routedC:   reg.Counter("router_requests_total"),
 		failoverC: reg.Counter("router_failovers_total"),
 		errorsC:   reg.Counter("router_errors_total"),
-		done:      make(chan struct{}),
 	}
+	r.ctx, r.stop = context.WithCancel(context.Background())
 	for _, b := range backends {
 		r.probe(b)
 		r.wg.Add(1)
@@ -160,29 +160,18 @@ func (r *Router) Addr() string { return r.ln.Addr().String() }
 // repository names that spread across all nodes).
 func (r *Router) Ring() *Ring { return r.ring }
 
-// Close stops accepting, tears down backend connections and waits for the
-// background loops.
+// Close stops accepting, ends every relay and backend dial, waits for the
+// background loops and tears down backend connections.
 func (r *Router) Close() error {
-	r.closeOnce.Do(func() {
-		close(r.done)
-		_ = r.ln.Close()
-	})
+	r.stop()
+	_ = r.ln.Close() // a second Close reports the listener already closed
 	r.wg.Wait()
 	for _, b := range r.backends {
-		if b.conn != nil {
-			_ = b.conn.Close()
+		if c := b.conn.Load(); c != nil {
+			_ = c.Close()
 		}
 	}
 	return nil
-}
-
-func (r *Router) closed() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // probe refreshes one backend's health from a hello handshake.
@@ -215,7 +204,7 @@ func (r *Router) healthLoop(b *backend) {
 		}
 		select {
 		case <-time.After(wait):
-		case <-r.done:
+		case <-r.ctx.Done():
 			return
 		}
 		r.probe(b)
@@ -228,12 +217,12 @@ func (r *Router) acceptLoop() {
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
-			if r.closed() {
+			if r.ctx.Err() != nil {
 				return
 			}
 			select {
 			case <-time.After(backoff):
-			case <-r.done:
+			case <-r.ctx.Done():
 				return
 			}
 			if backoff *= 2; backoff > time.Second {
@@ -247,20 +236,15 @@ func (r *Router) acceptLoop() {
 	}
 }
 
-// connState is one client connection's relay state: the write path (shared
-// by concurrent relays) and the in-flight map for Cancel.
+// connState is one client connection's relay state: the framed connection
+// (written by concurrent relays) and the in-flight table for Cancel.
 type connState struct {
-	conn net.Conn
-	wmu  sync.Mutex
-
-	mu       sync.Mutex
-	inflight map[uint64]context.CancelFunc
+	fc       *wire.FrameConn
+	inflight wire.Inflight
 }
 
 func (cs *connState) write(env *wire.Envelope) error {
-	cs.wmu.Lock()
-	defer cs.wmu.Unlock()
-	_, err := wire.WriteEnvelope(cs.conn, env)
+	_, err := cs.fc.WriteFrame(context.Background(), env)
 	return err
 }
 
@@ -272,45 +256,16 @@ func (cs *connState) writeError(id uint64, msg string) error {
 	return cs.write(env)
 }
 
-func (cs *connState) track(id uint64, cancel context.CancelFunc) {
-	cs.mu.Lock()
-	cs.inflight[id] = cancel
-	cs.mu.Unlock()
-}
-
-func (cs *connState) untrack(id uint64) {
-	cs.mu.Lock()
-	delete(cs.inflight, id)
-	cs.mu.Unlock()
-}
-
-func (cs *connState) cancel(id uint64) {
-	cs.mu.Lock()
-	fn := cs.inflight[id]
-	cs.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-}
-
 func (r *Router) serveConn(conn net.Conn) {
 	defer r.wg.Done()
 	defer func() { _ = conn.Close() }()
 	// Tear the socket down on Close so the read loop unblocks.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-r.done:
-			_ = conn.Close()
-		case <-stop:
-		}
-	}()
-	cs := &connState{conn: conn, inflight: make(map[uint64]context.CancelFunc)}
+	defer context.AfterFunc(r.ctx, func() { _ = conn.Close() })()
+	cs := &connState{fc: wire.NewFrameConn(conn)}
 	var relays sync.WaitGroup
 	defer relays.Wait()
 	for {
-		env, _, err := wire.ReadFrame(conn)
+		env, _, err := cs.fc.ReadFrame()
 		if err != nil {
 			return
 		}
@@ -323,7 +278,7 @@ func (r *Router) serveConn(conn net.Conn) {
 		case wire.KindCancel:
 			var req wire.CancelReq
 			if env.Decode(&req) == nil {
-				cs.cancel(req.ID)
+				cs.inflight.Cancel(req.ID)
 			}
 		case wire.KindReplAck:
 			// Acks are node-to-node; through a router they have no target.
@@ -362,14 +317,14 @@ func (r *Router) readTargets(env *wire.Envelope) []*backend {
 // candidate is tried.
 func (r *Router) relay(cs *connState, env *wire.Envelope) {
 	r.routedC.Inc()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(r.ctx)
 	defer cancel()
 	if env.TimeoutNanos > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(env.TimeoutNanos))
 		defer cancel()
 	}
-	cs.track(env.ID, cancel)
-	defer cs.untrack(env.ID)
+	cs.inflight.Track(env.ID, cancel)
+	defer cs.inflight.Untrack(env.ID)
 
 	candidates := []*backend{r.leader}
 	if !wire.LeaderOnly(env.Kind) {
@@ -424,28 +379,22 @@ func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope,
 }
 
 // forward sends env to one backend over its pooled connection, dialing it
-// lazily on first use. The caller's ctx carries both the request deadline
-// and Cancel-frame cancellation.
+// on first use. The caller's ctx carries the request deadline, Cancel-frame
+// cancellation and Close. The dial holds no lock and ends with ctx too
+// (client.DialContext also bounds one without a deadline), so a member that
+// accepts and never answers holds only the relays addressed to it. Relays
+// that race to dial keep the first connection installed and close their own.
 func (r *Router) forward(ctx context.Context, b *backend, env *wire.Envelope) (*wire.Envelope, error) {
-	conn, err := r.backendConn(b)
-	if err != nil {
-		return nil, err
+	conn := b.conn.Load()
+	if conn == nil {
+		c, err := client.DialContext(ctx, b.addr, nil, client.WithObservability(r.reg))
+		if err != nil {
+			return nil, err
+		}
+		if conn = c; !b.conn.CompareAndSwap(nil, c) {
+			_ = c.Close()
+			conn = b.conn.Load()
+		}
 	}
 	return conn.Forward(ctx, env)
-}
-
-func (r *Router) backendConn(b *backend) (*client.Conn, error) {
-	// Dial under the connState-independent router lock: reuse the pooled
-	// conn across all client connections.
-	r.dialMu.Lock()
-	defer r.dialMu.Unlock()
-	if b.conn != nil {
-		return b.conn, nil
-	}
-	c, err := client.Dial(b.addr, nil, client.WithObservability(r.reg))
-	if err != nil {
-		return nil, err
-	}
-	b.conn = c
-	return c, nil
 }

@@ -244,7 +244,7 @@ func TestEveryKindSpanShape(t *testing.T) {
 		env.TraceID, env.TraceSampled = traceID, true
 
 		srvEnd, cliEnd := net.Pipe()
-		cs := &connState{conn: srvEnd, inflight: make(map[uint64]context.CancelFunc)}
+		cs := &connState{fc: wire.NewFrameConn(srvEnd)}
 		cs.ctx, cs.cancel = context.WithCancel(context.Background())
 		handled := make(chan error, 1)
 		go func() { handled <- srv.handle(cs, obs.OrDiscard(nil), env) }()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -212,9 +213,8 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 		svc:    memSvc(t),
 		logger: obs.OrDiscard(nil),
 		reg:    reg,
-		conns:  make(map[net.Conn]struct{}),
-		done:   make(chan struct{}),
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	s.initMetrics()
 	s.listener = fl
 	s.wg.Add(1)

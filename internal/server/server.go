@@ -134,11 +134,11 @@ type Server struct {
 	forward    Forwarder
 	nodeStatus func() NodeStatus
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	done   chan struct{}
-	wg     sync.WaitGroup
+	// ctx ends at Close, and with it every connection.
+	ctx       context.Context
+	stop      context.CancelFunc
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // New starts a server listening on addr (e.g. "127.0.0.1:0"). A nil logger
@@ -150,9 +150,8 @@ func New(addr string, svc *core.Service, logger *slog.Logger, opts ...Option) (*
 	s := &Server{
 		svc:    svc,
 		logger: obs.OrDiscard(logger),
-		conns:  make(map[net.Conn]struct{}),
-		done:   make(chan struct{}),
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -200,28 +199,16 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 // goroutines to exit. In-flight request contexts are canceled, so handlers
 // blocked in TrainWait return promptly; training jobs themselves keep
 // running to completion (they belong to the repository, not the socket).
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.done)
-	err := s.listener.Close()
-	for c := range s.conns {
-		_ = c.Close() // best-effort shutdown; handler goroutines report their own errors
-	}
-	s.mu.Unlock()
+func (s *Server) Close() (err error) {
+	s.closeOnce.Do(func() {
+		s.stop()
+		err = s.listener.Close()
+	})
 	s.wg.Wait()
 	return err
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) isClosed() bool { return s.ctx.Err() != nil }
 
 // acceptLoop accepts connections until the listener is closed. Transient
 // Accept errors (EMFILE and friends) are retried with capped exponential
@@ -244,66 +231,29 @@ func (s *Server) acceptLoop() {
 			s.logger.Warn("accept failed; retrying", "err", err, "backoff", backoff)
 			select {
 			case <-time.After(backoff):
-			case <-s.done:
+			case <-s.ctx.Done():
 				return
 			}
 			continue
 		}
 		backoff = 0
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close() // racing shutdown: drop the connection
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
 }
 
-// connState is the per-connection multiplexing state: a write lock
-// serializing response frames from concurrent handlers, the connection-
-// scoped base context, and the table of in-flight request cancel functions
-// a Cancel frame indexes into.
+// connState is the per-connection multiplexing state: the framed
+// connection (written by concurrent handlers), the connection-scoped base
+// context, and the table of in-flight request cancel functions a Cancel
+// frame indexes into.
 type connState struct {
-	conn   net.Conn
+	fc     *wire.FrameConn
 	remote string
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	wmu sync.Mutex // serializes frame writes from handler goroutines
-
-	mu       sync.Mutex
-	inflight map[uint64]context.CancelFunc
+	inflight wire.Inflight
 	handlers sync.WaitGroup
-}
-
-// register installs a cancel function for an in-flight request id.
-func (cs *connState) register(id uint64, cancel context.CancelFunc) {
-	cs.mu.Lock()
-	cs.inflight[id] = cancel
-	cs.mu.Unlock()
-}
-
-// unregister removes an in-flight entry.
-func (cs *connState) unregister(id uint64) {
-	cs.mu.Lock()
-	delete(cs.inflight, id)
-	cs.mu.Unlock()
-}
-
-// cancelRequest fires the cancel function of an in-flight request, if the
-// id names one. Reports whether it hit.
-func (cs *connState) cancelRequest(id uint64) bool {
-	cs.mu.Lock()
-	cancel, ok := cs.inflight[id]
-	cs.mu.Unlock()
-	if ok {
-		cancel()
-	}
-	return ok
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -311,9 +261,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.met.connsOpened.Inc()
 	s.met.connsActive.Add(1)
 	cs := &connState{
-		conn:     conn,
-		remote:   conn.RemoteAddr().String(),
-		inflight: make(map[uint64]context.CancelFunc),
+		fc:     wire.NewFrameConn(conn),
+		remote: conn.RemoteAddr().String(),
 	}
 	cs.ctx, cs.cancel = context.WithCancel(context.Background())
 	// Connection-scoped logger: every line of this connection carries the
@@ -327,13 +276,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		cs.cancel()
 		cs.handlers.Wait()
 		s.met.connsActive.Add(-1)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
 		_ = conn.Close() // double-close on shutdown path is harmless
 	}()
+	// Close tears the socket down, ending the read loop (a connection
+	// accepted as Close began is torn down at once).
+	defer context.AfterFunc(s.ctx, func() { _ = conn.Close() })()
 	for {
-		env, n, err := wire.ReadFrame(conn)
+		env, n, err := cs.fc.ReadFrame()
 		if err != nil {
 			// Classify the abort: a clean disconnect is business as usual, a
 			// malformed frame means a corrupt or hostile peer, anything else
@@ -387,13 +336,13 @@ func (s *Server) serveConn(conn net.Conn) {
 				clog.Debug("bad cancel frame", "err", err)
 				continue
 			}
-			if cs.cancelRequest(req.ID) {
+			if cs.inflight.Cancel(req.ID) {
 				s.met.cancelHits.Inc()
 				clog.Debug("request canceled", "id", req.ID)
 			}
 		default:
-			// Each request runs on its own goroutine; the write lock inside
-			// connState serializes response frames.
+			// Each request runs on its own goroutine; the framed
+			// connection serializes response frames.
 			cs.handlers.Add(1)
 			go func() {
 				defer cs.handlers.Done()
@@ -432,8 +381,8 @@ func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) erro
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
-	cs.register(env.ID, cancel)
-	defer cs.unregister(env.ID)
+	cs.inflight.Track(env.ID, cancel)
+	defer cs.inflight.Untrack(env.ID)
 
 	// Join the caller's trace (or start a server-local one if the head
 	// sampler or slow-capture is armed). Finish runs after the rpc span has
@@ -703,17 +652,15 @@ func (s *Server) send(sp *obs.Span, cs *connState, id uint64, kind string, paylo
 }
 
 // sendEnv writes an envelope — built by send, or produced elsewhere (the
-// leader, via a Forwarder; the hello answer) — under the connection's write
-// lock, which serializes the frames of concurrent handlers: copied by value,
-// re-stamped with the origin request's id, its body bytes untouched. The
-// hop-internal Auth never leaks back to the client.
+// leader, via a Forwarder; the hello answer) — as one frame on the
+// connection, which serializes the frames of concurrent handlers: copied by
+// value, re-stamped with the origin request's id, its body bytes untouched.
+// The hop-internal Auth never leaks back to the client.
 func (s *Server) sendEnv(cs *connState, id uint64, env *wire.Envelope) error {
 	out := *env
 	out.ID = id
 	out.Auth = ""
-	cs.wmu.Lock()
-	defer cs.wmu.Unlock()
-	n, err := wire.WriteEnvelope(cs.conn, &out)
+	n, err := cs.fc.WriteFrame(context.Background(), &out)
 	s.met.txBytes.Add(int64(n))
 	return err
 }

@@ -97,9 +97,10 @@ var payloads = []payloadCase{
 }
 
 // notPayloads are the structs of this package that never travel as a frame
-// body on their own: the frame itself and parts nested in a payload.
+// body on their own: the frame itself, the connection that carries frames
+// and its in-flight table, and parts nested in a payload.
 var notPayloads = map[string]bool{
-	"Envelope": true, "kindInfo": true,
+	"Envelope": true, "kindInfo": true, "FrameConn": true, "Inflight": true,
 	"RepoOptions": true, "Status": true, "ReplRecord": true,
 }
 

@@ -46,6 +46,12 @@ go test -race -shuffle=on -cover ./...
 # Connection-lifecycle packages again, repeated: admission slots, mux
 # teardown, follower resume and router failover are where an ordering bug
 # shows up one run in fifty, and one pass of the full suite would miss it.
+# Callers write their own frames through wire.FrameConn's write slot:
+# TestConcurrentWritersNeverInterleave, TestWriteFailureReleasesEveryCaller
+# and TestQueuedCallHonoursDeadline (internal/client) and
+# TestHungMemberDoesNotStallRouter (internal/router) ride on this run, with
+# TestSocketCallsPerFrame (internal/wire), which pins one read and one write
+# per frame.
 # The replica package's catalog-image tests (a follower forgetting what its
 # leader dropped, keeping what its leader cannot open, reaching an empty
 # catalog's head) ride on its -count=5 run here.
@@ -105,6 +111,9 @@ go test -run '^$' -bench Fuse -benchtime 100x ./internal/fusion
 go test -run '^$' -bench TrainedUpdate -benchtime 100x -cpu 1,2 ./internal/core
 # Likewise the frame codec's round trip over the spine's three frame shapes.
 go test -run '^$' -bench FrameRoundTrip -benchtime 100x ./internal/wire
+# And one search round trip, client to server over loopback TCP, at
+# fanout-small's shape (a text query on a trained 50-document repository).
+go test -run '^$' -bench SearchRoundTrip -benchtime 100x -cpu 1,2 ./internal/client
 # And the client's Dense-DPE encode at the shapes that run (one descriptor,
 # one image's 29, at 2048 and 512 bits).
 go test -run '^$' -bench DenseDPEEncode -benchtime 100x -cpu 1,2 ./internal/dpe
