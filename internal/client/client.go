@@ -73,8 +73,8 @@ const (
 	reconnectBackoffMax = 800 * time.Millisecond
 )
 
-// dialTimeout bounds a dial and its hello when the caller's context does
-// not, so a peer that accepts and never answers cannot hold a caller forever.
+// dialTimeout bounds DialHello, so a peer that accepts and never answers
+// cannot hold a caller forever.
 const dialTimeout = 5 * time.Second
 
 // Option customizes a Conn.
@@ -125,12 +125,16 @@ type Conn struct {
 // Dial connects to an MIE server and runs the hello handshake. meter may be
 // nil.
 func Dial(addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
-	return DialContext(context.Background(), addr, meter, opts...)
+	c := NewConn(addr, meter, opts...)
+	if _, err := c.transport(context.Background()); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// DialContext is Dial bounded by ctx: the connection and the hello exchange
-// give up when ctx ends.
-func DialContext(ctx context.Context, addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
+// NewConn is Dial without the dial: the Conn connects on its first call,
+// bounded by that call's context.
+func NewConn(addr string, meter *device.Meter, opts ...Option) *Conn {
 	c := &Conn{addr: addr, meter: meter, retries: defaultMaxRetries, dialing: make(chan struct{}, 1)}
 	for _, opt := range opts {
 		opt(c)
@@ -141,10 +145,7 @@ func DialContext(ctx context.Context, addr string, meter *device.Meter, opts ...
 	if c.tracer == nil {
 		c.tracer = obs.DefaultTracer()
 	}
-	if _, err := c.transport(ctx); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c
 }
 
 // Close shuts the connection down. In-flight calls fail with ErrClosed.
@@ -192,10 +193,11 @@ func (c *Conn) transport(ctx context.Context) (*transport, error) {
 	if t, err := c.live(); t != nil || err != nil {
 		return t, err
 	}
-	t, err := c.connect(ctx)
+	fc, _, err := DialHello(ctx, c.addr) // connection setup, not metered
 	if err != nil {
 		return nil, err
 	}
+	t := c.newTransport(fc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -224,16 +226,9 @@ func (c *Conn) live() (*transport, error) {
 	return c.tr, nil
 }
 
-// connect dials, runs the handshake and starts the demuxing reader, all
-// bounded by ctx and by dialTimeout. Handshake traffic is connection setup,
-// not an operation, so it is not metered.
-func (c *Conn) connect(ctx context.Context) (*transport, error) {
-	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
-	defer cancel()
-	fc, _, err := DialHello(ctx, c.addr)
-	if err != nil {
-		return nil, err
-	}
+// newTransport puts a call table on a connection that has said hello and
+// starts its demuxing reader.
+func (c *Conn) newTransport(fc *wire.FrameConn) *transport {
 	t := &transport{
 		fc:      fc,
 		reg:     c.reg,
@@ -242,12 +237,15 @@ func (c *Conn) connect(ctx context.Context) (*transport, error) {
 		calls:   make(map[uint64]chan demuxed),
 	}
 	go t.readLoop()
-	return t, nil
+	return t
 }
 
 // DialHello connects to addr and runs the hello exchange, both bounded by
-// ctx, and returns the framed connection and the peer's HelloResp.
+// ctx and by dialTimeout, and returns the framed connection and the peer's
+// HelloResp.
 func DialHello(ctx context.Context, addr string) (*wire.FrameConn, wire.HelloResp, error) {
+	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
+	defer cancel()
 	var d net.Dialer
 	tcp, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -377,8 +375,9 @@ func (t *transport) unregister(id uint64) {
 
 // abandon gives up on an in-flight request: removes its table entry (so a
 // late response is dropped by the demux) and emits a best-effort Cancel
-// frame telling the server to stop working on it — skipped when another
-// caller holds the write slot, since the server may just finish the work.
+// frame telling the server to stop working on it — skipped when the write
+// slot is busy or the peer does not take it at once (the server may just
+// finish the work). Only a Cancel cut mid-frame poisons the transport.
 func (t *transport) abandon(id uint64) {
 	t.mu.Lock()
 	_, pending := t.calls[id]
@@ -394,9 +393,9 @@ func (t *transport) abandon(id uint64) {
 	n, err := t.fc.TryWriteFrame(env)
 	t.txBytes.Add(int64(n))
 	switch {
-	case err != nil:
+	case err != nil && n > 0:
 		t.fail(fmt.Errorf("client: write %s: %w", env.Kind, err))
-	case n > 0:
+	case err == nil && n > 0:
 		t.reg.Counter("client_cancel_frames_total").Inc()
 	}
 }
@@ -429,7 +428,8 @@ func (t *transport) readLoop() {
 // muxExchange sends one pre-built envelope on the transport and awaits the
 // response echoing its ID. The envelope's ID is (re)stamped with a fresh
 // request ID for this transport. ctx bounds the wait for the write slot,
-// the write (by its deadline) and the wait for the response.
+// the write and the wait for the response; a failed write poisons the
+// transport unless ctx ended it before a byte went out.
 func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope) (*wire.Envelope, int, int, error) {
 	ch := make(chan demuxed, 1)
 	id, err := t.register(ch)

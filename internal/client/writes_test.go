@@ -102,6 +102,54 @@ func TestQueuedCallHonoursDeadline(t *testing.T) {
 	}
 }
 
+func TestCancelToStalledPeerReturnsAtDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	// The peer reads a search whole and then stops reading: the search's
+	// write slot is free, but the Cancel frame the caller owes at its
+	// deadline cannot go out (a net.Pipe takes no byte nobody reads, as a
+	// socket whose buffers are full). The caller must return at its deadline
+	// all the same, and a Cancel that sent nothing leaves the connection up.
+	cli, peer := net.Pipe()
+	defer peer.Close()
+	arrived := make(chan error, 1)
+	go func() {
+		_, _, err := wire.ReadFrame(peer)
+		arrived <- err
+	}()
+	reg := obs.NewRegistry()
+	c := NewConn("pipe", nil, WithObservability(reg))
+	c.tr = c.newTransport(wire.NewFrameConn(cli))
+	const deadline = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(bg, deadline)
+	defer cancel()
+	searched := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := c.Search(ctx, "r", &core.Query{K: 1})
+		searched <- err
+	}()
+	if err := <-arrived; err != nil {
+		t.Fatalf("the search never reached the peer: %v", err)
+	}
+	select {
+	case err := <-searched:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("search returned %v, want context.DeadlineExceeded", err)
+		}
+		if err := c.tr.failure(); err != nil {
+			t.Errorf("an unsent Cancel poisoned the connection: %v", err)
+		}
+		if got := reg.Counter("client_cancel_frames_total").Value(); got != 0 {
+			t.Errorf("client_cancel_frames_total = %d for a Cancel the peer never took", got)
+		}
+	case <-time.After(deadline + time.Second):
+		t.Errorf("search still blocked %v after its %v deadline", time.Since(start).Round(time.Millisecond), deadline)
+		_ = c.Close()
+		<-searched
+	}
+	_ = c.Close()
+}
+
 func TestWriteFailureReleasesEveryCaller(t *testing.T) {
 	leakcheck.Check(t)
 	// The peer reads four small updates without answering them, takes the

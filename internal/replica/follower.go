@@ -178,9 +178,7 @@ func (f *Follower) run() {
 // records as they arrive. It returns when the connection breaks or the
 // follower is closed; progressed reports whether any record was applied.
 func (f *Follower) session() (progressed bool, err error) {
-	hctx, cancel := context.WithTimeout(f.ctx, 5*time.Second)
-	fc, _, err := client.DialHello(hctx, f.addr)
-	cancel()
+	fc, _, err := client.DialHello(f.ctx, f.addr)
 	if err != nil {
 		return false, fmt.Errorf("leader %s: %w", f.addr, err)
 	}

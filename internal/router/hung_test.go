@@ -164,3 +164,102 @@ func TestHungMemberDoesNotStallRouter(t *testing.T) {
 		t.Errorf("search homed on the hung member still blocked %v after its %v deadline", time.Since(start).Round(time.Millisecond), deadline)
 	}
 }
+
+// startStalledMember answers every connection's hello and then reads only
+// the header of the connection's next frame, through a small receive
+// buffer: a large frame to it is stuck in its sender's Write. writing is
+// closed once such a frame has begun to arrive; the returned release closes
+// everything.
+func startStalledMember(t *testing.T) (addr string, writing <-chan struct{}, release func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	began := make(chan struct{})
+	var once sync.Once
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			go func() {
+				_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+				env, _, err := wire.ReadFrame(conn)
+				if err != nil {
+					return
+				}
+				reply, _ := wire.AnswerHello(env, wire.HelloResp{Role: "leader", CaughtUp: true})
+				if _, err := wire.WriteEnvelope(conn, reply); err != nil {
+					return
+				}
+				var hdr [45]byte
+				if _, err := conn.Read(hdr[:]); err == nil {
+					once.Do(func() { close(began) })
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), began, func() {
+		_ = ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	}
+}
+
+// TestCloseEndsRelayWritingToStalledMember: a relay with no deadline, stuck
+// writing a large update to a member that has stopped reading, ends with
+// Close, and Close returns.
+func TestCloseEndsRelayWritingToStalledMember(t *testing.T) {
+	leakcheck.Check(t)
+	addr, writing, release := startStalledMember(t)
+	defer release()
+	rt, err := Start(Config{
+		Nodes:          []Node{{Name: "stalled", Addr: addr}},
+		HealthInterval: time.Hour,
+		Registry:       obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Dial(rt.Addr(), nil, client.WithObservability(obs.NewRegistry()))
+	if err != nil {
+		_ = rt.Close()
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	updated := make(chan error, 1)
+	go func() {
+		updated <- conn.Update(context.Background(), "r", &core.Update{ObjectID: "big", Ciphertext: make([]byte, 16<<20)})
+	}()
+	select {
+	case <-writing:
+	case <-time.After(5 * time.Second):
+		_ = rt.Close()
+		t.Fatal("the update never reached the member")
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = rt.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Error("Router.Close still blocked after 5s by a relay writing to a stalled member")
+		release()
+		<-closed
+	}
+	if err := <-updated; err == nil {
+		t.Error("the update succeeded through a router that closed before the member answered")
+	}
+}

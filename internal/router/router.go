@@ -49,12 +49,11 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// backend is the router's view of one node: a pooled connection plus the
-// last probed health state.
+// backend is the router's view of one node: a pooled connection, dialed on
+// first use, plus the last probed health state.
 type backend struct {
-	name string
 	addr string
-	conn atomic.Pointer[client.Conn]
+	conn *client.Conn
 
 	healthy  atomic.Bool
 	caughtUp atomic.Bool
@@ -79,7 +78,6 @@ type Router struct {
 	ln       net.Listener
 	leader   *backend
 	backends map[string]*backend
-	reg      *obs.Registry
 
 	routedC   *obs.Counter
 	failoverC *obs.Counter
@@ -120,7 +118,8 @@ func Start(cfg Config) (*Router, error) {
 		if backends[n.Name] != nil {
 			return nil, fmt.Errorf("router: duplicate node name %q", n.Name)
 		}
-		backends[n.Name] = &backend{name: n.Name, addr: n.Addr, isLeader: n.Name == cfg.Leader}
+		conn := client.NewConn(n.Addr, nil, client.WithObservability(reg))
+		backends[n.Name] = &backend{addr: n.Addr, conn: conn, isLeader: n.Name == cfg.Leader}
 		names = append(names, n.Name)
 	}
 	leader := backends[cfg.Leader]
@@ -137,7 +136,6 @@ func Start(cfg Config) (*Router, error) {
 		ln:        ln,
 		leader:    leader,
 		backends:  backends,
-		reg:       reg,
 		routedC:   reg.Counter("router_requests_total"),
 		failoverC: reg.Counter("router_failovers_total"),
 		errorsC:   reg.Counter("router_errors_total"),
@@ -160,17 +158,16 @@ func (r *Router) Addr() string { return r.ln.Addr().String() }
 // repository names that spread across all nodes).
 func (r *Router) Ring() *Ring { return r.ring }
 
-// Close stops accepting, ends every relay and backend dial, waits for the
-// background loops and tears down backend connections.
+// Close stops accepting, ends every relay and backend dial, tears down the
+// backend connections — a relay blocked writing to a member ends with
+// them — and waits for the background loops.
 func (r *Router) Close() error {
 	r.stop()
 	_ = r.ln.Close() // a second Close reports the listener already closed
-	r.wg.Wait()
 	for _, b := range r.backends {
-		if c := b.conn.Load(); c != nil {
-			_ = c.Close()
-		}
+		_ = b.conn.Close()
 	}
+	r.wg.Wait()
 	return nil
 }
 
@@ -335,7 +332,11 @@ func (r *Router) relay(cs *connState, env *wire.Envelope) {
 
 // relayTo tries candidates in order, preferring eligible ones, and relays
 // the first response. Ineligible backends are still tried as a last resort:
-// a stale health bit must not turn a servable request into an error.
+// a stale health bit must not turn a servable request into an error. ctx
+// carries the request deadline, Cancel-frame cancellation and Close, and
+// bounds a backend's dial too (client.DialHello also bounds one without a
+// deadline), so a member that accepts and never answers holds only the
+// relays addressed to it.
 func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope, candidates []*backend) {
 	ordered := make([]*backend, 0, len(candidates))
 	for _, b := range candidates {
@@ -353,7 +354,7 @@ func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope,
 		if i > 0 {
 			r.failoverC.Inc()
 		}
-		resp, err := r.forward(ctx, b, env)
+		resp, err := b.conn.Forward(ctx, env)
 		if err == nil {
 			out := *resp
 			out.ID = env.ID
@@ -376,25 +377,4 @@ func (r *Router) relayTo(ctx context.Context, cs *connState, env *wire.Envelope,
 	if err := cs.writeError(env.ID, msg); err != nil && r.cfg.Logger != nil {
 		r.cfg.Logger.Warn("router: error relay failed", "err", err.Error())
 	}
-}
-
-// forward sends env to one backend over its pooled connection, dialing it
-// on first use. The caller's ctx carries the request deadline, Cancel-frame
-// cancellation and Close. The dial holds no lock and ends with ctx too
-// (client.DialContext also bounds one without a deadline), so a member that
-// accepts and never answers holds only the relays addressed to it. Relays
-// that race to dial keep the first connection installed and close their own.
-func (r *Router) forward(ctx context.Context, b *backend, env *wire.Envelope) (*wire.Envelope, error) {
-	conn := b.conn.Load()
-	if conn == nil {
-		c, err := client.DialContext(ctx, b.addr, nil, client.WithObservability(r.reg))
-		if err != nil {
-			return nil, err
-		}
-		if conn = c; !b.conn.CompareAndSwap(nil, c) {
-			_ = c.Close()
-			conn = b.conn.Load()
-		}
-	}
-	return conn.Forward(ctx, env)
 }

@@ -8,9 +8,14 @@ import (
 	"time"
 )
 
-// readBufSize is a FrameConn's read buffer: 32 KiB fits every frame of the
-// benchmark spine, the 25.6 KB ten-hit search response included.
-const readBufSize = 32 << 10
+const (
+	// readBufSize is a FrameConn's read buffer: 32 KiB fits every frame of
+	// the benchmark spine, the 25.6 KB ten-hit search response included.
+	readBufSize = 32 << 10
+	// tryWriteTimeout bounds a TryWriteFrame: a socket that cannot take a
+	// small frame within it belongs to a peer that has stopped reading.
+	tryWriteTimeout = 100 * time.Millisecond
+)
 
 // FrameConn is a socket that carries frames, in every tier. One goroutine
 // reads, through a buffer, so a frame that has arrived costs one read; any
@@ -19,44 +24,58 @@ const readBufSize = 32 << 10
 // whose context can end waits for on a goroutine it may walk away from. A
 // Write that fails part-way closes the connection: no frame may follow it.
 type FrameConn struct {
-	conn net.Conn
-	r    *bufio.Reader
-	mu   sync.Mutex // the write slot
+	conn  net.Conn
+	r     *bufio.Reader
+	mu    sync.Mutex    // the write slot
+	ended chan struct{} // the slot holder's context ended and its Write was cut short
 }
 
 // NewFrameConn wraps a connected socket.
 func NewFrameConn(conn net.Conn) *FrameConn {
-	return &FrameConn{conn: conn, r: bufio.NewReaderSize(conn, readBufSize)}
+	return &FrameConn{conn: conn, r: bufio.NewReaderSize(conn, readBufSize), ended: make(chan struct{}, 1)}
 }
 
 // ReadFrame reads the next frame (see the package-level ReadFrame). Only
 // one goroutine may read.
 func (fc *FrameConn) ReadFrame() (*Envelope, int, error) { return ReadFrame(fc.r) }
 
-// WriteFrame writes env as one frame and returns its size on the wire. It
-// waits for the write slot while ctx allows: a caller that gives up returns
-// ctx.Err() unwrapped, having written nothing. A deadline on ctx also bounds
-// the Write itself.
+// WriteFrame writes env as one frame and returns its size on the wire. ctx,
+// by its deadline or its cancellation, ends the wait for the write slot and
+// the Write itself. A caller whose ctx ended before a byte went out gets
+// ctx.Err() unwrapped, the connection intact; one cut mid-frame closed it.
 func (fc *FrameConn) WriteFrame(ctx context.Context, env *Envelope) (int, error) {
 	if err := fc.lock(ctx); err != nil {
 		return 0, err
 	}
 	defer fc.mu.Unlock()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = fc.conn.SetWriteDeadline(dl) // fails only on a closed socket, which the Write reports
-		defer func() { _ = fc.conn.SetWriteDeadline(time.Time{}) }()
+	if ctx.Done() == nil {
+		return fc.write(env)
 	}
-	return fc.write(env)
+	stop := context.AfterFunc(ctx, func() {
+		_ = fc.conn.SetWriteDeadline(time.Unix(1, 0)) // in the past: the Write ends
+		fc.ended <- struct{}{}
+	})
+	n, err := fc.write(env)
+	if !stop() { // lift the past deadline once set, before the next slot holder writes
+		<-fc.ended
+		_ = fc.conn.SetWriteDeadline(time.Time{})
+	}
+	if err != nil && n == 0 && ctx.Err() != nil {
+		return 0, ctx.Err()
+	}
+	return n, err
 }
 
-// TryWriteFrame writes env only if no other frame is being written; it
-// returns 0 and no error when the slot was busy. It serves fire-and-forget
-// frames (Cancel), which never wait behind another caller's write.
+// TryWriteFrame writes env, within tryWriteTimeout, only if the write slot
+// is free (0 and no error if not): fire-and-forget frames (Cancel) wait
+// neither behind another caller's write nor on a peer that stopped reading.
 func (fc *FrameConn) TryWriteFrame(env *Envelope) (int, error) {
 	if !fc.mu.TryLock() {
 		return 0, nil
 	}
 	defer fc.mu.Unlock()
+	_ = fc.conn.SetWriteDeadline(time.Now().Add(tryWriteTimeout))
+	defer func() { _ = fc.conn.SetWriteDeadline(time.Time{}) }()
 	return fc.write(env)
 }
 

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
 	"testing"
+	"time"
 )
 
 // countingConn counts the socket calls made on one end of a net.Pipe, which
@@ -86,4 +89,90 @@ func TestSocketCallsPerFrame(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stalledPipe is a FrameConn whose peer reads nothing until told to: a
+// Write on it blocks, as on a socket whose send buffer is full. drain makes
+// the peer read the next frame.
+func stalledPipe(t *testing.T) (fc *FrameConn, drain func() error) {
+	t.Helper()
+	a, b := net.Pipe()
+	t.Cleanup(func() {
+		_ = a.Close()
+		_ = b.Close()
+	})
+	return NewFrameConn(a), func() error {
+		_, _, err := ReadFrame(b)
+		return err
+	}
+}
+
+// writeAfterStall checks that fc, whose last Write was cut short before a
+// byte went out, still carries the next frame whole.
+func writeAfterStall(t *testing.T, fc *FrameConn, drain func() error) {
+	t.Helper()
+	read := make(chan error, 1)
+	go func() { read <- drain() }()
+	if _, err := fc.WriteFrame(context.Background(), &Envelope{Kind: KindSearch, ID: 2}); err != nil {
+		t.Fatalf("write after the stall: %v", err)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("read after the stall: %v", err)
+	}
+}
+
+// writeOutcome is what a write returned, handed back from the goroutine that
+// made it.
+type writeOutcome struct {
+	n   int
+	err error
+}
+
+// TestWriteFrameEndsWithContext: cancelling the context, with no deadline
+// on it, ends a Write the peer does not drain; nothing was sent, so the
+// caller gets context.Canceled and the connection carries the next frame.
+func TestWriteFrameEndsWithContext(t *testing.T) {
+	fc, drain := stalledPipe(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	wrote := make(chan writeOutcome, 1)
+	go func() {
+		n, err := fc.WriteFrame(ctx, &Envelope{Kind: KindSearch, ID: 1})
+		wrote <- writeOutcome{n, err}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case r := <-wrote:
+		if r.n != 0 || !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("WriteFrame on a stalled peer = %d, %v; want 0, context.Canceled", r.n, r.err)
+		}
+	case <-time.After(time.Second):
+		_ = fc.Close()
+		<-wrote
+		t.Fatal("WriteFrame on a stalled peer still blocked 1s after its context was cancelled")
+	}
+	writeAfterStall(t, fc, drain)
+}
+
+// TestTryWriteFrameIsBounded: a fire-and-forget frame to a peer that has
+// stopped reading gives up after tryWriteTimeout, and the connection
+// carries the next frame.
+func TestTryWriteFrameIsBounded(t *testing.T) {
+	fc, drain := stalledPipe(t)
+	wrote := make(chan writeOutcome, 1)
+	go func() {
+		n, err := fc.TryWriteFrame(&Envelope{Kind: KindCancel, ID: 1})
+		wrote <- writeOutcome{n, err}
+	}()
+	select {
+	case r := <-wrote:
+		if r.n != 0 || !errors.Is(r.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("TryWriteFrame on a stalled peer = %d, %v; want 0, os.ErrDeadlineExceeded", r.n, r.err)
+		}
+	case <-time.After(tryWriteTimeout + time.Second):
+		_ = fc.Close()
+		<-wrote
+		t.Fatalf("TryWriteFrame on a stalled peer still blocked after %v", tryWriteTimeout+time.Second)
+	}
+	writeAfterStall(t, fc, drain)
 }

@@ -47,11 +47,14 @@ go test -race -shuffle=on -cover ./...
 # teardown, follower resume and router failover are where an ordering bug
 # shows up one run in fifty, and one pass of the full suite would miss it.
 # Callers write their own frames through wire.FrameConn's write slot:
-# TestConcurrentWritersNeverInterleave, TestWriteFailureReleasesEveryCaller
-# and TestQueuedCallHonoursDeadline (internal/client) and
-# TestHungMemberDoesNotStallRouter (internal/router) ride on this run, with
-# TestSocketCallsPerFrame (internal/wire), which pins one read and one write
-# per frame.
+# TestConcurrentWritersNeverInterleave, TestWriteFailureReleasesEveryCaller,
+# TestQueuedCallHonoursDeadline and TestCancelToStalledPeerReturnsAtDeadline
+# (internal/client), TestHungMemberDoesNotStallRouter and
+# TestCloseEndsRelayWritingToStalledMember (internal/router) ride on this
+# run, with TestSocketCallsPerFrame (internal/wire), which pins one read and
+# one write per frame, and TestWriteFrameEndsWithContext and
+# TestTryWriteFrameIsBounded, which bound a write to a peer that has stopped
+# reading.
 # The replica package's catalog-image tests (a follower forgetting what its
 # leader dropped, keeping what its leader cannot open, reaching an empty
 # catalog's head) ride on its -count=5 run here.
