@@ -115,6 +115,11 @@ type Conn struct {
 
 	dialing chan struct{} // holds a token while a transport is being dialed
 
+	// Per-kind instruments, each resolved on its kind's first call: kinds
+	// (request kind -> *kindMetrics) for roundTrip, forwardSeconds (request
+	// kind -> *obs.Histogram) for Forward.
+	kinds, forwardSeconds sync.Map
+
 	mu     sync.Mutex
 	token  string
 	tr     *transport
@@ -518,6 +523,27 @@ func (c *Conn) exchange(ctx context.Context, env *wire.Envelope) (resp *wire.Env
 	}
 }
 
+// kindMetrics is one request kind's share of a Conn's instruments: the name
+// of its root span and its client_request_seconds histogram. The error
+// counter stays looked up as it comes, so a kind that never failed has none.
+type kindMetrics struct {
+	span    string
+	seconds *obs.Histogram
+}
+
+// kindMetrics returns a kind's instruments, resolving them on its first
+// call. Kinds are wire's fixed set, so the cache stays that small.
+func (c *Conn) kindMetrics(kind string) *kindMetrics {
+	if km, ok := c.kinds.Load(kind); ok {
+		return km.(*kindMetrics)
+	}
+	km, _ := c.kinds.LoadOrStore(kind, &kindMetrics{
+		span:    "op/" + kind,
+		seconds: c.reg.Histogram(obs.L("client_request_seconds", "kind", kind)),
+	})
+	return km.(*kindMetrics)
+}
+
 // roundTrip sends one request and decodes its response into resp,
 // accounting the bytes to the meter's Network category.
 func (c *Conn) roundTrip(ctx context.Context, kind string, req, resp interface{}) (err error) {
@@ -532,13 +558,14 @@ func (c *Conn) roundTrip(ctx context.Context, kind string, req, resp interface{}
 			defer at.Finish()
 		}
 	}
+	km := c.kindMetrics(kind)
 	var sp *obs.Span
-	ctx, sp = obs.StartSpan(ctx, c.reg, "op/"+kind)
+	ctx, sp = obs.StartSpan(ctx, c.reg, km.span)
 	start := time.Now()
 	defer func() {
 		sp.SetError(err)
 		sp.End()
-		c.reg.Histogram(obs.L("client_request_seconds", "kind", kind)).Observe(time.Since(start).Seconds())
+		km.seconds.Observe(time.Since(start).Seconds())
 		if err != nil {
 			c.reg.Counter(obs.L("client_request_errors_total", "kind", kind)).Inc()
 		}

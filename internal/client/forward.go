@@ -19,11 +19,21 @@ import (
 func (c *Conn) Forward(ctx context.Context, env *wire.Envelope) (resp *wire.Envelope, err error) {
 	start := time.Now()
 	resp, _, _, err = c.exchange(ctx, env)
-	c.reg.Histogram(obs.L("client_forward_seconds", "kind", env.Kind)).Observe(time.Since(start).Seconds())
+	c.forwardHistogram(env.Kind).Observe(time.Since(start).Seconds())
 	if err != nil {
 		c.reg.Counter(obs.L("client_forward_errors_total", "kind", env.Kind)).Inc()
 	}
 	return resp, err
+}
+
+// forwardHistogram returns a kind's client_forward_seconds histogram,
+// resolving it on the kind's first relay.
+func (c *Conn) forwardHistogram(kind string) *obs.Histogram {
+	if h, ok := c.forwardSeconds.Load(kind); ok {
+		return h.(*obs.Histogram)
+	}
+	h, _ := c.forwardSeconds.LoadOrStore(kind, c.reg.Histogram(obs.L("client_forward_seconds", "kind", kind)))
+	return h.(*obs.Histogram)
 }
 
 // Hello probes addr with a bare handshake on a one-shot connection and

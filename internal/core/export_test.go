@@ -25,6 +25,10 @@ var (
 	SmallRepoOptions = smallRepoOptions
 )
 
+// SetSearchCollectHook installs (or, with nil, clears) a hook that runs
+// between a Search's lookups and its collect step.
+func SetSearchCollectHook(f func()) { searchCollectHook = f }
+
 // LogPayloads reads every record payload of a repository's log in dir.
 func LogPayloads(t *testing.T, dir, id string) [][]byte {
 	t.Helper()

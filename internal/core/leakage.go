@@ -60,8 +60,9 @@ func (l *Leakage) recordUpdate(up *Update) (tokenMass uint64) {
 
 // recordSearch counts one query's leakage and returns how many of its
 // tokens the server had already seen in earlier queries — the search-pattern
-// repeats that make queries linkable.
-func (l *Leakage) recordSearch(q *Query) (repeats int) {
+// repeats that make queries linkable — and how many distinct token ids
+// queries have revealed so far.
+func (l *Leakage) recordSearch(q *Query) (repeats, distinct int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.searches++
@@ -72,7 +73,7 @@ func (l *Leakage) recordSearch(q *Query) (repeats int) {
 		l.searchTokens[tok]++
 	}
 	l.searchTokenRepeats += uint64(repeats)
-	return repeats
+	return repeats, len(l.searchTokens)
 }
 
 // recordAccess counts one ID(d) access-pattern reveal.
@@ -91,14 +92,8 @@ func (l *Leakage) recordRemove(objectID string) {
 	l.retireLocked(objectID)
 }
 
-// retire folds a removed id's access count into the retired totals; an id
-// with no count is a no-op.
-func (l *Leakage) retire(objectID string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.retireLocked(objectID)
-}
-
+// retireLocked folds a removed id's access count into the retired totals; an
+// id with no count is a no-op.
 func (l *Leakage) retireLocked(objectID string) {
 	if _, ok := l.accessed[objectID]; ok {
 		delete(l.accessed, objectID)
@@ -127,13 +122,6 @@ func (l *Leakage) DistinctUpdateTokens() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.updateTokens)
-}
-
-// distinctSearchTokens returns how many distinct token ids queries revealed.
-func (l *Leakage) distinctSearchTokens() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.searchTokens)
 }
 
 // SearchTokenCount returns how many times a token id appeared in queries.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -197,5 +198,84 @@ func TestLeakageLedgerIsBounded(t *testing.T) {
 	}
 	if growth >= 1<<20 {
 		t.Errorf("live heap grew %d B between operation %d and %d", growth, warm, ops)
+	}
+}
+
+// TestWinnerRemovedBeforeCollectIsNotRevealed: a winner the lookup returned
+// but a Remove took before the collect step is not returned, and the ledger
+// does not count it — the access reveals grow by the hits returned and no
+// more, the retired-id count and the other ids' counts stay put, and the
+// removed id holds none — untrained and trained.
+func TestWinnerRemovedBeforeCollectIsNotRevealed(t *testing.T) {
+	c := testClient(t)
+	r, err := NewRepository("ledger-race", smallRepoOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.Close() })
+	add := func(id, text string) {
+		t.Helper()
+		up, err := c.PrepareUpdate(&Object{ID: id, Text: text}, testDataKey(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Update(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		add(fmt.Sprintf("o%d", i), "beach sunset harbor")
+	}
+	q, err := c.PrepareQuery(&Object{ID: "q", Text: "zebra beach"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = "victim"
+	for _, stage := range []string{"untrained", "trained"} {
+		add(victim, "zebra zebra zebra") // the only zebra: the top winner
+		if stage == "trained" {
+			if err := r.Train(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := r.state.Load()
+		top, err := r.searchModality(st, 0, st.engines[0], q, q.K)
+		if err != nil || len(top) == 0 || top[0].Doc != victim {
+			t.Fatalf("%s: text lookup = %v, %v; want %s first", stage, top, err, victim)
+		}
+
+		r.leak.mu.Lock()
+		reveals, retired, accessed := r.leak.accessReveals, r.leak.retiredObjects, maps.Clone(r.leak.accessed)
+		r.leak.mu.Unlock()
+		SetSearchCollectHook(func() {
+			if err := r.Remove(victim); err != nil {
+				t.Error(err)
+			}
+		})
+		hits, err := r.Search(q)
+		SetSearchCollectHook(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hits {
+			accessed[h.ObjectID]++
+			if h.ObjectID == victim {
+				t.Errorf("%s: the removed winner was returned", stage)
+			}
+		}
+		if len(hits) == 0 {
+			t.Fatalf("%s: no hit survived the remove", stage)
+		}
+		r.leak.mu.Lock()
+		if got, want := r.leak.accessReveals, reveals+uint64(len(hits)); got != want {
+			t.Errorf("%s: access reveals = %d, want %d", stage, got, want)
+		}
+		if r.leak.retiredObjects != retired {
+			t.Errorf("%s: retired objects = %d, want %d", stage, r.leak.retiredObjects, retired)
+		}
+		if !maps.Equal(r.leak.accessed, accessed) {
+			t.Errorf("%s: accessed ids = %v, want %v", stage, r.leak.accessed, accessed)
+		}
+		r.leak.mu.Unlock()
 	}
 }

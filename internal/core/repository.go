@@ -107,8 +107,9 @@ type RepositoryOptions struct {
 	// 20000. Training cost is the cloud's to pay, but tests want it tunable.
 	TrainingSampleCap int
 	// FusionCandidates is the per-modality candidate depth fed to rank
-	// fusion before truncating to k; 0 means 10*k (MaxInt where that
-	// overflows).
+	// fusion before truncating to k; 0 means k for a query that carries one
+	// modality, whose list is ranked as it stands, and 10*k otherwise
+	// (MaxInt where that overflows).
 	FusionCandidates int
 }
 
@@ -326,6 +327,9 @@ func (r *Repository) LastTrain() *TrainInfo { return r.lastTrain.Load() }
 var (
 	trainInstallHook func()
 	searchStartHook  func()
+	// searchCollectHook runs between a Search's lookups and its collect
+	// step, so tests can remove a winner the index already returned.
+	searchCollectHook func()
 	// compactStartHook runs inside the background compactor goroutine before
 	// it touches any index, so tests can freeze a compaction mid-flight (the
 	// crash-matrix case) or serialize against it.
@@ -640,26 +644,27 @@ func (r *Repository) Get(objectID string) (ciphertext []byte, owner string, err 
 func (r *Repository) GetContext(ctx context.Context, objectID string) (ciphertext []byte, owner string, err error) {
 	_, sp := obs.StartSpan(ctx, r.met.reg, "repo/get")
 	defer sp.End()
-	obj, ok := r.objects.Get(objectID)
+	obj, ok := r.reveal(objectID)
 	if !ok {
 		err = fmt.Errorf("%w: %s", ErrUnknownObject, objectID)
 		sp.SetError(err)
 		return nil, "", err
 	}
-	r.revealAccess(objectID)
 	return obj.ciphertext, obj.owner, nil
 }
 
-// revealAccess counts one ID(d) reveal of an object the caller just read
-// from the store. Reads take no lock against Remove, so the object may be
-// gone by the time the reveal is counted; the recheck afterwards retires
-// the id again, and the ledger never keeps a removed id.
-func (r *Repository) revealAccess(objectID string) {
-	r.leak.recordAccess(objectID)
-	r.met.leakAccessReveals.Inc()
-	if _, ok := r.objects.Get(objectID); !ok {
-		r.leak.retire(objectID)
+// reveal reads an object from the store with one probe and, if it is there,
+// counts one ID(d) reveal of it. The reveal is counted under the store
+// shard's read lock, so a racing Remove either deletes the object first (no
+// read, no reveal) or retires the count after it (recordRemove follows the
+// delete): the ledger never keeps a removed id, and counts no read that did
+// not happen.
+func (r *Repository) reveal(objectID string) (*storedObject, bool) {
+	obj, ok := r.objects.GetThen(objectID, func(*storedObject) { r.leak.recordAccess(objectID) })
+	if ok {
+		r.met.leakAccessReveals.Inc()
 	}
+	return obj, ok
 }
 
 // Train runs the machine-learning step in the cloud (CLOUD.Train,
@@ -1128,72 +1133,108 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 	defer sp.End()
 	st := r.state.Load()
 
-	depth := r.opts.FusionCandidates
-	if depth <= 0 {
-		// 10·k, saturated: k arrives unbounded off the wire, and a wrapped
-		// product would ask every modality for nothing.
-		depth = math.MaxInt
-		if q.K <= math.MaxInt/10 {
-			depth = 10 * q.K
-		}
-	}
-	var active []int // engines the query carries a modality for
+	active := make([]int, 0, 4) // engines the query carries a modality for
 	for i, eng := range st.engines {
 		if eng.InQuery(q) {
 			active = append(active, i)
 		}
 	}
-	joined := make([][]index.Result, len(active))
-	errs := make([]error, len(active))
-	lookup := func(j int) {
-		i := active[j]
-		eng := st.engines[i]
-		csp := sp.Child(string(eng.Modality()) + "_lookup")
-		defer csp.End()
-		joined[j], errs[j] = r.searchModality(st, i, eng, q, depth)
-	}
+	depth := r.searchDepth(q.K, len(active))
+	var fused []index.Result
 	if len(active) == 1 {
-		lookup(0) // nothing to overlap with: skip the goroutine and the join
+		// Nothing to overlap with: the lookup runs inline, and its list
+		// names each document once, so it needs no fusion tally.
+		list, err := r.lookup(sp, st, active[0], q, depth)
+		if err != nil {
+			sp.SetError(err)
+			return nil, err
+		}
+		fsp := sp.Child("fusion")
+		fused = fusion.Rank(method, list, q.K)
+		fsp.End()
 	} else {
+		joined := make([][]index.Result, len(active))
+		errs := make([]error, len(active))
 		var wg sync.WaitGroup
-		for j := range active {
+		for j, i := range active {
 			wg.Add(1)
-			go func(j int) {
+			go func() {
 				defer wg.Done()
-				lookup(j)
-			}(j)
+				joined[j], errs[j] = r.lookup(sp, st, i, q, depth)
+			}()
 		}
 		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			sp.SetError(err)
+			return nil, err
+		}
+		fsp := sp.Child("fusion")
+		fused = fusion.Fuse(method, joined, q.K)
+		fsp.End()
 	}
-	if err := errors.Join(errs...); err != nil {
-		sp.SetError(err)
-		return nil, err
+	if hook := searchCollectHook; hook != nil {
+		hook()
 	}
-	fsp := sp.Child("fusion")
-	fused := fusion.Fuse(method, joined, q.K)
-	fsp.End()
 	csp := sp.Child("collect")
 	hits := make([]SearchHit, 0, len(fused))
 	for _, res := range fused {
-		obj, ok := r.objects.Get(string(res.Doc))
-		if !ok {
-			// Raced a remove against a not-yet-retired index entry: the hit
-			// is dropped, and — deliberately — NOT recorded as an ID(d)
-			// access, since nothing about it is returned to the caller.
-			continue
+		// A hit that raced a remove against a not-yet-retired index entry
+		// is dropped, and — deliberately — NOT recorded as an ID(d) access,
+		// since nothing about it is returned to the caller.
+		if obj, ok := r.reveal(string(res.Doc)); ok {
+			hits = append(hits, SearchHit{
+				ObjectID:   string(res.Doc),
+				Owner:      obj.owner,
+				Score:      res.Score,
+				Ciphertext: obj.ciphertext,
+			})
 		}
-		r.revealAccess(string(res.Doc))
-		hits = append(hits, SearchHit{
-			ObjectID:   string(res.Doc),
-			Owner:      obj.owner,
-			Score:      res.Score,
-			Ciphertext: obj.ciphertext,
-		})
 	}
 	csp.End()
-	r.met.leakSearchRepeats.Add(int64(r.leak.recordSearch(q)))
-	r.met.leakSearchDistinct.Set(int64(r.leak.distinctSearchTokens()))
+	repeats, distinct := r.leak.recordSearch(q)
+	r.met.leakSearchRepeats.Add(int64(repeats))
+	r.met.leakSearchDistinct.Set(int64(distinct))
 	return hits, nil
+}
+
+// lookupSpan names a modality's lookup span without building the string on
+// every search.
+func lookupSpan(m Modality) string {
+	switch m {
+	case ModalityText:
+		return "text_lookup"
+	case ModalityImage:
+		return "image_lookup"
+	case ModalityAudio:
+		return "audio_lookup"
+	}
+	return string(m) + "_lookup"
+}
+
+// searchDepth is how many candidates each of a search's lookups asks for:
+// FusionCandidates when set; k for a lone lookup, whose list is ranked as it
+// stands (fusion.Rank) and whose order is total (score, then id), so its
+// first k are the first k of any deeper lookup; 10·k for fusion otherwise,
+// saturated: k arrives unbounded off the wire, and a wrapped product would
+// ask every modality for nothing.
+func (r *Repository) searchDepth(k, lookups int) int {
+	switch {
+	case r.opts.FusionCandidates > 0:
+		return r.opts.FusionCandidates
+	case lookups == 1:
+		return k
+	case k > math.MaxInt/10:
+		return math.MaxInt
+	}
+	return 10 * k
+}
+
+// lookup runs engine i's lookup for the epoch under a span of its own.
+func (r *Repository) lookup(sp *obs.Span, st *repoState, i int, q *Query, depth int) ([]index.Result, error) {
+	eng := st.engines[i]
+	csp := sp.Child(lookupSpan(eng.Modality()))
+	defer csp.End()
+	return r.searchModality(st, i, eng, q, depth)
 }
 
 // searchModality runs one modality's lookup for the given epoch: the

@@ -32,10 +32,9 @@ const (
 // own score) and returns the top k documents under the fused score. Ranks are
 // 1-based. Empty lists contribute nothing.
 //
-// When only one list is non-empty and it names each document once, its order
-// is already the fused order — every method's score falls strictly with rank
-// — so it passes straight through with its fused scores, and no tally is
-// built.
+// When only one list is non-empty and it names each document once, it goes
+// through Rank and no tally is built. Callers may pass lists that repeat a
+// document (the msse baselines do), so that is checked first.
 func Fuse(method Method, lists [][]index.Result, k int) []index.Result {
 	if k <= 0 {
 		return nil
@@ -50,11 +49,7 @@ func Fuse(method Method, lists [][]index.Result, k int) []index.Result {
 		n += len(list)
 	}
 	if nonEmpty == 1 && distinct(only) {
-		out := make([]index.Result, min(k, len(only)))
-		for i := range out {
-			out[i] = index.Result{Doc: only[i].Doc, Score: fused(method, kernel(method, 0, i), 1)}
-		}
-		return out
+		return Rank(method, only, k)
 	}
 	type tally struct {
 		doc  index.DocID
@@ -83,6 +78,22 @@ func Fuse(method Method, lists [][]index.Result, k int) []index.Result {
 		top.Offer(t.doc, fused(method, t.sum, t.hits))
 	}
 	return top.Results()
+}
+
+// Rank is the fusion of one ranked list that names each document once: its
+// first k hits, in its order, each with the fused score of its rank. The
+// order is already the fused order, since every method's score falls
+// strictly with rank. A query that carries a single modality is ranked here
+// directly: an index lookup names each document once by construction.
+func Rank(method Method, list []index.Result, k int) []index.Result {
+	if k <= 0 {
+		return nil
+	}
+	out := make([]index.Result, min(k, len(list)))
+	for i := range out {
+		out[i] = index.Result{Doc: list[i].Doc, Score: fused(method, kernel(method, 0, i), 1)}
+	}
+	return out
 }
 
 // hashSeed keys distinct's hashes.

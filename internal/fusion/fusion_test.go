@@ -191,3 +191,22 @@ func TestFuseMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRankIsFuseOfOneList: ranking one list that names each document once
+// is what fusing it alone gives, ids and score bits, at every k.
+func TestRankIsFuseOfOneList(t *testing.T) {
+	in := list("a", "b", "c", "d", "e")
+	for _, method := range []Method{LogISR, ISR, RRF} {
+		for k := -1; k <= len(in)+2; k++ {
+			got, want := Rank(method, in, k), Fuse(method, [][]index.Result{nil, in}, k)
+			if len(got) != len(want) {
+				t.Fatalf("method %d, k %d: %d results, want %d", method, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Errorf("method %d, k %d, pos %d: %v, want %v", method, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -292,13 +292,36 @@ func runTrace(t *testing.T, memCap int, data []byte, lowEntropy bool) (mixed int
 					continue
 				}
 				want := refSearch(m.live, query, k)
-				if got := s.Lookup(query, k); !sameResults(got, want) {
+				got := s.Lookup(query, k)
+				if !sameResults(got, want) {
 					t.Fatalf("step %d (%s): Lookup(%v, %d)\ngot  %v\nwant %v", step, desc, query, k, got, want)
+				}
+				// A lone modality asks for k where fusion asks for 10·k:
+				// the shallow lookup must be the deep one's first k, and
+				// neither may name a document twice.
+				deep := s.Lookup(query, 10*k)
+				if !sameResults(got, deep[:min(k, len(deep))]) {
+					t.Fatalf("step %d (%s): Lookup(%v, %d) is not the first %d of depth %d\ngot  %v\ndeep %v", step, desc, query, k, k, 10*k, got, deep)
+				}
+				if doc, dup := repeated(deep); dup {
+					t.Fatalf("step %d (%s): Lookup(%v, %d) names %s twice: %v", step, desc, query, 10*k, doc, deep)
 				}
 			}
 		}
 	}
 	return mixed
+}
+
+// repeated returns a document a ranking names more than once, if any.
+func repeated(rs []Result) (DocID, bool) {
+	seen := make(map[DocID]bool, len(rs))
+	for _, r := range rs {
+		if seen[r.Doc] {
+			return r.Doc, true
+		}
+		seen[r.Doc] = true
+	}
+	return "", false
 }
 
 func equalDocs(a, b map[DocID]map[Term]uint64) bool {

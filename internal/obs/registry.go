@@ -39,6 +39,8 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	// phases is the root of the span paths recorded here (see Span).
+	phases phase
 }
 
 // NewRegistry creates an empty registry.

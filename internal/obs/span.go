@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,10 +28,12 @@ var timeNow = time.Now
 // Spans are cheap (two time.Now calls and one histogram observation, plus
 // one id and one record when traced) and intentionally not goroutine-safe: a
 // span belongs to the goroutine that started it. A nil *Span is a valid
-// no-op, so instrumented code does not need nil registry checks.
+// no-op, so instrumented code does not need nil registry checks. A span's
+// path and histogram are resolved once per (parent phase, name) and kept in
+// the registry's phase tree, so starting and ending one builds no string.
 type Span struct {
 	reg   *Registry
-	path  string
+	ph    *phase
 	start time.Time
 	ended bool
 
@@ -48,7 +52,7 @@ func StartSpan(ctx context.Context, reg *Registry, name string) (context.Context
 	if reg == nil {
 		return ctx, nil
 	}
-	s := &Span{reg: reg, path: name, start: timeNow()}
+	s := &Span{reg: reg, ph: reg.phases.child(name), start: timeNow()}
 	if at := traceFrom(ctx); at != nil {
 		s.tr = at
 		s.id = newID()
@@ -72,7 +76,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{reg: s.reg, path: s.path + "/" + name, start: timeNow()}
+	c := &Span{reg: s.reg, ph: s.ph.child(name), start: timeNow()}
 	if s.tr != nil {
 		c.tr = s.tr
 		c.id = newID()
@@ -97,7 +101,7 @@ func (s *Span) Path() string {
 	if s == nil {
 		return ""
 	}
-	return s.path
+	return s.ph.path
 }
 
 // SetError marks the span failed; the message lands in the trace record and
@@ -121,12 +125,12 @@ func (s *Span) End() time.Duration {
 		return d
 	}
 	s.ended = true
-	s.reg.Histogram(L("phase_seconds", "phase", s.path)).Observe(d.Seconds())
+	s.ph.histogram(s.reg).Observe(d.Seconds())
 	if s.tr != nil {
 		s.tr.record(SpanRecord{
 			SpanID:        s.id,
 			ParentID:      s.parentID,
-			Name:          s.path,
+			Name:          s.ph.path,
 			StartUnixNano: s.start.UnixNano(),
 			DurationNanos: int64(d),
 			Err:           s.errMsg,
@@ -141,4 +145,36 @@ func (s *Span) Time(name string, fn func()) time.Duration {
 	child := s.Child(name)
 	fn()
 	return child.End()
+}
+
+// phase is one node of a registry's phase tree: a span path, its
+// phase_seconds histogram and the phases nested under it. The root (the
+// registry's phases) has the empty path and holds the root spans. Span names
+// are a fixed set in the code, so the tree stays as small as the set of
+// paths the registry's histograms already name.
+type phase struct {
+	path     string
+	prefix   string                    // a child's path is prefix + name: path + "/", or "" at the root
+	hist     atomic.Pointer[Histogram] // resolved at the first End, so a span that never ends leaves no series
+	children sync.Map                  // name -> *phase
+}
+
+// child returns the phase nested under p by name, resolving it on first use.
+func (p *phase) child(name string) *phase {
+	if c, ok := p.children.Load(name); ok {
+		return c.(*phase)
+	}
+	path := p.prefix + name
+	c, _ := p.children.LoadOrStore(name, &phase{path: path, prefix: path + "/"})
+	return c.(*phase)
+}
+
+// histogram returns the phase's phase_seconds{phase=<path>} histogram in reg.
+func (p *phase) histogram(reg *Registry) *Histogram {
+	if h := p.hist.Load(); h != nil {
+		return h
+	}
+	h := reg.Histogram(L("phase_seconds", "phase", p.path))
+	p.hist.Store(h)
+	return h
 }

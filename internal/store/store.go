@@ -12,10 +12,7 @@
 // per-modality retrieval logic.
 package store
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "sync"
 
 // DefaultShards is the shard count used when none is given: enough ways to
 // make same-shard writer collisions rare at realistic core counts, small
@@ -47,19 +44,45 @@ func New[V any](n int) *Sharded[V] {
 	return s
 }
 
+// FNV-1a's 32-bit parameters (hash/fnv's New32a, computed in place so a
+// probe allocates nothing).
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// fnv1a is the 32-bit FNV-1a hash of key.
+func fnv1a(key string) uint32 {
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= fnvPrime32
+	}
+	return h
+}
+
 // pick hashes key to its shard with FNV-1a.
 func (s *Sharded[V]) pick(key string) *shard[V] {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key)) // fnv.Write never fails
-	return &s.shards[h.Sum32()%uint32(len(s.shards))]
+	return &s.shards[fnv1a(key)%uint32(len(s.shards))]
 }
 
 // Get returns the value stored under key.
 func (s *Sharded[V]) Get(key string) (V, bool) {
+	return s.GetThen(key, nil)
+}
+
+// GetThen is Get that also calls fn (when not nil) with the value found,
+// while the shard's read lock is still held: a Put or Delete of key lands
+// wholly before the read and fn or wholly after both. fn must not call back
+// into the store.
+func (s *Sharded[V]) GetThen(key string, fn func(V)) (V, bool) {
 	sh := s.pick(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	v, ok := sh.m[key]
+	if ok && fn != nil {
+		fn(v)
+	}
 	return v, ok
 }
 

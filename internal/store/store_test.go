@@ -129,3 +129,71 @@ func TestConcurrentMixedOps(t *testing.T) {
 		}
 	}
 }
+
+// TestPlacementIsFNV1a pins shard placement: a key lives in the shard its
+// 32-bit FNV-1a hash picks, with the values hash/fnv gives for these ids.
+func TestPlacementIsFNV1a(t *testing.T) {
+	pinned := []struct {
+		key  string
+		hash uint32
+	}{
+		{"", 0x811c9dc5},
+		{"a", 0xe40c292c},
+		{"obj-c0-0", 0x76b56843},
+		{"spine-007", 0x3e18ff6c},
+		{"photos-😀", 0x240bccb6},
+		{"doc-49", 0xec109697},
+		{"w-12345", 0x29bfb51c},
+	}
+	s := New[int](DefaultShards)
+	for _, p := range pinned {
+		if got := fnv1a(p.key); got != p.hash {
+			t.Errorf("fnv1a(%q) = %#08x, want %#08x", p.key, got, p.hash)
+		}
+		if got, want := s.pick(p.key), &s.shards[p.hash%DefaultShards]; got != want {
+			t.Errorf("%q is not placed in shard %d", p.key, p.hash%DefaultShards)
+		}
+	}
+}
+
+// TestProbeAllocs: a Get, a GetThen and an overwriting Put allocate nothing.
+// The race detector instruments map and lock operations, so the count only
+// holds without it.
+func TestProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := New[int](DefaultShards)
+	keys := []string{"obj-c0-0", "spine-007", "w-12345"}
+	for i, k := range keys {
+		s.Put(k, i)
+	}
+	seen := 0
+	next := 0
+	for name, op := range map[string]func(){
+		"Get":     func() { s.Get(keys[next%len(keys)]) },
+		"GetThen": func() { s.GetThen(keys[next%len(keys)], func(v int) { seen += v }) },
+		"Put":     func() { s.Put(keys[next%len(keys)], next) },
+	} {
+		if got := testing.AllocsPerRun(100, func() { op(); next++ }); got != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, got)
+		}
+	}
+}
+
+// TestGetThenCallsOnlyOnAHit: fn sees the stored value, and a missing key
+// calls nothing.
+func TestGetThenCallsOnlyOnAHit(t *testing.T) {
+	s := New[int](4)
+	s.Put("a", 7)
+	var got []int
+	if v, ok := s.GetThen("a", func(v int) { got = append(got, v) }); !ok || v != 7 {
+		t.Fatalf("GetThen(a) = (%d, %v), want (7, true)", v, ok)
+	}
+	if _, ok := s.GetThen("b", func(v int) { got = append(got, v) }); ok {
+		t.Fatal("GetThen(b) found a value in a store without b")
+	}
+	if len(got) != 1 || got[0] != 7 {
+		t.Fatalf("fn saw %v, want [7]", got)
+	}
+}

@@ -83,8 +83,13 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # a directory that is not its own ('SaveServiceRefusesForeignDir'). A search
 # whose k is too large for the fusion depth 10·k to fit an int answers like
 # any k past the repository's size, in process and over the wire
-# ('TestSearchHugeK').
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses|RepoIDStemsSurviveRestart|SaveServiceRefusesForeignDir|TestSearchHugeK' ./internal/core
+# ('TestSearchHugeK'). A query that carries one modality asks its lookup for
+# k, not 10·k, and must answer exactly what depth 10·k answers
+# ('LoneModalityDepth'); a winner removed between its lookup and the collect
+# step is neither returned nor counted by the leakage ledger
+# ('WinnerRemovedBeforeCollect'). The allocation pin of a trained search
+# ('TrainedSearch' matches TestTrainedSearchAllocs) skips itself under -race.
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses|RepoIDStemsSurviveRestart|SaveServiceRefusesForeignDir|TestSearchHugeK|LoneModalityDepth|WinnerRemovedBeforeCollect|TrainedSearch' ./internal/core
 # The leakage ledger stays bounded under 10⁵ operations, the attack's
 # recorder sees exactly the logged record stream, and the restore-failed
 # gauge follows a failed load through its quarantine.
@@ -114,6 +119,10 @@ go test -run '^$' -bench Fuse -benchtime 100x ./internal/fusion
 go test -run '^$' -bench TrainedUpdate -benchtime 100x -cpu 1,2 ./internal/core
 # Likewise the frame codec's round trip over the spine's three frame shapes.
 go test -run '^$' -bench FrameRoundTrip -benchtime 100x ./internal/wire
+# Likewise one in-process trained search, at fanout-small's shape (text, a
+# 50-document repository, k = 10) and search-large's engine shape
+# (image+text).
+go test -run '^$' -bench TrainedSearch -benchtime 100x -cpu 1,2 ./internal/core
 # And one search round trip, client to server over loopback TCP, at
 # fanout-small's shape (a text query on a trained 50-document repository).
 go test -run '^$' -bench SearchRoundTrip -benchtime 100x -cpu 1,2 ./internal/client
