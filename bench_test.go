@@ -249,7 +249,7 @@ func BenchmarkIndexSearch(b *testing.B) {
 		}
 		ix.Add(index.DocID(fmt.Sprintf("d%d", i)), terms)
 	}
-	query := map[index.Term]uint64{"t1": 1, "t2": 2, "t3": 1}
+	query := index.SortedTerms(map[index.Term]uint64{"t1": 1, "t2": 2, "t3": 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Search(query, 20)

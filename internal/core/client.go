@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"mie/internal/audio"
 	"mie/internal/crypto"
@@ -121,10 +123,34 @@ type Update struct {
 // Query is the encrypted payload of Algorithm 9's USER.Search: the query
 // object's encoded feature vectors.
 type Query struct {
-	TextTokens     map[dpe.Token]uint64
+	// TextTokens lists each Sparse-DPE keyword token of the query once, with
+	// its frequency, in ascending token order: the order the wire carries
+	// and the text index is walked in. SortedTokens builds it from a map;
+	// Search refuses any other order.
+	TextTokens     []TokenFreq
 	ImageEncodings []vec.BitVec
 	AudioEncodings []vec.BitVec
 	K              int
+}
+
+// TokenFreq is one Sparse-DPE token and its frequency.
+type TokenFreq struct {
+	Token dpe.Token
+	Freq  uint64
+}
+
+// SortedTokens returns a token-frequency map as a token list in ascending
+// token order, the form a Query carries and the codec writes.
+func SortedTokens(m map[dpe.Token]uint64) []TokenFreq {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]TokenFreq, 0, len(m))
+	for t, f := range m {
+		out = append(out, TokenFreq{Token: t, Freq: f})
+	}
+	slices.SortFunc(out, func(x, y TokenFreq) int { return bytes.Compare(x.Token[:], y.Token[:]) })
+	return out
 }
 
 // ErrEmptyObject is returned when an object carries no supported modality.
@@ -209,7 +235,7 @@ func (c *Client) PrepareQueryContext(ctx context.Context, obj *Object, k int) (*
 	var encodeErr error
 	csp := sp.Child("encode")
 	c.timeCPU(device.Encrypt, func() {
-		q.TextTokens = c.encodeText(hist)
+		q.TextTokens = SortedTokens(c.encodeText(hist))
 		q.ImageEncodings, encodeErr = c.encodeDense(c.dense, descs)
 		if encodeErr != nil {
 			return

@@ -13,9 +13,10 @@ import (
 // SearchHit. They live here, below the transport, so the wire protocol, the
 // write-ahead log and the replication stream carry the same bytes: a WAL
 // record is a kind byte plus Update.AppendTo (durable.go). Every value has
-// exactly one encoding — map entries are emitted in ascending token order
-// and decoding rejects any other order — so frames can be compared,
-// checksummed and pinned by golden files.
+// exactly one encoding — text tokens are one list in strictly ascending
+// token order, the order Query.TextTokens is held in and Update's map is
+// sorted into, and decoding rejects any other order or a repeated token —
+// so frames can be compared, checksummed and pinned by golden files.
 //
 // Ownership: a decoded Update never aliases the cursor's input, because the
 // engine stores its ciphertext and codes for the object's lifetime and an
@@ -28,7 +29,7 @@ func (u *Update) AppendTo(b []byte) []byte {
 	b = bin.AppendString(b, u.ObjectID)
 	b = bin.AppendString(b, u.Owner)
 	b = bin.AppendBytes(b, u.Ciphertext)
-	b = appendTokens(b, u.TextTokens)
+	b = appendTokens(b, SortedTokens(u.TextTokens))
 	b = vec.AppendBitVecs(b, u.ImageEncodings)
 	return vec.AppendBitVecs(b, u.AudioEncodings)
 }
@@ -50,7 +51,13 @@ func (u *Update) ConsumeFrom(c *bin.Cursor) {
 	u.ObjectID = c.String()
 	u.Owner = c.String()
 	u.Ciphertext = c.BytesCopy()
-	u.TextTokens = consumeTokens(c)
+	var buf [64]TokenFreq // holds a typical update's tokens off the heap
+	if ts := consumeTokens(c, buf[:0]); len(ts) > 0 {
+		u.TextTokens = make(map[dpe.Token]uint64, len(ts))
+		for _, t := range ts {
+			u.TextTokens[t.Token] = t.Freq
+		}
+	}
 	u.ImageEncodings = vec.ConsumeBitVecs(c)
 	u.AudioEncodings = vec.ConsumeBitVecs(c)
 }
@@ -66,7 +73,7 @@ func (q *Query) AppendTo(b []byte) []byte {
 
 // ConsumeFrom reverses AppendTo; failures are left on the cursor.
 func (q *Query) ConsumeFrom(c *bin.Cursor) {
-	q.TextTokens = consumeTokens(c)
+	q.TextTokens = consumeTokens(c, nil)
 	q.ImageEncodings = vec.ConsumeBitVecs(c)
 	q.AudioEncodings = vec.ConsumeBitVecs(c)
 	q.K = c.Int()
@@ -90,42 +97,51 @@ func (h *SearchHit) ConsumeFrom(c *bin.Cursor) {
 	h.Ciphertext = c.Bytes()
 }
 
-// minTokenEntry is the smallest encoding of one token map entry: the token
+// minTokenEntry is the smallest encoding of one token list entry: the token
 // and a one-byte frequency.
 const minTokenEntry = len(dpe.Token{}) + 1
 
-func appendTokens(b []byte, m map[dpe.Token]uint64) []byte {
-	keys := make([]dpe.Token, 0, len(m))
-	for t := range m {
-		keys = append(keys, t)
-	}
-	slices.SortFunc(keys, func(x, y dpe.Token) int { return bytes.Compare(x[:], y[:]) })
-	b = bin.AppendUvarint(b, uint64(len(keys)))
-	for _, t := range keys {
-		b = append(b, t[:]...)
-		b = bin.AppendUvarint(b, m[t])
+// appendTokens writes a token list as it stands: its length, then each
+// token and its frequency. ts is in strictly ascending token order.
+func appendTokens(b []byte, ts []TokenFreq) []byte {
+	b = bin.AppendUvarint(b, uint64(len(ts)))
+	for i := range ts {
+		b = append(b, ts[i].Token[:]...)
+		b = bin.AppendUvarint(b, ts[i].Freq)
 	}
 	return b
 }
 
-func consumeTokens(c *bin.Cursor) map[dpe.Token]uint64 {
+// consumeTokens reverses appendTokens into buf's backing array when it is
+// large enough, failing the cursor on a token that does not follow its
+// predecessor in strictly ascending order.
+func consumeTokens(c *bin.Cursor, buf []TokenFreq) []TokenFreq {
 	n := c.Count(minTokenEntry)
 	if n == 0 {
 		return nil
 	}
-	m := make(map[dpe.Token]uint64, n)
-	var prev dpe.Token
-	for i := 0; i < n; i++ {
-		var t dpe.Token
-		copy(t[:], c.Take(len(t)))
-		if i > 0 && bytes.Compare(prev[:], t[:]) >= 0 {
+	ts := slices.Grow(buf[:0], n)[:n]
+	for i := range ts {
+		t := &ts[i]
+		copy(t.Token[:], c.Take(len(t.Token)))
+		if i > 0 && bytes.Compare(ts[i-1].Token[:], t.Token[:]) >= 0 {
 			c.Fail("token %d out of order", i)
 		}
-		m[t] = c.Uvarint()
-		prev = t
+		t.Freq = c.Uvarint()
 	}
 	if c.Err() != nil {
 		return nil
 	}
-	return m
+	return ts
+}
+
+// tokensAscending reports whether ts is in strictly ascending token order,
+// the form appendTokens writes and consumeTokens accepts.
+func tokensAscending(ts []TokenFreq) bool {
+	for i := 1; i < len(ts); i++ {
+		if bytes.Compare(ts[i-1].Token[:], ts[i].Token[:]) >= 0 {
+			return false
+		}
+	}
+	return true
 }

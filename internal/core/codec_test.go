@@ -65,7 +65,7 @@ func TestUpdateBinaryRoundTrip(t *testing.T) {
 func TestQueryBinaryRoundTrip(t *testing.T) {
 	u := codecUpdate()
 	for _, k := range []int{0, 10, -3, math.MaxInt64} {
-		want := &Query{TextTokens: u.TextTokens, ImageEncodings: u.ImageEncodings, K: k}
+		want := &Query{TextTokens: SortedTokens(u.TextTokens), ImageEncodings: u.ImageEncodings, K: k}
 		var got Query
 		c := bin.NewCursor(want.AppendTo(nil))
 		got.ConsumeFrom(c)

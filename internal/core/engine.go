@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 
 	"mie/internal/cluster"
+	"mie/internal/dpe"
 	"mie/internal/index"
 	"mie/internal/store"
 	"mie/internal/vec"
@@ -49,9 +53,10 @@ type ModalityEngine interface {
 	// index terms; nil when the object carries nothing for this modality or
 	// the engine is not Ready.
 	ExtractTerms(obj *storedObject) map[index.Term]uint64
-	// QueryTerms maps a query into index terms, mirroring ExtractTerms. It
+	// QueryTerms maps a query into index terms, mirroring ExtractTerms, in
+	// the strictly ascending term order index.Segmented.Lookup requires. It
 	// returns ErrEncodingLength for encodings the codebook cannot quantize.
-	QueryTerms(q *Query) (map[index.Term]uint64, error)
+	QueryTerms(q *Query) ([]index.QueryTerm, error)
 	// LinearSearch is the pre-training path: an exact ranked scan over the
 	// whole store (Algorithm 9's linear branch). It returns
 	// ErrEncodingLength when a query encoding cannot be compared with a
@@ -113,24 +118,36 @@ func (e textEngine) Restore([]vec.BitVec) (ModalityEngine, error) { return e, ni
 func (textEngine) CodebookSize() int                              { return 0 }
 func (textEngine) codeBits() int                                  { return 0 }
 
+// ExtractTerms keys each token by its 32 raw bytes. A snapshot writes the
+// text index's terms in hex (hexTextTerms); the index itself never holds
+// that form.
 func (textEngine) ExtractTerms(obj *storedObject) map[index.Term]uint64 {
 	if len(obj.textTokens) == 0 {
 		return nil
 	}
 	terms := make(map[index.Term]uint64, len(obj.textTokens))
 	for tok, freq := range obj.textTokens {
-		terms[index.Term(tok.String())] = freq
+		terms[index.Term(tok[:])] = freq
 	}
 	return terms
 }
 
-func (textEngine) QueryTerms(q *Query) (map[index.Term]uint64, error) {
+// QueryTerms makes one string of the query's raw tokens and slices each
+// term from it. The tokens are in ascending byte order, so the terms are too.
+func (textEngine) QueryTerms(q *Query) ([]index.QueryTerm, error) {
 	if len(q.TextTokens) == 0 {
 		return nil, nil
 	}
-	terms := make(map[index.Term]uint64, len(q.TextTokens))
-	for tok, freq := range q.TextTokens {
-		terms[index.Term(tok.String())] = freq
+	const width = len(dpe.Token{})
+	var raw strings.Builder
+	raw.Grow(len(q.TextTokens) * width)
+	for i := range q.TextTokens {
+		raw.Write(q.TextTokens[i].Token[:])
+	}
+	all := raw.String()
+	terms := make([]index.QueryTerm, len(q.TextTokens))
+	for i, t := range q.TextTokens {
+		terms[i] = index.QueryTerm{Term: index.Term(all[i*width : (i+1)*width]), Freq: t.Freq}
 	}
 	return terms, nil
 }
@@ -140,9 +157,9 @@ func (textEngine) LinearSearch(q *Query, objects *store.Sharded[*storedObject], 
 	scores := make(map[index.DocID]float64)
 	objects.Range(func(id string, obj *storedObject) bool {
 		var s float64
-		for tok, qf := range q.TextTokens {
-			if tf, ok := obj.textTokens[tok]; ok {
-				s += float64(qf) * float64(tf)
+		for _, t := range q.TextTokens {
+			if tf, ok := obj.textTokens[t.Token]; ok {
+				s += float64(t.Freq) * float64(tf)
 			}
 		}
 		if s > 0 {
@@ -165,7 +182,12 @@ type denseEngine struct {
 	queryEncs func(*Query) []vec.BitVec
 	params    cluster.VocabParams
 	vocab     *cluster.Vocabulary[vec.BitVec] // nil until trained
-	terms     []index.Term                    // word -> index term, built with the codebook
+	// Built with the codebook: each word's index term, the word's rank in
+	// ascending term order ("vw:10" sorts before "vw:2"), and the terms in
+	// that order.
+	terms  []index.Term
+	rank   []int
+	sorted []index.Term
 }
 
 func (e *denseEngine) Modality() Modality { return e.modality }
@@ -219,15 +241,26 @@ func (e *denseEngine) Train(sample []vec.BitVec) (ModalityEngine, error) {
 	return e.withVocab(vocab), nil
 }
 
-// withVocab returns a copy of e serving the given codebook, with the table of
-// index terms derived from it built once, so mapping an object to terms
-// formats no strings.
+// withVocab returns a copy of e serving the given codebook, with the tables of
+// index terms derived from it built once, so mapping an object or a query to
+// terms formats no strings and a query sorts ints, not strings.
 func (e *denseEngine) withVocab(vocab *cluster.Vocabulary[vec.BitVec]) *denseEngine {
 	out := *e
 	out.vocab = vocab
 	out.terms = make([]index.Term, vocab.Size())
 	for word := range out.terms {
 		out.terms[word] = index.Term(e.prefix + strconv.Itoa(word))
+	}
+	byTerm := make([]int, len(out.terms)) // words in ascending term order
+	for word := range byTerm {
+		byTerm[word] = word
+	}
+	slices.SortFunc(byTerm, func(a, b int) int { return cmp.Compare(out.terms[a], out.terms[b]) })
+	out.rank = make([]int, len(byTerm))
+	out.sorted = make([]index.Term, len(byTerm))
+	for r, word := range byTerm {
+		out.rank[word] = r
+		out.sorted[r] = out.terms[word]
 	}
 	return &out
 }
@@ -271,12 +304,31 @@ func (e *denseEngine) ExtractTerms(obj *storedObject) map[index.Term]uint64 {
 	return e.histTerms(e.encs(obj))
 }
 
-func (e *denseEngine) QueryTerms(q *Query) (map[index.Term]uint64, error) {
+// QueryTerms quantizes the query's encodings into their words' term ranks,
+// sorts those and counts each run: the histogram histTerms would build, in
+// ascending term order.
+func (e *denseEngine) QueryTerms(q *Query) ([]index.QueryTerm, error) {
 	encs := e.queryEncs(q)
 	if err := sameLength(e.modality, encs, e.codeBits()); err != nil {
 		return nil, err
 	}
-	return e.histTerms(encs), nil
+	if e.vocab == nil || len(encs) == 0 {
+		return nil, nil
+	}
+	ranks := make([]int, len(encs))
+	for i, enc := range encs {
+		ranks[i] = e.rank[e.vocab.Quantize(enc)]
+	}
+	slices.Sort(ranks)
+	terms := make([]index.QueryTerm, 0, len(ranks))
+	for i, r := range ranks {
+		if i > 0 && r == ranks[i-1] {
+			terms[len(terms)-1].Freq++
+			continue
+		}
+		terms = append(terms, index.QueryTerm{Term: e.sorted[r], Freq: 1})
+	}
+	return terms, nil
 }
 
 // LinearSearch is the pre-codebook path, and exact: each query encoding votes

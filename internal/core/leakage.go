@@ -66,11 +66,11 @@ func (l *Leakage) recordSearch(q *Query) (repeats, distinct int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.searches++
-	for tok := range q.TextTokens {
-		if l.searchTokens[tok] > 0 {
+	for _, t := range q.TextTokens {
+		if l.searchTokens[t.Token] > 0 {
 			repeats++
 		}
-		l.searchTokens[tok]++
+		l.searchTokens[t.Token]++
 	}
 	l.searchTokenRepeats += uint64(repeats)
 	return repeats, len(l.searchTokens)

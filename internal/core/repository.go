@@ -1126,6 +1126,9 @@ func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, meth
 	if q.K <= 0 {
 		return nil, errors.New("core: query k must be positive")
 	}
+	if !tokensAscending(q.TextTokens) {
+		return nil, errors.New("core: query text tokens must be in strictly ascending order")
+	}
 	if hook := searchStartHook; hook != nil {
 		hook()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -128,11 +129,53 @@ func (r *Repository) snapshotLocked(w io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("core: snapshot %s index segments: %w", r.id, err)
 			}
+			if st.engines[i].Modality() == ModalityText {
+				hexTextTerms(groups)
+			}
 			snap.IndexSegments[i] = groups
 		}
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("core: encode snapshot of %s: %w", r.id, err)
+	}
+	return nil
+}
+
+// The text index keys a term by its token's 32 raw bytes, and a snapshot
+// holds the 64 hex digits dpe.Token.String spells it in, the form images have
+// always had: hexTextTerms and rawTextTerms convert the text index's
+// SegmentBatches at that boundary, in place, and nowhere else. Hex keeps byte
+// order, so both forms sort the same.
+func hexTextTerms(groups [][]index.BatchDoc) {
+	for _, group := range groups {
+		for i, d := range group {
+			terms := make(map[index.Term]uint64, len(d.Terms))
+			for term, tf := range d.Terms {
+				terms[index.Term(hex.EncodeToString([]byte(term)))] = tf
+			}
+			group[i].Terms = terms
+		}
+	}
+}
+
+// rawTextTerms reverses hexTextTerms. A term that is not 64 hex digits names
+// no token, and is refused.
+func rawTextTerms(groups [][]index.BatchDoc) error {
+	var tok dpe.Token
+	for _, group := range groups {
+		for i, d := range group {
+			terms := make(map[index.Term]uint64, len(d.Terms))
+			for term, tf := range d.Terms {
+				if len(term) != hex.EncodedLen(len(tok)) {
+					return fmt.Errorf("object %q: a %d-byte text term, not %d hex digits", d.Doc, len(term), hex.EncodedLen(len(tok)))
+				}
+				if _, err := hex.Decode(tok[:], []byte(term)); err != nil {
+					return fmt.Errorf("object %q: text term %q: %w", d.Doc, term, err)
+				}
+				terms[index.Term(tok[:])] = tf
+			}
+			group[i].Terms = terms
+		}
 	}
 	return nil
 }
@@ -210,12 +253,17 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 	if len(snap.IndexSegments) == len(st.engines) {
 		// Segmented layout: restore the exact segment structure and postings
 		// the snapshot pinned, preserving per-epoch quantization.
-		for _, segs := range snap.IndexSegments {
+		for i, segs := range snap.IndexSegments {
 			for _, group := range segs {
 				for _, d := range group {
 					if d.Doc == "" {
 						return nil, fmt.Errorf("%w: an index posting without a document id", ErrBadSnapshot)
 					}
+				}
+			}
+			if st.engines[i].Modality() == ModalityText {
+				if err := rawTextTerms(segs); err != nil {
+					return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 				}
 			}
 		}

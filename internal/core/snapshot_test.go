@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"mie/internal/dpe"
+	"mie/internal/index"
 	"mie/internal/vec"
 )
 
@@ -190,6 +191,10 @@ func TestLoadRepositoryRefusesWhatUpdateRefuses(t *testing.T) {
 		{"untrained: one id stored twice", false, func(s *snapshot) { s.Objects[1].ID = s.Objects[0].ID }},
 		{"trained: codes the codebook cannot compare", true, func(s *snapshot) { s.Objects[0].ImageEncs = codes(128) }},
 		{"trained: a posting without a document id", true, func(s *snapshot) { s.IndexSegments[0][0][0].Doc = "" }},
+		{"trained: a text term shorter than a token", true, func(s *snapshot) { s.IndexSegments[0][0][0].Terms["0a"] = 1 }},
+		{"trained: a text term of 64 digits that are not hex", true, func(s *snapshot) {
+			s.IndexSegments[0][0][0].Terms[index.Term(strings.Repeat("g", 64))] = 1
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var snap snapshot

@@ -63,10 +63,11 @@ func TestModalityLookupsRunInParallel(t *testing.T) {
 		})
 	}
 	q := &Query{K: 10}
-	q.TextTokens = make(map[dpe.Token]uint64, len(tokens))
+	qTokens := make(map[dpe.Token]uint64, len(tokens))
 	for _, tok := range tokens {
-		q.TextTokens[tok] = 1
+		qTokens[tok] = 1
 	}
+	q.TextTokens = SortedTokens(qTokens)
 	for j := 0; j < 16; j++ {
 		q.ImageEncodings = append(q.ImageEncodings, randVec())
 	}

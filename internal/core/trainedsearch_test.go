@@ -48,10 +48,10 @@ func trainedRepository(tb testing.TB, opts RepositoryOptions, ups []*Update) *Re
 // TestTrainedSearchAllocs pins the heap allocations of one in-process trained
 // text search at fanout-small's shape: a 50-document repository, k = 10. A
 // lone modality asks its index for k, ranks that list as it stands, probes
-// each winner once and resolves its spans' histograms once. What is left:
-// the query's index terms (16: a string per query token, 12 here, and their
-// map), the four spans, the lookup's sorted terms and result, the ranked
-// list and the hits. The index's scratch comes from a sync.Pool, which the
+// each winner once and resolves its spans' histograms once. The query's
+// tokens arrive sorted and become index terms sliced from one string. What is
+// left: that string and the term list, the four spans, the lookup's result,
+// the ranked list and the hits. The index's scratch comes from a sync.Pool, which the
 // race detector empties at random, so the count only holds without it.
 func TestTrainedSearchAllocs(t *testing.T) {
 	if raceEnabled {
@@ -59,12 +59,12 @@ func TestTrainedSearchAllocs(t *testing.T) {
 	}
 	ups := textShapeUpdates(rand.New(rand.NewSource(1)), 50)
 	r := trainedRepository(t, RepositoryOptions{}, ups)
-	q := &Query{K: 10, TextTokens: ups[0].TextTokens}
+	q := &Query{K: 10, TextTokens: SortedTokens(ups[0].TextTokens)}
 	hits, err := r.Search(q)
 	if err != nil || len(hits) != q.K {
 		t.Fatalf("search: %d hits, %v; want %d", len(hits), err, q.K)
 	}
-	const want = 24
+	const want = 9
 	if got := testing.AllocsPerRun(100, func() { _, _ = r.Search(q) }); got != want {
 		t.Errorf("%v allocations per trained text search, want %v", got, want)
 	}
@@ -86,9 +86,9 @@ func BenchmarkTrainedSearch(b *testing.B) {
 		ups  []*Update
 		q    *Query
 	}{
-		{"text", RepositoryOptions{}, text, &Query{K: 10, TextTokens: text[0].TextTokens}},
+		{"text", RepositoryOptions{}, text, &Query{K: 10, TextTokens: SortedTokens(text[0].TextTokens)}},
 		{"image+text", RepositoryOptions{VocabWords: 200, VocabMaxIter: 5, TreeBranch: 4, TreeHeight: 3, TreeSeed: 1, TrainingSampleCap: 3000},
-			spine, &Query{K: 10, TextTokens: spine[0].TextTokens, ImageEncodings: spine[0].ImageEncodings}},
+			spine, &Query{K: 10, TextTokens: SortedTokens(spine[0].TextTokens), ImageEncodings: spine[0].ImageEncodings}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := trainedRepository(b, bc.opts, bc.ups)

@@ -189,7 +189,8 @@ func AblationChampionSize(cfg Config) ([]AblationRow, error) {
 	for id, terms := range docs {
 		ref.Add(id, terms)
 	}
-	refIDs := resultIDs(ref.Search(query, 10))
+	qts := index.SortedTerms(query) // one order of additions per score, as in the index
+	refIDs := resultIDs(ref.Search(qts, 10))
 
 	// Every term's postings, best first: term frequency descending, then
 	// DocID descending. A champion list of size R is a prefix.
@@ -211,11 +212,6 @@ func AblationChampionSize(cfg Config) ([]AblationRow, error) {
 			return cmp.Compare(b.doc, a.doc)
 		})
 	}
-	terms := make([]index.Term, 0, len(query))
-	for term := range query {
-		terms = append(terms, term)
-	}
-	slices.Sort(terms) // one order of additions per score, as in the index
 
 	var rows []AblationRow
 	for _, champ := range []int{5, 20, 50, 200} {
@@ -225,9 +221,9 @@ func AblationChampionSize(cfg Config) ([]AblationRow, error) {
 		}
 		start := time.Now()
 		scores := make(map[index.DocID]float64)
-		for _, term := range terms {
-			qf, df := float64(query[term]), len(postings[term])
-			for _, p := range champions[term] {
+		for _, qt := range qts {
+			qf, df := float64(qt.Freq), len(postings[qt.Term])
+			for _, p := range champions[qt.Term] {
 				scores[p.doc] += qf * text.TFIDF(p.tf, len(docs), df)
 			}
 		}

@@ -122,7 +122,7 @@ func plaintextRankings(cfg Config, set *dataset.HolidaysSet, k int) ([][]string,
 		for w, f := range hist {
 			terms[index.Term("vw:"+strconv.Itoa(w))] = f
 		}
-		res := ix.Search(terms, k)
+		res := ix.Search(index.SortedTerms(terms), k)
 		ids := make([]string, len(res))
 		for j, r := range res {
 			ids[j] = string(r.Doc)

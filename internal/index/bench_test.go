@@ -13,7 +13,7 @@ var benchSink atomic.Int64
 type lookupShape struct {
 	name    string
 	index   *Segmented
-	queries []map[Term]uint64
+	queries [][]QueryTerm
 }
 
 // lookupDepth is the fusion depth the spine's searches ask each modality for.
@@ -57,9 +57,9 @@ func lookupShapes() []lookupShape {
 					s.Seal()
 				}
 			}
-			queries := make([]map[Term]uint64, 256)
+			queries := make([][]QueryTerm, 256)
 			for i := range queries {
-				queries[i] = draw(spec.perQuery)
+				queries[i] = SortedTerms(draw(spec.perQuery))
 			}
 			shapes = append(shapes, lookupShape{
 				name:    fmt.Sprintf("%s/segments=%d", spec.name, segments),
@@ -94,19 +94,19 @@ func BenchmarkSegmentedLookup(b *testing.B) {
 }
 
 // TestLookupAllocs pins the heap allocations of one Lookup at the benchmark's
-// shapes: the query's sorted terms and the returned slice. Everything else —
-// the score accumulator, the candidate buffer, the per-segment column table —
-// is reused across lookups. The race detector's sync.Pool drops a share of
+// shapes: the returned slice. Everything else — the terms' weights, the score
+// accumulator, the candidate buffer, the per-segment column table — is reused
+// across lookups. The race detector's sync.Pool drops a share of
 // what is put back, so the count only holds without it.
 func TestLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards items at random under the race detector")
 	}
 	want := map[string]float64{
-		"image/segments=1": 2,
-		"image/segments=4": 2,
-		"text/segments=1":  2,
-		"text/segments=4":  2,
+		"image/segments=1": 1,
+		"image/segments=4": 1,
+		"text/segments=1":  1,
+		"text/segments=4":  1,
 	}
 	for _, shape := range lookupShapes() {
 		next := 0

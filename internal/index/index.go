@@ -122,45 +122,54 @@ func (ix *Inverted) removeLocked(doc DocID) {
 	delete(ix.docTerms, doc)
 }
 
-// Search ranks documents against the query term-frequency map with TF-IDF
-// and returns the top k.
-func (ix *Inverted) Search(query map[Term]uint64, k int) []Result {
+// Search ranks documents against the query with TF-IDF and returns the top
+// k. query must be in strictly ascending Term order (see QueryTerm).
+func (ix *Inverted) Search(query []QueryTerm, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	qts := queryTerms(query)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	n := len(ix.docTerms)
 	scores := make(map[DocID]float64)
-	for _, qt := range qts {
-		pl := ix.postings[qt.term]
+	for _, qt := range query {
+		pl := ix.postings[qt.Term]
 		for doc, tf := range pl {
-			scores[doc] += qt.qf * text.TFIDF(tf, n, len(pl))
+			scores[doc] += float64(qt.Freq) * text.TFIDF(tf, n, len(pl))
 		}
 	}
 	return TopK(scores, k)
 }
 
-// queryTerm is one query term's share of a ranked scan: its query-side
-// frequency and, in a Segmented lookup, the idf its document frequency across
-// all segments implies (hoisted out of the posting loops).
-type queryTerm struct {
-	term Term
-	qf   float64
-	idf  float64
+// QueryTerm is one term of a query with its query-side frequency. A query is
+// a []QueryTerm in strictly ascending Term order, each term once: every
+// ranked scan walks it in that order, so a document's score is one float sum
+// with one order of additions and the same query always returns the same
+// bits. Producers build the order where the terms are made (the wire codec,
+// the engines); the index does not re-sort.
+type QueryTerm struct {
+	Term Term
+	Freq uint64
 }
 
-// queryTerms returns the query's terms in ascending order. Every ranked scan
-// walks them in this order, so a document's score is one float sum with one
-// order of additions: the same query always returns the same bits.
-func queryTerms(query map[Term]uint64) []queryTerm {
-	qts := make([]queryTerm, 0, len(query))
-	for term, qf := range query {
-		qts = append(qts, queryTerm{term: term, qf: float64(qf)})
+// SortedTerms returns a term-frequency map as a query: its entries in
+// ascending Term order. It is for callers that hold a map; the query paths
+// build their terms in order.
+func SortedTerms(m map[Term]uint64) []QueryTerm {
+	qts := make([]QueryTerm, 0, len(m))
+	for term, freq := range m {
+		qts = append(qts, QueryTerm{Term: term, Freq: freq})
 	}
-	slices.SortFunc(qts, func(a, b queryTerm) int { return cmp.Compare(a.term, b.term) })
+	slices.SortFunc(qts, func(a, b QueryTerm) int { return cmp.Compare(a.Term, b.Term) })
 	return qts
+}
+
+// queryTerm is one query term's share of a Segmented lookup: its query-side
+// frequency and the idf its document frequency across all segments implies
+// (hoisted out of the posting loops).
+type queryTerm struct {
+	qf  float64
+	idf float64
 }
 
 // TopK selects the k highest-scoring documents from a score map, breaking

@@ -20,7 +20,7 @@ func TestAddSearchBasic(t *testing.T) {
 	if ix.DocCount() != 3 {
 		t.Fatalf("DocCount = %d", ix.DocCount())
 	}
-	res := ix.Search(map[Term]uint64{"mobile": 1}, 10)
+	res := ix.Search(SortedTerms(map[Term]uint64{"mobile": 1}), 10)
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2: %v", len(res), res)
 	}
@@ -35,7 +35,7 @@ func TestAddSearchBasic(t *testing.T) {
 func TestSearchZeroK(t *testing.T) {
 	ix := New()
 	ix.Add("d", map[Term]uint64{"x": 1})
-	if res := ix.Search(map[Term]uint64{"x": 1}, 0); res != nil {
+	if res := ix.Search(SortedTerms(map[Term]uint64{"x": 1}), 0); res != nil {
 		t.Errorf("k=0 should return nil, got %v", res)
 	}
 }
@@ -43,7 +43,7 @@ func TestSearchZeroK(t *testing.T) {
 func TestSearchUnknownTerm(t *testing.T) {
 	ix := New()
 	ix.Add("d", map[Term]uint64{"x": 1})
-	if res := ix.Search(map[Term]uint64{"nope": 1}, 5); len(res) != 0 {
+	if res := ix.Search(SortedTerms(map[Term]uint64{"nope": 1}), 5); len(res) != 0 {
 		t.Errorf("unknown term returned %v", res)
 	}
 }
@@ -54,7 +54,7 @@ func TestUbiquitousTermScoresZero(t *testing.T) {
 		ix.Add(DocID(fmt.Sprintf("d%d", i)), map[Term]uint64{"every": 1})
 	}
 	// idf = log(4/4) = 0 -> no result should surface.
-	if res := ix.Search(map[Term]uint64{"every": 1}, 5); len(res) != 0 {
+	if res := ix.Search(SortedTerms(map[Term]uint64{"every": 1}), 5); len(res) != 0 {
 		t.Errorf("ubiquitous term produced results: %v", res)
 	}
 }
@@ -70,7 +70,7 @@ func TestRemove(t *testing.T) {
 	if ix.DocCount() != 1 {
 		t.Errorf("DocCount = %d, want 1", ix.DocCount())
 	}
-	for _, r := range ix.Search(map[Term]uint64{"a": 1, "b": 1}, 10) {
+	for _, r := range ix.Search(SortedTerms(map[Term]uint64{"a": 1, "b": 1}), 10) {
 		if r.Doc == "d1" {
 			t.Error("removed doc surfaced in search")
 		}
@@ -89,12 +89,12 @@ func TestReAddReplaces(t *testing.T) {
 	if ix.DocCount() != 1 {
 		t.Fatalf("DocCount = %d, want 1 after re-add", ix.DocCount())
 	}
-	if res := ix.Search(map[Term]uint64{"old": 1}, 5); len(res) != 0 {
+	if res := ix.Search(SortedTerms(map[Term]uint64{"old": 1}), 5); len(res) != 0 {
 		t.Errorf("stale term survived re-add: %v", res)
 	}
 	// With one doc in the corpus idf = 0, so add a decoy to score "new".
 	ix.Add("decoy", map[Term]uint64{"decoyterm": 1})
-	if res := ix.Search(map[Term]uint64{"new": 1}, 5); len(res) != 1 || res[0].Doc != "d" {
+	if res := ix.Search(SortedTerms(map[Term]uint64{"new": 1}), 5); len(res) != 1 || res[0].Doc != "d" {
 		t.Errorf("new term not searchable: %v", res)
 	}
 }
@@ -140,7 +140,7 @@ func TestTopKLimit(t *testing.T) {
 	}
 	// Need a decoy so idf > 0.
 	ix.Add("decoy", map[Term]uint64{"other": 1})
-	res := ix.Search(map[Term]uint64{"q": 1}, 5)
+	res := ix.Search(SortedTerms(map[Term]uint64{"q": 1}), 5)
 	if len(res) != 5 {
 		t.Fatalf("got %d results, want 5", len(res))
 	}
@@ -160,7 +160,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 		ix.Add(d, map[Term]uint64{"q": 2})
 	}
 	ix.Add("decoy", map[Term]uint64{"x": 1})
-	res := ix.Search(map[Term]uint64{"q": 1}, 3)
+	res := ix.Search(SortedTerms(map[Term]uint64{"q": 1}), 3)
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -179,7 +179,7 @@ func TestConcurrentAddSearchRemove(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				d := DocID(fmt.Sprintf("w%d-d%d", w, i))
 				ix.Add(d, map[Term]uint64{Term(fmt.Sprintf("t%d", i%10)): 1})
-				ix.Search(map[Term]uint64{Term(fmt.Sprintf("t%d", i%10)): 1}, 5)
+				ix.Search(SortedTerms(map[Term]uint64{Term(fmt.Sprintf("t%d", i%10)): 1}), 5)
 				if i%3 == 0 {
 					ix.Remove(d)
 				}

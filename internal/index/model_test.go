@@ -292,14 +292,14 @@ func runTrace(t *testing.T, memCap int, data []byte, lowEntropy bool) (mixed int
 					continue
 				}
 				want := refSearch(m.live, query, k)
-				got := s.Lookup(query, k)
+				got := s.Lookup(SortedTerms(query), k)
 				if !sameResults(got, want) {
 					t.Fatalf("step %d (%s): Lookup(%v, %d)\ngot  %v\nwant %v", step, desc, query, k, got, want)
 				}
 				// A lone modality asks for k where fusion asks for 10·k:
 				// the shallow lookup must be the deep one's first k, and
 				// neither may name a document twice.
-				deep := s.Lookup(query, 10*k)
+				deep := s.Lookup(SortedTerms(query), 10*k)
 				if !sameResults(got, deep[:min(k, len(deep))]) {
 					t.Fatalf("step %d (%s): Lookup(%v, %d) is not the first %d of depth %d\ngot  %v\ndeep %v", step, desc, query, k, k, 10*k, got, deep)
 				}
@@ -414,7 +414,7 @@ func TestSegmentedSaturatesHostileTermFrequency(t *testing.T) {
 	}
 	check := func(stage string, s *Segmented) {
 		t.Helper()
-		if got := s.Lookup(query, 10); !sameResults(got, want) {
+		if got := s.Lookup(SortedTerms(query), 10); !sameResults(got, want) {
 			t.Fatalf("%s: Lookup\ngot  %v\nwant %v", stage, got, want)
 		}
 		groups, err := s.SegmentBatches()
@@ -506,7 +506,7 @@ func segmentedLookupLinearizableUnderWrites(t *testing.T) {
 					query[Term(fmt.Sprintf("t%02d", rng.Intn(traceVocab)))] = uint64(1 + rng.Intn(3))
 				}
 				lo := completed.Load()
-				got := s.Lookup(query, 5)
+				got := s.Lookup(SortedTerms(query), 5)
 				hi := started.Load()
 				statesMu.Lock()
 				window := states[lo : hi+1]
@@ -560,7 +560,7 @@ func segmentedLookupLinearizableUnderWrites(t *testing.T) {
 
 	for term := 0; term < traceVocab; term++ {
 		query := map[Term]uint64{Term(fmt.Sprintf("t%02d", term)): 1}
-		if got, want := s.Lookup(query, 10), refSearch(m.live, query, 10); !sameResults(got, want) {
+		if got, want := s.Lookup(SortedTerms(query), 10), refSearch(m.live, query, 10); !sameResults(got, want) {
 			t.Fatalf("after the race: Lookup(%v)\ngot  %v\nwant %v", query, got, want)
 		}
 	}

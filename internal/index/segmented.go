@@ -270,11 +270,13 @@ func (s *Segmented) deadLocked() int {
 }
 
 // lookupScratch is the reusable working memory of one Lookup: the dense score
-// accumulator, the column of each query term in the segment being scored,
-// and the selector with its candidate buffer.
+// accumulator, each query term's weights, its memtable posting list, its
+// column in every sealed segment, and the selector with its candidate buffer.
 type lookupScratch struct {
 	acc  []float64 // indexed by ordinal; all zero over its full capacity
-	cols [][]posting
+	qts  []queryTerm
+	mem  []map[DocID]uint64
+	cols [][]posting // segment-major: the column of query term i in sealed segment j is cols[j*len(qts)+i]
 	sel  selector
 }
 
@@ -283,32 +285,40 @@ type lookupScratch struct {
 // scratch goes back, so reuse costs no memclr.
 var scratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 
-// Lookup ranks live documents against the query term-frequency map over the
-// memtable and every sealed segment, and returns the top k. Scores match a
-// single Inverted holding the same live documents: document frequency counts
-// each live doc once (a sealed posting whose version was removed or re-added
-// elsewhere fails its segment's live-bit test).
+// Lookup ranks live documents against the query over the memtable and every
+// sealed segment, and returns the top k. query must be in strictly ascending
+// Term order, each term once (see QueryTerm); Lookup walks it as given.
+// Scores match a single Inverted holding the same live documents: document
+// frequency counts each live doc once (a sealed posting whose version was
+// removed or re-added elsewhere fails its segment's live-bit test).
 //
 // The whole query runs under one facade read lock, which excludes every writer
-// to the memtable and to the live bits. Query terms are walked in sorted order
-// (see queryTerms). Each live document is owned by exactly one segment, so
-// per-segment accumulators are disjoint: no cross-segment score merge, one
-// selector fed from every segment by (score, segment, ordinal); DocID strings
-// are read only for score ties across segments or with the memtable, and
-// for the winners.
-func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
+// to the memtable and to the live bits. Each term's memtable posting list and
+// sealed columns are resolved once, while its document frequency is counted,
+// and scored from the scratch. Each live document is owned by exactly one
+// segment, so per-segment accumulators are disjoint: no cross-segment score
+// merge, one selector fed from every segment by (score, segment, ordinal);
+// DocID strings are read only for score ties across segments or with the
+// memtable, and for the winners.
+func (s *Segmented) Lookup(query []QueryTerm, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	qts := queryTerms(query)
+	n := len(query)
+	sc := scratchPool.Get().(*lookupScratch)
+	qts := slices.Grow(sc.qts[:0], n)[:n]
+	mems := slices.Grow(sc.mem[:0], n)[:n]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	mem := s.mem.idx
-	for i := range qts {
-		qt := &qts[i]
-		df := len(mem.postings[qt.term])
-		for _, f := range s.sealed {
-			col := f.cols[qt.term]
+	cols := slices.Grow(sc.cols[:0], n*len(s.sealed))[:n*len(s.sealed)]
+	memIdx := s.mem.idx
+	for i, qt := range query {
+		pl := memIdx.postings[qt.Term]
+		mems[i] = pl
+		df := len(pl)
+		for j, f := range s.sealed {
+			col := f.cols[qt.Term]
+			cols[j*n+i] = col
 			if f.liveN == len(f.docs) {
 				df += len(col)
 			} else {
@@ -319,10 +329,9 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 				}
 			}
 		}
-		qt.idf = text.TFIDF(1, len(s.owner), df) // 1 * idf
+		qts[i] = queryTerm{qf: float64(qt.Freq), idf: text.TFIDF(1, len(s.owner), df)} // 1 * idf
 	}
 
-	sc := scratchPool.Get().(*lookupScratch)
 	sel := &sc.sel
 	sel.reset(k)
 	if len(s.sealed) > 0 {
@@ -333,19 +342,13 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 		if len(sc.acc) < maxDocs {
 			sc.acc = make([]float64, maxDocs) // one buffer serves every segment in turn
 		}
-		sc.cols = slices.Grow(sc.cols[:0], len(qts))[:len(qts)]
-		for _, f := range s.sealed {
-			for i := range qts {
-				sc.cols[i] = f.cols[qts[i].term]
-			}
-			f.score(qts, sc.cols, sc.acc, sel, sel.table(f.docs, true))
+		for j, f := range s.sealed {
+			f.score(qts, cols[j*n:(j+1)*n], sc.acc, sel, sel.table(f.docs, true))
 		}
-		clear(sc.cols)
 	}
 	var scores map[DocID]float64 // the memtable stays map-keyed: small and mutable
-	for i := range qts {
+	for i, pl := range mems {
 		qt := &qts[i]
-		pl := mem.postings[qt.term]
 		if len(pl) > 0 && scores == nil {
 			scores = make(map[DocID]float64)
 		}
@@ -360,7 +363,11 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 		}
 	}
 	out := sel.results()
-	sel.reset(0) // drop the id tables before the scratch is shared
+	// Drop every reference into the index before the scratch is shared.
+	sel.reset(0)
+	clear(cols)
+	clear(mems)
+	sc.qts, sc.mem, sc.cols = qts, mems, cols
 	scratchPool.Put(sc)
 	return out
 }
@@ -395,7 +402,7 @@ func (f *frozen) score(qts []queryTerm, cols [][]posting, acc []float64, sel *se
 
 // Search is Lookup under the name the repository layer uses for every index
 // type, so Segmented is a drop-in for Inverted in ranked retrieval.
-func (s *Segmented) Search(query map[Term]uint64, k int) []Result {
+func (s *Segmented) Search(query []QueryTerm, k int) []Result {
 	return s.Lookup(query, k)
 }
 

@@ -64,8 +64,8 @@ func segmentedMatchesMonolithicOracle(t *testing.T) {
 		t.Helper()
 		for q := 0; q < 10; q++ {
 			query := randTermsFor(rng, 40, 4)
-			got := seg.Lookup(query, 10)
-			want := oracle.Search(query, 10)
+			got := seg.Lookup(SortedTerms(query), 10)
+			want := oracle.Search(SortedTerms(query), 10)
 			assertResultsEquivalent(t, got, want, 1e-9)
 		}
 		if seg.DocCount() != oracle.DocCount() {
@@ -193,7 +193,7 @@ func TestSegmentedBatchesRoundTrip(t *testing.T) {
 	}
 	for q := 0; q < 20; q++ {
 		query := randTermsFor(rng, 30, 4)
-		assertResultsEquivalent(t, restored.Lookup(query, 10), seg.Lookup(query, 10), 1e-9)
+		assertResultsEquivalent(t, restored.Lookup(SortedTerms(query), 10), seg.Lookup(SortedTerms(query), 10), 1e-9)
 	}
 	if err := restored.LoadSegments(groups); err == nil {
 		t.Error("LoadSegments on a non-empty index must fail")
@@ -231,7 +231,7 @@ func TestSegmentedClose(t *testing.T) {
 	seg.Seal()
 	seg.Add("d2", map[Term]uint64{"a": 2, "b": 1}) // left in the memtable
 	query := map[Term]uint64{"a": 1, "b": 1}
-	hits, stats, docs := seg.Lookup(query, 10), seg.Stats(), seg.DocCount()
+	hits, stats, docs := seg.Lookup(SortedTerms(query), 10), seg.Stats(), seg.DocCount()
 	seg.Close()
 	seg.Close() // idempotent
 
@@ -247,7 +247,7 @@ func TestSegmentedClose(t *testing.T) {
 	if got := seg.Stats(); got != stats {
 		t.Errorf("Stats after writes to a closed index = %+v, want %+v", got, stats)
 	}
-	if got := seg.Lookup(query, 10); !sameResults(got, hits) {
+	if got := seg.Lookup(SortedTerms(query), 10); !sameResults(got, hits) {
 		t.Errorf("Lookup after writes to a closed index = %v, want %v", got, hits)
 	}
 	if seals != 1 {
@@ -297,7 +297,7 @@ func TestSegmentedConcurrentOpsDuringCompaction(t *testing.T) {
 					return
 				default:
 				}
-				res := seg.Lookup(map[Term]uint64{"common": 1, Term(fmt.Sprintf("b%d", rng.Intn(64))): 1}, 5)
+				res := seg.Lookup(SortedTerms(map[Term]uint64{"common": 1, Term(fmt.Sprintf("b%d", rng.Intn(64))): 1}), 5)
 				for i := 1; i < len(res); i++ {
 					if res[i].Score > res[i-1].Score {
 						t.Error("unsorted results under concurrency")
@@ -335,7 +335,7 @@ func TestSegmentedConcurrentOpsDuringCompaction(t *testing.T) {
 				t.Fatalf("doc %s present=%v, want %v", doc, got, want)
 			}
 			if want {
-				res := seg.Lookup(map[Term]uint64{Term(fmt.Sprintf("u-%s", doc)): 1}, 1)
+				res := seg.Lookup(SortedTerms(map[Term]uint64{Term(fmt.Sprintf("u-%s", doc)): 1}), 1)
 				if len(res) != 1 || res[0].Doc != doc {
 					t.Fatalf("unique lookup for %s got %v", doc, res)
 				}

@@ -115,7 +115,7 @@ func relayRequests(t *testing.T) map[string]*wire.Envelope {
 	code.Set(7, true)
 	update := core.Update{ObjectID: "o", Owner: "u", Ciphertext: bytes.Repeat([]byte{0xc7}, 2000),
 		TextTokens: map[dpe.Token]uint64{{1}: 2, {3}: 4}, ImageEncodings: []vec.BitVec{code, code}}
-	query := core.Query{TextTokens: update.TextTokens, ImageEncodings: update.ImageEncodings, K: 10}
+	query := core.Query{TextTokens: core.SortedTokens(update.TextTokens), ImageEncodings: update.ImageEncodings, K: 10}
 	out := map[string]*wire.Envelope{}
 	for kind, payload := range map[string]any{
 		wire.KindSearch: wire.SearchReq{RepoID: "relay-repo", Query: query},

@@ -8,7 +8,7 @@ package router
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -18,9 +18,14 @@ import (
 // preference is the order in which further distinct nodes appear walking
 // the circle. Placement depends only on (membership, vnodes), so every
 // router instance computes identical preferences without coordination.
+//
+// A key's preference depends only on the point its walk starts at, so the
+// ring walks every point once, when it is built: a lookup is a hash and a
+// binary search. That costs vnodes·n² node names of memory for n nodes.
 type Ring struct {
 	points []ringPoint
 	nodes  []string
+	prefer [][]string // point index -> preference order of a walk starting there
 }
 
 type ringPoint struct {
@@ -36,7 +41,7 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	r := &Ring{nodes: append([]string(nil), nodes...)}
 	for _, n := range nodes {
 		for i := 0; i < vnodes; i++ {
-			r.points = append(r.points, ringPoint{hash: hash32(fmt.Sprintf("%s#%d", n, i)), node: n})
+			r.points = append(r.points, ringPoint{hash: fnv1a(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -45,6 +50,21 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		}
 		return r.points[i].node < r.points[j].node
 	})
+	r.prefer = make([][]string, len(r.points))
+	flat := make([]string, 0, len(r.points)*len(r.nodes)) // one backing array for every order
+	seen := make(map[string]bool, len(r.nodes))
+	for start := range r.points {
+		from := len(flat)
+		clear(seen)
+		for i := 0; i < len(r.points) && len(flat)-from < len(r.nodes); i++ {
+			p := r.points[(start+i)%len(r.points)]
+			if !seen[p.node] {
+				seen[p.node] = true
+				flat = append(flat, p.node)
+			}
+		}
+		r.prefer[start] = flat[from:len(flat):len(flat)]
+	}
 	return r
 }
 
@@ -54,27 +74,38 @@ func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 // Prefer returns every node in preference order for key: the owner first,
 // then each further distinct node in ring-walk order. Reads fail over along
 // this order; since it is stable per key, each repository has a sticky home
-// node and a deterministic failover chain.
+// node and a deterministic failover chain. The slice is the caller's.
 func (r *Ring) Prefer(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	h := hash32(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	var out []string
-	seen := make(map[string]bool, len(r.nodes))
-	for i := 0; i < len(r.points) && len(out) < len(r.nodes); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
+	return slices.Clone(r.prefer[r.point(key)])
 }
 
-func hash32(s string) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum32()
+// point returns the index of the first point at or after key's hash, where
+// key's walk starts. The ring must have points.
+func (r *Ring) point(key string) int {
+	h := fnv1a(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		return 0
+	}
+	return i
+}
+
+// FNV-1a's 32-bit parameters (hash/fnv's New32a, computed in place so a
+// lookup allocates nothing).
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// fnv1a is the 32-bit FNV-1a hash of s.
+func fnv1a(s string) uint32 {
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= fnvPrime32
+	}
+	return h
 }

@@ -78,6 +78,11 @@ type Router struct {
 	ln       net.Listener
 	leader   *backend
 	backends map[string]*backend
+	// targets[i] lists the backends of the ring's preference order from
+	// point i; leaderOnly is the leader alone. Both are built at Start and
+	// shared by every relay, which only reads them.
+	targets    [][]*backend
+	leaderOnly []*backend
 
 	routedC   *obs.Counter
 	failoverC *obs.Counter
@@ -139,6 +144,14 @@ func Start(cfg Config) (*Router, error) {
 		routedC:   reg.Counter("router_requests_total"),
 		failoverC: reg.Counter("router_failovers_total"),
 		errorsC:   reg.Counter("router_errors_total"),
+	}
+	r.leaderOnly = []*backend{leader}
+	r.targets = make([][]*backend, len(r.ring.prefer))
+	for i, prefer := range r.ring.prefer {
+		r.targets[i] = make([]*backend, len(prefer))
+		for j, name := range prefer {
+			r.targets[i][j] = backends[name]
+		}
 	}
 	r.ctx, r.stop = context.WithCancel(context.Background())
 	for _, b := range backends {
@@ -293,18 +306,17 @@ func (r *Router) serveConn(conn net.Conn) {
 
 // readTargets returns the candidate backends for a read, in preference
 // order: the repository's ring walk when the request names one (peeked from
-// the head of the body), otherwise just the leader.
+// the head of the body), otherwise just the leader. The slice is shared.
 func (r *Router) readTargets(env *wire.Envelope) []*backend {
-	repoID := env.RepoID()
+	return r.targetsFor(env.RepoID())
+}
+
+// targetsFor returns the read candidates of a repository id ("" for none).
+func (r *Router) targetsFor(repoID string) []*backend {
 	if repoID == "" {
-		return []*backend{r.leader}
+		return r.leaderOnly
 	}
-	prefer := r.ring.Prefer(repoID)
-	out := make([]*backend, 0, len(prefer))
-	for _, name := range prefer {
-		out = append(out, r.backends[name])
-	}
-	return out
+	return r.targets[r.ring.point(repoID)]
 }
 
 // relay routes one request to its node and writes the node's response back
@@ -323,7 +335,7 @@ func (r *Router) relay(cs *connState, env *wire.Envelope) {
 	cs.inflight.Track(env.ID, cancel)
 	defer cs.inflight.Untrack(env.ID)
 
-	candidates := []*backend{r.leader}
+	candidates := r.leaderOnly
 	if !wire.LeaderOnly(env.Kind) {
 		candidates = r.readTargets(env)
 	}

@@ -59,7 +59,7 @@ func benchShapes() []struct {
 			TextTokens: tokens(24), ImageEncodings: codes(29),
 		}}, func() any { return new(UpdateReq) }},
 		{"search-resp-26KB", KindSearchResp, SearchResp{Hits: hits}, func() any { return new(SearchResp) }},
-		{"text-query-0.9KB", KindSearch, SearchReq{RepoID: "repo", Query: core.Query{TextTokens: tokens(24), K: 10}},
+		{"text-query-0.9KB", KindSearch, SearchReq{RepoID: "repo", Query: core.Query{TextTokens: core.SortedTokens(tokens(24)), K: 10}},
 			func() any { return new(SearchReq) }},
 	}
 }

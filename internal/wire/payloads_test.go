@@ -55,7 +55,7 @@ var payloads = []payloadCase{
 	payload(func(g *valueGen) RemoveReq { return RemoveReq{RepoID: g.str(), ObjectID: g.str()} }, KindRemove),
 	payload(func(g *valueGen) SearchReq {
 		return SearchReq{RepoID: g.str(), Query: core.Query{
-			TextTokens: g.tokens(), ImageEncodings: g.codes(), AudioEncodings: g.codes(), K: g.int(),
+			TextTokens: g.tokenList(), ImageEncodings: g.codes(), AudioEncodings: g.codes(), K: g.int(),
 		}}
 	}, KindSearch),
 	payload(func(g *valueGen) GetReq { return GetReq{RepoID: g.str(), ObjectID: g.str()} }, KindGet),
@@ -229,6 +229,16 @@ func (g *valueGen) tokens() map[dpe.Token]uint64 {
 		m[t] = g.u64() // includes tf = 1<<63
 	}
 	return m
+}
+
+// tokenList draws tokens() in the form a Query carries them: ascending, each
+// token once.
+func (g *valueGen) tokenList() []core.TokenFreq {
+	m := g.tokens()
+	if m != nil && len(m) == 0 {
+		return []core.TokenFreq{}
+	}
+	return core.SortedTokens(m)
 }
 
 func (g *valueGen) codes() []vec.BitVec {

@@ -89,7 +89,14 @@ go test -race -count=5 ./internal/wire ./internal/server ./internal/client ./int
 # step is neither returned nor counted by the leakage ledger
 # ('WinnerRemovedBeforeCollect'). The allocation pin of a trained search
 # ('TrainedSearch' matches TestTrainedSearchAllocs) skips itself under -race.
-go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses|RepoIDStemsSurviveRestart|SaveServiceRefusesForeignDir|TestSearchHugeK|LoneModalityDepth|WinnerRemovedBeforeCollect|TrainedSearch' ./internal/core
+# A query's terms reach the index as one strictly ascending list: every
+# producer of that list is pinned ('QueryTermProducers'), a query holding
+# another order is refused ('SearchRefusesUnsorted'), raw text terms rank
+# as hex ones bit for bit ('RawTextTermsRank'), and a snapshot's hex text
+# terms come back raw through a restore and a follower's install
+# ('SnapshotWritesTextTerms'; a term that is not 64 hex digits is one of
+# the 'LoadRepositoryRefuses' rows).
+go test -race -count=5 -run 'WAL|Durable|Crash|Replicat|Train|Incremental|Epoch|Lifecycle|Activation|Evict|Install|Unloaded|Closed|LoadRepositoryRefuses|RepoIDStemsSurviveRestart|SaveServiceRefusesForeignDir|TestSearchHugeK|LoneModalityDepth|WinnerRemovedBeforeCollect|TrainedSearch|QueryTermProducers|SearchRefusesUnsorted|RawTextTermsRank|SnapshotWritesTextTerms' ./internal/core
 # The leakage ledger stays bounded under 10⁵ operations, the attack's
 # recorder sees exactly the logged record stream, and the restore-failed
 # gauge follows a failed load through its quarantine.
