@@ -9,6 +9,7 @@ package mie
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -212,10 +213,12 @@ func BenchmarkFeatureExtractImage(b *testing.B) {
 }
 
 func BenchmarkFeatureExtractAudio(b *testing.B) {
-	clip, err := audio.Tone(0.5, []float64{440, 880, 1320}, []float64{1, 0.5, 0.25}, 0.1, 1)
-	if err != nil {
-		b.Fatal(err)
+	samples := make([]float64, audio.SampleRate/2)
+	for i := range samples {
+		at := float64(i) / audio.SampleRate
+		samples[i] = math.Sin(2*math.Pi*440*at) + 0.5*math.Sin(2*math.Pi*880*at) + 0.25*math.Sin(2*math.Pi*1320*at)
 	}
+	clip := audio.NewClip(samples)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		audio.Extract(clip)

@@ -13,7 +13,6 @@
 package audio
 
 import (
-	"fmt"
 	"math"
 
 	"mie/internal/vec"
@@ -108,33 +107,4 @@ func Extract(c *Clip) [][]float64 {
 		out = append(out, d)
 	}
 	return out
-}
-
-// Tone synthesizes a test clip: a sum of sine partials with optional noise,
-// deterministic in its arguments. Useful for tests and synthetic datasets.
-func Tone(durationSec float64, freqs []float64, amps []float64, noise float64, seed int64) (*Clip, error) {
-	if len(freqs) != len(amps) {
-		return nil, fmt.Errorf("audio: %d freqs vs %d amps", len(freqs), len(amps))
-	}
-	n := int(durationSec * SampleRate)
-	if n <= 0 {
-		return nil, fmt.Errorf("audio: non-positive duration %v", durationSec)
-	}
-	samples := make([]float64, n)
-	// Small deterministic LCG for noise so the package stays stdlib-light.
-	state := uint64(seed)*6364136223846793005 + 1442695040888963407
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return float64(state>>11)/float64(1<<53)*2 - 1
-	}
-	for i := range samples {
-		t := float64(i) / SampleRate
-		var v float64
-		for j, f := range freqs {
-			v += amps[j] * math.Sin(2*math.Pi*f*t)
-		}
-		v += noise * next()
-		samples[i] = v
-	}
-	return NewClip(samples), nil
 }

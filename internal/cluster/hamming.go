@@ -131,13 +131,6 @@ func (nn *nearest) assign(centroids []vec.BitVec) int {
 	return sum
 }
 
-// NearestHamming returns the index of the centroid closest to p in Hamming
-// distance.
-func NearestHamming(centroids []vec.BitVec, p vec.BitVec) int {
-	best, _ := nearestHamming(centroids, p)
-	return best
-}
-
 func nearestHamming(centroids []vec.BitVec, p vec.BitVec) (int, int) {
 	best, bestD := 0, vec.Hamming(p, centroids[0])
 	for c := 1; c < len(centroids); c++ {

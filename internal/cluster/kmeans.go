@@ -173,14 +173,3 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 	}
 	return centroids
 }
-
-// NearestEuclidean returns the index of the centroid closest to p.
-func NearestEuclidean(centroids [][]float64, p []float64) int {
-	best, bestD := 0, vec.SquaredEuclidean(p, centroids[0])
-	for c := 1; c < len(centroids); c++ {
-		if d := vec.SquaredEuclidean(p, centroids[c]); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -51,8 +52,9 @@ func refHammingKMeans(points []vec.BitVec, k int, opts Options) (*HammingResult,
 		for i, p := range points {
 			c := assign[i]
 			counts[c]++
+			pb := unpackBits(p)
 			for b := 0; b < n; b++ {
-				if p.Get(b) {
+				if pb[b] {
 					ones[c][b]++
 				}
 			}
@@ -70,17 +72,17 @@ func refHammingKMeans(points []vec.BitVec, k int, opts Options) (*HammingResult,
 				moved++
 				continue
 			}
-			next := vec.NewBitVec(n)
+			next, cur := vec.NewBitVec(n), unpackBits(centroids[c])
 			for b := 0; b < n; b++ {
 				switch {
 				case 2*ones[c][b] > counts[c]:
 					next.Set(b, true)
 				case 2*ones[c][b] == counts[c]:
 					// Tie: keep the previous bit so the loop can converge.
-					next.Set(b, centroids[c].Get(b))
+					next.Set(b, cur[b])
 				}
 			}
-			if !next.Equal(centroids[c]) {
+			if !sameBits(next, centroids[c]) {
 				moved++
 			}
 			centroids[c] = next
@@ -146,8 +148,9 @@ func refRefineHammingKMeans(prev []vec.BitVec, delta []vec.BitVec, opts RefineOp
 		for i, p := range delta {
 			c := assign[i]
 			counts[c]++
+			pb := unpackBits(p)
 			for b := 0; b < n; b++ {
-				if p.Get(b) {
+				if pb[b] {
 					ones[c][b]++
 				}
 			}
@@ -158,10 +161,10 @@ func refRefineHammingKMeans(prev []vec.BitVec, delta []vec.BitVec, opts RefineOp
 				continue // no delta evidence: keep the previous centroid
 			}
 			total := counts[c] + opts.PriorWeight
-			next := vec.NewBitVec(n)
+			next, cur, pre := vec.NewBitVec(n), unpackBits(centroids[c]), unpackBits(prev[c])
 			for b := 0; b < n; b++ {
 				votes := ones[c][b]
-				if prev[c].Get(b) {
+				if pre[b] {
 					votes += opts.PriorWeight
 				}
 				switch {
@@ -169,10 +172,10 @@ func refRefineHammingKMeans(prev []vec.BitVec, delta []vec.BitVec, opts RefineOp
 					next.Set(b, true)
 				case 2*votes == total:
 					// Tie: keep the current bit so the loop can converge.
-					next.Set(b, centroids[c].Get(b))
+					next.Set(b, cur[b])
 				}
 			}
-			if !next.Equal(centroids[c]) {
+			if !sameBits(next, centroids[c]) {
 				moved++
 			}
 			centroids[c] = next
@@ -258,7 +261,7 @@ func sameCentroids(got, want []vec.BitVec) error {
 		return fmt.Errorf("%d centroids, want %d", len(got), len(want))
 	}
 	for c := range want {
-		if !got[c].Equal(want[c]) {
+		if !sameBits(got[c], want[c]) {
 			return fmt.Errorf("centroid %d differs in %d bits", c, vec.Hamming(got[c], want[c]))
 		}
 	}
@@ -400,3 +403,29 @@ func FuzzHammingKMeans(f *testing.F) {
 		}
 	})
 }
+
+// codeWords unpacks v's packed words from the binary codec that carries it
+// on the wire (eight big-endian bytes a word, bit i at bit i%64 of word
+// i/64), so a test reads a code without an accessor of its own.
+func codeWords(v vec.BitVec) []uint64 {
+	enc := vec.AppendBitVecs(nil, []vec.BitVec{v})
+	enc = enc[len(enc)-8*((v.Len()+63)/64):]
+	words := make([]uint64, len(enc)/8)
+	for i := range words {
+		words[i] = binary.BigEndian.Uint64(enc[8*i:])
+	}
+	return words
+}
+
+// unpackBits unpacks v into one bool per bit.
+func unpackBits(v vec.BitVec) []bool {
+	words := codeWords(v)
+	out := make([]bool, v.Len())
+	for i := range out {
+		out[i] = words[i/64]>>(i%64)&1 == 1
+	}
+	return out
+}
+
+// sameBits reports whether a and b have the same length and bits.
+func sameBits(a, b vec.BitVec) bool { return a.Len() == b.Len() && vec.Hamming(a, b) == 0 }

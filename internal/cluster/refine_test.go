@@ -89,13 +89,13 @@ func TestRefineTracksShiftedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Identify which previous centroid was closest to baseA.
-	aIdx := NearestHamming(full.Centroids, baseA)
+	aIdx, _ := nearestHamming(full.Centroids, baseA)
 	bIdx := 1 - aIdx
 	if vec.Hamming(res.Centroids[aIdx], shifted) >= vec.Hamming(full.Centroids[aIdx], shifted) {
 		t.Errorf("refined centroid did not move toward the shifted base: %d -> %d",
 			vec.Hamming(full.Centroids[aIdx], shifted), vec.Hamming(res.Centroids[aIdx], shifted))
 	}
-	if !res.Centroids[bIdx].Equal(full.Centroids[bIdx]) {
+	if !sameBits(res.Centroids[bIdx], full.Centroids[bIdx]) {
 		t.Error("centroid with no delta samples must stay unchanged")
 	}
 	if res.Drift.MeanShift <= 0 {
@@ -165,7 +165,7 @@ func TestRefineDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := range a.Centroids {
-		if !a.Centroids[c].Equal(b.Centroids[c]) {
+		if !sameBits(a.Centroids[c], b.Centroids[c]) {
 			t.Fatal("refinement is not deterministic")
 		}
 	}
@@ -192,7 +192,7 @@ func TestRefineDoesNotMutatePrev(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range prev {
-		if !prev[i].Equal(orig[i]) {
+		if !sameBits(prev[i], orig[i]) {
 			t.Fatal("RefineHammingKMeans mutated the previous centroids")
 		}
 	}

@@ -82,7 +82,7 @@ func TestHammingKMeansPinnedAcrossCommits(t *testing.T) {
 	put := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
 	putCentroids := func(cs []vec.BitVec) {
 		for _, c := range cs {
-			for _, w := range c.Words() {
+			for _, w := range codeWords(c) {
 				put(w)
 			}
 		}
@@ -151,4 +151,17 @@ func BenchmarkRefineHammingKMeans(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// codeWords unpacks v's packed words from the binary codec that carries it
+// on the wire (eight big-endian bytes a word, bit i at bit i%64 of word
+// i/64), so a test reads a code without an accessor of its own.
+func codeWords(v vec.BitVec) []uint64 {
+	enc := vec.AppendBitVecs(nil, []vec.BitVec{v})
+	enc = enc[len(enc)-8*((v.Len()+63)/64):]
+	words := make([]uint64, len(enc)/8)
+	for i := range words {
+		words[i] = binary.BigEndian.Uint64(enc[8*i:])
+	}
+	return words
 }

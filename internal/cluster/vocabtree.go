@@ -129,30 +129,3 @@ func (t *VocabTree[P]) Quantize(p P) int {
 	}
 	return n.leafID
 }
-
-// QuantizeAll maps a set of descriptors to a visual-word frequency
-// histogram: word id -> occurrence count. This is the Bag-Of-Visual-Words
-// representation of one image.
-func (t *VocabTree[P]) QuantizeAll(points []P) map[int]uint64 {
-	h := make(map[int]uint64, len(points))
-	for _, p := range points {
-		h[t.Quantize(p)]++
-	}
-	return h
-}
-
-// Walk calls fn for every leaf centroid with its word id; used for
-// serialization of trained codebooks.
-func (t *VocabTree[P]) Walk(fn func(id int, centroid P)) {
-	var rec func(n *vnode[P])
-	rec = func(n *vnode[P]) {
-		if len(n.children) == 0 {
-			fn(n.leafID, n.centroid)
-			return
-		}
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(t.root)
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"mie/internal/audio"
@@ -20,11 +21,19 @@ func voiceClip(t *testing.T, class int, instance int64) *audio.Clip {
 		{500, 3500, 5200},
 	}
 	amps := []float64{1, 0.6, 0.3}
-	c, err := audio.Tone(0.08, bases[class%len(bases)], amps, 0.08, instance+int64(class)*991)
-	if err != nil {
-		t.Fatal(err)
+	samples := make([]float64, int(0.08*audio.SampleRate))
+	// A deterministic LCG for the noise, seeded by class and instance.
+	state := uint64(instance+int64(class)*991)*6364136223846793005 + 1442695040888963407
+	for i := range samples {
+		at := float64(i) / audio.SampleRate
+		var v float64
+		for j, f := range bases[class%len(bases)] {
+			v += amps[j] * math.Sin(2*math.Pi*f*at)
+		}
+		state = state*6364136223846793005 + 1442695040888963407
+		samples[i] = v + 0.08*(float64(state>>11)/float64(1<<53)*2-1)
 	}
-	return c
+	return audio.NewClip(samples)
 }
 
 func audioTestClient(t *testing.T) *Client {
@@ -44,7 +53,7 @@ func audioTestClient(t *testing.T) *Client {
 func TestAudioOnlyObjectAccepted(t *testing.T) {
 	c := audioTestClient(t)
 	obj := &Object{ID: "clip1", Owner: "u", Audio: voiceClip(t, 0, 1)}
-	if got := obj.Modalities(); len(got) != 1 || got[0] != ModalityAudio {
+	if got := obj.modalities(); len(got) != 1 || got[0] != ModalityAudio {
 		t.Fatalf("Modalities = %v", got)
 	}
 	up, err := c.PrepareUpdate(obj, testDataKey(3))
@@ -109,7 +118,7 @@ func TestAudioSearchUntrainedAndTrained(t *testing.T) {
 	if err := r.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if r.AudioVocabularySize() == 0 {
+	if r.codebookSize(ModalityAudio) == 0 {
 		t.Fatal("no audio vocabulary after training")
 	}
 	check("trained (indexed)")
@@ -189,15 +198,15 @@ func TestAudioSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
+	if err := writeSnapshot(r, &buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.AudioVocabularySize() != r.AudioVocabularySize() {
-		t.Errorf("audio vocabulary lost: %d vs %d", restored.AudioVocabularySize(), r.AudioVocabularySize())
+	if restored.codebookSize(ModalityAudio) != r.codebookSize(ModalityAudio) {
+		t.Errorf("audio vocabulary lost: %d vs %d", restored.codebookSize(ModalityAudio), r.codebookSize(ModalityAudio))
 	}
 	q, err := c.PrepareQuery(&Object{ID: "q", Audio: voiceClip(t, 0, 50)}, 3)
 	if err != nil {

@@ -68,7 +68,7 @@ func requireSameCodes(t *testing.T, what string, got, want []vec.BitVec) {
 		t.Fatalf("%s: %d codes, want %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if !got[i].Equal(want[i]) {
+		if !sameBits(got[i], want[i]) {
 			t.Fatalf("%s: code %d differs from Encode's", what, i)
 		}
 	}

@@ -204,7 +204,7 @@ func TestUpdateTokensDeterministicAcrossClients(t *testing.T) {
 		}
 	}
 	for i := range u1.ImageEncodings {
-		if !u1.ImageEncodings[i].Equal(u2.ImageEncodings[i]) {
+		if !sameBits(u1.ImageEncodings[i], u2.ImageEncodings[i]) {
 			t.Fatalf("encoding %d differs across clients", i)
 		}
 	}
@@ -236,11 +236,11 @@ func TestObjectRoundTrip(t *testing.T) {
 
 func TestModalities(t *testing.T) {
 	o := &Object{ID: "x", Text: "hi"}
-	if ms := o.Modalities(); len(ms) != 1 || ms[0] != ModalityText {
+	if ms := o.modalities(); len(ms) != 1 || ms[0] != ModalityText {
 		t.Errorf("Modalities = %v", ms)
 	}
 	o.Image = classImage(0, 1)
-	if ms := o.Modalities(); len(ms) != 2 {
+	if ms := o.modalities(); len(ms) != 2 {
 		t.Errorf("Modalities = %v", ms)
 	}
 }
@@ -268,7 +268,7 @@ func TestRepositoryLinearSearchBeforeTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 5, 3)
-	if r.IsTrained() {
+	if r.state.Load().trained {
 		t.Fatal("repository claims trained before Train")
 	}
 	q, err := c.PrepareQuery(testObject(1, 99), 5)
@@ -305,10 +305,10 @@ func TestRepositoryTrainedSearch(t *testing.T) {
 	if err := r.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.IsTrained() {
+	if !r.state.Load().trained {
 		t.Fatal("not trained after Train")
 	}
-	if r.VocabularySize() == 0 {
+	if r.codebookSize(ModalityImage) == 0 {
 		t.Fatal("empty vocabulary after training")
 	}
 	q, err := c.PrepareQuery(testObject(2, 50), 5)
@@ -515,8 +515,8 @@ func TestTrainEmptyRepository(t *testing.T) {
 	if err := r.Train(); err != nil {
 		t.Errorf("empty train: %v", err)
 	}
-	if r.VocabularySize() != 0 {
-		t.Errorf("vocabulary = %d without any image data", r.VocabularySize())
+	if r.codebookSize(ModalityImage) != 0 {
+		t.Errorf("vocabulary = %d without any image data", r.codebookSize(ModalityImage))
 	}
 }
 
@@ -537,8 +537,8 @@ func TestRetrainBuildsCodebookOnceImagesArrive(t *testing.T) {
 	if err := r.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if r.VocabularySize() != 0 {
-		t.Fatalf("unexpected vocabulary %d", r.VocabularySize())
+	if r.codebookSize(ModalityImage) != 0 {
+		t.Fatalf("unexpected vocabulary %d", r.codebookSize(ModalityImage))
 	}
 	// Images arrive; a second Train builds the codebook (the paper allows
 	// invoking Train repeatedly with different parameters).
@@ -546,7 +546,7 @@ func TestRetrainBuildsCodebookOnceImagesArrive(t *testing.T) {
 	if err := r.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if r.VocabularySize() == 0 {
+	if r.codebookSize(ModalityImage) == 0 {
 		t.Error("retrain did not build a codebook")
 	}
 	q, err := c.PrepareQuery(&Object{ID: "q", Image: classImage(0, 44)}, 3)
@@ -615,10 +615,10 @@ func TestLeakageProfile(t *testing.T) {
 	// Table I: MIE leaks ID(w) and freq(w) at *update* time.
 	sparse := dpe.NewSparse(crypto.DeriveKey(testRepoKey(1).Master, "rk2"))
 	sunsetTok := sparse.Encode("sunset")
-	if got := r.Leakage().UpdateTokenFreq(sunsetTok); got != 3 {
+	if got := r.leak.updateTokenFreq(sunsetTok); got != 3 {
 		t.Errorf("update leaked freq %d for 'sunset' token, want 3", got)
 	}
-	if r.Leakage().DistinctUpdateTokens() == 0 {
+	if r.leak.DistinctUpdateTokens() == 0 {
 		t.Error("no update tokens recorded")
 	}
 	// Search leaks ID(w) and ID(d).
@@ -629,13 +629,13 @@ func TestLeakageProfile(t *testing.T) {
 	if _, err := r.Search(q); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Leakage().SearchTokenCount(sunsetTok); got != 1 {
+	if got := r.leak.searchTokenCount(sunsetTok); got != 1 {
 		t.Errorf("search token count = %d, want 1", got)
 	}
-	if got := r.Leakage().AccessCount("o1"); got != 1 {
+	if got := r.leak.accessCount("o1"); got != 1 {
 		t.Errorf("access count = %d, want 1", got)
 	}
-	u, rm, s, tr := r.Leakage().Ops()
+	u, rm, s, tr := r.leak.ops()
 	if u != 1 || rm != 0 || s != 1 || tr != 0 {
 		t.Errorf("ops = (%d,%d,%d,%d)", u, rm, s, tr)
 	}

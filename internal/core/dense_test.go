@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,7 +83,7 @@ func nearCode(rng *rand.Rand, v vec.BitVec, flips int) vec.BitVec {
 	out := v.Clone()
 	for i := rng.Intn(flips + 1); i > 0; i-- {
 		b := rng.Intn(out.Len())
-		out.Set(b, !out.Get(b))
+		out.Set(b, !unpackBits(out)[b])
 	}
 	return out
 }
@@ -102,10 +103,12 @@ func naiveScan(live map[string]*Update, encs func(*Update) []vec.BitVec, query [
 		var s float64
 		for _, qe := range query {
 			best := 1.0
+			qb := unpackBits(qe)
 			for _, c := range codes {
 				diff := 0
+				cb := unpackBits(c)
 				for b := 0; b < qe.Len(); b++ {
-					if qe.Get(b) != c.Get(b) {
+					if qb[b] != cb[b] {
 						diff++
 					}
 				}
@@ -187,9 +190,9 @@ func TestUntrainedSearchIsExact(t *testing.T) {
 				if err := r.Train(); err != nil {
 					t.Fatal(err)
 				}
-				if !r.IsTrained() || r.VocabularySize() != 0 || r.AudioVocabularySize() != 0 {
+				if !r.state.Load().trained || r.codebookSize(ModalityImage) != 0 || r.codebookSize(ModalityAudio) != 0 {
 					t.Fatalf("trained on text alone: trained=%v, codebooks of %d and %d words",
-						r.IsTrained(), r.VocabularySize(), r.AudioVocabularySize())
+						r.state.Load().trained, r.codebookSize(ModalityImage), r.codebookSize(ModalityAudio))
 				}
 			}
 
@@ -290,7 +293,7 @@ func TestUntrainedSearchIsExact(t *testing.T) {
 				}
 				if step%restoreEvery == 0 {
 					var buf bytes.Buffer
-					if err := r.Snapshot(&buf); err != nil {
+					if err := writeSnapshot(r, &buf); err != nil {
 						t.Fatal(err)
 					}
 					if r, err = LoadRepository(&buf); err != nil {
@@ -449,14 +452,14 @@ func TestANNSnapshotRoundTripUntrained(t *testing.T) {
 	requireExactImageLookup(t, c, r, live, query)
 
 	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
+	if err := writeSnapshot(r, &buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.IsTrained() {
+	if restored.state.Load().trained {
 		t.Fatal("untrained snapshot restored trained")
 	}
 	requireSameHits(t, c, r, restored, query)
@@ -723,7 +726,7 @@ func TestGoldenANNRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Snapshot(f); err != nil {
+		if err := writeSnapshot(r, f); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -760,7 +763,7 @@ func TestGoldenANNRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden ANN snapshot no longer loads: %v", err)
 	}
-	if r.IsTrained() {
+	if r.state.Load().trained {
 		t.Fatal("golden ANN fixture restored trained; it must exercise the pre-training scan")
 	}
 	if r.Size() != want.Objects {
@@ -776,3 +779,29 @@ func TestGoldenANNRestore(t *testing.T) {
 		}
 	}
 }
+
+// codeWords unpacks v's packed words from the binary codec that carries it
+// on the wire (eight big-endian bytes a word, bit i at bit i%64 of word
+// i/64), so a test reads a code without an accessor of its own.
+func codeWords(v vec.BitVec) []uint64 {
+	enc := vec.AppendBitVecs(nil, []vec.BitVec{v})
+	enc = enc[len(enc)-8*((v.Len()+63)/64):]
+	words := make([]uint64, len(enc)/8)
+	for i := range words {
+		words[i] = binary.BigEndian.Uint64(enc[8*i:])
+	}
+	return words
+}
+
+// unpackBits unpacks v into one bool per bit.
+func unpackBits(v vec.BitVec) []bool {
+	words := codeWords(v)
+	out := make([]bool, v.Len())
+	for i := range out {
+		out[i] = words[i/64]>>(i%64)&1 == 1
+	}
+	return out
+}
+
+// sameBits reports whether a and b have the same length and bits.
+func sameBits(a, b vec.BitVec) bool { return a.Len() == b.Len() && vec.Hamming(a, b) == 0 }

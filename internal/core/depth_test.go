@@ -34,7 +34,7 @@ func TestLoneModalityDepthAnswersAsDeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	conn, err := client.Dial(srv.Addr(), nil, client.WithMaxRetries(0))
+	conn, err := client.Dial(srv.Addr(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,10 +66,9 @@ type durability struct {
 
 func newDurability(o ServiceOptions) *durability {
 	wo := wal.Options{
-		Sync:         o.Sync,
-		SyncInterval: o.SyncInterval,
-		Observer:     walObserver{},
-		OpenFile:     walFileOpener, // nil outside tests = real files
+		Sync:     o.Sync,
+		Observer: walObserver{},
+		OpenFile: walFileOpener, // nil outside tests = real files
 	}
 	return &durability{dir: o.Dir, opts: wo}
 }

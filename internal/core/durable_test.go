@@ -363,7 +363,7 @@ func TestTrainedSnapshotPlusWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.IsTrained() {
+	if !r2.state.Load().trained {
 		t.Fatal("trained state lost across snapshot+WAL recovery")
 	}
 	assertSameObjects(t, "trained", r2, repo)
@@ -493,7 +493,7 @@ func runLogTrace(t *testing.T, seed int64) {
 				t.Fatalf("step %d: mixed-length update refused with %v", step, err)
 			}
 		default: // a write through a stale handle to an evicted repository
-			if err := svc.EvictRepository(repoID); err != nil {
+			if err := svc.evictRepository(repoID); err != nil {
 				t.Fatal(err)
 			}
 			if err := repo.Update(update(step, id(ids))); refusal(step, err) != "closed" {
@@ -681,7 +681,7 @@ func TestCrashMidCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.IsTrained() {
+	if !r2.state.Load().trained {
 		t.Fatal("trained state lost across mid-compaction crash")
 	}
 	// Every mutation above was acknowledged: the live repository IS the

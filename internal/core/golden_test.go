@@ -77,7 +77,7 @@ func TestGoldenSegmentedSnapshotCompatibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Snapshot(f); err != nil {
+		if err := writeSnapshot(r, f); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -85,7 +85,7 @@ func TestGoldenSegmentedSnapshotCompatibility(t *testing.T) {
 		}
 		exp := goldenExpect{
 			Objects:    r.Size(),
-			VocabWords: r.VocabularySize(),
+			VocabWords: r.codebookSize(ModalityImage),
 			RankedIDs:  searchIDs(t, c, r, query, 6),
 		}
 		blob, err := json.MarshalIndent(exp, "", "  ")
@@ -115,14 +115,14 @@ func TestGoldenSegmentedSnapshotCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden segmented snapshot no longer loads: %v", err)
 	}
-	if !r.IsTrained() {
+	if !r.state.Load().trained {
 		t.Fatal("golden segmented snapshot restored untrained")
 	}
 	if r.Size() != want.Objects {
 		t.Errorf("restored %d objects, want %d", r.Size(), want.Objects)
 	}
-	if r.VocabularySize() != want.VocabWords {
-		t.Errorf("restored %d vocab words, want %d", r.VocabularySize(), want.VocabWords)
+	if r.codebookSize(ModalityImage) != want.VocabWords {
+		t.Errorf("restored %d vocab words, want %d", r.codebookSize(ModalityImage), want.VocabWords)
 	}
 	// The fixture was written with sealed segments; restoring must keep the
 	// segmented layout rather than collapsing into a monolithic rebuild.
@@ -161,7 +161,7 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Snapshot(f); err != nil {
+		if err := writeSnapshot(r, f); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -169,7 +169,7 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 		}
 		exp := goldenExpect{
 			Objects:    r.Size(),
-			VocabWords: r.VocabularySize(),
+			VocabWords: r.codebookSize(ModalityImage),
 			RankedIDs:  searchIDs(t, c, r, query, 6),
 		}
 		blob, err := json.MarshalIndent(exp, "", "  ")
@@ -199,14 +199,14 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden snapshot no longer loads: %v", err)
 	}
-	if !r.IsTrained() {
+	if !r.state.Load().trained {
 		t.Fatal("golden snapshot restored untrained")
 	}
 	if r.Size() != want.Objects {
 		t.Errorf("restored %d objects, want %d", r.Size(), want.Objects)
 	}
-	if r.VocabularySize() != want.VocabWords {
-		t.Errorf("restored %d vocab words, want %d", r.VocabularySize(), want.VocabWords)
+	if r.codebookSize(ModalityImage) != want.VocabWords {
+		t.Errorf("restored %d vocab words, want %d", r.codebookSize(ModalityImage), want.VocabWords)
 	}
 	got := searchIDs(t, c, r, query, 6)
 	if len(got) != len(want.RankedIDs) {

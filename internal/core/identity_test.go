@@ -25,14 +25,14 @@ import (
 // frame body after its RepoID — the bytes the client sent.
 func TestReplicatedLogIsTheLeaderLog(t *testing.T) {
 	leakcheck.Check(t)
-	const repoID = "identity"
+	const repoID, nodes = "identity", 2
 	base := t.TempDir()
-	cl, err := experiments.StartCluster(base, 2, wal.SyncAlways)
+	cl, err := experiments.StartCluster(base, nodes, wal.SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	conn, err := client.Dial(cl.RouterAddr(), nil, client.WithMaxRetries(0))
+	conn, err := client.Dial(cl.RouterAddr(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReplicatedLogIsTheLeaderLog(t *testing.T) {
 			}
 		}
 	}
-	for node := 0; node < cl.Nodes(); node++ {
+	for node := 0; node < nodes; node++ {
 		repo, release, err := cl.NodeService(node).Acquire(repoID)
 		if err != nil {
 			t.Fatal(err)

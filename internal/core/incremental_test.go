@@ -309,8 +309,8 @@ func TestNewModalityFallsBackToFull(t *testing.T) {
 	if err := r.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if r.VocabularySize() != 0 {
-		t.Fatalf("unexpected vocabulary %d", r.VocabularySize())
+	if r.codebookSize(ModalityImage) != 0 {
+		t.Fatalf("unexpected vocabulary %d", r.codebookSize(ModalityImage))
 	}
 	fillRepo(t, c, r, 3, 2) // images arrive
 	if err := r.Train(); err != nil {
@@ -319,7 +319,7 @@ func TestNewModalityFallsBackToFull(t *testing.T) {
 	if info := r.LastTrain(); info.Mode != "full" {
 		t.Errorf("train after first images = %q, want full", info.Mode)
 	}
-	if r.VocabularySize() == 0 {
+	if r.codebookSize(ModalityImage) == 0 {
 		t.Error("fallback did not build the image codebook")
 	}
 }
@@ -450,7 +450,7 @@ func TestAbortedTrainReturnsTakenIDs(t *testing.T) {
 		if info := aborted.LastTrain(); info.Mode != "full" {
 			t.Errorf("LastTrain = %+v, want full", info)
 		}
-		if aborted.VocabularySize() == 0 {
+		if aborted.codebookSize(ModalityImage) == 0 {
 			t.Error("train after the abort built no image codebook")
 		}
 	})
@@ -494,14 +494,14 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	statsBefore := r.IndexStats()
 
 	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
+	if err := writeSnapshot(r, &buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !restored.IsTrained() {
+	if !restored.state.Load().trained {
 		t.Fatal("restored repository lost trained state")
 	}
 	if restored.Size() != r.Size() {

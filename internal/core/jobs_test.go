@@ -60,7 +60,7 @@ func TestTrainStartWaitLifecycle(t *testing.T) {
 	if st.Epoch != 1 || repo.Epoch() != 1 {
 		t.Errorf("epoch = %d (status %d), want 1", repo.Epoch(), st.Epoch)
 	}
-	if !repo.IsTrained() {
+	if !repo.state.Load().trained {
 		t.Error("repository not trained after job completed")
 	}
 	// Status stays queryable after completion.
@@ -149,15 +149,15 @@ func TestTrainContextCancelledBeforeInstall(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The abort must leave the untrained epoch serving.
-	if repo.IsTrained() || repo.Epoch() != 0 {
-		t.Errorf("aborted train installed an epoch: trained=%v epoch=%d", repo.IsTrained(), repo.Epoch())
+	if repo.state.Load().trained || repo.Epoch() != 0 {
+		t.Errorf("aborted train installed an epoch: trained=%v epoch=%d", repo.state.Load().trained, repo.Epoch())
 	}
 	// And a later un-cancelled Train succeeds.
 	if err := repo.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if !repo.IsTrained() || repo.Epoch() != 1 {
-		t.Errorf("follow-up train: trained=%v epoch=%d", repo.IsTrained(), repo.Epoch())
+	if !repo.state.Load().trained || repo.Epoch() != 1 {
+		t.Errorf("follow-up train: trained=%v epoch=%d", repo.state.Load().trained, repo.Epoch())
 	}
 }
 

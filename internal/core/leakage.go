@@ -107,10 +107,10 @@ func (l *Leakage) recordTrain() {
 	l.trains++
 }
 
-// UpdateTokenFreq returns the total frequency the server learned for a
+// updateTokenFreq returns the total frequency the server learned for a
 // token through updates — the freq(w) update leakage that distinguishes MIE
 // in Table I.
-func (l *Leakage) UpdateTokenFreq(tok dpe.Token) uint64 {
+func (l *Leakage) updateTokenFreq(tok dpe.Token) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.updateTokens[tok]
@@ -124,23 +124,23 @@ func (l *Leakage) DistinctUpdateTokens() int {
 	return len(l.updateTokens)
 }
 
-// SearchTokenCount returns how many times a token id appeared in queries.
-func (l *Leakage) SearchTokenCount(tok dpe.Token) uint64 {
+// searchTokenCount returns how many times a token id appeared in queries.
+func (l *Leakage) searchTokenCount(tok dpe.Token) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.searchTokens[tok]
 }
 
-// AccessCount returns how many times a live object id was returned/read; a
+// accessCount returns how many times a live object id was returned/read; a
 // removed id reads 0.
-func (l *Leakage) AccessCount(objectID string) int {
+func (l *Leakage) accessCount(objectID string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.accessed[objectID]
 }
 
-// Ops returns the operation counters (updates, removes, searches, trains).
-func (l *Leakage) Ops() (updates, removes, searches, trains int) {
+// ops returns the operation counters (updates, removes, searches, trains).
+func (l *Leakage) ops() (updates, removes, searches, trains int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.updates, l.removes, l.searches, l.trains

@@ -24,10 +24,8 @@ type ServiceOptions struct {
 	Dir string
 	// Sync is the WAL fsync policy; the zero value is wal.SyncAlways, under
 	// which every acknowledged mutation survives kill -9 and power loss.
+	// Under wal.SyncInterval the loss window is the wal package's 100ms.
 	Sync wal.SyncPolicy
-	// SyncInterval bounds the loss window under wal.SyncInterval; 0 means
-	// the wal package default (100ms).
-	SyncInterval time.Duration
 	// MemoryBudget caps the approximate resident bytes across active
 	// repositories; beyond it the least-recently-used unpinned repository
 	// is evicted back to disk. 0 means unlimited. Requires Dir. A durable
@@ -388,11 +386,11 @@ func (s *Service) evictEntry(e *repoEntry) error {
 	return nil
 }
 
-// EvictRepository forces one repository cold, regardless of the memory
-// budget — an operational tool (and the test seam for crash-during-eviction
-// scenarios). It fails if the repository is pinned by in-flight requests;
-// evicting an already-cold repository is a no-op.
-func (s *Service) EvictRepository(id string) error {
+// evictRepository forces one repository cold, regardless of the memory
+// budget — the tests' way into crash-during-eviction scenarios. It fails if
+// the repository is pinned by in-flight requests; evicting an already-cold
+// repository is a no-op.
+func (s *Service) evictRepository(id string) error {
 	if s.durable == nil {
 		return errors.New("core: eviction needs a durable service")
 	}
@@ -438,10 +436,6 @@ func (s *Service) Lifecycle() LifecycleStats {
 	}
 	return st
 }
-
-// MemoryBudget returns the configured resident-bytes budget (0 =
-// unlimited).
-func (s *Service) MemoryBudget() int64 { return s.budget }
 
 // Tenants returns the service's admission governor, nil when no quotas are
 // configured. The governor is safe to use as nil.

@@ -156,10 +156,10 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 	}
 	st := svc.Lifecycle()
 	if st.Evictions == 0 {
-		t.Errorf("evictions = 0, want > 0 under budget %d with stats %+v", svc.MemoryBudget(), st)
+		t.Errorf("evictions = 0, want > 0 under budget %d with stats %+v", svc.budget, st)
 	}
-	if st.ResidentBytes > svc.MemoryBudget() {
-		t.Errorf("resident %d exceeds budget %d after quiescence", st.ResidentBytes, svc.MemoryBudget())
+	if st.ResidentBytes > svc.budget {
+		t.Errorf("resident %d exceeds budget %d after quiescence", st.ResidentBytes, svc.budget)
 	}
 	if st.Active > 1 {
 		t.Errorf("active = %d, want <= 1 under this budget", st.Active)
@@ -190,22 +190,22 @@ func TestEvictRepositoryAndReactivate(t *testing.T) {
 	if pinned != repo {
 		t.Fatal("Acquire returned a different engine while resident")
 	}
-	if err := svc.EvictRepository("cycle"); err == nil {
+	if err := svc.evictRepository("cycle"); err == nil {
 		t.Error("evicting a pinned repository should fail")
 	}
 	release()
 
-	if err := svc.EvictRepository("cycle"); err != nil {
+	if err := svc.evictRepository("cycle"); err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Lifecycle(); st.Active != 0 || st.Evictions != 1 {
 		t.Fatalf("after evict: %+v, want 0 active, 1 eviction", st)
 	}
 	// Evicting a cold repository is a no-op.
-	if err := svc.EvictRepository("cycle"); err != nil {
+	if err := svc.evictRepository("cycle"); err != nil {
 		t.Fatalf("evicting cold repository: %v", err)
 	}
-	if err := svc.EvictRepository("nope"); !errors.Is(err, ErrRepoNotFound) {
+	if err := svc.evictRepository("nope"); !errors.Is(err, ErrRepoNotFound) {
 		t.Errorf("evicting unknown repository: err = %v, want ErrRepoNotFound", err)
 	}
 
@@ -257,7 +257,7 @@ func TestTenantObjectAndByteQuotas(t *testing.T) {
 	if _, _, err := repo.Get("o2"); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("rejected object is visible: err = %v", err)
 	}
-	if u := svc.Tenants().Usage("alice"); u.Objects != 2 {
+	if u := svc.Tenants().usageOf("alice"); u.Objects != 2 {
 		t.Errorf("usage after rejection = %+v, want 2 objects", u)
 	}
 	// Replacing an existing object is not growth and stays admitted; another
@@ -328,14 +328,14 @@ func TestQuotaCreditsOnEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if u := svc.Tenants().Usage("erin"); u.Objects != 3 {
+	if u := svc.Tenants().usageOf("erin"); u.Objects != 3 {
 		t.Fatalf("usage = %+v, want 3 objects", u)
 	}
-	if err := svc.EvictRepository("resident"); err != nil {
+	if err := svc.evictRepository("resident"); err != nil {
 		t.Fatal(err)
 	}
 	// Quotas bound the resident footprint: eviction credits it back.
-	if u := svc.Tenants().Usage("erin"); u.Objects != 0 || u.Bytes != 0 {
+	if u := svc.Tenants().usageOf("erin"); u.Objects != 0 || u.Bytes != 0 {
 		t.Errorf("usage after eviction = %+v, want zero", u)
 	}
 	back, release, err := svc.Acquire("resident")
@@ -343,7 +343,7 @@ func TestQuotaCreditsOnEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	if u := svc.Tenants().Usage("erin"); u.Objects != 3 {
+	if u := svc.Tenants().usageOf("erin"); u.Objects != 3 {
 		t.Errorf("usage after reactivation = %+v, want 3 objects (recounted)", u)
 	}
 	if err := back.Update(ownedUpdate(t, c, "o3", "erin", "one more fits", 9)); err != nil {
@@ -436,7 +436,7 @@ func TestLifecycleChurnRace(t *testing.T) {
 			default:
 			}
 			id := repoIDs[rng.Intn(len(repoIDs))]
-			if err := svc.EvictRepository(id); err != nil && !strings.Contains(err.Error(), "pinned") {
+			if err := svc.evictRepository(id); err != nil && !strings.Contains(err.Error(), "pinned") {
 				errCh <- fmt.Errorf("evict %s: %w", id, err)
 				return
 			}
@@ -520,7 +520,7 @@ func TestEvictionAfterWALCrash(t *testing.T) {
 
 	// Eviction must proceed despite the failing close — the on-disk image
 	// already holds everything that was acknowledged.
-	if err := svc.EvictRepository("cm"); err != nil {
+	if err := svc.evictRepository("cm"); err != nil {
 		t.Fatalf("evict with crashed WAL: %v", err)
 	}
 	if st := svc.Lifecycle(); st.Active != 0 {
@@ -723,7 +723,7 @@ func snapshotImage(t *testing.T, c *Client, id string, objs ...string) []byte {
 		}
 	}
 	var image bytes.Buffer
-	if err := r.Snapshot(&image); err != nil {
+	if err := writeSnapshot(r, &image); err != nil {
 		t.Fatal(err)
 	}
 	return image.Bytes()
@@ -748,7 +748,7 @@ func TestInstallSnapshotRacesAcquireHerd(t *testing.T) {
 	if err := repo.Update(ownedUpdate(t, c, "old", "u", "before the install", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.EvictRepository("herd"); err != nil {
+	if err := svc.evictRepository("herd"); err != nil {
 		t.Fatal(err)
 	}
 	image := snapshotImage(t, c, "herd", "new")
@@ -912,7 +912,7 @@ func TestInstallSnapshotOverPinnedRepository(t *testing.T) {
 	if _, _, err := fresh.Get("o1"); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("old object after install: err = %v, want ErrUnknownObject", err)
 	}
-	if u := svc.Tenants().Usage("u"); u.Objects != 1 {
+	if u := svc.Tenants().usageOf("u"); u.Objects != 1 {
 		t.Errorf("usage after install = %+v, want 1 object (old credited, image counted)", u)
 	}
 	if st := svc.Lifecycle(); st.Active != 1 {
@@ -935,7 +935,7 @@ func TestWritesToAClosedRepositoryAreRefused(t *testing.T) {
 		check func(t *testing.T, svc *Service, dir string)
 	}{
 		{name: "evict", durable: true,
-			retire: func(s *Service) error { return s.EvictRepository("r") },
+			retire: func(s *Service) error { return s.evictRepository("r") },
 			check:  func(t *testing.T, svc *Service, _ string) { holdsOnlyKeep(t, svc) }},
 		{name: "drop in memory",
 			retire: func(s *Service) error { return s.DropRepository("r") },
@@ -997,7 +997,7 @@ func TestWritesToAClosedRepositoryAreRefused(t *testing.T) {
 			if err := stale.Train(); !errors.Is(err, ErrRepoNotFound) {
 				t.Errorf("train of a closed repository: err = %v, want ErrRepoNotFound", err)
 			}
-			if stale.IsTrained() {
+			if stale.state.Load().trained {
 				t.Error("a closed repository installed a trained epoch")
 			}
 			tc.check(t, svc, opts.Dir)
@@ -1020,8 +1020,8 @@ func holdsOnlyKeep(t *testing.T, svc *Service) {
 	if _, _, err := repo.Get("late"); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("refused update stored: err = %v", err)
 	}
-	if repo.Size() != 1 || repo.IsTrained() {
-		t.Errorf("repository holds %d objects (trained %v), want only keep, untrained", repo.Size(), repo.IsTrained())
+	if repo.Size() != 1 || repo.state.Load().trained {
+		t.Errorf("repository holds %d objects (trained %v), want only keep, untrained", repo.Size(), repo.state.Load().trained)
 	}
 }
 
@@ -1074,7 +1074,7 @@ func TestClosedRepositoryRacingWritersLoseNothing(t *testing.T) {
 			}
 		}(w)
 	}
-	if err := svc.EvictRepository("r"); err != nil {
+	if err := svc.evictRepository("r"); err != nil {
 		t.Error(err)
 	}
 	wg.Wait()

@@ -45,8 +45,8 @@ type Object struct {
 	Audio *audio.Clip
 }
 
-// Modalities lists the modalities present in the object.
-func (o *Object) Modalities() []Modality {
+// modalities lists the modalities present in the object.
+func (o *Object) modalities() []Modality {
 	var ms []Modality
 	if o.Text != "" {
 		ms = append(ms, ModalityText)

@@ -413,22 +413,8 @@ func (r *Repository) ID() string { return r.id }
 // against it to detect a configuration mismatch.
 func (r *Repository) Options() RepositoryOptions { return r.opts }
 
-// Leakage exposes the record of information patterns the server observed;
-// tests assert against it and the bench harness reports it.
-func (r *Repository) Leakage() *Leakage { return r.leak }
-
 // Size returns the number of stored objects.
 func (r *Repository) Size() int { return r.objects.Len() }
-
-// IsTrained reports whether Train has completed.
-func (r *Repository) IsTrained() bool { return r.state.Load().trained }
-
-// VocabularySize returns the number of visual words after training (0
-// before).
-func (r *Repository) VocabularySize() int { return r.codebookSize(ModalityImage) }
-
-// AudioVocabularySize returns the number of audio words after training.
-func (r *Repository) AudioVocabularySize() int { return r.codebookSize(ModalityAudio) }
 
 func (r *Repository) codebookSize(m Modality) int {
 	for _, eng := range r.state.Load().engines {

@@ -79,17 +79,9 @@ func (o snapshotOptions) options() RepositoryOptions {
 	}
 }
 
-// Snapshot serializes the repository's durable state to w. Safe to call
-// concurrently with reads; writers are blocked for the duration so the
-// object set and the trained state land as one consistent cut.
-func (r *Repository) Snapshot(w io.Writer) error {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	return r.snapshotLocked(w)
-}
-
-// snapshotLocked is Snapshot with writeMu already held, so saveTo can take
-// the snapshot and rotate the write-ahead log as one consistent cut.
+// snapshotLocked serializes the repository's durable state to w. Its caller
+// holds writeMu, so the object set and the trained state land as one
+// consistent cut (and saveTo can rotate the write-ahead log in the same cut).
 func (r *Repository) snapshotLocked(w io.Writer) error {
 	_, sp := obs.StartSpan(context.Background(), r.met.reg, "repo/snapshot")
 	defer sp.End()

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -55,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	before := searchIDs(t, c, r, query, 6)
 
 	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
+	if err := writeSnapshot(r, &buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadRepository(&buf)
@@ -68,11 +69,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if restored.Size() != r.Size() {
 		t.Errorf("restored size %d != %d", restored.Size(), r.Size())
 	}
-	if !restored.IsTrained() {
+	if !restored.state.Load().trained {
 		t.Fatal("restored repository lost trained state")
 	}
-	if restored.VocabularySize() != r.VocabularySize() {
-		t.Errorf("vocabulary size %d != %d", restored.VocabularySize(), r.VocabularySize())
+	if restored.codebookSize(ModalityImage) != r.codebookSize(ModalityImage) {
+		t.Errorf("vocabulary size %d != %d", restored.codebookSize(ModalityImage), r.codebookSize(ModalityImage))
 	}
 	after := searchIDs(t, c, restored, query, 6)
 	if len(before) != len(after) {
@@ -105,14 +106,14 @@ func TestSnapshotUntrainedRepo(t *testing.T) {
 	}
 	fillRepo(t, c, r, 2, 2)
 	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
+	if err := writeSnapshot(r, &buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadRepository(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.IsTrained() {
+	if restored.state.Load().trained {
 		t.Error("untrained snapshot restored as trained")
 	}
 	if restored.Size() != 4 {
@@ -166,7 +167,7 @@ func TestLoadRepositoryRefusesWhatUpdateRefuses(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := r.Snapshot(&buf); err != nil {
+		if err := writeSnapshot(r, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -220,7 +221,7 @@ func TestLoadRepositoryRefusesWhatUpdateRefuses(t *testing.T) {
 func TestLoadRepositoryRejectsTruncated(t *testing.T) {
 	_, r := buildTrainedRepo(t, "snap-trunc")
 	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
+	if err := writeSnapshot(r, &buf); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
@@ -418,4 +419,14 @@ func TestSaveServiceRefusesForeignDir(t *testing.T) {
 	if got, err := restored.Repository("m"); err != nil || got.Size() != 1 {
 		t.Fatalf("exported in-memory repository: err %v", err)
 	}
+}
+
+// writeSnapshot writes r's snapshot image to w.
+func writeSnapshot(r *Repository, w io.Writer) error {
+	image, err := r.SnapshotBytes(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(image)
+	return err
 }

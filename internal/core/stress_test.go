@@ -115,7 +115,7 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	if err := <-trainDone; err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	if !r.IsTrained() {
+	if !r.state.Load().trained {
 		t.Fatal("not trained after release")
 	}
 	// The install-time re-index must have carried the mid-train update AND
@@ -353,8 +353,17 @@ func TestSearchDropsStaleHitsWithoutRecordingAccess(t *testing.T) {
 	st := r.state.Load()
 	found := false
 	for _, idx := range st.indexes {
-		if idx != nil && idx.Has(index.DocID(victim)) {
-			found = true
+		if idx == nil {
+			continue
+		}
+		groups, err := idx.SegmentBatches()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, group := range groups {
+			for _, doc := range group {
+				found = found || doc.Doc == index.DocID(victim)
+			}
 		}
 	}
 	if !found {
@@ -370,14 +379,14 @@ func TestSearchDropsStaleHitsWithoutRecordingAccess(t *testing.T) {
 			t.Fatal("stale hit returned")
 		}
 	}
-	if got := r.Leakage().AccessCount(victim); got != 0 {
+	if got := r.leak.accessCount(victim); got != 0 {
 		t.Fatalf("dropped hit recorded %d accesses, want 0", got)
 	}
 	// Returned hits ARE recorded.
 	if len(hits) == 0 {
 		t.Fatal("expected surviving hits")
 	}
-	if got := r.Leakage().AccessCount(hits[0].ObjectID); got == 0 {
+	if got := r.leak.accessCount(hits[0].ObjectID); got == 0 {
 		t.Fatal("returned hit not recorded in access pattern")
 	}
 }

@@ -100,16 +100,8 @@ func newTenantGovernor(q Quotas) *TenantGovernor {
 	}
 }
 
-// Limits returns the configured quotas.
-func (g *TenantGovernor) Limits() Quotas {
-	if g == nil {
-		return Quotas{}
-	}
-	return g.quotas
-}
-
-// Usage returns tenant's current footprint (zero for unknown tenants).
-func (g *TenantGovernor) Usage(tenant string) TenantUsage {
+// usageOf returns tenant's current footprint (zero for unknown tenants).
+func (g *TenantGovernor) usageOf(tenant string) TenantUsage {
 	if g == nil {
 		return TenantUsage{}
 	}

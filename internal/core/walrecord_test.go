@@ -367,7 +367,7 @@ func TestInstallSnapshotQuarantinesUnloadedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var image bytes.Buffer
-	if err := leader.Snapshot(&image); err != nil {
+	if err := writeSnapshot(leader, &image); err != nil {
 		t.Fatal(err)
 	}
 
@@ -455,7 +455,7 @@ func TestRestoreFailedGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	var image bytes.Buffer
-	if err := leader.Snapshot(&image); err != nil {
+	if err := writeSnapshot(leader, &image); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.InstallSnapshot("broken", image.Bytes()); err != nil {
@@ -518,7 +518,7 @@ func TestSecondInstallKeepsFirstQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 		var image bytes.Buffer
-		if err := leader.Snapshot(&image); err != nil {
+		if err := writeSnapshot(leader, &image); err != nil {
 			t.Fatal(err)
 		}
 		svc, _, err = OpenService(ServiceOptions{Dir: dir})

@@ -131,10 +131,10 @@ func (g *PRG) Float64() float64 {
 	return float64(g.Uint64()>>11) / float64(1<<53)
 }
 
-// Intn returns a pseudo-random value uniform in [0,n). Panics if n <= 0.
-func (g *PRG) Intn(n int) int {
+// intn returns a pseudo-random value uniform in [0,n). Panics if n <= 0.
+func (g *PRG) intn(n int) int {
 	if n <= 0 {
-		panic("crypto: PRG.Intn n must be positive")
+		panic("crypto: PRG.intn n must be positive")
 	}
 	return int(g.Uint64() % uint64(n))
 }

@@ -170,17 +170,17 @@ func TestPRGNormFloat64Moments(t *testing.T) {
 func TestPRGIntn(t *testing.T) {
 	g := NewPRG(testKey(10), "intn")
 	for i := 0; i < 1000; i++ {
-		v := g.Intn(17)
+		v := g.intn(17)
 		if v < 0 || v >= 17 {
-			t.Fatalf("Intn out of range: %d", v)
+			t.Fatalf("intn out of range: %d", v)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for Intn(0)")
+			t.Error("expected panic for intn(0)")
 		}
 	}()
-	g.Intn(0)
+	g.intn(0)
 }
 
 func TestCipherRoundTrip(t *testing.T) {

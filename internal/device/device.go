@@ -46,8 +46,8 @@ func (c Category) String() string {
 	return fmt.Sprintf("Category(%d)", int(c))
 }
 
-// Categories lists all categories in presentation order.
-func Categories() []Category { return []Category{Encrypt, Network, Index, Train} }
+// categories lists all categories in presentation order.
+func categories() []Category { return []Category{Encrypt, Network, Index, Train} }
 
 // Profile describes one device.
 type Profile struct {
@@ -95,14 +95,6 @@ var (
 		CPUPowerW:    35,
 		VoltageV:     12,
 	}
-	// Cloud models the EC2 m3.large server side.
-	Cloud = Profile{
-		Name:         "cloud-m3large",
-		CPUFactor:    1,
-		UplinkMbps:   1000,
-		DownlinkMbps: 1000,
-		VoltageV:     12,
-	}
 )
 
 // Meter accumulates per-category device time. CPU time is scaled by the
@@ -130,9 +122,6 @@ func NewMeter(p Profile) *Meter {
 		trips:   make(map[Category]int),
 	}
 }
-
-// Profile returns the meter's device profile.
-func (m *Meter) Profile() Profile { return m.profile }
 
 // AddCPU records CPU work measured on the reference machine; it is scaled
 // to the device by CPUFactor.
@@ -254,13 +243,13 @@ func (m *Meter) ExceedsBattery() bool {
 	return m.EnergyMAh() > m.profile.BatteryCapacityMAh
 }
 
-// Breakdown returns a stable, human-readable per-category cost summary.
-func (m *Meter) Breakdown() []CategoryCost {
+// breakdown returns a stable, human-readable per-category cost summary.
+func (m *Meter) breakdown() []categoryCost {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]CategoryCost, 0, 4)
-	for _, cat := range Categories() {
-		out = append(out, CategoryCost{
+	out := make([]categoryCost, 0, 4)
+	for _, cat := range categories() {
+		out = append(out, categoryCost{
 			Category: cat,
 			CPU:      m.cpu[cat],
 			Network:  m.net[cat],
@@ -270,12 +259,12 @@ func (m *Meter) Breakdown() []CategoryCost {
 	return out
 }
 
-// CategoryCost is one row of a Meter breakdown.
-type CategoryCost struct {
+// categoryCost is one row of a Meter breakdown.
+type categoryCost struct {
 	Category Category
 	CPU      time.Duration
 	Network  time.Duration
 }
 
-// Total returns CPU+network time of the row.
-func (c CategoryCost) Total() time.Duration { return c.CPU + c.Network }
+// total returns CPU+network time of the row.
+func (c categoryCost) total() time.Duration { return c.CPU + c.Network }

@@ -139,15 +139,6 @@ func NewDense(key crypto.Key, params DenseParams) (*Dense, error) {
 	return d, nil
 }
 
-// InDim returns the configured plaintext dimensionality.
-func (d *Dense) InDim() int { return d.inDim }
-
-// OutDim returns the encoding length in bits.
-func (d *Dense) OutDim() int { return d.outDim }
-
-// Threshold returns t: the largest plaintext distance the encodings preserve.
-func (d *Dense) Threshold() float64 { return d.t }
-
 // Encode runs Dense-DPE ENCODE on plaintext feature vector p, producing a
 // bit-vector encoding. Deterministic: equal plaintexts yield equal encodings
 // under the same key, which is what leaks (only) the patterns specified by
@@ -260,10 +251,10 @@ func (d *Dense) encode(out vec.BitVec, p []float64) {
 	}
 }
 
-// Distance runs Dense-DPE DISTANCE on two encodings. It returns a value that
+// distance runs Dense-DPE DISTANCE on two encodings. It returns a value that
 // approximates the plaintext Euclidean distance when that distance is below
 // the threshold, and a value pinned near the threshold otherwise.
-func (d *Dense) Distance(e1, e2 vec.BitVec) (float64, error) {
+func (d *Dense) distance(e1, e2 vec.BitVec) (float64, error) {
 	if e1.Len() != d.outDim || e2.Len() != d.outDim {
 		return 0, fmt.Errorf("%w: got %d and %d, want %d", ErrBadEncoding, e1.Len(), e2.Len(), d.outDim)
 	}
@@ -306,9 +297,6 @@ type Sparse struct {
 func NewSparse(key crypto.Key) *Sparse {
 	return &Sparse{key: crypto.DeriveKey(key, "sparse-dpe")}
 }
-
-// Threshold returns 0: only equality is preserved.
-func (s *Sparse) Threshold() float64 { return 0 }
 
 // Encode runs Sparse-DPE ENCODE on a keyword: f(x) = P_K(x).
 func (s *Sparse) Encode(keyword string) Token {

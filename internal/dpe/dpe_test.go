@@ -77,8 +77,8 @@ func TestNewDenseDefaultOutDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.OutDim() != 512 {
-		t.Errorf("default OutDim = %d, want 512", d.OutDim())
+	if d.outDim != 512 {
+		t.Errorf("default OutDim = %d, want 512", d.outDim)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestDenseEncodeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e1.Equal(e2) {
+	if !sameBits(e1, e2) {
 		t.Error("same plaintext encoded to different encodings")
 	}
 }
@@ -130,7 +130,7 @@ func TestDenseEncodeDimensionCheck(t *testing.T) {
 
 func TestDenseDistanceEncodingCheck(t *testing.T) {
 	d := newTestDense(t, 0.5)
-	if _, err := d.Distance(vec.NewBitVec(10), vec.NewBitVec(2048)); !errors.Is(err, ErrBadEncoding) {
+	if _, err := d.distance(vec.NewBitVec(10), vec.NewBitVec(2048)); !errors.Is(err, ErrBadEncoding) {
 		t.Errorf("err = %v, want ErrBadEncoding", err)
 	}
 	if _, err := d.RawNormHamming(vec.NewBitVec(10), vec.NewBitVec(2048)); !errors.Is(err, ErrBadEncoding) {
@@ -209,7 +209,7 @@ func (c table2Case) meanDistance(t *testing.T, dp float64, trials int) float64 {
 	t.Helper()
 	ps := make([][]float64, 0, 2*trials)
 	for i := 0; i < trials; i++ {
-		p1, p2 := randomPair(c.rng, c.d.InDim(), dp)
+		p1, p2 := randomPair(c.rng, c.d.inDim, dp)
 		ps = append(ps, p1, p2)
 	}
 	es, err := c.encode(c.d, ps)
@@ -218,7 +218,7 @@ func (c table2Case) meanDistance(t *testing.T, dp float64, trials int) float64 {
 	}
 	var sum float64
 	for i := 0; i < len(es); i += 2 {
-		de, err := c.d.Distance(es[i], es[i+1])
+		de, err := c.d.distance(es[i], es[i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestDenseSaturatesAboveThreshold(t *testing.T) {
 		for _, dp := range []float64{0.7, 0.85, 1.0} {
 			means[dp] = c.meanDistance(t, dp, 20)
 			if m := means[dp]; m < 0.40*c.scale || m > 0.62*c.scale {
-				t.Errorf("dp=%v: saturated distance %v, want near t=%v", dp, m, c.d.Threshold())
+				t.Errorf("dp=%v: saturated distance %v, want near t=%v", dp, m, c.d.t)
 			}
 		}
 		// Saturated values should be close to each other (no ordering leak).
@@ -263,7 +263,7 @@ func TestDenseZeroDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	p, _ := randomPair(rng, 64, 0)
 	e, _ := d.Encode(p)
-	de, err := d.Distance(e, e)
+	de, err := d.distance(e, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestDenseMonotoneBelowThreshold(t *testing.T) {
 			p1, p2 := randomPair(rng, 64, dp)
 			e1, _ := d.Encode(p1)
 			e2, _ := d.Encode(p2)
-			de, _ := d.Distance(e1, e2)
+			de, _ := d.distance(e1, e2)
 			sum += de
 		}
 		mean := sum / trials
@@ -311,7 +311,7 @@ func TestDenseThresholdScaling(t *testing.T) {
 		p1, p2 := randomPair(rng, 32, sub)
 		e1, _ := d.Encode(p1)
 		e2, _ := d.Encode(p2)
-		de, _ := d.Distance(e1, e2)
+		de, _ := d.distance(e1, e2)
 		sum += de
 	}
 	if mean := sum / trials; math.Abs(mean-sub) > 0.06 {
@@ -322,7 +322,7 @@ func TestDenseThresholdScaling(t *testing.T) {
 		p1, p2 := randomPair(rng, 32, 0.8)
 		e1, _ := d.Encode(p1)
 		e2, _ := d.Encode(p2)
-		de, _ := d.Distance(e1, e2)
+		de, _ := d.distance(e1, e2)
 		sum += de
 	}
 	if mean := sum / trials; math.Abs(mean-0.25) > 0.06 {
@@ -348,9 +348,6 @@ func TestSparseDistance(t *testing.T) {
 	}
 	if got := s.Distance(a, b); got != 1 {
 		t.Errorf("Distance(a,b) = %v, want 1 (one character apart must look maximal)", got)
-	}
-	if s.Threshold() != 0 {
-		t.Errorf("Threshold = %v, want 0", s.Threshold())
 	}
 }
 
@@ -402,7 +399,7 @@ func TestDenseEncodeDeterministicProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return e1.Equal(e2)
+		return sameBits(e1, e2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -422,9 +419,9 @@ func TestDenseDistanceSymmetricProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d12, err1 := d.Distance(e1, e2)
-		d21, err2 := d.Distance(e2, e1)
-		self, err3 := d.Distance(e1, e1)
+		d12, err1 := d.distance(e1, e2)
+		d21, err2 := d.distance(e2, e1)
+		self, err3 := d.distance(e1, e1)
 		return err1 == nil && err2 == nil && err3 == nil && d12 == d21 && self == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -499,11 +496,11 @@ func checkAgainstReference(t *testing.T, d *Dense, descs [][]float64, widths ...
 			t.Fatal(err)
 		}
 		for name, got := range codes {
-			if got[i].Len() != d.outDim || !reflect.DeepEqual(got[i].Words(), want.Words()) {
-				t.Fatalf("vector %d of %d: %s differs from the reference\n got %x\nwant %x", i, len(descs), name, got[i].Words(), want.Words())
+			if got[i].Len() != d.outDim || !reflect.DeepEqual(codeWords(got[i]), codeWords(want)) {
+				t.Fatalf("vector %d of %d: %s differs from the reference\n got %x\nwant %x", i, len(descs), name, codeWords(got[i]), codeWords(want))
 			}
 			if r := d.outDim % 64; r != 0 {
-				if last := got[i].Words()[d.outDim/64]; last>>uint(r) != 0 {
+				if last := codeWords(got[i])[d.outDim/64]; last>>uint(r) != 0 {
 					t.Fatalf("vector %d: %s sets bits past OutDim=%d: %x", i, name, d.outDim, last)
 				}
 			}
@@ -561,7 +558,7 @@ func TestDenseCodesPinnedAcrossCommits(t *testing.T) {
 		h := sha256.New()
 		var buf [8]byte
 		for _, e := range es {
-			for _, w := range e.Words() {
+			for _, w := range codeWords(e) {
 				binary.BigEndian.PutUint64(buf[:], w)
 				h.Write(buf[:])
 			}
@@ -722,3 +719,19 @@ func FuzzDenseEncodeAll(f *testing.F) {
 		}
 	})
 }
+
+// codeWords unpacks v's packed words from the binary codec that carries it
+// on the wire (eight big-endian bytes a word, bit i at bit i%64 of word
+// i/64), so a test reads a code without an accessor of its own.
+func codeWords(v vec.BitVec) []uint64 {
+	enc := vec.AppendBitVecs(nil, []vec.BitVec{v})
+	enc = enc[len(enc)-8*((v.Len()+63)/64):]
+	words := make([]uint64, len(enc)/8)
+	for i := range words {
+		words[i] = binary.BigEndian.Uint64(enc[8*i:])
+	}
+	return words
+}
+
+// sameBits reports whether a and b have the same length and bits.
+func sameBits(a, b vec.BitVec) bool { return a.Len() == b.Len() && vec.Hamming(a, b) == 0 }

@@ -173,29 +173,14 @@ func (c *Cluster) NodeService(i int) *core.Service { return c.nodes[i].svc }
 // Follower exposes node i's replication client (nil for the leader).
 func (c *Cluster) Follower(i int) *replica.Follower { return c.nodes[i].fol }
 
-// Hub exposes the leader's replication hub.
-func (c *Cluster) Hub() *replica.Hub { return c.hub }
-
 // Ring exposes the router's placement ring.
 func (c *Cluster) Ring() *router.Ring { return c.rt.Ring() }
-
-// Nodes returns the cluster size.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
 
 // SetFrameInterval paces every node's client-facing request path (0
 // disables pacing).
 func (c *Cluster) SetFrameInterval(d time.Duration) {
 	for _, node := range c.nodes {
 		node.relay.SetFrameInterval(d)
-	}
-}
-
-// PartitionFollower cuts (or heals) follower i's replication link to the
-// leader. Its client-facing address stays reachable: a partitioned
-// follower keeps serving whatever it has, exactly like a real split.
-func (c *Cluster) PartitionFollower(i int, on bool) {
-	if c.nodes[i].link != nil {
-		c.nodes[i].link.Partition(on)
 	}
 }
 

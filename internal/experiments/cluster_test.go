@@ -107,7 +107,7 @@ func searchParity(t *testing.T, cl *Cluster, l *ledger, text, label string) {
 	}
 	ctx := context.Background()
 	var hits [][]core.SearchHit
-	for node := 0; node < cl.Nodes(); node++ {
+	for node := 0; node < len(cl.nodes); node++ {
 		conn, err := client.Dial(cl.NodeAddr(node), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +303,7 @@ func TestClusterPartitionHealResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cl.PartitionFollower(1, true)
+	cl.nodes[1].link.partition(true)
 	for i := 0; i < 3; i++ {
 		l.write(t, fmt.Sprintf("mid-%02d", i), fmt.Sprintf("mid-partition document %d", i))
 	}
@@ -321,7 +321,7 @@ func TestClusterPartitionHealResume(t *testing.T) {
 	_ = folConn.Close()
 	applied := cl.Follower(1).Cursor(repoID)
 
-	cl.PartitionFollower(1, false)
+	cl.nodes[1].link.partition(false)
 	if err := cl.WaitCaughtUp([]string{repoID}, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}

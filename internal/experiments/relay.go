@@ -67,9 +67,9 @@ func (r *chaosRelay) SetTarget(addr string) {
 	r.dropConns()
 }
 
-// Partition isolates the relay's backend: live connections are dropped and
-// new ones refused until Partition(false) heals it.
-func (r *chaosRelay) Partition(on bool) {
+// partition isolates the relay's backend: live connections are dropped and
+// new ones refused until partition(false) heals it.
+func (r *chaosRelay) partition(on bool) {
 	r.mu.Lock()
 	r.partitioned = on
 	r.mu.Unlock()

@@ -62,27 +62,6 @@ func ReadPGM(r io.Reader) (*Image, error) {
 	return im, nil
 }
 
-// WritePGM encodes the image as binary PGM (P5, 8-bit).
-func WritePGM(w io.Writer, im *Image) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", im.W, im.H); err != nil {
-		return fmt.Errorf("imaging: write PGM header: %w", err)
-	}
-	buf := make([]byte, len(im.Pix))
-	for i, v := range im.Pix {
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		buf[i] = byte(v*255 + 0.5)
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return fmt.Errorf("imaging: write PGM pixels: %w", err)
-	}
-	return bw.Flush()
-}
-
 // pgmToken reads the next whitespace-delimited token, skipping '#' comments.
 func pgmToken(br *bufio.Reader) (string, error) {
 	var tok []byte

@@ -52,21 +52,6 @@ func (ix *Inverted) DocCount() int {
 	return len(ix.docTerms)
 }
 
-// TermCount returns the number of distinct terms.
-func (ix *Inverted) TermCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.postings)
-}
-
-// Has reports whether doc is indexed.
-func (ix *Inverted) Has(doc DocID) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	_, ok := ix.docTerms[doc]
-	return ok
-}
-
 // Add indexes (or re-indexes) a document given its term-frequency map.
 // Re-adding an existing document replaces its previous postings, matching
 // the paper's Update semantics (remove then add). The index takes any id,

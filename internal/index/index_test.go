@@ -64,7 +64,7 @@ func TestRemove(t *testing.T) {
 	ix.Add("d1", map[Term]uint64{"a": 1, "b": 2})
 	ix.Add("d2", map[Term]uint64{"a": 1})
 	ix.Remove("d1")
-	if ix.Has("d1") {
+	if _, ok := ix.docTerms["d1"]; ok {
 		t.Error("d1 still present after Remove")
 	}
 	if ix.DocCount() != 1 {
@@ -128,8 +128,8 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 	if ix.DocCount() != 0 {
 		t.Errorf("DocCount = %d after removing all", ix.DocCount())
 	}
-	if ix.TermCount() != 0 {
-		t.Errorf("TermCount = %d after removing all", ix.TermCount())
+	if len(ix.postings) != 0 {
+		t.Errorf("%d terms left after removing all", len(ix.postings))
 	}
 }
 

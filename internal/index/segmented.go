@@ -205,16 +205,16 @@ func (s *Segmented) sealLocked() bool {
 	return true
 }
 
-// Has reports whether doc is live in the index.
-func (s *Segmented) Has(doc DocID) bool {
+// has reports whether doc is live in the index.
+func (s *Segmented) has(doc DocID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	_, ok := s.owner[doc]
 	return ok
 }
 
-// DocCount returns the number of live documents.
-func (s *Segmented) DocCount() int {
+// docCount returns the number of live documents.
+func (s *Segmented) docCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.owner)

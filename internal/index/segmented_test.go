@@ -68,8 +68,8 @@ func segmentedMatchesMonolithicOracle(t *testing.T) {
 			want := oracle.Search(SortedTerms(query), 10)
 			assertResultsEquivalent(t, got, want, 1e-9)
 		}
-		if seg.DocCount() != oracle.DocCount() {
-			t.Fatalf("DocCount %d, want %d", seg.DocCount(), oracle.DocCount())
+		if seg.docCount() != oracle.DocCount() {
+			t.Fatalf("DocCount %d, want %d", seg.docCount(), oracle.DocCount())
 		}
 	}
 	for step := 0; step < 400; step++ {
@@ -185,8 +185,8 @@ func TestSegmentedBatchesRoundTrip(t *testing.T) {
 	if err := restored.LoadSegments(groups); err != nil {
 		t.Fatal(err)
 	}
-	if restored.DocCount() != seg.DocCount() {
-		t.Fatalf("restored DocCount %d, want %d", restored.DocCount(), seg.DocCount())
+	if restored.docCount() != seg.docCount() {
+		t.Fatalf("restored DocCount %d, want %d", restored.docCount(), seg.docCount())
 	}
 	if got, want := restored.Stats().SealedSegments, seg.Stats().SealedSegments; got != want {
 		t.Fatalf("restored SealedSegments %d, want %d", got, want)
@@ -231,7 +231,7 @@ func TestSegmentedClose(t *testing.T) {
 	seg.Seal()
 	seg.Add("d2", map[Term]uint64{"a": 2, "b": 1}) // left in the memtable
 	query := map[Term]uint64{"a": 1, "b": 1}
-	hits, stats, docs := seg.Lookup(SortedTerms(query), 10), seg.Stats(), seg.DocCount()
+	hits, stats, docs := seg.Lookup(SortedTerms(query), 10), seg.Stats(), seg.docCount()
 	seg.Close()
 	seg.Close() // idempotent
 
@@ -241,7 +241,7 @@ func TestSegmentedClose(t *testing.T) {
 	seg.Remove("d1")
 	seg.Seal()
 	seg.Compact()
-	if got := seg.DocCount(); got != docs {
+	if got := seg.docCount(); got != docs {
 		t.Errorf("DocCount after writes to a closed index = %d, want %d", got, docs)
 	}
 	if got := seg.Stats(); got != stats {
@@ -331,7 +331,7 @@ func TestSegmentedConcurrentOpsDuringCompaction(t *testing.T) {
 		for i := 0; i < perWriter; i++ {
 			doc := DocID(fmt.Sprintf("w%d-%d", w, i))
 			want := i%7 != 0
-			if got := seg.Has(doc); got != want {
+			if got := seg.has(doc); got != want {
 				t.Fatalf("doc %s present=%v, want %v", doc, got, want)
 			}
 			if want {

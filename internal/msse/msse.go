@@ -433,10 +433,10 @@ func (s *Server) StoreIndex(repoID string, ups []ModalityUpdate) error {
 	return nil
 }
 
-// Remove deletes an object: the server scans index values for the plaintext
+// remove deletes an object: the server scans index values for the plaintext
 // doc id (the design trade discussed in the appendix — doc ids in values
 // make removal server-side and storage-free, revealing document lengths).
-func (s *Server) Remove(repoID, docID string) error {
+func (s *Server) remove(repoID, docID string) error {
 	r, err := s.repo(repoID)
 	if err != nil {
 		return err
@@ -498,17 +498,6 @@ func (s *Server) GetObjects(repoID string) (map[string]Hit, error) {
 func (r *repo) hit(id string, score float64) Hit {
 	o := r.objects[id]
 	return Hit{Doc: id, Owner: o.Owner, Score: score, Ciphertext: o.Ciphertext}
-}
-
-// ObjectCount reports |Rep|, needed for idf.
-func (s *Server) ObjectCount(repoID string) (int, error) {
-	r, err := s.repo(repoID)
-	if err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.objects), nil
 }
 
 // Search executes CLOUD.Search: the scheme's scoring of the trapdoors.

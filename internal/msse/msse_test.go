@@ -238,7 +238,7 @@ func TestRemove(t *testing.T) {
 	eachVariant(t, func(t *testing.T, cfg ClientConfig) {
 		c, s := setupTrained(t, cfg, 3)
 		victim := "doc-c0-1"
-		if err := s.Remove(repoID, victim); err != nil {
+		if err := s.remove(repoID, victim); err != nil {
 			t.Fatal(err)
 		}
 		hits, err := c.Search(s, repoID, testDoc(0, 88), 10)
@@ -250,12 +250,12 @@ func TestRemove(t *testing.T) {
 				t.Error("removed doc surfaced")
 			}
 		}
-		n, err := s.ObjectCount(repoID)
+		r, err := s.repo(repoID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != 8 {
-			t.Errorf("ObjectCount = %d, want 8", n)
+		if n := len(r.objects); n != 8 {
+			t.Errorf("%d objects stored, want 8", n)
 		}
 	})
 }

@@ -47,12 +47,12 @@ func pinScenario(t *testing.T, name string, cfg ClientConfig) []string {
 		}
 	}
 	must(c.Update(s, repoID, &Doc{ID: "doc-c0-1", Owner: "owner1", Text: "volcano eruption lava beach", Image: classImage(1, 40)}, dataKey()))
-	must(s.Remove(repoID, "doc-c2-3"))
+	must(s.remove(repoID, "doc-c2-3"))
 	phase("untrained")
 	must(c.Train(s, repoID))
 	phase("trained")
 	must(c.Update(s, repoID, &Doc{ID: "doc-c1-0", Owner: "owner1", Text: "glacier ice mountain snow", Image: classImage(0, 41)}, dataKey()))
-	must(s.Remove(repoID, "doc-c0-2"))
+	must(s.remove(repoID, "doc-c0-2"))
 	must(c.Update(s, repoID, &Doc{ID: "late", Owner: "owner2", Text: "xylophone orchestra concert", Image: classImage(2, 42)}, dataKey()))
 	phase("churned")
 	return lines

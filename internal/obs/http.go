@@ -136,7 +136,7 @@ func ServeDebug(addr string, reg *Registry, logger *slog.Logger, opts ...DebugOp
 			logger.Error("debug server exited", "err", err)
 		}
 	}()
-	logger.Info("debug server listening", "addr", ln.Addr().String())
+	logger.Info("debug server listening", "addr", d.Addr())
 	return d, nil
 }
 

@@ -96,14 +96,6 @@ func (s *Span) ChildContext(ctx context.Context, name string) (context.Context, 
 	return ctx, c
 }
 
-// Path returns the span's full phase path.
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.ph.path
-}
-
 // SetError marks the span failed; the message lands in the trace record and
 // makes the whole trace eligible for tail capture.
 func (s *Span) SetError(err error) {
@@ -137,14 +129,6 @@ func (s *Span) End() time.Duration {
 		})
 	}
 	return d
-}
-
-// Time runs fn under a span named name (nested under s if s is non-nil) and
-// returns its duration — the one-liner form for straight-line phases.
-func (s *Span) Time(name string, fn func()) time.Duration {
-	child := s.Child(name)
-	fn()
-	return child.End()
 }
 
 // phase is one node of a registry's phase tree: a span path, its

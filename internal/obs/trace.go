@@ -166,14 +166,6 @@ type ActiveTrace struct {
 	spans    []SpanRecord
 }
 
-// TraceID returns the trace's identity.
-func (at *ActiveTrace) TraceID() uint64 {
-	if at == nil {
-		return 0
-	}
-	return at.traceID
-}
-
 // record appends one finished span. Safe for concurrent use (parallel
 // modality lookups finish on their own goroutines).
 func (at *ActiveTrace) record(rec SpanRecord) {

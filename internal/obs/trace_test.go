@@ -83,7 +83,7 @@ func TestFinishIdempotentAndStaleContext(t *testing.T) {
 	tr.SetSampleRate(1)
 	ctx, at := tr.StartTrace(context.Background())
 	ctx, sp := StartSpan(ctx, reg, "op")
-	if sc := SpanContextFrom(ctx); sc.TraceID != at.TraceID() || sc.SpanID == 0 || !sc.Sampled {
+	if sc := SpanContextFrom(ctx); sc.TraceID != at.traceID || sc.SpanID == 0 || !sc.Sampled {
 		t.Fatalf("live span context = %+v", sc)
 	}
 	sp.End()
@@ -162,7 +162,7 @@ func TestJoinParentsUnderRemoteSpan(t *testing.T) {
 	tr := NewTracer(reg, 8)
 	const traceID, remoteSpan = 0xabc, 0xdef
 	ctx, at := tr.Join(context.Background(), traceID, remoteSpan, true)
-	if at == nil || at.TraceID() != traceID {
+	if at == nil || at.traceID != traceID {
 		t.Fatalf("join = %+v", at)
 	}
 	_, sp := StartSpan(ctx, reg, "rpc/op")

@@ -141,12 +141,12 @@ func (pk *PublicKey) Add(c1, c2 *big.Int) (*big.Int, error) {
 	return out, nil
 }
 
-// AddPlain returns the ciphertext of a+m given a ciphertext of a and a
+// addPlain returns the ciphertext of a+m given a ciphertext of a and a
 // plaintext m: c · (1+m·n) mod n². Cheaper than Add when one operand is
 // public (e.g. the server incrementing a counter by a known padding of 0/1
-// would instead use Add on an encrypted increment; AddPlain serves public
+// would instead use Add on an encrypted increment; addPlain serves public
 // corpus-wide constants).
-func (pk *PublicKey) AddPlain(c *big.Int, m *big.Int) (*big.Int, error) {
+func (pk *PublicKey) addPlain(c *big.Int, m *big.Int) (*big.Int, error) {
 	if err := pk.checkCiphertext(c); err != nil {
 		return nil, err
 	}

@@ -165,7 +165,7 @@ func TestAddPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := sk.AddPlain(c, big.NewInt(2))
+	c2, err := sk.addPlain(c, big.NewInt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestAddPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != 42 {
-		t.Errorf("AddPlain: got %d, want 42", got)
+		t.Errorf("addPlain: got %d, want 42", got)
 	}
 }
 

@@ -246,14 +246,6 @@ func (h *Hub) Ack(ack wire.ReplAck) {
 	h.mu.Unlock()
 }
 
-// Acked returns the last follower-reported cursor for a stream (zero if
-// none) — observability for tests and operators.
-func (h *Hub) Acked(repoID string) Cursor {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.acked[repoID]
-}
-
 // Head returns a stream's current head cursor: its generation and last
 // assigned sequence. A follower whose cursor equals the head has applied
 // everything the leader has acknowledged — the caught-up predicate the
@@ -268,11 +260,6 @@ func (h *Hub) Head(repoID string) Cursor {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return Cursor{Gen: st.gen, Seq: st.next}
-}
-
-// Status reports the leader's node status for the handshake.
-func (h *Hub) Status() (role string, caughtUp bool, lagNanos int64) {
-	return "leader", true, 0
 }
 
 // Subscribe (server.ReplicationSource) streams records for one stream to

@@ -442,7 +442,7 @@ func TestFollowerRanksLikeLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.IsTrained() {
+	if len(fr.IndexStats()) == 0 { // an untrained epoch has no index
 		t.Fatal("follower did not install the leader's epoch")
 	}
 	want := searchIDs(t, c, lr, "alpha beta gamma")

@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,9 @@ import (
 // response whose body bytes the test knows.
 type recordingBackend struct {
 	ln net.Listener
+	// behind, when set, makes the backend answer hellos as a follower that
+	// has not caught up.
+	behind atomic.Bool
 
 	mu   sync.Mutex
 	seen []*wire.Envelope
@@ -84,7 +88,11 @@ func (b *recordingBackend) serve(conn net.Conn) {
 		}
 		var reply *wire.Envelope
 		if env.Kind == wire.KindHello {
-			reply, _ = wire.AnswerHello(env, wire.HelloResp{Role: "leader", CaughtUp: true})
+			hr := wire.HelloResp{Role: "leader", CaughtUp: true}
+			if b.behind.Load() {
+				hr = wire.HelloResp{Role: "follower"}
+			}
+			reply, _ = wire.AnswerHello(env, hr)
 		} else {
 			b.mu.Lock()
 			b.seen = append(b.seen, env)

@@ -37,8 +37,6 @@ type Config struct {
 	// Leader is the name of the leader node (mutations and training are
 	// always routed to it). Defaults to Nodes[0].
 	Leader string
-	// VNodes is the number of ring points per node (default 64).
-	VNodes int
 	// HealthInterval is the per-node probe cadence (default 500ms).
 	HealthInterval time.Duration
 	// Addr is the listen address (default "127.0.0.1:0").
@@ -137,7 +135,7 @@ func Start(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:       cfg,
-		ring:      NewRing(names, cfg.VNodes),
+		ring:      NewRing(names, 0),
 		ln:        ln,
 		leader:    leader,
 		backends:  backends,
@@ -197,19 +195,24 @@ func (r *Router) probe(b *backend) bool {
 }
 
 // healthLoop probes one backend forever: at the configured cadence while it
-// is up, with capped backoff while it is down so recovery is noticed fast
-// without hammering a dead address.
+// may serve reads; at the shortest step while it answers but is a follower
+// still catching up, so the router notices within tens of milliseconds that
+// it has; and with capped backoff while it is down, so recovery is noticed
+// fast without hammering a dead address.
 func (r *Router) healthLoop(b *backend) {
 	defer r.wg.Done()
 	backoff := probeBackoffMin
 	for {
 		wait := r.cfg.HealthInterval
-		if !b.healthy.Load() {
+		switch {
+		case !b.healthy.Load():
 			wait = backoff
 			if backoff *= 2; backoff > probeBackoffMax {
 				backoff = probeBackoffMax
 			}
-		} else {
+		case !b.eligible():
+			wait, backoff = probeBackoffMin, probeBackoffMin
+		default:
 			backoff = probeBackoffMin
 		}
 		select {

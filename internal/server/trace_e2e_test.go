@@ -28,7 +28,7 @@ func TestTracePropagatesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	conn, err := client.Dial(srv.Addr(), nil, client.WithTracer(cliTracer))
+	conn, err := client.Dial(srv.Addr(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,16 +94,6 @@ func Extract(raw string) Histogram {
 	return h
 }
 
-// TotalFreq returns the sum of term frequencies (document length in
-// keywords).
-func (h Histogram) TotalFreq() uint64 {
-	var n uint64
-	for _, t := range h {
-		n += t.Freq
-	}
-	return n
-}
-
 // TFIDF computes the classic term weight used by both MIE and the MSSE
 // baselines for ranked retrieval: tf * log(N/df), with tf the raw term
 // frequency, N the corpus size and df the number of documents containing

@@ -35,7 +35,7 @@ func TestBitVecsBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d vectors, want %d", len(got), len(vs))
 	}
 	for i := range vs {
-		if !got[i].Equal(vs[i]) {
+		if !got[i].equal(vs[i]) {
 			t.Errorf("vector %d (%d bits) changed in transit", i, vs[i].Len())
 		}
 	}
@@ -44,14 +44,14 @@ func TestBitVecsBinaryRoundTrip(t *testing.T) {
 		enc[i] = 0xff
 	}
 	for i := range vs {
-		if !got[i].Equal(vs[i]) {
+		if !got[i].equal(vs[i]) {
 			t.Errorf("vector %d aliases the decoder's input", i)
 		}
 	}
 	// One arena for the list, carved without overlap: writing one vector
 	// must not reach its neighbour.
-	got[5].Set(129, !got[5].Get(129))
-	if !got[4].Equal(vs[4]) || !got[6].Equal(vs[6]) {
+	got[5].Set(129, !got[5].get(129))
+	if !got[4].equal(vs[4]) || !got[6].equal(vs[6]) {
 		t.Error("vectors of one list share words")
 	}
 

@@ -17,13 +17,12 @@ import (
 	"mie/internal/bin"
 )
 
-// ErrDimensionMismatch is returned when two vectors of different lengths are
+// errDimensionMismatch is returned when two vectors of different lengths are
 // combined in an operation that requires equal dimensionality.
-var ErrDimensionMismatch = errors.New("vec: dimension mismatch")
+var errDimensionMismatch = errors.New("vec: dimension mismatch")
 
 // Euclidean returns the Euclidean (L2) distance between a and b.
-// It panics if the dimensions differ; use CheckedEuclidean when the inputs
-// come from an untrusted source.
+// It panics if the dimensions differ.
 func Euclidean(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Euclidean dimension mismatch %d != %d", len(a), len(b)))
@@ -36,11 +35,11 @@ func Euclidean(a, b []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// CheckedEuclidean is Euclidean with an error instead of a panic on
+// checkedEuclidean is Euclidean with an error instead of a panic on
 // mismatched dimensions.
-func CheckedEuclidean(a, b []float64) (float64, error) {
+func checkedEuclidean(a, b []float64) (float64, error) {
 	if len(a) != len(b) {
-		return 0, ErrDimensionMismatch
+		return 0, errDimensionMismatch
 	}
 	return Euclidean(a, b), nil
 }
@@ -55,18 +54,6 @@ func SquaredEuclidean(a, b []float64) float64 {
 	for i := range a {
 		d := a[i] - b[i]
 		sum += d * d
-	}
-	return sum
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Dot dimension mismatch %d != %d", len(a), len(b)))
-	}
-	var sum float64
-	for i := range a {
-		sum += a[i] * b[i]
 	}
 	return sum
 }
@@ -119,9 +106,9 @@ func Clone(v []float64) []float64 {
 	return out
 }
 
-// Mean returns the component-wise mean of the given vectors. All vectors
+// mean returns the component-wise mean of the given vectors. All vectors
 // must share a dimension; an empty input yields nil.
-func Mean(vs [][]float64) []float64 {
+func mean(vs [][]float64) []float64 {
 	if len(vs) == 0 {
 		return nil
 	}
@@ -162,13 +149,6 @@ func BitVecFromWords(words []uint64, n int) (BitVec, error) {
 // Len returns the number of bits.
 func (b BitVec) Len() int { return b.n }
 
-// Words exposes a copy of the packed words for serialization.
-func (b BitVec) Words() []uint64 {
-	out := make([]uint64, len(b.words))
-	copy(out, b.words)
-	return out
-}
-
 // Set sets bit i to v.
 func (b BitVec) Set(i int, v bool) {
 	if i < 0 || i >= b.n {
@@ -191,16 +171,16 @@ func (b BitVec) SetWord(i int, w uint64) {
 	b.words[i] = w
 }
 
-// Get reports bit i.
-func (b BitVec) Get(i int) bool {
+// get reports bit i.
+func (b BitVec) get(i int) bool {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("vec: BitVec.Get index %d out of range [0,%d)", i, b.n))
 	}
 	return b.words[i/64]&(1<<uint(i%64)) != 0
 }
 
-// OnesCount returns the number of set bits.
-func (b BitVec) OnesCount() int {
+// onesCount returns the number of set bits.
+func (b BitVec) onesCount() int {
 	var c int
 	for _, w := range b.words {
 		c += bits.OnesCount64(w)
@@ -208,8 +188,8 @@ func (b BitVec) OnesCount() int {
 	return c
 }
 
-// Equal reports whether a and b have the same length and bits.
-func (b BitVec) Equal(o BitVec) bool {
+// equal reports whether a and b have the same length and bits.
+func (b BitVec) equal(o BitVec) bool {
 	if b.n != o.n {
 		return false
 	}

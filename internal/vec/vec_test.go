@@ -38,10 +38,10 @@ func TestEuclideanPanicsOnMismatch(t *testing.T) {
 }
 
 func TestCheckedEuclidean(t *testing.T) {
-	if _, err := CheckedEuclidean([]float64{1}, []float64{1, 2}); err != ErrDimensionMismatch {
+	if _, err := checkedEuclidean([]float64{1}, []float64{1, 2}); err != errDimensionMismatch {
 		t.Errorf("err = %v, want ErrDimensionMismatch", err)
 	}
-	d, err := CheckedEuclidean([]float64{0}, []float64{2})
+	d, err := checkedEuclidean([]float64{0}, []float64{2})
 	if err != nil || d != 2 {
 		t.Errorf("got (%v,%v), want (2,nil)", d, err)
 	}
@@ -64,11 +64,6 @@ func TestSquaredEuclideanMatchesEuclidean(t *testing.T) {
 }
 
 func TestDotAndNorm(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if got := Dot(a, b); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
 	if got := Norm([]float64{3, 4}); got != 5 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
@@ -88,15 +83,15 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestMean(t *testing.T) {
-	got := Mean([][]float64{{1, 2}, {3, 4}})
+	got := mean([][]float64{{1, 2}, {3, 4}})
 	want := []float64{2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Mean = %v, want %v", got, want)
 		}
 	}
-	if Mean(nil) != nil {
-		t.Error("Mean(nil) should be nil")
+	if mean(nil) != nil {
+		t.Error("mean(nil) should be nil")
 	}
 }
 
@@ -119,11 +114,11 @@ func TestBitVecSetGet(t *testing.T) {
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		b.Set(i, true)
-		if !b.Get(i) {
+		if !b.get(i) {
 			t.Errorf("bit %d not set", i)
 		}
 		b.Set(i, false)
-		if b.Get(i) {
+		if b.get(i) {
 			t.Errorf("bit %d not cleared", i)
 		}
 	}
@@ -138,7 +133,7 @@ func TestBitVecOutOfRange(t *testing.T) {
 					t.Errorf("expected panic for index %d", i)
 				}
 			}()
-			b.Get(i)
+			b.get(i)
 		}()
 	}
 }
@@ -148,21 +143,21 @@ func TestBitVecSetWord(t *testing.T) {
 	b.SetWord(0, 1<<63|1)
 	b.SetWord(1, ^uint64(0)) // only bits 64..69 exist
 	for i := 0; i < 70; i++ {
-		if want := i == 0 || i >= 63; b.Get(i) != want {
-			t.Errorf("bit %d = %v, want %v", i, b.Get(i), want)
+		if want := i == 0 || i >= 63; b.get(i) != want {
+			t.Errorf("bit %d = %v, want %v", i, b.get(i), want)
 		}
 	}
 	if b.words[1] != 0x3f {
 		t.Errorf("last word = %#x, want 0x3f: bits past Len must stay zero", b.words[1])
 	}
 	b.SetWord(1, 0)
-	if b.OnesCount() != 2 {
-		t.Errorf("OnesCount after clearing word 1 = %d, want 2", b.OnesCount())
+	if b.onesCount() != 2 {
+		t.Errorf("OnesCount after clearing word 1 = %d, want 2", b.onesCount())
 	}
 	full := NewBitVec(128)
 	full.SetWord(1, ^uint64(0))
-	if full.OnesCount() != 64 {
-		t.Errorf("a full last word lost bits: OnesCount = %d", full.OnesCount())
+	if full.onesCount() != 64 {
+		t.Errorf("a full last word lost bits: OnesCount = %d", full.onesCount())
 	}
 	for _, i := range []int{-1, 2} {
 		func() {
@@ -200,11 +195,11 @@ func TestBitVecRoundTripWords(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b.Set(i, rng.Intn(2) == 1)
 		}
-		r, err := BitVecFromWords(b.Words(), n)
+		r, err := BitVecFromWords(b.words, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !r.Equal(b) {
+		if !r.equal(b) {
 			t.Errorf("n=%d: round trip mismatch", n)
 		}
 	}
@@ -219,8 +214,8 @@ func TestBitVecFromWordsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bv.OnesCount() != 4 {
-		t.Errorf("OnesCount = %d, want 4 (trailing bits masked)", bv.OnesCount())
+	if bv.onesCount() != 4 {
+		t.Errorf("OnesCount = %d, want 4 (trailing bits masked)", bv.onesCount())
 	}
 }
 
@@ -244,7 +239,7 @@ func TestBitVecClone(t *testing.T) {
 	a.Set(3, true)
 	c := a.Clone()
 	c.Set(3, false)
-	if !a.Get(3) {
+	if !a.get(3) {
 		t.Error("Clone aliased original storage")
 	}
 }
@@ -264,7 +259,7 @@ func TestBitVecGobRoundTrip(t *testing.T) {
 		if err := r.GobDecode(data); err != nil {
 			t.Fatal(err)
 		}
-		if !r.Equal(b) {
+		if !r.equal(b) {
 			t.Errorf("n=%d: gob round trip mismatch", n)
 		}
 	}
@@ -296,13 +291,13 @@ func TestOnesCount(t *testing.T) {
 	for _, i := range []int{0, 63, 64, 69} {
 		b.Set(i, true)
 	}
-	if got := b.OnesCount(); got != 4 {
+	if got := b.onesCount(); got != 4 {
 		t.Errorf("OnesCount = %d, want 4", got)
 	}
 }
 
 func TestEqualDifferentLengths(t *testing.T) {
-	if NewBitVec(10).Equal(NewBitVec(11)) {
+	if NewBitVec(10).equal(NewBitVec(11)) {
 		t.Error("different lengths reported equal")
 	}
 }
@@ -355,7 +350,7 @@ func TestBitVotesMatchesCounts(t *testing.T) {
 					b := pool[rng.Intn(len(pool))]
 					v.Add(g, b)
 					for i := 0; i < n; i++ {
-						if b.Get(i) {
+						if b.get(i) {
 							ones[g][i]++
 						}
 					}
@@ -373,15 +368,15 @@ func TestBitVotesMatchesCounts(t *testing.T) {
 				}
 				changed := v.Majority(g, dst)
 				for i := 0; i < n; i++ {
-					want := 2*ones[g][i] > fill || 2*ones[g][i] == fill && prior.Get(i)
-					if dst.Get(i) != want {
-						t.Fatalf("n=%d fill %d bit %d: majority %v, want %v (%d ones)", n, fill, i, dst.Get(i), want, ones[g][i])
+					want := 2*ones[g][i] > fill || 2*ones[g][i] == fill && prior.get(i)
+					if dst.get(i) != want {
+						t.Fatalf("n=%d fill %d bit %d: majority %v, want %v (%d ones)", n, fill, i, dst.get(i), want, ones[g][i])
 					}
 				}
 				if d := Hamming(dst, prior); changed != d {
 					t.Errorf("n=%d fill %d: Majority reported %d changed bits, want %d", n, fill, changed, d)
 				}
-				if w := dst.Words(); n%64 != 0 && w[len(w)-1]>>(n%64) != 0 {
+				if w := dst.words; n%64 != 0 && w[len(w)-1]>>(n%64) != 0 {
 					t.Errorf("n=%d fill %d: bits set past the length", n, fill)
 				}
 			}
@@ -412,13 +407,13 @@ func TestHammingWordsTailMasking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := HammingWords(a.Words(), b.Words()); got != 0 {
+	if got := HammingWords(a.words, b.words); got != 0 {
 		t.Errorf("tail garbage leaked into distance: %d != 0", got)
 	}
 	b.Set(69, false)
 	b.Set(0, true)
 	want := Hamming(a, b)
-	if got := HammingWords(a.Words(), b.Words()); got != want || want != 2 {
+	if got := HammingWords(a.words, b.words); got != want || want != 2 {
 		t.Errorf("HammingWords = %d, Hamming = %d, want 2", got, want)
 	}
 }

@@ -385,16 +385,6 @@ func (l *Log) truncateTo(size int64) error {
 	return err
 }
 
-// Sync forces buffered appends to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	return l.syncLocked()
-}
-
 // syncLocked fsyncs if dirty. An fsync failure leaves the durable state
 // unknowable (the kernel may have dropped the dirty pages), so it poisons
 // the log rather than let a later "successful" append imply the earlier
@@ -455,16 +445,6 @@ func (l *Log) Reset() error {
 	l.err = nil
 	return nil
 }
-
-// Size returns the current end offset of the log (header included).
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Close flushes (best effort) and closes the backing file. The log is
 // unusable afterwards.

@@ -156,7 +156,7 @@ func TestCorruptCRCTruncatesAtRecordStart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sizeBefore2 := l.Size() // end of the log
+	sizeBefore2 := l.size // end of the log
 	_ = l.Close()
 	// Flip one payload byte of the final record.
 	img, err := os.ReadFile(path)
@@ -232,8 +232,8 @@ func TestResetRotates(t *testing.T) {
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != int64(HeaderSize) {
-		t.Errorf("size after reset = %d", l.Size())
+	if l.size != int64(HeaderSize) {
+		t.Errorf("size after reset = %d", l.size)
 	}
 	if err := l.Append([]byte("post-rotate")); err != nil {
 		t.Fatal(err)
@@ -360,7 +360,10 @@ func TestCrashDropsUnsyncedUnderSyncNever(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
+	l.mu.Lock()
+	err := l.syncLocked()
+	l.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {

@@ -285,13 +285,12 @@ func TestRestoreKeepsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var image bytes.Buffer
-	err = repo.Snapshot(&image)
+	image, err := repo.SnapshotBytes(nil)
 	release()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.LoadRepository(bytes.NewReader(image.Bytes()))
+	restored, err := core.LoadRepository(bytes.NewReader(image))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +301,15 @@ func TestRestoreKeepsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restarted, _, err := OpenService(ServiceOptions{Dir: dir})
+	// A one-byte budget evicts the repository at every release.
+	restarted, _, err := OpenService(ServiceOptions{Dir: dir, MemoryBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = restarted.Close() }()
 	check("durable restart", restarted)
-	if err := restarted.EvictRepository("opts"); err != nil {
-		t.Fatal(err)
+	if st := restarted.Lifecycle(); st.Evictions == 0 || st.Active != 0 {
+		t.Fatalf("the release under a one-byte budget left %+v, want the repository evicted", st)
 	}
 	check("eviction and re-activation", restarted)
 
@@ -318,7 +318,7 @@ func TestRestoreKeepsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = follower.Close() }()
-	if err := follower.InstallSnapshot("opts", image.Bytes()); err != nil {
+	if err := follower.InstallSnapshot("opts", image); err != nil {
 		t.Fatal(err)
 	}
 	check("InstallSnapshot", follower)

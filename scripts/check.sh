@@ -29,14 +29,17 @@ for pkg in internal/server internal/client internal/replica internal/router; do
     fi
 done
 
-# Layering gate first and by name: the segmented-index refactor depends on
-# core/index/cluster staying free of transport imports (and index/cluster
-# free of upward imports), the index on staying pure memory (no os, no
-# encoding/gob), the scale-out tier on replica/router never reaching into the
-# server, and the MSSE baselines importing nothing of MIE but its primitives
-# (an allow-list). The full suite runs these too, but a fast, explicit failure
-# here names the broken boundary instead of burying it.
-go test -run 'TestEngineLayersDoNotImportTransport|TestIndexAndClusterDoNotImportCore|TestIndexIsPureMemory|TestReplicationTierImportBoundaries|TestBaselinesImportOnlyPrimitives' ./internal/core
+# The architecture table first and whole: internal/archcheck files every
+# rule of the tree under the test that enforces it — the import boundaries
+# (core/index/cluster free of transport, index/cluster free of upward
+# imports, the index pure memory, the scale-out tier out of the server, no
+# encoding/gob on the request/WAL/replication path, the MSSE baselines on an
+# allow-list of primitives, no unsafe anywhere), production frame I/O only
+# through wire.FrameConn, and no exported identifier under internal/ that
+# only tests reach, bar the named seams. The full suite runs these too (the
+# two type-checked rules skip under -race), but a fast, explicit failure
+# here names the broken rule instead of burying it.
+go test -count=1 ./internal/archcheck
 
 # -shuffle surfaces inter-test ordering dependencies; -cover prints a
 # per-package coverage summary so coverage regressions are visible in CI
