@@ -37,10 +37,11 @@
 // repository starts cold — its snapshot and WAL stay on disk until the
 // first request activates it — so a server can catalog far more
 // repositories than fit in memory; without one, startup loads them all. -quota-objects/-quota-bytes bound any
-// single tenant's resident footprint and -quota-inflight its concurrent
+// single owner's resident footprint and -quota-inflight the concurrent
 // requests (0 = unlimited); over-quota requests are rejected with a typed
-// wire error carrying a retry-after hint, keyed on the User field of the
-// bearer token (tokenless traffic pools under "anonymous").
+// wire error carrying a retry-after hint. The server installs no
+// authorizer, so every request shares one in-flight pool: no name a token
+// merely carries keys a quota.
 // With -debug-addr it additionally serves the observability endpoint:
 // /metrics (Prometheus text exposition), /metrics.json, /debug/traces
 // (recently kept request traces), /debug/leakage (per-repository leakage
@@ -97,7 +98,7 @@ func main() {
 	flag.StringVar(&ten.memoryBudget, "memory-budget", "", "approximate resident-memory budget for active repositories, e.g. 512MiB or 4GiB; idle repositories are evicted to disk above it (requires -data-dir; empty = unlimited)")
 	flag.Int64Var(&ten.quotas.MaxObjects, "quota-objects", 0, "per-tenant cap on resident objects (0 = unlimited)")
 	flag.Int64Var(&ten.quotas.MaxBytes, "quota-bytes", 0, "per-tenant cap on approximate resident bytes (0 = unlimited)")
-	flag.IntVar(&ten.quotas.MaxInflight, "quota-inflight", 0, "per-tenant cap on concurrent in-flight requests (0 = unlimited)")
+	flag.IntVar(&ten.quotas.MaxInflight, "quota-inflight", 0, "cap on concurrent in-flight requests; with no authorizer every request shares one pool (0 = unlimited)")
 	flag.Parse()
 	if *routerSpec != "" {
 		if err := runRouter(*addr, *routerSpec, *logLevel); err != nil {

@@ -18,10 +18,11 @@ type gate struct {
 	why     string
 	imports []importRule
 	calls   []callRule
-	// seams, when set, turns on the reachability rule (reach_test.go): no
-	// exported identifier under internal/ that only tests reach, except
-	// these named test seams, each with its reason and the ROADMAP item
-	// that removes it. A package path stands for every identifier in it.
+	// seams, when set, turns on the reachability rule (reach_test.go):
+	// every package-level declaration outside bench/, exported or not, is
+	// reached over the call graph from the program's roots, except these
+	// named test seams, each with its reason and the ROADMAP item that
+	// removes it. A package path stands for every declaration in it.
 	seams map[string]string
 }
 
@@ -97,7 +98,7 @@ var gates = map[string]gate{
 		// bench/ keeps a codec yardstick that times the raw calls.
 		{funcs: []string{"wire.ReadFrame", "wire.WriteEnvelope"}, allowIn: []string{"wire", "mie/bench"}},
 	}},
-	"TestNothingExportedForTestsAlone": {why: "exported for tests alone: delete it, unexport it, or name it here as a seam", seams: map[string]string{
+	"TestNothingExportedForTestsAlone": {why: "no root of the program reaches it: delete it, move it into a _test.go file, or name it here as a seam", seams: map[string]string{
 		"wal/walfault": "the fault-injecting wal.File of the crash tests; item 23's internal/faultfs replaces it",
 		"leakcheck":    "the goroutine-leak sentinel of four packages' connection tests; permanent, since a helper that several packages' tests share must live in a non-test file",
 
@@ -235,6 +236,8 @@ func TestNothingImportsUnsafe(t *testing.T) { check(t) }
 // context and whose reads cost one read(2) a frame.
 func TestFrameIOGoesThroughFrameConn(t *testing.T) { check(t) }
 
-// TestNothingExportedForTestsAlone: an exported identifier under internal/
-// that only tests reach is surface the program does not use.
+// TestNothingExportedForTestsAlone: no declaration outside bench/, exported
+// or not, is there for tests alone. One that no root of the program reaches
+// (main, init, bench/, package mie's exported API, a declaration named _) is
+// code production never runs.
 func TestNothingExportedForTestsAlone(t *testing.T) { check(t) }

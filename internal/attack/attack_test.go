@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -56,7 +57,7 @@ func buildCorpus(t *testing.T, docs map[string]string) ([]Observation, map[strin
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := repo.Update(up); err != nil {
+		if err := repo.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 		hist := text.Extract(body)
@@ -93,7 +94,7 @@ func TestAttackObservesTheRecordStream(t *testing.T) {
 			if _, seen := last[id]; seen {
 				removed++
 			}
-			if err := repo.Remove(id); err != nil {
+			if err := repo.RemoveContext(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -106,7 +107,7 @@ func TestAttackObservesTheRecordStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := repo.Update(up); err != nil {
+		if err := repo.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 		last[id] = up.TextTokens

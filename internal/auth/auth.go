@@ -196,13 +196,17 @@ func (a *Authority) Verify(t Token, repo string) error {
 	return nil
 }
 
-// VerifyString parses and verifies an encoded token.
-func (a *Authority) VerifyString(s, repo string) error {
+// VerifyString parses and verifies an encoded token s for use on repo and
+// returns the user it names; it has the shape of server.Authorizer.
+func (a *Authority) VerifyString(repo, s string) (user string, err error) {
 	t, err := Parse(s)
 	if err != nil {
-		return err
+		return "", err
 	}
-	return a.Verify(t, repo)
+	if err := a.Verify(t, repo); err != nil {
+		return "", err
+	}
+	return t.User, nil
 }
 
 // Revoke invalidates a single token immediately.

@@ -50,8 +50,8 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 	if parsed != tok {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", parsed, tok)
 	}
-	if err := a.VerifyString(tok.Encode(), "repo/with:chars"); err != nil {
-		t.Errorf("VerifyString: %v", err)
+	if user, err := a.VerifyString("repo/with:chars", tok.Encode()); err != nil || user != tok.User {
+		t.Errorf("VerifyString = %q, %v; want %q", user, err, tok.User)
 	}
 }
 

@@ -112,8 +112,9 @@ func newNearest(points []vec.BitVec, k int) *nearest {
 	}
 }
 
-// assign points every point at its nearest centroid, exactly as a scan with
-// nearestHamming would, and returns the sum of the points' distances to it.
+// assign points every point at its nearest centroid, exactly as a linear
+// scan would (the lowest index wins a tie), and returns the sum of the
+// points' distances to it.
 func (nn *nearest) assign(centroids []vec.BitVec) int {
 	maxShift := slices.Max(nn.shift)
 	sum := 0
@@ -131,18 +132,9 @@ func (nn *nearest) assign(centroids []vec.BitVec) int {
 	return sum
 }
 
-func nearestHamming(centroids []vec.BitVec, p vec.BitVec) (int, int) {
-	best, bestD := 0, vec.Hamming(p, centroids[0])
-	for c := 1; c < len(centroids); c++ {
-		if d := vec.Hamming(p, centroids[c]); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best, bestD
-}
-
-// nearestTwo is nearestHamming that also returns the distance to the
-// nearest other centroid (math.MaxInt when there is none).
+// nearestTwo is a linear scan for p's nearest centroid (the lowest index
+// wins a tie) that also returns the distance to the nearest other centroid
+// (math.MaxInt when there is none).
 func nearestTwo(centroids []vec.BitVec, p vec.BitVec) (best, bestD, second int) {
 	best, bestD, second = 0, vec.Hamming(p, centroids[0]), math.MaxInt
 	for c := 1; c < len(centroids); c++ {

@@ -29,17 +29,15 @@ type Options struct {
 	MaxIter int
 	// Seed drives the deterministic PRNG used for k-means++ seeding.
 	Seed int64
-	// Tolerance stops iterating when total centroid movement (in the
-	// space's own metric) falls below it; defaults to 1e-6.
-	Tolerance float64
 }
+
+// tolerance stops iterating when total centroid movement (in the space's own
+// metric) falls below it.
+const tolerance = 1e-6
 
 func (o *Options) setDefaults() {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 50
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
 	}
 }
 
@@ -118,7 +116,7 @@ func KMeans(points [][]float64, k int, opts Options) (*Result, error) {
 			moved += vec.Euclidean(centroids[c], sums[c])
 			centroids[c] = sums[c]
 		}
-		if moved < opts.Tolerance {
+		if moved < tolerance {
 			break
 		}
 	}

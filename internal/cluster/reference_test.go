@@ -429,3 +429,15 @@ func unpackBits(v vec.BitVec) []bool {
 
 // sameBits reports whether a and b have the same length and bits.
 func sameBits(a, b vec.BitVec) bool { return a.Len() == b.Len() && vec.Hamming(a, b) == 0 }
+
+// nearestHamming is the reference scan: p's nearest centroid, the lowest
+// index winning a tie, and its distance.
+func nearestHamming(centroids []vec.BitVec, p vec.BitVec) (int, int) {
+	best, bestD := 0, vec.Hamming(p, centroids[0])
+	for c := 1; c < len(centroids); c++ {
+		if d := vec.Hamming(p, centroids[c]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best, bestD
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -53,9 +54,6 @@ func audioTestClient(t *testing.T) *Client {
 func TestAudioOnlyObjectAccepted(t *testing.T) {
 	c := audioTestClient(t)
 	obj := &Object{ID: "clip1", Owner: "u", Audio: voiceClip(t, 0, 1)}
-	if got := obj.modalities(); len(got) != 1 || got[0] != ModalityAudio {
-		t.Fatalf("Modalities = %v", got)
-	}
 	up, err := c.PrepareUpdate(obj, testDataKey(3))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +83,7 @@ func TestAudioSearchUntrainedAndTrained(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Update(up); err != nil {
+			if err := r.UpdateContext(context.Background(), up); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -96,7 +94,7 @@ func TestAudioSearchUntrainedAndTrained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, err := r.Search(q)
+		hits, err := r.SearchContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +113,7 @@ func TestAudioSearchUntrainedAndTrained(t *testing.T) {
 		}
 	}
 	check("untrained (linear scan)")
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if r.codebookSize(ModalityAudio) == 0 {
@@ -145,7 +143,7 @@ func TestTrimodalObjectFusion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +152,7 @@ func TestTrimodalObjectFusion(t *testing.T) {
 	add("unrelated", "gardening tips spring flowers", 2, 1)
 	add("decoy-a", "random filler words here", 1, 2)
 	add("decoy-b", "more filler text content", 2, 1)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	q, err := c.PrepareQuery(&Object{
@@ -169,7 +167,7 @@ func TestTrimodalObjectFusion(t *testing.T) {
 	if len(q.AudioEncodings) == 0 || len(q.ImageEncodings) == 0 || len(q.TextTokens) == 0 {
 		t.Fatal("query missing a modality")
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +188,11 @@ func TestAudioSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -212,7 +210,7 @@ func TestAudioSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := restored.Search(q)
+	hits, err := restored.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

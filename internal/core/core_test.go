@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -234,17 +235,6 @@ func TestObjectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestModalities(t *testing.T) {
-	o := &Object{ID: "x", Text: "hi"}
-	if ms := o.modalities(); len(ms) != 1 || ms[0] != ModalityText {
-		t.Errorf("Modalities = %v", ms)
-	}
-	o.Image = classImage(0, 1)
-	if ms := o.modalities(); len(ms) != 2 {
-		t.Errorf("Modalities = %v", ms)
-	}
-}
-
 // fillRepo uploads n objects per class.
 func fillRepo(t *testing.T, c *Client, r *Repository, perClass, classes int) {
 	t.Helper()
@@ -254,7 +244,7 @@ func fillRepo(t *testing.T, c *Client, r *Repository, perClass, classes int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Update(up); err != nil {
+			if err := r.UpdateContext(context.Background(), up); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -275,7 +265,7 @@ func TestRepositoryLinearSearchBeforeTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +292,7 @@ func TestRepositoryTrainedSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 6, 3)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !r.state.Load().trained {
@@ -315,7 +305,7 @@ func TestRepositoryTrainedSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +345,7 @@ func TestRepeatedSearchIsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +356,7 @@ func TestRepeatedSearchIsBitIdentical(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		add(fmt.Sprintf("filler-%d", i), "mountain snow hiking trail", 2, i)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// The last pair arrives after training, so the memtable is scored too.
@@ -377,7 +367,7 @@ func TestRepeatedSearchIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r.Search(q)
+	first, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +375,7 @@ func TestRepeatedSearchIsBitIdentical(t *testing.T) {
 		t.Fatalf("%d hits, want 10", len(first))
 	}
 	for run := 1; run < 200; run++ {
-		hits, err := r.Search(q)
+		hits, err := r.SearchContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +398,7 @@ func TestUpdateAfterTrainingIsIndexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 4, 2)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A brand-new object with a distinctive keyword arrives post-training.
@@ -417,14 +407,14 @@ func TestUpdateAfterTrainingIsIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	q, err := c.PrepareQuery(&Object{ID: "q", Text: "zanzibar festival"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,11 +433,11 @@ func TestRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 3, 2)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	victim := "obj-c0-1"
-	r.Remove(victim)
+	r.RemoveContext(context.Background(), victim)
 	if r.Size() != 5 {
 		t.Errorf("Size = %d, want 5", r.Size())
 	}
@@ -458,7 +448,7 @@ func TestRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +457,8 @@ func TestRemove(t *testing.T) {
 			t.Error("removed object surfaced in search")
 		}
 	}
-	r.Remove("no-such-object") // no-op
+	r.RemoveContext(context.Background( // no-op
+	), "no-such-object")
 }
 
 func TestUpdateReplacesExisting(t *testing.T) {
@@ -477,7 +468,7 @@ func TestUpdateReplacesExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 3, 2)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Replace obj-c0-0's content entirely.
@@ -486,7 +477,7 @@ func TestUpdateReplacesExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	if r.Size() != 6 {
@@ -496,7 +487,7 @@ func TestUpdateReplacesExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +503,7 @@ func TestTrainEmptyRepository(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Errorf("empty train: %v", err)
 	}
 	if r.codebookSize(ModalityImage) != 0 {
@@ -531,10 +522,10 @@ func TestRetrainBuildsCodebookOnceImagesArrive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if r.codebookSize(ModalityImage) != 0 {
@@ -543,7 +534,7 @@ func TestRetrainBuildsCodebookOnceImagesArrive(t *testing.T) {
 	// Images arrive; a second Train builds the codebook (the paper allows
 	// invoking Train repeatedly with different parameters).
 	fillRepo(t, c, r, 3, 2)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if r.codebookSize(ModalityImage) == 0 {
@@ -553,7 +544,7 @@ func TestRetrainBuildsCodebookOnceImagesArrive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +560,7 @@ func TestSearchSingleModalityQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 4, 3)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Text-only query.
@@ -577,7 +568,7 @@ func TestSearchSingleModalityQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(qt)
+	hits, err := r.SearchContext(context.Background(), qt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +580,7 @@ func TestSearchSingleModalityQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err = r.Search(qi)
+	hits, err = r.SearchContext(context.Background(), qi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +600,7 @@ func TestLeakageProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	// Table I: MIE leaks ID(w) and freq(w) at *update* time.
@@ -626,7 +617,7 @@ func TestLeakageProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Search(q); err != nil {
+	if _, err := r.SearchContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.leak.searchTokenCount(sunsetTok); got != 1 {
@@ -635,9 +626,8 @@ func TestLeakageProfile(t *testing.T) {
 	if got := r.leak.accessCount("o1"); got != 1 {
 		t.Errorf("access count = %d, want 1", got)
 	}
-	u, rm, s, tr := r.leak.ops()
-	if u != 1 || rm != 0 || s != 1 || tr != 0 {
-		t.Errorf("ops = (%d,%d,%d,%d)", u, rm, s, tr)
+	if sum := r.leak.Summary(); sum.Updates != 1 || sum.Removes != 0 || sum.Searches != 1 || sum.Trains != 0 {
+		t.Errorf("ops = (%d,%d,%d,%d)", sum.Updates, sum.Removes, sum.Searches, sum.Trains)
 	}
 }
 
@@ -650,7 +640,7 @@ func TestConcurrentMultiUserUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 3, 2)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -670,7 +660,7 @@ func TestConcurrentMultiUserUpdates(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := r.Update(up); err != nil {
+				if err := r.UpdateContext(context.Background(), up); err != nil {
 					errs <- err
 					return
 				}
@@ -679,7 +669,7 @@ func TestConcurrentMultiUserUpdates(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := r.Search(q); err != nil {
+				if _, err := r.SearchContext(context.Background(), q); err != nil {
 					errs <- err
 					return
 				}
@@ -729,7 +719,7 @@ func TestSearchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Search(&Query{K: 0}); err == nil {
+	if _, err := r.SearchContext(context.Background(), &Query{K: 0}); err == nil {
 		t.Error("expected error for k=0")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -30,11 +31,11 @@ func requireSameHits(t *testing.T, c *Client, a, b *Repository, query *Object) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsA, err := a.Search(q)
+	hitsA, err := a.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsB, err := b.Search(q)
+	hitsB, err := b.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func putObject(t *testing.T, c *Client, r *Repository, obj *Object) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +179,7 @@ func TestUntrainedSearchIsExact(t *testing.T) {
 			live := make(map[string]*Update)
 			put := func(up *Update) {
 				t.Helper()
-				if err := r.Update(up); err != nil {
+				if err := r.UpdateContext(context.Background(), up); err != nil {
 					t.Fatal(err)
 				}
 				live[up.ObjectID] = up
@@ -187,7 +188,7 @@ func TestUntrainedSearchIsExact(t *testing.T) {
 				for i := 0; i < 5; i++ {
 					put(&Update{ObjectID: fmt.Sprintf("text-%d", i), Owner: "u", TextTokens: map[dpe.Token]uint64{{byte(i)}: 1}})
 				}
-				if err := r.Train(); err != nil {
+				if err := r.TrainContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				if !r.state.Load().trained || r.codebookSize(ModalityImage) != 0 || r.codebookSize(ModalityAudio) != 0 {
@@ -253,7 +254,7 @@ func TestUntrainedSearchIsExact(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireSameResults(t, fmt.Sprintf("step %d %s lookup", step, d.modality), got, want)
-					hits, err := r.Search(q)
+					hits, err := r.SearchContext(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -286,7 +287,7 @@ func TestUntrainedSearchIsExact(t *testing.T) {
 				default:
 					ids := liveIDs()
 					id := ids[rng.Intn(len(ids))]
-					if err := r.Remove(id); err != nil {
+					if err := r.RemoveContext(context.Background(), id); err != nil {
 						t.Fatal(err)
 					}
 					delete(live, id)
@@ -329,7 +330,7 @@ func fillLive(t *testing.T, c *Client, r *Repository, perClass, classes int) map
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Update(up); err != nil {
+			if err := r.UpdateContext(context.Background(), up); err != nil {
 				t.Fatal(err)
 			}
 			live[up.ObjectID] = up
@@ -369,7 +370,7 @@ func requireExactImageLookup(t *testing.T, c *Client, r *Repository, live map[st
 	if query.Text != "" {
 		return
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,14 +420,14 @@ func TestANNMaintenanceFollowsMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	live[up.ObjectID] = up
 	requireExactImageLookup(t, c, r, live, query)
 
 	// Remove: the object must vanish from the results.
-	if err := r.Remove("obj-c0-1"); err != nil {
+	if err := r.RemoveContext(context.Background(), "obj-c0-1"); err != nil {
 		t.Fatal(err)
 	}
 	delete(live, "obj-c0-1")
@@ -507,12 +508,12 @@ func TestEncodingLengthMismatchIsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 12; i++ {
-				if err := r.Update(object(fmt.Sprintf("o%02d", i), codes(128, 128, 128))); err != nil {
+				if err := r.UpdateContext(context.Background(), object(fmt.Sprintf("o%02d", i), codes(128, 128, 128))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if tc.trained {
-				if err := r.Train(); err != nil {
+				if err := r.TrainContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -526,14 +527,14 @@ func TestEncodingLengthMismatchIsRefused(t *testing.T) {
 			held := &Query{K: 3, ImageEncodings: codes(128)}
 			answers := func(r *Repository) {
 				t.Helper()
-				hits, err := r.Search(held)
+				hits, err := r.SearchContext(context.Background(), held)
 				if err != nil || len(hits) == 0 {
 					t.Fatalf("a query of the held length: %d hits, err %v", len(hits), err)
 				}
 			}
 			if tc.update != nil {
 				before := logSize()
-				if err := r.Update(tc.update); !errors.Is(err, ErrEncodingLength) {
+				if err := r.UpdateContext(context.Background(), tc.update); !errors.Is(err, ErrEncodingLength) {
 					t.Fatalf("update err = %v, want ErrEncodingLength", err)
 				}
 				if err := r.apply(encodeWALRecord(tc.update, tc.update.ObjectID)); !errors.Is(err, ErrEncodingLength) {
@@ -547,7 +548,7 @@ func TestEncodingLengthMismatchIsRefused(t *testing.T) {
 				}
 			}
 			if tc.query != nil {
-				if _, err := r.Search(&Query{K: 3, ImageEncodings: tc.query}); !errors.Is(err, ErrEncodingLength) {
+				if _, err := r.SearchContext(context.Background(), &Query{K: 3, ImageEncodings: tc.query}); !errors.Is(err, ErrEncodingLength) {
 					t.Fatalf("search err = %v, want ErrEncodingLength", err)
 				}
 			}
@@ -600,11 +601,11 @@ func TestTrainedOverwritesDoNotGrowTheHeap(t *testing.T) {
 	}
 	defer func() { _ = r.Close() }()
 	for _, up := range ups {
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	heap := func() int64 {
@@ -613,7 +614,7 @@ func TestTrainedOverwritesDoNotGrowTheHeap(t *testing.T) {
 	}
 	resident, before := r.ResidentBytes(), heap()
 	for i := 0; i < overwrites; i++ {
-		if err := r.Update(ups[i%objects]); err != nil {
+		if err := r.UpdateContext(context.Background(), ups[i%objects]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -659,12 +660,12 @@ func TestSearchDuringFirstTrainAndChurn(t *testing.T) {
 			}
 			id := i % 5
 			if i%3 == 0 {
-				_ = r.Remove(fmt.Sprintf("obj-c%d-%d", i%3, id))
+				_ = r.RemoveContext(context.Background(), fmt.Sprintf("obj-c%d-%d", i%3, id))
 				continue
 			}
 			up, err := c.PrepareUpdate(testObject(i%3, id), testDataKey(3))
 			if err == nil {
-				_ = r.Update(up)
+				_ = r.UpdateContext(context.Background(), up)
 			}
 		}
 	}()
@@ -674,14 +675,14 @@ func TestSearchDuringFirstTrainAndChurn(t *testing.T) {
 		defer wg.Done()
 		defer close(trained)
 		for i := 0; i < 3; i++ {
-			if err := r.Train(); err != nil {
+			if err := r.TrainContext(context.Background()); err != nil {
 				t.Errorf("train: %v", err)
 				return
 			}
 		}
 	}()
 	for i, done := 0, false; i < 200 || !done; i++ {
-		if _, err := r.Search(q); err != nil {
+		if _, err := r.SearchContext(context.Background(), q); err != nil {
 			t.Fatalf("search %d: %v", i, err)
 		}
 		select {

@@ -84,14 +84,14 @@ func TestLoneModalityDepthAnswersAsDeep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := deep.Search(q)
+					want, err := deep.SearchContext(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if len(want) != k {
 						t.Fatalf("%s: %s query of class %d: %d hits at depth %d, want k = %d", stage, modality, class, len(want), 10*maxK, k)
 					}
-					local, err := lone.Search(q)
+					local, err := lone.SearchContext(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}

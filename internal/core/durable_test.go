@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -92,17 +93,17 @@ func runCrashScenario(t *testing.T, script walfault.Script, muts []mutation) *cr
 	for i, m := range muts {
 		var err error
 		if m.remove {
-			err = repo.Remove(m.id)
+			err = repo.RemoveContext(context.Background(), m.id)
 		} else {
-			err = repo.Update(m.up)
+			err = repo.UpdateContext(context.Background(), m.up)
 		}
 		if err == nil {
 			out.acked[i] = true
 			if m.remove {
-				if err := oracle.Remove(m.id); err != nil {
+				if err := oracle.RemoveContext(context.Background(), m.id); err != nil {
 					t.Fatal(err)
 				}
-			} else if err := oracle.Update(m.up); err != nil {
+			} else if err := oracle.UpdateContext(context.Background(), m.up); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -290,9 +291,9 @@ func TestCrashUnderSyncNever(t *testing.T) {
 	c := testClient(t)
 	for _, m := range crashMutations(t, c) {
 		if m.remove {
-			err = repo.Remove(m.id)
+			err = repo.RemoveContext(context.Background(), m.id)
 		} else {
-			err = repo.Update(m.up)
+			err = repo.UpdateContext(context.Background(), m.up)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +332,7 @@ func TestTrainedSnapshotPlusWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, repo, 4, 3)
-	if err := repo.Train(); err != nil {
+	if err := repo.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveService(svc, dir); err != nil {
@@ -342,10 +343,10 @@ func TestTrainedSnapshotPlusWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(up); err != nil {
+	if err := repo.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Remove("obj-c0-0"); err != nil {
+	if err := repo.RemoveContext(context.Background(), "obj-c0-0"); err != nil {
 		t.Fatal(err)
 	}
 	query := testObject(1, 77)
@@ -463,7 +464,7 @@ func runLogTrace(t *testing.T, seed int64) {
 		switch op := rng.Intn(100); {
 		case op < 50: // insert or overwrite
 			up := update(step, id(ids))
-			if err := repo.Update(up); err != nil {
+			if err := repo.UpdateContext(context.Background(), up); err != nil {
 				refusal(step, err)
 				continue
 			}
@@ -471,7 +472,7 @@ func runLogTrace(t *testing.T, seed int64) {
 			want = append(want, encodeWALRecord(up, up.ObjectID))
 		case op < 70: // remove, sometimes of an id never stored
 			rid := id(ids + 4)
-			if err := repo.Remove(rid); err != nil {
+			if err := repo.RemoveContext(context.Background(), rid); err != nil {
 				if refusal(step, err) != "wal" {
 					t.Fatalf("step %d: remove refused with %v", step, err)
 				}
@@ -482,24 +483,24 @@ func runLogTrace(t *testing.T, seed int64) {
 				want = append(want, encodeWALRecord(nil, rid))
 			}
 		case op < 80:
-			if err := repo.Train(); err != nil {
+			if err := repo.TrainContext(context.Background()); err != nil {
 				t.Fatalf("step %d: train: %v", step, err)
 			}
 			modes[repo.LastTrain().Mode]++
 		case op < 92: // encodings of two lengths: refused before the append
 			up := update(step, id(ids))
 			up.ImageEncodings = append(up.ImageEncodings, randomCode(rng, 128))
-			if err := repo.Update(up); refusal(step, err) != "length" {
+			if err := repo.UpdateContext(context.Background(), up); refusal(step, err) != "length" {
 				t.Fatalf("step %d: mixed-length update refused with %v", step, err)
 			}
 		default: // a write through a stale handle to an evicted repository
 			if err := svc.evictRepository(repoID); err != nil {
 				t.Fatal(err)
 			}
-			if err := repo.Update(update(step, id(ids))); refusal(step, err) != "closed" {
+			if err := repo.UpdateContext(context.Background(), update(step, id(ids))); refusal(step, err) != "closed" {
 				t.Fatalf("step %d: update through a stale handle refused with %v", step, err)
 			}
-			if err := repo.Remove(id(ids)); refusal(step, err) != "closed" {
+			if err := repo.RemoveContext(context.Background(), id(ids)); refusal(step, err) != "closed" {
 				t.Fatalf("step %d: remove through a stale handle refused with %v", step, err)
 			}
 			if repo, err = svc.Repository(repoID); err != nil {
@@ -628,7 +629,7 @@ func TestCrashMidCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, repo, 3, 3)
-	if err := repo.Train(); err != nil {
+	if err := repo.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveService(svc, dir); err != nil {
@@ -653,15 +654,15 @@ func TestCrashMidCompaction(t *testing.T) {
 	// the memtables and fires the compactor, which parks at the hook.
 	for i, m := range crashMutations(t, c) {
 		if m.remove {
-			err = repo.Remove(m.id)
+			err = repo.RemoveContext(context.Background(), m.id)
 		} else {
-			err = repo.Update(m.up)
+			err = repo.UpdateContext(context.Background(), m.up)
 		}
 		if err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
 	}
-	if err := repo.Train(); err != nil {
+	if err := repo.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := repo.LastTrain().Mode; got != "incremental" {
@@ -747,11 +748,11 @@ func TestRecoveryReportOfAFixedDirectory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := repo.Update(up(id, byte(i+1))); err != nil {
+		if err := repo.UpdateContext(context.Background(), up(id, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := repo.Remove("c"); err != nil {
+	if err := repo.RemoveContext(context.Background(), "c"); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(); err != nil {
@@ -831,12 +832,12 @@ func BenchmarkTrainedUpdate(b *testing.B) {
 	pool := spineShapeUpdates(rng, 128)
 	var live []string
 	for _, up := range pool {
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			b.Fatal(err)
 		}
 		live = append(live, up.ObjectID)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	fresh := 0
@@ -848,10 +849,10 @@ func BenchmarkTrainedUpdate(b *testing.B) {
 		case roll < 7:
 			up := *pool[rng.Intn(len(pool))]
 			up.ObjectID = live[rng.Intn(len(live))]
-			err = r.Update(&up)
+			err = r.UpdateContext(context.Background(), &up)
 		case roll == 9 && len(live) > 1:
 			j := rng.Intn(len(live))
-			err = r.Remove(live[j])
+			err = r.RemoveContext(context.Background(), live[j])
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 		default:
@@ -859,7 +860,7 @@ func BenchmarkTrainedUpdate(b *testing.B) {
 			up.ObjectID = fmt.Sprintf("w-%d", fresh)
 			fresh++
 			live = append(live, up.ObjectID)
-			err = r.Update(&up)
+			err = r.UpdateContext(context.Background(), &up)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -34,14 +35,14 @@ func buildSegmentedGoldenRepo(t *testing.T) (*Client, *Repository) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Remove("obj-c0-1"); err != nil {
+	if err := r.RemoveContext(context.Background(), "obj-c0-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.LastTrain().Mode; got != "incremental" {
@@ -51,10 +52,10 @@ func buildSegmentedGoldenRepo(t *testing.T) (*Client, *Repository) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Remove("obj-c2-0"); err != nil {
+	if err := r.RemoveContext(context.Background(), "obj-c2-0"); err != nil {
 		t.Fatal(err)
 	}
 	return c, r

@@ -63,7 +63,7 @@ func TestSearchHugeK(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		q.K = 1 << big
-		want, err := repo.Search(q)
+		want, err := repo.SearchContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: k = 2^%d: %v", stage, big, err)
 		}
@@ -72,7 +72,7 @@ func TestSearchHugeK(t *testing.T) {
 		}
 		for _, k := range []int{1 << bigger, math.MaxInt} {
 			q.K = k
-			local, err := repo.Search(q)
+			local, err := repo.SearchContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: k = %d in process: %v", stage, k, err)
 			}

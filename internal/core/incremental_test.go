@@ -54,11 +54,11 @@ func TestIncrementalTrainOnChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := r.Update(textUpdate(t, c, fmt.Sprintf("base-%d", i), i%4+1)); err != nil {
+		if err := r.UpdateContext(context.Background(), textUpdate(t, c, fmt.Sprintf("base-%d", i), i%4+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Churn: one new object, one replace, one remove.
@@ -66,20 +66,20 @@ func TestIncrementalTrainOnChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	repl, err := c.PrepareUpdate(&Object{ID: "base-0", Owner: "u", Text: "quetzal rainforest"}, testDataKey(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(repl); err != nil {
+	if err := r.UpdateContext(context.Background(), repl); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Remove("base-1"); err != nil {
+	if err := r.RemoveContext(context.Background(), "base-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	info := r.LastTrain()
@@ -105,7 +105,7 @@ func TestIncrementalTrainOnChurn(t *testing.T) {
 		}
 	}
 	// A second Train with no churn is still incremental (pure seal+compact).
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if info := r.LastTrain(); info.Mode != "incremental" || info.DeltaDocs != 0 {
@@ -139,22 +139,22 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		up := textUpdate(t, c, fmt.Sprintf("doc-%02d", i), i%6+1)
-		apply(func(r *Repository) error { return r.Update(up) })
+		apply(func(r *Repository) error { return r.UpdateContext(context.Background(), up) })
 	}
-	if err := inc.Train(); err != nil {
+	if err := inc.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// 25% churn: replacements, removals, inserts — then train both.
 	for i := 0; i < 4; i++ {
 		up := textUpdate(t, c, fmt.Sprintf("doc-%02d", i), (i+3)%6+1)
-		apply(func(r *Repository) error { return r.Update(up) })
+		apply(func(r *Repository) error { return r.UpdateContext(context.Background(), up) })
 	}
-	apply(func(r *Repository) error { return r.Remove("doc-10") })
+	apply(func(r *Repository) error { return r.RemoveContext(context.Background(), "doc-10") })
 	for i := 16; i < 20; i++ {
 		up := textUpdate(t, c, fmt.Sprintf("doc-%02d", i), i%6+1)
-		apply(func(r *Repository) error { return r.Update(up) })
+		apply(func(r *Repository) error { return r.UpdateContext(context.Background(), up) })
 	}
-	apply((*Repository).Train)
+	apply(func(r *Repository) error { return r.TrainContext(context.Background()) })
 	if got := inc.LastTrain().Mode; got != "incremental" {
 		t.Fatalf("incremental repo trained in mode %q", got)
 	}
@@ -166,11 +166,11 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := inc.Search(q)
+	got, err := inc.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.Search(q)
+	want, err := full.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestIncrementalMatchesFullRebuildRanking(t *testing.T) {
 	}
 	// Compacting the segmented index must not change the ranking either.
 	inc.CompactNow()
-	after, err := inc.Search(q)
+	after, err := inc.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFullRetrainEqualsFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, retrained, 4, 2)
-	if err := retrained.Train(); err != nil {
+	if err := retrained.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Churn: a class the codebook never saw, an overwrite, a removal.
@@ -218,11 +218,11 @@ func TestFullRetrainEqualsFreshBuild(t *testing.T) {
 		putObject(t, c, retrained, testObject(2, i))
 	}
 	putObject(t, c, retrained, &Object{ID: "obj-c0-1", Owner: "user1", Text: "mountain snow", Image: classImage(1, 40)})
-	if err := retrained.Remove("obj-c1-2"); err != nil {
+	if err := retrained.RemoveContext(context.Background(), "obj-c1-2"); err != nil {
 		t.Fatal(err)
 	}
 	withDriftGuards(t, 1e-9, -1)
-	if err := retrained.Train(); err != nil {
+	if err := retrained.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if info := retrained.LastTrain(); info.Mode != "full" || !info.DriftFallback {
@@ -236,11 +236,11 @@ func TestFullRetrainEqualsFreshBuild(t *testing.T) {
 	for _, id := range sortedIDs(retrained.objects.Items()) {
 		obj, _ := retrained.objects.Get(id)
 		up := &Update{ObjectID: id, Owner: obj.owner, Ciphertext: obj.ciphertext, TextTokens: obj.textTokens, ImageEncodings: obj.imageEncs, AudioEncodings: obj.audioEncs}
-		if err := fresh.Update(up); err != nil {
+		if err := fresh.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fresh.Train(); err != nil {
+	if err := fresh.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for cls := 0; cls < 3; cls++ {
@@ -262,7 +262,7 @@ func TestDriftFallbackForcesFullRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 4, 2) // classes 0 and 1 shape the codebook
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-distribution churn: a third class the vocabulary never saw.
@@ -271,11 +271,11 @@ func TestDriftFallbackForcesFullRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	info := r.LastTrain()
@@ -303,17 +303,17 @@ func TestNewModalityFallsBackToFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if r.codebookSize(ModalityImage) != 0 {
 		t.Fatalf("unexpected vocabulary %d", r.codebookSize(ModalityImage))
 	}
 	fillRepo(t, c, r, 3, 2) // images arrive
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if info := r.LastTrain(); info.Mode != "full" {
@@ -348,7 +348,7 @@ func TestAbortedTrainLeavesLastTrainUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 4, 2)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before, epoch, fallbacks := r.LastTrain(), r.Epoch(), r.met.driftFallbacks.Value()
@@ -366,7 +366,7 @@ func TestAbortedTrainLeavesLastTrainUntouched(t *testing.T) {
 		t.Errorf("repo_train_drift_fallback_total = %d, want %d", got, fallbacks+1)
 	}
 	// The retry sees the same delta, falls back again and this time installs.
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if info := r.LastTrain(); info.Mode != "full" || !info.DriftFallback || info.Epoch != epoch+1 {
@@ -401,10 +401,10 @@ func TestAbortedTrainReturnsTakenIDs(t *testing.T) {
 		}
 		putObject(t, c, aborted, testObject(2, 50)) // a write after the abort joins them
 		putObject(t, c, twin, testObject(2, 50))
-		if err := aborted.Train(); err != nil {
+		if err := aborted.TrainContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := twin.Train(); err != nil {
+		if err := twin.TrainContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := *aborted.LastTrain(), *twin.LastTrain(); got != want {
@@ -419,13 +419,13 @@ func TestAbortedTrainReturnsTakenIDs(t *testing.T) {
 		aborted, twin := pair(t, "abort-inc")
 		for _, r := range []*Repository{aborted, twin} {
 			fillRepo(t, c, r, 4, 3)
-			if err := r.Train(); err != nil {
+			if err := r.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 5; i++ {
 				putObject(t, c, r, testObject(1, 100+i))
 			}
-			if err := r.Remove("obj-c0-0"); err != nil {
+			if err := r.RemoveContext(context.Background(), "obj-c0-0"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -441,7 +441,7 @@ func TestAbortedTrainReturnsTakenIDs(t *testing.T) {
 		aborted, twin := pair(t, "abort-full")
 		for _, r := range []*Repository{aborted, twin} {
 			putObject(t, c, r, &Object{ID: "t1", Owner: "u", Text: "text only corpus"})
-			if err := r.Train(); err != nil {
+			if err := r.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			fillRepo(t, c, r, 3, 3) // images arrive
@@ -469,23 +469,23 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Remove("obj-c0-0"); err != nil {
+	if err := r.RemoveContext(context.Background(), "obj-c0-0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.LastTrain().Mode; got != "incremental" {
 		t.Fatalf("retrain mode = %q, want incremental", got)
 	}
-	if err := r.Update(textUpdate(t, c, "tail-1", 2)); err != nil {
+	if err := r.UpdateContext(context.Background(), textUpdate(t, c, "tail-1", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Remove("obj-c2-1"); err != nil {
+	if err := r.RemoveContext(context.Background(), "obj-c2-1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -529,10 +529,10 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored repository keeps working incrementally.
-	if err := restored.Update(textUpdate(t, c, "post-restore", 3)); err != nil {
+	if err := restored.UpdateContext(context.Background(), textUpdate(t, c, "post-restore", 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Train(); err != nil {
+	if err := restored.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := restored.LastTrain().Mode; got != "incremental" {
@@ -551,21 +551,21 @@ func TestCompactionMergesSegmentsAndDropsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := r.Update(textUpdate(t, c, fmt.Sprintf("d-%d", i), i%5+1)); err != nil {
+		if err := r.UpdateContext(context.Background(), textUpdate(t, c, fmt.Sprintf("d-%d", i), i%5+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4; i++ {
 			id := fmt.Sprintf("d-%d", (round*4+i)%8)
-			if err := r.Update(textUpdate(t, c, id, (round+i)%5+1)); err != nil {
+			if err := r.UpdateContext(context.Background(), textUpdate(t, c, id, (round+i)%5+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := r.Train(); err != nil {
+		if err := r.TrainContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if got := r.LastTrain().Mode; got != "incremental" {
@@ -576,7 +576,7 @@ func TestCompactionMergesSegmentsAndDropsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := r.Search(q)
+	before, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestCompactionMergesSegmentsAndDropsGarbage(t *testing.T) {
 			t.Errorf("%s: %d dead docs after CompactNow, want 0", mod, s.DeadDocs)
 		}
 	}
-	after, err := r.Search(q)
+	after, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,11 +617,11 @@ func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if err := r.Update(textUpdate(t, c, fmt.Sprintf("base-%d", i), i%5+1)); err != nil {
+		if err := r.UpdateContext(context.Background(), textUpdate(t, c, fmt.Sprintf("base-%d", i), i%5+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -676,7 +676,7 @@ func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.Search(searchQ); err != nil {
+				if _, err := r.SearchContext(context.Background(), searchQ); err != nil {
 					t.Errorf("concurrent search: %v", err)
 					return
 				}
@@ -689,11 +689,11 @@ func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 			defer writerWg.Done()
 			for _, s := range script {
 				if s.up == nil {
-					if err := r.Remove(s.id); err != nil {
+					if err := r.RemoveContext(context.Background(), s.id); err != nil {
 						t.Errorf("remove %s: %v", s.id, err)
 						return
 					}
-				} else if err := r.Update(s.up); err != nil {
+				} else if err := r.UpdateContext(context.Background(), s.up); err != nil {
 					t.Errorf("update %s: %v", s.id, err)
 					return
 				}
@@ -708,7 +708,7 @@ func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 	close(stop)
 	searchWg.Wait()
 	// Fold everything down deterministically, then compare to the oracle.
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	r.CompactNow()
@@ -718,27 +718,27 @@ func TestConcurrentSearchUpdateDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if err := oracle.Update(textUpdate(t, c, fmt.Sprintf("base-%d", i), i%5+1)); err != nil {
+		if err := oracle.UpdateContext(context.Background(), textUpdate(t, c, fmt.Sprintf("base-%d", i), i%5+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for id, up := range final {
-		if err := oracle.Update(up); err != nil {
+		if err := oracle.UpdateContext(context.Background(), up); err != nil {
 			t.Fatalf("oracle update %s: %v", id, err)
 		}
 	}
-	if err := oracle.Train(); err != nil {
+	if err := oracle.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	q, err := c.PrepareQuery(&Object{ID: "oq", Text: "oceanwave"}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Search(q)
+	got, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Search(q)
+	want, err := oracle.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

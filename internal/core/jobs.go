@@ -95,7 +95,7 @@ func (r *Repository) TrainStart() uint64 {
 // to the repository, not to the RPC (or caller) that started it — a phone
 // disconnecting must not abort the multi-minute k-means run it outsourced.
 func (r *Repository) runTrainJob(j *trainJob) {
-	err := r.Train()
+	err := r.TrainContext(context.Background())
 	st := TrainJobStatus{JobID: j.id, Epoch: r.Epoch()}
 	if err != nil {
 		st.State = TrainFailed

@@ -34,7 +34,7 @@ func jobTestRepo(t *testing.T, n int) (*Repository, *Client) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := repo.Update(up); err != nil {
+		if err := repo.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestTrainContextCancelledBeforeInstall(t *testing.T) {
 		t.Errorf("aborted train installed an epoch: trained=%v epoch=%d", repo.state.Load().trained, repo.Epoch())
 	}
 	// And a later un-cancelled Train succeeds.
-	if err := repo.Train(); err != nil {
+	if err := repo.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !repo.state.Load().trained || repo.Epoch() != 1 {

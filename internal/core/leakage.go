@@ -107,43 +107,12 @@ func (l *Leakage) recordTrain() {
 	l.trains++
 }
 
-// updateTokenFreq returns the total frequency the server learned for a
-// token through updates — the freq(w) update leakage that distinguishes MIE
-// in Table I.
-func (l *Leakage) updateTokenFreq(tok dpe.Token) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.updateTokens[tok]
-}
-
 // DistinctUpdateTokens returns how many deterministic token ids updates have
 // revealed.
 func (l *Leakage) DistinctUpdateTokens() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.updateTokens)
-}
-
-// searchTokenCount returns how many times a token id appeared in queries.
-func (l *Leakage) searchTokenCount(tok dpe.Token) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.searchTokens[tok]
-}
-
-// accessCount returns how many times a live object id was returned/read; a
-// removed id reads 0.
-func (l *Leakage) accessCount(objectID string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.accessed[objectID]
-}
-
-// ops returns the operation counters (updates, removes, searches, trains).
-func (l *Leakage) ops() (updates, removes, searches, trains int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.updates, l.removes, l.searches, l.trains
 }
 
 // LeakageSummary is the aggregate leakage profile of one repository — the

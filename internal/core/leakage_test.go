@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -35,7 +36,7 @@ func TestLeakageSummaryCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +51,7 @@ func TestLeakageSummaryCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, err := r.Search(q)
+		hits, err := r.SearchContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestLeakageSummaryCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.Update(up); err != nil {
+	if err := r2.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	sums := svc.LeakageSummaries()
@@ -166,11 +167,11 @@ func TestLeakageLedgerIsBounded(t *testing.T) {
 		case roll < 5:
 			up := *ups[rng.Intn(len(ups))]
 			up.ObjectID = id
-			err = r.Update(&up)
+			err = r.UpdateContext(context.Background(), &up)
 		case roll < 6:
-			err = r.Remove(id)
+			err = r.RemoveContext(context.Background(), id)
 		case roll < 9:
-			_, err = r.Search(queries[rng.Intn(len(queries))])
+			_, err = r.SearchContext(context.Background(), queries[rng.Intn(len(queries))])
 		default:
 			if _, _, err = r.Get(id); errors.Is(err, ErrUnknownObject) {
 				err = nil
@@ -219,7 +220,7 @@ func TestWinnerRemovedBeforeCollectIsNotRevealed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +235,7 @@ func TestWinnerRemovedBeforeCollectIsNotRevealed(t *testing.T) {
 	for _, stage := range []string{"untrained", "trained"} {
 		add(victim, "zebra zebra zebra") // the only zebra: the top winner
 		if stage == "trained" {
-			if err := r.Train(); err != nil {
+			if err := r.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,11 +249,11 @@ func TestWinnerRemovedBeforeCollectIsNotRevealed(t *testing.T) {
 		reveals, retired, accessed := r.leak.accessReveals, r.leak.retiredObjects, maps.Clone(r.leak.accessed)
 		r.leak.mu.Unlock()
 		SetSearchCollectHook(func() {
-			if err := r.Remove(victim); err != nil {
+			if err := r.RemoveContext(context.Background(), victim); err != nil {
 				t.Error(err)
 			}
 		})
-		hits, err := r.Search(q)
+		hits, err := r.SearchContext(context.Background(), q)
 		SetSearchCollectHook(nil)
 		if err != nil {
 			t.Fatal(err)

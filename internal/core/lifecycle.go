@@ -386,23 +386,6 @@ func (s *Service) evictEntry(e *repoEntry) error {
 	return nil
 }
 
-// evictRepository forces one repository cold, regardless of the memory
-// budget — the tests' way into crash-during-eviction scenarios. It fails if
-// the repository is pinned by in-flight requests; evicting an already-cold
-// repository is a no-op.
-func (s *Service) evictRepository(id string) error {
-	if s.durable == nil {
-		return errors.New("core: eviction needs a durable service")
-	}
-	s.mu.RLock()
-	e := s.entries[id]
-	s.mu.RUnlock()
-	if e == nil {
-		return fmt.Errorf("%w: %s", ErrRepoNotFound, id)
-	}
-	return s.evictEntry(e)
-}
-
 // LifecycleStats is a point-in-time summary of the service's repository
 // lifecycle.
 type LifecycleStats struct {

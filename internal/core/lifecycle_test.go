@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -59,7 +60,7 @@ func TestColdActivationSingleFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := repo.Update(ownedUpdate(t, c, "o1", "u", "cold start content", 1)); err != nil {
+		if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, "o1", "u", "cold start content", 1)); err != nil {
 			t.Fatal(err)
 		}
 		if err := svc.Close(); err != nil {
@@ -138,7 +139,7 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := repo.Update(ownedUpdate(t, c, "obj", "u", "budget pressure "+id, byte(i+1))); err != nil {
+		if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, "obj", "u", "budget pressure "+id, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +179,7 @@ func TestEvictRepositoryAndReactivate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(ownedUpdate(t, c, "a", "u", "survives eviction", 1)); err != nil {
+	if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, "a", "u", "survives eviction", 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -238,11 +239,11 @@ func TestTenantObjectAndByteQuotas(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("o%d", i)
-		if err := repo.Update(ownedUpdate(t, c, id, "alice", "within quota "+id, byte(i+1))); err != nil {
+		if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, id, "alice", "within quota "+id, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err = repo.Update(ownedUpdate(t, c, "o2", "alice", "over quota", 3))
+	err = repo.UpdateContext(context.Background(), ownedUpdate(t, c, "o2", "alice", "over quota", 3))
 	if !errors.Is(err, ErrOverQuota) {
 		t.Fatalf("third insert: err = %v, want ErrOverQuota", err)
 	}
@@ -262,16 +263,16 @@ func TestTenantObjectAndByteQuotas(t *testing.T) {
 	}
 	// Replacing an existing object is not growth and stays admitted; another
 	// tenant is unaffected; freeing capacity re-admits.
-	if err := repo.Update(ownedUpdate(t, c, "o1", "alice", "replaced in place", 4)); err != nil {
+	if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, "o1", "alice", "replaced in place", 4)); err != nil {
 		t.Errorf("replace at quota: %v", err)
 	}
-	if err := repo.Update(ownedUpdate(t, c, "b0", "bob", "other tenant", 5)); err != nil {
+	if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, "b0", "bob", "other tenant", 5)); err != nil {
 		t.Errorf("second tenant blocked by first tenant's quota: %v", err)
 	}
-	if err := repo.Remove("o0"); err != nil {
+	if err := repo.RemoveContext(context.Background(), "o0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(ownedUpdate(t, c, "o2", "alice", "fits after remove", 6)); err != nil {
+	if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, "o2", "alice", "fits after remove", 6)); err != nil {
 		t.Errorf("insert after freeing capacity: %v", err)
 	}
 }
@@ -324,7 +325,7 @@ func TestQuotaCreditsOnEviction(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("o%d", i)
-		if err := repo.Update(ownedUpdate(t, c, id, "erin", "resident footprint "+id, byte(i+1))); err != nil {
+		if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, id, "erin", "resident footprint "+id, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +347,7 @@ func TestQuotaCreditsOnEviction(t *testing.T) {
 	if u := svc.Tenants().usageOf("erin"); u.Objects != 3 {
 		t.Errorf("usage after reactivation = %+v, want 3 objects (recounted)", u)
 	}
-	if err := back.Update(ownedUpdate(t, c, "o3", "erin", "one more fits", 9)); err != nil {
+	if err := back.UpdateContext(context.Background(), ownedUpdate(t, c, "o3", "erin", "one more fits", 9)); err != nil {
 		t.Errorf("insert within quota after reactivation: %v", err)
 	}
 }
@@ -401,7 +402,7 @@ func TestLifecycleChurnRace(t *testing.T) {
 					text := fmt.Sprintf("worker %d op %d payload", w, op)
 					up, err := c.PrepareUpdate(&Object{ID: objID, Owner: "u", Text: text}, testDataKey(byte(w+1)))
 					if err == nil {
-						err = repo.Update(up)
+						err = repo.UpdateContext(context.Background(), up)
 					}
 					if err != nil {
 						release()
@@ -509,7 +510,7 @@ func TestEvictionAfterWALCrash(t *testing.T) {
 	}
 	keys := map[string]byte{"a": 1, "b": 2}
 	for id, text := range texts {
-		if err := repo.Update(ownedUpdate(t, c, id, "u", text, keys[id])); err != nil {
+		if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, id, "u", text, keys[id])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -640,7 +641,7 @@ func TestRepoIDStemsSurviveRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Update(ownedUpdate(t, c, fmt.Sprintf("obj-%d", i), "u", "stem survivor", 1)); err != nil {
+			if err := r.UpdateContext(context.Background(), ownedUpdate(t, c, fmt.Sprintf("obj-%d", i), "u", "stem survivor", 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -718,7 +719,7 @@ func snapshotImage(t *testing.T, c *Client, id string, objs ...string) []byte {
 	}
 	defer func() { _ = r.Close() }()
 	for i, o := range objs {
-		if err := r.Update(ownedUpdate(t, c, o, "u", "installed object "+o, byte(i+1))); err != nil {
+		if err := r.UpdateContext(context.Background(), ownedUpdate(t, c, o, "u", "installed object "+o, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -745,7 +746,7 @@ func TestInstallSnapshotRacesAcquireHerd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(ownedUpdate(t, c, "old", "u", "before the install", 1)); err != nil {
+	if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, "old", "u", "before the install", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.evictRepository("herd"); err != nil {
@@ -871,7 +872,7 @@ func TestInstallSnapshotOverPinnedRepository(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range []string{"o1", "o2"} {
-		if err := repo.Update(ownedUpdate(t, c, id, "u", "pinned text "+id, byte(i+1))); err != nil {
+		if err := repo.UpdateContext(context.Background(), ownedUpdate(t, c, id, "u", "pinned text "+id, byte(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -988,13 +989,13 @@ func TestWritesToAClosedRepositoryAreRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := stale.Update(up); !errors.Is(err, ErrRepoNotFound) {
+			if err := stale.UpdateContext(context.Background(), up); !errors.Is(err, ErrRepoNotFound) {
 				t.Errorf("update of a closed repository: err = %v, want ErrRepoNotFound", err)
 			}
-			if err := stale.Remove("keep"); !errors.Is(err, ErrRepoNotFound) {
+			if err := stale.RemoveContext(context.Background(), "keep"); !errors.Is(err, ErrRepoNotFound) {
 				t.Errorf("remove from a closed repository: err = %v, want ErrRepoNotFound", err)
 			}
-			if err := stale.Train(); !errors.Is(err, ErrRepoNotFound) {
+			if err := stale.TrainContext(context.Background()); !errors.Is(err, ErrRepoNotFound) {
 				t.Errorf("train of a closed repository: err = %v, want ErrRepoNotFound", err)
 			}
 			if stale.state.Load().trained {
@@ -1065,7 +1066,7 @@ func TestClosedRepositoryRacingWritersLoseNothing(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, up := range ups[w] {
-				switch err := stale.Update(up); {
+				switch err := stale.UpdateContext(context.Background(), up); {
 				case err == nil:
 					acked[w] = append(acked[w], up.ObjectID)
 				case !errors.Is(err, ErrRepoNotFound):

@@ -45,21 +45,6 @@ type Object struct {
 	Audio *audio.Clip
 }
 
-// modalities lists the modalities present in the object.
-func (o *Object) modalities() []Modality {
-	var ms []Modality
-	if o.Text != "" {
-		ms = append(ms, ModalityText)
-	}
-	if o.Image != nil {
-		ms = append(ms, ModalityImage)
-	}
-	if o.Audio != nil {
-		ms = append(ms, ModalityAudio)
-	}
-	return ms
-}
-
 // Marshal serializes the object for encryption under its data key.
 func (o *Object) Marshal() ([]byte, error) {
 	var buf bytes.Buffer

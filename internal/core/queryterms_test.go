@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
@@ -152,12 +153,12 @@ func TestSearchRefusesUnsortedTokens(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = r.Close() })
 		for _, up := range ups {
-			if err := r.Update(up); err != nil {
+			if err := r.UpdateContext(context.Background(), up); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if trained {
-			if err := r.Train(); err != nil {
+			if err := r.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,7 +166,7 @@ func TestSearchRefusesUnsortedTokens(t *testing.T) {
 		if len(sorted) < 2 {
 			t.Fatal("the query needs two tokens")
 		}
-		if _, err := r.Search(&Query{TextTokens: sorted, K: 5}); err != nil {
+		if _, err := r.SearchContext(context.Background(), &Query{TextTokens: sorted, K: 5}); err != nil {
 			t.Fatalf("trained %v: sorted query: %v", trained, err)
 		}
 		swapped := append([]TokenFreq(nil), sorted...)
@@ -173,7 +174,7 @@ func TestSearchRefusesUnsortedTokens(t *testing.T) {
 		repeated := append([]TokenFreq(nil), sorted...)
 		repeated[1] = repeated[0]
 		for name, tokens := range map[string][]TokenFreq{"out of order": swapped, "repeated": repeated} {
-			if hits, err := r.Search(&Query{TextTokens: tokens, K: 5}); err == nil {
+			if hits, err := r.SearchContext(context.Background(), &Query{TextTokens: tokens, K: 5}); err == nil {
 				t.Errorf("trained %v: a query with tokens %s answered %d hits", trained, name, len(hits))
 			}
 		}
@@ -241,12 +242,12 @@ func boundaryRepository(t *testing.T) (*Repository, []*Update) {
 	ups := mixedUpdates(rand.New(rand.NewSource(9)), 80)
 	r := trainedRepository(t, smallRepoOptions(), ups[:60])
 	for _, up := range ups[60:] {
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, id := range []string{ups[3].ObjectID, ups[70].ObjectID} {
-		if err := r.Remove(id); err != nil {
+		if err := r.RemoveContext(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +304,7 @@ func searchBits(t *testing.T, r *Repository, ups []*Update) []string {
 			if len(q.TextTokens) == 0 && len(q.ImageEncodings) == 0 {
 				continue
 			}
-			hits, err := r.Search(q)
+			hits, err := r.SearchContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -416,28 +416,14 @@ func (r *Repository) Options() RepositoryOptions { return r.opts }
 // Size returns the number of stored objects.
 func (r *Repository) Size() int { return r.objects.Len() }
 
-func (r *Repository) codebookSize(m Modality) int {
-	for _, eng := range r.state.Load().engines {
-		if eng.Modality() == m {
-			return eng.CodebookSize()
-		}
-	}
-	return 0
-}
-
-// Update stores (or replaces) an encrypted object and its encodings
+// UpdateContext stores (or replaces) an encrypted object and its encodings
 // (CLOUD.Update, Algorithm 7). If the repository is trained the object is
 // indexed immediately; otherwise indexing happens at Train time. Every
 // refusal — a missing id, an encoding of the wrong length, an owner over
 // quota, a closed repository, a WAL error — comes before the mutation is
 // logged and leaves no trace; after the append nothing can fail, so an
-// acknowledged update is stored and indexed across every modality.
-func (r *Repository) Update(up *Update) error {
-	return r.UpdateContext(context.Background(), up)
-}
-
-// UpdateContext is Update carrying the caller's context, so the update's
-// phase spans (index, wal_append) join the request's distributed trace.
+// acknowledged update is stored and indexed across every modality. The
+// update's phase spans (index, wal_append) join ctx's distributed trace.
 func (r *Repository) UpdateContext(ctx context.Context, up *Update) error {
 	if up.ObjectID == "" {
 		return errors.New("core: update needs an object id")
@@ -545,15 +531,10 @@ func indexObject(st *repoState, id string, obj *storedObject) {
 	}
 }
 
-// Remove deletes an object and its index entries (CLOUD.Remove,
-// Algorithm 8). Unknown ids are a no-op. On a durable repository the
-// removal is logged before it is applied; a WAL error leaves the object in
-// place and is returned.
-func (r *Repository) Remove(objectID string) error {
-	return r.RemoveContext(context.Background(), objectID)
-}
-
-// RemoveContext is Remove carrying the caller's context for tracing.
+// RemoveContext deletes an object and its index entries (CLOUD.Remove,
+// Algorithm 8), traced under ctx. Unknown ids are a no-op. On a durable
+// repository the removal is logged before it is applied; a WAL error leaves
+// the object in place and is returned.
 func (r *Repository) RemoveContext(ctx context.Context, objectID string) error {
 	_, sp := obs.StartSpan(ctx, r.met.reg, "repo/remove")
 	defer sp.End()
@@ -653,7 +634,7 @@ func (r *Repository) reveal(objectID string) (*storedObject, bool) {
 	return obj, ok
 }
 
-// Train runs the machine-learning step in the cloud (CLOUD.Train,
+// TrainContext runs the machine-learning step in the cloud (CLOUD.Train,
 // Algorithm 6) as one pipeline of five steps, the same for a first Train and
 // for every later one; only what steps two and three do differs.
 //
@@ -683,14 +664,12 @@ func (r *Repository) reveal(objectID string) (*storedObject, bool) {
 // mid-training is served by the previous epoch throughout. A run that does
 // not install — cancelled, or failed — merges the ids it took back, so the
 // next Train accounts for them.
-func (r *Repository) Train() error { return r.TrainContext(context.Background()) }
-
-// TrainContext is Train with cooperative cancellation: the context is
-// checked between training phases (after acquiring the train lock, between
-// per-modality codebook runs, and before the epoch install), so an aborted
-// run releases its partially built indexes and leaves the current epoch
-// serving, untouched. It is the engine half of the wire protocol's
-// deadline-aware Train.
+//
+// Cancellation is cooperative: ctx is checked between training phases
+// (after acquiring the train lock, between per-modality codebook runs, and
+// before the epoch install), so an aborted run releases its partially built
+// indexes and leaves the current epoch serving, untouched. It is the engine
+// half of the wire protocol's deadline-aware Train.
 func (r *Repository) TrainContext(ctx context.Context) error {
 	_, sp := obs.StartSpan(ctx, r.met.reg, "repo/train")
 	defer sp.End()
@@ -1080,34 +1059,24 @@ func closeIndexes(indexes []*index.Segmented) {
 	}
 }
 
-// Search answers a multimodal query (CLOUD.Search, Algorithm 9): per
+// SearchContext answers a multimodal query (CLOUD.Search, Algorithm 9): per
 // modality, either a sub-linear index lookup (after training) or a linear
 // ranked scan over stored encodings (before), then logarithmic ISR rank
-// fusion across modalities and truncation to the top k.
-func (r *Repository) Search(q *Query) ([]SearchHit, error) {
-	return r.SearchWithFusionContext(context.Background(), q, fusion.LogISR)
-}
-
-// SearchContext is Search carrying the caller's context, so the fan-out
-// lookup, fusion and collect spans join the request's distributed trace.
+// fusion across modalities and truncation to the top k. The fan-out lookup,
+// fusion and collect spans join ctx's distributed trace.
 func (r *Repository) SearchContext(ctx context.Context, q *Query) ([]SearchHit, error) {
 	return r.SearchWithFusionContext(ctx, q, fusion.LogISR)
 }
 
-// SearchWithFusion is Search with an explicit rank-fusion formula; the
-// default (and the paper's choice) is logarithmic ISR. Exposed for the
-// fusion ablation.
+// SearchWithFusionContext is SearchContext with an explicit rank-fusion
+// formula; the default (and the paper's choice) is logarithmic ISR. Exposed
+// for the fusion ablation.
 //
 // The per-modality lookups fan out in parallel goroutines and join before
 // fusion, so the search phase costs max(modality lookups), not their sum (a
 // query carrying a single modality runs its lookup inline);
 // the whole path is lock-free against the repository (epoch load + store
 // shard reads only) and therefore never blocks on a concurrent Train.
-func (r *Repository) SearchWithFusion(q *Query, method fusion.Method) ([]SearchHit, error) {
-	return r.SearchWithFusionContext(context.Background(), q, method)
-}
-
-// SearchWithFusionContext is SearchWithFusion carrying the caller's context.
 func (r *Repository) SearchWithFusionContext(ctx context.Context, q *Query, method fusion.Method) ([]SearchHit, error) {
 	if q.K <= 0 {
 		return nil, errors.New("core: query k must be positive")
@@ -1237,7 +1206,7 @@ func (r *Repository) searchModality(st *repoState, i int, eng ModalityEngine, q 
 	if err != nil {
 		return nil, err
 	}
-	return st.indexes[i].Search(terms, depth), nil
+	return st.indexes[i].Lookup(terms, depth), nil
 }
 
 // Close closes the indexes and the write-ahead log; from then on Update,

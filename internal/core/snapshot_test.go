@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -26,7 +27,7 @@ func buildTrainedRepo(t *testing.T, id string) (*Client, *Repository) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 4, 3)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return c, r
@@ -39,7 +40,7 @@ func searchIDs(t *testing.T, c *Client, r *Repository, obj *Object, k int) []str
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Update(up); err != nil {
+	if err := restored.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	got := searchIDs(t, c, restored, &Object{ID: "q", Text: "quokka"}, 2)
@@ -123,7 +124,7 @@ func TestSnapshotUntrainedRepo(t *testing.T) {
 	if got := searchIDs(t, c, restored, testObject(0, 9), 2); len(got) == 0 {
 		t.Error("linear search on restored repo found nothing")
 	}
-	if err := restored.Train(); err != nil {
+	if err := restored.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,12 +158,12 @@ func TestLoadRepositoryRefusesWhatUpdateRefuses(t *testing.T) {
 		}
 		for i := 0; i < 12; i++ {
 			up := &Update{ObjectID: fmt.Sprintf("o%02d", i), Owner: "u", TextTokens: map[dpe.Token]uint64{{byte(i)}: 1}, ImageEncodings: codes(64)}
-			if err := r.Update(up); err != nil {
+			if err := r.UpdateContext(context.Background(), up); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if trained {
-			if err := r.Train(); err != nil {
+			if err := r.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,7 +179,7 @@ func TestLoadRepositoryRefusesWhatUpdateRefuses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unedited snapshot (trained %v): %v", trained, err)
 		}
-		if err := r.Train(); err != nil {
+		if err := r.TrainContext(context.Background()); err != nil {
 			t.Fatalf("train after restoring the unedited snapshot (trained %v): %v", trained, err)
 		}
 	}
@@ -243,7 +244,7 @@ func TestSaveLoadService(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := repo.Update(up); err != nil {
+		if err := repo.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +280,7 @@ func TestSaveServiceOverwritesAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(up); err != nil {
+	if err := repo.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveService(svc, dir); err != nil {
@@ -289,7 +290,7 @@ func TestSaveServiceOverwritesAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(up2); err != nil {
+	if err := repo.UpdateContext(context.Background(), up2); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveService(svc, dir); err != nil {
@@ -330,7 +331,7 @@ func TestLoadServicePartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(up); err != nil {
+	if err := repo.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveService(svc, dir); err != nil {
@@ -381,7 +382,7 @@ func TestSaveServiceRefusesForeignDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update(ownedUpdate(t, c, "o", "u", "acknowledged", 1)); err != nil {
+	if err := r.UpdateContext(context.Background(), ownedUpdate(t, c, "o", "u", "acknowledged", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveService(svc, foreign); err == nil {
@@ -405,7 +406,7 @@ func TestSaveServiceRefusesForeignDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mr.Update(ownedUpdate(t, c, "o", "u", "exported", 1)); err != nil {
+	if err := mr.UpdateContext(context.Background(), ownedUpdate(t, c, "o", "u", "exported", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveService(mem, foreign); err != nil {

@@ -76,7 +76,7 @@ func TestModalityLookupsRunInParallel(t *testing.T) {
 	var bestSearch, bestText, bestImage float64
 	for iter := 0; iter < 6; iter++ {
 		s0, t0, i0 := phaseSum("repo/search"), phaseSum("repo/search/text_lookup"), phaseSum("repo/search/image_lookup")
-		if _, err := r.Search(q); err != nil {
+		if _, err := r.SearchContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 		dS := phaseSum("repo/search") - s0

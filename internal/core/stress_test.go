@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -57,15 +58,19 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 4, 3)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	reached, release := gateTrain(t)
 	defer release()
 	trainDone := make(chan error, 1)
-	go func() { trainDone <- r.Train() }()
-	<-reached // training is now in flight, parked before the epoch swap
+	go func() {
+		trainDone <- r.TrainContext(context.Background(
+		// training is now in flight, parked before the epoch swap
+		))
+	}()
+	<-reached
 
 	// A search issued mid-training must return (served by the old epoch)
 	// before training finishes.
@@ -73,7 +78,7 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("mid-train search: %v", err)
 	}
@@ -89,14 +94,14 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	// Writes also proceed: an update lands in the old epoch's index and is
 	// immediately searchable mid-training.
 	up := textUpdate(t, c, "midtrain-1", 3)
-	if err := r.Update(up); err != nil {
+	if err := r.UpdateContext(context.Background(), up); err != nil {
 		t.Fatalf("mid-train update: %v", err)
 	}
 	qNew, err := c.PrepareQuery(&Object{ID: "q2", Text: "oceanwave"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err = r.Search(qNew)
+	hits, err = r.SearchContext(context.Background(), qNew)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +111,7 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	if _, _, err := r.Get("midtrain-1"); err != nil {
 		t.Fatalf("mid-train get: %v", err)
 	}
-	r.Remove("midtrain-1")
+	r.RemoveContext(context.Background(), "midtrain-1")
 	if _, _, err := r.Get("midtrain-1"); !errors.Is(err, ErrUnknownObject) {
 		t.Fatalf("mid-train remove not visible: err=%v", err)
 	}
@@ -120,7 +125,7 @@ func TestSearchAndWritesProceedWhileTrainInFlight(t *testing.T) {
 	}
 	// The install-time re-index must have carried the mid-train update AND
 	// its removal into the new epoch: the object stays gone.
-	hits, err = r.Search(qNew)
+	hits, err = r.SearchContext(context.Background(), qNew)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func trainReindexOracle(t *testing.T, full bool) {
 	}
 	// Base corpus (with images, so the codebook path trains too).
 	fillRepo(t, c, r, 3, 3)
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// For the full mode, images of a class the codebook never saw, under a
@@ -212,7 +217,7 @@ func trainReindexOracle(t *testing.T, full bool) {
 
 	reached, release := gateTrain(t)
 	trainDone := make(chan error, 1)
-	go func() { trainDone <- r.Train() }()
+	go func() { trainDone <- r.TrainContext(context.Background()) }()
 	<-reached
 
 	var writerWg sync.WaitGroup
@@ -222,8 +227,8 @@ func trainReindexOracle(t *testing.T, full bool) {
 			defer writerWg.Done()
 			for _, s := range script {
 				if s.up == nil {
-					r.Remove(s.id)
-				} else if err := r.Update(s.up); err != nil {
+					r.RemoveContext(context.Background(), s.id)
+				} else if err := r.UpdateContext(context.Background(), s.up); err != nil {
 					t.Errorf("update %s: %v", s.id, err)
 					return
 				}
@@ -244,7 +249,7 @@ func trainReindexOracle(t *testing.T, full bool) {
 					return
 				default:
 				}
-				if _, err := r.Search(searchQ); err != nil {
+				if _, err := r.SearchContext(context.Background(), searchQ); err != nil {
 					t.Errorf("concurrent search: %v", err)
 					return
 				}
@@ -281,11 +286,11 @@ func trainReindexOracle(t *testing.T, full bool) {
 		putObject(t, c, oracle, obj)
 	}
 	for id, up := range final {
-		if err := oracle.Update(up); err != nil {
+		if err := oracle.UpdateContext(context.Background(), up); err != nil {
 			t.Fatalf("oracle update %s: %v", id, err)
 		}
 	}
-	if err := oracle.Train(); err != nil {
+	if err := oracle.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -295,11 +300,11 @@ func trainReindexOracle(t *testing.T, full bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Search(q)
+	got, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Search(q)
+	want, err := oracle.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +345,7 @@ func TestSearchDropsStaleHitsWithoutRecordingAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRepo(t, c, r, 3, 3) // 3 classes, so class terms have non-zero IDF
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the race window: the object vanishes from the store while
@@ -370,7 +375,7 @@ func TestSearchDropsStaleHitsWithoutRecordingAccess(t *testing.T) {
 		t.Fatal("test setup: victim postings should still be indexed")
 	}
 	q := q0(t, c, 0)
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 // can test with errors.Is regardless of which resource ran out.
 var ErrOverQuota = errors.New("core: tenant over quota")
 
-// Quotas bounds what one tenant (an internal/auth principal, which for
-// stored objects is the object's Owner) may hold resident and have in
-// flight. A zero field means that resource is unlimited; the zero value
+// Quotas bounds what one tenant (for stored objects the object's Owner, for
+// requests the user the server's authorizer verified) may hold resident and
+// have in flight. A zero field means that resource is unlimited; the zero value
 // disables admission control entirely.
 //
 // Objects and bytes quotas bound the tenant's footprint across the
@@ -24,7 +24,7 @@ var ErrOverQuota = errors.New("core: tenant over quota")
 // credits them back. That is the resource admission control protects — the
 // memory of this server — and it keeps accounting exact without a durable
 // per-tenant ledger. In-flight quotas bound concurrent requests admitted on
-// behalf of one principal.
+// behalf of one verified user.
 type Quotas struct {
 	// MaxObjects caps the stored objects owned by one tenant across active
 	// repositories.
@@ -100,16 +100,6 @@ func newTenantGovernor(q Quotas) *TenantGovernor {
 	}
 }
 
-// usageOf returns tenant's current footprint (zero for unknown tenants).
-func (g *TenantGovernor) usageOf(tenant string) TenantUsage {
-	if g == nil {
-		return TenantUsage{}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.usage[tenant]
-}
-
 // reject records a rejection in the process registry (total plus a
 // per-resource breakdown) and builds the typed error.
 func (g *TenantGovernor) reject(tenant, resource string, limit, used int64, retry time.Duration) *QuotaError {
@@ -129,7 +119,8 @@ func (g *TenantGovernor) set(tenant string, u TenantUsage) {
 }
 
 // Admit reserves an in-flight slot for tenant, returning the release that
-// frees it. The server calls it once per request before dispatch.
+// frees it. The server calls it once per request, after authorizing it and
+// before any engine work.
 func (g *TenantGovernor) Admit(tenant string) (release func(), err error) {
 	if g == nil {
 		return func() {}, nil

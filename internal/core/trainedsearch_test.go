@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,11 +36,11 @@ func trainedRepository(tb testing.TB, opts RepositoryOptions, ups []*Update) *Re
 	}
 	tb.Cleanup(func() { _ = r.Close() })
 	for _, up := range ups {
-		if err := r.Update(up); err != nil {
+		if err := r.UpdateContext(context.Background(), up); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if err := r.Train(); err != nil {
+	if err := r.TrainContext(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return r
@@ -60,12 +61,12 @@ func TestTrainedSearchAllocs(t *testing.T) {
 	ups := textShapeUpdates(rand.New(rand.NewSource(1)), 50)
 	r := trainedRepository(t, RepositoryOptions{}, ups)
 	q := &Query{K: 10, TextTokens: SortedTokens(ups[0].TextTokens)}
-	hits, err := r.Search(q)
+	hits, err := r.SearchContext(context.Background(), q)
 	if err != nil || len(hits) != q.K {
 		t.Fatalf("search: %d hits, %v; want %d", len(hits), err, q.K)
 	}
 	const want = 9
-	if got := testing.AllocsPerRun(100, func() { _, _ = r.Search(q) }); got != want {
+	if got := testing.AllocsPerRun(100, func() { _, _ = r.SearchContext(context.Background(), q) }); got != want {
 		t.Errorf("%v allocations per trained text search, want %v", got, want)
 	}
 }
@@ -96,7 +97,7 @@ func BenchmarkTrainedSearch(b *testing.B) {
 			b.ResetTimer()
 			var err error
 			for i := 0; i < b.N; i++ {
-				if hitsSink, err = r.Search(bc.q); err != nil || len(hitsSink) == 0 {
+				if hitsSink, err = r.SearchContext(context.Background(), bc.q); err != nil || len(hitsSink) == 0 {
 					b.Fatalf("search: %d hits, %v", len(hitsSink), err)
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"os"
@@ -184,7 +185,7 @@ func TestBadWALRecordKeepsRepositoryDown(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range muts[:2] {
-				if err := repo.Update(m.up); err != nil {
+				if err := repo.UpdateContext(context.Background(), m.up); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -257,7 +258,7 @@ func TestUnloadedRepositoryFilesSurviveRestarts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range muts[:2] {
-			if err := repo.Update(m.up); err != nil {
+			if err := repo.UpdateContext(context.Background(), m.up); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -297,7 +298,7 @@ func TestUnloadedRepositoryFilesSurviveRestarts(t *testing.T) {
 		if _, _, err := repo.Get(muts[0].id); err != nil {
 			t.Errorf("restart %d: healthy repository lost %s: %v", restart, muts[0].id, err)
 		}
-		if err := repo.Update(muts[2+restart].up); err != nil {
+		if err := repo.UpdateContext(context.Background(), muts[2+restart].up); err != nil {
 			t.Errorf("restart %d: healthy repository refuses writes: %v", restart, err)
 		}
 		if err := SaveService(svc, dir); err != nil {
@@ -336,7 +337,7 @@ func TestInstallSnapshotQuarantinesUnloadedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range muts[:2] {
-		if err := repo.Update(m.up); err != nil {
+		if err := repo.UpdateContext(context.Background(), m.up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,7 +364,7 @@ func TestInstallSnapshotQuarantinesUnloadedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.Update(muts[2].up); err != nil {
+	if err := leader.UpdateContext(context.Background(), muts[2].up); err != nil {
 		t.Fatal(err)
 	}
 	var image bytes.Buffer
@@ -451,7 +452,7 @@ func TestRestoreFailedGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.Update(muts[0].up); err != nil {
+	if err := leader.UpdateContext(context.Background(), muts[0].up); err != nil {
 		t.Fatal(err)
 	}
 	var image bytes.Buffer
@@ -483,7 +484,7 @@ func TestSecondInstallKeepsFirstQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range muts[:2] {
-		if err := repo.Update(m.up); err != nil {
+		if err := repo.UpdateContext(context.Background(), m.up); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -514,7 +515,7 @@ func TestSecondInstallKeepsFirstQuarantine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := leader.Update(muts[2+gen].up); err != nil {
+		if err := leader.UpdateContext(context.Background(), muts[2+gen].up); err != nil {
 			t.Fatal(err)
 		}
 		var image bytes.Buffer

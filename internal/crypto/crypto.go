@@ -131,14 +131,6 @@ func (g *PRG) Float64() float64 {
 	return float64(g.Uint64()>>11) / float64(1<<53)
 }
 
-// intn returns a pseudo-random value uniform in [0,n). Panics if n <= 0.
-func (g *PRG) intn(n int) int {
-	if n <= 0 {
-		panic("crypto: PRG.intn n must be positive")
-	}
-	return int(g.Uint64() % uint64(n))
-}
-
 // NormFloat64 returns a standard normal sample via Box-Muller, driven by the
 // PRG stream. Used to populate the Dense-DPE projection matrix A.
 func (g *PRG) NormFloat64() float64 {

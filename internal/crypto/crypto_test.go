@@ -167,22 +167,6 @@ func TestPRGNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPRGIntn(t *testing.T) {
-	g := NewPRG(testKey(10), "intn")
-	for i := 0; i < 1000; i++ {
-		v := g.intn(17)
-		if v < 0 || v >= 17 {
-			t.Fatalf("intn out of range: %d", v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for intn(0)")
-		}
-	}()
-	g.intn(0)
-}
-
 func TestCipherRoundTrip(t *testing.T) {
 	c := NewCipher(testKey(11))
 	tests := [][]byte{nil, {}, []byte("a"), []byte("hello world"), bytes.Repeat([]byte{0xAB}, 4096)}

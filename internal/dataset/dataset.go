@@ -41,14 +41,15 @@ var commonWords = []string{
 	"explore", "color", "light", "day", "new", "old", "big", "small",
 }
 
+// tagsPerObject is the mean tag count of a generated object.
+const tagsPerObject = 6
+
 // FlickrParams configures the multimodal corpus generator.
 type FlickrParams struct {
 	// N is the number of objects (the 1000/2000/3000 sweep of the figures).
 	N int
 	// ImageSize is the square image side; 0 defaults to 64.
 	ImageSize int
-	// TagsPerObject is the mean tag count; 0 defaults to 6.
-	TagsPerObject int
 	// Seed drives all randomness.
 	Seed int64
 	// Owner stamps the generated objects; empty defaults to "user1".
@@ -60,9 +61,6 @@ func Flickr(p FlickrParams) []*core.Object {
 	if p.ImageSize == 0 {
 		p.ImageSize = 64
 	}
-	if p.TagsPerObject == 0 {
-		p.TagsPerObject = 6
-	}
 	if p.Owner == "" {
 		p.Owner = "user1"
 	}
@@ -71,7 +69,7 @@ func Flickr(p FlickrParams) []*core.Object {
 	objs := make([]*core.Object, 0, p.N)
 	for i := 0; i < p.N; i++ {
 		topic := i % len(topicWords)
-		tags := sampleTags(rng, zipf, topic, p.TagsPerObject)
+		tags := sampleTags(rng, zipf, topic, tagsPerObject)
 		img := TopicImage(p.ImageSize, topic, rng.Int63())
 		objs = append(objs, &core.Object{
 			ID:    fmt.Sprintf("flickr-%06d", i),

@@ -15,7 +15,6 @@ package device
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -45,9 +44,6 @@ func (c Category) String() string {
 	}
 	return fmt.Sprintf("Category(%d)", int(c))
 }
-
-// categories lists all categories in presentation order.
-func categories() []Category { return []Category{Encrypt, Network, Index, Train} }
 
 // Profile describes one device.
 type Profile struct {
@@ -242,29 +238,3 @@ func (m *Meter) ExceedsBattery() bool {
 	}
 	return m.EnergyMAh() > m.profile.BatteryCapacityMAh
 }
-
-// breakdown returns a stable, human-readable per-category cost summary.
-func (m *Meter) breakdown() []categoryCost {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]categoryCost, 0, 4)
-	for _, cat := range categories() {
-		out = append(out, categoryCost{
-			Category: cat,
-			CPU:      m.cpu[cat],
-			Network:  m.net[cat],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Category < out[j].Category })
-	return out
-}
-
-// categoryCost is one row of a Meter breakdown.
-type categoryCost struct {
-	Category Category
-	CPU      time.Duration
-	Network  time.Duration
-}
-
-// total returns CPU+network time of the row.
-func (c categoryCost) total() time.Duration { return c.CPU + c.Network }

@@ -14,9 +14,6 @@ func TestCategoryString(t *testing.T) {
 	if Category(99).String() != "Category(99)" {
 		t.Errorf("unknown category: %s", Category(99).String())
 	}
-	if len(categories()) != 4 {
-		t.Errorf("categories() = %v", categories())
-	}
 }
 
 func TestCPUFactorScaling(t *testing.T) {
@@ -112,24 +109,6 @@ func TestDesktopHasNoBattery(t *testing.T) {
 	}
 	if m.ExceedsBattery() {
 		t.Error("mains-powered device cannot exceed battery")
-	}
-}
-
-func TestBreakdownStableOrder(t *testing.T) {
-	m := NewMeter(Desktop)
-	m.AddCPU(Train, time.Second)
-	m.AddCPU(Encrypt, time.Second)
-	rows := m.breakdown()
-	if len(rows) != 4 {
-		t.Fatalf("breakdown rows = %d", len(rows))
-	}
-	for i, want := range categories() {
-		if rows[i].Category != want {
-			t.Errorf("row %d = %v, want %v", i, rows[i].Category, want)
-		}
-	}
-	if rows[0].total() != time.Second {
-		t.Errorf("Encrypt row total = %v", rows[0].total())
 	}
 }
 

@@ -251,16 +251,6 @@ func (d *Dense) encode(out vec.BitVec, p []float64) {
 	}
 }
 
-// distance runs Dense-DPE DISTANCE on two encodings. It returns a value that
-// approximates the plaintext Euclidean distance when that distance is below
-// the threshold, and a value pinned near the threshold otherwise.
-func (d *Dense) distance(e1, e2 vec.BitVec) (float64, error) {
-	if e1.Len() != d.outDim || e2.Len() != d.outDim {
-		return 0, fmt.Errorf("%w: got %d and %d, want %d", ErrBadEncoding, e1.Len(), e2.Len(), d.outDim)
-	}
-	return vec.NormHamming(e1, e2) * 2 * d.t, nil
-}
-
 // RawNormHamming exposes the unscaled normalized Hamming distance between
 // encodings; this is the quantity server-side Hamming k-means clusters on.
 func (d *Dense) RawNormHamming(e1, e2 vec.BitVec) (float64, error) {

@@ -735,3 +735,13 @@ func codeWords(v vec.BitVec) []uint64 {
 
 // sameBits reports whether a and b have the same length and bits.
 func sameBits(a, b vec.BitVec) bool { return a.Len() == b.Len() && vec.Hamming(a, b) == 0 }
+
+// distance runs Dense-DPE DISTANCE on two encodings. It returns a value that
+// approximates the plaintext Euclidean distance when that distance is below
+// the threshold, and a value pinned near the threshold otherwise.
+func (d *Dense) distance(e1, e2 vec.BitVec) (float64, error) {
+	if e1.Len() != d.outDim || e2.Len() != d.outDim {
+		return 0, fmt.Errorf("%w: got %d and %d, want %d", ErrBadEncoding, e1.Len(), e2.Len(), d.outDim)
+	}
+	return vec.NormHamming(e1, e2) * 2 * d.t, nil
+}

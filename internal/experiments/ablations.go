@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -58,11 +59,11 @@ func mieMAPWithParams(cfg Config, set *dataset.HolidaysSet, dense dpe.DenseParam
 		if err != nil {
 			return 0, err
 		}
-		if err := repo.Update(up); err != nil {
+		if err := repo.UpdateContext(context.Background(), up); err != nil {
 			return 0, err
 		}
 	}
-	if err := repo.Train(); err != nil {
+	if err := repo.TrainContext(context.Background()); err != nil {
 		return 0, err
 	}
 	k := len(set.Objects)
@@ -74,7 +75,7 @@ func mieMAPWithParams(cfg Config, set *dataset.HolidaysSet, dense dpe.DenseParam
 		if err != nil {
 			return 0, err
 		}
-		hits, err := repo.Search(query)
+		hits, err := repo.SearchContext(context.Background(), query)
 		if err != nil {
 			return 0, err
 		}
@@ -288,7 +289,7 @@ func AblationFusion(cfg Config) ([]AblationRow, error) {
 			return nil, err
 		}
 	}
-	if err := stack.repo.Train(); err != nil {
+	if err := stack.repo.TrainContext(context.Background()); err != nil {
 		return nil, err
 	}
 	// Relevance proxy: objects of the query's topic (same generator class).
@@ -313,7 +314,7 @@ func AblationFusion(cfg Config) ([]AblationRow, error) {
 		{"ISR", fusion.ISR},
 		{"RRF", fusion.RRF},
 	} {
-		hits, err := stack.repo.SearchWithFusion(q, m.method)
+		hits, err := stack.repo.SearchWithFusionContext(context.Background(), q, m.method)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -60,7 +61,7 @@ func AttackExperiment(cfg Config) ([]AttackRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := repo.Update(up); err != nil {
+		if err := repo.UpdateContext(context.Background(), up); err != nil {
 			return nil, err
 		}
 		hist := text.Extract(obj.Text)

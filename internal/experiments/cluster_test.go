@@ -517,3 +517,14 @@ func TestClusterExperimentGates(t *testing.T) {
 		t.Error("the failover phase never killed the leader")
 	}
 }
+
+// partition isolates the relay's backend: live connections are dropped and
+// new ones refused until partition(false) heals it.
+func (r *chaosRelay) partition(on bool) {
+	r.mu.Lock()
+	r.partitioned = on
+	r.mu.Unlock()
+	if on {
+		r.dropConns()
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -107,7 +108,7 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 		}
 	}
 	t0 := time.Now()
-	if err := inc.repo.Train(); err != nil {
+	if err := inc.repo.TrainContext(context.Background()); err != nil {
 		return nil, err
 	}
 	report := &IncrementalReport{ChurnDocs: churn, InitialTrainMs: ms(time.Since(t0))}
@@ -133,7 +134,7 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 	report.ChurnFraction = float64(churn) / float64(report.Corpus)
 
 	t0 = time.Now()
-	if err := inc.repo.Train(); err != nil {
+	if err := inc.repo.TrainContext(context.Background()); err != nil {
 		return nil, err
 	}
 	report.IncrementalRetrainMs = ms(time.Since(t0))
@@ -158,7 +159,7 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 		}
 	}
 	t0 = time.Now()
-	if err := full.repo.Train(); err != nil {
+	if err := full.repo.TrainContext(context.Background()); err != nil {
 		return nil, err
 	}
 	report.FullRetrainMs = ms(time.Since(t0))
@@ -205,7 +206,7 @@ func holidaysMAP(s *mieStack, set *dataset.HolidaysSet, truths [][]string, k int
 		if err != nil {
 			return 0, err
 		}
-		hits, err := s.repo.Search(query)
+		hits, err := s.repo.SearchContext(context.Background(), query)
 		if err != nil {
 			return 0, err
 		}

@@ -67,17 +67,6 @@ func (r *chaosRelay) SetTarget(addr string) {
 	r.dropConns()
 }
 
-// partition isolates the relay's backend: live connections are dropped and
-// new ones refused until partition(false) heals it.
-func (r *chaosRelay) partition(on bool) {
-	r.mu.Lock()
-	r.partitioned = on
-	r.mu.Unlock()
-	if on {
-		r.dropConns()
-	}
-}
-
 // SetFrameInterval paces client→server frames to at most one per d across
 // all connections (0 disables pacing).
 func (r *chaosRelay) SetFrameInterval(d time.Duration) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -106,12 +107,14 @@ func (m *mieStack) add(obj *core.Object) error {
 	if m.meter != nil {
 		m.meter.AddTransfer(device.Network, int64(up.EncodedSize()), 0)
 	}
-	return m.repo.Update(up)
+	return m.repo.UpdateContext(context.
+
+		// train runs in the cloud: zero client cost, the whole point of the MIE
+		// design (the missing Train bar in Figures 2/3).
+		Background(), up)
 }
 
-// train runs in the cloud: zero client cost, the whole point of the MIE
-// design (the missing Train bar in Figures 2/3).
-func (m *mieStack) train() error { return m.repo.Train() }
+func (m *mieStack) train() error { return m.repo.TrainContext(context.Background()) }
 
 func (m *mieStack) search(query *core.Object, k int) ([]string, error) {
 	q, err := m.client.PrepareQuery(query, k)
@@ -119,7 +122,7 @@ func (m *mieStack) search(query *core.Object, k int) ([]string, error) {
 		return nil, err
 	}
 	start := time.Now()
-	hits, err := m.repo.Search(q)
+	hits, err := m.repo.SearchContext(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}

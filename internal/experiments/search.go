@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -94,7 +95,7 @@ func mieSearchOnce(stack *mieStack, query *core.Object, k int) (time.Duration, e
 		return 0, err
 	}
 	start := time.Now()
-	if _, err := stack.repo.Search(q); err != nil {
+	if _, err := stack.repo.SearchContext(context.Background(), q); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -92,7 +93,7 @@ func Table1Empirical(cfg Config) (*Table1Scaling, error) {
 			}
 		}
 		if train {
-			if err := stack.repo.Train(); err != nil {
+			if err := stack.repo.TrainContext(context.Background()); err != nil {
 				return 0, 0, err
 			}
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -160,7 +161,7 @@ func TenancyExperiment(cfg Config, dir string) (*TenancyReport, error) {
 				release()
 				return nil, err
 			}
-			if err := repo.Update(up); err != nil {
+			if err := repo.UpdateContext(context.Background(), up); err != nil {
 				release()
 				return nil, fmt.Errorf("seed %s/%s: %w", id, objID, err)
 			}
@@ -222,7 +223,7 @@ func TenancyExperiment(cfg Config, dir string) (*TenancyReport, error) {
 				Text:  fmt.Sprintf("churn write %d into repository %d", op, i),
 			}, dataKey())
 			if err == nil {
-				err = repo.Update(up)
+				err = repo.UpdateContext(context.Background(), up)
 			}
 			if err != nil {
 				release()
@@ -354,7 +355,7 @@ func tenancyFairness(cfg Config, client *core.Client, dir string, n, inflightQuo
 		}
 		defer done()
 		if write != nil {
-			if err := repo.Update(write); err != nil {
+			if err := repo.UpdateContext(context.Background(), write); err != nil {
 				return fmt.Errorf("fairness write %s: %w", id, err)
 			}
 		} else if _, _, err := repo.Get("seed-0"); err != nil {

@@ -188,17 +188,15 @@ type Keypoint struct {
 type PyramidParams struct {
 	// Scales lists the patch sizes sampled; defaults to {16, 32, 64}.
 	Scales []int
-	// StrideDiv divides the patch size to obtain the sampling stride
-	// (stride = size/StrideDiv); defaults to 2 (50% overlap).
-	StrideDiv int
 }
+
+// strideDiv divides the patch size to obtain the sampling stride
+// (stride = size/strideDiv): 2 is 50% overlap.
+const strideDiv = 2
 
 func (p *PyramidParams) setDefaults() {
 	if len(p.Scales) == 0 {
 		p.Scales = []int{16, 32, 64}
-	}
-	if p.StrideDiv <= 0 {
-		p.StrideDiv = 2
 	}
 }
 
@@ -211,7 +209,7 @@ func DensePyramid(w, h int, params PyramidParams) []Keypoint {
 		if size > w || size > h {
 			continue
 		}
-		stride := size / params.StrideDiv
+		stride := size / strideDiv
 		if stride < 1 {
 			stride = 1
 		}

@@ -205,21 +205,6 @@ func (s *Segmented) sealLocked() bool {
 	return true
 }
 
-// has reports whether doc is live in the index.
-func (s *Segmented) has(doc DocID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.owner[doc]
-	return ok
-}
-
-// docCount returns the number of live documents.
-func (s *Segmented) docCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.owner)
-}
-
 // SegmentStats is a point-in-time snapshot of segment-level state.
 type SegmentStats struct {
 	SealedSegments int
@@ -398,12 +383,6 @@ func (f *frozen) score(qts []queryTerm, cols [][]posting, acc []float64, sel *se
 			sel.offer(sc, src, p.ord)
 		}
 	}
-}
-
-// Search is Lookup under the name the repository layer uses for every index
-// type, so Segmented is a drop-in for Inverted in ranked retrieval.
-func (s *Segmented) Search(query []QueryTerm, k int) []Result {
-	return s.Lookup(query, k)
 }
 
 // Compact merges every sealed segment into a single new frozen segment,

@@ -68,8 +68,8 @@ func segmentedMatchesMonolithicOracle(t *testing.T) {
 			want := oracle.Search(SortedTerms(query), 10)
 			assertResultsEquivalent(t, got, want, 1e-9)
 		}
-		if seg.docCount() != oracle.DocCount() {
-			t.Fatalf("DocCount %d, want %d", seg.docCount(), oracle.DocCount())
+		if seg.Stats().LiveDocs != oracle.DocCount() {
+			t.Fatalf("DocCount %d, want %d", seg.Stats().LiveDocs, oracle.DocCount())
 		}
 	}
 	for step := 0; step < 400; step++ {
@@ -185,8 +185,8 @@ func TestSegmentedBatchesRoundTrip(t *testing.T) {
 	if err := restored.LoadSegments(groups); err != nil {
 		t.Fatal(err)
 	}
-	if restored.docCount() != seg.docCount() {
-		t.Fatalf("restored DocCount %d, want %d", restored.docCount(), seg.docCount())
+	if restored.Stats().LiveDocs != seg.Stats().LiveDocs {
+		t.Fatalf("restored DocCount %d, want %d", restored.Stats().LiveDocs, seg.Stats().LiveDocs)
 	}
 	if got, want := restored.Stats().SealedSegments, seg.Stats().SealedSegments; got != want {
 		t.Fatalf("restored SealedSegments %d, want %d", got, want)
@@ -231,7 +231,7 @@ func TestSegmentedClose(t *testing.T) {
 	seg.Seal()
 	seg.Add("d2", map[Term]uint64{"a": 2, "b": 1}) // left in the memtable
 	query := map[Term]uint64{"a": 1, "b": 1}
-	hits, stats, docs := seg.Lookup(SortedTerms(query), 10), seg.Stats(), seg.docCount()
+	hits, stats := seg.Lookup(SortedTerms(query), 10), seg.Stats()
 	seg.Close()
 	seg.Close() // idempotent
 
@@ -241,9 +241,6 @@ func TestSegmentedClose(t *testing.T) {
 	seg.Remove("d1")
 	seg.Seal()
 	seg.Compact()
-	if got := seg.docCount(); got != docs {
-		t.Errorf("DocCount after writes to a closed index = %d, want %d", got, docs)
-	}
 	if got := seg.Stats(); got != stats {
 		t.Errorf("Stats after writes to a closed index = %+v, want %+v", got, stats)
 	}
@@ -346,4 +343,12 @@ func TestSegmentedConcurrentOpsDuringCompaction(t *testing.T) {
 	if st := seg.Stats(); st.SealedSegments > 1 {
 		t.Errorf("final compaction left %d sealed segments", st.SealedSegments)
 	}
+}
+
+// has reports whether doc is live in the index.
+func (s *Segmented) has(doc DocID) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.owner[doc]
+	return ok
 }

@@ -559,3 +559,17 @@ func TestServerNeverSeesPlaintextFrequencies(t *testing.T) {
 		t.Error("equal frequencies encrypted to identical ciphertexts (frequency pattern leaked)")
 	}
 }
+
+// remove deletes an object: the server scans index values for the plaintext
+// doc id (the design trade discussed in the appendix — doc ids in values
+// make removal server-side and storage-free, revealing document lengths).
+func (s *Server) remove(repoID, docID string) error {
+	r, err := s.repo(repoID)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.remove(docID)
+	return nil
+}

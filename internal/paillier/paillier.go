@@ -141,24 +141,6 @@ func (pk *PublicKey) Add(c1, c2 *big.Int) (*big.Int, error) {
 	return out, nil
 }
 
-// addPlain returns the ciphertext of a+m given a ciphertext of a and a
-// plaintext m: c · (1+m·n) mod n². Cheaper than Add when one operand is
-// public (e.g. the server incrementing a counter by a known padding of 0/1
-// would instead use Add on an encrypted increment; addPlain serves public
-// corpus-wide constants).
-func (pk *PublicKey) addPlain(c *big.Int, m *big.Int) (*big.Int, error) {
-	if err := pk.checkCiphertext(c); err != nil {
-		return nil, err
-	}
-	mm := new(big.Int).Mod(m, pk.N)
-	t := new(big.Int).Mul(mm, pk.N)
-	t.Add(t, one)
-	t.Mod(t, pk.N2)
-	t.Mul(t, c)
-	t.Mod(t, pk.N2)
-	return t, nil
-}
-
 // ScalarMul returns the ciphertext of k·a given a ciphertext of a:
 // c^k mod n². Negative k is reduced mod n (two's-complement semantics in
 // Z_n).

@@ -159,25 +159,6 @@ func TestScalarMulZero(t *testing.T) {
 	}
 }
 
-func TestAddPlain(t *testing.T) {
-	sk := key(t)
-	c, err := sk.EncryptUint64(nil, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := sk.addPlain(c, big.NewInt(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.DecryptUint64(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 42 {
-		t.Errorf("addPlain: got %d, want 42", got)
-	}
-}
-
 func TestHomomorphicTFIDFShape(t *testing.T) {
 	// The exact Hom-MSSE server computation: accumulate Σ E(tf)^(w) where w
 	// is a public integer weight, then the client decrypts the total.

@@ -58,7 +58,7 @@ func mustUpdate(t *testing.T, c *core.Client, repo *core.Repository, id, text st
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Update(up); err != nil {
+	if err := repo.UpdateContext(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +70,7 @@ func searchIDs(t *testing.T, c *core.Client, repo *core.Repository, text string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := repo.Search(q)
+	hits, err := repo.SearchContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestFollowerRanksLikeLeader(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mustUpdate(t, c, lr, fmt.Sprintf("filler-%d", i), "mountain snow hiking trail")
 	}
-	if err := lr.Train(); err != nil {
+	if err := lr.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	mustUpdate(t, c, lr, "up-5", "alpha beta beta gamma gamma gamma")

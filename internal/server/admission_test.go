@@ -63,54 +63,76 @@ func TestAdmissionRejectsOverInflightQuota(t *testing.T) {
 	}
 }
 
+// TestAdmissionKeysOnTokenPrincipal: the in-flight quota is keyed on the
+// user the authorizer verified. Verified tenants are isolated from each
+// other, and a token that merely names a user — forged, or sent to a server
+// with no authorizer — is never charged to that user's quota.
 func TestAdmissionKeysOnTokenPrincipal(t *testing.T) {
 	leakcheck.Check(t)
 	var masterAuth crypto.Key
 	masterAuth[0] = 7
 	authority := auth.NewAuthority(masterAuth)
-	svc, _, err := core.OpenService(core.ServiceOptions{Quotas: core.Quotas{MaxInflight: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New("127.0.0.1:0", svc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-
-	if err := dial(t, srv, nil).CreateRepository(testCtx, "adm2", smallOpts()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Saturate alice. A connection bearing alice's token is rejected; bob's
-	// token (and tokenless "anonymous" traffic) is unaffected — quotas
-	// isolate tenants from each other, not from themselves only.
-	releaseAlice, err := svc.Tenants().Admit("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer releaseAlice()
-
-	tokFor := func(user string) string {
-		tok, err := authority.Issue(user, "adm2", time.Hour)
+	tokFor := func(a *auth.Authority, user string) string {
+		tok, err := a.Issue(user, "adm2", time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tok.Encode()
 	}
-	aliceConn := dial(t, srv, nil)
-	aliceConn.SetToken(tokFor("alice"))
-	if _, _, err := aliceConn.Get(testCtx, "adm2", "x"); !errors.Is(err, core.ErrOverQuota) {
-		t.Errorf("alice while saturated: err = %v, want ErrOverQuota", err)
+	var otherKey crypto.Key
+	otherKey[0] = 8
+	forged := tokFor(auth.NewAuthority(otherKey), "alice")
+
+	// serve starts a server with MaxInflight 1 whose tenant alice is
+	// saturated out of band, and returns it with a get that carries token.
+	serve := func(t *testing.T, opts ...Option) func(token string) error {
+		svc, _, err := core.OpenService(core.ServiceOptions{Quotas: core.Quotas{MaxInflight: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New("127.0.0.1:0", svc, nil, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		if _, err := svc.CreateRepository("adm2", smallOpts()); err != nil {
+			t.Fatal(err)
+		}
+		releaseAlice, err := svc.Tenants().Admit("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(releaseAlice)
+		return func(token string) error {
+			conn := dial(t, srv, nil)
+			conn.SetToken(token)
+			_, _, err := conn.Get(testCtx, "adm2", "x")
+			return err
+		}
 	}
-	bobConn := dial(t, srv, nil)
-	bobConn.SetToken(tokFor("bob"))
-	if _, _, err := bobConn.Get(testCtx, "adm2", "x"); errors.Is(err, core.ErrOverQuota) {
-		t.Errorf("bob rejected by alice's quota: %v", err)
-	}
-	if _, _, err := dial(t, srv, nil).Get(testCtx, "adm2", "x"); errors.Is(err, core.ErrOverQuota) {
-		t.Errorf("anonymous rejected by alice's quota: %v", err)
-	}
+
+	t.Run("verified tenants are isolated", func(t *testing.T) {
+		get := serve(t, WithAuthorizer(authority.VerifyString))
+		if err := get(tokFor(authority, "alice")); !errors.Is(err, core.ErrOverQuota) {
+			t.Errorf("alice while saturated: err = %v, want ErrOverQuota", err)
+		}
+		if err := get(tokFor(authority, "bob")); errors.Is(err, core.ErrOverQuota) {
+			t.Errorf("bob rejected by alice's quota: %v", err)
+		}
+	})
+	t.Run("an unverified name is not charged", func(t *testing.T) {
+		get := serve(t, WithAuthorizer(authority.VerifyString))
+		var rerr *client.RemoteError
+		if err := get(forged); !errors.As(err, &rerr) || rerr.Code != wire.ErrCodeUnauthorized {
+			t.Errorf("forged alice token with an authorizer: err = %v, want unauthorized", err)
+		}
+		get = serve(t)
+		for _, token := range []string{forged, tokFor(authority, "alice"), ""} {
+			if err := get(token); errors.Is(err, core.ErrOverQuota) {
+				t.Errorf("token %.16q… without an authorizer charged to alice's quota: %v", token, err)
+			}
+		}
+	})
 }
 
 // A sequential caller must never be rejected by its own finished request:

@@ -90,15 +90,15 @@ func failEveryKind(t *testing.T, srv *Server, repoFor func(kind string) string, 
 }
 
 // TestEveryKindFailsInItsReplyKind: whatever stops a request — the
-// authorizer, tenant admission (which runs before the body is even decoded),
-// the engine — the caller gets the response kind of the request's row, with
+// authorizer, tenant admission (which runs once the body is decoded and the
+// caller authorized), the engine — the caller gets the response kind of the request's row, with
 // a typed code.
 func TestEveryKindFailsInItsReplyKind(t *testing.T) {
 	leakcheck.Check(t)
 	everywhere := func(repoID string) func(string) string { return func(string) string { return repoID } }
 	t.Run("authz denial", func(t *testing.T) {
 		srv, err := New("127.0.0.1:0", memSvc(t), nil, WithObservability(obs.NewRegistry()),
-			WithAuthorizer(func(repoID, token string) error { return fmt.Errorf("no token: %w", auth.ErrMalformed) }))
+			WithAuthorizer(func(repoID, token string) (string, error) { return "", fmt.Errorf("no token: %w", auth.ErrMalformed) }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,12 +166,12 @@ func TestExpiredDeadlineNeverReachesEngine(t *testing.T) {
 	leakcheck.Check(t)
 	reg := obs.NewRegistry()
 	svc := memSvc(t)
-	// The authorizer is the last step before the expired-on-arrival check;
-	// holding every request there until its deadline is long gone makes
+	// The authorizer runs just before admission and the expired-on-arrival
+	// check; holding every request there until its deadline is long gone makes
 	// "expired before the engine" deterministic.
 	const budget = time.Millisecond
 	srv, err := New("127.0.0.1:0", svc, nil, WithObservability(reg),
-		WithAuthorizer(func(repoID, token string) error { time.Sleep(20 * budget); return nil }))
+		WithAuthorizer(func(repoID, token string) (string, error) { time.Sleep(20 * budget); return "", nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestEveryKindSpanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New("127.0.0.1:0", svc, nil, WithObservability(reg), WithTracer(tracer),
-		WithAuthorizer(func(repoID, token string) error { return nil }))
+		WithAuthorizer(func(repoID, token string) (string, error) { return "", nil }))
 	if err != nil {
 		t.Fatal(err)
 	}

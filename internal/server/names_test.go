@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -33,11 +34,11 @@ func TestSearchMetricNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := repo.Update(up); err != nil {
+		if err := repo.UpdateContext(context.Background(), up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := repo.Train(); err != nil {
+	if err := repo.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	q, err := cc.PrepareQuery(&core.Object{ID: "q", Text: "beach sunset"}, 3)

@@ -40,7 +40,7 @@ func metricValue(body, name string) float64 {
 
 func TestAuthorizerDeniesEveryKind(t *testing.T) {
 	reg := obs.NewRegistry()
-	deny := func(repoID, token string) error { return errors.New("denied: no token") }
+	deny := func(repoID, token string) (string, error) { return "", errors.New("denied: no token") }
 	srv, err := New("127.0.0.1:0", memSvc(t), nil, WithAuthorizer(deny), WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)

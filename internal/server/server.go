@@ -29,17 +29,18 @@ import (
 	"sync"
 	"time"
 
-	"mie/internal/auth"
 	"mie/internal/core"
 	"mie/internal/obs"
 	"mie/internal/wire"
 )
 
 // Authorizer decides whether a request carrying the given bearer token may
-// act on a repository (see internal/auth for the token scheme). A nil
-// authorizer admits everything (the single-trust-domain deployments of the
+// act on a repository (see internal/auth for the token scheme) and names the
+// user it verified; tenant admission keys the in-flight quota on that name.
+// A nil authorizer admits everything, and every request then shares one
+// in-flight pool (the single-trust-domain deployments of mie-server and the
 // examples).
-type Authorizer func(repoID, token string) error
+type Authorizer func(repoID, token string) (user string, err error)
 
 // Option customizes a Server.
 type Option func(*Server)
@@ -417,32 +418,33 @@ func (s *Server) handle(cs *connState, lg *slog.Logger, env *wire.Envelope) erro
 		return s.send(sp, cs, env.ID, wire.KindError, wire.Ack{Status: wire.Status{Err: "unknown kind: " + kind}})
 	}
 
-	// Per-tenant admission: repository-scoped requests count against the
-	// caller's in-flight quota before any engine work runs, so one hot
-	// tenant saturating the server cannot starve the others. The rejection
-	// is a normal typed response (ErrCodeOverQuota + retry-after), not a
-	// dropped connection — the client backs off and retries.
+	resp := h.newResp()
+	req := h.newReq()
+	repoID := env.RepoID()
+	err := s.decode(sp, env, req)
+	user := anonymous
+	if err == nil && s.authorize != nil {
+		user, err = s.authorized(sp, repoID, env.Auth)
+	}
+	// Per-tenant admission: a request counts against the in-flight quota of
+	// the user its authorizer verified — never of a name the token merely
+	// carries — before any engine work runs, so one hot tenant saturating
+	// the server cannot starve the others. The rejection is a normal typed
+	// response (ErrCodeOverQuota + retry-after), not a dropped connection —
+	// the client backs off and retries.
 	//
 	// The slot covers engine work only: release() runs before the reply is
 	// written, because a sequential caller sends its next request the moment
 	// it reads the response, and a slot still held across the write would
 	// reject that caller on its own finished request. The deferred call
 	// covers panics and is a no-op otherwise (release is idempotent).
-	resp := h.newResp()
 	release := func() {}
-	if gov := s.svc.Tenants(); gov != nil {
-		var aerr error
-		if release, aerr = gov.Admit(principal(env.Auth)); aerr != nil {
-			return s.reply(sp, cs, env, resp, aerr)
+	if gov := s.svc.Tenants(); err == nil && gov != nil {
+		var admitted func()
+		if admitted, err = gov.Admit(user); err == nil {
+			release = admitted
+			defer release()
 		}
-		defer release()
-	}
-
-	req := h.newReq()
-	repoID := env.RepoID()
-	err := s.decode(sp, env, req)
-	if err == nil {
-		err = s.authorized(sp, repoID, env.Auth)
 	}
 	if err == nil {
 		// An already-expired deadline (or a Cancel frame that won the race)
@@ -588,35 +590,25 @@ func (s *Server) decode(sp *obs.Span, env *wire.Envelope, v interface{}) error {
 	return err
 }
 
-// authorized consults the authorizer, if any, under an authorize phase span.
-func (s *Server) authorized(sp *obs.Span, repoID, token string) error {
-	if s.authorize == nil {
-		return nil
-	}
+// anonymous is the one admission pool of every request no authorizer
+// verified a user for.
+const anonymous = "anonymous"
+
+// authorized consults the authorizer under an authorize phase span and
+// returns the user it verified.
+func (s *Server) authorized(sp *obs.Span, repoID, token string) (string, error) {
 	asp := sp.Child("authorize")
-	err := s.authorize(repoID, token)
+	user, err := s.authorize(repoID, token)
 	asp.End()
 	if err != nil {
 		s.met.authzDenials.Inc()
 		s.logger.Debug("authorization denied", "repo", repoID, "err", err)
+		return "", err
 	}
-	return err
-}
-
-// principal extracts the tenant identity from a bearer token for quota
-// accounting. The MAC is deliberately not checked here: admission happens
-// before per-repo authorization (which does verify), and an attacker who
-// forges a User only burns that user's quota, never bypasses authorization.
-// Tokenless requests pool under "anonymous".
-func principal(token string) string {
-	if token == "" {
-		return "anonymous"
+	if user == "" {
+		user = anonymous
 	}
-	t, err := auth.Parse(token)
-	if err != nil || t.User == "" {
-		return "anonymous"
-	}
-	return t.User
+	return user, nil
 }
 
 // countOpError accounts a failed request (the response still carries the

@@ -362,9 +362,7 @@ func TestAuthorizerGatesRequests(t *testing.T) {
 	masterAuth[0] = 42
 	authority := auth.NewAuthority(masterAuth)
 	svc := memSvc(t)
-	srv, err := New("127.0.0.1:0", svc, nil, WithAuthorizer(func(repoID, token string) error {
-		return authority.VerifyString(token, repoID)
-	}))
+	srv, err := New("127.0.0.1:0", svc, nil, WithAuthorizer(authority.VerifyString))
 	if err != nil {
 		t.Fatal(err)
 	}

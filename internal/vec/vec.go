@@ -17,10 +17,6 @@ import (
 	"mie/internal/bin"
 )
 
-// errDimensionMismatch is returned when two vectors of different lengths are
-// combined in an operation that requires equal dimensionality.
-var errDimensionMismatch = errors.New("vec: dimension mismatch")
-
 // Euclidean returns the Euclidean (L2) distance between a and b.
 // It panics if the dimensions differ.
 func Euclidean(a, b []float64) float64 {
@@ -33,15 +29,6 @@ func Euclidean(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// checkedEuclidean is Euclidean with an error instead of a panic on
-// mismatched dimensions.
-func checkedEuclidean(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errDimensionMismatch
-	}
-	return Euclidean(a, b), nil
 }
 
 // SquaredEuclidean returns the squared L2 distance, avoiding the final sqrt.
@@ -106,19 +93,6 @@ func Clone(v []float64) []float64 {
 	return out
 }
 
-// mean returns the component-wise mean of the given vectors. All vectors
-// must share a dimension; an empty input yields nil.
-func mean(vs [][]float64) []float64 {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]float64, len(vs[0]))
-	for _, v := range vs {
-		Add(out, v)
-	}
-	return Scale(out, 1/float64(len(vs)))
-}
-
 // BitVec is a packed vector of bits, the output domain of Dense-DPE.
 // Bits beyond Len in the final word are always zero.
 type BitVec struct {
@@ -169,36 +143,6 @@ func (b BitVec) SetWord(i int, w uint64) {
 		w &= uint64(1)<<uint(r) - 1
 	}
 	b.words[i] = w
-}
-
-// get reports bit i.
-func (b BitVec) get(i int) bool {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("vec: BitVec.Get index %d out of range [0,%d)", i, b.n))
-	}
-	return b.words[i/64]&(1<<uint(i%64)) != 0
-}
-
-// onesCount returns the number of set bits.
-func (b BitVec) onesCount() int {
-	var c int
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// equal reports whether a and b have the same length and bits.
-func (b BitVec) equal(o BitVec) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns a deep copy.

@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,16 +39,6 @@ func TestEuclideanPanicsOnMismatch(t *testing.T) {
 	Euclidean([]float64{1}, []float64{1, 2})
 }
 
-func TestCheckedEuclidean(t *testing.T) {
-	if _, err := checkedEuclidean([]float64{1}, []float64{1, 2}); err != errDimensionMismatch {
-		t.Errorf("err = %v, want ErrDimensionMismatch", err)
-	}
-	d, err := checkedEuclidean([]float64{0}, []float64{2})
-	if err != nil || d != 2 {
-		t.Errorf("got (%v,%v), want (2,nil)", d, err)
-	}
-}
-
 func TestSquaredEuclideanMatchesEuclidean(t *testing.T) {
 	f := func(a, b [8]int16) bool {
 		av, bv := make([]float64, 8), make([]float64, 8)
@@ -79,19 +71,6 @@ func TestNormalize(t *testing.T) {
 	Normalize(z)
 	if z[0] != 0 || z[1] != 0 {
 		t.Errorf("zero vector changed: %v", z)
-	}
-}
-
-func TestMean(t *testing.T) {
-	got := mean([][]float64{{1, 2}, {3, 4}})
-	want := []float64{2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Mean = %v, want %v", got, want)
-		}
-	}
-	if mean(nil) != nil {
-		t.Error("mean(nil) should be nil")
 	}
 }
 
@@ -416,4 +395,34 @@ func TestHammingWordsTailMasking(t *testing.T) {
 	if got := HammingWords(a.words, b.words); got != want || want != 2 {
 		t.Errorf("HammingWords = %d, Hamming = %d, want 2", got, want)
 	}
+}
+
+// get reports bit i.
+func (b BitVec) get(i int) bool {
+	if i < 0 || i >= b.n {
+		panic(fmt.Sprintf("vec: BitVec.Get index %d out of range [0,%d)", i, b.n))
+	}
+	return b.words[i/64]&(1<<uint(i%64)) != 0
+}
+
+// onesCount returns the number of set bits.
+func (b BitVec) onesCount() int {
+	var c int
+	for _, w := range b.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// equal reports whether a and b have the same length and bits.
+func (b BitVec) equal(o BitVec) bool {
+	if b.n != o.n {
+		return false
+	}
+	for i := range b.words {
+		if b.words[i] != o.words[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -65,9 +65,8 @@ const (
 	// SyncAlways fsyncs before every Append returns: an acknowledged append
 	// survives kill -9 and power loss. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most every Options.SyncInterval (a background
-	// flusher covers idle periods), bounding the loss window to the
-	// interval.
+	// SyncInterval fsyncs at most every syncInterval (a background flusher
+	// covers idle periods), bounding the loss window to the interval.
 	SyncInterval
 	// SyncNever issues no explicit fsyncs between rotations; durability
 	// rides on the OS page cache (process crashes lose nothing, power loss
@@ -123,12 +122,13 @@ type Observer interface {
 	Synced()
 }
 
+// syncInterval is the flush period under SyncInterval.
+const syncInterval = 100 * time.Millisecond
+
 // Options configures a log.
 type Options struct {
 	// Sync is the append durability policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// SyncInterval is the flush period under SyncInterval; 0 means 100ms.
-	SyncInterval time.Duration
 	// OpenFile overrides how the backing file is opened (fault-injection
 	// tests); nil means os.OpenFile with O_RDWR|O_CREATE.
 	OpenFile func(path string) (File, error)
@@ -159,7 +159,6 @@ type Log struct {
 	dirty    bool  // bytes appended since the last fsync
 	err      error // sticky: set when the log can no longer guarantee its contract
 	policy   SyncPolicy
-	interval time.Duration
 	lastSync time.Time
 
 	stopFlush chan struct{}
@@ -209,14 +208,10 @@ func Open(path string, opts Options, replay func(rec []byte) error) (*Log, Recov
 		obs:      opts.Observer,
 		f:        f,
 		policy:   opts.Sync,
-		interval: opts.SyncInterval,
 		lastSync: time.Now(),
 	}
 	if l.obs == nil {
 		l.obs = nopObserver{}
-	}
-	if l.interval <= 0 {
-		l.interval = 100 * time.Millisecond
 	}
 	if rec.ValidBytes < int64(HeaderSize) {
 		// Fresh log (or a creation torn mid-header): write the header.
@@ -369,7 +364,7 @@ func (l *Log) Append(payload []byte) error {
 	case SyncAlways:
 		return l.syncLocked()
 	case SyncInterval:
-		if time.Since(l.lastSync) >= l.interval {
+		if time.Since(l.lastSync) >= syncInterval {
 			return l.syncLocked()
 		}
 	}
@@ -407,7 +402,7 @@ func (l *Log) syncLocked() error {
 // window even when appends stop arriving.
 func (l *Log) flushLoop() {
 	defer close(l.flushDone)
-	ticker := time.NewTicker(l.interval)
+	ticker := time.NewTicker(syncInterval)
 	defer ticker.Stop()
 	for {
 		select {
