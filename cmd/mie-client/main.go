@@ -66,9 +66,10 @@ func main() {
 	if *verbose {
 		slog.New(slog.NewTextHandler(os.Stderr, nil)).Info("command finished", "cmd", cmd, "elapsed", time.Since(start), "ok", err == nil)
 		// The client-side half of the paper's latency split: prepare/encode
-		// phase spans plus per-kind network round-trip histograms.
+		// phase spans plus per-kind network round-trip histograms, each
+		// with its p50/p95/p99 — the /metrics.json shape.
 		fmt.Fprintln(os.Stderr, "--- client metrics ---")
-		_ = obs.Default().WriteMetrics(os.Stderr)
+		_ = obs.Default().WriteJSON(os.Stderr)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mie-client:", err)

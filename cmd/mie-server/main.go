@@ -228,7 +228,6 @@ func run(addr, dataDir string, snapEvery time.Duration, walSync, debugAddr, logL
 
 	if debugAddr != "" {
 		dbg, err := obs.ServeDebug(debugAddr, obs.Default(), logger,
-			obs.WithTracer(tracer),
 			obs.WithHandler("/debug/leakage", leakageHandler(svc)))
 		if err != nil {
 			return err
@@ -236,7 +235,7 @@ func run(addr, dataDir string, snapEvery time.Duration, walSync, debugAddr, logL
 		defer func() { _ = dbg.Close() }()
 	}
 
-	sopts2 := []server.Option{server.WithTracer(tracer)}
+	var sopts2 []server.Option
 	switch role {
 	case "":
 	case "leader":

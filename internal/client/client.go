@@ -585,12 +585,24 @@ func (c *Conn) CreateRepository(ctx context.Context, repoID string, opts wire.Re
 	return c.call(ctx, wire.KindCreateRepo, wire.CreateRepoReq{RepoID: repoID, Opts: opts}, new(wire.Ack))
 }
 
-// Train triggers cloud-side training and blocks until it completes (free for
-// the client: the only cost is the request round trip, which is the point of
-// MIE). On a multiplexed connection other requests proceed meanwhile; use
-// TrainStart for a non-blocking handle.
+// Train starts (or joins) cloud-side training and waits until it completes
+// (free for the client: the only cost is the round trips, which is the point
+// of MIE). A failed job comes back as its error. If ctx ends first, Train
+// returns ctx's error and the job keeps running on the server. On a
+// multiplexed connection other requests proceed meanwhile; use TrainStart for
+// a non-blocking handle.
 func (c *Conn) Train(ctx context.Context, repoID string) error {
-	return c.call(ctx, wire.KindTrain, wire.TrainReq{RepoID: repoID}, new(wire.Ack))
+	st, err := c.TrainStart(ctx, repoID)
+	if err != nil {
+		return err
+	}
+	if st, err = c.TrainWait(ctx, repoID, st.JobID); err != nil {
+		return err
+	}
+	if st.State == core.TrainFailed {
+		return errors.New(st.Err)
+	}
+	return nil
 }
 
 // trainJob runs one of the three train-job kinds.
@@ -614,11 +626,20 @@ func (c *Conn) TrainStatus(ctx context.Context, repoID string, jobID uint64) (co
 	return c.trainJob(ctx, wire.KindTrainStatus, wire.TrainJobReq{RepoID: repoID, JobID: jobID})
 }
 
-// TrainWait blocks until a training job finishes or ctx expires. If the
-// request deadline lapses server-side first, the job's still-running status
-// is returned without error; callers poll again or extend the deadline.
+// TrainWait blocks until a training job finishes or ctx ends; then it
+// returns the job's latest status alongside ctx's error. The server answers
+// "still running" when the request's deadline lapses on its side first, and
+// TrainWait asks again until ctx itself ends.
 func (c *Conn) TrainWait(ctx context.Context, repoID string, jobID uint64) (core.TrainJobStatus, error) {
-	return c.trainJob(ctx, wire.KindTrainWait, wire.TrainJobReq{RepoID: repoID, JobID: jobID})
+	for {
+		st, err := c.trainJob(ctx, wire.KindTrainWait, wire.TrainJobReq{RepoID: repoID, JobID: jobID})
+		if err != nil || st.State != core.TrainRunning {
+			return st, err
+		}
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
+	}
 }
 
 // Update uploads a prepared encrypted update.

@@ -235,7 +235,7 @@ func TestSetTokenIsAttached(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetToken("bearer-xyz")
-	if err := c.Train(bg, "r"); err != nil {
+	if err := c.Remove(bg, "r", "o"); err != nil {
 		t.Fatal(err)
 	}
 	if auth := <-gotAuth; auth != "bearer-xyz" {
@@ -384,12 +384,12 @@ func TestPoisonedConnNotReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Train(bg, "r"); err == nil {
-		t.Fatal("train on the cut connection should have failed")
+	if err := c.Remove(bg, "r", "o"); err == nil {
+		t.Fatal("remove on the cut connection should have failed")
 	}
 	// The next call must run on a fresh connection and succeed.
-	if err := c.Train(bg, "r"); err != nil {
-		t.Fatalf("train after poison: %v", err)
+	if err := c.Remove(bg, "r", "o"); err != nil {
+		t.Fatalf("remove after poison: %v", err)
 	}
 	if got := atomic.LoadInt32(&accepts); got != 2 {
 		t.Errorf("server saw %d connections, want 2 (poisoned conn replaced)", got)

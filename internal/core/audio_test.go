@@ -40,10 +40,9 @@ func voiceClip(t *testing.T, class int, instance int64) *audio.Clip {
 func audioTestClient(t *testing.T) *Client {
 	t.Helper()
 	c, err := NewClient(ClientConfig{
-		Key:        testRepoKey(1),
-		Dense:      dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 256, Threshold: 0.5},
-		AudioDense: dpe.DenseParams{InDim: audio.DescriptorDim, OutDim: 256, Threshold: 0.5},
-		Pyramid:    imaging.PyramidParams{Scales: []int{16}},
+		Key:     testRepoKey(1),
+		Dense:   dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 256, Threshold: 0.5},
+		Pyramid: imaging.PyramidParams{Scales: []int{16}},
 	})
 	if err != nil {
 		t.Fatal(err)

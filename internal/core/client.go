@@ -42,17 +42,18 @@ type ClientConfig struct {
 	// default to 64 input dims (SURF-like), 512-bit encodings and
 	// threshold 0.5, the prototype's instantiation.
 	Dense dpe.DenseParams
-	// AudioDense configures Dense-DPE for the audio modality (32-dim
-	// spectral descriptors by default). Each dense modality gets its own
-	// DPE instance because descriptor dimensionalities differ; both derive
-	// from the same repository key.
-	AudioDense dpe.DenseParams
 	// Pyramid configures the dense-pyramid image detector.
 	Pyramid imaging.PyramidParams
 	// Meter, when non-nil, attributes client CPU work to the figure
 	// categories (feature extraction -> Index, DPE+AES -> Encrypt).
 	Meter *device.Meter
 }
+
+// audioDenseParams configures Dense-DPE for the audio modality: 32-dim
+// spectral descriptors, 8·32 = 256-bit encodings, threshold 0.5. Each dense
+// modality gets its own DPE instance because descriptor dimensionalities
+// differ; both derive from the same repository key.
+var audioDenseParams = dpe.DenseParams{InDim: audio.DescriptorDim, OutDim: 8 * audio.DescriptorDim, Threshold: 0.5}
 
 // Client is the trusted, client-side MIE component. It holds the repository
 // key material but no per-keyword state: MIE clients are stateless (O(1)
@@ -79,14 +80,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: dense dpe: %w", err)
 	}
-	ap := cfg.AudioDense
-	if ap.InDim == 0 {
-		ap.InDim = audio.DescriptorDim
-	}
-	if ap.Threshold == 0 {
-		ap.Threshold = 0.5
-	}
-	audioDense, err := dpe.NewDense(crypto.DeriveKey(cfg.Key.Master, "rk1-audio"), ap)
+	audioDense, err := dpe.NewDense(crypto.DeriveKey(cfg.Key.Master, "rk1-audio"), audioDenseParams)
 	if err != nil {
 		return nil, fmt.Errorf("core: audio dense dpe: %w", err)
 	}

@@ -155,18 +155,16 @@ func (r *Repository) apply(payload []byte) error {
 	if up != nil {
 		return r.UpdateContext(context.Background(), up)
 	}
-	return r.RemoveContext(context.
-
-		// initRepo makes a freshly created repository durable from birth: it opens
-		// the repository's (empty) log and writes an initial snapshot, so a restart
-		// before the first periodic snapshot still knows the repository exists and
-		// has a snapshot to replay the WAL onto. A pre-existing log at this path
-		// belongs to a previous incarnation (a drop that crashed before deleting
-		// it); the new repository starts empty. On error the caller closes r, and
-		// with it any log already attached.
-		Background(), id)
+	return r.RemoveContext(context.Background(), id)
 }
 
+// initRepo makes a freshly created repository durable from birth: it opens
+// the repository's (empty) log and writes an initial snapshot, so a restart
+// before the first periodic snapshot still knows the repository exists and
+// has a snapshot to replay the WAL onto. A pre-existing log at this path
+// belongs to a previous incarnation (a drop that crashed before deleting
+// it); the new repository starts empty. On error the caller closes r, and
+// with it any log already attached.
 func (d *durability) initRepo(r *Repository) error {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return fmt.Errorf("core: create data dir: %w", err)

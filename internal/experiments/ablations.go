@@ -7,9 +7,9 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
-	"mie/internal/core"
 	"mie/internal/crypto"
 	"mie/internal/dataset"
 	"mie/internal/dpe"
@@ -39,55 +39,6 @@ type AblationRow struct {
 	Latency  time.Duration
 }
 
-// mieMAPWithParams builds a MIE pipeline with explicit DPE params over the
-// Holidays benchmark and returns its mAP.
-func mieMAPWithParams(cfg Config, set *dataset.HolidaysSet, dense dpe.DenseParams, repoID string) (float64, error) {
-	client, err := core.NewClient(core.ClientConfig{
-		Key:     core.RepositoryKey{Master: masterKey(1)},
-		Dense:   dense,
-		Pyramid: cfg.pyramid(),
-	})
-	if err != nil {
-		return 0, err
-	}
-	repo, err := core.NewRepository(repoID, cfg.repoOptions())
-	if err != nil {
-		return 0, err
-	}
-	for _, obj := range set.Objects {
-		up, err := client.PrepareUpdate(obj, dataKey())
-		if err != nil {
-			return 0, err
-		}
-		if err := repo.UpdateContext(context.Background(), up); err != nil {
-			return 0, err
-		}
-	}
-	if err := repo.TrainContext(context.Background()); err != nil {
-		return 0, err
-	}
-	k := len(set.Objects)
-	ranks := make([][]string, len(set.Queries))
-	truths := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		truths[i] = q.Relevant
-		query, err := client.PrepareQuery(q.Query, k)
-		if err != nil {
-			return 0, err
-		}
-		hits, err := repo.SearchContext(context.Background(), query)
-		if err != nil {
-			return 0, err
-		}
-		ids := make([]string, len(hits))
-		for j, h := range hits {
-			ids[j] = h.ObjectID
-		}
-		ranks[i] = ids
-	}
-	return eval.MeanAveragePrecision(ranks, truths)
-}
-
 // AblationEncodingSize sweeps Dense-DPE's output size M.
 func AblationEncodingSize(cfg Config) ([]AblationRow, error) {
 	set := dataset.Holidays(dataset.HolidaysParams{
@@ -97,9 +48,12 @@ func AblationEncodingSize(cfg Config) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, m := range []int{128, 512, 2048, 4096} {
 		start := time.Now()
-		mAP, err := mieMAPWithParams(cfg, set,
-			dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: m, Threshold: 0.5},
-			fmt.Sprintf("abl-m-%d", m))
+		stack, err := newMIE(cfg, nil, fmt.Sprintf("abl-m-%d", m),
+			dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: m, Threshold: 0.5})
+		if err != nil {
+			return nil, fmt.Errorf("ablation M=%d: %w", m, err)
+		}
+		mAP, err := trainedMAP(stack, set)
 		if err != nil {
 			return nil, fmt.Errorf("ablation M=%d: %w", m, err)
 		}
@@ -122,9 +76,12 @@ func AblationThreshold(cfg Config) ([]AblationRow, error) {
 	})
 	var rows []AblationRow
 	for _, t := range []float64{0.2, 0.35, 0.5, 0.7, 1.0} {
-		mAP, err := mieMAPWithParams(cfg, set,
-			dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 2048, Threshold: t},
-			fmt.Sprintf("abl-t-%v", t))
+		stack, err := newMIE(cfg, nil, fmt.Sprintf("abl-t-%v", t),
+			dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 2048, Threshold: t})
+		if err != nil {
+			return nil, fmt.Errorf("ablation t=%v: %w", t, err)
+		}
+		mAP, err := trainedMAP(stack, set)
 		if err != nil {
 			return nil, fmt.Errorf("ablation t=%v: %w", t, err)
 		}
@@ -145,22 +102,19 @@ func AblationTrainingSpace(cfg Config) ([]AblationRow, error) {
 		Groups: cfg.HolidayGroups, PerGroup: cfg.HolidayPerGroup,
 		ImageSize: cfg.ImageSize, Seed: cfg.Seed,
 	})
-	k := len(set.Objects)
-	truths := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		truths[i] = q.Relevant
-	}
-	plainRanks, err := plaintextRankings(cfg, set, k)
+	plain, err := plaintextSearch(cfg, set)
 	if err != nil {
 		return nil, err
 	}
-	plainMAP, err := eval.MeanAveragePrecision(plainRanks, truths)
+	plainMAP, err := holidaysMAP(plain, set, len(set.Objects))
 	if err != nil {
 		return nil, err
 	}
-	hamMAP, err := mieMAPWithParams(cfg, set,
-		dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 2048, Threshold: 0.5},
-		"abl-space-hamming")
+	stack, err := newMIE(cfg, nil, "abl-space-hamming", paperDense)
+	if err != nil {
+		return nil, err
+	}
+	hamMAP, err := trainedMAP(stack, set)
 	if err != nil {
 		return nil, err
 	}
@@ -251,27 +205,8 @@ func resultIDs(rs []index.Result) []string {
 
 func tokenize(sparse *dpe.Sparse, s string) map[index.Term]uint64 {
 	out := make(map[index.Term]uint64)
-	for _, w := range splitWords(s) {
+	for _, w := range strings.Fields(s) {
 		out[index.Term(sparse.Encode(w).String())]++
-	}
-	return out
-}
-
-func splitWords(s string) []string {
-	var out []string
-	word := ""
-	for _, r := range s {
-		if r == ' ' {
-			if word != "" {
-				out = append(out, word)
-			}
-			word = ""
-			continue
-		}
-		word += string(r)
-	}
-	if word != "" {
-		out = append(out, word)
 	}
 	return out
 }
@@ -279,7 +214,7 @@ func splitWords(s string) []string {
 // AblationFusion compares the three fusion formulas on the multimodal
 // Flickr corpus: same per-modality rankings, different merge.
 func AblationFusion(cfg Config) ([]AblationRow, error) {
-	stack, err := newMIE(cfg, nil, "abl-fusion")
+	stack, err := newMIE(cfg, nil, "abl-fusion", paperDense)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 
 	"mie/internal/core"
 	"mie/internal/dataset"
-	"mie/internal/eval"
 )
 
 // IncrementalReport is the BENCH_incremental.json document: the cost of
@@ -98,7 +97,7 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 		return nil, fmt.Errorf("experiments: churn sample too small: %d < %d", len(extra.Objects), additions)
 	}
 
-	inc, err := newMIE(cfg, nil, "inc-train")
+	inc, err := newMIE(cfg, nil, "inc-train", paperDense)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +148,7 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 	// post-churn objects, trained once. Train re-clusters a sorted snapshot
 	// of the store with the repository's fixed seed, so this is the codebook
 	// and the postings a full retrain of inc would build.
-	full, err := newMIE(cfg, nil, "inc-rebuild")
+	full, err := newMIE(cfg, nil, "inc-rebuild", paperDense)
 	if err != nil {
 		return nil, err
 	}
@@ -172,15 +171,11 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 		report.DeadDocs += s.DeadDocs
 	}
 
-	truths := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		truths[i] = q.Relevant
-	}
 	k := report.Corpus
-	if report.MAPIncremental, err = holidaysMAP(inc, set, truths, k); err != nil {
+	if report.MAPIncremental, err = holidaysMAP(inc.search, set, k); err != nil {
 		return nil, err
 	}
-	if report.MAPFullRebuild, err = holidaysMAP(full, set, truths, k); err != nil {
+	if report.MAPFullRebuild, err = holidaysMAP(full.search, set, k); err != nil {
 		return nil, err
 	}
 	report.MAPDelta = report.MAPIncremental - report.MAPFullRebuild
@@ -191,32 +186,10 @@ func IncrementalExperiment(cfg Config) (*IncrementalReport, error) {
 	t0 = time.Now()
 	inc.repo.CompactNow()
 	report.CompactMs = ms(time.Since(t0))
-	if report.MAPCompacted, err = holidaysMAP(inc, set, truths, k); err != nil {
+	if report.MAPCompacted, err = holidaysMAP(inc.search, set, k); err != nil {
 		return nil, err
 	}
 	return report, nil
-}
-
-// holidaysMAP runs the benchmark's queries against one MIE stack and scores
-// the rankings.
-func holidaysMAP(s *mieStack, set *dataset.HolidaysSet, truths [][]string, k int) (float64, error) {
-	ranks := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		query, err := s.client.PrepareQuery(q.Query, k)
-		if err != nil {
-			return 0, err
-		}
-		hits, err := s.repo.SearchContext(context.Background(), query)
-		if err != nil {
-			return 0, err
-		}
-		ids := make([]string, len(hits))
-		for j, h := range hits {
-			ids[j] = h.ObjectID
-		}
-		ranks[i] = ids
-	}
-	return eval.MeanAveragePrecision(ranks, truths)
 }
 
 // WriteIncrementalReport renders the report for stdout.

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"mie/internal/cluster"
+	"mie/internal/core"
 	"mie/internal/dataset"
 	"mie/internal/eval"
 	"mie/internal/imaging"
@@ -30,45 +31,24 @@ func PrecisionExperiment(cfg Config) ([]PrecisionRow, error) {
 		ImageSize: cfg.ImageSize,
 		Seed:      cfg.Seed,
 	})
-	k := len(set.Objects)
-	truths := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		truths[i] = q.Relevant
-	}
-
-	var rows []PrecisionRow
 
 	// Plaintext reference: Euclidean BOVW over raw descriptors.
-	plainRanks, err := plaintextRankings(cfg, set, k)
+	plain, err := plaintextSearch(cfg, set)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: plaintext precision: %w", err)
 	}
-	m, err := eval.MeanAveragePrecision(plainRanks, truths)
+	m, err := holidaysMAP(plain, set, len(set.Objects))
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, PrecisionRow{System: SchemePlain, MAP: m})
+	rows := []PrecisionRow{{System: SchemePlain, MAP: m}}
 
 	for _, name := range Schemes() {
 		stack, err := newScheme(name, cfg, nil, "prec-"+name)
 		if err != nil {
 			return nil, err
 		}
-		for _, obj := range set.Objects {
-			if err := stack.add(obj); err != nil {
-				return nil, err
-			}
-		}
-		if err := stack.train(); err != nil {
-			return nil, err
-		}
-		ranks := make([][]string, len(set.Queries))
-		for i, q := range set.Queries {
-			if ranks[i], err = stack.search(q.Query, k); err != nil {
-				return nil, err
-			}
-		}
-		if m, err = eval.MeanAveragePrecision(ranks, truths); err != nil {
+		if m, err = trainedMAP(stack, set); err != nil {
 			return nil, err
 		}
 		rows = append(rows, PrecisionRow{System: name, MAP: m})
@@ -76,9 +56,40 @@ func PrecisionExperiment(cfg Config) ([]PrecisionRow, error) {
 	return rows, nil
 }
 
-// plaintextRankings implements the unencrypted reference system: Euclidean
-// vocabulary tree over raw descriptors, TF-IDF inverted index.
-func plaintextRankings(cfg Config, set *dataset.HolidaysSet, k int) ([][]string, error) {
+// trainedMAP adds the Holidays corpus to s, trains it and scores its
+// rankings.
+func trainedMAP(s scheme, set *dataset.HolidaysSet) (float64, error) {
+	for _, obj := range set.Objects {
+		if err := s.add(obj); err != nil {
+			return 0, err
+		}
+	}
+	if err := s.train(); err != nil {
+		return 0, err
+	}
+	return holidaysMAP(s.search, set, len(set.Objects))
+}
+
+// holidaysMAP ranks each Holidays query through search, which returns the
+// ids of the top k objects best first, and scores the rankings' mAP against
+// the queries' ground truth.
+func holidaysMAP(search func(query *core.Object, k int) ([]string, error), set *dataset.HolidaysSet, k int) (float64, error) {
+	ranks := make([][]string, len(set.Queries))
+	truths := make([][]string, len(set.Queries))
+	for i, q := range set.Queries {
+		var err error
+		if ranks[i], err = search(q.Query, k); err != nil {
+			return 0, err
+		}
+		truths[i] = q.Relevant
+	}
+	return eval.MeanAveragePrecision(ranks, truths)
+}
+
+// plaintextSearch builds the unencrypted reference system over the Holidays
+// corpus — Euclidean vocabulary tree over raw descriptors, TF-IDF inverted
+// index — and returns its search.
+func plaintextSearch(cfg Config, set *dataset.HolidaysSet) (func(query *core.Object, k int) ([]string, error), error) {
 	pyr := cfg.pyramid()
 	descs := make(map[string][][]float64, len(set.Objects))
 	var sample [][]float64
@@ -115,19 +126,12 @@ func plaintextRankings(cfg Config, set *dataset.HolidaysSet, k int) ([][]string,
 		}
 		ix.Add(index.DocID(id), terms)
 	}
-	ranks := make([][]string, len(set.Queries))
-	for i, q := range set.Queries {
-		hist := tree.QuantizeAll(imaging.Extract(q.Query.Image, pyr))
+	return func(query *core.Object, k int) ([]string, error) {
+		hist := tree.QuantizeAll(imaging.Extract(query.Image, pyr))
 		terms := make(map[index.Term]uint64, len(hist))
 		for w, f := range hist {
 			terms[index.Term("vw:"+strconv.Itoa(w))] = f
 		}
-		res := ix.Search(index.SortedTerms(terms), k)
-		ids := make([]string, len(res))
-		for j, r := range res {
-			ids[j] = string(r.Doc)
-		}
-		ranks[i] = ids
-	}
-	return ranks, nil
+		return resultIDs(ix.Search(index.SortedTerms(terms), k)), nil
+	}, nil
 }

@@ -42,7 +42,7 @@ type scheme interface {
 func newScheme(name string, cfg Config, meter *device.Meter, repoID string) (scheme, error) {
 	switch name {
 	case SchemeMIE:
-		return newMIE(cfg, meter, repoID)
+		return newMIE(cfg, meter, repoID, paperDense)
 	case SchemeMSSE:
 		return newBaseline(cfg, meter, repoID, msse.NewKeys(masterKey(2)), 0)
 	case SchemeHomMSSE:
@@ -65,16 +65,24 @@ func masterKey(b byte) crypto.Key {
 
 func dataKey() crypto.Key { return masterKey(0xD7) }
 
+// paperDense is the image Dense-DPE of every MIE stack the experiments
+// build, bar the ablations' sweeps. OutDim 2048 keeps encodings at least as
+// large as the plaintext descriptors (64 float32s), the condition §VII-D
+// gives for Dense-DPE not to hurt retrieval precision.
+var paperDense = dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 2048, Threshold: 0.5}
+
 // mieStack bundles an in-process MIE deployment.
 type mieStack struct {
 	cfg    Config
+	dense  dpe.DenseParams
 	client *core.Client
 	repo   *core.Repository
 	meter  *device.Meter
 }
 
-func newMIE(cfg Config, meter *device.Meter, repoID string) (*mieStack, error) {
-	client, err := newMIEClient(cfg, meter)
+// newMIE builds a MIE stack whose client encodes images with dense.
+func newMIE(cfg Config, meter *device.Meter, repoID string, dense dpe.DenseParams) (*mieStack, error) {
+	client, err := newMIEClient(cfg, meter, dense)
 	if err != nil {
 		return nil, err
 	}
@@ -82,16 +90,13 @@ func newMIE(cfg Config, meter *device.Meter, repoID string) (*mieStack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mieStack{cfg: cfg, client: client, repo: repo, meter: meter}, nil
+	return &mieStack{cfg: cfg, dense: dense, client: client, repo: repo, meter: meter}, nil
 }
 
-func newMIEClient(cfg Config, meter *device.Meter) (*core.Client, error) {
-	// OutDim 2048 keeps encodings at least as large as the plaintext
-	// descriptors (64 float32s), the condition §VII-D gives for Dense-DPE
-	// not to hurt retrieval precision.
+func newMIEClient(cfg Config, meter *device.Meter, dense dpe.DenseParams) (*core.Client, error) {
 	return core.NewClient(core.ClientConfig{
 		Key:     core.RepositoryKey{Master: masterKey(1)},
-		Dense:   dpe.DenseParams{InDim: imaging.DescriptorDim, OutDim: 2048, Threshold: 0.5},
+		Dense:   dense,
 		Pyramid: cfg.pyramid(),
 		Meter:   meter,
 	})
@@ -107,13 +112,11 @@ func (m *mieStack) add(obj *core.Object) error {
 	if m.meter != nil {
 		m.meter.AddTransfer(device.Network, int64(up.EncodedSize()), 0)
 	}
-	return m.repo.UpdateContext(context.
-
-		// train runs in the cloud: zero client cost, the whole point of the MIE
-		// design (the missing Train bar in Figures 2/3).
-		Background(), up)
+	return m.repo.UpdateContext(context.Background(), up)
 }
 
+// train runs in the cloud: zero client cost, the whole point of the MIE
+// design (the missing Train bar in Figures 2/3).
 func (m *mieStack) train() error { return m.repo.TrainContext(context.Background()) }
 
 func (m *mieStack) search(query *core.Object, k int) ([]string, error) {
@@ -143,8 +146,8 @@ func (m *mieStack) search(query *core.Object, k int) ([]string, error) {
 // queryClient: a client built from the same repository key produces
 // identical trapdoors; only cost attribution differs.
 func (m *mieStack) queryClient(meter *device.Meter) (scheme, error) {
-	client, err := newMIEClient(m.cfg, meter)
-	return &mieStack{cfg: m.cfg, client: client, repo: m.repo, meter: meter}, err
+	client, err := newMIEClient(m.cfg, meter, m.dense)
+	return &mieStack{cfg: m.cfg, dense: m.dense, client: client, repo: m.repo, meter: meter}, err
 }
 
 // baseline bundles an in-process MSSE or Hom-MSSE deployment; the keys say

@@ -82,7 +82,7 @@ func Table1Empirical(cfg Config) (*Table1Scaling, error) {
 
 	const reps = 20
 	measure := func(n int, train bool) (search, update time.Duration, err error) {
-		stack, err := newMIE(cfg, nil, fmt.Sprintf("t1-%d-%v", n, train))
+		stack, err := newMIE(cfg, nil, fmt.Sprintf("t1-%d-%v", n, train), paperDense)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
@@ -19,9 +18,9 @@ import (
 //
 //	/metrics       Prometheus text exposition of the bound registry
 //	/metrics.json  the same snapshot as JSON (a Snapshot)
-//	/debug/traces  completed request traces (JSON list; ?trace=<id> for one,
-//	               &format=tree for an indented tree) when a tracer is bound
-//	/debug/vars    expvar (Go runtime memstats plus published vars)
+//	/debug/traces  the completed request traces of DefaultTracer (JSON list;
+//	               ?trace=<id> for one, &format=tree for an indented tree)
+//	/debug/vars    expvar: Go's runtime memstats and command line
 //	/debug/pprof   the full net/http/pprof suite (CPU/heap/goroutine profiles)
 //	/healthz       liveness probe
 //
@@ -39,13 +38,7 @@ type DebugServer struct {
 type DebugOption func(*debugConfig)
 
 type debugConfig struct {
-	tracer   *Tracer
 	handlers map[string]http.Handler
-}
-
-// WithTracer exposes the tracer's completed-trace ring at /debug/traces.
-func WithTracer(t *Tracer) DebugOption {
-	return func(c *debugConfig) { c.tracer = t }
 }
 
 // WithHandler mounts an extra handler on the debug mux — how mie-server
@@ -58,8 +51,6 @@ func WithHandler(pattern string, h http.Handler) DebugOption {
 		c.handlers[pattern] = h
 	}
 }
-
-var expvarOnce sync.Once
 
 // discard drops every record before formatting it: its minimum level is
 // above any level a caller can log at. (slog.DiscardHandler needs Go 1.24;
@@ -76,7 +67,6 @@ func OrDiscard(lg *slog.Logger) *slog.Logger {
 }
 
 // ServeDebug starts a debug server on addr (use ":0" for an ephemeral port).
-// The registry snapshot is also published as the expvar "mie" on first call.
 func ServeDebug(addr string, reg *Registry, logger *slog.Logger, opts ...DebugOption) (*DebugServer, error) {
 	if reg == nil {
 		reg = Default()
@@ -86,9 +76,6 @@ func ServeDebug(addr string, reg *Registry, logger *slog.Logger, opts ...DebugOp
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	expvarOnce.Do(func() {
-		expvar.Publish("mie", expvar.Func(func() any { return reg.Snapshot() }))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		UpdateRuntimeMetrics(reg)
@@ -104,9 +91,7 @@ func ServeDebug(addr string, reg *Registry, logger *slog.Logger, opts ...DebugOp
 			logger.Warn("metrics json failed", "err", err)
 		}
 	})
-	if cfg.tracer != nil {
-		mux.Handle("/debug/traces", TraceHandler(cfg.tracer))
-	}
+	mux.Handle("/debug/traces", TraceHandler(DefaultTracer()))
 	for pattern, h := range cfg.handlers {
 		mux.Handle(pattern, h)
 	}

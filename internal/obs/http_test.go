@@ -61,9 +61,20 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics.json counters = %+v", snap.Counters)
 	}
 
-	vars := getBody(t, base+"/debug/vars")
-	if !strings.Contains(vars, "memstats") {
+	// /debug/vars is Go's own expvar: memstats, and no copy of a registry.
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(getBody(t, base+"/debug/vars")), &vars); err != nil {
+		t.Fatalf("/debug/vars not valid JSON: %v", err)
+	}
+	if vars["memstats"] == nil {
 		t.Error("/debug/vars missing memstats")
+	}
+	if vars["mie"] != nil {
+		t.Error("/debug/vars publishes a registry snapshot")
+	}
+
+	if getBody(t, base+"/debug/traces") == "" {
+		t.Error("/debug/traces is empty")
 	}
 
 	if !strings.Contains(getBody(t, base+"/debug/pprof/"), "goroutine") {

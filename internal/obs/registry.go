@@ -3,7 +3,8 @@
 // histograms), lightweight phase spans for attributing wall time the way the
 // paper's Tables 2-3 and Figures 5-8 do (client encode vs. cloud
 // train/index/search), and an opt-in HTTP debug server exposing /metrics,
-// /debug/vars and net/http/pprof. Logging is log/slog, passed in by callers.
+// /metrics.json, /debug/traces and net/http/pprof. Logging is log/slog,
+// passed in by callers.
 //
 // The package is stdlib-only by design: the reproduction must run in
 // hermetic environments, and the exposition format is a plain-text subset of
@@ -12,7 +13,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -258,7 +258,7 @@ type BucketCount struct {
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry, shaped for
-// JSON serialization (/metrics.json, expvar "mie").
+// JSON serialization (/metrics.json, mie-client -v).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -311,65 +311,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// WriteMetrics writes a plain-text exposition of every metric, sorted by
-// name: `name value` lines for counters and gauges; `_count`, `_sum`,
-// cumulative `_bucket{le=...}` and quantile lines for histograms.
-func (r *Registry) WriteMetrics(w io.Writer) error {
-	snap := r.Snapshot()
-	var b strings.Builder
-	for _, name := range sortedKeys(snap.Counters) {
-		fmt.Fprintf(&b, "%s %d\n", name, snap.Counters[name])
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		fmt.Fprintf(&b, "%s %d\n", name, snap.Gauges[name])
-	}
-	hnames := make([]string, 0, len(snap.Histograms))
-	for name := range snap.Histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		h := snap.Histograms[name]
-		fmt.Fprintf(&b, "%s %d\n", suffixed(name, "_count"), h.Count)
-		fmt.Fprintf(&b, "%s %s\n", suffixed(name, "_sum"), formatFloat(h.Sum))
-		fmt.Fprintf(&b, "%s %s\n", withLabel(name, "quantile", "0.5"), formatFloat(h.P50))
-		fmt.Fprintf(&b, "%s %s\n", withLabel(name, "quantile", "0.95"), formatFloat(h.P95))
-		fmt.Fprintf(&b, "%s %s\n", withLabel(name, "quantile", "0.99"), formatFloat(h.P99))
-		for _, bc := range h.Buckets {
-			fmt.Fprintf(&b, "%s %d\n", withLabel(suffixed(name, "_bucket"), "le", bc.Le), bc.Count)
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// suffixed inserts a suffix before the label braces: suffixed("a{k=v}",
-// "_sum") -> "a_sum{k=v}".
-func suffixed(name, suffix string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i] + suffix + name[i:]
-	}
-	return name + suffix
-}
-
-// withLabel appends one label, merging into existing braces.
-func withLabel(name, key, value string) string {
-	pair := key + "=" + value
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:len(name)-1] + "," + pair + "}"
-	}
-	return name + "{" + pair + "}"
 }
 
 func formatFloat(v float64) string {

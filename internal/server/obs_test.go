@@ -96,7 +96,7 @@ func TestUnknownKindErrorResponseBody(t *testing.T) {
 	}
 	// The connection stays usable after an unknown kind (one error response,
 	// no abort).
-	sendFrame(t, raw, wire.KindTrain, 2, wire.TrainReq{RepoID: "missing"})
+	sendFrame(t, raw, wire.KindRemove, 2, wire.RemoveReq{RepoID: "missing", ObjectID: "o"})
 	if env, _, err = wire.ReadFrame(raw); err != nil || env.Kind != wire.KindAck {
 		t.Errorf("follow-up request after unknown kind: env=%v err=%v", env, err)
 	}
@@ -226,7 +226,7 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	fl.conns <- srvEnd
 	done := make(chan error, 1)
 	go func() {
-		req, err := wire.NewEnvelope(wire.KindTrain, "", 1, 0, wire.TrainReq{RepoID: "missing"})
+		req, err := wire.NewEnvelope(wire.KindRemove, "", 1, 0, wire.RemoveReq{RepoID: "missing", ObjectID: "o"})
 		if err == nil {
 			_, err = wire.WriteEnvelope(cliEnd, req)
 		}
@@ -318,7 +318,8 @@ func TestMetricsEndpointReflectsSearchRoundTrip(t *testing.T) {
 	for _, name := range []string{
 		`server_requests_total{kind="search"}`,
 		`server_requests_total{kind="update"}`,
-		`server_requests_total{kind="train"}`,
+		`server_requests_total{kind="train-start"}`,
+		`server_requests_total{kind="train-wait"}`,
 		`server_request_seconds_count{kind="search"}`,
 		`server_rx_bytes_total`,
 		`server_tx_bytes_total`,

@@ -8,8 +8,7 @@
 //
 // Training is asynchronous: TrainStart launches a server-side job backed by
 // core's job table and returns immediately; TrainStatus/TrainWait poll or
-// await it. The blocking Train kind is implemented on top of the same jobs,
-// so the engine never ties a training run's lifetime to a socket.
+// await it, so the engine never ties a training run's lifetime to a socket.
 //
 // The server is fully instrumented: per-kind request/error counters,
 // in-flight gauges (total and per kind), wire-level byte counters, per-kind
@@ -54,13 +53,6 @@ func WithAuthorizer(a Authorizer) Option {
 // process-wide obs.Default() registry.
 func WithObservability(reg *obs.Registry) Option {
 	return func(s *Server) { s.reg = reg }
-}
-
-// WithTracer installs the distributed tracer requests join (propagated
-// TraceID/SpanID from request envelopes) and completed traces land in. Defaults
-// to obs.DefaultTracer().
-func WithTracer(t *obs.Tracer) Option {
-	return func(s *Server) { s.tracer = t }
 }
 
 // Accept-retry backoff bounds: transient Accept errors (e.g. EMFILE when the
@@ -508,22 +500,13 @@ func onRepo[Q, R any, PR responsePtr[R]](run func(ctx context.Context, repo *cor
 	})
 }
 
-// handlers holds the nine repository-scoped kinds — the paper's five
-// operations, the read, and the training-job handles. Hello, Cancel and the
-// replication kinds never reach it; TraceGet is a diagnostics read outside
-// any repository and outside tenant quotas.
+// handlers holds the eight repository-scoped kinds — the paper's five
+// operations, Train as its three job kinds (start, status, wait), and the
+// read. Hello, Cancel and the replication kinds never reach it; TraceGet is
+// a diagnostics read outside any repository and outside tenant quotas.
 var handlers = map[string]handler{
 	wire.KindCreateRepo: on(func(_ context.Context, svc *core.Service, _ string, req *wire.CreateRepoReq, _ *wire.Ack) error {
 		_, err := svc.CreateRepository(req.RepoID, req.Opts)
-		return err
-	}),
-	// Blocking semantics on top of the async job table: start (or join) a
-	// job, then wait for it under the request context.
-	wire.KindTrain: onRepo(func(ctx context.Context, repo *core.Repository, _ *wire.TrainReq, _ *wire.Ack) error {
-		st, err := repo.TrainWait(ctx, repo.TrainStart())
-		if err == nil && st.State == core.TrainFailed {
-			err = errors.New(st.Err)
-		}
 		return err
 	}),
 	wire.KindTrainStart: onRepo(func(_ context.Context, repo *core.Repository, _ *wire.TrainReq, resp *wire.TrainJobResp) (err error) {

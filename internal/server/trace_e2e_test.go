@@ -12,6 +12,13 @@ import (
 	"mie/internal/obs"
 )
 
+// WithTracer installs the distributed tracer requests join (propagated
+// TraceID/SpanID from request envelopes) and completed traces land in, in
+// place of the obs.DefaultTracer() every server outside the tests uses.
+func WithTracer(t *obs.Tracer) Option {
+	return func(s *Server) { s.tracer = t }
+}
+
 // TestTracePropagatesEndToEnd drives one traced search through a real TCP
 // round trip and asserts the acceptance property of the tracing subsystem:
 // client and server report the SAME TraceID, the server's span fragment

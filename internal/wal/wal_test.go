@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"mie/internal/wal/walfault"
 )
@@ -446,3 +447,57 @@ type countingObserver struct {
 
 func (o *countingObserver) Appended(n int) { o.appends++; o.bytes += n }
 func (o *countingObserver) Synced()        { o.syncs++ }
+
+// syncSignal is an Observer that reports each fsync on its channel, which
+// must have room for every fsync the test provokes.
+type syncSignal chan struct{}
+
+func (syncSignal) Appended(int) {}
+func (s syncSignal) Synced()    { s <- struct{}{} }
+
+// TestSyncIntervalFlushes: under SyncInterval a record that no later append
+// follows is fsynced by the background flusher within a few intervals, and
+// Close fsyncs what is still dirty, so both records survive a power cut.
+func TestSyncIntervalFlushes(t *testing.T) {
+	disk := walfault.NewDisk()
+	synced := make(syncSignal, 8)
+	l := faultLog(t, disk, "log", Options{Sync: SyncInterval, Observer: synced})
+	<-synced // the fresh log's header
+	// appendFresh appends right after an fsync, so the append itself
+	// leaves its record dirty.
+	appendFresh := func(rec string) {
+		t.Helper()
+		l.mu.Lock()
+		l.lastSync = time.Now()
+		l.mu.Unlock()
+		if err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendFresh("flushed")
+	select {
+	case <-synced:
+	case <-time.After(5 * syncInterval):
+		t.Fatal("no fsync within five intervals of the last append")
+	}
+	l.mu.Lock()
+	dirty := l.dirty
+	l.mu.Unlock()
+	if dirty {
+		t.Error("the flusher's fsync left the log dirty")
+	}
+
+	appendFresh("closed")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	disk.File("log").Crash()
+	var got [][]byte
+	_, rec, err := Open("log", Options{OpenFile: diskOpen(disk)}, collect(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records != 2 || string(got[0]) != "flushed" || string(got[1]) != "closed" {
+		t.Errorf("recovered %q after a power cut, want [flushed closed]", got)
+	}
+}

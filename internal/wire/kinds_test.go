@@ -72,7 +72,7 @@ func TestPayloadTableIsComplete(t *testing.T) {
 		t.Fatalf("found %d struct declarations for %d table rows: the source scan is broken", declared, len(payloads))
 	}
 	for code := 1; code < len(kinds); code++ {
-		if carried[kinds[code].name] == "" {
+		if kinds[code].name != "" && carried[kinds[code].name] == "" {
 			t.Errorf("kind %s (code %d) has no row in the payloads table", kinds[code].name, code)
 		}
 	}
@@ -86,7 +86,7 @@ func TestKindRows(t *testing.T) {
 	}
 	jobPolls := map[string]bool{KindTrainStatus: true, KindTrainWait: true}
 	if len(kinds) != 23 {
-		t.Errorf("the kinds table has %d rows, want 22 (codes are append-only; update this test with the new row)", len(kinds)-1)
+		t.Errorf("the kinds table has %d codes, want 22 with code 2 retired (codes are append-only; update this test with the new row)", len(kinds)-1)
 	}
 	for code := 1; code < len(kinds); code++ {
 		k := kinds[code]
@@ -129,10 +129,8 @@ func TestKindRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
-			g := newGen(int64(1000 + i))
-			g.small = true
 			want := ""
-			if f := reflect.ValueOf(pc.gen(g)).Elem().FieldByName("RepoID"); row(kind).flags&repoFirst != 0 {
+			if f := reflect.ValueOf(pc.gen(goldenGen(kind, i))).Elem().FieldByName("RepoID"); row(kind).flags&repoFirst != 0 {
 				if !f.IsValid() {
 					t.Fatalf("%s is marked repoFirst but %s has no RepoID", kind, pc.name)
 				}
@@ -294,6 +292,18 @@ func TestPayloadsSurviveDamage(t *testing.T) {
 	}
 }
 
+// goldenGen returns the generator of the golden value of the i-th kind of a
+// payloads row. train-start's frame was made as the second kind of its row,
+// before the retired "train" (code 2) left it, and keeps that seed.
+func goldenGen(kind string, i int) *valueGen {
+	if kind == KindTrainStart {
+		i = 1
+	}
+	g := newGen(int64(1000 + i))
+	g.small = true
+	return g
+}
+
 // goldenEnvelope is the fixed header every golden frame carries.
 func goldenEnvelope(kind string, body []byte) *Envelope {
 	return &Envelope{
@@ -310,9 +320,7 @@ func goldenEnvelope(kind string, body []byte) *Envelope {
 func TestGoldenFrames(t *testing.T) {
 	for _, pc := range payloads {
 		for i, kind := range pc.kinds {
-			g := newGen(int64(1000 + i))
-			g.small = true
-			want := pc.gen(g)
+			want := pc.gen(goldenGen(kind, i))
 			var frame bytes.Buffer
 			if _, err := WriteEnvelope(&frame, goldenEnvelope(kind, encodeBody(t, kind, want))); err != nil {
 				t.Fatal(err)

@@ -64,6 +64,9 @@ func TestEveryKindHasACap(t *testing.T) {
 	large := map[string]bool{KindUpdate: true, KindGetResp: true, KindSearchResp: true, KindReplRecords: true}
 	for code := 1; code < len(kinds); code++ {
 		k := kinds[code]
+		if k.name == "" {
+			continue // retired: TestRetiredKindIsRefused
+		}
 		switch {
 		case large[k.name] && k.maxFrame != MaxFrameSize:
 			t.Errorf("%s is capped at %d, want MaxFrameSize", k.name, k.maxFrame)

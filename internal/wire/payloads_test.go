@@ -44,7 +44,7 @@ var payloads = []payloadCase{
 			TreeSeed: int64(g.int()), TrainingSampleCap: g.int(), FusionCandidates: g.int(),
 		}}
 	}, KindCreateRepo),
-	payload(func(g *valueGen) TrainReq { return TrainReq{RepoID: g.str()} }, KindTrain, KindTrainStart),
+	payload(func(g *valueGen) TrainReq { return TrainReq{RepoID: g.str()} }, KindTrainStart),
 	payload(func(g *valueGen) TrainJobReq { return TrainJobReq{RepoID: g.str(), JobID: g.u64()} }, KindTrainStatus, KindTrainWait),
 	payload(func(g *valueGen) UpdateReq {
 		return UpdateReq{RepoID: g.str(), Update: core.Update{

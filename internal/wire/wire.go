@@ -119,7 +119,6 @@ func IsMalformed(err error) bool {
 // Message kinds.
 const (
 	KindCreateRepo = "create-repo"
-	KindTrain      = "train"
 	KindUpdate     = "update"
 	KindRemove     = "remove"
 	KindSearch     = "search"
@@ -202,8 +201,8 @@ type (
 	// RepoOptions are a repository's engine parameters: the engine's own
 	// options type, all of which a create request carries.
 	RepoOptions = core.RepositoryOptions
-	// TrainReq triggers server-side training: synchronously for KindTrain
-	// and asynchronously for KindTrainStart.
+	// TrainReq starts (or joins) a server-side training job
+	// (KindTrainStart).
 	TrainReq struct {
 		RepoID string
 	}
@@ -420,10 +419,11 @@ const (
 )
 
 // kinds maps a kind's wire code (the index) to its row. Codes are part of
-// the protocol: append, never renumber.
+// the protocol: append, never renumber. A retired code keeps its empty row
+// and is refused like an unknown one: 2 was the blocking "train", which
+// train-start plus train-wait replace.
 var kinds = [...]kindInfo{
 	1:  {KindCreateRepo, smallFrame, repoFirst | leader, KindAck},
-	2:  {KindTrain, smallFrame, repoFirst | leader, KindAck},
 	3:  {KindUpdate, MaxFrameSize, repoFirst | leader, KindAck},
 	4:  {KindRemove, smallFrame, repoFirst | leader, KindAck},
 	5:  {KindSearch, queryFrame, repoFirst | idempotent, KindSearchResp},
@@ -470,6 +470,9 @@ var (
 
 func init() {
 	for code := 1; code < len(kinds); code++ {
+		if kinds[code].name == "" {
+			continue // retired
+		}
 		kindCodes[kinds[code].name] = byte(code)
 		kindSums[code] = crc32.Update(0, castagnoli, []byte{byte(code)})
 	}
@@ -487,9 +490,12 @@ func putBuf(bp *[]byte, b []byte) {
 }
 
 // NewEnvelope encodes payload into an envelope carrying the given request
-// id and time budget. payload may be a value or a pointer; a type without a
-// binary form (codec.go) is an error.
+// id and time budget. payload may be a value or a pointer; a kind not in
+// the table, or a type without a binary form (codec.go), is an error.
 func NewEnvelope(kind, authToken string, id uint64, timeout time.Duration, payload interface{}) (*Envelope, error) {
+	if _, ok := kindCodes[kind]; !ok {
+		return nil, fmt.Errorf("wire: unknown kind %q", kind)
+	}
 	env := &Envelope{Kind: kind, Auth: authToken, ID: id, TimeoutNanos: int64(timeout)}
 	if payload == nil {
 		return env, nil
@@ -569,7 +575,7 @@ func ReadFrame(r io.Reader) (*Envelope, int, error) {
 		return nil, 0, ErrFrameTooLarge
 	case hdr[4] != frameMagic:
 		return nil, 0, fmt.Errorf("%w: magic byte %#x is not protocol %d", ErrMalformed, hdr[4], ProtocolVersion)
-	case code == 0 || int(code) >= len(kinds):
+	case int(code) >= len(kinds) || kinds[code].name == "":
 		return nil, 0, fmt.Errorf("%w: unknown kind code %d", ErrMalformed, code)
 	case length > kinds[code].maxFrame:
 		return nil, 0, fmt.Errorf("%w: %s frame claims %d bytes", ErrFrameTooLarge, kinds[code].name, length)

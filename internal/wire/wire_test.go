@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -180,6 +182,33 @@ func TestReadFrameGarbageBody(t *testing.T) {
 		if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}
+	}
+}
+
+// TestRetiredKindIsRefused: code 2, the blocking "train" that train-start
+// plus train-wait replace, is retired and never reused. The frame its last
+// writer made (testdata/v3/train.bin) is malformed, like a frame whose code
+// is past the table, and no envelope of that kind can be made.
+func TestRetiredKindIsRefused(t *testing.T) {
+	retired, err := os.ReadFile(filepath.Join("testdata", "v3", "train.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retired[5] != 2 {
+		t.Fatalf("train.bin carries kind code %d, want 2", retired[5])
+	}
+	past := append([]byte(nil), retired...)
+	past[5] = byte(len(kinds))
+	for name, frame := range map[string][]byte{"retired code 2": retired, "code past the table": past} {
+		if _, _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
+	}
+	if _, err := NewEnvelope("train", "", 1, 0, TrainReq{RepoID: "r"}); err == nil {
+		t.Error(`NewEnvelope accepted the retired kind "train"`)
+	}
+	if _, ok := kindCodes[""]; ok {
+		t.Error("the retired row's empty name maps to a code")
 	}
 }
 

@@ -249,8 +249,6 @@ type Options struct {
 	Create bool
 	// Repo holds the engine parameters used when Create is set.
 	Repo RepositoryOptions
-	// Meter, when non-nil, accounts network transfer costs (remote only).
-	Meter *Meter
 	// Token is a bearer authorization token minted by the repository
 	// owner's authority (remote only).
 	Token string
@@ -307,7 +305,7 @@ func openLocal(opts Options) (Repository, error) {
 }
 
 func openRemote(ctx context.Context, opts Options) (Repository, error) {
-	conn, err := client.Dial(opts.Addr, opts.Meter)
+	conn, err := client.Dial(opts.Addr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -435,25 +433,10 @@ func (r *remoteRepo) TrainAsync(ctx context.Context) (*TrainJob, error) {
 		return nil, err
 	}
 	return &TrainJob{id: st.JobID, status: func(ctx context.Context, wait bool) (TrainStatus, error) {
-		poll := r.conn.TrainStatus
 		if wait {
-			poll = r.conn.TrainWait
+			return r.conn.TrainWait(ctx, r.repoID, st.JobID)
 		}
-		for {
-			got, err := poll(ctx, r.repoID, st.JobID)
-			if err != nil {
-				return TrainStatus{}, err
-			}
-			if !wait || got.State != TrainRunning {
-				return got, nil
-			}
-			// The server answered "still running" because the request
-			// deadline lapsed server-side; keep waiting until our context
-			// gives up.
-			if err := ctx.Err(); err != nil {
-				return got, err
-			}
-		}
+		return r.conn.TrainStatus(ctx, r.repoID, st.JobID)
 	}}, nil
 }
 
